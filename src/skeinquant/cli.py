@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -49,7 +48,6 @@ def _manifest(cfg: RunConfig) -> dict:
         "precision_bits": cfg.precision_bits,
         "conventions_version": CONVENTIONS_VERSION,
         "package_version": __version__,
-        "threads": int(os.environ.get("SKEINQUANT_THREADS", "1")),
     }
 
 
@@ -83,7 +81,10 @@ def _knot_from_args(args) -> KnotPresentation:
 
 
 def _parse_tau(text: str) -> complex:
-    return complex(text.replace("i", "j").replace(" ", ""))
+    try:
+        return complex(text.replace("i", "j").replace(" ", ""))
+    except ValueError:
+        raise SkeinQuantError(f"cannot parse --tau {text!r}; write it like 0.3+1.7i") from None
 
 
 # -- commands ---------------------------------------------------------------
@@ -257,6 +258,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv) -> list:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 >= len(argv):
+        raise SkeinQuantError("--config requires a file path")
     path = argv[idx + 1]
     with open(path) as fh:
         defaults = json.load(fh)
@@ -287,10 +290,8 @@ def main(argv=None) -> int:
                         precision_bits=args.precision_bits,
                         out=args.out)
         return args.func(cfg, args)
-    except SkeinQuantError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (SkeinQuantError, OSError, ValueError) as exc:
+        # ValueError is how the constructors reject out-of-range input
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

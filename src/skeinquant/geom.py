@@ -144,28 +144,43 @@ def _window(ctx: QuantizationContext, q_min: float, q_max: float):
     return lo, hi
 
 
+def _term_exponent(ctx: QuantizationContext, m, P, Q, frame: bool = True):
+    """Exponent of the extended series term m (coefficient rho_{m mod N}) at (P, Q).
+
+    The coefficient extension i pi tau (m^2 - m0^2)/N, the Fourier phase
+    2 pi i m z and, with ``frame``, the frame i pi N q z are added before
+    anything is exponentiated: taken apart the Gaussian factors overflow.
+    Broadcasts over arrays of m, P and Q.
+    """
+    N, tau = ctx.N, ctx.tau
+    m0 = m % N
+    phase = 2j * math.pi * m
+    if frame:
+        phase = phase + 1j * math.pi * N * Q
+    return phase * (P + tau * Q) + 1j * math.pi * tau * (m * m - m0 * m0) / N
+
+
+def _series(s: ThetaSection, P, Q, frame: bool) -> np.ndarray:
+    """Truncated theta series of s summed term by term over the window."""
+    ctx = s.ctx
+    P = np.asarray(P, dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
+    lo, hi = _window(ctx, float(Q.min()), float(Q.max()))
+    out = np.zeros(np.broadcast(P, Q).shape, dtype=np.complex128)
+    for m in range(lo, hi + 1):
+        c = s.rho[m % ctx.N]
+        if c != 0:
+            out += c * np.exp(_term_exponent(ctx, m, P, Q, frame))
+    return out
+
+
 def eval_grid(s: ThetaSection, P, Q) -> np.ndarray:
     """Section values (holomorphic factor times frame) on arrays of points.
 
     The half-form scale multiplies the result; exponents are combined
     before exponentiation so no intermediate factor overflows.
     """
-    ctx = s.ctx
-    N, tau = ctx.N, ctx.tau
-    P = np.asarray(P, dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
-    Z = P + tau * Q
-    base = 1j * math.pi * N * Q * Z
-    lo, hi = _window(ctx, float(Q.min()), float(Q.max()))
-    out = np.zeros(Z.shape, dtype=np.complex128)
-    for m in range(lo, hi + 1):
-        m0 = m % N
-        c = s.rho[m0]
-        if c == 0:
-            continue
-        c = c * _extension_factor(ctx, m, m0)
-        out += c * np.exp(base + 2j * math.pi * m * Z)
-    return out * s.halfform_scale
+    return _series(s, P, Q, frame=True) * s.halfform_scale
 
 
 def section_eval(s: ThetaSection, p: float, q: float) -> complex:
@@ -174,18 +189,12 @@ def section_eval(s: ThetaSection, p: float, q: float) -> complex:
 
 
 def holomorphic_part(s: ThetaSection, p: float, q: float) -> complex:
-    """g(z) alone, without the frame factor (used by periodicity checks)."""
-    ctx = s.ctx
-    z = p + ctx.tau * q
-    lo, hi = _window(ctx, q, q)
-    total = 0j
-    for m in range(lo, hi + 1):
-        m0 = m % ctx.N
-        c = s.rho[m0]
-        if c == 0:
-            continue
-        total += c * _extension_factor(ctx, m, m0) * cmath.exp(2j * math.pi * m * z)
-    return total
+    """g(z) alone, without the frame factor (used by the holomorphy check).
+
+    g grows like exp(pi b N q^2); far from the unit square it leaves the
+    float range, where the section values with their frame do not.
+    """
+    return complex(_series(s, p, q, frame=False))
 
 
 # -- Heisenberg translations ----------------------------------------------
@@ -300,46 +309,56 @@ def phi_coefficients(s: ThetaSection):
 
 # -- quadrature inner products ---------------------------------------------
 
-_KERNEL_CACHE: dict = {}
-_KERNEL_CACHE_LIMIT = 24
+def _q_parts(ctx: QuantizationContext, q: np.ndarray):
+    """Window indices m and the q-parts F[m, j] of those terms at the points q_j.
+
+    A term's exponent at (p, q) is its exponent at (0, q) plus the pure
+    phase i (2 pi m + pi N q) p; only this q-part carries the Gaussian.
+    """
+    lo, hi = _window(ctx, float(q.min()), float(q.max()))
+    m = np.arange(lo, hi + 1)
+    return m, np.exp(_term_exponent(ctx, m[:, None], 0.0, q[None, :]))
 
 
 def _gram_kernel(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
     """N x N pairing kernel G with <s1, s2> = rho1^H G rho2 (no half-form).
 
-    Built by blocked accumulation of class-kernel values over the periodic
-    grid; the integrand conj(s1) s2 is fully periodic so the trapezoid
-    mean converges spectrally.
+    The n x n trapezoid sum of conj(s1) s2, done exactly in one dimension:
+    the p-dependence of conj(term m) * term m' is exp(2 pi i (m' - m) p),
+    whose mean over n grid points is [m' = m mod n].  What is left is a sum
+    over q of the terms' q-parts F, folded onto index classes by A.
     """
-    key = (ctx._key(), n_grid)
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    N, tau = ctx.N, ctx.tau
-    xs = np.arange(n_grid) / n_grid
-    G = np.zeros((N, N), dtype=np.complex128)
-    lo, hi = _window(ctx, 0.0, 1.0)
-    block = max(1, min(n_grid, (1 << 22) // (n_grid * max(1, N))))
-    for start in range(0, n_grid, block):
-        P, Q = np.meshgrid(xs[start:start + block], xs, indexing="ij")
-        Z = P + tau * Q
-        base = 1j * math.pi * N * Q * Z
-        E = np.zeros((N, P.size), dtype=np.complex128)
-        for m in range(lo, hi + 1):
-            m0 = m % N
-            E[m0] += (_extension_factor(ctx, m, m0)
-                      * np.exp(base + 2j * math.pi * m * Z)).ravel()
-        G += E.conj() @ E.T
-    G *= 4 * math.pi / n_grid ** 2
-    if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
-        _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-    _KERNEL_CACHE[key] = G
-    return G
+    m, F = _q_parts(ctx, np.arange(n_grid) / n_grid)
+    aliased = (m[:, None] - m[None, :]) % n_grid == 0
+    K = np.where(aliased, F.conj() @ F.T, 0)
+    A = (m[:, None] % ctx.N == np.arange(ctx.N)).astype(np.float64)
+    return (4 * math.pi / n_grid) * (A.T @ K @ A)
 
 
-def _pair_at(ctx, rho1, rho2, n_grid) -> complex:
-    G = _gram_kernel(ctx, n_grid)
-    return complex(np.conj(rho1) @ G @ rho2)
+def _refine(at, quad: QuadratureConfig):
+    """at(n) on grids doubled from n_start until two successive values agree."""
+    n = quad.n_start
+    prev = at(n)
+    while True:
+        n *= 2
+        if n > quad.n_cap:
+            raise QuadratureNotConverged(f"no convergence by n = {quad.n_cap}")
+        cur = at(n)
+        if np.max(np.abs(cur - prev)) <= quad.refine_until * max(1.0, float(np.max(np.abs(cur)))):
+            return cur
+        prev = cur
+
+
+def _pairing(rows: Sequence[ThetaSection], cols: Sequence[ThetaSection],
+             include_halfform: bool = True) -> np.ndarray:
+    """Refined matrix of <rows[i], cols[j]> through the Gram kernel."""
+    ctx = rows[0].ctx
+    if any(s.ctx._key() != ctx._key() for s in cols):
+        raise DimensionMismatch("sections live over different contexts")
+    B1 = np.stack([s.rho * s.halfform_scale for s in rows], axis=1)
+    B2 = np.stack([s.rho * s.halfform_scale for s in cols], axis=1)
+    scale = halfform_norm_sq(ctx) if include_halfform else 1.0
+    return _refine(lambda n: scale * (B1.conj().T @ _gram_kernel(ctx, n) @ B2), ctx.quad)
 
 
 def inner_product(s1: ThetaSection, s2: ThetaSection,
@@ -350,52 +369,13 @@ def inner_product(s1: ThetaSection, s2: ThetaSection,
     context's threshold; the half-form factor sqrt(b/2 pi) multiplies the
     result unless disabled.
     """
-    ctx = s1.ctx
-    if ctx._key() != s2.ctx._key():
-        raise DimensionMismatch("sections live over different contexts")
-    quad = ctx.quad
-    n = quad.n_start
-    prev = _pair_at(ctx, s1.rho, s2.rho, n)
-    while True:
-        n *= 2
-        if n > quad.n_cap:
-            raise QuadratureNotConverged(f"no convergence by n = {quad.n_cap}")
-        cur = _pair_at(ctx, s1.rho, s2.rho, n)
-        if abs(cur - prev) <= quad.refine_until * max(1.0, abs(cur)):
-            break
-        prev = cur
-    scale = np.conj(s1.halfform_scale) * s2.halfform_scale
-    if include_halfform:
-        scale *= halfform_norm_sq(ctx)
-    return complex(cur * scale)
+    return complex(_pairing([s1], [s2], include_halfform)[0, 0])
 
 
 def gram_matrix(sections: Sequence[ThetaSection],
                 include_halfform: bool = True) -> np.ndarray:
     """Matrix of pairwise inner products, refined as one block."""
-    ctx = sections[0].ctx
-    C = np.stack([s.rho for s in sections], axis=1)
-    h = np.array([s.halfform_scale for s in sections])
-    quad = ctx.quad
-    n = quad.n_start
-
-    def at(n_grid):
-        G = _gram_kernel(ctx, n_grid)
-        M = C.conj().T @ G @ C
-        M = M * np.outer(h.conj(), h)
-        if include_halfform:
-            M = M * halfform_norm_sq(ctx)
-        return M
-
-    prev = at(n)
-    while True:
-        n *= 2
-        if n > quad.n_cap:
-            raise QuadratureNotConverged(f"no convergence by n = {quad.n_cap}")
-        cur = at(n)
-        if np.max(np.abs(cur - prev)) <= quad.refine_until * max(1.0, float(np.max(np.abs(cur)))):
-            return cur
-        prev = cur
+    return _pairing(sections, sections, include_halfform)
 
 
 # -- curve operators and the skein isomorphism ------------------------------
@@ -488,6 +468,39 @@ def _fit_phase(measured: np.ndarray, predicted: np.ndarray) -> complex:
     return t / abs(t)
 
 
+_GRID_BLOCK = 1 << 18   # complex values held at once by the S-frame pairing
+
+
+def _s_frame_pairing(phis, tilde_phi, n_grid: int) -> np.ndarray:
+    """Trapezoid sum 4 pi/n^2 sum conj(phi_m(p, q)) tilde_phi_l(q, -p).
+
+    Each section value is its terms' q-parts (q' = -p on the S side)
+    times unit phases in the other coordinate.  The frame phases of the
+    two sides meet as exp(-2 pi i N p q), which does not split, so the
+    sum stays on the grid: one block of p rows at a time, holding at most
+    _GRID_BLOCK values.
+    """
+    ctx, ctx_t = phis[0].ctx, tilde_phi[0].ctx
+    N, r = ctx.N, len(phis)
+    xs = np.arange(n_grid) / n_grid
+    m, F = _q_parts(ctx, xs)
+    m_t, F_t = _q_parts(ctx_t, -xs)
+    R = np.stack([s.rho[m % N] * s.halfform_scale for s in phis])
+    R_t = np.stack([s.rho[m_t % N] * s.halfform_scale for s in tilde_phi])
+    E_t = np.exp(2j * math.pi * np.outer(m_t, xs))
+    rows = max(1, _GRID_BLOCK // (r * max(n_grid, m.size, m_t.size)))
+    M = np.zeros((r, r), dtype=np.complex128)
+    for a in range(0, n_grid, rows):
+        p = xs[a:a + rows]
+        E = np.exp(2j * math.pi * np.outer(p, m))
+        U = ((R * E[:, None, :]).reshape(-1, m.size) @ F).reshape(p.size, r, n_grid)
+        U_t = ((R_t * F_t.T[a:a + rows, None, :]).reshape(-1, m_t.size) @ E_t
+               ).reshape(p.size, r, n_grid)
+        cross = np.exp(-2j * math.pi * N * np.outer(p, xs))
+        M += np.tensordot(U.conj() * cross[:, None, :], U_t, axes=([0, 2], [0, 2]))
+    return M * (4 * math.pi / n_grid ** 2)
+
+
 def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
     """Expand the basis of a generator-transformed frame in the original basis.
 
@@ -499,11 +512,11 @@ def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
     gen="T": the twist fixes the meridian, and the transformed frame
     (mu, mu+lambda) has the opposite lattice character, so no frame theta
     series exists inside the space; the transported basis is instead built
-    by chaining the normalised lift of the (1,1) translation.  The measured
-    matrix is diagonal and is compared against rep_T.
+    by chaining the normalised lift of the (1,1) translation.  Those
+    sections live in this context, so they pair through the Gram kernel;
+    the measured matrix is diagonal and is compared against rep_T.
     """
     r, N = ctx.r, ctx.N
-    quad = ctx.quad
     phis = basis_phi(ctx)
 
     if gen == "T":
@@ -519,42 +532,17 @@ def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
             tilde_phi.append(ThetaSection(
                 ctx, (plus.rho - minus.rho) / math.sqrt(2)))
         predicted = rep_T(r)
-        tilde_vals_factory = None
+        cur = _pairing(phis, tilde_phi)
     elif gen == "S":
         tau_t = -1.0 / ctx.tau
         ctx_t = QuantizationContext(r, tau_t, ctx.series_tol, ctx.quad)
         tilde_phi = basis_phi(ctx_t)
         predicted = rep_S(r)
-        sigma = ctx.tau ** -0.5  # half-form frame change, principal branch
-
-        def tilde_vals_factory(sec, P, Q):
-            # same physical point in the new coordinates (q, -p)
-            return eval_grid(sec, Q, -P) * sigma
+        # half-form frame change tau**-1/2, principal branch
+        weight = ctx.tau ** -0.5 * halfform_norm_sq(ctx)
+        cur = _refine(lambda n: weight * _s_frame_pairing(phis, tilde_phi, n), ctx.quad)
     else:
         raise ValueError("gen must be 'T' or 'S'")
-
-    def measure(n_grid: int) -> np.ndarray:
-        xs = np.arange(n_grid) / n_grid
-        P, Q = np.meshgrid(xs, xs, indexing="ij")
-        weight = 4 * math.pi / n_grid ** 2 * halfform_norm_sq(ctx)
-        base_vals = [eval_grid(s, P, Q) for s in phis]
-        M = np.empty((r, r), dtype=np.complex128)
-        for l, ts in enumerate(tilde_phi):
-            tv = eval_grid(ts, P, Q) if tilde_vals_factory is None else tilde_vals_factory(ts, P, Q)
-            for m in range(r):
-                M[m, l] = weight * np.sum(np.conj(base_vals[m]) * tv)
-        return M
-
-    n = quad.n_start
-    prev = measure(n)
-    while True:
-        n *= 2
-        if n > quad.n_cap:
-            raise QuadratureNotConverged(f"no convergence by n = {quad.n_cap}")
-        cur = measure(n)
-        if np.max(np.abs(cur - prev)) <= quad.refine_until * max(1.0, float(np.max(np.abs(cur)))):
-            break
-        prev = cur
 
     phase = _fit_phase(cur, predicted)
     max_dev = float(np.max(np.abs(cur - phase * predicted)))

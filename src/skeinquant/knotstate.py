@@ -64,8 +64,6 @@ def knot_state(K: KnotPresentation, r: int, backend: str = "auto",
     """State coefficients eta * <e_{n-1}>_K for n = 1..r, plus the section image."""
     ctx = RootContext(r)
     eta = kirby_constants(r).eta
-    A = ctx.A_value
-    w = K.writhe
     coeffs = []
     for n in range(1, r + 1):
         jval = colored_jones(K, n, ctx, backend=backend).value

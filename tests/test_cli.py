@@ -107,6 +107,16 @@ def test_error_exit_codes():
     proc = run_cli("jones", "--n", "2", check=False)
     assert proc.returncode == 2
     assert "provide --knot or --braid" in proc.stderr
+    for argv in (["jones", "--knot", "trefoil", "--n", "2", "--config"],
+                 ["jones", "--braid", "1", "--strands", "3", "--n", "2"],
+                 ["knot-state", "--knot", "trefoil", "--r", "2"],
+                 ["geom-verify", "--r", "3", "--tau", "1-i"],
+                 ["geom-verify", "--r", "3", "--tau", "x"],
+                 ["tqft", "--r", "4", "--word", "Q"],
+                 ["jones", "--knot", "trefoil", "--n", "0", "--r", "5"]):
+        proc = run_cli(*argv, check=False)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_word_matrix_emission():

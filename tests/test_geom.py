@@ -7,8 +7,8 @@ import pytest
 from skeinquant.errors import (DimensionMismatch, NotLatticeFraction, NotPrimitive,
                                QuadratureNotConverged)
 from skeinquant.geom import (QuadratureConfig, QuantizationContext,
-                             ThetaSection, basis_phi, basis_psi, curve_operator_geom,
-                             gram_matrix, halfform_norm_sq, holomorphic_part,
+                             ThetaSection, _gram_kernel, basis_phi, basis_psi, curve_operator_geom,
+                             eval_grid, gram_matrix, halfform_norm_sq, holomorphic_part,
                              inner_product, intertwining_deviation, iso_from_skein,
                              iso_to_skein, lattice_character, modular_phase_check,
                              parity_reflect, phi_coefficients, psi_coefficients,
@@ -333,6 +333,36 @@ def test_series_window_cap_raises():
     s = random_section(ctx, 12)
     with pytest.raises(NonconvergentSeries):
         section_eval(s, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("tau", (1j, 0.3 + 1.7j))
+@pytest.mark.parametrize("r", (3, 8))
+def test_gram_kernel_matches_grid_sum(r, tau):
+    # the exact 1-D kernel against the plain n x n trapezoid sum of the
+    # section values, including the aliased small grids
+    ctx = QuantizationContext(r, tau)
+    rng = np.random.default_rng(13)
+    psis = np.stack([s.rho for s in basis_psi(ctx)], axis=1)
+    secs = [ThetaSection(ctx, psis @ (rng.standard_normal(ctx.N) + 1j * rng.standard_normal(ctx.N)))
+            for _ in range(2)]
+    C = np.stack([s.rho for s in secs], axis=1)
+    for n in (4, 8, 128, 256):
+        xs = np.arange(n) / n
+        P, Q = np.meshgrid(xs, xs, indexing="ij")
+        vals = [eval_grid(s, P, Q) for s in secs]
+        grid = np.array([[4 * math.pi / n ** 2 * np.sum(np.conj(a) * b) for b in vals]
+                         for a in vals])
+        kernel = C.conj().T @ _gram_kernel(ctx, n) @ C
+        assert np.max(np.abs(grid - kernel)) <= 1e-12 * np.max(np.abs(kernel)), n
+
+
+@pytest.mark.parametrize("tau,r", [(1j, 9), (1j, 10), (1j, 20), (1j, 25),
+                                   (0.3 + 1.7j, 5), (0.3 + 1.7j, 8), (0.3 + 1.7j, 20)])
+def test_verification_report_passes_without_float_errors(tau, r):
+    from skeinquant.verify import verification_report
+    with np.errstate(all="raise", under="ignore"):
+        report = verification_report(QuantizationContext(r, tau))
+    assert report["pass"], report["residuals"]
 
 
 def test_alternating_subspace_dimension():
