@@ -13,8 +13,8 @@ from .bracket import (ChebyshevColor, braid_closure_bracket, chebyshev_coeffs,
 from .diagrams import BraidWord, LinkDiagram, braid_to_diagram, unknot_diagram
 from .errors import (CablingUnsupported, DimensionMismatch, InexactDivision,
                      NonconvergentSeries, NotLatticeFraction, NotPrimitive,
-                     QuadratureNotConverged, SkeinQuantError, StateSpaceTooLarge,
-                     TooManyCrossings, UnknownCatalogEntry)
+                     PrecisionLoss, QuadratureNotConverged, SkeinQuantError,
+                     StateSpaceTooLarge, TooManyCrossings, UnknownCatalogEntry)
 from .geom import (ModularReport, QuadratureConfig, QuantizationContext,
                    ThetaSection, basis_phi, basis_psi, curve_operator_geom,
                    eval_grid, gram_matrix, inner_product, intertwining_deviation,

@@ -1,9 +1,10 @@
 """Command-line entry point with reproducible manifests.
 
-Every run writes (or prints) a manifest describing the inputs, the
-conventions version, and the working precision next to its results, and
-produces byte-identical output when repeated with the same configuration.
-Exit status is zero only when every requested check passes.
+Every run writes (or prints) a manifest describing the inputs and the
+conventions version next to its results, and produces byte-identical
+output when repeated with the same configuration.  Exit status is zero
+only when every requested check passes; 1 means a check failed, and 2 an
+error such as a value that cannot be certified (PrecisionLoss).
 """
 
 from __future__ import annotations
@@ -32,20 +33,17 @@ CONVENTIONS_VERSION = "1"
 
 @dataclass
 class RunConfig:
-    """One resolved invocation: command, parameters, precision, output."""
+    """One resolved invocation: command, parameters, output."""
 
     command: str
     params: dict = field(default_factory=dict)
-    precision_bits: int = 53
     out: Optional[str] = None
-    fmt: str = "json"
 
 
 def _manifest(cfg: RunConfig) -> dict:
     return {
         "command": cfg.command,
         "parameters": {k: cfg.params[k] for k in sorted(cfg.params)},
-        "precision_bits": cfg.precision_bits,
         "conventions_version": CONVENTIONS_VERSION,
         "package_version": __version__,
     }
@@ -96,8 +94,7 @@ def _cmd_jones(cfg: RunConfig, args) -> int:
         _emit(cfg, {"knot": K.name, "n": args.n, "backend": "exact",
                     "polynomial": poly.format("t")})
         return 0
-    ctx = RootContext(args.r, precision=cfg.precision_bits)
-    val = colored_jones(K, args.n, ctx, backend=args.backend)
+    val = colored_jones(K, args.n, RootContext(args.r), backend=args.backend)
     _emit(cfg, {"knot": K.name, "n": args.n, "r": args.r,
                 "re": float(val.value.real), "im": float(val.value.imag),
                 "backend": val.backend})
@@ -153,8 +150,7 @@ def _cmd_geom_verify(cfg: RunConfig, args) -> int:
 def _cmd_knot_state(cfg: RunConfig, args) -> int:
     K = _knot_from_args(args)
     state = knot_state(K, args.r, backend=args.backend)
-    norm = l2_norm_formula(K, args.r, precision_bits=cfg.precision_bits,
-                           backend=args.backend)
+    norm = l2_norm_formula(K, args.r, backend=args.backend)
     _emit(cfg, {"knot": K.name, "r": args.r,
                 "coeffs": [_complex_pair(c) for c in state.coeffs.coeffs],
                 "norm_sq": norm.norm_sq, "norm": norm.norm,
@@ -165,14 +161,11 @@ def _cmd_knot_state(cfg: RunConfig, args) -> int:
 def _cmd_volume_seq(cfg: RunConfig, args) -> int:
     K = _knot_from_args(args)
     r_list = list(range(args.r_min, args.r_max + 1, args.step))
-    rows = volume_sequence(K, r_list,
-                           precision_bits=None if cfg.precision_bits == 53 else cfg.precision_bits,
-                           ref_vol=args.ref_vol)
+    rows = volume_sequence(K, r_list, ref_vol=args.ref_vol)
     if not args.out:
         raise SkeinQuantError("volume-seq requires --out CSV path")
     write_volume_csv(rows, args.out)
-    manifest_path = args.out + ".manifest.json"
-    with open(manifest_path, "w") as fh:
+    with open(args.out + ".manifest.json", "w") as fh:
         json.dump(_manifest(cfg), fh, sort_keys=True, indent=2)
         fh.write("\n")
     sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
@@ -188,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "theta-section quantization, cross-verified.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with default argument values (flags win)")
-    common.add_argument("--precision-bits", type=int, default=53, dest="precision_bits")
     common.add_argument("--out", help="write the result file here instead of stdout")
     sub = p.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
@@ -287,7 +279,6 @@ def main(argv=None) -> int:
                         params={k: v for k, v in vars(args).items()
                                 if k not in ("func", "command", "config", "out")
                                 and v is not None},
-                        precision_bits=args.precision_bits,
                         out=args.out)
         return args.func(cfg, args)
     except (SkeinQuantError, OSError, ValueError) as exc:

@@ -17,6 +17,10 @@ class StateSpaceTooLarge(SkeinQuantError):
     """Braid representation state space exceeds the memory budget."""
 
 
+class PrecisionLoss(SkeinQuantError):
+    """A numeric value cannot be certified to the stated relative accuracy."""
+
+
 class UnknownCatalogEntry(SkeinQuantError):
     """Requested knot is not in the built-in catalog."""
 

@@ -129,16 +129,17 @@ def _extension_factor(ctx: QuantizationContext, m: int, m0: int) -> complex:
 def _window(ctx: QuantizationContext, q_min: float, q_max: float):
     """Extended-index range covering all terms above series_tol.
 
-    The half-width is capped at 50 + 10 ceil(1/sqrt((2r+1) b)); needing
-    more terms than that signals a badly conditioned context.
+    The half-width is at least N = 2r+1; its excess over N measures the
+    conditioning of the context and is capped at 50 + 10 ceil(1/sqrt(N b)).
+    Needing more terms than that signals a badly conditioned context.
     """
     N, b, tol = ctx.N, ctx.b, ctx.series_tol
     spread = math.sqrt(N * (math.log(1.0 / tol) + math.pi * b * N) / (math.pi * b))
     w = int(math.ceil(spread)) + 1
     cap = 50 + 10 * math.ceil(1.0 / math.sqrt(N * b))
-    if w > cap:
+    if w - N > cap:
         raise NonconvergentSeries(
-            f"series window {w} exceeds the cap {cap}; increase series_tol or b")
+            f"series window {w} exceeds N = {N} by more than {cap}; increase series_tol or b")
     lo = int(math.floor(-N * q_max)) - w
     hi = int(math.ceil(-N * q_min)) + w
     return lo, hi
@@ -456,9 +457,6 @@ class ModularReport:
     max_dev: float          # after dividing out the fitted global phase
     raw_max_dev: float      # against the prediction as-is
     unsigned_phase_dev: float  # against phases with the alternating sign dropped
-
-    def passed(self, tol: float = 1e-6) -> bool:
-        return self.max_dev < tol and abs(abs(self.global_phase) - 1) < tol
 
 
 def _fit_phase(measured: np.ndarray, predicted: np.ndarray) -> complex:

@@ -4,8 +4,9 @@
   unknot gives 1 and converted to the variable t = A**4;
 * rmatrix: numeric quantum-group action of the n-dimensional
   representation on the braid, closed by a weighted trace;
-* catalog: closed-form cyclotomic sums for the built-in knots, usable at
-  large level with extended precision.
+* catalog: closed forms for the built-in knots, chosen by braid word and
+  certified to JONES_REL_TOL per color: Morton's formula for the trefoil
+  in floats, Habiro's cyclotomic sum for the figure-eight in mpmath.
 
 Indexing: J(K, 1) = 1 is the trivial color, and J(K, n) comes from the
 (n-1)-st cabling color.
@@ -24,9 +25,10 @@ import numpy as np
 
 from .bracket import braid_closure_bracket, chebyshev_coeffs
 from .diagrams import BraidWord, LinkDiagram
-from .errors import InexactDivision, StateSpaceTooLarge, UnknownCatalogEntry
+from .errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
+                     UnknownCatalogEntry)
 from .laurent import LaurentPoly, quantum_integer_poly
-from .roots import RootContext
+from .roots import RootContext, quantum_integer
 
 RMATRIX_STATE_GUARD = 20000
 
@@ -35,6 +37,8 @@ CATALOG_BRAIDS = {
     "trefoil": ((1, 1, 1), 2),
     "figure-eight": ((1, -2, 1, -2), 3),
 }
+# the catalog is keyed by braid word; a presentation's name is only a label
+_CATALOG_NAMES = {braid: name for name, braid in CATALOG_BRAIDS.items()}
 
 
 @dataclass(frozen=True)
@@ -193,83 +197,130 @@ def colored_jones_rmatrix(K: KnotPresentation, n: int, ctx: RootContext) -> comp
 
 # -- catalog backend ---------------------------------------------------
 
-def _auto_bits(r: int, requested: Optional[int]) -> int:
-    if requested and requested > 53:
-        return requested
-    if r < 150:
-        return 53
-    # worst-case partial products grow like exp(0.3231 * r)
-    return 80 + (r + 1) // 2
+JONES_REL_TOL = 1e-10  # every catalog value meets it, by a computed bound, or raises
+_U = 2.0 ** -53
+_UNIT_ERR = 32 * _U  # exp(i pi k/NN), k < 2NN: angle within 6 pi u, cos and sin 4 ulp
 
 
-def catalog_jones_values(name: str, r: int, n_max: int,
-                         precision_bits: Optional[int] = None) -> list:
-    """[|J(K, n)| phases included] for n = 1..n_max at t = exp(2 pi i/(r+1/2)).
+def _trefoil_values(r: int, n_max: int) -> list:
+    """Morton's formula for the (2, 3) torus knot at t**-1, in double precision.
 
-    Closed-form cyclotomic sums, O(n) per color with running products.
-    Values are returned as mpmath complex numbers at the working precision.
+    J(n) = sum_h (A^-(c + 10h + 2) - A^-(c - 2h - 2)) / (A^-2n - A^2n) over
+    h = 1-n, 3-n, .., n-1, c = 6(h^2 + 1 - n^2), A = exp(i pi/NN), with the
+    exponents reduced modulo 2NN in integers.  The numerator S is exactly
+    rounded; docs/conventions.md derives the certificate
+    2E (n/|S| + 1/|den|) + 8u <= JONES_REL_TOL, E = _UNIT_ERR.
     """
-    if name not in CATALOG_BRAIDS:
-        raise UnknownCatalogEntry(f"{name!r} not in catalog {sorted(CATALOG_BRAIDS)}")
-    bits = _auto_bits(r, precision_bits)
+    NN, M = 2 * r + 1, 4 * r + 2
+    table = np.exp(1j * (math.pi / NN) * np.arange(M))
+    values = []
+    for n in range(1, n_max + 1):
+        h = np.arange(1 - n, n, 2)
+        c = 6 * (h * h + 1 - n * n)
+        terms = np.concatenate((table[-(c + 10 * h + 2) % M], -table[-(c - 2 * h - 2) % M]))
+        s = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        den = complex(table[-2 * n % M] - table[2 * n % M])
+        bound = 2 * _UNIT_ERR * (n * abs(den) + abs(s)) + 8 * _U * abs(s * den)
+        if not bound < JONES_REL_TOL * abs(s * den):
+            raise PrecisionLoss(f"trefoil J({n}) at r={r} misses {JONES_REL_TOL:g}")
+        values.append(s / den)
+    return values
+
+
+def _figure_eight_values(r: int, n_max: int) -> list:
+    """Habiro's sum J(n) = sum_{k<n} prod_{j<=k} s(n+j) s(j-n), s(m) = 2 sin(2 pi m/NN).
+
+    peak(n), the largest log2 of a partial product plus one bit of slack,
+    comes from one float64 cumulative sum; each color is certified by the
+    rounding bound 5 n^2 2^(peak(n) - p) at p bits (docs/conventions.md).
+    """
     NN = 2 * r + 1
+    with np.errstate(divide="ignore"):
+        log_s = np.log2(np.abs(2 * np.sin(2 * np.pi * np.arange(NN) / NN)))
+    ns, js = np.arange(1, n_max + 1)[:, None], np.arange(1, n_max)[None, :]
+    logs = np.where(js < ns, log_s[(ns + js) % NN] + log_s[(js - ns) % NN], 0.0)
+    peak = np.max(np.cumsum(logs, axis=1), axis=1, initial=0.0) + 1
+    bits = math.ceil(peak.max() + math.log2(5 * n_max * n_max / JONES_REL_TOL)) + 16
+    # s(m) near m = NN/2 is ill-conditioned in its argument: spend log2(2NN) more bits
+    with mpmath.workprec(bits + (2 * NN).bit_length() + 2):
+        s = [2 * mpmath.sin(2 * mpmath.pi * m / NN) for m in range(NN)]
+    values = []
     with mpmath.workprec(bits):
-        if name == "unknot":
-            return [mpmath.mpc(1)] * n_max
-        two_cos = [2 * mpmath.cos(4 * mpmath.pi * k / NN) for k in range(NN)]
-        values = []
-        if name == "figure-eight":
-            for n in range(1, n_max + 1):
-                total = mpmath.mpf(1)
-                prod = mpmath.mpf(1)
-                cn = two_cos[n % NN]
-                for k in range(1, n):
-                    prod *= cn - two_cos[k % NN]
-                    total += prod
-                values.append(mpmath.mpc(total))
-        else:  # trefoil as the positive braid sigma_1^3
-            phase = [mpmath.exp(4j * mpmath.pi * k / NN) for k in range(NN)]
-            for n in range(1, n_max + 1):
-                total = mpmath.mpc(1)
-                prod = mpmath.mpf(1)
-                cn = two_cos[n % NN]
-                for k in range(1, n):
-                    prod *= cn - two_cos[k % NN]
-                    expo = (k * (k + 3) // 2) % NN
-                    term = prod * phase[expo]
-                    total += term if k % 2 == 0 else -term
-                values.append(mpmath.mpc(total))
-        return values
+        for n in range(1, n_max + 1):
+            total = prod = mpmath.mpf(1)
+            for j in range(1, n):
+                prod = prod * s[(n + j) % NN] * s[(j - n) % NN]
+                total += prod
+            if not 5 * n * n * 2.0 ** (peak[n - 1] - bits) < JONES_REL_TOL * abs(total):
+                raise PrecisionLoss(f"figure-eight J({n}) at r={r} misses {JONES_REL_TOL:g}")
+            values.append(total)
+    return values
+
+
+_CATALOG_SUMS = {
+    "unknot": lambda r, n_max: [1 + 0j] * n_max,
+    "trefoil": _trefoil_values,
+    "figure-eight": _figure_eight_values,
+}
+
+
+def catalog_jones_values(name: str, r: int, n_max: int) -> list:
+    """J(name, n) for n = 1..n_max at t = exp(2 pi i/(r+1/2)), in one pass.
+
+    Each value is within JONES_REL_TOL relative, or PrecisionLoss is raised.
+    Figure-eight values are real mpmath numbers: up to about 2**(r/2), they
+    can leave the double range.  The others are Python complex numbers.
+    """
+    if name not in _CATALOG_SUMS:
+        raise UnknownCatalogEntry(f"{name!r} not in catalog {sorted(CATALOG_BRAIDS)}")
+    return _CATALOG_SUMS[name](r, n_max)
 
 
 def colored_jones_catalog(name: str, n: int, ctx: RootContext) -> complex:
     """J(name, n) at t = exp(2 pi i/(r+1/2)) from the closed-form catalog."""
     if n < 1:
         raise ValueError("color index n must be >= 1")
-    vals = catalog_jones_values(name, ctx.r, n, precision_bits=ctx.precision)
-    return complex(vals[n - 1])
+    return complex(catalog_jones_values(name, ctx.r, n)[n - 1])
 
 
 # -- shared entry points -----------------------------------------------
 
+def catalog_name(K: KnotPresentation) -> Optional[str]:
+    """The catalog entry of K's braid word, or None; K.name is only a label."""
+    return _CATALOG_NAMES.get((K.braid.word, K.braid.strands))
+
+
+def _resolve(K: KnotPresentation, n: int, backend: str):
+    """(backend, catalog name): the one dispatch rule, decided by braid word."""
+    name = catalog_name(K)
+    if backend == "auto":
+        backend = ("catalog" if name else "rmatrix" if n ** K.braid.strands
+                   <= RMATRIX_STATE_GUARD else "exact")
+    if backend == "catalog" and name is None:
+        raise UnknownCatalogEntry(f"{K.braid.word} on {K.braid.strands} strands is no catalog word")
+    return backend, name
+
+
 def colored_jones(K: KnotPresentation, n: int, ctx: RootContext,
                   backend: str = "auto") -> JonesValue:
     """Evaluate J(K, n) at the context root with the chosen backend."""
-    if backend == "auto":
-        if K.name in CATALOG_BRAIDS:
-            backend = "catalog"
-        elif n ** K.braid.strands <= RMATRIX_STATE_GUARD:
-            backend = "rmatrix"
-        else:
-            backend = "exact"
+    backend, name = _resolve(K, n, backend)
     if backend == "catalog":
-        return JonesValue(n, colored_jones_catalog(K.name, n, ctx), "catalog")
+        return JonesValue(n, colored_jones_catalog(name, n, ctx), "catalog")
     if backend == "rmatrix":
         return JonesValue(n, colored_jones_rmatrix(K, n, ctx), "rmatrix")
     if backend == "exact":
-        poly = colored_jones_exact(K, n)
-        return JonesValue(n, poly.eval_at(ctx.t_value), "exact")
+        return JonesValue(n, colored_jones_exact(K, n).eval_at(ctx.t_value), "exact")
     raise ValueError(f"unknown backend {backend!r}")
+
+
+def colored_jones_values(K: KnotPresentation, r: int, backend: str = "auto") -> list:
+    """J(K, 1..r) at level r: one catalog pass for catalog words, else per color."""
+    resolved, name = _resolve(K, r, backend)
+    if resolved == "catalog":
+        return catalog_jones_values(name, r, r)
+    ctx = RootContext(r)
+    return [colored_jones(K, n, ctx, backend=backend).value for n in range(1, r + 1)]
 
 
 def so3_bracket_coefficient(K: KnotPresentation, n: int, ctx: RootContext,
@@ -282,6 +333,4 @@ def so3_bracket_coefficient(K: KnotPresentation, n: int, ctx: RootContext,
     if not 0 <= n <= ctx.r - 1:
         raise ValueError(f"color index {n} outside 0..{ctx.r - 1}")
     jval = colored_jones(K, n + 1, ctx, backend=backend).value
-    qi = quantum_integer_poly(n + 1).eval_at(ctx.A_value).real
-    sign = -1 if n % 2 else 1
-    return sign * qi * jval
+    return (-1) ** n * quantum_integer(n + 1, ctx) * jval

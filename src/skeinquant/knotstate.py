@@ -23,9 +23,7 @@ import numpy as np
 
 from .errors import UnknownCatalogEntry
 from .geom import QuantizationContext, ThetaSection, inner_product, iso_from_skein
-from .jones import (CATALOG_BRAIDS, KnotPresentation, catalog_jones_values,
-                    colored_jones, _auto_bits)
-from .roots import RootContext, quantum_integer
+from .jones import KnotPresentation, catalog_name, colored_jones_values
 from .tqft import TorusVector, kirby_constants
 
 GEOM_SECTION_BOUND = 8  # attach a section only where quadrature runs are cheap
@@ -62,57 +60,34 @@ class VolumeRow:
 def knot_state(K: KnotPresentation, r: int, backend: str = "auto",
                tau: complex = 1j, attach_section: Optional[bool] = None) -> KnotState:
     """State coefficients eta * <e_{n-1}>_K for n = 1..r, plus the section image."""
-    ctx = RootContext(r)
-    eta = kirby_constants(r).eta
-    coeffs = []
-    for n in range(1, r + 1):
-        jval = colored_jones(K, n, ctx, backend=backend).value
-        qi = quantum_integer(n, ctx)
-        sign = -1 if (n - 1) % 2 else 1
-        coeffs.append(eta * sign * qi * jval)
-    vec = TorusVector(r, tuple(coeffs))
+    kc = kirby_constants(r)  # omega_coeffs[n-1] = (-1)^(n-1) [n]
+    vec = TorusVector(r, tuple(kc.eta * w * complex(j) for w, j in
+                               zip(kc.omega_coeffs, colored_jones_values(K, r, backend))))
     if attach_section is None:
         attach_section = r <= GEOM_SECTION_BOUND
     section = iso_from_skein(vec, QuantizationContext(r, tau)) if attach_section else None
     return KnotState(K, r, vec, section)
 
 
-def l2_norm_formula(K: KnotPresentation, r: int,
-                    precision_bits: Optional[int] = None,
-                    backend: str = "auto") -> L2Norm:
+def _log_abs(z) -> float:
+    """log|z| for a complex or an mpmath value, without rounding |z| to a double."""
+    return math.log(abs(z)) if isinstance(z, complex) and z else float(mpmath.log(abs(z)))
+
+
+def l2_norm_formula(K: KnotPresentation, r: int, backend: str = "auto") -> L2Norm:
     """Norm of the knot state from the weighted Jones sum.
 
-    Summation runs in ascending color order with compensated (or
-    extended-precision) accumulation; the log is computed before any value
-    is squeezed back into a double, so large levels do not overflow.
+    The terms |eta [n] J(K, n)|^2 are summed as logs by log-sum-exp, so no
+    value is squeezed into a double and large levels do not overflow.
     """
-    bits = _auto_bits(r, precision_bits)
-    name = K.name if isinstance(K, KnotPresentation) else str(K)
-    use_catalog = backend in ("auto", "catalog") and name in CATALOG_BRAIDS
-
-    if use_catalog:
-        jvals = catalog_jones_values(name, r, r, precision_bits=bits)
-    else:
-        ctx = RootContext(r, precision=bits)
-        jvals = [colored_jones(K, n, ctx, backend=backend).value for n in range(1, r + 1)]
-
-    NN = 2 * r + 1
-    with mpmath.workprec(max(bits, 64)):
-        eta = 2 * mpmath.sin(2 * mpmath.pi / NN) / mpmath.sqrt(NN)
-        sin1 = mpmath.sin(2 * mpmath.pi / NN)
-        terms = []
-        best = (-1, mpmath.mpf(0))
-        for n in range(1, r + 1):
-            qi = mpmath.sin(2 * mpmath.pi * n / NN) / sin1
-            jabs = abs(mpmath.mpc(jvals[n - 1]))
-            if jabs > best[1]:
-                best = (n, jabs)
-            terms.append((eta * abs(qi) * jabs) ** 2)
-        total = mpmath.fsum(terms)
-        log_norm_sq = float(mpmath.log(total))
-        norm_sq = float(total)
-        norm = float(mpmath.sqrt(total))
-    return L2Norm(norm_sq, norm, log_norm_sq, best[0])
+    kc = kirby_constants(r)
+    log_j = np.array([_log_abs(v) for v in colored_jones_values(K, r, backend)])
+    log_terms = 2 * (np.log(kc.eta * np.abs(kc.omega_coeffs)) + log_j)
+    top = float(np.max(log_terms))
+    log_norm_sq = top + math.log(math.fsum(np.exp(log_terms - top)))
+    with np.errstate(over="ignore"):   # past the double range the norms read inf
+        norm_sq, norm = np.exp([log_norm_sq, log_norm_sq / 2])
+    return L2Norm(float(norm_sq), float(norm), log_norm_sq, int(np.argmax(log_j)) + 1)
 
 
 def l2_norm_quadrature(K: KnotPresentation, r: int, tau: complex = 1j,
@@ -159,14 +134,13 @@ def reference_volume(name: str, user_value: Optional[float] = None) -> float:
 
 
 def volume_sequence(K: KnotPresentation, r_list: Sequence[int],
-                    precision_bits: Optional[int] = None,
                     ref_vol: Optional[float] = None,
                     backend: str = "auto") -> list:
     """Norm growth rows v_r = (2 pi / r) log ||state|| over the given levels."""
-    ref = reference_volume(K.name, ref_vol)
+    ref = reference_volume(catalog_name(K) or K.name, ref_vol)
     rows = []
     for r in sorted(r_list):
-        res = l2_norm_formula(K, r, precision_bits=precision_bits, backend=backend)
+        res = l2_norm_formula(K, r, backend=backend)
         v_r = math.pi / r * res.log_norm_sq
         rel = abs(v_r - ref) / ref if ref > 0 else abs(v_r)
         rows.append(VolumeRow(r, res.norm_sq, v_r, res.argmax_n, ref, rel))

@@ -140,12 +140,6 @@ class LaurentPoly:
             k >>= 1
         return result
 
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by variable**k."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {e + k: c for e, c in self.terms.items()}
-        return res
-
     def mirrored(self) -> "LaurentPoly":
         """Substitute variable -> variable**-1."""
         res = LaurentPoly.__new__(LaurentPoly)

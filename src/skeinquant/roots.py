@@ -16,18 +16,13 @@ class RootContext:
     This choice makes A a primitive (4r+2)-th root of unity with
     A**4 = exp(2 pi i / (r + 1/2)), so the skein variable and the
     evaluation point used for norm sums come from one constant.
-    ``precision`` is the working mantissa size in bits for backends
-    that support extended precision.
     """
 
     r: int
-    precision: int = 53
 
     def __post_init__(self):
         if self.r < 3:
             raise ValueError("level r must be >= 3")
-        if self.precision < 24:
-            raise ValueError("precision below 24 bits is not supported")
 
     @property
     def order(self) -> int:
@@ -53,16 +48,10 @@ class RootContext:
 def quantum_integer(n: int, ctx: RootContext) -> float:
     """[n] = (A**2n - A**-2n) / (A**2 - A**-2) at A = ctx.A_value.
 
-    The value is real; a residual imaginary part above 1e-12 signals a
-    broken context and raises.
+    That is sin(2 pi n/NN) / sin(2 pi/NN), NN = 2r+1, taken in real arithmetic.
     """
-    a = ctx.A_value
-    num = a ** (2 * n) - a ** (-2 * n)
-    den = a ** 2 - a ** (-2)
-    val = num / den
-    if abs(val.imag) >= 1e-12:
-        raise ArithmeticError(f"quantum integer came out non-real: {val!r}")
-    return val.real
+    NN = 2 * ctx.r + 1
+    return math.sin(2 * math.pi * n / NN) / math.sin(2 * math.pi / NN)
 
 
 def eval_at_root(p: LaurentPoly, ctx: RootContext) -> complex:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotPrimitive
-from .jones import KnotPresentation, colored_jones
+from .jones import KnotPresentation, colored_jones_values
 from .roots import RootContext, quantum_integer
 
 
@@ -289,9 +289,8 @@ def rt_invariant(surgery_knot: Optional[KnotPresentation], framing: int, r: int,
     A = ctx.A_value
     sigma = (framing > 0) - (framing < 0)
     total = 0j
-    for i in range(r):
-        jval = colored_jones(surgery_knot, i + 1, ctx, backend=backend).value
-        zero_framed = kc.omega_coeffs[i] * jval  # (-1)^i [i+1] J_{i+1}
+    for i, jval in enumerate(colored_jones_values(surgery_knot, r, backend)):
+        zero_framed = kc.omega_coeffs[i] * complex(jval)  # (-1)^i [i+1] J_{i+1}
         twist = ((-1) ** i * A ** (-(i * i + 2 * i))) ** framing
         total += kc.omega_coeffs[i] * twist * zero_framed
     return complex(kc.eta ** 2 * kc.kappa ** (-sigma) * total)

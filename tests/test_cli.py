@@ -125,3 +125,10 @@ def test_word_matrix_emission():
     assert res["word"] == ["S", "T", "S"]
     assert res["word_matrix"] == [[-1, 0], [1, -1]]
     assert len(res["rep_word"]) == 4
+
+
+def test_precision_loss_exits_2():
+    # color 2r+1 zeroes Morton's denominator: the value cannot be certified
+    proc = run_cli("jones", "--knot", "trefoil", "--n", "7", "--r", "3", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

@@ -365,6 +365,16 @@ def test_verification_report_passes_without_float_errors(tau, r):
     assert report["pass"], report["residuals"]
 
 
+@pytest.mark.parametrize("tau,r", [(1j, 27), (1j, 30), (0.3 + 1.7j, 25), (0.3 + 1.7j, 30)])
+def test_verification_report_past_a_window_of_n_terms(tau, r):
+    # the series window is wider than N = 2r+1 here; only its excess over N
+    # counts against the conditioning cap
+    from skeinquant.verify import verification_report
+    with np.errstate(all="raise", under="ignore"):
+        report = verification_report(QuantizationContext(r, tau))
+    assert report["pass"], report["residuals"]
+
+
 def test_alternating_subspace_dimension():
     # the alternating projection of the full basis spans exactly r directions
     phis = basis_phi(CTX)

@@ -1,8 +1,10 @@
+import mpmath
 import pytest
 
-from skeinquant.errors import StateSpaceTooLarge, UnknownCatalogEntry
-from skeinquant.jones import (KnotPresentation, colored_jones,
-                              colored_jones_catalog, colored_jones_exact,
+from oracles import cyclotomic_jones
+from skeinquant.errors import PrecisionLoss, StateSpaceTooLarge, UnknownCatalogEntry
+from skeinquant.jones import (JONES_REL_TOL, KnotPresentation, catalog_jones_values,
+                              colored_jones, colored_jones_catalog, colored_jones_exact,
                               colored_jones_rmatrix, so3_bracket_coefficient)
 from skeinquant.laurent import LaurentPoly
 from skeinquant.roots import RootContext, quantum_integer
@@ -133,9 +135,37 @@ def test_so3_bracket_coefficient():
 def test_dispatch_backends():
     ctx = RootContext(4)
     assert colored_jones(FIG8, 2, ctx).backend == "catalog"
-    custom = KnotPresentation.from_braid((1, 1, 1), 2)
+    # the catalog is keyed by braid word, so the trefoil word needs no name
+    assert colored_jones(KnotPresentation.from_braid((1, 1, 1), 2), 2, ctx).backend == "catalog"
+    custom = KnotPresentation.from_braid((1, 1, 1, 2), 3)
     assert colored_jones(custom, 2, ctx).backend == "rmatrix"
     assert colored_jones(custom, 2, ctx, backend="exact").backend == "exact"
     vals = [colored_jones(custom, 2, ctx, backend=b).value
             for b in ("exact", "rmatrix")]
     assert abs(vals[0] - vals[1]) < 1e-10
+
+
+def test_catalog_dispatch_ignores_the_label():
+    ctx = RootContext(10)
+    mislabeled = KnotPresentation.from_braid((1, -2, 1, -2), 3, name="trefoil")
+    for n in (2, 5, 10):
+        assert colored_jones(mislabeled, n, ctx).value == colored_jones(FIG8, n, ctx).value
+    with pytest.raises(UnknownCatalogEntry):
+        colored_jones(KnotPresentation.from_braid((1, 1, 1, 2), 3, name="trefoil"),
+                      2, ctx, backend="catalog")
+
+
+@pytest.mark.parametrize("r", (100, 140, 149, 300))
+@pytest.mark.parametrize("name", ("trefoil", "figure-eight"))
+def test_catalog_precision_against_oracle(name, r):
+    ours = catalog_jones_values(name, r, r)
+    ref = cyclotomic_jones(name, r, r, 100 + r)
+    with mpmath.workprec(100 + r):
+        worst = max(abs(mpmath.mpc(a) - b) / abs(b) for a, b in zip(ours, ref))
+    assert worst < JONES_REL_TOL
+
+
+def test_uncertifiable_value_raises():
+    # n = 2r+1 puts Morton's denominator sin(2 pi n/(2r+1)) at zero
+    with pytest.raises(PrecisionLoss):
+        catalog_jones_values("trefoil", 3, 7)

@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import cyclotomic_jones
 from skeinquant.errors import UnknownCatalogEntry
-from skeinquant.jones import KnotPresentation
+from skeinquant.jones import KnotPresentation, catalog_jones_values
 from skeinquant.knotstate import (knot_state, l2_norm_formula,
                                   l2_norm_quadrature, lobachevsky, reference_volume,
                                   volume_sequence, write_volume_csv)
@@ -68,9 +69,31 @@ def test_norm_invariant_under_phase():
 
 
 def test_extended_precision_recomputation():
-    a = l2_norm_formula(FIG8, 10).norm
-    b = l2_norm_formula(FIG8, 10, precision_bits=220).norm
+    r = 10
+    a = l2_norm_formula(FIG8, r).norm
+    ctx, eta = RootContext(r), kirby_constants(r).eta
+    ref = cyclotomic_jones("figure-eight", r, r, 100 + r)
+    b = math.sqrt(sum((eta * quantum_integer(n, ctx) * abs(complex(j))) ** 2
+                      for n, j in enumerate(ref, start=1)))
     assert abs(a - b) / a < 1e-12
+
+
+def test_catalog_norm_follows_the_braid_word():
+    mislabeled = KnotPresentation.from_braid((1, -2, 1, -2), 3, name="trefoil")
+    assert l2_norm_formula(mislabeled, 10).norm == pytest.approx(31.5231, abs=1e-4)
+    row, = volume_sequence(mislabeled, [10])
+    assert row.ref_vol == reference_volume("figure-eight")
+
+
+@pytest.mark.parametrize("K", (TREFOIL, FIG8))
+def test_state_moduli_are_the_norm_terms(K):
+    r = 60
+    ctx, eta = RootContext(r), kirby_constants(r).eta
+    terms = [(eta * quantum_integer(n, ctx) * abs(complex(j))) ** 2
+             for n, j in enumerate(catalog_jones_values(K.name, r, r), start=1)]
+    moduli_sq = np.abs(np.array(knot_state(K, r).coeffs.coeffs)) ** 2
+    assert np.allclose(moduli_sq, terms, rtol=1e-12, atol=0)
+    assert math.fsum(moduli_sq) == pytest.approx(l2_norm_formula(K, r).norm_sq, rel=1e-12)
 
 
 def test_lobachevsky_series_against_clausen():
