@@ -10,8 +10,10 @@ a-d and b-c, which makes a positive kink contribute -A**-3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .diagrams import BraidWord, LinkDiagram
 from .errors import CablingUnsupported, TooManyCrossings
@@ -269,29 +271,10 @@ def colored_bracket(diagram: LinkDiagram, colors) -> LaurentPoly:
 
 
 def _colored_braid_bracket(braid: BraidWord, colors) -> LaurentPoly:
-    comps = braid.closure_components()
-    comp_of = {}
-    for ci, cyc in enumerate(comps):
-        for pos in cyc:
-            comp_of[pos] = ci
-    expansions = [chebyshev_coeffs(col).monomials() for col in colors]
-
+    """Sum over one Chebyshev term per component of the cabled closure brackets."""
+    comp_of = {pos: ci for ci, cyc in enumerate(braid.closure_components()) for pos in cyc}
     total = LaurentPoly.zero()
-    cache: dict = {}
-
-    def accumulate(comp_idx, widths_by_comp, coeff):
-        nonlocal total
-        if comp_idx == len(comps):
-            key = tuple(widths_by_comp)
-            val = cache.get(key)
-            if val is None:
-                pos_widths = [widths_by_comp[comp_of[p]] for p in range(braid.strands)]
-                val = braid_closure_bracket(braid, pos_widths)
-                cache[key] = val
-            total = total + val * coeff
-            return
-        for width, c in expansions[comp_idx]:
-            accumulate(comp_idx + 1, widths_by_comp + [width], coeff * c)
-
-    accumulate(0, [], 1)
+    for terms in product(*(chebyshev_coeffs(col).monomials() for col in colors)):
+        widths = [terms[comp_of[p]][0] for p in range(braid.strands)]
+        total = total + braid_closure_bracket(braid, widths) * math.prod(c for _, c in terms)
     return total

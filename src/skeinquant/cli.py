@@ -18,13 +18,12 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .diagrams import BraidWord, LinkDiagram, braid_to_diagram
-from .bracket import kauffman_bracket
+from .diagrams import BraidWord, LinkDiagram
+from .bracket import braid_closure_bracket, kauffman_bracket
 from .errors import SkeinQuantError
 from .geom import QuantizationContext
 from .jones import CATALOG_BRAIDS, KnotPresentation, colored_jones, colored_jones_exact
-from .knotstate import (knot_state, l2_norm_formula, volume_sequence,
-                        write_volume_csv)
+from .knotstate import _state_and_norm, volume_sequence, write_volume_csv
 from .roots import RootContext
 from .tqft import MappingClassWord, rep_S, rep_T, rt_invariant, sl2z_rep
 
@@ -105,14 +104,17 @@ def _cmd_bracket(cfg: RunConfig, args) -> int:
     if args.pd:
         with open(args.pd) as fh:
             diagram = LinkDiagram.from_pd_text(fh.read())
+        poly, crossings, components = (kauffman_bracket(diagram), diagram.num_crossings,
+                                       diagram.num_components)
     else:
         if not (args.braid and args.strands):
             raise SkeinQuantError("provide --pd FILE or --braid with --strands")
-        diagram = braid_to_diagram(BraidWord.from_text(args.braid, args.strands))
-    poly = kauffman_bracket(diagram)
-    _emit(cfg, {"bracket": poly.format("A"),
-                "crossings": diagram.num_crossings,
-                "components": diagram.num_components})
+        braid = BraidWord.from_text(args.braid, args.strands)
+        # the TL transfer; a closure's components are its permutation cycles
+        poly, crossings, components = (braid_closure_bracket(braid), len(braid.word),
+                                       len(braid.closure_components()))
+    _emit(cfg, {"bracket": poly.format("A"), "crossings": crossings,
+                "components": components})
     return 0
 
 
@@ -149,8 +151,7 @@ def _cmd_geom_verify(cfg: RunConfig, args) -> int:
 
 def _cmd_knot_state(cfg: RunConfig, args) -> int:
     K = _knot_from_args(args)
-    state = knot_state(K, args.r, backend=args.backend)
-    norm = l2_norm_formula(K, args.r, backend=args.backend)
+    state, norm = _state_and_norm(K, args.r, args.backend)
     _emit(cfg, {"knot": K.name, "r": args.r,
                 "coeffs": [_complex_pair(c) for c in state.coeffs.coeffs],
                 "norm_sq": norm.norm_sq, "norm": norm.norm,

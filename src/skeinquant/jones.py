@@ -3,7 +3,8 @@
 * exact: cabled bracket over the integer Laurent ring, normalized so the
   unknot gives 1 and converted to the variable t = A**4;
 * rmatrix: numeric quantum-group action of the n-dimensional
-  representation on the braid, closed by a weighted trace;
+  representation on the braid, one total-weight sector at a time,
+  closed by a weighted trace;
 * catalog: closed forms for the built-in knots, chosen by braid word and
   certified to JONES_REL_TOL per color: Morton's formula for the trefoil
   in floats, Habiro's cyclotomic sum for the figure-eight in mpmath.
@@ -17,20 +18,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 import mpmath
 import numpy as np
 
 from .bracket import braid_closure_bracket, chebyshev_coeffs
-from .diagrams import BraidWord, LinkDiagram
+from .diagrams import BraidWord
 from .errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                      UnknownCatalogEntry)
 from .laurent import LaurentPoly, quantum_integer_poly
 from .roots import RootContext, quantum_integer
 
-RMATRIX_STATE_GUARD = 20000
+RMATRIX_BYTE_BUDGET = 1 << 28  # bytes for the largest weight sector of the R-matrix engine
 
 CATALOG_BRAIDS = {
     "unknot": ((), 1),
@@ -43,11 +44,10 @@ _CATALOG_NAMES = {braid: name for name, braid in CATALOG_BRAIDS.items()}
 
 @dataclass(frozen=True)
 class KnotPresentation:
-    """A knot given as a braid closure, optionally with a planar diagram."""
+    """A knot given as a braid closure."""
 
     name: str
     braid: BraidWord
-    diagram: Optional[LinkDiagram] = None
 
     def __post_init__(self):
         comps = self.braid.closure_components()
@@ -119,8 +119,6 @@ def colored_jones_exact(K: KnotPresentation, n: int) -> LaurentPoly:
 # -- numeric R-matrix backend ------------------------------------------
 
 def _qint(k: int, q: complex) -> complex:
-    if k == 0:
-        return 0j
     return (q ** k - q ** (-k)) / (q - q ** (-1))
 
 
@@ -167,31 +165,40 @@ def _rmatrix_data(N: int, r: int):
 
 
 def colored_jones_rmatrix(K: KnotPresentation, n: int, ctx: RootContext) -> complex:
-    """J(K, n) at t = ctx.A_value**4 via the braid action of the n-dim rep."""
+    """J(K, n) at t = ctx.A_value**4 via the braid action of the n-dim rep.
+
+    R moves weight between two slots but keeps their sum, so the braid
+    operator is block diagonal over the total weight w of a multi-index
+    in {0..n-1}^strands.  Each generator is restricted to one sector at a
+    time, and the closure adds the sectors' weighted diagonals.
+    """
     if n < 1:
         raise ValueError("color index n must be >= 1")
     if n == 1:
         return 1 + 0j
-    N = n
-    s = K.braid.strands
-    dim = N ** s
-    if dim > RMATRIX_STATE_GUARD:
-        raise StateSpaceTooLarge(f"state space {N}^{s} exceeds {RMATRIX_STATE_GUARD}")
+    N, s = n, K.braid.strands
+    sizes = reduce(np.convolve, [np.ones(N)] * s)   # multi-indices per total weight
+    # the product, one generator block and its masked gather, 16 bytes per entry
+    need = 4 * 16 * float(sizes.max()) ** 2
+    if need > RMATRIX_BYTE_BUDGET:
+        raise StateSpaceTooLarge(
+            f"the largest weight sector of {N}^{s} states needs {need / 2**20:.0f} MiB, over "
+            f"the {RMATRIX_BYTE_BUDGET >> 20} MiB R-matrix budget; use --backend exact")
 
     R, Rinv, weight, twist, qdim = _rmatrix_data(N, ctx.r)
-    gens = {}
-    mat = np.eye(dim, dtype=np.complex128)
-    for g in K.braid.word:
-        key = g
-        if key not in gens:
+    digits = np.indices((N,) * s).reshape(s, -1)   # slot 0 most significant, as in np.kron
+    order = np.argsort(digits.sum(axis=0), kind="stable")
+    trace = 0j
+    for flat in np.split(order, np.cumsum(sizes[:-1]).astype(np.int64)):
+        k = digits[:, flat]
+        mat = np.eye(len(flat), dtype=np.complex128)
+        for g in K.braid.word:
             i = abs(g) - 1
-            block = R if g > 0 else Rinv
-            gens[key] = np.kron(np.kron(np.eye(N ** i), block), np.eye(N ** (s - 2 - i)))
-        mat = gens[key] @ mat
-    full_weight = weight
-    for _ in range(s - 1):
-        full_weight = np.kron(full_weight, weight)
-    trace = np.einsum("i,ii->", full_weight, mat)
+            a, b = k[i], k[i + 1]
+            rest = flat - a * N ** (s - 1 - i) - b * N ** (s - 2 - i)   # must agree off i, i+1
+            block = (R if g > 0 else Rinv).reshape((N,) * 4)[a[:, None], b[:, None], a, b]
+            mat = np.where(rest[:, None] == rest, block, 0) @ mat
+        trace += np.prod(weight[k], axis=0) @ np.diagonal(mat)
     return complex(trace / (twist ** K.braid.writhe) / qdim)
 
 
@@ -290,12 +297,11 @@ def catalog_name(K: KnotPresentation) -> Optional[str]:
     return _CATALOG_NAMES.get((K.braid.word, K.braid.strands))
 
 
-def _resolve(K: KnotPresentation, n: int, backend: str):
-    """(backend, catalog name): the one dispatch rule, decided by braid word."""
+def _resolve(K: KnotPresentation, backend: str):
+    """(backend, catalog name): auto takes the catalog for a catalog word, else the R-matrix."""
     name = catalog_name(K)
     if backend == "auto":
-        backend = ("catalog" if name else "rmatrix" if n ** K.braid.strands
-                   <= RMATRIX_STATE_GUARD else "exact")
+        backend = "catalog" if name else "rmatrix"
     if backend == "catalog" and name is None:
         raise UnknownCatalogEntry(f"{K.braid.word} on {K.braid.strands} strands is no catalog word")
     return backend, name
@@ -304,7 +310,7 @@ def _resolve(K: KnotPresentation, n: int, backend: str):
 def colored_jones(K: KnotPresentation, n: int, ctx: RootContext,
                   backend: str = "auto") -> JonesValue:
     """Evaluate J(K, n) at the context root with the chosen backend."""
-    backend, name = _resolve(K, n, backend)
+    backend, name = _resolve(K, backend)
     if backend == "catalog":
         return JonesValue(n, colored_jones_catalog(name, n, ctx), "catalog")
     if backend == "rmatrix":
@@ -316,7 +322,7 @@ def colored_jones(K: KnotPresentation, n: int, ctx: RootContext,
 
 def colored_jones_values(K: KnotPresentation, r: int, backend: str = "auto") -> list:
     """J(K, 1..r) at level r: one catalog pass for catalog words, else per color."""
-    resolved, name = _resolve(K, r, backend)
+    resolved, name = _resolve(K, backend)
     if resolved == "catalog":
         return catalog_jones_values(name, r, r)
     ctx = RootContext(r)

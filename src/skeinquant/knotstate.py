@@ -16,17 +16,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
 
 from .errors import UnknownCatalogEntry
-from .geom import QuantizationContext, ThetaSection, inner_product, iso_from_skein
+from .geom import QuantizationContext, inner_product, iso_from_skein
 from .jones import KnotPresentation, catalog_name, colored_jones_values
 from .tqft import TorusVector, kirby_constants
-
-GEOM_SECTION_BOUND = 8  # attach a section only where quadrature runs are cheap
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class KnotState:
     knot: KnotPresentation
     r: int
     coeffs: TorusVector
-    section: Optional[ThetaSection]
 
 
 @dataclass(frozen=True)
@@ -57,16 +55,21 @@ class VolumeRow:
     rel_err: float
 
 
-def knot_state(K: KnotPresentation, r: int, backend: str = "auto",
-               tau: complex = 1j, attach_section: Optional[bool] = None) -> KnotState:
-    """State coefficients eta * <e_{n-1}>_K for n = 1..r, plus the section image."""
+def knot_state(K: KnotPresentation, r: int, backend: str = "auto") -> KnotState:
+    """State coefficients eta * <e_{n-1}>_K for n = 1..r."""
+    return _state(K, r, colored_jones_values(K, r, backend))
+
+
+def _state(K: KnotPresentation, r: int, values: list) -> KnotState:
     kc = kirby_constants(r)  # omega_coeffs[n-1] = (-1)^(n-1) [n]
-    vec = TorusVector(r, tuple(kc.eta * w * complex(j) for w, j in
-                               zip(kc.omega_coeffs, colored_jones_values(K, r, backend))))
-    if attach_section is None:
-        attach_section = r <= GEOM_SECTION_BOUND
-    section = iso_from_skein(vec, QuantizationContext(r, tau)) if attach_section else None
-    return KnotState(K, r, vec, section)
+    return KnotState(K, r, TorusVector(r, tuple(kc.eta * w * complex(j) for w, j in
+                                                zip(kc.omega_coeffs, values))))
+
+
+def _state_and_norm(K: KnotPresentation, r: int, backend: str) -> tuple:
+    """knot_state and l2_norm_formula from one evaluation of J(K, 1..r)."""
+    values = colored_jones_values(K, r, backend)
+    return _state(K, r, values), _norm(r, values)
 
 
 def _log_abs(z) -> float:
@@ -80,8 +83,12 @@ def l2_norm_formula(K: KnotPresentation, r: int, backend: str = "auto") -> L2Nor
     The terms |eta [n] J(K, n)|^2 are summed as logs by log-sum-exp, so no
     value is squeezed into a double and large levels do not overflow.
     """
+    return _norm(r, colored_jones_values(K, r, backend))
+
+
+def _norm(r: int, values: list) -> L2Norm:
     kc = kirby_constants(r)
-    log_j = np.array([_log_abs(v) for v in colored_jones_values(K, r, backend)])
+    log_j = np.array([_log_abs(v) for v in values])
     log_terms = 2 * (np.log(kc.eta * np.abs(kc.omega_coeffs)) + log_j)
     top = float(np.max(log_terms))
     log_norm_sq = top + math.log(math.fsum(np.exp(log_terms - top)))
@@ -93,8 +100,8 @@ def l2_norm_formula(K: KnotPresentation, r: int, backend: str = "auto") -> L2Nor
 def l2_norm_quadrature(K: KnotPresentation, r: int, tau: complex = 1j,
                        backend: str = "auto") -> float:
     """Norm of the mapped section by quadrature; independent of the formula."""
-    state = knot_state(K, r, backend=backend, tau=tau, attach_section=True)
-    val = inner_product(state.section, state.section)
+    section = iso_from_skein(knot_state(K, r, backend).coeffs, QuantizationContext(r, tau))
+    val = inner_product(section, section)
     return math.sqrt(val.real)
 
 
@@ -112,32 +119,33 @@ def lobachevsky(theta: float, tol: float = 1e-12) -> float:
     return float(0.5 * np.sum(np.sin(2 * theta * n) / n ** 2))
 
 
-_REFERENCE_NAMES = {"unknot": 0.0, "trefoil": 0.0}
+_REFERENCE_VOLUMES = {"unknot": lambda: 0.0, "trefoil": lambda: 0.0,
+                      "figure-eight": lru_cache(lambda: 4.0 * lobachevsky(math.pi / 6))}
 
 
-def reference_volume(name: str, user_value: Optional[float] = None) -> float:
+def reference_volume(name: Optional[str], user_value: Optional[float] = None) -> float:
     """Simplicial volume of the knot complement for catalog entries.
 
     Torus knots and the unknot give 0.  The figure-eight complement
     decomposes into two regular ideal tetrahedra, each of volume
-    2 Lobachevsky(pi/6), giving 4 Lobachevsky(pi/6) = 2.029883212819...;
-    anything else must be supplied by the caller.
+    2 Lobachevsky(pi/6), giving 4 Lobachevsky(pi/6) = 2.029883212819...,
+    computed once per process; anything else (name None for a braid
+    outside the catalog) must be supplied by the caller.
     """
-    if name in _REFERENCE_NAMES:
-        return _REFERENCE_NAMES[name]
-    if name == "figure-eight":
-        return 4.0 * lobachevsky(math.pi / 6)
+    if name in _REFERENCE_VOLUMES:
+        return _REFERENCE_VOLUMES[name]()
     if user_value is not None:
         return float(user_value)
     raise UnknownCatalogEntry(
-        f"no reference volume for {name!r}; pass an explicit value")
+        f"no reference volume for {repr(name) if name else 'a braid outside the catalog'}; "
+        "pass an explicit value")
 
 
 def volume_sequence(K: KnotPresentation, r_list: Sequence[int],
                     ref_vol: Optional[float] = None,
                     backend: str = "auto") -> list:
     """Norm growth rows v_r = (2 pi / r) log ||state|| over the given levels."""
-    ref = reference_volume(catalog_name(K) or K.name, ref_vol)
+    ref = reference_volume(catalog_name(K), ref_vol)
     rows = []
     for r in sorted(r_list):
         res = l2_norm_formula(K, r, backend=backend)

@@ -1,6 +1,11 @@
 import json
+import random
 import subprocess
 import sys
+
+from skeinquant import cli, jones
+from skeinquant.bracket import kauffman_bracket
+from skeinquant.diagrams import BraidWord, braid_to_diagram
 
 RUN = [sys.executable, "-m", "skeinquant.cli"]
 
@@ -57,6 +62,54 @@ def test_bracket_pd_file(tmp_path):
     res = json.loads(proc.stdout)["result"]
     assert res["crossings"] == 3 and res["components"] == 1
     assert "A" in res["bracket"]
+
+
+def test_bracket_braid_equals_state_sum():
+    # links, a strand no generator touches, and words up to 14 crossings on 4 strands
+    rng = random.Random(5)
+    words = [((1, -2, 1, -2), 3), ((1, 1), 3), ((2, -1, 2, 2, -1), 3),
+             (tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(14)), 4),
+             (tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(12)), 4)]
+    for word, strands in words:
+        proc = run_cli("bracket", "--braid", " ".join(map(str, word)), "--strands", str(strands))
+        diagram = braid_to_diagram(BraidWord(word, strands))
+        assert json.loads(proc.stdout)["result"] == {
+            "bracket": kauffman_bracket(diagram).format("A"),
+            "crossings": diagram.num_crossings, "components": diagram.num_components}
+
+
+def test_bracket_braid_past_the_state_sum_guard():
+    rng = random.Random(30)
+    word = " ".join(str(rng.choice((1, -1, 2, -2, 3, -3))) for _ in range(30))
+    res = json.loads(run_cli("bracket", "--braid", word, "--strands", "4").stdout)["result"]
+    assert res["crossings"] == 30
+
+
+def test_knot_state_evaluates_jones_once(monkeypatch, capsys):
+    calls = {"catalog": 0, "rmatrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(jones, "catalog_jones_values",
+                        counted("catalog", jones.catalog_jones_values))
+    monkeypatch.setattr(jones, "colored_jones_rmatrix",
+                        counted("rmatrix", jones.colored_jones_rmatrix))
+    assert cli.main(["knot-state", "--knot", "trefoil", "--r", "40"]) == 0
+    assert calls == {"catalog": 1, "rmatrix": 0}
+    assert cli.main(["knot-state", "--braid", "1 1 1 2", "--strands", "3", "--r", "8"]) == 0
+    assert calls == {"catalog": 1, "rmatrix": 8}   # one per color n = 1..8
+
+
+def test_rmatrix_budget_exits_2():
+    proc = run_cli("jones", "--braid", "1 2 3 4 5 6", "--strands", "7", "--n", "6",
+                   "--r", "20", check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "--backend exact" in proc.stderr
 
 
 def test_rt_command():

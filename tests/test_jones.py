@@ -1,7 +1,8 @@
 import mpmath
 import pytest
 
-from oracles import cyclotomic_jones
+from oracles import cyclotomic_jones, dense_rmatrix_jones
+from skeinquant import jones
 from skeinquant.errors import PrecisionLoss, StateSpaceTooLarge, UnknownCatalogEntry
 from skeinquant.jones import (JONES_REL_TOL, KnotPresentation, catalog_jones_values,
                               colored_jones, colored_jones_catalog, colored_jones_exact,
@@ -105,6 +106,30 @@ def test_rmatrix_state_guard():
     wide = KnotPresentation.from_braid((1, 2, 3, 4, 5, 6), 7)
     with pytest.raises(StateSpaceTooLarge):
         colored_jones_rmatrix(wide, 6, ctx)
+
+
+SECTOR_KNOTS = (((1, 1, 1), 2), ((-1, -1, -1), 2), ((1, -2, 1, -2), 3),
+                ((1, 1, 1, 2), 3), ((1, -2, 3, -1, 2, -3, 2), 4))
+
+
+@pytest.mark.parametrize("r", (5, 8, 30))
+@pytest.mark.parametrize("word, strands", SECTOR_KNOTS)
+def test_sector_engine_matches_dense_oracle(word, strands, r):
+    K = KnotPresentation.from_braid(word, strands)
+    ctx = RootContext(r)
+    for n in range(1, 6):
+        dense = dense_rmatrix_jones(K, n, ctx)
+        assert abs(colored_jones_rmatrix(K, n, ctx) - dense) <= 1e-11 * max(1.0, abs(dense))
+
+
+def test_auto_past_the_budget_raises_without_exact(monkeypatch):
+    def no_exact(*args, **kwargs):
+        raise AssertionError("auto fell back to the exact backend")
+
+    monkeypatch.setattr(jones, "colored_jones_exact", no_exact)
+    wide = KnotPresentation.from_braid((1, 2, 3, 4, 5, 6), 7)
+    with pytest.raises(StateSpaceTooLarge, match="--backend exact"):
+        colored_jones(wide, 6, RootContext(20))
 
 
 def test_catalog_unknown():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import cyclotomic_jones
+from skeinquant import knotstate
 from skeinquant.errors import UnknownCatalogEntry
 from skeinquant.jones import KnotPresentation, catalog_jones_values
 from skeinquant.knotstate import (knot_state, l2_norm_formula,
@@ -144,10 +145,15 @@ def test_csv_output(tmp_path):
     assert len(first[1].replace(".", "").replace("-", "").lstrip("0")) >= 14
 
 
-def test_section_attachment_bound():
-    assert knot_state(FIG8, 4).section is not None
-    assert knot_state(FIG8, 12).section is None
-    assert knot_state(FIG8, 12, attach_section=False).section is None
+def test_reference_volume_follows_the_braid_word(monkeypatch):
+    mislabeled = KnotPresentation.from_braid((1, 1, 1), 2, name="figure-eight")
+    assert volume_sequence(mislabeled, [10])[0].ref_vol == 0.0
+    with pytest.raises(UnknownCatalogEntry):
+        volume_sequence(KnotPresentation.from_braid((1, 1, 1, 2), 3, name="trefoil"), [5])
+    # computed once per process: later calls do not sum the series again
+    volume = reference_volume("figure-eight")
+    monkeypatch.setattr(knotstate, "lobachevsky", None)
+    assert reference_volume("figure-eight") == volume == pytest.approx(2.029883212819307)
 
 
 def test_unknot_growth_is_flat():
