@@ -38,7 +38,7 @@ print("\nsurgery invariants:")
 unknot = KnotPresentation.from_catalog("unknot")
 for rr in (4, 6, 8):
     kc = kirby_constants(rr)
-    print(f"  r={rr}: eta = {kc.eta:.8f}, |kappa| - 1 = {kc.kappa_modulus_dev():.2e}")
+    print(f"  r={rr}: eta = {kc.eta:.8f}, |kappa| - 1 = {abs(abs(kc.kappa) - 1):.2e}")
     empty = rt_invariant(None, 0, rr)
     for framing, label in ((1, "+1 surgery"), (-1, "-1 surgery")):
         val = rt_invariant(unknot, framing, rr)

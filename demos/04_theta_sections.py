@@ -7,6 +7,7 @@ basis identification.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,7 +34,7 @@ print(f"unnormalized vacuum norm^2 = {val:.10f} "
 print("\n-- finite Heisenberg action --")
 psi = basis_psi(ctx)
 for l in (0, 1, 5):
-    t = translate(psi[l], (1.0 / N, 0.0))
+    t = translate(psi[l], (Fraction(1, N), 0))
     ev = t.rho[l] / psi[l].rho[l]
     print(f"meridian fraction on basis vector {l}: eigenvalue {ev:.6f} "
           f"(expect exp(2 pi i {l}/{N}))")

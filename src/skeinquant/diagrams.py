@@ -174,12 +174,6 @@ class LinkDiagram:
                 raise ValueError(f"unrecognised line: {line!r}")
         return cls(crossings, framing_extra=framings)
 
-    def to_pd_text(self) -> str:
-        lines = [f"F {' '.join(str(f) for f in self.framing_extra)}"]
-        for x in self.crossings:
-            lines.append("X " + " ".join(str(a) for a in x))
-        return "\n".join(lines) + "\n"
-
 
 def braid_to_diagram(braid: BraidWord, framing_extra: Optional[Sequence[int]] = None) -> LinkDiagram:
     """Planar diagram of a braid closure.

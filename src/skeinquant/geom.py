@@ -203,8 +203,10 @@ def holomorphic_part(s: ThetaSection, p: float, q: float) -> complex:
 def _lattice_numerators(ctx: QuantizationContext, x) -> tuple:
     out = []
     for c in x:
-        frac = Fraction(c).limit_denominator(10 ** 9) if not isinstance(c, Fraction) else c
-        num = frac * ctx.N
+        if not isinstance(c, (int, Fraction)):
+            raise NotLatticeFraction(
+                f"coordinate {c!r} must be an int or a Fraction, not {type(c).__name__}")
+        num = Fraction(c) * ctx.N
         if num.denominator != 1:
             raise NotLatticeFraction(
                 f"coordinate {c} is not a multiple of 1/{ctx.N}")
@@ -215,8 +217,9 @@ def _lattice_numerators(ctx: QuantizationContext, x) -> tuple:
 def translate(s: ThetaSection, x) -> ThetaSection:
     """Pullback by the Heisenberg lift of translation by x = (c_mu, c_lambda).
 
-    Coordinates must be integer multiples of 1/(2r+1).  Acts exactly on
-    the rho vector; unitary for the quadrature inner product.
+    Coordinates are ints or Fractions, integer multiples of 1/(2r+1); a
+    float raises NotLatticeFraction.  Acts exactly on the rho vector;
+    unitary for the quadrature inner product.
     """
     j, k = _lattice_numerators(s.ctx, x)
     return translate_ints(s, j, k)

@@ -1,10 +1,15 @@
 """Colored Jones polynomials by three mutually validating backends.
 
-* exact: cabled bracket over the integer Laurent ring, normalized so the
-  unknot gives 1 and converted to the variable t = A**4;
-* rmatrix: numeric quantum-group action of the n-dimensional
-  representation on the braid, one total-weight sector at a time,
-  closed by a weighted trace;
+One sector loop carries the quantum-group action of the n-dimensional
+representation on a braid, one total-weight sector at a time, closed by a
+weighted trace; it runs over several rings.
+
+* rmatrix: the loop in complex128 at A = exp(i pi/(2r+1));
+* exact: T = J(A^4) [n] A^-((n^2-1) writhe) as an integer Laurent
+  polynomial, from the loop over F_p at a batch of points, interpolated
+  in A^4 and rebuilt by CRT.  The loop in (min, +) gives its degree
+  window, and in (+, x) on L1 norms a bound on its coefficients.
+  Normalized so the unknot gives 1, in the variable t = A**4;
 * catalog: closed forms for the built-in knots, chosen by braid word and
   certified to JONES_REL_TOL per color: Morton's formula for the trefoil
   in floats, Habiro's cyclotomic sum for the figure-eight in mpmath.
@@ -24,14 +29,13 @@ from typing import Optional
 import mpmath
 import numpy as np
 
-from .bracket import braid_closure_bracket, chebyshev_coeffs
 from .diagrams import BraidWord
 from .errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                      UnknownCatalogEntry)
 from .laurent import LaurentPoly, quantum_integer_poly
 from .roots import RootContext, quantum_integer
 
-RMATRIX_BYTE_BUDGET = 1 << 28  # bytes for the largest weight sector of the R-matrix engine
+RMATRIX_BYTE_BUDGET = 1 << 28  # bytes for the largest weight sector, over all batch points
 
 CATALOG_BRAIDS = {
     "unknot": ((), 1),
@@ -82,38 +86,55 @@ class JonesValue:
     backend: str
 
 
-# -- exact backend -----------------------------------------------------
+# -- one sector loop over several rings ---------------------------------
 
-@lru_cache(maxsize=256)
-def _colored_jones_exact_cached(word: tuple, strands: int, n: int) -> LaurentPoly:
-    braid = BraidWord(word, strands)
-    writhe = braid.writhe
-    color = n - 1
-    bracket = LaurentPoly.zero()
-    for width, coeff in chebyshev_coeffs(color).monomials():
-        bracket = bracket + braid_closure_bracket(braid, [width] * strands) * coeff
+def _check_budget(N: int, s: int, batch: int, itemsize: int, per_point: int = 0) -> None:
+    """Raise StateSpaceTooLarge unless the sector working set fits RMATRIX_BYTE_BUDGET.
 
-    # framing correction ((-1)^c A^(c^2+2c))^writhe, then exact division
-    # by (-1)^c [c+1]; both must cancel exactly or the conventions broke.
-    expo = (color * color + 2 * color) * writhe
-    sign = -1 if (color % 2 == 1 and writhe % 2 == 1) else 1
-    corrected = bracket * LaurentPoly.monomial(expo, sign)
-    denom = quantum_integer_poly(color + 1)
-    if color % 2 == 1:
-        denom = -denom
-    quotient = corrected.divexact(denom)
-    try:
-        return quotient.in_variable_power(4)
-    except InexactDivision as exc:
-        raise InexactDivision(
-            "normalized value is not a polynomial in A**4; convention bug") from exc
+    Per point of the batch: 4 d^2 entries of the largest sector d (the
+    product, one generator block, its gather indices, the new product) and
+    ``per_point`` table entries.  d comes from an s-fold convolution, before
+    anything of size N^s is allocated.
+    """
+    d = int(reduce(np.convolve, [np.ones(N)] * s).max())
+    need = batch * itemsize * (4 * float(d) ** 2 + per_point)
+    if need > RMATRIX_BYTE_BUDGET:
+        points = f" at {batch} evaluation points" if batch > 1 else ""
+        raise StateSpaceTooLarge(
+            f"the largest weight sector of the {N}^{s} states has {d} states and needs "
+            f"{need / 2**20:.0f} MiB{points}, over the {RMATRIX_BYTE_BUDGET >> 20} MiB "
+            "sector budget")
 
 
-def colored_jones_exact(K: KnotPresentation, n: int) -> LaurentPoly:
-    """Exact J(K, n) as a Laurent polynomial in t = A**4."""
-    if n < 1:
-        raise ValueError("color index n must be >= 1")
-    return _colored_jones_exact_cached(K.braid.word, K.braid.strands, n)
+def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
+    """One value per total-weight sector w of {0..N-1}^s, in increasing w.
+
+    R keeps the total weight of the two slots it acts on, so the braid
+    operator is block diagonal over w.  ``gens`` is (R^-1, R), each a pair
+    (values, where): ``values[..., where[i', j', i, j]]`` is the entry from
+    slot values (i, j) to (i', j'), leading axes of ``values`` are a batch
+    of evaluation points, and ``values[..., -1]`` is the ring's zero.  A
+    generator's sector block takes that entry where the other slots agree
+    and the zero elsewhere.  ``matmul`` is the ring's product, and
+    ``weigh(w, k, diag)`` reduces the diagonal of the word's product over
+    the sector's multi-indices k, one column each.
+    """
+    sizes = reduce(np.convolve, [np.ones(N)] * s)   # multi-indices per total weight
+    digits = np.indices((N,) * s).reshape(s, -1)   # slot 0 most significant, as in np.kron
+    order = np.argsort(digits.sum(axis=0), kind="stable")
+    out = []
+    for w, flat in enumerate(np.split(order, np.cumsum(sizes[:-1]).astype(np.int64))):
+        k = digits[:, flat]
+        mat = eye(len(flat))
+        for g in word:
+            i = abs(g) - 1
+            a, b = k[i], k[i + 1]
+            rest = flat - a * N ** (s - 1 - i) - b * N ** (s - 2 - i)   # must agree off i, i+1
+            values, where = gens[g > 0]
+            entry = np.where(rest[:, None] == rest, where[a[:, None], b[:, None], a, b], -1)
+            mat = matmul(values[..., entry], mat)
+        out.append(weigh(w, k, np.diagonal(mat, axis1=-2, axis2=-1)))
+    return out
 
 
 # -- numeric R-matrix backend ------------------------------------------
@@ -167,39 +188,196 @@ def _rmatrix_data(N: int, r: int):
 def colored_jones_rmatrix(K: KnotPresentation, n: int, ctx: RootContext) -> complex:
     """J(K, n) at t = ctx.A_value**4 via the braid action of the n-dim rep.
 
-    R moves weight between two slots but keeps their sum, so the braid
-    operator is block diagonal over the total weight w of a multi-index
-    in {0..n-1}^strands.  Each generator is restricted to one sector at a
-    time, and the closure adds the sectors' weighted diagonals.
+    The sector loop in complex128: each generator is restricted to one
+    total-weight sector at a time, and the closure adds the sectors'
+    weighted diagonals.
     """
     if n < 1:
         raise ValueError("color index n must be >= 1")
     if n == 1:
         return 1 + 0j
     N, s = n, K.braid.strands
-    sizes = reduce(np.convolve, [np.ones(N)] * s)   # multi-indices per total weight
-    # the product, one generator block and its masked gather, 16 bytes per entry
-    need = 4 * 16 * float(sizes.max()) ** 2
-    if need > RMATRIX_BYTE_BUDGET:
-        raise StateSpaceTooLarge(
-            f"the largest weight sector of {N}^{s} states needs {need / 2**20:.0f} MiB, over "
-            f"the {RMATRIX_BYTE_BUDGET >> 20} MiB R-matrix budget; use --backend exact")
-
+    _check_budget(N, s, 1, 16)
     R, Rinv, weight, twist, qdim = _rmatrix_data(N, ctx.r)
-    digits = np.indices((N,) * s).reshape(s, -1)   # slot 0 most significant, as in np.kron
-    order = np.argsort(digits.sum(axis=0), kind="stable")
-    trace = 0j
-    for flat in np.split(order, np.cumsum(sizes[:-1]).astype(np.int64)):
-        k = digits[:, flat]
-        mat = np.eye(len(flat), dtype=np.complex128)
-        for g in K.braid.word:
-            i = abs(g) - 1
-            a, b = k[i], k[i + 1]
-            rest = flat - a * N ** (s - 1 - i) - b * N ** (s - 2 - i)   # must agree off i, i+1
-            block = (R if g > 0 else Rinv).reshape((N,) * 4)[a[:, None], b[:, None], a, b]
-            mat = np.where(rest[:, None] == rest, block, 0) @ mat
-        trace += np.prod(weight[k], axis=0) @ np.diagonal(mat)
+    where = np.arange(N ** 4).reshape((N,) * 4)
+    gens = tuple((np.append(G.reshape(-1), 0), where) for G in (Rinv, R))
+    trace = sum(_sector_loop(K.braid.word, s, N, gens,
+                             lambda d: np.eye(d, dtype=np.complex128), np.matmul,
+                             lambda w, k, diag: np.prod(weight[k], axis=0) @ diag), 0j)
     return complex(trace / (twist ** K.braid.writhe) / qdim)
+
+
+# -- exact backend: the sector loop over F_p, interpolation and CRT -------
+
+# primes p = 3 mod 4 below 2^25 (docs/conventions.md): int64 products stay
+# exact in every sector the budget admits, and x -> x^4 is one-to-one on 1 < x < p/2
+_PRIMES = (33554383, 33554371, 33554347, 33554291, 33554267, 33554239, 33554167,
+           33554159, 33554123, 33554083, 33554051, 33554011, 33553999, 33553991,
+           33553967, 33553879, 33553799, 33553787, 33553771, 33553759, 33553747,
+           33553739, 33553727, 33553679)
+
+
+@lru_cache(maxsize=64)
+def _rmatrix_terms(N: int) -> tuple:
+    """(R^-1, R) for the N-dim rep in closed form over Z[A, A^-1], no inverse taken.
+
+    Per sign, (where, cols): ``where`` as in _sector_loop, and column e of
+    the int array ``cols`` = (expo, m, u, v, half) for entry e =
+    +-A^expo {1}..{m} [u, m] [v, m], where {k} = A^-2k - A^2k, [u, m] is the
+    symmetric q-binomial, the sign is (-1)^m in R^-1, and the exponents span
+    expo -+ half exactly (docs/conventions.md).
+    """
+    lam = [N - 1 - 2 * x for x in range(N)]   # the weight of a slot value
+    out = []
+    for positive in (False, True):
+        rows, where = [], np.full((N,) * 4, -1)
+        for a, b in np.ndindex(N, N):           # E^m acts on slot value a, F^m on b
+            for m in range(min(a, N - 1 - b) + 1):
+                if positive:   # R: (a, b) -> (b + m, a - m)
+                    pos, expo = (b + m, a - m, a, b), -lam[a - m] * lam[b + m] - m * (m - 1)
+                else:          # R^-1: (b, a) -> (a - m, b + m)
+                    pos, expo = (a - m, b + m, b, a), lam[a] * lam[b] + m * (m - 1)
+                where[pos] = len(rows)
+                rows.append((expo, m, N - 1 - a + m, b + m, m * (m + 1) + 2 * m * (N - 1 - a + b)))
+        out.append((where, np.array(rows).T))
+    return tuple(out)
+
+
+def _degree_window(word, s: int, N: int) -> tuple:
+    """(lo, hi) bounding the A-exponents of T, by the sector loop in (min, +) and (max, +)."""
+    def min_plus(X, Y):
+        out = np.full((len(X), Y.shape[1]), np.inf)
+        for j in range(len(Y)):
+            np.minimum(out, X[:, j, None] + Y[j], out=out)
+        return out
+
+    ends = []
+    for side in (1, -1):   # (max, +) as (min, +) on negated exponents
+        gens = [(np.append(side * c[0] - c[4], np.inf), where) for where, c in _rmatrix_terms(N)]
+        ends.append(min(_sector_loop(
+            word, s, N, gens, lambda d: np.where(np.eye(d), 0, np.inf), min_plus,
+            lambda w, k, diag: side * (4 * w - 2 * s * (N - 1)) + diag.min())))
+    return int(ends[0]), -int(ends[1])
+
+
+def _coefficient_bound(word, s: int, N: int) -> float:
+    """A bound on T's coefficients: its L1 norm, by the sector loop in (+, x)."""
+    gens = [(np.array([2.0 ** m * math.comb(u, m) * math.comb(v, m) for _, m, u, v, _ in c.T]
+                      + [0.0]), where) for where, c in _rmatrix_terms(N)]
+    # nonnegative float sums and products: far below 2^-20 relative rounding
+    return (1 + 2.0 ** -20) * float(sum(_sector_loop(word, s, N, gens, np.eye, np.matmul,
+                                                     lambda w, k, diag: diag.sum())))
+
+
+def _inverse(v, p: int):
+    """1/v mod p elementwise, as v^(p-2)."""
+    out = np.ones_like(v)
+    for bit in bin(p - 2)[2:]:
+        out = out * out % p
+        if bit == "1":
+            out = out * v % p
+    return out
+
+
+def _coefficients_mod(word, s: int, N: int, lo: int, deg: int, E: int, p: int) -> list:
+    """The coefficients mod p of P, where T(A) = A^lo P(A^4) and deg P <= deg.
+
+    T comes from the sector loop over F_p at the batch x = 2 .. deg + 3,
+    with a table of x^e for |e| <= E; P is interpolated in Newton form
+    through t = x^4 at the first deg + 1 points, and must agree at the last.
+    """
+    x = np.arange(2, deg + 4, dtype=np.int64)
+    pw = np.ones((2 * E + 1, len(x)), dtype=np.int64)           # pw[E + e] = x^e
+    x_inv = _inverse(x, p)
+    for e in range(1, E + 1):
+        pw[E + e], pw[E - e] = pw[E + e - 1] * x % p, pw[E - e + 1] * x_inv % p
+    braces = np.ones((N, len(x)), dtype=np.int64)               # {1} .. {m}
+    binom = np.zeros((N, N, len(x)), dtype=np.int64)            # [u, m], Pascal's rule
+    binom[:, 0] = 1
+    for m in range(1, N):
+        braces[m] = braces[m - 1] * (pw[E - 2 * m] - pw[E + 2 * m]) % p
+        for u in range(m, N):
+            binom[u, m] = (pw[E + 2 * m] * binom[u - 1, m]
+                           + pw[E - 2 * (u - m)] * binom[u - 1, m - 1]) % p
+    gens = []
+    for positive, (where, (expo, m, u, v, _)) in enumerate(_rmatrix_terms(N)):
+        val = pw[E + expo] * braces[m] % p * binom[u, m] % p * binom[v, m] % p
+        val = val if positive else np.where(m[:, None] % 2, p - val, val) % p
+        gens.append((np.concatenate((val.T, np.zeros((len(x), 1), np.int64)), axis=1), where))
+
+    def matmul(X, Y):
+        Z = X @ Y
+        return np.remainder(Z, p, out=Z)
+
+    y = sum(_sector_loop(word, s, N, gens, lambda d: np.eye(d, dtype=np.int64), matmul,
+                         lambda w, k, diag: diag.sum(axis=-1) % p
+                         * pw[E + 4 * w - 2 * s * (N - 1)] % p)) % p * pw[E - lo] % p
+    t = pw[E + 4]
+    inv = _inverse((t[:, None] - t) % p, p)
+    c = y[:-1].copy()                                           # divided differences
+    i = np.arange(deg + 1)
+    for j in range(1, deg + 1):
+        c[j:] = (c[j:] - c[j - 1:-1]) % p * inv[i[j:], i[:-j]] % p
+    coef, check = np.zeros(deg + 1, dtype=np.int64), 0          # Horner on the Newton form
+    for j in range(deg, -1, -1):
+        coef = (np.roll(coef, 1) - t[j] * coef) % p
+        coef[0] = (coef[0] + c[j]) % p
+        check = (check * int(t[-1] - t[j]) + int(c[j])) % p
+    if check != y[-1]:
+        raise InexactDivision(f"T mod {p} is no polynomial of degree {deg} in A^4 on its "
+                              "degree window; the window or a convention is wrong")
+    return [int(v) for v in coef]
+
+
+def _crt(residues: list, primes: list) -> list:
+    """The integers of least absolute value with these residues modulo the primes."""
+    values, modulus = residues[0], primes[0]
+    for res, p in zip(residues[1:], primes[1:]):
+        inv = pow(modulus, -1, p)
+        values = [v + modulus * ((r - v) * inv % p) for v, r in zip(values, res)]
+        modulus *= p
+    return [v - modulus if 2 * v > modulus else v for v in values]
+
+
+@lru_cache(maxsize=256)
+def _colored_jones_exact_cached(word: tuple, strands: int, n: int) -> LaurentPoly:
+    """J(n) from T = J(A^4) [n] A^-((n^2-1) writhe), the closure's weighted trace.
+
+    T is rebuilt by CRT modulo primes whose product exceeds twice its
+    coefficient bound, then divided exactly (docs/conventions.md).
+    """
+    N, s = n, strands
+    writhe = sum(1 if g > 0 else -1 for g in word)
+    _check_budget(N, s, 2, 8)   # the least batch, before the window's loops allocate N^s
+    lo, hi = _degree_window(word, s, N)
+    cls = (2 * (N - 1) - (N * N - 1) * writhe) % 4   # every exponent of T, mod 4
+    lo, hi = lo + (cls - lo) % 4, hi - (hi - cls) % 4
+    deg = (hi - lo) // 4
+    E = 2 * N * (N + s) + abs(lo)   # covers every exponent of an entry, a weight and A^-lo
+    entries = _rmatrix_terms(N)[1][1].shape[1]
+    # per point: R, R^-1 and their build, the power table and the Newton inverses
+    _check_budget(N, s, deg + 2, 8, 4 * entries + 2 * E + deg + 2)
+    bound, primes = _coefficient_bound(word, s, N), []
+    while math.prod(primes) <= 2 * bound:
+        if len(primes) == len(_PRIMES):
+            raise PrecisionLoss(f"J({n}) needs more primes than the {len(_PRIMES)} in the "
+                                f"table for its coefficient bound {bound:.3g}")
+        primes.append(_PRIMES[len(primes)])
+    coeffs = _crt([_coefficients_mod(word, s, N, lo, deg, E, p) for p in primes], primes)
+    T = LaurentPoly({lo + 4 * i: c for i, c in enumerate(coeffs)})
+    quotient = (T * LaurentPoly.monomial((N * N - 1) * writhe)).divexact(quantum_integer_poly(N))
+    try:
+        return quotient.in_variable_power(4)
+    except InexactDivision as exc:
+        raise InexactDivision(
+            "normalized value is not a polynomial in A**4; convention bug") from exc
+
+
+def colored_jones_exact(K: KnotPresentation, n: int) -> LaurentPoly:
+    """Exact J(K, n) as a Laurent polynomial in t = A**4."""
+    if n < 1:
+        raise ValueError("color index n must be >= 1")
+    return _colored_jones_exact_cached(K.braid.word, K.braid.strands, n)
 
 
 # -- catalog backend ---------------------------------------------------

@@ -140,12 +140,6 @@ class LaurentPoly:
             k >>= 1
         return result
 
-    def mirrored(self) -> "LaurentPoly":
-        """Substitute variable -> variable**-1."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {-e: c for e, c in self.terms.items()}
-        return res
-
     def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises InexactDivision on any remainder."""
         if divisor.is_zero():

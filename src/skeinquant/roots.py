@@ -25,10 +25,6 @@ class RootContext:
             raise ValueError("level r must be >= 3")
 
     @property
-    def order(self) -> int:
-        return 4 * self.r + 2
-
-    @property
     def A_value(self) -> complex:
         return cmath.exp(1j * math.pi / (2 * self.r + 1))
 
@@ -36,13 +32,6 @@ class RootContext:
     def t_value(self) -> complex:
         """A**4 = exp(2 pi i / (r + 1/2))."""
         return cmath.exp(4j * math.pi / (2 * self.r + 1))
-
-    def is_primitive_root(self) -> bool:
-        """A**(4r+2) = 1 and no smaller positive power hits 1."""
-        a = self.A_value
-        if abs(a ** self.order - 1) > 1e-10:
-            return False
-        return all(abs(a ** k - 1) > 1e-10 for k in range(1, self.order))
 
 
 def quantum_integer(n: int, ctx: RootContext) -> float:

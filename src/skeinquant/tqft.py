@@ -256,9 +256,6 @@ class KirbyConstants:
     kappa: complex
     omega_coeffs: tuple
 
-    def kappa_modulus_dev(self) -> float:
-        return abs(abs(self.kappa) - 1.0)
-
 
 @lru_cache(maxsize=128)
 def kirby_constants(r: int) -> KirbyConstants:

@@ -7,12 +7,21 @@
 * The dense R-matrix trace: every generator as a full Kronecker product
   on (C^n)^strands, the reference for the weight-sector engine.  It
   holds (n^strands)^2 entries, so keep it to small n and few strands.
+* The cabled closure: J(K, n) from the Chebyshev-colored cable brackets
+  over the integer Laurent ring, the reference for the exact engine.
+  Its transfer runs over a cable of (n-1) x strands strands, so keep n
+  and the strand count small.
+* Small helpers only the tests need: a PD text writer, the mirror of a
+  Laurent polynomial, and checks on the root and on kappa.
 """
 
 import mpmath
 import numpy as np
 
+from skeinquant.bracket import braid_closure_bracket, chebyshev_coeffs
+from skeinquant.errors import InexactDivision
 from skeinquant.jones import _rmatrix_data
+from skeinquant.laurent import LaurentPoly, quantum_integer_poly
 
 
 def cyclotomic_jones(name: str, r: int, n_max: int, bits: int) -> list:
@@ -66,3 +75,50 @@ def dense_rmatrix_jones(K, n: int, ctx) -> complex:
         full_weight = np.kron(full_weight, weight)
     trace = np.einsum("i,ii->", full_weight, mat)
     return complex(trace / (twist ** K.braid.writhe) / qdim)
+
+
+def cabled_jones(K, n: int) -> LaurentPoly:
+    """Exact J(K, n) in t = A**4 from the cabled bracket of K's braid closure."""
+    braid = K.braid
+    color = n - 1
+    bracket = LaurentPoly.zero()
+    for width, coeff in chebyshev_coeffs(color).monomials():
+        bracket = bracket + braid_closure_bracket(braid, [width] * braid.strands) * coeff
+
+    # framing correction ((-1)^c A^(c^2+2c))^writhe, then exact division
+    # by (-1)^c [c+1]; both must cancel exactly or the conventions broke.
+    expo = (color * color + 2 * color) * braid.writhe
+    sign = -1 if (color % 2 == 1 and braid.writhe % 2 == 1) else 1
+    corrected = bracket * LaurentPoly.monomial(expo, sign)
+    denom = quantum_integer_poly(color + 1)
+    if color % 2 == 1:
+        denom = -denom
+    quotient = corrected.divexact(denom)
+    try:
+        return quotient.in_variable_power(4)
+    except InexactDivision as exc:
+        raise InexactDivision(
+            "normalized value is not a polynomial in A**4; convention bug") from exc
+
+
+def pd_text(diagram) -> str:
+    """The diagram in the text format LinkDiagram.from_pd_text reads."""
+    lines = [f"F {' '.join(str(f) for f in diagram.framing_extra)}"]
+    lines += ["X " + " ".join(str(a) for a in x) for x in diagram.crossings]
+    return "\n".join(lines) + "\n"
+
+
+def mirrored(p: LaurentPoly) -> LaurentPoly:
+    """p with its variable replaced by its inverse."""
+    return LaurentPoly({-e: c for e, c in p.terms.items()})
+
+
+def is_primitive_root(ctx) -> bool:
+    """A**(4r+2) = 1, and no smaller positive power of A is 1."""
+    a, order = ctx.A_value, 4 * ctx.r + 2
+    return abs(a ** order - 1) <= 1e-10 and all(abs(a ** k - 1) > 1e-10 for k in range(1, order))
+
+
+def kappa_modulus_dev(kc) -> float:
+    """How far |kappa| of the Kirby constants is from 1."""
+    return abs(abs(kc.kappa) - 1.0)

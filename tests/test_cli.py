@@ -1,17 +1,22 @@
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 from skeinquant import cli, jones
 from skeinquant.bracket import kauffman_bracket
 from skeinquant.diagrams import BraidWord, braid_to_diagram
 
 RUN = [sys.executable, "-m", "skeinquant.cli"]
+SRC = str(Path(cli.__file__).resolve().parents[1])   # the child imports the same package
 
 
 def run_cli(*args, check=True):
-    proc = subprocess.run(RUN + list(args), capture_output=True, text=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(RUN + list(args), capture_output=True, text=True, env=env)
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
     return proc
@@ -109,7 +114,20 @@ def test_rmatrix_budget_exits_2():
                    "--r", "20", check=False)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert "--backend exact" in proc.stderr
+    assert "has 24017 states and needs 35206 MiB, over the 256 MiB sector budget" \
+        in proc.stderr
+
+
+def test_knot_state_exact_backend_matches_the_catalog():
+    coeffs = {}
+    for backend in ("exact", "auto"):
+        proc = run_cli("knot-state", "--braid", "1 -2 1 -2", "--strands", "3", "--r", "8",
+                       "--backend", backend)
+        coeffs[backend] = [complex(c["re"], c["im"])
+                           for c in json.loads(proc.stdout)["result"]["coeffs"]]
+    assert len(coeffs["exact"]) == 8
+    assert all(abs(a - b) <= 1e-10 * max(1.0, abs(b))
+               for a, b in zip(coeffs["exact"], coeffs["auto"]))
 
 
 def test_rt_command():

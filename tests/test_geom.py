@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,9 +99,16 @@ def test_holomorphy_finite_difference_order():
 def test_translate_lattice_fraction_guard():
     s = random_section(CTX, 4)
     with pytest.raises(NotLatticeFraction):
-        translate(s, (0.5, 0.0))
-    out = translate(s, (1.0 / CTX.N, 2.0 / CTX.N))
+        translate(s, (Fraction(1, 2), 0))
+    out = translate(s, (Fraction(1, CTX.N), Fraction(2, CTX.N)))
     assert np.allclose(out.rho, translate_ints(s, 1, 2).rho)
+
+
+def test_translate_rejects_floats():
+    s = random_section(CTX, 4)
+    for x in ((1.0 / CTX.N, 0), (0, 2.0), (np.float64(0.0), 0)):
+        with pytest.raises(NotLatticeFraction, match="int or a Fraction"):
+            translate(s, x)
 
 
 def test_translate_matches_pointwise_action():

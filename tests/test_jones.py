@@ -1,9 +1,12 @@
+import math
+
 import mpmath
 import pytest
 
-from oracles import cyclotomic_jones, dense_rmatrix_jones
+from oracles import cabled_jones, cyclotomic_jones, dense_rmatrix_jones, mirrored
 from skeinquant import jones
-from skeinquant.errors import PrecisionLoss, StateSpaceTooLarge, UnknownCatalogEntry
+from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
+                               UnknownCatalogEntry)
 from skeinquant.jones import (JONES_REL_TOL, KnotPresentation, catalog_jones_values,
                               colored_jones, colored_jones_catalog, colored_jones_exact,
                               colored_jones_rmatrix, so3_bracket_coefficient)
@@ -51,9 +54,10 @@ def test_trefoil_jones_polynomial():
 
 
 def test_figure_eight_palindromic():
-    for n in (2, 3):
+    for n in (2, 3, 5, 6):
         p = colored_jones_exact(FIG8, n)
-        assert p == p.mirrored()
+        assert p == mirrored(p)
+        assert (p.min_exp, p.max_exp) == (-n * (n - 1), n * (n - 1))
 
 
 def test_backend_agreement_grid():
@@ -122,13 +126,59 @@ def test_sector_engine_matches_dense_oracle(word, strands, r):
         assert abs(colored_jones_rmatrix(K, n, ctx) - dense) <= 1e-11 * max(1.0, abs(dense))
 
 
+@pytest.mark.parametrize("mirror", (False, True))
+@pytest.mark.parametrize("word, strands", SECTOR_KNOTS)
+def test_exact_engine_matches_cabled_oracle(word, strands, mirror):
+    if mirror:
+        word = tuple(-g for g in word)
+    K = KnotPresentation.from_braid(word, strands)
+    for n in range(1, 4 if strands == 4 else 5):
+        assert colored_jones_exact(K, n) == cabled_jones(K, n)
+
+
+@pytest.mark.parametrize("K", (TREFOIL, FIG8), ids=("trefoil", "figure-eight"))
+def test_exact_engine_matches_catalog_at_r30(K):
+    ctx = RootContext(30)
+    for n in range(1, 9):
+        exact = colored_jones_exact(K, n).eval_at(ctx.t_value)
+        cat = colored_jones_catalog(K.name, n, ctx)
+        assert abs(exact - cat) <= 1e-10 * max(1.0, abs(cat))
+
+
+def test_degree_window_one_short_raises(monkeypatch):
+    n = 3
+    J = cabled_jones(FIG8, n)
+    # T = J(A^4) [n] A^-((n^2-1) writhe), and the figure-eight has writhe 0
+    lo, hi = 4 * J.min_exp - 2 * (n - 1), 4 * J.max_exp + 2 * (n - 1)
+    uncached = jones._colored_jones_exact_cached.__wrapped__
+    monkeypatch.setattr(jones, "_degree_window", lambda word, s, N: (lo, hi - 4))
+    with pytest.raises(InexactDivision):
+        uncached(FIG8.braid.word, FIG8.braid.strands, n)
+    monkeypatch.setattr(jones, "_degree_window", lambda word, s, N: (lo, hi))
+    assert uncached(FIG8.braid.word, FIG8.braid.strands, n) == J
+
+
+def test_prime_table():
+    # the largest sector the budget admits for one int64 point
+    d_max = math.isqrt(jones.RMATRIX_BYTE_BUDGET // (4 * 8))
+    with pytest.raises(StateSpaceTooLarge):
+        jones._check_budget(d_max + 1, 2, 1, 8)   # two strands: the largest sector has N states
+    jones._check_budget(d_max, 2, 1, 8)
+    assert len(set(jones._PRIMES)) == len(jones._PRIMES)
+    for p in jones._PRIMES:
+        assert p % 4 == 3 and p < 2 ** 25
+        assert p % 2 and all(p % f for f in range(3, math.isqrt(p) + 1, 2))
+        assert d_max * p * p < 2 ** 63
+
+
 def test_auto_past_the_budget_raises_without_exact(monkeypatch):
     def no_exact(*args, **kwargs):
         raise AssertionError("auto fell back to the exact backend")
 
     monkeypatch.setattr(jones, "colored_jones_exact", no_exact)
     wide = KnotPresentation.from_braid((1, 2, 3, 4, 5, 6), 7)
-    with pytest.raises(StateSpaceTooLarge, match="--backend exact"):
+    with pytest.raises(StateSpaceTooLarge,
+                       match="has 24017 states and needs 35206 MiB, over the 256 MiB sector"):
         colored_jones(wide, 6, RootContext(20))
 
 

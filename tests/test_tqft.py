@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import kappa_modulus_dev
 from skeinquant.errors import NotPrimitive
 from skeinquant.jones import KnotPresentation
 from skeinquant.roots import RootContext, quantum_integer
@@ -178,7 +179,7 @@ def test_kirby_eta_formula():
 
 def test_kirby_kappa_modulus():
     for r in range(3, 9):
-        assert kirby_constants(r).kappa_modulus_dev() < 1e-10
+        assert kappa_modulus_dev(kirby_constants(r)) < 1e-10
 
 
 def test_kirby_omega_coefficients():
