@@ -12,7 +12,8 @@ weighted trace; it runs over several rings.
   Normalized so the unknot gives 1, in the variable t = A**4;
 * catalog: closed forms for the built-in knots, chosen by braid word and
   certified to JONES_REL_TOL per color: Morton's formula for the trefoil
-  in floats, Habiro's cyclotomic sum for the figure-eight in mpmath.
+  in floats, Habiro's cyclotomic sum for the figure-eight in integer
+  fixed point.
 
 Indexing: J(K, 1) = 1 is the trivial color, and J(K, n) comes from the
 (n-1)-st cabling color.
@@ -88,22 +89,22 @@ class JonesValue:
 
 # -- one sector loop over several rings ---------------------------------
 
-def _check_budget(N: int, s: int, batch: int, itemsize: int, per_point: int = 0) -> None:
-    """Raise StateSpaceTooLarge unless the sector working set fits RMATRIX_BYTE_BUDGET.
+def _check_budget(N: int, s: int, itemsize: int, per_point: int = 0, shared: int = 0) -> int:
+    """How many evaluation points fit RMATRIX_BYTE_BUDGET; StateSpaceTooLarge if none does.
 
-    Per point of the batch: 4 d^2 entries of the largest sector d (the
-    product, one generator block, its gather indices, the new product) and
-    ``per_point`` table entries.  d comes from an s-fold convolution, before
-    anything of size N^s is allocated.
+    Per point: 4 d^2 entries of the largest sector d (the product, one
+    generator block, its gather indices, the new product) and ``per_point``
+    table entries; ``shared`` entries are counted once.  d comes from an
+    s-fold convolution, before anything of size N^s is allocated.
     """
     d = int(reduce(np.convolve, [np.ones(N)] * s).max())
-    need = batch * itemsize * (4 * float(d) ** 2 + per_point)
-    if need > RMATRIX_BYTE_BUDGET:
-        points = f" at {batch} evaluation points" if batch > 1 else ""
+    point = 4 * float(d) ** 2 + per_point
+    if itemsize * (point + shared) > RMATRIX_BYTE_BUDGET:
         raise StateSpaceTooLarge(
             f"the largest weight sector of the {N}^{s} states has {d} states and needs "
-            f"{need / 2**20:.0f} MiB{points}, over the {RMATRIX_BYTE_BUDGET >> 20} MiB "
-            "sector budget")
+            f"{itemsize * (point + shared) / 2**20:.0f} MiB, over the "
+            f"{RMATRIX_BYTE_BUDGET >> 20} MiB sector budget")
+    return int((RMATRIX_BYTE_BUDGET / itemsize - shared) // point)
 
 
 def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
@@ -197,7 +198,7 @@ def colored_jones_rmatrix(K: KnotPresentation, n: int, ctx: RootContext) -> comp
     if n == 1:
         return 1 + 0j
     N, s = n, K.braid.strands
-    _check_budget(N, s, 1, 16)
+    _check_budget(N, s, 16)
     R, Rinv, weight, twist, qdim = _rmatrix_data(N, ctx.r)
     where = np.arange(N ** 4).reshape((N,) * 4)
     gens = tuple((np.append(G.reshape(-1), 0), where) for G in (Rinv, R))
@@ -279,14 +280,11 @@ def _inverse(v, p: int):
     return out
 
 
-def _coefficients_mod(word, s: int, N: int, lo: int, deg: int, E: int, p: int) -> list:
-    """The coefficients mod p of P, where T(A) = A^lo P(A^4) and deg P <= deg.
+def _trace_mod(word, s: int, N: int, lo: int, E: int, p: int, x) -> tuple:
+    """(T(x) x^-lo, x^4) mod p at the points x, by the sector loop over F_p.
 
-    T comes from the sector loop over F_p at the batch x = 2 .. deg + 3,
-    with a table of x^e for |e| <= E; P is interpolated in Newton form
-    through t = x^4 at the first deg + 1 points, and must agree at the last.
+    Entries and weights come from one table of x^e for |e| <= E.
     """
-    x = np.arange(2, deg + 4, dtype=np.int64)
     pw = np.ones((2 * E + 1, len(x)), dtype=np.int64)           # pw[E + e] = x^e
     x_inv = _inverse(x, p)
     for e in range(1, E + 1):
@@ -312,7 +310,20 @@ def _coefficients_mod(word, s: int, N: int, lo: int, deg: int, E: int, p: int) -
     y = sum(_sector_loop(word, s, N, gens, lambda d: np.eye(d, dtype=np.int64), matmul,
                          lambda w, k, diag: diag.sum(axis=-1) % p
                          * pw[E + 4 * w - 2 * s * (N - 1)] % p)) % p * pw[E - lo] % p
-    t = pw[E + 4]
+    return y, pw[E + 4]
+
+
+def _coefficients_mod(word, s: int, N: int, lo: int, deg: int, E: int, p: int,
+                      chunk: int) -> list:
+    """The coefficients mod p of P, where T(A) = A^lo P(A^4) and deg P <= deg.
+
+    T comes from _trace_mod at x = 2 .. deg + 3, at most ``chunk`` points
+    at a time; P is interpolated in Newton form through t = x^4 at the
+    first deg + 1 points, and must agree at the last.
+    """
+    x = np.arange(2, deg + 4, dtype=np.int64)
+    y, t = (np.concatenate(v) for v in zip(*(_trace_mod(word, s, N, lo, E, p, x[i:i + chunk])
+                                             for i in range(0, len(x), chunk))))
     inv = _inverse((t[:, None] - t) % p, p)
     c = y[:-1].copy()                                           # divided differences
     i = np.arange(deg + 1)
@@ -348,22 +359,22 @@ def _colored_jones_exact_cached(word: tuple, strands: int, n: int) -> LaurentPol
     """
     N, s = n, strands
     writhe = sum(1 if g > 0 else -1 for g in word)
-    _check_budget(N, s, 2, 8)   # the least batch, before the window's loops allocate N^s
+    _check_budget(N, s, 8)   # one point, before the window's loops allocate N^s
     lo, hi = _degree_window(word, s, N)
     cls = (2 * (N - 1) - (N * N - 1) * writhe) % 4   # every exponent of T, mod 4
     lo, hi = lo + (cls - lo) % 4, hi - (hi - cls) % 4
     deg = (hi - lo) // 4
     E = 2 * N * (N + s) + abs(lo)   # covers every exponent of an entry, a weight and A^-lo
     entries = _rmatrix_terms(N)[1][1].shape[1]
-    # per point: R, R^-1 and their build, the power table and the Newton inverses
-    _check_budget(N, s, deg + 2, 8, 4 * entries + 2 * E + deg + 2)
+    # per point: R, R^-1 and their build, and the power table; once: the Newton inverses
+    chunk = _check_budget(N, s, 8, 4 * entries + 2 * E, (deg + 2) ** 2)
     bound, primes = _coefficient_bound(word, s, N), []
     while math.prod(primes) <= 2 * bound:
         if len(primes) == len(_PRIMES):
             raise PrecisionLoss(f"J({n}) needs more primes than the {len(_PRIMES)} in the "
                                 f"table for its coefficient bound {bound:.3g}")
         primes.append(_PRIMES[len(primes)])
-    coeffs = _crt([_coefficients_mod(word, s, N, lo, deg, E, p) for p in primes], primes)
+    coeffs = _crt([_coefficients_mod(word, s, N, lo, deg, E, p, chunk) for p in primes], primes)
     T = LaurentPoly({lo + 4 * i: c for i, c in enumerate(coeffs)})
     quotient = (T * LaurentPoly.monomial((N * N - 1) * writhe)).divexact(quantum_integer_poly(N))
     try:
@@ -412,12 +423,36 @@ def _trefoil_values(r: int, n_max: int) -> list:
     return values
 
 
-def _figure_eight_values(r: int, n_max: int) -> list:
-    """Habiro's sum J(n) = sum_{k<n} prod_{j<=k} s(n+j) s(j-n), s(m) = 2 sin(2 pi m/NN).
+def _two_cos_table(NN: int, F: int) -> list:
+    """C[m] = round(2 cos(4 pi m/NN) 2^F) for m = 0..NN-1, each within one unit.
 
-    peak(n), the largest log2 of a partial product plus one bit of slack,
-    comes from one float64 cumulative sum; each color is certified by the
-    rounding bound 5 n^2 2^(peak(n) - p) at p bits (docs/conventions.md).
+    The powers of w = exp(4 pi i/NN) for m <= NN/2, in Gaussian-integer
+    fixed point at G = F + bitlen(NN) + 3 bits, mirrored by C[NN-m] = C[m]:
+    the rounded w and each truncated product add under 2.2 units of 2^-G,
+    so |w^m| = 1 keeps the error under 2.2 m 2^-G < 2^-F/7 (docs/conventions.md).
+    """
+    G = F + NN.bit_length() + 3
+    with mpmath.workprec(G + 10):
+        w = mpmath.expjpi(mpmath.mpf(4) / NN)
+        a, b = (int(mpmath.nint(mpmath.ldexp(v, G))) for v in (w.real, w.imag))
+    x, y, half = 1 << G, 0, []
+    for _ in range(NN // 2 + 1):
+        half.append((x + (1 << (G - F - 2))) >> (G - F - 1))
+        x, y = (x * a - y * b) >> G, (x * b + y * a) >> G
+    return half + half[:0:-1]
+
+
+def _figure_eight_values(r: int, n_max: int) -> list:
+    """Habiro's sum J(n) = sum_{k<n} prod_{j<=k} (c(n) - c(j)), c(m) = 2cos(4 pi m/NN), in integers.
+
+    c(n) - c(j) = s(n+j) s(j-n), s(m) = 2 sin(2 pi m/NN).  peak(n), the
+    largest log2 of a partial product plus one bit of slack, comes from one
+    float64 cumulative sum, and sets the bit count p.  Each factor is the
+    exact difference of two entries of one table of c at F = p +
+    2 bitlen(2NN) + 2 fraction bits, each partial product a p-bit integer
+    mantissa with an exponent, and the sum is taken in fixed point at unit
+    2^(ceil(peak(n)) - p).  Each color is certified by the rounding bound
+    5 n^2 2^(peak(n) - p) (docs/conventions.md) and returned as an exact mpf.
     """
     NN = 2 * r + 1
     with np.errstate(divide="ignore"):
@@ -426,19 +461,24 @@ def _figure_eight_values(r: int, n_max: int) -> list:
     logs = np.where(js < ns, log_s[(ns + js) % NN] + log_s[(js - ns) % NN], 0.0)
     peak = np.max(np.cumsum(logs, axis=1), axis=1, initial=0.0) + 1
     bits = math.ceil(peak.max() + math.log2(5 * n_max * n_max / JONES_REL_TOL)) + 16
-    # s(m) near m = NN/2 is ill-conditioned in its argument: spend log2(2NN) more bits
-    with mpmath.workprec(bits + (2 * NN).bit_length() + 2):
-        s = [2 * mpmath.sin(2 * mpmath.pi * m / NN) for m in range(NN)]
+    # |c(n) - c(j)| >= 4 sin^2(pi/NN) > 16/NN^2: each factor within 2^-bits relative
+    F = bits + 2 * (2 * NN).bit_length() + 2
+    C = _two_cos_table(NN, F)
     values = []
-    with mpmath.workprec(bits):
-        for n in range(1, n_max + 1):
-            total = prod = mpmath.mpf(1)
-            for j in range(1, n):
-                prod = prod * s[(n + j) % NN] * s[(j - n) % NN]
-                total += prod
-            if not 5 * n * n * 2.0 ** (peak[n - 1] - bits) < JONES_REL_TOL * abs(total):
-                raise PrecisionLoss(f"figure-eight J({n}) at r={r} misses {JONES_REL_TOL:g}")
-            values.append(total)
+    for n in range(1, n_max + 1):
+        unit = math.ceil(peak[n - 1]) - bits
+        cn, mant, shift, total = C[n % NN], 1, unit, 1 << -unit   # term = mant 2^(unit - shift)
+        # the products vanish from the first j = -n or n mod NN on
+        for cj in C[1:min(n, -n % NN or NN, n % NN or NN)]:
+            mant *= cn - cj
+            t = mant.bit_length() - bits
+            mant >>= t
+            shift += F - t
+            total += mant >> shift   # shift >= 0: every term is below 2^(peak(n) - 1)
+        # 5 n^2 2^(peak(n) - p) < JONES_REL_TOL |J(n)|, compared in units; ints never overflow
+        if not abs(total) > 5 * n * n * 2.0 ** float(peak[n - 1] - unit - bits) / JONES_REL_TOL:
+            raise PrecisionLoss(f"figure-eight J({n}) at r={r} misses {JONES_REL_TOL:g}")
+        values.append(mpmath.mpf((total, unit), prec=0))   # prec=0: the mantissa is kept exactly
     return values
 
 
@@ -453,8 +493,9 @@ def catalog_jones_values(name: str, r: int, n_max: int) -> list:
     """J(name, n) for n = 1..n_max at t = exp(2 pi i/(r+1/2)), in one pass.
 
     Each value is within JONES_REL_TOL relative, or PrecisionLoss is raised.
-    Figure-eight values are real mpmath numbers: up to about 2**(r/2), they
-    can leave the double range.  The others are Python complex numbers.
+    Figure-eight values are real mpmath numbers that hold the fixed-point
+    sum exactly: up to about 2**(r/2), they can leave the double range.  The
+    others are Python complex numbers.
     """
     if name not in _CATALOG_SUMS:
         raise UnknownCatalogEntry(f"{name!r} not in catalog {sorted(CATALOG_BRAIDS)}")

@@ -105,18 +105,9 @@ def l2_norm_quadrature(K: KnotPresentation, r: int, tau: complex = 1j,
     return math.sqrt(val.real)
 
 
-def lobachevsky(theta: float, tol: float = 1e-12) -> float:
-    """(1/2) sum sin(2 n theta)/n**2, summed far enough for the stated tolerance.
-
-    Pairs of consecutive terms telescope like n**-3, so the partial sum to
-    M has error below ~1/(M*M*|sin theta|); M is chosen accordingly.
-    """
-    s = abs(math.sin(theta))
-    if s < 1e-9:
-        return 0.0
-    M = int(math.sqrt(2.0 / (tol * s))) + 10
-    n = np.arange(1, M + 1, dtype=np.float64)
-    return float(0.5 * np.sum(np.sin(2 * theta * n) / n ** 2))
+def lobachevsky(theta: float) -> float:
+    """The Lobachevsky function (1/2) Cl_2(2 theta), from mpmath's Clausen function."""
+    return 0.5 * float(mpmath.clsin(2, 2 * theta))
 
 
 _REFERENCE_VOLUMES = {"unknot": lambda: 0.0, "trefoil": lambda: 0.0,

@@ -11,6 +11,8 @@
   over the integer Laurent ring, the reference for the exact engine.
   Its transfer runs over a cable of (n-1) x strands strands, so keep n
   and the strand count small.
+* The Lobachevsky sine series, summed far enough for a stated
+  tolerance: the reference for the closed form through Clausen's Cl_2.
 * Small helpers only the tests need: a PD text writer, the mirror of a
   Laurent polynomial, and checks on the root and on kappa.
 """
@@ -99,6 +101,20 @@ def cabled_jones(K, n: int) -> LaurentPoly:
     except InexactDivision as exc:
         raise InexactDivision(
             "normalized value is not a polynomial in A**4; convention bug") from exc
+
+
+def lobachevsky_series(theta: float, tol: float = 1e-12) -> float:
+    """(1/2) sum sin(2 n theta)/n**2, summed far enough for the stated tolerance.
+
+    Pairs of consecutive terms telescope like n**-3, so the partial sum to
+    M has error below ~1/(M*M*|sin theta|); M is chosen accordingly.
+    """
+    s = abs(np.sin(theta))
+    if s < 1e-9:
+        return 0.0
+    M = int(np.sqrt(2.0 / (tol * s))) + 10
+    n = np.arange(1, M + 1, dtype=np.float64)
+    return float(0.5 * np.sum(np.sin(2 * theta * n) / n ** 2))
 
 
 def pd_text(diagram) -> str:

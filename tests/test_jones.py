@@ -158,12 +158,30 @@ def test_degree_window_one_short_raises(monkeypatch):
     assert uncached(FIG8.braid.word, FIG8.braid.strands, n) == J
 
 
+def test_exact_points_are_chunked_to_the_budget(monkeypatch):
+    # figure-eight n=4: 29 points of 4 * 12^2 + 340 int64 entries each, and 29^2
+    # Newton inverses; the whole batch needs 219256 bytes, one point 14056
+    word, strands = FIG8.braid.word, FIG8.braid.strands
+    uncached = jones._colored_jones_exact_cached.__wrapped__
+    sizes, trace_mod = [], jones._trace_mod
+    monkeypatch.setattr(jones, "_trace_mod",
+                        lambda *args: sizes.append(len(args[-1])) or trace_mod(*args))
+    assert uncached(word, strands, 4) == cabled_jones(FIG8, 4) and set(sizes) == {29}
+    sizes.clear()
+    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 50000)   # (50000/8 - 841) // 916 = 5
+    assert uncached(word, strands, 4) == cabled_jones(FIG8, 4)
+    assert sizes[:6] == [5, 5, 5, 5, 5, 4] and set(sizes) == {5, 4}
+    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 14000)
+    with pytest.raises(StateSpaceTooLarge, match="has 12 states"):
+        uncached(word, strands, 4)
+
+
 def test_prime_table():
     # the largest sector the budget admits for one int64 point
     d_max = math.isqrt(jones.RMATRIX_BYTE_BUDGET // (4 * 8))
     with pytest.raises(StateSpaceTooLarge):
-        jones._check_budget(d_max + 1, 2, 1, 8)   # two strands: the largest sector has N states
-    jones._check_budget(d_max, 2, 1, 8)
+        jones._check_budget(d_max + 1, 2, 8)   # two strands: the largest sector has N states
+    assert jones._check_budget(d_max, 2, 8) == 1
     assert len(set(jones._PRIMES)) == len(jones._PRIMES)
     for p in jones._PRIMES:
         assert p % 4 == 3 and p < 2 ** 25
@@ -238,6 +256,26 @@ def test_catalog_precision_against_oracle(name, r):
     with mpmath.workprec(100 + r):
         worst = max(abs(mpmath.mpc(a) - b) / abs(b) for a, b in zip(ours, ref))
     assert worst < JONES_REL_TOL
+
+
+def test_figure_eight_at_r500_against_oracle():
+    # the partial products reach 2^241.6 here, and J(n) cancels up to 231 bits of them
+    ours = catalog_jones_values("figure-eight", 500, 500)
+    ref = cyclotomic_jones("figure-eight", 500, 500, 600)
+    with mpmath.workprec(600):
+        worst = max(abs(a - b) / abs(b) for a, b in zip(ours, ref))
+    assert worst < JONES_REL_TOL
+
+
+@pytest.mark.parametrize("r", range(3, 13))
+def test_figure_eight_small_levels_every_color(r):
+    # three periods of colors: factors c(n) - c(j) of adjacent table entries, and from
+    # n = r + 1 on the exact zeros at j = -n mod 2r+1
+    n_max = 3 * (2 * r + 1)
+    ours = catalog_jones_values("figure-eight", r, n_max)
+    ref = cyclotomic_jones("figure-eight", r, n_max, 200)
+    with mpmath.workprec(200):
+        assert all(abs(a - b) <= JONES_REL_TOL * abs(b) for a, b in zip(ours, ref))
 
 
 def test_uncertifiable_value_raises():

@@ -1,10 +1,9 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
-from oracles import cyclotomic_jones
+from oracles import cyclotomic_jones, lobachevsky_series
 from skeinquant import knotstate
 from skeinquant.errors import UnknownCatalogEntry
 from skeinquant.jones import KnotPresentation, catalog_jones_values
@@ -98,11 +97,9 @@ def test_state_moduli_are_the_norm_terms(K):
 
 
 def test_lobachevsky_series_against_clausen():
-    # independent oracle: Clausen sine series at doubled argument
+    # independent oracle: the sine series (1/2) sum sin(2 n theta)/n^2, against Clausen's Cl_2
     for theta in (math.pi / 6, math.pi / 3, 1.0):
-        ours = lobachevsky(theta)
-        exact = float(mpmath.clsin(2, 2 * theta)) / 2
-        assert abs(ours - exact) < 1e-12
+        assert abs(lobachevsky(theta) - lobachevsky_series(theta)) < 1e-12
 
 
 def test_reference_volumes():
