@@ -160,11 +160,11 @@ def _cmd_knot_state(cfg: RunConfig, args) -> int:
 
 
 def _cmd_volume_seq(cfg: RunConfig, args) -> int:
+    if not args.out:
+        raise SkeinQuantError("volume-seq requires --out CSV path")
     K = _knot_from_args(args)
     r_list = list(range(args.r_min, args.r_max + 1, args.step))
     rows = volume_sequence(K, r_list, ref_vol=args.ref_vol)
-    if not args.out:
-        raise SkeinQuantError("volume-seq requires --out CSV path")
     write_volume_csv(rows, args.out)
     with open(args.out + ".manifest.json", "w") as fh:
         json.dump(_manifest(cfg), fh, sort_keys=True, indent=2)

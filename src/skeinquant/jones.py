@@ -2,14 +2,17 @@
 
 One sector loop carries the quantum-group action of the n-dimensional
 representation on a braid, one total-weight sector at a time, closed by a
-weighted trace; it runs over several rings.
+weighted trace; it runs over several rings.  One trace builds the
+generators from the closed-form (Kirby-Melvin) R-matrix entries and gives
+T = J(A^4) [n] A^-((n^2-1) writhe) in the ring of its power table.
 
-* rmatrix: the loop in complex128 at A = exp(i pi/(2r+1));
-* exact: T = J(A^4) [n] A^-((n^2-1) writhe) as an integer Laurent
-  polynomial, from the loop over F_p at a batch of points, interpolated
-  in A^4 and rebuilt by CRT.  The loop in (min, +) gives its degree
-  window, and in (+, x) on L1 norms a bound on its coefficients.
-  Normalized so the unknot gives 1, in the variable t = A**4;
+* rmatrix: T in complex128 at A = exp(i pi/(2r+1)), and
+  J = T A^((n^2-1) writhe) / [n];
+* exact: T as an integer Laurent polynomial, from the trace over F_p at
+  a batch of points, interpolated in A^4 and rebuilt by CRT, then
+  divided exactly.  The loop in (min, +) gives its degree window, and in
+  (+, x) on L1 norms a bound on its coefficients.  Normalized so the
+  unknot gives 1, in the variable t = A**4;
 * catalog: closed forms for the built-in knots, chosen by braid word and
   certified to JONES_REL_TOL per color: Morton's formula for the trefoil
   in floats, Habiro's cyclotomic sum for the figure-eight in integer
@@ -138,86 +141,6 @@ def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
     return out
 
 
-# -- numeric R-matrix backend ------------------------------------------
-
-def _qint(k: int, q: complex) -> complex:
-    return (q ** k - q ** (-k)) / (q - q ** (-1))
-
-
-@lru_cache(maxsize=64)
-def _rmatrix_data(N: int, r: int):
-    """Braiding matrix, its inverse, the trace weight, and the twist.
-
-    Built for the N-dimensional representation with the Cartan half-power
-    taken as A**-1, which makes the closure invariant an evaluation at
-    t = A**4 (calibrated against the exact backend).  The twist comes from
-    the partial trace, so the closure is Markov-invariant by construction.
-    """
-    A = cmath.exp(1j * math.pi / (2 * r + 1))
-    sq = A ** -1
-    q = sq * sq
-
-    qfact = [1 + 0j]
-    for m in range(1, N + 1):
-        qfact.append(qfact[-1] * _qint(m, q))
-
-    R = np.zeros((N * N, N * N), dtype=np.complex128)
-    for i in range(N):
-        for j in range(N):
-            for m in range(0, min(i, N - 1 - j) + 1):
-                # E^m on the first slot lowers i; F^m on the second raises j.
-                coef = sq ** ((N - 1 - 2 * (i - m)) * (N - 1 - 2 * (j + m)))
-                coef *= q ** (m * (m - 1) / 2.0)
-                coef *= (q - q ** (-1)) ** m / qfact[m]
-                prod = 1 + 0j
-                for t in range(m):
-                    prod *= _qint(N - (i - t), q)   # E ladder from slot one
-                for t in range(1, m + 1):
-                    prod *= _qint(j + t, q)         # F ladder from slot two
-                coef *= prod
-                # flip factors: sigma acts as swap composed with R
-                row = (j + m) * N + (i - m)
-                col = i * N + j
-                R[row, col] += coef
-    Rinv = np.linalg.inv(R)
-    weight = np.array([q ** (N - 1 - 2 * j) for j in range(N)], dtype=np.complex128)
-    qdim = _qint(N, q)
-    twist = np.einsum("i,j,ijij->", weight, weight, R.reshape(N, N, N, N)) / qdim
-    return R, Rinv, weight, complex(twist), complex(qdim)
-
-
-def colored_jones_rmatrix(K: KnotPresentation, n: int, ctx: RootContext) -> complex:
-    """J(K, n) at t = ctx.A_value**4 via the braid action of the n-dim rep.
-
-    The sector loop in complex128: each generator is restricted to one
-    total-weight sector at a time, and the closure adds the sectors'
-    weighted diagonals.
-    """
-    if n < 1:
-        raise ValueError("color index n must be >= 1")
-    if n == 1:
-        return 1 + 0j
-    N, s = n, K.braid.strands
-    _check_budget(N, s, 16)
-    R, Rinv, weight, twist, qdim = _rmatrix_data(N, ctx.r)
-    where = np.arange(N ** 4).reshape((N,) * 4)
-    gens = tuple((np.append(G.reshape(-1), 0), where) for G in (Rinv, R))
-    trace = sum(_sector_loop(K.braid.word, s, N, gens,
-                             lambda d: np.eye(d, dtype=np.complex128), np.matmul,
-                             lambda w, k, diag: np.prod(weight[k], axis=0) @ diag), 0j)
-    return complex(trace / (twist ** K.braid.writhe) / qdim)
-
-
-# -- exact backend: the sector loop over F_p, interpolation and CRT -------
-
-# primes p = 3 mod 4 below 2^25 (docs/conventions.md): int64 products stay
-# exact in every sector the budget admits, and x -> x^4 is one-to-one on 1 < x < p/2
-_PRIMES = (33554383, 33554371, 33554347, 33554291, 33554267, 33554239, 33554167,
-           33554159, 33554123, 33554083, 33554051, 33554011, 33553999, 33553991,
-           33553967, 33553879, 33553799, 33553787, 33553771, 33553759, 33553747,
-           33553739, 33553727, 33553679)
-
-
 @lru_cache(maxsize=64)
 def _rmatrix_terms(N: int) -> tuple:
     """(R^-1, R) for the N-dim rep in closed form over Z[A, A^-1], no inverse taken.
@@ -242,6 +165,65 @@ def _rmatrix_terms(N: int) -> tuple:
                 rows.append((expo, m, N - 1 - a + m, b + m, m * (m + 1) + 2 * m * (N - 1 - a + b)))
         out.append((where, np.array(rows).T))
     return tuple(out)
+
+
+def _trace(word, s: int, N: int, pw, E: int, red):
+    """T, the closure's weighted trace, at a batch of points x in the ring of ``pw``.
+
+    ``pw[E + e]`` holds x^e for |e| <= E, one column per point, and ``red``
+    reduces a value of the ring in place: v % p over F_p, the identity over
+    complex128.  The generators are _rmatrix_terms evaluated at x, their
+    q-binomials by Pascal's rule, and sector w is weighted by x^(4w - 2s(N-1)).
+    """
+    P, dtype = pw.shape[1], pw.dtype
+    braces = np.ones((N, P), dtype=dtype)               # {1} .. {m}
+    binom = np.zeros((N, N, P), dtype=dtype)            # [u, m], Pascal's rule
+    binom[:, 0] = 1
+    for m in range(1, N):
+        braces[m] = red(braces[m - 1] * (pw[E - 2 * m] - pw[E + 2 * m]))
+        for u in range(m, N):
+            binom[u, m] = red(pw[E + 2 * m] * binom[u - 1, m]
+                              + pw[E - 2 * (u - m)] * binom[u - 1, m - 1])
+    gens = []
+    for positive, (where, (expo, m, u, v, _)) in enumerate(_rmatrix_terms(N)):
+        val = red(red(red(pw[E + expo] * braces[m]) * binom[u, m]) * binom[v, m])
+        val = val if positive else red(np.where(m[:, None] % 2, -val, val))
+        gens.append((np.concatenate((val.T, np.zeros((P, 1), dtype)), axis=1), where))
+    return red(sum(_sector_loop(word, s, N, gens, lambda d: np.eye(d, dtype=dtype),
+                                lambda X, Y: red(X @ Y),
+                                lambda w, k, diag: red(diag.sum(axis=-1)
+                                                       * pw[E + 4 * w - 2 * s * (N - 1)]))))
+
+
+# -- numeric R-matrix backend ------------------------------------------
+
+def colored_jones_rmatrix(K: KnotPresentation, n: int, ctx: RootContext) -> complex:
+    """J(K, n) at t = ctx.A_value**4 via the braid action of the n-dim rep.
+
+    The trace T in complex128 at x = A, every power of A taken from an
+    exponent reduced mod 2(2r+1) in integers; J = T A^((n^2-1) writhe) / [n].
+    """
+    if n < 1:
+        raise ValueError("color index n must be >= 1")
+    if n == 1:
+        return 1 + 0j
+    N, s, NN = n, K.braid.strands, 2 * ctx.r + 1
+    _check_budget(N, s, 16)
+    E = 2 * N * (N + s)   # covers every exponent of an entry and a weight
+    pw = np.exp(1j * math.pi / NN * (np.arange(-E, E + 1) % (2 * NN)))[:, None]
+    trace = _trace(K.braid.word, s, N, pw, E, lambda v: v)[0]
+    twist = cmath.exp(1j * math.pi / NN * ((N * N - 1) * K.braid.writhe % (2 * NN)))
+    return complex(trace * twist / quantum_integer(n, ctx))
+
+
+# -- exact backend: the sector loop over F_p, interpolation and CRT -------
+
+# primes p = 3 mod 4 below 2^25 (docs/conventions.md): int64 products stay
+# exact in every sector the budget admits, and x -> x^4 is one-to-one on 1 < x < p/2
+_PRIMES = (33554383, 33554371, 33554347, 33554291, 33554267, 33554239, 33554167,
+           33554159, 33554123, 33554083, 33554051, 33554011, 33553999, 33553991,
+           33553967, 33553879, 33553799, 33553787, 33553771, 33553759, 33553747,
+           33553739, 33553727, 33553679)
 
 
 def _degree_window(word, s: int, N: int) -> tuple:
@@ -289,27 +271,7 @@ def _trace_mod(word, s: int, N: int, lo: int, E: int, p: int, x) -> tuple:
     x_inv = _inverse(x, p)
     for e in range(1, E + 1):
         pw[E + e], pw[E - e] = pw[E + e - 1] * x % p, pw[E - e + 1] * x_inv % p
-    braces = np.ones((N, len(x)), dtype=np.int64)               # {1} .. {m}
-    binom = np.zeros((N, N, len(x)), dtype=np.int64)            # [u, m], Pascal's rule
-    binom[:, 0] = 1
-    for m in range(1, N):
-        braces[m] = braces[m - 1] * (pw[E - 2 * m] - pw[E + 2 * m]) % p
-        for u in range(m, N):
-            binom[u, m] = (pw[E + 2 * m] * binom[u - 1, m]
-                           + pw[E - 2 * (u - m)] * binom[u - 1, m - 1]) % p
-    gens = []
-    for positive, (where, (expo, m, u, v, _)) in enumerate(_rmatrix_terms(N)):
-        val = pw[E + expo] * braces[m] % p * binom[u, m] % p * binom[v, m] % p
-        val = val if positive else np.where(m[:, None] % 2, p - val, val) % p
-        gens.append((np.concatenate((val.T, np.zeros((len(x), 1), np.int64)), axis=1), where))
-
-    def matmul(X, Y):
-        Z = X @ Y
-        return np.remainder(Z, p, out=Z)
-
-    y = sum(_sector_loop(word, s, N, gens, lambda d: np.eye(d, dtype=np.int64), matmul,
-                         lambda w, k, diag: diag.sum(axis=-1) % p
-                         * pw[E + 4 * w - 2 * s * (N - 1)] % p)) % p * pw[E - lo] % p
+    y = _trace(word, s, N, pw, E, lambda v: np.remainder(v, p, out=v)) * pw[E - lo] % p
     return y, pw[E + 4]
 
 

@@ -73,8 +73,17 @@ def _state_and_norm(K: KnotPresentation, r: int, backend: str) -> tuple:
 
 
 def _log_abs(z) -> float:
-    """log|z| for a complex or an mpmath value, without rounding |z| to a double."""
-    return math.log(abs(z)) if isinstance(z, complex) and z else float(mpmath.log(abs(z)))
+    """log|z| for a complex or an mpmath real, without rounding |z| to a double.
+
+    The real is read as its exact pair z = +-man 2^exp: log(man 2^-b) + (exp + b) log 2,
+    b = bitlen(man), so neither term leaves the double range.
+    """
+    if not z:
+        return -math.inf
+    if isinstance(z, complex):
+        return math.log(abs(z))
+    bits = z.man.bit_length()
+    return math.log(z.man / 2 ** bits) + (z.exp + bits) * math.log(2)
 
 
 def l2_norm_formula(K: KnotPresentation, r: int, backend: str = "auto") -> L2Norm:

@@ -152,9 +152,14 @@ def rep_T(r: int) -> np.ndarray:
     geometric side for curve classes (a, b) with ab odd; see
     docs/conventions.md.
     """
+    return np.diag(_twist_eigenvalues(r))
+
+
+def _twist_eigenvalues(r: int) -> np.ndarray:
+    """The diagonal of rep_T, with n^2+2n reduced mod 2(2r+1) in integers."""
     N = 2 * r + 1
-    diag = [(-1) ** n * cmath.exp(1j * math.pi * (n * n + 2 * n) / N) for n in range(r)]
-    return np.diag(diag).astype(np.complex128)
+    return np.array([(-1) ** n * cmath.exp(1j * math.pi * ((n * n + 2 * n) % (2 * N)) / N)
+                     for n in range(r)], dtype=np.complex128)
 
 
 @lru_cache(maxsize=128)
@@ -262,13 +267,9 @@ def kirby_constants(r: int) -> KirbyConstants:
     ctx = RootContext(r)
     N = 2 * r + 1
     eta = 2 * math.sin(2 * math.pi / N) / math.sqrt(N)
-    A = ctx.A_value
     omega = tuple((-1) ** i * quantum_integer(i + 1, ctx) for i in range(r))
-    kappa = 0j
-    for i in range(r):
-        twist = (-1) ** i * A ** (-(i * i + 2 * i))  # one positive kink on color i
-        kappa += omega[i] * twist * omega[i]
-    kappa *= eta
+    theta_bar = _twist_eigenvalues(r).conj()   # one positive kink on color i
+    kappa = eta * sum(omega[i] * theta_bar[i] * omega[i] for i in range(r))
     return KirbyConstants(r, eta, complex(kappa), omega)
 
 
@@ -282,12 +283,10 @@ def rt_invariant(surgery_knot: Optional[KnotPresentation], framing: int, r: int,
     kc = kirby_constants(r)
     if surgery_knot is None:
         return complex(kc.eta)
-    ctx = RootContext(r)
-    A = ctx.A_value
+    theta_bar = _twist_eigenvalues(r).conj()
     sigma = (framing > 0) - (framing < 0)
     total = 0j
     for i, jval in enumerate(colored_jones_values(surgery_knot, r, backend)):
         zero_framed = kc.omega_coeffs[i] * complex(jval)  # (-1)^i [i+1] J_{i+1}
-        twist = ((-1) ** i * A ** (-(i * i + 2 * i))) ** framing
-        total += kc.omega_coeffs[i] * twist * zero_framed
+        total += kc.omega_coeffs[i] * theta_bar[i] ** framing * zero_framed
     return complex(kc.eta ** 2 * kc.kappa ** (-sigma) * total)

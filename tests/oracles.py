@@ -5,8 +5,11 @@
   costs (about 0.46 r bits): the reference the certified catalog values
   are checked against.
 * The dense R-matrix trace: every generator as a full Kronecker product
-  on (C^n)^strands, the reference for the weight-sector engine.  It
-  holds (n^strands)^2 entries, so keep it to small n and few strands.
+  on (C^n)^strands, the reference for the weight-sector engine.  Its R
+  is a float build of its own, from the E and F ladders, with R^-1 by
+  matrix inversion and the twist by a partial trace, so it shares no
+  entry with the closed form the engine evaluates.  It holds
+  (n^strands)^2 entries, so keep it to small n and few strands.
 * The cabled closure: J(K, n) from the Chebyshev-colored cable brackets
   over the integer Laurent ring, the reference for the exact engine.
   Its transfer runs over a cable of (n-1) x strands strands, so keep n
@@ -17,12 +20,14 @@
   Laurent polynomial, and checks on the root and on kappa.
 """
 
+import cmath
+import math
+
 import mpmath
 import numpy as np
 
 from skeinquant.bracket import braid_closure_bracket, chebyshev_coeffs
 from skeinquant.errors import InexactDivision
-from skeinquant.jones import _rmatrix_data
 from skeinquant.laurent import LaurentPoly, quantum_integer_poly
 
 
@@ -52,6 +57,49 @@ def cyclotomic_jones(name: str, r: int, n_max: int, bits: int) -> list:
         return values
 
 
+def _qint(k: int, q: complex) -> complex:
+    return (q ** k - q ** (-k)) / (q - q ** (-1))
+
+
+def float_rmatrix(N: int, r: int):
+    """Braiding matrix, its inverse, the trace weight, the twist and [N], in floats.
+
+    Built for the N-dimensional representation with the Cartan half-power
+    taken as A**-1, which makes the closure invariant an evaluation at
+    t = A**4.  The twist comes from the partial trace, so the closure is
+    Markov-invariant by construction.
+    """
+    A = cmath.exp(1j * math.pi / (2 * r + 1))
+    sq = A ** -1
+    q = sq * sq
+
+    qfact = [1 + 0j]
+    for m in range(1, N + 1):
+        qfact.append(qfact[-1] * _qint(m, q))
+
+    R = np.zeros((N * N, N * N), dtype=np.complex128)
+    for i in range(N):
+        for j in range(N):
+            for m in range(0, min(i, N - 1 - j) + 1):
+                # E^m on the first slot lowers i; F^m on the second raises j.
+                coef = sq ** ((N - 1 - 2 * (i - m)) * (N - 1 - 2 * (j + m)))
+                coef *= q ** (m * (m - 1) / 2.0)
+                coef *= (q - q ** (-1)) ** m / qfact[m]
+                prod = 1 + 0j
+                for t in range(m):
+                    prod *= _qint(N - (i - t), q)   # E ladder from slot one
+                for t in range(1, m + 1):
+                    prod *= _qint(j + t, q)         # F ladder from slot two
+                coef *= prod
+                # flip factors: sigma acts as swap composed with R
+                R[(j + m) * N + (i - m), i * N + j] += coef
+    Rinv = np.linalg.inv(R)
+    weight = np.array([q ** (N - 1 - 2 * j) for j in range(N)], dtype=np.complex128)
+    qdim = _qint(N, q)
+    twist = np.einsum("i,j,ijij->", weight, weight, R.reshape(N, N, N, N)) / qdim
+    return R, Rinv, weight, complex(twist), complex(qdim)
+
+
 def dense_rmatrix_jones(K, n: int, ctx) -> complex:
     """J(K, n) at t = ctx.A_value**4 from the dense braid action of the n-dim rep."""
     if n < 1:
@@ -62,7 +110,7 @@ def dense_rmatrix_jones(K, n: int, ctx) -> complex:
     s = K.braid.strands
     dim = N ** s
 
-    R, Rinv, weight, twist, qdim = _rmatrix_data(N, ctx.r)
+    R, Rinv, weight, twist, qdim = float_rmatrix(N, ctx.r)
     gens = {}
     mat = np.eye(dim, dtype=np.complex128)
     for g in K.braid.word:

@@ -16,6 +16,7 @@ SRC = str(Path(cli.__file__).resolve().parents[1])   # the child imports the sam
 def run_cli(*args, check=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run(RUN + list(args), capture_output=True, text=True, env=env)
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
@@ -156,6 +157,17 @@ def test_volume_seq_csv_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "seq.csv.manifest.json").read_text())
     assert manifest["command"] == "volume-seq"
     assert manifest["conventions_version"] == "1"
+
+
+def test_volume_seq_without_out_exits_2_before_computing(monkeypatch, capsys):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("volume-seq computed its rows before checking --out")
+
+    monkeypatch.setattr(cli, "volume_sequence", no_rows)
+    assert cli.main(["volume-seq", "--knot", "figure-eight", "--r-min", "10",
+                     "--r-max", "30", "--step", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: volume-seq requires --out CSV path\n"
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -15,6 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                           env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr

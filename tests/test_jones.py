@@ -145,6 +145,16 @@ def test_exact_engine_matches_catalog_at_r30(K):
         assert abs(exact - cat) <= 1e-10 * max(1.0, abs(cat))
 
 
+@pytest.mark.parametrize("K", (TREFOIL, FIG8), ids=("trefoil", "figure-eight"))
+def test_rmatrix_matches_catalog_at_r30(K):
+    ctx = RootContext(30)
+    cat = [complex(v) for v in catalog_jones_values(K.name, 30, 12)]
+    for n in range(1, 12):
+        assert abs(colored_jones_rmatrix(K, n, ctx) - cat[n - 1]) <= 1e-10 * abs(cat[n - 1])
+    # n = 12 is past the float trace's accuracy; the bench checks it at 1e-6
+    assert abs(colored_jones_rmatrix(K, 12, ctx) - cat[11]) <= 1e-6 * abs(cat[11])
+
+
 def test_degree_window_one_short_raises(monkeypatch):
     n = 3
     J = cabled_jones(FIG8, n)

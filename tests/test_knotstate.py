@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +27,17 @@ def test_unknot_state_coefficients():
     for n in range(1, r + 1):
         expect = eta * (-1) ** (n - 1) * quantum_integer(n, ctx)
         assert state.coeffs.coeffs[n - 1] == pytest.approx(expect, abs=1e-12)
+
+
+def test_log_abs_reads_the_exact_pair():
+    values = catalog_jones_values("figure-eight", 300, 300)
+    for z in values[1:]:
+        want = float(mpmath.log(abs(z)))
+        assert abs(knotstate._log_abs(z) - want) <= 1e-15 * max(1.0, abs(want))
+    huge = mpmath.mpf((-3, 5000), prec=0)   # far past the double range
+    assert knotstate._log_abs(huge) == pytest.approx(math.log(3) + 5000 * math.log(2), rel=1e-15)
+    assert knotstate._log_abs(0j) == -math.inf
+    assert knotstate._log_abs(-3 + 4j) == pytest.approx(math.log(5), rel=1e-15)
 
 
 def test_first_coefficient_is_eta():

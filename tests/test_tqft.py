@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -75,6 +76,17 @@ def test_rep_T_entries():
     assert abs(T[n, n] - expected) < 1e-15
     assert abs(abs(T[n, n]) - 1) < 1e-15
     assert abs(cmath.phase(-T[1, 1]) - 3 * math.pi / 7) < 1e-12
+
+
+def test_rep_T_entries_at_a_large_level():
+    # the exponent is reduced mod 2(2r+1) in integers, so each entry is within a few ulp
+    r = 300
+    N = 2 * r + 1
+    T = np.diag(rep_T(r))
+    with mpmath.workprec(120):
+        exact = [complex((-1) ** n * mpmath.expjpi(mpmath.mpf(n * n + 2 * n) / N))
+                 for n in range(r)]
+    assert np.max(np.abs(T - exact)) < 1e-15
 
 
 def test_rep_T_periodicity():
