@@ -22,7 +22,6 @@ boundary folding rule used on the skein side.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,15 +31,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (DimensionMismatch, NonconvergentSeries, NotLatticeFraction,
-                     NotPrimitive, QuadratureNotConverged)
-from .tqft import TorusVector, rep_S, rep_T
+                     NotPrimitive, PrecisionLoss, QuadratureNotConverged)
+from .tqft import TorusVector, curve_operator_skein, rep_S, rep_T
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Trapezoid rule on the periodic unit square, refined by doubling."""
 
-    n_start: int = 128
+    n_start: int = 16
     refine_until: float = 1e-8
     n_cap: int = 4096
 
@@ -106,7 +105,7 @@ class ThetaSection:
         """Coefficient at any integer index via the quasi-periodic recursion."""
         N = self.ctx.N
         m0 = m % N
-        return self.rho[m0] * _extension_factor(self.ctx, m, m0)
+        return complex(self.rho[m0] * _extension_factor(self.ctx, m, m0))
 
     def scaled(self, factor: complex) -> "ThetaSection":
         return ThetaSection(self.ctx, self.rho * factor, self.halfform_scale)
@@ -119,12 +118,15 @@ class ThetaSection:
         return ThetaSection(self.ctx, self.rho + coeff * other.rho, self.halfform_scale)
 
 
-def _extension_factor(ctx: QuantizationContext, m: int, m0: int) -> complex:
-    # rho_m / rho_{m0} = exp(i pi tau (m^2 - m0^2)/N) for m = m0 mod N
-    return cmath.exp(1j * math.pi * ctx.tau * (m * m - m0 * m0) / ctx.N)
+def _extension_factor(ctx: QuantizationContext, m, m0):
+    # rho_m / rho_{m0} = exp(i pi tau (m^2 - m0^2)/N) for m = m0 mod N; broadcasts
+    return np.exp(1j * math.pi * ctx.tau * (m * m - m0 * m0) / ctx.N)
 
 
 # -- pointwise evaluation ------------------------------------------------
+
+_GRID_BLOCK = 1 << 18   # complex values held at once by a series or S-frame block
+
 
 def _window(ctx: QuantizationContext, q_min: float, q_max: float):
     """Extended-index range covering all terms above series_tol.
@@ -162,17 +164,25 @@ def _term_exponent(ctx: QuantizationContext, m, P, Q, frame: bool = True):
 
 
 def _series(s: ThetaSection, P, Q, frame: bool) -> np.ndarray:
-    """Truncated theta series of s summed term by term over the window."""
+    """Truncated theta series of s over the window's nonzero terms.
+
+    One exponent array of terms x points per block of points; a block
+    holds at most _GRID_BLOCK values.
+    """
     ctx = s.ctx
-    P = np.asarray(P, dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
+    P, Q = np.broadcast_arrays(np.asarray(P, dtype=np.float64),
+                               np.asarray(Q, dtype=np.float64))
     lo, hi = _window(ctx, float(Q.min()), float(Q.max()))
-    out = np.zeros(np.broadcast(P, Q).shape, dtype=np.complex128)
-    for m in range(lo, hi + 1):
-        c = s.rho[m % ctx.N]
-        if c != 0:
-            out += c * np.exp(_term_exponent(ctx, m, P, Q, frame))
-    return out
+    m = np.arange(lo, hi + 1)
+    c = s.rho[m % ctx.N]
+    m, c = m[c != 0], c[c != 0]
+    p, q = P.ravel(), Q.ravel()
+    out = np.empty(p.size, dtype=np.complex128)
+    step = max(1, _GRID_BLOCK // max(1, m.size))
+    for a in range(0, p.size, step):
+        out[a:a + step] = c @ np.exp(_term_exponent(
+            ctx, m[:, None], p[None, a:a + step], q[None, a:a + step], frame))
+    return out.reshape(P.shape)
 
 
 def eval_grid(s: ThetaSection, P, Q) -> np.ndarray:
@@ -226,17 +236,19 @@ def translate(s: ThetaSection, x) -> ThetaSection:
 
 
 def translate_ints(s: ThetaSection, j: int, k: int) -> ThetaSection:
-    """Translate by (j mu + k lambda)/(2r+1); exact O(N) coefficient map."""
+    """Translate by (j mu + k lambda)/(2r+1); exact O(N) coefficient map.
+
+    rho'_m = rho_{m-k} exp(i pi (k j + tau k^2 + 2 (j + k tau)(m-k)) / N),
+    with rho_{m-k} extended from its class m0 = (m-k) mod N.  The exponents
+    combine to i pi (j (2m - k) + tau (m^2 - m0^2)) / N, whose integer
+    phase is reduced mod 2N before it is scaled.
+    """
     ctx = s.ctx
-    N, tau = ctx.N, ctx.tau
-    pref = cmath.exp(1j * math.pi * (k * j + tau * k * k) / N)
-    step = 2j * math.pi * (j + k * tau) / N
-    rho = np.empty(N, dtype=np.complex128)
-    for mp in range(N):
-        src = mp - k
-        m0 = src % N
-        rho[mp] = (pref * cmath.exp(step * src)
-                   * s.rho[m0] * _extension_factor(ctx, src, m0))
+    N = ctx.N
+    m = np.arange(N)
+    m0 = (m - k) % N
+    phase = (j % (2 * N)) * (2 * m - k % (2 * N)) % (2 * N)
+    rho = s.rho[m0] * np.exp(1j * math.pi * (phase + ctx.tau * (m * m - m0 * m0)) / N)
     return ThetaSection(ctx, rho, s.halfform_scale)
 
 
@@ -247,51 +259,46 @@ def lattice_character(a: int, b: int) -> int:
 
 # -- bases ----------------------------------------------------------------
 
+def _psi_diagonal(ctx: QuantizationContext) -> np.ndarray:
+    """Coefficient c exp(i pi tau l^2 / N) of Psi_l on its class l, l = 0..N-1."""
+    l = np.arange(ctx.N)
+    return psi_norm_constant(ctx) * np.exp(1j * math.pi * ctx.tau * (l * l) / ctx.N)
+
+
 def basis_psi(ctx: QuantizationContext) -> list:
     """Orthonormal translation-eigenbasis, one section per index class.
 
     Psi_l has coefficients c exp(i pi tau m^2 / N) on the class m = l mod N;
     it is the l-fold longitude-fraction translate of the vacuum.
     """
-    c = psi_norm_constant(ctx)
-    out = []
-    for l in range(ctx.N):
-        rho = np.zeros(ctx.N, dtype=np.complex128)
-        rho[l] = c * cmath.exp(1j * math.pi * ctx.tau * l * l / ctx.N)
-        out.append(ThetaSection(ctx, rho))
-    return out
+    return [ThetaSection(ctx, rho) for rho in np.diag(_psi_diagonal(ctx))]
 
 
 def basis_phi(ctx: QuantizationContext) -> list:
-    """Orthonormal basis of the alternating subspace, indices 1..r."""
-    c = psi_norm_constant(ctx) / math.sqrt(2)
-    N = ctx.N
-    out = []
-    for l in range(1, ctx.r + 1):
-        rho = np.zeros(N, dtype=np.complex128)
-        rho[l] = c * cmath.exp(1j * math.pi * ctx.tau * l * l / N)
-        rho[N - l] = -c * cmath.exp(1j * math.pi * ctx.tau * (N - l) * (N - l) / N)
-        out.append(ThetaSection(ctx, rho))
-    return out
+    """Orthonormal basis of the alternating subspace, indices 1..r.
+
+    Phi_l = (Psi_l - Psi_{N-l}) / sqrt(2).
+    """
+    r, N = ctx.r, ctx.N
+    d = _psi_diagonal(ctx) / math.sqrt(2)
+    l = np.arange(1, r + 1)
+    rho = np.zeros((r, N), dtype=np.complex128)
+    rho[l - 1, l] = d[l]
+    rho[l - 1, N - l] = -d[N - l]
+    return [ThetaSection(ctx, row) for row in rho]
 
 
 def parity_reflect(s: ThetaSection) -> ThetaSection:
     """Pullback by x -> -x; on coefficients rho_m -> rho_{-m}."""
-    N = s.ctx.N
-    rho = np.empty(N, dtype=np.complex128)
-    for m in range(N):
-        rho[m] = s.rho_extended(-m)
+    m = np.arange(s.ctx.N)
+    m0 = -m % s.ctx.N
+    rho = s.rho[m0] * _extension_factor(s.ctx, m, m0)
     return ThetaSection(s.ctx, rho, s.halfform_scale)
 
 
 def psi_coefficients(s: ThetaSection) -> np.ndarray:
     """Exact expansion over the translation eigenbasis (index classes)."""
-    c = psi_norm_constant(s.ctx)
-    N, tau = s.ctx.N, s.ctx.tau
-    alpha = np.empty(N, dtype=np.complex128)
-    for m in range(N):
-        alpha[m] = s.rho[m] / (c * cmath.exp(1j * math.pi * tau * m * m / N))
-    return alpha * s.halfform_scale
+    return s.rho / _psi_diagonal(s.ctx) * s.halfform_scale
 
 
 def phi_coefficients(s: ThetaSection):
@@ -301,14 +308,10 @@ def phi_coefficients(s: ThetaSection):
     largest non-alternating component and vanishes for alternating sections.
     """
     alpha = psi_coefficients(s)
-    r, N = s.ctx.r, s.ctx.N
-    beta = np.empty(r, dtype=np.complex128)
+    l = np.arange(1, s.ctx.r + 1)
     scale = max(1.0, float(np.max(np.abs(alpha))))
-    dev = abs(alpha[0]) / scale
-    for l in range(1, r + 1):
-        beta[l - 1] = math.sqrt(2) * alpha[l]
-        dev = max(dev, abs(alpha[N - l] + alpha[l]) / scale)
-    return beta, dev
+    dev = float(np.max(np.abs(np.append(alpha[0], alpha[s.ctx.N - l] + alpha[l])))) / scale
+    return math.sqrt(2) * alpha[l], dev
 
 
 # -- quadrature inner products ---------------------------------------------
@@ -339,15 +342,32 @@ def _gram_kernel(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
     return (4 * math.pi / n_grid) * (A.T @ K @ A)
 
 
-def _refine(at, quad: QuadratureConfig):
-    """at(n) on grids doubled from n_start until two successive values agree."""
+def _refine(at, ctx: QuantizationContext):
+    """at(n) on grids doubled from n_start until two successive values agree.
+
+    The q-parts reach exp(pi b N), so a grid's products overflow once b N
+    passes about 113.  The first non-finite grid raises PrecisionLoss;
+    doubling on NaN could never converge.
+    """
+    quad = ctx.quad
+
+    def grid(n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = at(n)
+        if not np.all(np.isfinite(val)):
+            raise PrecisionLoss(
+                f"quadrature at r = {ctx.r}, tau = {ctx.tau}, n = {n} is not finite: "
+                f"theta q-parts of size exp(pi b N) overflow once b N passes about 113 "
+                f"(b = Im tau, or Im(-1/tau) in the S frame)")
+        return val
+
     n = quad.n_start
-    prev = at(n)
+    prev = grid(n)
     while True:
         n *= 2
         if n > quad.n_cap:
             raise QuadratureNotConverged(f"no convergence by n = {quad.n_cap}")
-        cur = at(n)
+        cur = grid(n)
         if np.max(np.abs(cur - prev)) <= quad.refine_until * max(1.0, float(np.max(np.abs(cur)))):
             return cur
         prev = cur
@@ -362,7 +382,7 @@ def _pairing(rows: Sequence[ThetaSection], cols: Sequence[ThetaSection],
     B1 = np.stack([s.rho * s.halfform_scale for s in rows], axis=1)
     B2 = np.stack([s.rho * s.halfform_scale for s in cols], axis=1)
     scale = halfform_norm_sq(ctx) if include_halfform else 1.0
-    return _refine(lambda n: scale * (B1.conj().T @ _gram_kernel(ctx, n) @ B2), ctx.quad)
+    return _refine(lambda n: scale * (B1.conj().T @ _gram_kernel(ctx, n) @ B2), ctx)
 
 
 def inner_product(s1: ThetaSection, s2: ThetaSection,
@@ -419,10 +439,7 @@ def iso_from_skein(v, ctx: QuantizationContext) -> ThetaSection:
         coeffs = np.asarray(v, dtype=np.complex128)
     if coeffs.shape != (ctx.r,):
         raise DimensionMismatch(f"need {ctx.r} coefficients")
-    phis = basis_phi(ctx)
-    rho = np.zeros(ctx.N, dtype=np.complex128)
-    for c, s in zip(coeffs, phis):
-        rho += c * s.rho
+    rho = coeffs @ np.stack([s.rho for s in basis_phi(ctx)])
     return ThetaSection(ctx, rho)
 
 
@@ -441,7 +458,6 @@ def intertwining_deviation(gamma, ctx: QuantizationContext,
                            skein_matrix: Optional[np.ndarray] = None) -> float:
     """Operator-norm gap between the skein curve operator and the
     geometric one transported through e_l -> Phi_{l+1}."""
-    from .tqft import curve_operator_skein
     lhs = skein_matrix if skein_matrix is not None else curve_operator_skein(gamma, ctx.r)
     rhs = curve_operator_geom(gamma, ctx)
     return float(np.linalg.norm(lhs - rhs, 2))
@@ -467,9 +483,6 @@ def _fit_phase(measured: np.ndarray, predicted: np.ndarray) -> complex:
     if t == 0:
         return 1.0 + 0j
     return t / abs(t)
-
-
-_GRID_BLOCK = 1 << 18   # complex values held at once by the S-frame pairing
 
 
 def _s_frame_pairing(phis, tilde_phi, n_grid: int) -> np.ndarray:
@@ -541,7 +554,7 @@ def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
         predicted = rep_S(r)
         # half-form frame change tau**-1/2, principal branch
         weight = ctx.tau ** -0.5 * halfform_norm_sq(ctx)
-        cur = _refine(lambda n: weight * _s_frame_pairing(phis, tilde_phi, n), ctx.quad)
+        cur = _refine(lambda n: weight * _s_frame_pairing(phis, tilde_phi, n), ctx)
     else:
         raise ValueError("gen must be 'T' or 'S'")
 
@@ -550,8 +563,8 @@ def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
     raw_dev = float(np.max(np.abs(cur - predicted)))
     if gen == "T":
         # the same phases with the alternating twist sign dropped
-        unsigned = np.diag([cmath.exp(1j * math.pi * (n_ * n_ + 2 * n_) / N)
-                            for n_ in range(r)])
+        n_ = np.arange(r)
+        unsigned = np.diag(np.exp(1j * math.pi * (n_ * n_ + 2 * n_) / N))
     else:
         unsigned = predicted
     phase_u = _fit_phase(cur, unsigned)

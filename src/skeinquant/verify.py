@@ -14,10 +14,10 @@ import math
 import numpy as np
 
 from .geom import (QuantizationContext, ThetaSection, basis_phi, basis_psi,
-                   gram_matrix, holomorphic_part, inner_product,
-                   intertwining_deviation, iso_from_skein, iso_to_skein,
-                   modular_phase_check, parity_reflect, section_eval,
-                   translate_ints)
+                   curve_operator_geom, gram_matrix, holomorphic_part,
+                   inner_product, intertwining_deviation, iso_from_skein,
+                   iso_to_skein, modular_phase_check, parity_reflect,
+                   section_eval, translate_ints)
 from .tqft import TorusVector
 
 TOL = 1e-6
@@ -120,7 +120,6 @@ def verification_report(ctx: QuantizationContext, include_modular: bool = True,
         residuals[f"intertwine_{namekey}"] = intertwining_deviation(gamma, ctx)
 
     mu_geom = np.diag([-2 * math.cos(2 * math.pi * l / N) for l in range(1, r + 1)])
-    from .geom import curve_operator_geom
     residuals["curve_mu_spectrum"] = float(np.max(np.abs(
         curve_operator_geom((1, 0), ctx) - mu_geom)))
 

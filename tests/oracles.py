@@ -14,6 +14,9 @@
   over the integer Laurent ring, the reference for the exact engine.
   Its transfer runs over a cable of (n-1) x strands strands, so keep n
   and the strand count small.
+* The theta series summed term by term: one exponentiated term at a
+  time over the window, with zero coefficients skipped, the reference
+  for the vector series behind eval_grid and holomorphic_part.
 * The Lobachevsky sine series, summed far enough for a stated
   tolerance: the reference for the closed form through Clausen's Cl_2.
 * Small helpers only the tests need: a PD text writer, the mirror of a
@@ -28,6 +31,7 @@ import numpy as np
 
 from skeinquant.bracket import braid_closure_bracket, chebyshev_coeffs
 from skeinquant.errors import InexactDivision
+from skeinquant.geom import _term_exponent, _window
 from skeinquant.laurent import LaurentPoly, quantum_integer_poly
 
 
@@ -149,6 +153,20 @@ def cabled_jones(K, n: int) -> LaurentPoly:
     except InexactDivision as exc:
         raise InexactDivision(
             "normalized value is not a polynomial in A**4; convention bug") from exc
+
+
+def termwise_series(s, P, Q, frame: bool) -> np.ndarray:
+    """Truncated theta series of the section s, summed term by term."""
+    ctx = s.ctx
+    P = np.asarray(P, dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
+    lo, hi = _window(ctx, float(Q.min()), float(Q.max()))
+    out = np.zeros(np.broadcast(P, Q).shape, dtype=np.complex128)
+    for m in range(lo, hi + 1):
+        c = s.rho[m % ctx.N]
+        if c != 0:
+            out += c * np.exp(_term_exponent(ctx, m, P, Q, frame))
+    return out
 
 
 def lobachevsky_series(theta: float, tol: float = 1e-12) -> float:

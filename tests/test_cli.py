@@ -202,6 +202,15 @@ def test_error_exit_codes():
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_geom_verify_overflow_exits_2_with_one_line():
+    # b N = 121 at r = 60, tau = i: the q-part products overflow on the
+    # first grid, which raises instead of doubling on NaN with warnings
+    proc = run_cli("geom-verify", "--r", "60", "--tau", "i", check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "r = 60" in proc.stderr and "n = 16" in proc.stderr, proc.stderr
+
+
 def test_word_matrix_emission():
     proc = run_cli("tqft", "--r", "4", "--word", "S T S")
     res = json.loads(proc.stdout)["result"]

@@ -1,14 +1,18 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import termwise_series
+from skeinquant import geom
 from skeinquant.errors import (DimensionMismatch, NotLatticeFraction, NotPrimitive,
-                               QuadratureNotConverged)
+                               PrecisionLoss, QuadratureNotConverged)
 from skeinquant.geom import (QuadratureConfig, QuantizationContext,
-                             ThetaSection, _gram_kernel, basis_phi, basis_psi, curve_operator_geom,
+                             ThetaSection, _gram_kernel, _q_parts, _s_frame_pairing,
+                             _series, basis_phi, basis_psi, curve_operator_geom,
                              eval_grid, gram_matrix, halfform_norm_sq, holomorphic_part,
                              inner_product, intertwining_deviation, iso_from_skein,
                              iso_to_skein, lattice_character, modular_phase_check,
@@ -362,6 +366,76 @@ def test_gram_kernel_matches_grid_sum(r, tau):
                          for a in vals])
         kernel = C.conj().T @ _gram_kernel(ctx, n) @ C
         assert np.max(np.abs(grid - kernel)) <= 1e-12 * np.max(np.abs(kernel)), n
+
+
+@pytest.mark.parametrize("tau", (1j, 0.3 + 1.7j))
+@pytest.mark.parametrize("r", (3, 8))
+def test_s_frame_pairing_matches_grid_sum(r, tau, monkeypatch):
+    # the blocked q-part products against the plain n x n trapezoid sum
+    # of conj(phi_m(p, q)) tilde_phi_l(q, -p); three p rows per block, so
+    # every grid runs several blocks and a partial last one
+    ctx = QuantizationContext(r, tau)
+    ctx_t = QuantizationContext(r, -1.0 / tau)
+    phis, tilde = basis_phi(ctx), basis_phi(ctx_t)
+    for n in (4, 8, 16, 32):
+        xs = np.arange(n) / n
+        width = max(n, _q_parts(ctx, xs)[0].size, _q_parts(ctx_t, -xs)[0].size)
+        monkeypatch.setattr(geom, "_GRID_BLOCK", 3 * r * width)
+        P, Q = np.meshgrid(xs, xs, indexing="ij")
+        vals = [eval_grid(s, P, Q) for s in phis]
+        vals_t = [eval_grid(s, Q, -P) for s in tilde]
+        grid = np.array([[4 * math.pi / n ** 2 * np.sum(np.conj(a) * b) for b in vals_t]
+                         for a in vals])
+        blocked = _s_frame_pairing(phis, tilde, n)
+        assert np.max(np.abs(grid - blocked)) <= 1e-12 * np.max(np.abs(blocked)), n
+
+
+@pytest.mark.parametrize("tau", (1j, 0.3 + 1.7j))
+@pytest.mark.parametrize("r", (3, 10, 30))
+def test_start_grid_does_not_change_the_numbers(r, tau):
+    # the trapezoid sums of these Gaussians converge super-exponentially:
+    # doubling from 16 returns what doubling from 128 returns
+    ctx = QuantizationContext(r, tau)
+    ref = QuantizationContext(r, tau, quad=QuadratureConfig(n_start=128))
+    assert np.max(np.abs(gram_matrix(basis_psi(ctx)) - gram_matrix(basis_psi(ref)))) < 1e-12
+    for gen in ("S", "T"):
+        got = modular_phase_check(gen, ctx).measured
+        want = modular_phase_check(gen, ref).measured
+        assert np.max(np.abs(got - want)) < 1e-12, gen
+
+
+@pytest.mark.parametrize("small_block", (False, True))
+@pytest.mark.parametrize("frame", (True, False))
+@pytest.mark.parametrize("ctx", (CTX, CTX_SKEW, QuantizationContext(8, 0.3 + 1.7j)))
+def test_series_matches_termwise_oracle(ctx, frame, small_block, monkeypatch):
+    if small_block:
+        monkeypatch.setattr(geom, "_GRID_BLOCK", 1000)
+    xs = np.linspace(-0.5, 1.5, 37)
+    P, Q = np.meshgrid(xs, xs[::2], indexing="ij")
+    for s in (random_section(ctx, 14), basis_phi(ctx)[-1]):
+        got = _series(s, P, Q, frame)
+        want = termwise_series(s, P, Q, frame)
+        assert got.shape == want.shape
+        # relative to the largest value at each q, since g grows like exp(pi b N q^2)
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * scale)
+
+
+def test_overflowing_grid_raises_after_one_grid(monkeypatch):
+    # b N = 279 in the S frame (tau -> -1/tau): the first grid's products
+    # overflow, so the refinement stops there without a numpy warning
+    calls = []
+
+    def counted(phis, tilde_phi, n):
+        calls.append(n)
+        return _s_frame_pairing(phis, tilde_phi, n)
+
+    monkeypatch.setattr(geom, "_s_frame_pairing", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionLoss, match=r"r = 40, tau = \(0\.1\+0\.25j\), n = 16"):
+            modular_phase_check("S", QuantizationContext(40, 0.1 + 0.25j))
+    assert calls == [16]
 
 
 @pytest.mark.parametrize("tau,r", [(1j, 9), (1j, 10), (1j, 20), (1j, 25),
