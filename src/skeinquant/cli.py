@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -247,7 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv) -> list:
-    """Defaults from --config JSON; explicit flags keep priority."""
+    """argv with the --config JSON values spliced in as flags after the command.
+
+    Explicit flags come later on the command line, so they win.  Keys the
+    command has no flag for are ignored, and a store_true flag is added
+    only for a true value.  The parser is left as it is.
+    """
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -259,20 +265,31 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv) -> list:
     if not isinstance(defaults, dict):
         raise SkeinQuantError("config file must hold a JSON object")
     defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
-    for action in parser._subparsers._group_actions:
-        for sp in action.choices.values():
-            usable = {}
-            for a in sp._actions:
-                if a.dest in defaults:
-                    usable[a.dest] = defaults[a.dest]
-                    a.required = False
-            sp.set_defaults(**usable)
-    return argv
+    commands = parser._subparsers._group_actions[0].choices
+    at = next((i for i, a in enumerate(argv) if a in commands), None)
+    if at is None:   # parse_args reports the missing command
+        return argv
+    flags = []
+    for a in commands[argv[at]]._actions:
+        value = defaults.get(a.dest)
+        if value is None:   # null leaves the flag unset
+            continue
+        if isinstance(a, argparse._StoreTrueAction):
+            flags += [a.option_strings[0]] if value else []
+        else:
+            flags.append(f"{a.option_strings[0]}={value}")
+    return argv[:at + 1] + flags + argv[at + 1:]
+
+
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing and _apply_config_file leave it unchanged."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)

@@ -15,8 +15,8 @@ T = J(A^4) [n] A^-((n^2-1) writhe) in the ring of its power table.
   unknot gives 1, in the variable t = A**4;
 * catalog: closed forms for the built-in knots, chosen by braid word and
   certified to JONES_REL_TOL per color: Morton's formula for the trefoil
-  in floats, Habiro's cyclotomic sum for the figure-eight in integer
-  fixed point.
+  as two exact running sums over a fixed-point table, O(r) per level,
+  Habiro's cyclotomic sum for the figure-eight in integer fixed point.
 
 Indexing: J(K, 1) = 1 is the trivial color, and J(K, n) comes from the
 (n-1)-st cabling color.
@@ -28,6 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import accumulate
 from typing import Optional
 
 import mpmath
@@ -120,8 +121,8 @@ def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
     of evaluation points, and ``values[..., -1]`` is the ring's zero.  A
     generator's sector block takes that entry where the other slots agree
     and the zero elsewhere.  ``matmul`` is the ring's product, and
-    ``weigh(w, k, diag)`` reduces the diagonal of the word's product over
-    the sector's multi-indices k, one column each.
+    ``weigh(w, diag)`` reduces the diagonal of the word's product over the
+    sector's multi-indices.
     """
     sizes = reduce(np.convolve, [np.ones(N)] * s)   # multi-indices per total weight
     digits = np.indices((N,) * s).reshape(s, -1)   # slot 0 most significant, as in np.kron
@@ -137,7 +138,7 @@ def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
             values, where = gens[g > 0]
             entry = np.where(rest[:, None] == rest, where[a[:, None], b[:, None], a, b], -1)
             mat = matmul(values[..., entry], mat)
-        out.append(weigh(w, k, np.diagonal(mat, axis1=-2, axis2=-1)))
+        out.append(weigh(w, np.diagonal(mat, axis1=-2, axis2=-1)))
     return out
 
 
@@ -191,8 +192,8 @@ def _trace(word, s: int, N: int, pw, E: int, red):
         gens.append((np.concatenate((val.T, np.zeros((P, 1), dtype)), axis=1), where))
     return red(sum(_sector_loop(word, s, N, gens, lambda d: np.eye(d, dtype=dtype),
                                 lambda X, Y: red(X @ Y),
-                                lambda w, k, diag: red(diag.sum(axis=-1)
-                                                       * pw[E + 4 * w - 2 * s * (N - 1)]))))
+                                lambda w, diag: red(diag.sum(axis=-1)
+                                                    * pw[E + 4 * w - 2 * s * (N - 1)]))))
 
 
 # -- numeric R-matrix backend ------------------------------------------
@@ -239,7 +240,7 @@ def _degree_window(word, s: int, N: int) -> tuple:
         gens = [(np.append(side * c[0] - c[4], np.inf), where) for where, c in _rmatrix_terms(N)]
         ends.append(min(_sector_loop(
             word, s, N, gens, lambda d: np.where(np.eye(d), 0, np.inf), min_plus,
-            lambda w, k, diag: side * (4 * w - 2 * s * (N - 1)) + diag.min())))
+            lambda w, diag: side * (4 * w - 2 * s * (N - 1)) + diag.min())))
     return int(ends[0]), -int(ends[1])
 
 
@@ -249,7 +250,7 @@ def _coefficient_bound(word, s: int, N: int) -> float:
                       + [0.0]), where) for where, c in _rmatrix_terms(N)]
     # nonnegative float sums and products: far below 2^-20 relative rounding
     return (1 + 2.0 ** -20) * float(sum(_sector_loop(word, s, N, gens, np.eye, np.matmul,
-                                                     lambda w, k, diag: diag.sum())))
+                                                     lambda w, diag: diag.sum())))
 
 
 def _inverse(v, p: int):
@@ -357,27 +358,40 @@ def colored_jones_exact(K: KnotPresentation, n: int) -> LaurentPoly:
 
 JONES_REL_TOL = 1e-10  # every catalog value meets it, by a computed bound, or raises
 _U = 2.0 ** -53
-_UNIT_ERR = 32 * _U  # exp(i pi k/NN), k < 2NN: angle within 6 pi u, cos and sin 4 ulp
+# exp(i pi k/NN), k < 2NN: angle within 6 pi u, cos and sin 4 ulp, and u per part on a 2^-52 grid
+_UNIT_ERR = 32 * _U
 
 
 def _trefoil_values(r: int, n_max: int) -> list:
-    """Morton's formula for the (2, 3) torus knot at t**-1, in double precision.
+    """Morton's formula for the (2, 3) torus knot at t**-1, as two exact running sums.
 
-    J(n) = sum_h (A^-(c + 10h + 2) - A^-(c - 2h - 2)) / (A^-2n - A^2n) over
-    h = 1-n, 3-n, .., n-1, c = 6(h^2 + 1 - n^2), A = exp(i pi/NN), with the
-    exponents reduced modulo 2NN in integers.  The numerator S is exactly
+    J(n) = S'(n)/den'(n): S'(n) = sum_h g(h) over h = 1-n, 3-n, .., n-1,
+    g(h) = A^-(6h^2 + 10h + 8) - A^-(6h^2 - 2h + 4), and den'(n) =
+    A^(-2n - 6n^2) - A^(2n - 6n^2), Morton's sum and denominator times
+    A^-6n^2, A = exp(i pi/NN), with the exponents reduced modulo 2NN in
+    integers.  S'(n) = S'(n-2) + g(n-1) + g(1-n): one running sum per parity
+    of n, over the table rounded to integers at 2^-52, so S' is exactly
     rounded; docs/conventions.md derives the certificate
-    2E (n/|S| + 1/|den|) + 8u <= JONES_REL_TOL, E = _UNIT_ERR.
+    2E (n/|S'| + 1/|den'|) + 8u <= JONES_REL_TOL, E = _UNIT_ERR.
     """
     NN, M = 2 * r + 1, 4 * r + 2
     table = np.exp(1j * (math.pi / NN) * np.arange(M))
+    fixed = np.rint(np.ldexp(np.stack((table.real, table.imag)), 52)).astype(np.int64)
+    m = np.arange(n_max)
+
+    def g(h):
+        return fixed[:, -(6 * h * h + 10 * h + 8) % M] - fixed[:, -(6 * h * h - 2 * h + 4) % M]
+
+    steps = g(m) + np.where(m > 0, g(-m), 0)   # S'(n) - S'(n-2) at m = n-1
+    sums = []
+    for col in steps.tolist():   # Python ints: the sums are exact
+        run = [0] * n_max
+        run[::2], run[1::2] = accumulate(col[::2]), accumulate(col[1::2])
+        sums.append(run)
     values = []
-    for n in range(1, n_max + 1):
-        h = np.arange(1 - n, n, 2)
-        c = 6 * (h * h + 1 - n * n)
-        terms = np.concatenate((table[-(c + 10 * h + 2) % M], -table[-(c - 2 * h - 2) % M]))
-        s = complex(math.fsum(terms.real), math.fsum(terms.imag))
-        den = complex(table[-2 * n % M] - table[2 * n % M])
+    for n, re, im in zip(range(1, n_max + 1), *sums):
+        s = complex(re / 2 ** 52, im / 2 ** 52)
+        den = complex(table[(-2 * n - 6 * n * n) % M] - table[(2 * n - 6 * n * n) % M])
         bound = 2 * _UNIT_ERR * (n * abs(den) + abs(s)) + 8 * _U * abs(s * den)
         if not bound < JONES_REL_TOL * abs(s * den):
             raise PrecisionLoss(f"trefoil J({n}) at r={r} misses {JONES_REL_TOL:g}")

@@ -4,6 +4,9 @@
   precision far above what the cancellation in their partial products
   costs (about 0.46 r bits): the reference the certified catalog values
   are checked against.
+* Morton's trefoil sum term by term: for each color, every term of his
+  formula from one float table, summed with math.fsum, the reference
+  for the catalog's two running sums.
 * The dense R-matrix trace: every generator as a full Kronecker product
   on (C^n)^strands, the reference for the weight-sector engine.  Its R
   is a float build of its own, from the E and F ladders, with R^-1 by
@@ -59,6 +62,25 @@ def cyclotomic_jones(name: str, r: int, n_max: int, bits: int) -> list:
                     total += term if k % 2 == 0 else -term
             values.append(total)
         return values
+
+
+def morton_trefoil(r: int, n_max: int) -> list:
+    """Morton's formula for the (2, 3) torus knot at t**-1, one color at a time.
+
+    J(n) = sum_h (A^-(c + 10h + 2) - A^-(c - 2h - 2)) / (A^-2n - A^2n) over
+    h = 1-n, 3-n, .., n-1, c = 6(h^2 + 1 - n^2), A = exp(i pi/NN), each
+    numerator summed exactly rounded from one table of exp(i pi k/NN).
+    """
+    NN, M = 2 * r + 1, 4 * r + 2
+    table = np.exp(1j * (math.pi / NN) * np.arange(M))
+    values = []
+    for n in range(1, n_max + 1):
+        h = np.arange(1 - n, n, 2)
+        c = 6 * (h * h + 1 - n * n)
+        terms = np.concatenate((table[-(c + 10 * h + 2) % M], -table[-(c - 2 * h - 2) % M]))
+        s = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        values.append(s / complex(table[-2 * n % M] - table[2 * n % M]))
+    return values
 
 
 def _qint(k: int, q: complex) -> complex:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from skeinquant import cli, jones
 from skeinquant.bracket import kauffman_bracket
 from skeinquant.diagrams import BraidWord, braid_to_diagram
@@ -184,6 +186,36 @@ def test_config_file_defaults_and_flag_priority(tmp_path):
     assert json.loads(proc.stdout)["result"]["r"] == 6
     proc = run_cli("tqft", "--config", str(cfg), "--r", "3")
     assert json.loads(proc.stdout)["result"]["r"] == 3
+
+
+def test_config_file_in_process_leaves_the_parser_alone(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r": 6, "n": 3}))   # tqft has no --n: ignored
+    assert cli.main(["tqft", "--config", str(cfg)]) == 0
+    from_config = json.loads(capsys.readouterr().out)
+    assert cli.main(["tqft", "--r", "6"]) == 0
+    assert json.loads(capsys.readouterr().out) == from_config
+    with pytest.raises(SystemExit) as exc:   # the first call's --config is gone
+        cli.main(["tqft"])
+    assert exc.value.code == 2 and "--r" in capsys.readouterr().err
+    assert cli.main(["tqft", "--config", str(cfg), "--r", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["r"] == 3
+
+
+def test_config_file_store_true_and_dashed_values(tmp_path, capsys):
+    def run(command, config, *argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(cfg), *argv]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert run("jones", {"exact": True, "knot": "trefoil", "n": 2})["result"]["polynomial"] \
+        == run("jones", {}, "--knot", "trefoil", "--n", "2", "--exact")["result"]["polynomial"]
+    assert run("jones", {"exact": False, "knot": "trefoil", "n": 2})["result"]["backend"] \
+        == "catalog"
+    # "--tau -1+2i" would read as an unknown flag; the config value is not one
+    assert run("geom-verify", {"r": 3, "tau": "-1+2i", "skip_modular": True}) \
+        == run("geom-verify", {}, "--r", "3", "--tau=-1+2i", "--skip-modular")
 
 
 def test_error_exit_codes():

@@ -3,7 +3,8 @@ import math
 import mpmath
 import pytest
 
-from oracles import cabled_jones, cyclotomic_jones, dense_rmatrix_jones, mirrored
+from oracles import (cabled_jones, cyclotomic_jones, dense_rmatrix_jones, mirrored,
+                     morton_trefoil)
 from skeinquant import jones
 from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                                UnknownCatalogEntry)
@@ -288,7 +289,24 @@ def test_figure_eight_small_levels_every_color(r):
         assert all(abs(a - b) <= JONES_REL_TOL * abs(b) for a, b in zip(ours, ref))
 
 
+@pytest.mark.parametrize("r", (*range(1, 13), 27, 86, 150, 295, 500))
+def test_trefoil_running_sums_match_morton_oracle(r):
+    ours = catalog_jones_values("trefoil", r, r)
+    ref = morton_trefoil(r, r)
+    assert len(ours) == r
+    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(ours, ref))
+
+
+def test_trefoil_certifies_every_color_at_r3000():
+    assert len(catalog_jones_values("trefoil", 3000, 3000)) == 3000
+
+
 def test_uncertifiable_value_raises():
     # n = 2r+1 puts Morton's denominator sin(2 pi n/(2r+1)) at zero
     with pytest.raises(PrecisionLoss):
         catalog_jones_values("trefoil", 3, 7)
+    for r in (3, 10, 40):   # every color below 2r+1 certifies, and 2r+1 is the one that raises
+        NN = 2 * r + 1
+        assert len(catalog_jones_values("trefoil", r, NN - 1)) == NN - 1
+        with pytest.raises(PrecisionLoss, match=rf"trefoil J\({NN}\) at r={r} "):
+            catalog_jones_values("trefoil", r, NN + 3)
