@@ -247,6 +247,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _config_path(args: list) -> Optional[str]:
+    """The --config path among a command's arguments, found by argparse
+    itself: the flag or a prefix of it (--conf), its value after '=' or
+    as the next argument, the last one winning."""
+    if not any(a.startswith("--c") for a in args):   # spares a parser per call
+        return None
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        return pre.parse_known_args(args)[0].config
+    except argparse.ArgumentError:
+        raise SkeinQuantError("--config requires a file path") from None
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv) -> list:
     """argv with the --config JSON values spliced in as flags after the command.
 
@@ -254,23 +268,21 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv) -> list:
     command has no flag for are ignored, and a store_true flag is added
     only for a true value.  The parser is left as it is.
     """
-    if "--config" not in argv:
+    commands = parser._subparsers._group_actions[0].choices
+    at = next((i for i, a in enumerate(argv) if a in commands), None)
+    if at is None:   # parse_args reports the missing command
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise SkeinQuantError("--config requires a file path")
-    path = argv[idx + 1]
+    sub = commands[argv[at]]
+    path = _config_path(argv[at + 1:])
+    if path is None:
+        return argv
     with open(path) as fh:
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
         raise SkeinQuantError("config file must hold a JSON object")
     defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
-    commands = parser._subparsers._group_actions[0].choices
-    at = next((i for i, a in enumerate(argv) if a in commands), None)
-    if at is None:   # parse_args reports the missing command
-        return argv
     flags = []
-    for a in commands[argv[at]]._actions:
+    for a in sub._actions:
         value = defaults.get(a.dest)
         if value is None:   # null leaves the flag unset
             continue

@@ -101,22 +101,6 @@ class ThetaSection:
         self.rho = rho
         self.halfform_scale = complex(halfform_scale)
 
-    def rho_extended(self, m: int) -> complex:
-        """Coefficient at any integer index via the quasi-periodic recursion."""
-        N = self.ctx.N
-        m0 = m % N
-        return complex(self.rho[m0] * _extension_factor(self.ctx, m, m0))
-
-    def scaled(self, factor: complex) -> "ThetaSection":
-        return ThetaSection(self.ctx, self.rho * factor, self.halfform_scale)
-
-    def plus(self, other: "ThetaSection", coeff: complex = 1.0) -> "ThetaSection":
-        if other.ctx is not self.ctx and other.ctx._key() != self.ctx._key():
-            raise DimensionMismatch("sections live over different contexts")
-        if other.halfform_scale != self.halfform_scale:
-            raise ValueError("cannot add sections with different half-form scales")
-        return ThetaSection(self.ctx, self.rho + coeff * other.rho, self.halfform_scale)
-
 
 def _extension_factor(ctx: QuantizationContext, m, m0):
     # rho_m / rho_{m0} = exp(i pi tau (m^2 - m0^2)/N) for m = m0 mod N; broadcasts
@@ -163,26 +147,27 @@ def _term_exponent(ctx: QuantizationContext, m, P, Q, frame: bool = True):
     return phase * (P + tau * Q) + 1j * math.pi * tau * (m * m - m0 * m0) / N
 
 
-def _series(s: ThetaSection, P, Q, frame: bool) -> np.ndarray:
-    """Truncated theta series of s over the window's nonzero terms.
+def _series(ctx: QuantizationContext, rho: np.ndarray, P, Q, frame: bool) -> np.ndarray:
+    """Truncated theta series of the coefficient rows rho, shape (..., N).
 
-    One exponent array of terms x points per block of points; a block
-    holds at most _GRID_BLOCK values.
+    Terms whose class is zero in every row are dropped.  One exponent array
+    of terms x points per block of points; a block holds at most
+    _GRID_BLOCK values.  Returns rho.shape[:-1] + the points' shape.
     """
-    ctx = s.ctx
     P, Q = np.broadcast_arrays(np.asarray(P, dtype=np.float64),
                                np.asarray(Q, dtype=np.float64))
     lo, hi = _window(ctx, float(Q.min()), float(Q.max()))
     m = np.arange(lo, hi + 1)
-    c = s.rho[m % ctx.N]
-    m, c = m[c != 0], c[c != 0]
+    c = rho[..., m % ctx.N]
+    keep = np.any(c != 0, axis=tuple(range(c.ndim - 1)))
+    m, c = m[keep], c[..., keep]
     p, q = P.ravel(), Q.ravel()
-    out = np.empty(p.size, dtype=np.complex128)
+    out = np.empty(c.shape[:-1] + (p.size,), dtype=np.complex128)
     step = max(1, _GRID_BLOCK // max(1, m.size))
     for a in range(0, p.size, step):
-        out[a:a + step] = c @ np.exp(_term_exponent(
+        out[..., a:a + step] = c @ np.exp(_term_exponent(
             ctx, m[:, None], p[None, a:a + step], q[None, a:a + step], frame))
-    return out.reshape(P.shape)
+    return out.reshape(c.shape[:-1] + P.shape)
 
 
 def eval_grid(s: ThetaSection, P, Q) -> np.ndarray:
@@ -191,7 +176,7 @@ def eval_grid(s: ThetaSection, P, Q) -> np.ndarray:
     The half-form scale multiplies the result; exponents are combined
     before exponentiation so no intermediate factor overflows.
     """
-    return _series(s, P, Q, frame=True) * s.halfform_scale
+    return _series(s.ctx, s.rho, P, Q, frame=True) * s.halfform_scale
 
 
 def section_eval(s: ThetaSection, p: float, q: float) -> complex:
@@ -205,7 +190,7 @@ def holomorphic_part(s: ThetaSection, p: float, q: float) -> complex:
     g grows like exp(pi b N q^2); far from the unit square it leaves the
     float range, where the section values with their frame do not.
     """
-    return complex(_series(s, p, q, frame=False))
+    return complex(_series(s.ctx, s.rho, p, q, frame=False))
 
 
 # -- Heisenberg translations ----------------------------------------------
@@ -236,20 +221,23 @@ def translate(s: ThetaSection, x) -> ThetaSection:
 
 
 def translate_ints(s: ThetaSection, j: int, k: int) -> ThetaSection:
-    """Translate by (j mu + k lambda)/(2r+1); exact O(N) coefficient map.
+    """Translate by (j mu + k lambda)/(2r+1); exact O(N) coefficient map."""
+    return ThetaSection(s.ctx, _translated(s.ctx, s.rho, j, k), s.halfform_scale)
+
+
+def _translated(ctx: QuantizationContext, rho: np.ndarray, j: int, k: int) -> np.ndarray:
+    """translate_ints on coefficient rows rho of shape (..., N).
 
     rho'_m = rho_{m-k} exp(i pi (k j + tau k^2 + 2 (j + k tau)(m-k)) / N),
     with rho_{m-k} extended from its class m0 = (m-k) mod N.  The exponents
     combine to i pi (j (2m - k) + tau (m^2 - m0^2)) / N, whose integer
     phase is reduced mod 2N before it is scaled.
     """
-    ctx = s.ctx
     N = ctx.N
     m = np.arange(N)
     m0 = (m - k) % N
     phase = (j % (2 * N)) * (2 * m - k % (2 * N)) % (2 * N)
-    rho = s.rho[m0] * np.exp(1j * math.pi * (phase + ctx.tau * (m * m - m0 * m0)) / N)
-    return ThetaSection(ctx, rho, s.halfform_scale)
+    return rho[..., m0] * np.exp(1j * math.pi * (phase + ctx.tau * (m * m - m0 * m0)) / N)
 
 
 def lattice_character(a: int, b: int) -> int:
@@ -279,21 +267,30 @@ def basis_phi(ctx: QuantizationContext) -> list:
 
     Phi_l = (Psi_l - Psi_{N-l}) / sqrt(2).
     """
+    return [ThetaSection(ctx, row) for row in _phi_rows(ctx)]
+
+
+def _phi_rows(ctx: QuantizationContext) -> np.ndarray:
+    """Coefficient rows of Phi_1 .. Phi_r, shape (r, N)."""
     r, N = ctx.r, ctx.N
     d = _psi_diagonal(ctx) / math.sqrt(2)
     l = np.arange(1, r + 1)
     rho = np.zeros((r, N), dtype=np.complex128)
     rho[l - 1, l] = d[l]
     rho[l - 1, N - l] = -d[N - l]
-    return [ThetaSection(ctx, row) for row in rho]
+    return rho
 
 
 def parity_reflect(s: ThetaSection) -> ThetaSection:
     """Pullback by x -> -x; on coefficients rho_m -> rho_{-m}."""
-    m = np.arange(s.ctx.N)
-    m0 = -m % s.ctx.N
-    rho = s.rho[m0] * _extension_factor(s.ctx, m, m0)
-    return ThetaSection(s.ctx, rho, s.halfform_scale)
+    return ThetaSection(s.ctx, _reflected(s.ctx, s.rho), s.halfform_scale)
+
+
+def _reflected(ctx: QuantizationContext, rho: np.ndarray) -> np.ndarray:
+    """parity_reflect on coefficient rows rho of shape (..., N)."""
+    m = np.arange(ctx.N)
+    m0 = -m % ctx.N
+    return rho[..., m0] * _extension_factor(ctx, m, m0)
 
 
 def psi_coefficients(s: ThetaSection) -> np.ndarray:
@@ -307,11 +304,19 @@ def phi_coefficients(s: ThetaSection):
     Returns (beta[0..r-1] on indices 1..r, deviation): the deviation is the
     largest non-alternating component and vanishes for alternating sections.
     """
-    alpha = psi_coefficients(s)
-    l = np.arange(1, s.ctx.r + 1)
-    scale = max(1.0, float(np.max(np.abs(alpha))))
-    dev = float(np.max(np.abs(np.append(alpha[0], alpha[s.ctx.N - l] + alpha[l])))) / scale
-    return math.sqrt(2) * alpha[l], dev
+    beta, dev = _alternating_part(s.ctx, psi_coefficients(s))
+    return beta, float(dev)
+
+
+def _alternating_part(ctx: QuantizationContext, alpha: np.ndarray):
+    """phi_coefficients on Psi-coefficient rows alpha of shape (..., N).
+
+    Returns beta of shape (..., r) and the deviation of each row.
+    """
+    l = np.arange(1, ctx.r + 1)
+    scale = np.maximum(1.0, np.max(np.abs(alpha), axis=-1))
+    off = np.concatenate((alpha[..., :1], alpha[..., ctx.N - l] + alpha[..., l]), axis=-1)
+    return math.sqrt(2) * alpha[..., l], np.max(np.abs(off), axis=-1) / scale
 
 
 # -- quadrature inner products ---------------------------------------------
@@ -342,35 +347,56 @@ def _gram_kernel(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
     return (4 * math.pi / n_grid) * (A.T @ K @ A)
 
 
-def _refine(at, ctx: QuantizationContext):
-    """at(n) on grids doubled from n_start until two successive values agree.
+def _refine(at, ctx: QuantizationContext) -> list:
+    """The blocks of the list at(n), on grids doubled from n_start.
 
-    The q-parts reach exp(pi b N), so a grid's products overflow once b N
-    passes about 113.  The first non-finite grid raises PrecisionLoss;
-    doubling on NaN could never converge.
+    Each block is accepted on the first grid where it agrees with its value
+    on the grid before, and the doubling stops once every block is accepted,
+    so a block refines to the grid it would reach alone.  The q-parts reach
+    exp(pi b N), so a grid's products overflow once b N passes about 113.
+    The first non-finite block still open raises PrecisionLoss; doubling on
+    NaN could never converge.
     """
     quad = ctx.quad
-
-    def grid(n):
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = at(n)
-        if not np.all(np.isfinite(val)):
-            raise PrecisionLoss(
-                f"quadrature at r = {ctx.r}, tau = {ctx.tau}, n = {n} is not finite: "
-                f"theta q-parts of size exp(pi b N) overflow once b N passes about 113 "
-                f"(b = Im tau, or Im(-1/tau) in the S frame)")
-        return val
-
-    n = quad.n_start
-    prev = grid(n)
+    n, prev, done = quad.n_start, None, {}
     while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cur = at(n)
+        for i, val in enumerate(cur):
+            if i in done:
+                continue
+            if not np.all(np.isfinite(val)):
+                raise PrecisionLoss(
+                    f"quadrature at r = {ctx.r}, tau = {ctx.tau}, n = {n} is not finite: "
+                    f"theta q-parts of size exp(pi b N) overflow once b N passes about 113 "
+                    f"(b = Im tau, or Im(-1/tau) in the S frame)")
+            if prev is not None and np.max(np.abs(val - prev[i])) <= \
+                    quad.refine_until * max(1.0, float(np.max(np.abs(val)))):
+                done[i] = val
+        if len(done) == len(cur):
+            return [done[i] for i in range(len(cur))]
+        prev = cur
         n *= 2
         if n > quad.n_cap:
             raise QuadratureNotConverged(f"no convergence by n = {quad.n_cap}")
-        cur = grid(n)
-        if np.max(np.abs(cur - prev)) <= quad.refine_until * max(1.0, float(np.max(np.abs(cur)))):
-            return cur
-        prev = cur
+
+
+def _pairings(ctx: QuantizationContext, blocks) -> list:
+    """Refined scale * R^H G C for every (R, C, scale) in blocks, in one pass.
+
+    R and C hold coefficient rows with their half-form scales applied.  The
+    C rows of every block form one stacked matrix, so each grid builds its
+    kernel once and multiplies it once; each block keeps its own stopping
+    rule (_refine).
+    """
+    C = np.concatenate([cols for _, cols, _ in blocks]).T
+    ends = np.cumsum([len(cols) for _, cols, _ in blocks])
+
+    def at(n):
+        GC = _gram_kernel(ctx, n) @ C
+        return [scale * (rows.conj() @ GC[:, e - len(cols):e])
+                for (rows, cols, scale), e in zip(blocks, ends)]
+    return _refine(at, ctx)
 
 
 def _pairing(rows: Sequence[ThetaSection], cols: Sequence[ThetaSection],
@@ -379,10 +405,10 @@ def _pairing(rows: Sequence[ThetaSection], cols: Sequence[ThetaSection],
     ctx = rows[0].ctx
     if any(s.ctx._key() != ctx._key() for s in cols):
         raise DimensionMismatch("sections live over different contexts")
-    B1 = np.stack([s.rho * s.halfform_scale for s in rows], axis=1)
-    B2 = np.stack([s.rho * s.halfform_scale for s in cols], axis=1)
+    R = np.stack([s.rho * s.halfform_scale for s in rows])
+    C = np.stack([s.rho * s.halfform_scale for s in cols])
     scale = halfform_norm_sq(ctx) if include_halfform else 1.0
-    return _refine(lambda n: scale * (B1.conj().T @ _gram_kernel(ctx, n) @ B2), ctx)
+    return _pairings(ctx, [(R, C, scale)])[0]
 
 
 def inner_product(s1: ThetaSection, s2: ThetaSection,
@@ -417,18 +443,13 @@ def curve_operator_geom(gamma, ctx: QuantizationContext) -> np.ndarray:
     if gcd(a, b) != 1:
         raise NotPrimitive(f"({a}, {b}) is not a primitive class")
     chi = lattice_character(a, b)
-    phis = basis_phi(ctx)
-    cols = []
-    for s in phis:
-        t_plus = translate_ints(s, a, b)
-        t_minus = translate_ints(s, -a, -b)
-        combined = ThetaSection(ctx, -chi * (t_plus.rho + t_minus.rho), s.halfform_scale)
-        beta, dev = phi_coefficients(combined)
-        if dev > 1e-9:
-            raise ArithmeticError(
-                f"curve operator left the alternating subspace (dev {dev:.2e})")
-        cols.append(beta)
-    return np.stack(cols, axis=1)
+    R = _phi_rows(ctx)
+    W = -chi * (_translated(ctx, R, a, b) + _translated(ctx, R, -a, -b))
+    beta, dev = _alternating_part(ctx, W / _psi_diagonal(ctx))
+    if np.max(dev) > 1e-9:
+        raise ArithmeticError(
+            f"curve operator left the alternating subspace (dev {np.max(dev):.2e})")
+    return beta.T
 
 
 def iso_from_skein(v, ctx: QuantizationContext) -> ThetaSection:
@@ -439,7 +460,7 @@ def iso_from_skein(v, ctx: QuantizationContext) -> ThetaSection:
         coeffs = np.asarray(v, dtype=np.complex128)
     if coeffs.shape != (ctx.r,):
         raise DimensionMismatch(f"need {ctx.r} coefficients")
-    rho = coeffs @ np.stack([s.rho for s in basis_phi(ctx)])
+    rho = coeffs @ _phi_rows(ctx)
     return ThetaSection(ctx, rho)
 
 
@@ -515,6 +536,40 @@ def _s_frame_pairing(phis, tilde_phi, n_grid: int) -> np.ndarray:
     return M * (4 * math.pi / n_grid ** 2)
 
 
+def _twist_frame_rows(ctx: QuantizationContext) -> np.ndarray:
+    """Coefficient rows of the T-transformed alternating basis, shape (r, N).
+
+    The chain Psi~_0 = Psi_0, Psi~_k = -T*_{(1,1)/N} Psi~_{k-1} applies the
+    normalised lift of the (1,1) translation (chi(1,1) = -1), and
+    Phi~_l = (Psi~_l - Psi~_{N-l}) / sqrt(2).
+    """
+    r, N = ctx.r, ctx.N
+    chain = np.zeros((N, N), dtype=np.complex128)
+    chain[0, 0] = _psi_diagonal(ctx)[0]
+    for k in range(1, N):
+        chain[k] = -_translated(ctx, chain[k - 1], 1, 1)
+    l = np.arange(1, r + 1)
+    return (chain[l] - chain[N - l]) / math.sqrt(2)
+
+
+def _frame_report(gen: str, cur: np.ndarray, ctx: QuantizationContext) -> ModularReport:
+    """Fit the measured matrix of generator gen against rep_T or rep_S."""
+    r, N = ctx.r, ctx.N
+    predicted = rep_T(r) if gen == "T" else rep_S(r)
+    phase = _fit_phase(cur, predicted)
+    max_dev = float(np.max(np.abs(cur - phase * predicted)))
+    raw_dev = float(np.max(np.abs(cur - predicted)))
+    if gen == "T":
+        # the same phases with the alternating twist sign dropped
+        n_ = np.arange(r)
+        unsigned = np.diag(np.exp(1j * math.pi * (n_ * n_ + 2 * n_) / N))
+    else:
+        unsigned = predicted
+    phase_u = _fit_phase(cur, unsigned)
+    unsigned_dev = float(np.max(np.abs(cur - phase_u * unsigned)))
+    return ModularReport(gen, cur, predicted, complex(phase), max_dev, raw_dev, unsigned_dev)
+
+
 def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
     """Expand the basis of a generator-transformed frame in the original basis.
 
@@ -530,43 +585,16 @@ def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
     sections live in this context, so they pair through the Gram kernel;
     the measured matrix is diagonal and is compared against rep_T.
     """
-    r, N = ctx.r, ctx.N
-    phis = basis_phi(ctx)
-
+    r = ctx.r
     if gen == "T":
-        psi0 = basis_psi(ctx)[0]
-        chain = [psi0]
-        for _ in range(N - 1):
-            nxt = translate_ints(chain[-1], 1, 1)
-            chain.append(nxt.scaled(-1.0))  # chi(1,1) = -1 normalises the lift
-        tilde_phi = []
-        for l in range(1, r + 1):
-            plus = chain[l]
-            minus = chain[N - l]
-            tilde_phi.append(ThetaSection(
-                ctx, (plus.rho - minus.rho) / math.sqrt(2)))
-        predicted = rep_T(r)
-        cur = _pairing(phis, tilde_phi)
+        cur = _pairings(ctx, [(_phi_rows(ctx), _twist_frame_rows(ctx),
+                               halfform_norm_sq(ctx))])[0]
     elif gen == "S":
-        tau_t = -1.0 / ctx.tau
-        ctx_t = QuantizationContext(r, tau_t, ctx.series_tol, ctx.quad)
-        tilde_phi = basis_phi(ctx_t)
-        predicted = rep_S(r)
+        ctx_t = QuantizationContext(r, -1.0 / ctx.tau, ctx.series_tol, ctx.quad)
+        phis, tilde_phi = basis_phi(ctx), basis_phi(ctx_t)
         # half-form frame change tau**-1/2, principal branch
         weight = ctx.tau ** -0.5 * halfform_norm_sq(ctx)
-        cur = _refine(lambda n: weight * _s_frame_pairing(phis, tilde_phi, n), ctx)
+        cur = _refine(lambda n: [weight * _s_frame_pairing(phis, tilde_phi, n)], ctx)[0]
     else:
         raise ValueError("gen must be 'T' or 'S'")
-
-    phase = _fit_phase(cur, predicted)
-    max_dev = float(np.max(np.abs(cur - phase * predicted)))
-    raw_dev = float(np.max(np.abs(cur - predicted)))
-    if gen == "T":
-        # the same phases with the alternating twist sign dropped
-        n_ = np.arange(r)
-        unsigned = np.diag(np.exp(1j * math.pi * (n_ * n_ + 2 * n_) / N))
-    else:
-        unsigned = predicted
-    phase_u = _fit_phase(cur, unsigned)
-    unsigned_dev = float(np.max(np.abs(cur - phase_u * unsigned)))
-    return ModularReport(gen, cur, predicted, complex(phase), max_dev, raw_dev, unsigned_dev)
+    return _frame_report(gen, cur, ctx)

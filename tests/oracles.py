@@ -20,6 +20,9 @@
 * The theta series summed term by term: one exponentiated term at a
   time over the window, with zero coefficients skipped, the reference
   for the vector series behind eval_grid and holomorphic_part.
+* The geometric curve operator one column at a time: each Phi_l
+  translated as a section by +-gamma/(2r+1) and expanded by
+  phi_coefficients, the reference for the stacked build.
 * The Lobachevsky sine series, summed far enough for a stated
   tolerance: the reference for the closed form through Clausen's Cl_2.
 * Small helpers only the tests need: a PD text writer, the mirror of a
@@ -34,7 +37,8 @@ import numpy as np
 
 from skeinquant.bracket import braid_closure_bracket, chebyshev_coeffs
 from skeinquant.errors import InexactDivision
-from skeinquant.geom import _term_exponent, _window
+from skeinquant.geom import (ThetaSection, _term_exponent, _window, basis_phi,
+                             lattice_character, phi_coefficients, translate_ints)
 from skeinquant.laurent import LaurentPoly, quantum_integer_poly
 
 
@@ -189,6 +193,22 @@ def termwise_series(s, P, Q, frame: bool) -> np.ndarray:
         if c != 0:
             out += c * np.exp(_term_exponent(ctx, m, P, Q, frame))
     return out
+
+
+def curve_operator_by_sections(gamma, ctx) -> np.ndarray:
+    """Curve operator of the primitive class gamma, built column by column."""
+    a, b = gamma
+    chi = lattice_character(a, b)
+    cols = []
+    for s in basis_phi(ctx):
+        t_plus = translate_ints(s, a, b)
+        t_minus = translate_ints(s, -a, -b)
+        combined = ThetaSection(ctx, -chi * (t_plus.rho + t_minus.rho), s.halfform_scale)
+        beta, dev = phi_coefficients(combined)
+        if dev > 1e-9:
+            raise ArithmeticError(f"column left the alternating subspace (dev {dev:.2e})")
+        cols.append(beta)
+    return np.stack(cols, axis=1)
 
 
 def lobachevsky_series(theta: float, tol: float = 1e-12) -> float:

@@ -202,6 +202,21 @@ def test_config_file_in_process_leaves_the_parser_alone(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"]["r"] == 3
 
 
+@pytest.mark.parametrize("spelling", (["--config={}"], ["--conf", "{}"], ["--conf={}"],
+                                      ["--c", "{}"]))
+def test_config_file_spellings_argparse_accepts(tmp_path, capsys, spelling):
+    # the flag in full with '=', and the prefixes argparse resolves to --config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r": 6, "word": "S T"}))
+    flag = [a.format(cfg) for a in spelling]
+    assert cli.main(["tqft", *flag]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["r"] == 6 and res["word"] == ["S", "T"]
+    assert cli.main(["tqft", "--r", "3", *flag]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["r"] == 3 and res["word"] == ["S", "T"]
+
+
 def test_config_file_store_true_and_dashed_values(tmp_path, capsys):
     def run(command, config, *argv):
         cfg = tmp_path / "cfg.json"
@@ -256,3 +271,18 @@ def test_precision_loss_exits_2():
     proc = run_cli("jones", "--knot", "trefoil", "--n", "7", "--r", "3", check=False)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_geom_verify_does_not_import_numpy_random():
+    # the report draws its test vectors from random.Random; numpy.random
+    # costs about 6 MiB and 13 ms of import per process
+    code = ("import sys\n"
+            "from skeinquant import cli\n"
+            "rc = cli.main(['geom-verify', '--r', '3', '--tau', 'i'])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')), rc,"
+            " file=sys.stderr)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stderr.strip() == "[] 0", proc.stderr

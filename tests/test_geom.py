@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import termwise_series
+from oracles import curve_operator_by_sections, termwise_series
 from skeinquant import geom
 from skeinquant.errors import (DimensionMismatch, NotLatticeFraction, NotPrimitive,
                                PrecisionLoss, QuadratureNotConverged)
@@ -257,6 +257,14 @@ def test_geom_curve_symmetric_in_orientation():
         assert np.max(np.abs(plus - minus)) < 1e-12
 
 
+@pytest.mark.parametrize("gamma", ((1, 0), (0, 1), (1, 1), (2, 1)))
+@pytest.mark.parametrize("ctx", (CTX, CTX_SKEW, QuantizationContext(8, 0.3 + 1.7j)))
+def test_stacked_curve_operator_matches_column_build(ctx, gamma):
+    got = curve_operator_geom(gamma, ctx)
+    want = curve_operator_by_sections(gamma, ctx)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
 def test_geom_curve_primitive_guard():
     with pytest.raises(NotPrimitive):
         curve_operator_geom((2, 4), CTX)
@@ -413,7 +421,7 @@ def test_series_matches_termwise_oracle(ctx, frame, small_block, monkeypatch):
     xs = np.linspace(-0.5, 1.5, 37)
     P, Q = np.meshgrid(xs, xs[::2], indexing="ij")
     for s in (random_section(ctx, 14), basis_phi(ctx)[-1]):
-        got = _series(s, P, Q, frame)
+        got = _series(s.ctx, s.rho, P, Q, frame)
         want = termwise_series(s, P, Q, frame)
         assert got.shape == want.shape
         # relative to the largest value at each q, since g grows like exp(pi b N q^2)
@@ -465,3 +473,56 @@ def test_alternating_subspace_dimension():
     # and every alternating section is reached: residuals vanish
     for s in phis:
         assert phi_coefficients(s)[1] < 1e-12
+
+
+@pytest.mark.parametrize("r,tau", [(5, 1j), (7, 0.3 + 1.7j), (5, 0.5j)])
+def test_batched_report_matches_the_per_check_functions(r, tau):
+    # every pairing of the one-pass report is a block with its own stopping
+    # rule, so it lands where the public function does; at tau = 0.5i the
+    # vacuum block is accepted at n = 32 and the other blocks at n = 64
+    from skeinquant.verify import verification_report
+    ctx = QuantizationContext(r, tau)
+    got = verification_report(ctx)["residuals"]
+    vacuum = ThetaSection(ctx, np.eye(ctx.N)[0])
+    target = math.sqrt(8 * math.pi ** 2 / (ctx.N * ctx.b))
+    rep_t = modular_phase_check("T", ctx)
+    want = {
+        "gram_psi": np.max(np.abs(gram_matrix(basis_psi(ctx)) - np.eye(ctx.N))),
+        "gram_phi": np.max(np.abs(gram_matrix(basis_phi(ctx)) - np.eye(r))),
+        "vacuum_frame_norm": abs(inner_product(vacuum, vacuum, include_halfform=False).real
+                                 - target) / target,
+        "intertwine_mu": intertwining_deviation((1, 0), ctx),
+        "intertwine_lambda": intertwining_deviation((0, 1), ctx),
+        "intertwine_mu_plus_lambda": intertwining_deviation((1, 1), ctx),
+        "modular_T_phases": rep_t.max_dev,
+        "modular_T_phase_modulus": abs(abs(rep_t.global_phase) - 1),
+    }
+    for key, value in want.items():
+        assert abs(got[key] - value) <= 1e-12, (key, got[key], value)
+
+
+def test_report_builds_each_grid_kernel_once(monkeypatch):
+    from skeinquant.verify import verification_report
+    built = []
+    kernel = geom._gram_kernel
+
+    def counted(ctx, n):
+        built.append(n)
+        return kernel(ctx, n)
+
+    monkeypatch.setattr(geom, "_gram_kernel", counted)
+    # three grids at tau = 0.3+1.7i, r = 8, and blocks accepted on
+    # different grids at tau = 0.5i
+    for ctx in (QuantizationContext(5, 1j), QuantizationContext(8, 0.3 + 1.7j),
+                QuantizationContext(5, 0.5j)):
+        built.clear()
+        assert verification_report(ctx)["pass"]
+        assert built and len(built) == len(set(built)), built
+        report_grids = set(built)
+        built.clear()   # the public functions, each refined on its own
+        gram_matrix(basis_psi(ctx))
+        gram_matrix(basis_phi(ctx))
+        vacuum = ThetaSection(ctx, np.eye(ctx.N)[0])
+        inner_product(vacuum, vacuum, include_halfform=False)
+        modular_phase_check("T", ctx)
+        assert max(report_grids) >= max(built), (report_grids, set(built))
