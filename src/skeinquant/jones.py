@@ -16,7 +16,8 @@ T = J(A^4) [n] A^-((n^2-1) writhe) in the ring of its power table.
 * catalog: closed forms for the built-in knots, chosen by braid word and
   certified to JONES_REL_TOL per color: Morton's formula for the trefoil
   as two exact running sums over a fixed-point table, O(r) per level,
-  Habiro's cyclotomic sum for the figure-eight in integer fixed point.
+  Habiro's cyclotomic sum for the figure-eight as one integer dot
+  product per color over one fixed-point table of partial sine products.
 
 Indexing: J(K, 1) = 1 is the trivial color, and J(K, n) comes from the
 (n-1)-st cabling color.
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
+from operator import mul
 from typing import Optional
 
 import mpmath
@@ -399,63 +401,71 @@ def _trefoil_values(r: int, n_max: int) -> list:
     return values
 
 
-def _two_cos_table(NN: int, F: int) -> list:
-    """C[m] = round(2 cos(4 pi m/NN) 2^F) for m = 0..NN-1, each within one unit.
+def _sine_table(NN: int, G: int) -> list:
+    """S[m] = round(s(m) 2^G), s(m) = 2 sin(2 pi m/NN), for m = 0..NN-1, each within 0.78 units.
 
-    The powers of w = exp(4 pi i/NN) for m <= NN/2, in Gaussian-integer
-    fixed point at G = F + bitlen(NN) + 3 bits, mirrored by C[NN-m] = C[m]:
-    the rounded w and each truncated product add under 2.2 units of 2^-G,
-    so |w^m| = 1 keeps the error under 2.2 m 2^-G < 2^-F/7 (docs/conventions.md).
+    The powers of w = exp(2 pi i/NN) for m <= NN/2, in Gaussian-integer
+    fixed point at G + bitlen(NN) + 3 bits, mirrored by s(NN-m) = -s(m): the
+    rounded w and each truncated product add under 2.2 units of the finer
+    grid, which |w^m| = 1 does not amplify (docs/conventions.md).
     """
-    G = F + NN.bit_length() + 3
-    with mpmath.workprec(G + 10):
-        w = mpmath.expjpi(mpmath.mpf(4) / NN)
-        a, b = (int(mpmath.nint(mpmath.ldexp(v, G))) for v in (w.real, w.imag))
-    x, y, half = 1 << G, 0, []
+    W = G + NN.bit_length() + 3
+    with mpmath.workprec(W + 10):
+        w = mpmath.expjpi(mpmath.mpf(2) / NN)
+        a, b = (int(mpmath.nint(mpmath.ldexp(v, W))) for v in (w.real, w.imag))
+    x, y, half = 1 << W, 0, []
     for _ in range(NN // 2 + 1):
-        half.append((x + (1 << (G - F - 2))) >> (G - F - 1))
-        x, y = (x * a - y * b) >> G, (x * b + y * a) >> G
-    return half + half[:0:-1]
+        half.append((y + (1 << (W - G - 2))) >> (W - G - 1))
+        x, y = (x * a - y * b) >> W, (x * b + y * a) >> W
+    return half + [-v for v in half[:0:-1]]
 
 
 def _figure_eight_values(r: int, n_max: int) -> list:
-    """Habiro's sum J(n) = sum_{k<n} prod_{j<=k} (c(n) - c(j)), c(m) = 2cos(4 pi m/NN), in integers.
+    """Habiro's sum J(n) = sum_{k<n} prod_{j<=k} (c(n) - c(j)), c(m) = 2cos(4 pi m/NN), from one table.
 
-    c(n) - c(j) = s(n+j) s(j-n), s(m) = 2 sin(2 pi m/NN).  peak(n), the
-    largest log2 of a partial product plus one bit of slack, comes from one
-    float64 cumulative sum, and sets the bit count p.  Each factor is the
-    exact difference of two entries of one table of c at F = p +
-    2 bitlen(2NN) + 2 fraction bits, each partial product a p-bit integer
-    mantissa with an exponent, and the sum is taken in fixed point at unit
-    2^(ceil(peak(n)) - p).  Each color is certified by the rounding bound
-    5 n^2 2^(peak(n) - p) (docs/conventions.md) and returned as an exact mpf.
+    With s(m) = 2 sin(2 pi m/NN) and Q(m) = s(1) .. s(m), c(n) - c(j) =
+    s(n+j) s(j-n) and Q(2r) = (-1)^r NN turn every partial product into a
+    product of two entries of Q: for 1 <= n <= r,
+    J(n) = (-1)^(n+r-1) / (NN s(n)) sum_{k<n} Q(n+k) Q(NN-n+k).
+    |Q| < 2^L from one float64 cumulative sum of log2 |s|; Q comes from one
+    product chain with P-bit mantissas over the table of s at G bits and is
+    kept as integers at unit 2^-U, so the sum is one integer dot product
+    per color, divided once by NN s(n).  The other colors repeat these:
+    J(n) = J(min(n mod NN, NN - n mod NN)), and J(n) = sum_{k<NN} Q(k)^2
+    when NN divides n.  Each color is certified by the rounding bound
+    8 terms 2^(L+U) < JONES_REL_TOL |sum| in units of 2^-2U
+    (docs/conventions.md) and returned as an exact mpf.
     """
-    NN = 2 * r + 1
-    with np.errstate(divide="ignore"):
-        log_s = np.log2(np.abs(2 * np.sin(2 * np.pi * np.arange(NN) / NN)))
-    ns, js = np.arange(1, n_max + 1)[:, None], np.arange(1, n_max)[None, :]
-    logs = np.where(js < ns, log_s[(ns + js) % NN] + log_s[(js - ns) % NN], 0.0)
-    peak = np.max(np.cumsum(logs, axis=1), axis=1, initial=0.0) + 1
-    bits = math.ceil(peak.max() + math.log2(5 * n_max * n_max / JONES_REL_TOL)) + 16
-    # |c(n) - c(j)| >= 4 sin^2(pi/NN) > 16/NN^2: each factor within 2^-bits relative
-    F = bits + 2 * (2 * NN).bit_length() + 2
-    C = _two_cos_table(NN, F)
-    values = []
-    for n in range(1, n_max + 1):
-        unit = math.ceil(peak[n - 1]) - bits
-        cn, mant, shift, total = C[n % NN], 1, unit, 1 << -unit   # term = mant 2^(unit - shift)
-        # the products vanish from the first j = -n or n mod NN on
-        for cj in C[1:min(n, -n % NN or NN, n % NN or NN)]:
-            mant *= cn - cj
-            t = mant.bit_length() - bits
-            mant >>= t
-            shift += F - t
-            total += mant >> shift   # shift >= 0: every term is below 2^(peak(n) - 1)
-        # 5 n^2 2^(peak(n) - p) < JONES_REL_TOL |J(n)|, compared in units; ints never overflow
-        if not abs(total) > 5 * n * n * 2.0 ** float(peak[n - 1] - unit - bits) / JONES_REL_TOL:
+    NN, bits = 2 * r + 1, (2 * r + 1).bit_length()
+    log_q = np.cumsum(np.log2(np.abs(2 * np.sin(2 * np.pi * np.arange(1, NN) / NN))))
+    L = math.ceil(np.max(np.abs(log_q))) + 1
+    U = L + bits + 64            # 64 bits: 34 for JONES_REL_TOL and 30 for small |J(n)|
+    P = U + L + bits + 3         # each Q(m) within 0.26 units of 2^-U before its truncation
+    G = P + 2 * bits             # each s(m) within 2^(-P - bitlen(NN)) relative
+    S = _sine_table(NN, G)
+    mant, shift, Q = 1 << P, P - U, [1 << U]   # Q(m) = mant 2^(-U - shift)
+    for s in S[1:]:
+        mant *= s
+        t = mant.bit_length() - P
+        mant >>= t
+        shift += G - t
+        Q.append(mant >> shift)  # shift > 0: |Q(m)| < 2^L
+    num, den = JONES_REL_TOL.as_integer_ratio()
+
+    def certified(n, terms, total):
+        # |error| < 2.7 terms 2^(L+U) in units of 2^-2U; ints never overflow
+        if not abs(total) * num > (terms << (L + U + 3)) * den:
             raise PrecisionLoss(f"figure-eight J({n}) at r={r} misses {JONES_REL_TOL:g}")
-        values.append(mpmath.mpf((total, unit), prec=0))   # prec=0: the mantissa is kept exactly
-    return values
+        return total
+
+    base = [None]
+    for n in range(1, min(n_max, r) + 1):
+        total = certified(n, n, sum(map(mul, Q[n:2 * n], Q[NN - n:])))
+        q = (total << G) // (NN * S[n])
+        base.append(mpmath.mpf((q if (n + r) % 2 else -q, -2 * U), prec=0))   # kept exactly
+    if n_max >= NN:
+        base[0] = mpmath.mpf((certified(NN, NN, sum(map(mul, Q, Q))), -2 * U), prec=0)
+    return [base[min(n % NN, -n % NN)] for n in range(1, n_max + 1)]
 
 
 _CATALOG_SUMS = {

@@ -4,6 +4,10 @@
   precision far above what the cancellation in their partial products
   costs (about 0.46 r bits): the reference the certified catalog values
   are checked against.
+* Habiro's figure-eight sum by forward products: each color's partial
+  products one factor at a time, in integer fixed point at a derived bit
+  count, the fast reference for the catalog's Q-table engine at levels
+  where the mpmath sums are too slow for the tests.
 * Morton's trefoil sum term by term: for each color, every term of his
   formula from one float table, summed with math.fsum, the reference
   for the catalog's two running sums.
@@ -36,9 +40,10 @@ import mpmath
 import numpy as np
 
 from skeinquant.bracket import braid_closure_bracket, chebyshev_coeffs
-from skeinquant.errors import InexactDivision
+from skeinquant.errors import InexactDivision, PrecisionLoss
 from skeinquant.geom import (ThetaSection, _term_exponent, _window, basis_phi,
                              lattice_character, phi_coefficients, translate_ints)
+from skeinquant.jones import JONES_REL_TOL
 from skeinquant.laurent import LaurentPoly, quantum_integer_poly
 
 
@@ -66,6 +71,66 @@ def cyclotomic_jones(name: str, r: int, n_max: int, bits: int) -> list:
                     total += term if k % 2 == 0 else -term
             values.append(total)
         return values
+
+
+def _two_cos_table(NN: int, F: int) -> list:
+    """C[m] = round(2 cos(4 pi m/NN) 2^F) for m = 0..NN-1, each within one unit.
+
+    The powers of w = exp(4 pi i/NN) for m <= NN/2, in Gaussian-integer
+    fixed point at G = F + bitlen(NN) + 3 bits, mirrored by C[NN-m] = C[m]:
+    the rounded w and each truncated product add under 2.2 units of 2^-G,
+    so |w^m| = 1 keeps the error under 2.2 m 2^-G < 2^-F/7.
+    """
+    G = F + NN.bit_length() + 3
+    with mpmath.workprec(G + 10):
+        w = mpmath.expjpi(mpmath.mpf(4) / NN)
+        a, b = (int(mpmath.nint(mpmath.ldexp(v, G))) for v in (w.real, w.imag))
+    x, y, half = 1 << G, 0, []
+    for _ in range(NN // 2 + 1):
+        half.append((x + (1 << (G - F - 2))) >> (G - F - 1))
+        x, y = (x * a - y * b) >> G, (x * b + y * a) >> G
+    return half + half[:0:-1]
+
+
+def habiro_forward(r: int, n_max: int) -> list:
+    """Habiro's sum J(n) = sum_{k<n} prod_{j<=k} (c(n) - c(j)), c(m) = 2cos(4 pi m/NN), in integers.
+
+    c(n) - c(j) = s(n+j) s(j-n), s(m) = 2 sin(2 pi m/NN).  peak(n), the
+    largest log2 of a partial product plus one bit of slack, comes from one
+    float64 cumulative sum, and sets the bit count p.  Each factor is the
+    exact difference of two entries of one table of c at F = p +
+    2 bitlen(2NN) + 2 fraction bits, each partial product a p-bit integer
+    mantissa with an exponent, and the sum is taken in fixed point at unit
+    2^(ceil(peak(n)) - p).  Each color is certified by the rounding bound
+    5 n^2 2^(peak(n) - p) and returned as an exact mpf.  It holds an
+    n_max x n_max float matrix of log2 |factor|, so keep n_max to a few
+    thousand.
+    """
+    NN = 2 * r + 1
+    with np.errstate(divide="ignore"):
+        log_s = np.log2(np.abs(2 * np.sin(2 * np.pi * np.arange(NN) / NN)))
+    ns, js = np.arange(1, n_max + 1)[:, None], np.arange(1, n_max)[None, :]
+    logs = np.where(js < ns, log_s[(ns + js) % NN] + log_s[(js - ns) % NN], 0.0)
+    peak = np.max(np.cumsum(logs, axis=1), axis=1, initial=0.0) + 1
+    bits = math.ceil(peak.max() + math.log2(5 * n_max * n_max / JONES_REL_TOL)) + 16
+    # |c(n) - c(j)| >= 4 sin^2(pi/NN) > 16/NN^2: each factor within 2^-bits relative
+    F = bits + 2 * (2 * NN).bit_length() + 2
+    C = _two_cos_table(NN, F)
+    values = []
+    for n in range(1, n_max + 1):
+        unit = math.ceil(peak[n - 1]) - bits
+        cn, mant, shift, total = C[n % NN], 1, unit, 1 << -unit   # term = mant 2^(unit - shift)
+        # the products vanish from the first j = -n or n mod NN on
+        for cj in C[1:min(n, -n % NN or NN, n % NN or NN)]:
+            mant *= cn - cj
+            t = mant.bit_length() - bits
+            mant >>= t
+            shift += F - t
+            total += mant >> shift   # shift >= 0: every term is below 2^(peak(n) - 1)
+        if not abs(total) > 5 * n * n * 2.0 ** float(peak[n - 1] - unit - bits) / JONES_REL_TOL:
+            raise PrecisionLoss(f"figure-eight J({n}) at r={r} misses {JONES_REL_TOL:g}")
+        values.append(mpmath.mpf((total, unit), prec=0))   # prec=0: the mantissa is kept exactly
+    return values
 
 
 def morton_trefoil(r: int, n_max: int) -> list:

@@ -172,6 +172,15 @@ def test_volume_seq_without_out_exits_2_before_computing(monkeypatch, capsys):
     assert err == "error: volume-seq requires --out CSV path\n"
 
 
+def test_volume_seq_uncertified_value_exits_2(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(jones, "JONES_REL_TOL", 1e-300)
+    out = tmp_path / "seq.csv"
+    assert cli.main(["volume-seq", "--knot", "figure-eight", "--r-min", "100",
+                     "--r-max", "100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("knot-state", "--knot", "trefoil", "--r", "4", "--out", str(a))

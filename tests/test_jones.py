@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import mpmath
 import pytest
 
-from oracles import (cabled_jones, cyclotomic_jones, dense_rmatrix_jones, mirrored,
-                     morton_trefoil)
+from oracles import (cabled_jones, cyclotomic_jones, dense_rmatrix_jones, habiro_forward,
+                     mirrored, morton_trefoil)
 from skeinquant import jones
 from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                                UnknownCatalogEntry)
@@ -287,6 +288,41 @@ def test_figure_eight_small_levels_every_color(r):
     ref = cyclotomic_jones("figure-eight", r, n_max, 200)
     with mpmath.workprec(200):
         assert all(abs(a - b) <= JONES_REL_TOL * abs(b) for a, b in zip(ours, ref))
+
+
+@pytest.mark.parametrize("r", (700, 1000))
+def test_figure_eight_matches_forward_oracle_at_large_levels(r):
+    ours = catalog_jones_values("figure-eight", r, r)
+    ref = habiro_forward(r, r)
+    assert all(abs(a - b) <= 1e-15 * abs(b) for a, b in zip(ours, ref))
+
+
+def test_figure_eight_certifies_every_color_at_r2000():
+    assert len(catalog_jones_values("figure-eight", 2000, 2000)) == 2000
+
+
+def test_figure_eight_high_color_reflects_in_small_memory():
+    # colors past r repeat J(min(n mod NN, NN - n mod NN)), and J(NN) at n = 0 mod NN:
+    # no memory that grows with n_max beyond the list of values
+    r, n_max = 5, 3000
+    NN = 2 * r + 1
+    tracemalloc.start()
+    try:
+        values = catalog_jones_values("figure-eight", r, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+    assert len(values) == n_max
+    for n in range(1, n_max + 1):
+        m = min(n % NN, -n % NN) or NN
+        assert values[n - 1] == values[m - 1], n
+
+
+def test_figure_eight_certificate_can_fail(monkeypatch):
+    monkeypatch.setattr(jones, "JONES_REL_TOL", 1e-300)
+    with pytest.raises(PrecisionLoss, match=r"figure-eight J\(1\) at r=100 "):
+        catalog_jones_values("figure-eight", 100, 100)
 
 
 @pytest.mark.parametrize("r", (*range(1, 13), 27, 86, 150, 295, 500))
