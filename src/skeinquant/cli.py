@@ -163,6 +163,8 @@ def _cmd_knot_state(cfg: RunConfig, args) -> int:
 def _cmd_volume_seq(cfg: RunConfig, args) -> int:
     if not args.out:
         raise SkeinQuantError("volume-seq requires --out CSV path")
+    if args.step == 0:
+        raise SkeinQuantError("--step must not be 0")
     K = _knot_from_args(args)
     r_list = list(range(args.r_min, args.r_max + 1, args.step))
     rows = volume_sequence(K, r_list, ref_vol=args.ref_vol)

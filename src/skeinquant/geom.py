@@ -56,9 +56,12 @@ class QuantizationContext:
     def __post_init__(self):
         if self.r < 3:
             raise ValueError("level r must be >= 3")
-        if complex(self.tau).imag <= 0:
+        tau = complex(self.tau)
+        if not np.isfinite(tau):
+            raise ValueError(f"tau must be finite, not {tau}")
+        if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half plane")
-        object.__setattr__(self, "tau", complex(self.tau))
+        object.__setattr__(self, "tau", tau)
 
     @property
     def N(self) -> int:
@@ -237,7 +240,17 @@ def _translated(ctx: QuantizationContext, rho: np.ndarray, j: int, k: int) -> np
     m = np.arange(N)
     m0 = (m - k) % N
     phase = (j % (2 * N)) * (2 * m - k % (2 * N)) % (2 * N)
-    return rho[..., m0] * np.exp(1j * math.pi * (phase + ctx.tau * (m * m - m0 * m0)) / N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rho[..., m0] * np.exp(1j * math.pi * (phase + ctx.tau * (m * m - m0 * m0)) / N)
+    if not np.all(np.isfinite(out)):
+        raise _overflow(f"translation at r = {ctx.r}, tau = {ctx.tau}, (j, k) = ({j}, {k})")
+    return out
+
+
+def _overflow(what: str) -> PrecisionLoss:
+    """PrecisionLoss for a theta computation that left the float range."""
+    return PrecisionLoss(f"{what} is not finite: theta q-parts of size exp(pi b N) overflow "
+                         f"once b N passes about 113 (b = Im tau, or Im(-1/tau) in the S frame)")
 
 
 def lattice_character(a: int, b: int) -> int:
@@ -366,10 +379,7 @@ def _refine(at, ctx: QuantizationContext) -> list:
             if i in done:
                 continue
             if not np.all(np.isfinite(val)):
-                raise PrecisionLoss(
-                    f"quadrature at r = {ctx.r}, tau = {ctx.tau}, n = {n} is not finite: "
-                    f"theta q-parts of size exp(pi b N) overflow once b N passes about 113 "
-                    f"(b = Im tau, or Im(-1/tau) in the S frame)")
+                raise _overflow(f"quadrature at r = {ctx.r}, tau = {ctx.tau}, n = {n}")
             if prev is not None and np.max(np.abs(val - prev[i])) <= \
                     quad.refine_until * max(1.0, float(np.max(np.abs(val)))):
                 done[i] = val

@@ -114,33 +114,37 @@ def _check_budget(N: int, s: int, itemsize: int, per_point: int = 0, shared: int
 
 
 def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
-    """One value per total-weight sector w of {0..N-1}^s, in increasing w.
+    """One value per total-weight sector w <= s(N-1)/2 of {0..N-1}^s, in increasing w.
 
     R keeps the total weight of the two slots it acts on, so the braid
-    operator is block diagonal over w.  ``gens`` is (R^-1, R), each a pair
-    (values, where): ``values[..., where[i', j', i, j]]`` is the entry from
-    slot values (i, j) to (i', j'), leading axes of ``values`` are a batch
-    of evaluation points, and ``values[..., -1]`` is the ring's zero.  A
-    generator's sector block takes that entry where the other slots agree
-    and the zero elsewhere.  ``matmul`` is the ring's product, and
-    ``weigh(w, diag)`` reduces the diagonal of the word's product over the
-    sector's multi-indices.
+    operator is block diagonal over w, and its trace over sector w equals
+    the trace over the mirror sector s(N-1) - w (docs/conventions.md): only
+    the lower half is visited.  ``gens`` is (R^-1, R), each a pair
+    (values, where): ``values[..., where[i' N + j', i N + j]]`` is the entry
+    from slot values (i, j) to (i', j'), leading axes of ``values`` are a
+    batch of evaluation points, and ``values[..., -1]`` is the ring's zero.
+    A generator's sector block takes that entry where the other slots agree
+    and the zero elsewhere.  A sector's product starts from the word's
+    first block, and is ``eye(d)`` for the empty word; ``matmul`` is the
+    ring's product, and ``weigh(w, diag)`` reduces the diagonal of the
+    word's product over the sector's multi-indices.
     """
     sizes = reduce(np.convolve, [np.ones(N)] * s)   # multi-indices per total weight
     digits = np.indices((N,) * s).reshape(s, -1)   # slot 0 most significant, as in np.kron
     order = np.argsort(digits.sum(axis=0), kind="stable")
+    sectors = np.split(order, np.cumsum(sizes[:-1]).astype(np.int64))[:s * (N - 1) // 2 + 1]
     out = []
-    for w, flat in enumerate(np.split(order, np.cumsum(sizes[:-1]).astype(np.int64))):
-        k = digits[:, flat]
-        mat = eye(len(flat))
+    for w, flat in enumerate(sectors):
+        k, mat = digits[:, flat], None
         for g in word:
             i = abs(g) - 1
-            a, b = k[i], k[i + 1]
-            rest = flat - a * N ** (s - 1 - i) - b * N ** (s - 2 - i)   # must agree off i, i+1
+            pair = k[i] * N + k[i + 1]
+            rest = flat - pair * N ** (s - 2 - i)   # must agree off i, i+1
             values, where = gens[g > 0]
-            entry = np.where(rest[:, None] == rest, where[a[:, None], b[:, None], a, b], -1)
-            mat = matmul(values[..., entry], mat)
-        out.append(weigh(w, np.diagonal(mat, axis1=-2, axis2=-1)))
+            block = values[..., np.where(rest[:, None] == rest, where[pair[:, None], pair], -1)]
+            mat = block if mat is None else matmul(block, mat)
+        out.append(weigh(w, np.diagonal(eye(len(flat)) if mat is None else mat,
+                                        axis1=-2, axis2=-1)))
     return out
 
 
@@ -148,22 +152,24 @@ def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
 def _rmatrix_terms(N: int) -> tuple:
     """(R^-1, R) for the N-dim rep in closed form over Z[A, A^-1], no inverse taken.
 
-    Per sign, (where, cols): ``where`` as in _sector_loop, and column e of
-    the int array ``cols`` = (expo, m, u, v, half) for entry e =
-    +-A^expo {1}..{m} [u, m] [v, m], where {k} = A^-2k - A^2k, [u, m] is the
-    symmetric q-binomial, the sign is (-1)^m in R^-1, and the exponents span
-    expo -+ half exactly (docs/conventions.md).
+    Per sign, (where, cols): ``where`` as in _sector_loop, one (N^2, N^2)
+    table over slot pairs, and column e of the int array ``cols`` =
+    (expo, m, u, v, half) for entry e = +-A^expo {1}..{m} [u, m] [v, m],
+    where {k} = A^-2k - A^2k, [u, m] is the symmetric q-binomial, the sign
+    is (-1)^m in R^-1, and the exponents span expo -+ half exactly
+    (docs/conventions.md).
     """
     lam = [N - 1 - 2 * x for x in range(N)]   # the weight of a slot value
     out = []
     for positive in (False, True):
-        rows, where = [], np.full((N,) * 4, -1)
+        rows, where = [], np.full((N * N, N * N), -1)
         for a, b in np.ndindex(N, N):           # E^m acts on slot value a, F^m on b
             for m in range(min(a, N - 1 - b) + 1):
                 if positive:   # R: (a, b) -> (b + m, a - m)
-                    pos, expo = (b + m, a - m, a, b), -lam[a - m] * lam[b + m] - m * (m - 1)
+                    pos = ((b + m) * N + a - m, a * N + b)
+                    expo = -lam[a - m] * lam[b + m] - m * (m - 1)
                 else:          # R^-1: (b, a) -> (a - m, b + m)
-                    pos, expo = (a - m, b + m, b, a), lam[a] * lam[b] + m * (m - 1)
+                    pos, expo = ((a - m) * N + b + m, b * N + a), lam[a] * lam[b] + m * (m - 1)
                 where[pos] = len(rows)
                 rows.append((expo, m, N - 1 - a + m, b + m, m * (m + 1) + 2 * m * (N - 1 - a + b)))
         out.append((where, np.array(rows).T))
@@ -176,7 +182,9 @@ def _trace(word, s: int, N: int, pw, E: int, red):
     ``pw[E + e]`` holds x^e for |e| <= E, one column per point, and ``red``
     reduces a value of the ring in place: v % p over F_p, the identity over
     complex128.  The generators are _rmatrix_terms evaluated at x, their
-    q-binomials by Pascal's rule, and sector w is weighted by x^(4w - 2s(N-1)).
+    q-binomials by Pascal's rule, and sector w <= s(N-1)/2 is weighted by
+    x^e + x^-e, e = 4w - 2s(N-1), for itself and its mirror (the middle
+    sector, e = 0, once by x^0).
     """
     P, dtype = pw.shape[1], pw.dtype
     braces = np.ones((N, P), dtype=dtype)               # {1} .. {m}
@@ -192,10 +200,13 @@ def _trace(word, s: int, N: int, pw, E: int, red):
         val = red(red(red(pw[E + expo] * braces[m]) * binom[u, m]) * binom[v, m])
         val = val if positive else red(np.where(m[:, None] % 2, -val, val))
         gens.append((np.concatenate((val.T, np.zeros((P, 1), dtype)), axis=1), where))
+
+    def weigh(w, diag):
+        e = 4 * w - 2 * s * (N - 1)
+        return red(diag.sum(axis=-1) * (red(pw[E + e] + pw[E - e]) if e else pw[E]))
+
     return red(sum(_sector_loop(word, s, N, gens, lambda d: np.eye(d, dtype=dtype),
-                                lambda X, Y: red(X @ Y),
-                                lambda w, diag: red(diag.sum(axis=-1)
-                                                    * pw[E + 4 * w - 2 * s * (N - 1)]))))
+                                lambda X, Y: red(X @ Y), weigh)))
 
 
 # -- numeric R-matrix backend ------------------------------------------
@@ -230,7 +241,10 @@ _PRIMES = (33554383, 33554371, 33554347, 33554291, 33554267, 33554239, 33554167,
 
 
 def _degree_window(word, s: int, N: int) -> tuple:
-    """(lo, hi) bounding the A-exponents of T, by the sector loop in (min, +) and (max, +)."""
+    """(lo, hi) bounding the A-exponents of T, by the sector loop in (min, +) and (max, +).
+
+    The (max, +) end runs over the mirror sectors, with slot values flipped.
+    """
     def min_plus(X, Y):
         out = np.full((len(X), Y.shape[1]), np.inf)
         for j in range(len(Y)):
@@ -239,10 +253,12 @@ def _degree_window(word, s: int, N: int) -> tuple:
 
     ends = []
     for side in (1, -1):   # (max, +) as (min, +) on negated exponents
-        gens = [(np.append(side * c[0] - c[4], np.inf), where) for where, c in _rmatrix_terms(N)]
+        # a flipped pair i N + j -> N^2 - 1 - (i N + j) puts sector s(N-1) - w at w
+        gens = [(np.append(side * c[0] - c[4], np.inf), where[::side, ::side])
+                for where, c in _rmatrix_terms(N)]
         ends.append(min(_sector_loop(
             word, s, N, gens, lambda d: np.where(np.eye(d), 0, np.inf), min_plus,
-            lambda w, diag: side * (4 * w - 2 * s * (N - 1)) + diag.min())))
+            lambda w, diag: 4 * w - 2 * s * (N - 1) + diag.min())))
     return int(ends[0]), -int(ends[1])
 
 
@@ -251,8 +267,9 @@ def _coefficient_bound(word, s: int, N: int) -> float:
     gens = [(np.array([2.0 ** m * math.comb(u, m) * math.comb(v, m) for _, m, u, v, _ in c.T]
                       + [0.0]), where) for where, c in _rmatrix_terms(N)]
     # nonnegative float sums and products: far below 2^-20 relative rounding
-    return (1 + 2.0 ** -20) * float(sum(_sector_loop(word, s, N, gens, np.eye, np.matmul,
-                                                     lambda w, diag: diag.sum())))
+    return (1 + 2.0 ** -20) * float(sum(_sector_loop(
+        word, s, N, gens, np.eye, np.matmul,
+        lambda w, diag: (1 + (2 * w < s * (N - 1))) * diag.sum())))   # the mirror's, too
 
 
 def _inverse(v, p: int):

@@ -157,7 +157,7 @@ def rep_T(r: int) -> np.ndarray:
 
 def _twist_eigenvalues(r: int) -> np.ndarray:
     """The diagonal of rep_T, with n^2+2n reduced mod 2(2r+1) in integers."""
-    N = 2 * r + 1
+    N = 2 * RootContext(r).r + 1   # rejects a level below 3
     return np.array([(-1) ** n * cmath.exp(1j * math.pi * ((n * n + 2 * n) % (2 * N)) / N)
                      for n in range(r)], dtype=np.complex128)
 
@@ -170,7 +170,7 @@ def rep_S(r: int) -> np.ndarray:
     Summing instead over all residues mod 2r+1 would double-count after the
     sign-folding identification, so representatives keep the matrix unitary.
     """
-    N = 2 * r + 1
+    N = 2 * RootContext(r).r + 1   # rejects a level below 3
     pref = 2j * cmath.exp(-1j * math.pi / 4) / math.sqrt(N)
     mat = np.empty((r, r), dtype=np.complex128)
     for m in range(r):
@@ -183,8 +183,8 @@ def sl2z_rep(word, r: int) -> np.ndarray:
     """Ordered product of rep_T / rep_S factors for a mapping class word."""
     if isinstance(word, str):
         word = MappingClassWord.from_text(word)
-    mat = np.eye(r, dtype=np.complex128)
     t, s = rep_T(r), rep_S(r)
+    mat = np.eye(r, dtype=np.complex128)
     factors = {
         "T": t,
         "T^-1": t.conj().T,

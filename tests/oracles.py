@@ -17,6 +17,11 @@
   matrix inversion and the twist by a partial trace, so it shares no
   entry with the closed form the engine evaluates.  It holds
   (n^strands)^2 entries, so keep it to small n and few strands.
+* The all-sector loop: the weight-sector trace over every sector of
+  (C^n)^strands, each product from the identity and each letter's block
+  by a 4-D gather, and the degree window and coefficient bound built on
+  it, the reference for the engine's loop over the lower half of the
+  sectors with their mirrors.
 * The cabled closure: J(K, n) from the Chebyshev-colored cable brackets
   over the integer Laurent ring, the reference for the exact engine.
   Its transfer runs over a cable of (n-1) x strands strands, so keep n
@@ -35,6 +40,7 @@
 
 import cmath
 import math
+from functools import reduce
 
 import mpmath
 import numpy as np
@@ -43,7 +49,7 @@ from skeinquant.bracket import braid_closure_bracket, chebyshev_coeffs
 from skeinquant.errors import InexactDivision, PrecisionLoss
 from skeinquant.geom import (ThetaSection, _term_exponent, _window, basis_phi,
                              lattice_character, phi_coefficients, translate_ints)
-from skeinquant.jones import JONES_REL_TOL
+from skeinquant.jones import JONES_REL_TOL, _rmatrix_terms
 from skeinquant.laurent import LaurentPoly, quantum_integer_poly
 
 
@@ -220,6 +226,52 @@ def dense_rmatrix_jones(K, n: int, ctx) -> complex:
         full_weight = np.kron(full_weight, weight)
     trace = np.einsum("i,ii->", full_weight, mat)
     return complex(trace / (twist ** K.braid.writhe) / qdim)
+
+
+def all_sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
+    """One value per total-weight sector w = 0 .. s(N-1) of {0..N-1}^s.
+
+    The arguments are those of jones._sector_loop.  Every sector is
+    visited, its product starts from ``eye(d)``, and a letter's block is
+    gathered from the pair table seen as ``where[i', j', i, j]``.
+    """
+    sizes = reduce(np.convolve, [np.ones(N)] * s)
+    digits = np.indices((N,) * s).reshape(s, -1)
+    order = np.argsort(digits.sum(axis=0), kind="stable")
+    out = []
+    for w, flat in enumerate(np.split(order, np.cumsum(sizes[:-1]).astype(np.int64))):
+        k = digits[:, flat]
+        mat = eye(len(flat))
+        for g in word:
+            i = abs(g) - 1
+            a, b = k[i], k[i + 1]
+            rest = flat - a * N ** (s - 1 - i) - b * N ** (s - 2 - i)
+            values, where = gens[g > 0]
+            where = where.reshape((N,) * 4)
+            entry = np.where(rest[:, None] == rest, where[a[:, None], b[:, None], a, b], -1)
+            mat = matmul(values[..., entry], mat)
+        out.append(weigh(w, np.diagonal(mat, axis1=-2, axis2=-1)))
+    return out
+
+
+def all_sector_window(word, s: int, N: int) -> tuple:
+    """(lo, hi) for T's A-exponents, every sector weighted by its own A^(4w - 2s(N-1))."""
+    ends = []
+    for side in (1, -1):   # (max, +) as (min, +) on negated exponents
+        gens = [(np.append(side * c[0] - c[4], np.inf), where) for where, c in _rmatrix_terms(N)]
+        ends.append(min(all_sector_loop(
+            word, s, N, gens, lambda d: np.where(np.eye(d), 0, np.inf),
+            lambda X, Y: np.min(X[:, :, None] + Y, axis=1),
+            lambda w, diag: side * (4 * w - 2 * s * (N - 1)) + diag.min())))
+    return int(ends[0]), -int(ends[1])
+
+
+def all_sector_bound(word, s: int, N: int) -> float:
+    """The L1 bound on T's coefficients, summed over every sector."""
+    gens = [(np.array([2.0 ** m * math.comb(u, m) * math.comb(v, m) for _, m, u, v, _ in c.T]
+                      + [0.0]), where) for where, c in _rmatrix_terms(N)]
+    return (1 + 2.0 ** -20) * float(sum(all_sector_loop(word, s, N, gens, np.eye, np.matmul,
+                                                        lambda w, diag: diag.sum())))
 
 
 def cabled_jones(K, n: int) -> LaurentPoly:

@@ -267,6 +267,34 @@ def test_geom_verify_overflow_exits_2_with_one_line():
     assert "r = 60" in proc.stderr and "n = 16" in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize("tau, message", (("nan+1i", "tau must be finite"),
+                                          ("1e400i", "tau must be finite"),
+                                          ("0.3+50i", "translation at r = 3")))
+def test_geom_verify_bad_tau_exits_2_with_one_line(tau, message):
+    # a finite tau past the float range overflows in the first translation
+    proc = run_cli("geom-verify", "--r", "3", "--tau", tau, check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert message in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("r", ("-1", "0", "1", "2"))
+def test_tqft_rejects_a_level_below_3(r):
+    proc = run_cli("tqft", "--r", r, check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: level r must be >= 3\n", proc.stderr
+
+
+def test_volume_seq_step_0_exits_2_and_negative_steps_run(tmp_path, capsys):
+    out = str(tmp_path / "v.csv")
+    argv = ["volume-seq", "--knot", "trefoil", "--r-min", "9", "--r-max", "5", "--out", out]
+    assert cli.main(argv + ["--step", "0"]) == 2
+    assert capsys.readouterr().err == "error: --step must not be 0\n"
+    assert cli.main(argv + ["--step", "-2"]) == 0
+    with open(out) as fh:
+        assert [line.split(",")[0] for line in fh.read().splitlines()[1:]] == ["7", "9"]
+
+
 def test_word_matrix_emission():
     proc = run_cli("tqft", "--r", "4", "--word", "S T S")
     res = json.loads(proc.stdout)["result"]

@@ -2,10 +2,12 @@ import math
 import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
-from oracles import (cabled_jones, cyclotomic_jones, dense_rmatrix_jones, habiro_forward,
-                     mirrored, morton_trefoil)
+from oracles import (all_sector_bound, all_sector_loop, all_sector_window, cabled_jones,
+                     cyclotomic_jones, dense_rmatrix_jones, habiro_forward, mirrored,
+                     morton_trefoil)
 from skeinquant import jones
 from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                                UnknownCatalogEntry)
@@ -116,6 +118,57 @@ def test_rmatrix_state_guard():
 
 SECTOR_KNOTS = (((1, 1, 1), 2), ((-1, -1, -1), 2), ((1, -2, 1, -2), 3),
                 ((1, 1, 1, 2), 3), ((1, -2, 3, -1, 2, -3, 2), 4))
+
+
+# knot words of 3 strands and 8 crossings, as the knot-state tasks of the bench draw them
+KNOT_WORDS = ((1, -2, 1, 1, -2, -2, 1, -2), (-1, 2, -1, -1, -2, 2, 1, -2),
+              (2, -2, -2, 1, -2, -1, -2, -2))
+HALF_SECTOR_CASES = ([(word, strands, 5) for word, strands in SECTOR_KNOTS]
+                     + [(tuple(-g for g in word), strands, 5) for word, strands in SECTOR_KNOTS]
+                     + [(word, 3, 8) for word in KNOT_WORDS])
+
+
+@pytest.mark.parametrize("word, strands, n_max", HALF_SECTOR_CASES)
+def test_mirror_sectors_trace_alike_and_tighten_window_and_bound(monkeypatch, word, strands,
+                                                                n_max):
+    p, x = jones._PRIMES[0], np.array([2, 3, 12345, 33554000], dtype=np.int64)
+    traces = []
+
+    def every_sector(word, s, N, gens, eye, matmul, weigh):
+        traces[:] = all_sector_loop(word, s, N, gens, eye, matmul,
+                                    lambda w, diag: diag.sum(axis=-1) % p)
+        return [np.zeros(len(x), dtype=np.int64)]
+
+    for N in range(2, n_max + 1):
+        with monkeypatch.context() as m:
+            m.setattr(jones, "_sector_loop", every_sector)
+            jones._trace_mod(word, strands, N, 0, 2 * N * (N + strands), p, x)
+        assert len(traces) == strands * (N - 1) + 1
+        for w, trace in enumerate(traces):
+            assert np.array_equal(trace, traces[-1 - w])
+        lo, hi = jones._degree_window(word, strands, N)
+        lo_all, hi_all = all_sector_window(word, strands, N)
+        assert lo_all <= lo <= hi <= hi_all
+        moduli = [math.prod(jones._PRIMES[:k]) for k in range(1, len(jones._PRIMES) + 1)]
+        needed = [next(k for k, M in enumerate(moduli) if M > 2 * b)
+                  for b in (jones._coefficient_bound(word, strands, N),
+                            all_sector_bound(word, strands, N))]
+        assert needed[0] <= needed[1]
+
+
+def test_sector_loop_multiplies_half_the_sectors(monkeypatch):
+    products, loop = [], jones._sector_loop
+
+    def counted(word, s, N, gens, eye, matmul, weigh):
+        return loop(word, s, N, gens, eye,
+                    lambda X, Y: products.append(X.shape) or matmul(X, Y), weigh)
+
+    monkeypatch.setattr(jones, "_sector_loop", counted)
+    colored_jones_rmatrix(FIG8, 12, RootContext(30))
+    assert len(products) == 17 * 3   # sectors w <= 16 of 0..33, each from its first block
+    products.clear()
+    assert abs(colored_jones_rmatrix(UNKNOT, 5, RootContext(8)) - 1) < 1e-12
+    assert products == []            # the empty word's product is the identity
 
 
 @pytest.mark.parametrize("r", (5, 8, 30))
