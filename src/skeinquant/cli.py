@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .diagrams import BraidWord, LinkDiagram
 from .bracket import braid_closure_bracket, kauffman_bracket
@@ -53,8 +51,8 @@ def _complex_pair(z: complex):
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _matrix_pairs(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+def _matrix_pairs(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
 def _emit(cfg: RunConfig, payload: dict) -> None:
@@ -166,7 +164,10 @@ def _cmd_volume_seq(cfg: RunConfig, args) -> int:
     if args.step == 0:
         raise SkeinQuantError("--step must not be 0")
     K = _knot_from_args(args)
-    r_list = list(range(args.r_min, args.r_max + 1, args.step))
+    r_list = list(range(args.r_min, args.r_max + (1 if args.step > 0 else -1), args.step))
+    if not r_list:
+        raise SkeinQuantError(f"no level from --r-min {args.r_min} to --r-max {args.r_max} "
+                              f"in steps of {args.step}")
     rows = volume_sequence(K, r_list, ref_vol=args.ref_vol)
     write_volume_csv(rows, args.out)
     with open(args.out + ".manifest.json", "w") as fh:

@@ -28,11 +28,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import (DimensionMismatch, NonconvergentSeries, NotLatticeFraction,
                      NotPrimitive, PrecisionLoss, QuadratureNotConverged)
 from .tqft import TorusVector, curve_operator_skein, rep_S, rep_T
+
+np = lazy_import("numpy")
 
 
 @dataclass(frozen=True)
@@ -457,7 +458,7 @@ def curve_operator_geom(gamma, ctx: QuantizationContext) -> np.ndarray:
     W = -chi * (_translated(ctx, R, a, b) + _translated(ctx, R, -a, -b))
     beta, dev = _alternating_part(ctx, W / _psi_diagonal(ctx))
     if np.max(dev) > 1e-9:
-        raise ArithmeticError(
+        raise PrecisionLoss(
             f"curve operator left the alternating subspace (dev {np.max(dev):.2e})")
     return beta.T
 
@@ -481,7 +482,7 @@ def iso_to_skein(s: ThetaSection, ctx: Optional[QuantizationContext] = None) -> 
         raise DimensionMismatch("section belongs to a different context")
     beta, dev = phi_coefficients(s)
     if dev > 1e-8:
-        raise ArithmeticError(f"section is not alternating (dev {dev:.2e})")
+        raise PrecisionLoss(f"section is not alternating (dev {dev:.2e})")
     return TorusVector(ctx.r, tuple(beta))
 
 

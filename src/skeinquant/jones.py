@@ -33,14 +33,15 @@ from itertools import accumulate
 from operator import mul
 from typing import Optional
 
-import mpmath
-import numpy as np
-
+from ._lazy import lazy_import
 from .diagrams import BraidWord
 from .errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                      UnknownCatalogEntry)
 from .laurent import LaurentPoly, quantum_integer_poly
 from .roots import RootContext, quantum_integer
+
+mpmath = lazy_import("mpmath")
+np = lazy_import("numpy")
 
 RMATRIX_BYTE_BUDGET = 1 << 28  # bytes for the largest weight sector, over all batch points
 
@@ -394,23 +395,23 @@ def _trefoil_values(r: int, n_max: int) -> list:
     2E (n/|S'| + 1/|den'|) + 8u <= JONES_REL_TOL, E = _UNIT_ERR.
     """
     NN, M = 2 * r + 1, 4 * r + 2
-    table = np.exp(1j * (math.pi / NN) * np.arange(M))
-    fixed = np.rint(np.ldexp(np.stack((table.real, table.imag)), 52)).astype(np.int64)
-    m = np.arange(n_max)
-
-    def g(h):
-        return fixed[:, -(6 * h * h + 10 * h + 8) % M] - fixed[:, -(6 * h * h - 2 * h + 4) % M]
-
-    steps = g(m) + np.where(m > 0, g(-m), 0)   # S'(n) - S'(n-2) at m = n-1
+    table = [cmath.exp(1j * (math.pi / NN) * k) for k in range(M)]
+    # the table indices of g(m) = A^a - A^b and g(-m) = A^c - A^d, m = 0..n_max-1
+    idx = list(zip(*([-(6 * m * m + u * m + v) % M for m in range(n_max)]
+                     for u, v in ((10, 8), (-2, 4), (-10, 8), (2, 4)))))
     sums = []
-    for col in steps.tolist():   # Python ints: the sums are exact
+    for part in ([z.real for z in table], [z.imag for z in table]):
+        fixed = [round(x * 2.0 ** 52) for x in part]   # Python ints: the sums are exact
+        # S'(n) - S'(n-2) = g(m) + g(-m) at m = n-1, with g(0) once
+        steps = [fixed[a] - fixed[b] + (fixed[c] - fixed[d] if m else 0)
+                 for m, (a, b, c, d) in enumerate(idx)]
         run = [0] * n_max
-        run[::2], run[1::2] = accumulate(col[::2]), accumulate(col[1::2])
+        run[::2], run[1::2] = accumulate(steps[::2]), accumulate(steps[1::2])
         sums.append(run)
     values = []
     for n, re, im in zip(range(1, n_max + 1), *sums):
         s = complex(re / 2 ** 52, im / 2 ** 52)
-        den = complex(table[(-2 * n - 6 * n * n) % M] - table[(2 * n - 6 * n * n) % M])
+        den = table[(-2 * n - 6 * n * n) % M] - table[(2 * n - 6 * n * n) % M]
         bound = 2 * _UNIT_ERR * (n * abs(den) + abs(s)) + 8 * _U * abs(s * den)
         if not bound < JONES_REL_TOL * abs(s * den):
             raise PrecisionLoss(f"trefoil J({n}) at r={r} misses {JONES_REL_TOL:g}")
@@ -437,6 +438,12 @@ def _sine_table(NN: int, G: int) -> list:
     return half + [-v for v in half[:0:-1]]
 
 
+def _q_bits(NN: int) -> int:
+    """L with |Q(m)| < 2^L, Q(m) = s(1) .. s(m): one float64 cumulative sum of log2 |s|, plus 1."""
+    log_q = accumulate(math.log2(abs(2 * math.sin(2 * math.pi * m / NN))) for m in range(1, NN))
+    return math.ceil(max(map(abs, log_q))) + 1
+
+
 def _figure_eight_values(r: int, n_max: int) -> list:
     """Habiro's sum J(n) = sum_{k<n} prod_{j<=k} (c(n) - c(j)), c(m) = 2cos(4 pi m/NN), from one table.
 
@@ -454,8 +461,7 @@ def _figure_eight_values(r: int, n_max: int) -> list:
     (docs/conventions.md) and returned as an exact mpf.
     """
     NN, bits = 2 * r + 1, (2 * r + 1).bit_length()
-    log_q = np.cumsum(np.log2(np.abs(2 * np.sin(2 * np.pi * np.arange(1, NN) / NN))))
-    L = math.ceil(np.max(np.abs(log_q))) + 1
+    L = _q_bits(NN)
     U = L + bits + 64            # 64 bits: 34 for JONES_REL_TOL and 30 for small |J(n)|
     P = U + L + bits + 3         # each Q(m) within 0.26 units of 2^-U before its truncation
     G = P + 2 * bits             # each s(m) within 2^(-P - bitlen(NN)) relative

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import mpmath
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import UnknownCatalogEntry
 from .geom import QuantizationContext, inner_product, iso_from_skein
 from .jones import KnotPresentation, catalog_name, colored_jones_values
 from .tqft import TorusVector, kirby_constants
+
+mpmath = lazy_import("mpmath")
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,20 @@ def l2_norm_formula(K: KnotPresentation, r: int, backend: str = "auto") -> L2Nor
 
 def _norm(r: int, values: list) -> L2Norm:
     kc = kirby_constants(r)
-    log_j = np.array([_log_abs(v) for v in values])
-    log_terms = 2 * (np.log(kc.eta * np.abs(kc.omega_coeffs)) + log_j)
-    top = float(np.max(log_terms))
-    log_norm_sq = top + math.log(math.fsum(np.exp(log_terms - top)))
-    with np.errstate(over="ignore"):   # past the double range the norms read inf
-        norm_sq, norm = np.exp([log_norm_sq, log_norm_sq / 2])
-    return L2Norm(float(norm_sq), float(norm), log_norm_sq, int(np.argmax(log_j)) + 1)
+    log_j = [_log_abs(v) for v in values]
+    log_terms = [2 * (math.log(kc.eta * abs(w)) + lj) for w, lj in zip(kc.omega_coeffs, log_j)]
+    top = max(log_terms)
+    log_norm_sq = top + math.log(math.fsum(math.exp(t - top) for t in log_terms))
+    return L2Norm(_exp(log_norm_sq), _exp(log_norm_sq / 2), log_norm_sq,
+                  log_j.index(max(log_j)) + 1)
+
+
+def _exp(x: float) -> float:
+    """exp(x); past the double range the norms read inf."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def l2_norm_quadrature(K: KnotPresentation, r: int, tau: complex = 1j,

@@ -16,11 +16,12 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import NotPrimitive
 from .jones import KnotPresentation, colored_jones_values
 from .roots import RootContext, quantum_integer
+
+np = lazy_import("numpy")
 
 
 @dataclass(frozen=True)
@@ -155,11 +156,11 @@ def rep_T(r: int) -> np.ndarray:
     return np.diag(_twist_eigenvalues(r))
 
 
-def _twist_eigenvalues(r: int) -> np.ndarray:
+def _twist_eigenvalues(r: int) -> tuple:
     """The diagonal of rep_T, with n^2+2n reduced mod 2(2r+1) in integers."""
     N = 2 * RootContext(r).r + 1   # rejects a level below 3
-    return np.array([(-1) ** n * cmath.exp(1j * math.pi * ((n * n + 2 * n) % (2 * N)) / N)
-                     for n in range(r)], dtype=np.complex128)
+    return tuple((-1) ** n * cmath.exp(1j * math.pi * ((n * n + 2 * n) % (2 * N)) / N)
+                 for n in range(r))
 
 
 @lru_cache(maxsize=128)
@@ -268,7 +269,7 @@ def kirby_constants(r: int) -> KirbyConstants:
     N = 2 * r + 1
     eta = 2 * math.sin(2 * math.pi / N) / math.sqrt(N)
     omega = tuple((-1) ** i * quantum_integer(i + 1, ctx) for i in range(r))
-    theta_bar = _twist_eigenvalues(r).conj()   # one positive kink on color i
+    theta_bar = [z.conjugate() for z in _twist_eigenvalues(r)]   # one positive kink on color i
     kappa = eta * sum(omega[i] * theta_bar[i] * omega[i] for i in range(r))
     return KirbyConstants(r, eta, complex(kappa), omega)
 
@@ -283,7 +284,7 @@ def rt_invariant(surgery_knot: Optional[KnotPresentation], framing: int, r: int,
     kc = kirby_constants(r)
     if surgery_knot is None:
         return complex(kc.eta)
-    theta_bar = _twist_eigenvalues(r).conj()
+    theta_bar = [z.conjugate() for z in _twist_eigenvalues(r)]
     sigma = (framing > 0) - (framing < 0)
     total = 0j
     for i, jval in enumerate(colored_jones_values(surgery_knot, r, backend)):

@@ -21,13 +21,14 @@ import cmath
 import math
 import random
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .geom import (QuantizationContext, ThetaSection, _frame_report, _pairings,
                    _phi_rows, _psi_diagonal, _reflected, _series, _translated,
                    _twist_frame_rows, curve_operator_geom, eval_grid, halfform_norm_sq,
                    iso_from_skein, iso_to_skein, modular_phase_check)
 from .tqft import TorusVector, curve_operator_skein
+
+np = lazy_import("numpy")
 
 TOL = 1e-6
 

@@ -11,6 +11,10 @@
 * Morton's trefoil sum term by term: for each color, every term of his
   formula from one float table, summed with math.fsum, the reference
   for the catalog's two running sums.
+* The catalog's float steps in numpy: the trefoil's running sums over a
+  table from np.exp with parts from np.rint(np.ldexp(., 52)), the
+  figure-eight's bit count L from np.cumsum, and the norm's log-sum-exp
+  over arrays.  The plain-Python forms must give the same floats.
 * The dense R-matrix trace: every generator as a full Kronecker product
   on (C^n)^strands, the reference for the weight-sector engine.  Its R
   is a float build of its own, from the E and F ladders, with R^-1 by
@@ -41,6 +45,7 @@
 import cmath
 import math
 from functools import reduce
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -50,7 +55,9 @@ from skeinquant.errors import InexactDivision, PrecisionLoss
 from skeinquant.geom import (ThetaSection, _term_exponent, _window, basis_phi,
                              lattice_character, phi_coefficients, translate_ints)
 from skeinquant.jones import JONES_REL_TOL, _rmatrix_terms
+from skeinquant.knotstate import L2Norm, _log_abs
 from skeinquant.laurent import LaurentPoly, quantum_integer_poly
+from skeinquant.tqft import kirby_constants
 
 
 def cyclotomic_jones(name: str, r: int, n_max: int, bits: int) -> list:
@@ -156,6 +163,44 @@ def morton_trefoil(r: int, n_max: int) -> list:
         s = complex(math.fsum(terms.real), math.fsum(terms.imag))
         values.append(s / complex(table[-2 * n % M] - table[2 * n % M]))
     return values
+
+
+def numpy_trefoil(r: int, n_max: int) -> list:
+    """Trefoil J(1..n_max) by the running sums S'(n) = S'(n-2) + g(n-1) + g(1-n), numpy table."""
+    NN, M = 2 * r + 1, 4 * r + 2
+    table = np.exp(1j * (math.pi / NN) * np.arange(M))
+    fixed = np.rint(np.ldexp(np.stack((table.real, table.imag)), 52)).astype(np.int64)
+    m = np.arange(n_max)
+
+    def g(h):
+        return fixed[:, -(6 * h * h + 10 * h + 8) % M] - fixed[:, -(6 * h * h - 2 * h + 4) % M]
+
+    sums = []
+    for col in (g(m) + np.where(m > 0, g(-m), 0)).tolist():
+        run = [0] * n_max
+        run[::2], run[1::2] = accumulate(col[::2]), accumulate(col[1::2])
+        sums.append(run)
+    return [complex(re / 2 ** 52, im / 2 ** 52)
+            / complex(table[(-2 * n - 6 * n * n) % M] - table[(2 * n - 6 * n * n) % M])
+            for n, re, im in zip(range(1, n_max + 1), *sums)]
+
+
+def numpy_q_bits(NN: int) -> int:
+    """The figure-eight's L, |Q(m)| < 2^L, from np.cumsum of log2 |2 sin(2 pi m/NN)|."""
+    log_q = np.cumsum(np.log2(np.abs(2 * np.sin(2 * np.pi * np.arange(1, NN) / NN))))
+    return math.ceil(np.max(np.abs(log_q))) + 1
+
+
+def numpy_norm(r: int, values: list) -> L2Norm:
+    """The knot-state norm by log-sum-exp over numpy arrays; past the double range it reads inf."""
+    kc = kirby_constants(r)
+    log_j = np.array([_log_abs(v) for v in values])
+    log_terms = 2 * (np.log(kc.eta * np.abs(kc.omega_coeffs)) + log_j)
+    top = float(np.max(log_terms))
+    log_norm_sq = top + math.log(math.fsum(np.exp(log_terms - top)))
+    with np.errstate(over="ignore"):
+        norm_sq, norm = np.exp([log_norm_sq, log_norm_sq / 2])
+    return L2Norm(float(norm_sq), float(norm), log_norm_sq, int(np.argmax(log_j)) + 1)
 
 
 def _qint(k: int, q: complex) -> complex:

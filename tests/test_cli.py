@@ -292,7 +292,10 @@ def test_volume_seq_step_0_exits_2_and_negative_steps_run(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --step must not be 0\n"
     assert cli.main(argv + ["--step", "-2"]) == 0
     with open(out) as fh:
-        assert [line.split(",")[0] for line in fh.read().splitlines()[1:]] == ["7", "9"]
+        assert [line.split(",")[0] for line in fh.read().splitlines()[1:]] == ["5", "7", "9"]
+    assert cli.main(argv + ["--step", "2"]) == 2   # no level from 9 up to 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_word_matrix_emission():
@@ -310,16 +313,53 @@ def test_precision_loss_exits_2():
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
-def test_geom_verify_does_not_import_numpy_random():
-    # the report draws its test vectors from random.Random; numpy.random
-    # costs about 6 MiB and 13 ms of import per process
+def run_in_child(argv):
+    """cli.main(argv) in a fresh interpreter: its exit code, the modules that importing
+    the CLI loaded, and the modules loaded when it returned."""
     code = ("import sys\n"
             "from skeinquant import cli\n"
-            "rc = cli.main(['geom-verify', '--r', '3', '--tau', 'i'])\n"
-            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')), rc,"
-            " file=sys.stderr)\n")
+            "imported = list(sys.modules)\n"
+            f"rc = cli.main({list(argv)!r})\n"
+            "print(rc, ' '.join(imported), ' '.join(sys.modules), sep='\\n', file=sys.stderr)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0 and proc.stderr.strip() == "[] 0", proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    rc, imported, loaded = proc.stderr.splitlines()[-3:]
+    return int(rc), imported.split(), loaded.split()
+
+
+def ran(lib, modules):
+    # a lazily bound library sits in sys.modules before it runs; running it loads submodules
+    return any(m.startswith(lib + ".") for m in modules)
+
+
+def test_geom_verify_does_not_import_numpy_random():
+    # the report draws its test vectors from random.Random; numpy.random
+    # costs about 6 MiB and 13 ms of import per process
+    rc, _, loaded = run_in_child(["geom-verify", "--r", "3", "--tau", "i"])
+    assert rc == 0 and not [m for m in loaded if m.startswith("numpy.random")]
+
+
+@pytest.mark.parametrize("argv, unrun", [
+    (["volume-seq", "--knot", "trefoil", "--r-min", "5", "--r-max", "40"], ("numpy", "mpmath")),
+    (["bracket", "--braid", "1 -2 1 -2", "--strands", "3"], ("numpy", "mpmath")),
+    (["volume-seq", "--knot", "figure-eight", "--r-min", "5", "--r-max", "40"], ("numpy",)),
+    (["geom-verify", "--r", "3", "--tau", "i"], ("mpmath",)),
+])
+def test_numpy_and_mpmath_run_only_where_used(tmp_path, argv, unrun):
+    if argv[0] == "volume-seq":
+        argv = argv + ["--out", str(tmp_path / "v.csv")]
+    rc, imported, loaded = run_in_child(argv)
+    assert not ran("numpy", imported) and not ran("mpmath", imported)
+    assert rc == 0
+    assert not [lib for lib in unrun if ran(lib, loaded)]
+
+
+@pytest.mark.parametrize("re_tau", ("1e6", "1e20", "1e300"))
+def test_geom_verify_far_real_tau_exits_2(capsys, re_tau):
+    # the curve operator leaves the alternating subspace: no value, no traceback
+    assert cli.main(["geom-verify", "--r", "3", "--tau", f"{re_tau}+1i"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import (all_sector_bound, all_sector_loop, all_sector_window, cabled_jones,
                      cyclotomic_jones, dense_rmatrix_jones, habiro_forward, mirrored,
-                     morton_trefoil)
+                     morton_trefoil, numpy_q_bits, numpy_trefoil)
 from skeinquant import jones
 from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                                UnknownCatalogEntry)
@@ -384,6 +384,14 @@ def test_trefoil_running_sums_match_morton_oracle(r):
     ref = morton_trefoil(r, r)
     assert len(ours) == r
     assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(ours, ref))
+
+
+@pytest.mark.parametrize("r", (*range(3, 41), 57, 150, 295, 500))
+def test_catalog_floats_match_the_numpy_forms(r):
+    # cmath.exp is numpy's complex exp entry by entry, and round(x 2^52) is its
+    # rint(ldexp(x, 52)): exact scaling, then ties to even
+    assert jones._trefoil_values(r, r) == numpy_trefoil(r, r)
+    assert jones._q_bits(2 * r + 1) == numpy_q_bits(2 * r + 1)
 
 
 def test_trefoil_certifies_every_color_at_r3000():

@@ -4,11 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import cyclotomic_jones, lobachevsky_series
+from oracles import cyclotomic_jones, lobachevsky_series, numpy_norm
 from skeinquant import knotstate
 from skeinquant.errors import UnknownCatalogEntry
 from skeinquant.jones import KnotPresentation, catalog_jones_values
-from skeinquant.knotstate import (knot_state, l2_norm_formula,
+from skeinquant.knotstate import (L2Norm, knot_state, l2_norm_formula,
                                   l2_norm_quadrature, lobachevsky, reference_volume,
                                   volume_sequence, write_volume_csv)
 from skeinquant.roots import RootContext, quantum_integer
@@ -173,3 +173,21 @@ def test_unknot_growth_is_flat():
         v_r = math.pi / r * res.log_norm_sq
         assert abs(r * v_r / (2 * math.pi)) < math.log(r)
         assert abs(v_r) < 1e-9
+
+
+@pytest.mark.parametrize("r", (*range(3, 41), 57, 150, 295, 500))
+@pytest.mark.parametrize("name", ("trefoil", "figure-eight"))
+def test_norm_matches_the_numpy_log_sum_exp(name, r):
+    values = catalog_jones_values(name, r, r)
+    ours, ref = knotstate._norm(r, values), numpy_norm(r, values)
+    assert (ours.log_norm_sq, ours.argmax_n) == (ref.log_norm_sq, ref.argmax_n)
+    # numpy's float64 exp runs a SIMD kernel of its own on AVX-512 hosts, which differs
+    # from the C library's exp in the last bit for a few percent of arguments
+    assert abs(ours.norm_sq - ref.norm_sq) <= math.ulp(ref.norm_sq)
+    assert abs(ours.norm - ref.norm) <= math.ulp(ref.norm)
+
+
+def test_norm_past_the_double_range_reads_inf():
+    # |state|^2 = e^713.4 leaves the double range; its square root and log do not
+    assert l2_norm_formula(FIG8, 1100) == L2Norm(math.inf, 8.182679040987989e+154,
+                                                 713.4002478584017, 1100)
