@@ -390,30 +390,33 @@ def _trefoil_values(r: int, n_max: int) -> list:
     A^(-2n - 6n^2) - A^(2n - 6n^2), Morton's sum and denominator times
     A^-6n^2, A = exp(i pi/NN), with the exponents reduced modulo 2NN in
     integers.  S'(n) = S'(n-2) + g(n-1) + g(1-n): one running sum per parity
-    of n, over the table rounded to integers at 2^-52, so S' is exactly
-    rounded; docs/conventions.md derives the certificate
+    of n, over the table entries that the sums and den' read, rounded to
+    integers at 2^-52, so S' is exactly rounded; docs/conventions.md derives
+    the certificate
     2E (n/|S'| + 1/|den'|) + 8u <= JONES_REL_TOL, E = _UNIT_ERR.
     """
     NN, M = 2 * r + 1, 4 * r + 2
-    table = [cmath.exp(1j * (math.pi / NN) * k) for k in range(M)]
-    # the table indices of g(m) = A^a - A^b and g(-m) = A^c - A^d, m = 0..n_max-1
-    idx = list(zip(*([-(6 * m * m + u * m + v) % M for m in range(n_max)]
-                     for u, v in ((10, 8), (-2, 4), (-10, 8), (2, 4)))))
+    # g(h) = A^e(h+1) - A^e(h), e(h) = -(6h^2 - 2h + 4), and den'(n) = A^p - A^q: their
+    # exponents modulo 2NN are quadratic in h and n, so few of the 2NN table entries are read
+    e = [-(6 * h * h - 2 * h + 4) % M for h in range(1 - n_max, n_max + 1)]
+    den_idx = [((-2 * n - 6 * n * n) % M, (2 * n - 6 * n * n) % M) for n in range(1, n_max + 1)]
+    w = 1j * (math.pi / NN)
+    table = {k: cmath.exp(w * k) for k in {*e}.union(*den_idx)}
     sums = []
-    for part in ([z.real for z in table], [z.imag for z in table]):
-        fixed = [round(x * 2.0 ** 52) for x in part]   # Python ints: the sums are exact
+    for part in ([table[k].real for k in e], [table[k].imag for k in e]):
+        fixed = [round(x * 2.0 ** 52) for x in part]    # Python ints: the sums are exact
+        g = [y - x for x, y in zip(fixed, fixed[1:])]   # g(h) at h + n_max - 1
         # S'(n) - S'(n-2) = g(m) + g(-m) at m = n-1, with g(0) once
-        steps = [fixed[a] - fixed[b] + (fixed[c] - fixed[d] if m else 0)
-                 for m, (a, b, c, d) in enumerate(idx)]
+        steps = g[n_max - 1:n_max] + [a + b for a, b in zip(g[n_max:], g[n_max - 2::-1])]
         run = [0] * n_max
         run[::2], run[1::2] = accumulate(steps[::2]), accumulate(steps[1::2])
         sums.append(run)
     values = []
-    for n, re, im in zip(range(1, n_max + 1), *sums):
-        s = complex(re / 2 ** 52, im / 2 ** 52)
-        den = table[(-2 * n - 6 * n * n) % M] - table[(2 * n - 6 * n * n) % M]
-        bound = 2 * _UNIT_ERR * (n * abs(den) + abs(s)) + 8 * _U * abs(s * den)
-        if not bound < JONES_REL_TOL * abs(s * den):
+    for n, (p, q), re, im in zip(range(1, n_max + 1), den_idx, *sums):
+        s = complex(re * 2.0 ** -52, im * 2.0 ** -52)   # int to float is correctly rounded
+        den = table[p] - table[q]
+        sd = abs(s * den)
+        if not 2 * _UNIT_ERR * (n * abs(den) + abs(s)) + 8 * _U * sd < JONES_REL_TOL * sd:
             raise PrecisionLoss(f"trefoil J({n}) at r={r} misses {JONES_REL_TOL:g}")
         values.append(s / den)
     return values

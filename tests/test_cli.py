@@ -325,8 +325,10 @@ def run_in_child(argv):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    rc, imported, loaded = proc.stderr.splitlines()[-3:]
+    lines = proc.stderr.splitlines()
+    # the command writes nothing to stderr: no warning, no message
+    assert proc.returncode == 0 and len(lines) == 3, proc.stderr
+    rc, imported, loaded = lines
     return int(rc), imported.split(), loaded.split()
 
 
