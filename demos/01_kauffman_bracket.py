@@ -1,8 +1,8 @@
 """Exact bracket arithmetic on small diagrams.
 
-Walks through the two bracket engines (planar state sum and the
-Temperley-Lieb transfer method on braid closures), the move invariances
-that pin the conventions, and the colored-cable identities.
+Walks through the one bracket engine (planar contraction) on two routes,
+a PD code and a braid closure, the move invariances that pin the
+conventions, and the colored-cable identities.
 """
 
 from skeinquant import (BraidWord, braid_closure_bracket,
@@ -12,16 +12,16 @@ from skeinquant import (BraidWord, braid_closure_bracket,
 delta = loop_value()
 print("one closed loop contributes:", delta.format("A"))
 
-print("\n-- braid closures, both engines --")
+print("\n-- braid closures, PD route and braid route --")
 for name, word, strands in (("hopf link", (1, 1), 2),
                             ("trefoil", (1, 1, 1), 2),
                             ("figure-eight", (1, -2, 1, -2), 3)):
     braid = BraidWord(word, strands)
-    state_sum = kauffman_bracket(braid_to_diagram(braid))
-    transfer = braid_closure_bracket(braid)
-    assert state_sum == transfer
-    print(f"{name:14s} <closure> = {state_sum.format('A')}")
-    print(f"{'':14s} normalized = {state_sum.divexact(delta).format('A')}")
+    via_pd = kauffman_bracket(braid_to_diagram(braid))   # the closure's crossings, X a b c d
+    via_braid = braid_closure_bracket(braid)
+    assert via_pd == via_braid
+    print(f"{name:14s} <closure> = {via_pd.format('A')}")
+    print(f"{'':14s} normalized = {via_pd.divexact(delta).format('A')}")
 
 print("\n-- move invariance --")
 plain = braid_closure_bracket(BraidWord((), 1))

@@ -14,7 +14,7 @@ from .diagrams import BraidWord, LinkDiagram, braid_to_diagram, unknot_diagram
 from .errors import (CablingUnsupported, DimensionMismatch, InexactDivision,
                      NonconvergentSeries, NotLatticeFraction, NotPrimitive,
                      PrecisionLoss, QuadratureNotConverged, SkeinQuantError,
-                     StateSpaceTooLarge, TooManyCrossings, UnknownCatalogEntry)
+                     StateSpaceTooLarge, UnknownCatalogEntry)
 from .geom import (ModularReport, QuadratureConfig, QuantizationContext,
                    ThetaSection, basis_phi, basis_psi, curve_operator_geom,
                    eval_grid, gram_matrix, inner_product, intertwining_deviation,

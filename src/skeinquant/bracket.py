@@ -1,11 +1,14 @@
-"""Kauffman bracket engines: state sums on planar diagrams and a
-Temperley-Lieb transfer method for (cabled) braid closures.
+"""Kauffman brackets by planar contraction, and the colored brackets.
 
-Both engines are exact over the integer Laurent ring and agree on any
-braid closure; the state sum is the small-diagram oracle, the transfer
-method scales to cables.  The smoothing convention is fixed in
-docs/conventions.md: for a crossing ``X a b c d`` the A-smoothing joins
-a-d and b-c, which makes a positive kink contribute -A**-3.
+One engine, exact over the integer Laurent ring, evaluates every
+bracket: it adds a diagram's crossings one at a time, keeping a Laurent
+polynomial for each matching of the arcs left open (local tangle
+contraction, Bar-Natan, "Fast Khovanov homology computations",
+arXiv:math/0606318).  PD codes go in as they are; (cabled) braid
+closures go in through braid_to_diagram.  The smoothing convention is
+fixed in docs/conventions.md: for a crossing ``X a b c d`` the
+A-smoothing joins a-d and b-c, which makes a positive kink contribute
+-A**-3.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .diagrams import BraidWord, LinkDiagram
-from .errors import CablingUnsupported, TooManyCrossings
+from .diagrams import BraidWord, LinkDiagram, braid_to_diagram
+from .errors import CablingUnsupported, StateSpaceTooLarge
 from .laurent import LaurentPoly, loop_value
 
-STATE_SUM_GUARD = 24
+CONTRACTION_BYTE_BUDGET = 1 << 28  # bytes for the coefficients one contraction holds at once
 
 
 # -- Chebyshev colors -------------------------------------------------
@@ -65,104 +68,76 @@ def twist_monomial(n: int, kinks: int = 1) -> LaurentPoly:
     return LaurentPoly.monomial(-(n * n + 2 * n) * kinks, sign)
 
 
-# -- state sum on planar diagrams -------------------------------------
+# -- planar contraction --------------------------------------------------
 
-def kauffman_bracket(diagram: LinkDiagram) -> LaurentPoly:
-    """Exact bracket by full smoothing enumeration.
+def _join(partner: dict, x: int, y: int) -> int:
+    """Join the arc ends x and y in the open-arc partner map; returns the loops closed."""
+    if x == y or partner.get(x) == y:
+        partner.pop(x, None)
+        partner.pop(y, None)
+        return 1
+    # an open arc ends here, so the path runs on to its partner; a new arc stays open
+    ex, ey = partner.pop(x, x), partner.pop(y, y)
+    partner[ex] = ey
+    partner[ey] = ex
+    return 0
 
-    Empty diagram evaluates to 1; each closed loop contributes
-    -A**2 - A**-2.  Guarded at 2**24 states.
+
+def _contract(crossings, free_loops: int) -> LaurentPoly:
+    """Bracket of a planar diagram, adding its crossings one at a time.
+
+    Each state is a matching of the open arcs (a partner map, frozen as
+    its item set) with its coefficients {exponent: coefficient}.  The next
+    crossing is the one with the most arcs already open, ties to the
+    earliest.  StateSpaceTooLarge once the coefficients held at one time
+    exceed CONTRACTION_BYTE_BUDGET at about 100 bytes each.
     """
-    c = diagram.num_crossings
-    if c > STATE_SUM_GUARD:
-        raise TooManyCrossings(f"{c} crossings exceed the guard of {STATE_SUM_GUARD}")
-    arcs = diagram.arcs()
-    index = {a: i for i, a in enumerate(arcs)}
-    n = len(arcs)
-    joins_a = []
-    joins_b = []
-    for a, b, cc, d in diagram.crossings:
-        joins_a.append((index[a], index[d], index[b], index[cc]))
-        joins_b.append((index[a], index[b], index[cc], index[d]))
-
-    counts: dict = {}
-    parent = list(range(n))
-    for state in range(1 << c):
-        for i in range(n):
-            parent[i] = i
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        exp = 0
-        for k in range(c):
-            if (state >> k) & 1:
-                p, q, s, t = joins_b[k]
-                exp -= 1
-            else:
-                p, q, s, t = joins_a[k]
-                exp += 1
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[rp] = rq
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[rs] = rt
-        loops = sum(1 for i in range(n) if find(i) == i)
-        key = (exp, loops)
-        counts[key] = counts.get(key, 0) + 1
-
     delta = loop_value()
-    max_loops = max((loops for _, loops in counts), default=0)
-    delta_pow = [LaurentPoly.one()]
-    for _ in range(max_loops + diagram.free_loops):
-        delta_pow.append(delta_pow[-1] * delta)
-    total = LaurentPoly.zero()
-    for (exp, loops), mult in sorted(counts.items()):
-        total = total + delta_pow[loops + diagram.free_loops] * LaurentPoly.monomial(exp, mult)
+    loop_terms = [{0: 1}, delta.terms, (delta * delta).terms]
+    # A-smoothing joins slots a-d and b-c, times A; B-smoothing a-b and c-d, times A**-1.
+    # Each takes its factor A**+-1 * delta**loops by the number of loops it closes.
+    smoothings = [(p, q, s, t, [[(e + shift, c) for e, c in lt.items()] for lt in loop_terms])
+                  for shift, p, q, s, t in ((1, 0, 3, 1, 2), (-1, 0, 1, 2, 3))]
+    states = {frozenset(): {0: 1}}
+    pending = list(crossings)
+    open_arcs: set = set()
+    while pending:
+        x = pending.pop(max(range(len(pending)),
+                            key=lambda i: len(open_arcs.intersection(pending[i]))))
+        open_arcs.symmetric_difference_update(x)   # a kink arc occurs twice: no-op
+        nxt: dict = {}
+        for key, terms in states.items():
+            for p, q, s, t, factors in smoothings:
+                partner = dict(key)
+                loops = _join(partner, x[p], x[q]) + _join(partner, x[s], x[t])
+                acc = nxt.setdefault(frozenset(partner.items()), {})
+                for de, dc in factors[loops]:
+                    for e, c in terms.items():
+                        acc[e + de] = acc.get(e + de, 0) + c * dc
+        states = {}
+        held = 0
+        for key, acc in nxt.items():
+            terms = {e: c for e, c in acc.items() if c}
+            if terms:
+                states[key] = terms
+                held += len(terms)
+        if 100 * held > CONTRACTION_BYTE_BUDGET:
+            raise StateSpaceTooLarge(
+                f"the bracket contraction holds {held} coefficients (states: {len(states)}) at "
+                f"about 100 bytes each, over the {CONTRACTION_BYTE_BUDGET >> 20} MiB budget")
+    total = LaurentPoly(states.get(frozenset(), {}))
+    for _ in range(free_loops):
+        total = total * delta
     return total
 
 
-# -- Temperley-Lieb transfer on braid closures ------------------------
+def kauffman_bracket(diagram: LinkDiagram) -> LaurentPoly:
+    """Exact bracket of a planar diagram.
 
-def _identity_matching(n: int) -> tuple:
-    return tuple(list(range(n, 2 * n)) + list(range(n)))
-
-
-def _apply_e_on_top(m: tuple, i: int, n: int):
-    """Right-multiply matching by the cup-cap generator at top positions i, i+1.
-
-    Returns (new_matching, closed_loop_formed).
+    Empty diagram evaluates to 1; each closed loop contributes
+    -A**2 - A**-2.
     """
-    ti, tj = n + i, n + i + 1
-    x, y = m[ti], m[tj]
-    if x == tj:
-        return m, True
-    new = list(m)
-    new[x] = y
-    new[y] = x
-    new[ti] = tj
-    new[tj] = ti
-    return tuple(new), False
-
-
-def _closure_loops(m: tuple, n: int) -> int:
-    seen = [False] * (2 * n)
-    loops = 0
-    for start in range(2 * n):
-        if seen[start]:
-            continue
-        loops += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            y = m[x]  # matching edge
-            seen[y] = True
-            x = y + n if y < n else y - n  # closure edge
-    return loops
+    return _contract(diagram.crossings, diagram.free_loops)
 
 
 def braid_closure_bracket(braid: BraidWord, widths=None) -> LaurentPoly:
@@ -181,41 +156,11 @@ def braid_closure_bracket(braid: BraidWord, widths=None) -> LaurentPoly:
     if any(w < 0 for w in widths):
         raise ValueError("widths must be >= 0")
 
-    flat = _cabled_word(braid, widths)
     n = sum(widths)
     if n == 0:
         return LaurentPoly.one()
-
-    delta = loop_value()
-    a_pos = LaurentPoly.monomial(1)
-    a_neg = LaurentPoly.monomial(-1)
-
-    element = {_identity_matching(n): LaurentPoly.one()}
-    for g in flat:
-        i = abs(g) - 1
-        # positive crossing resolves as A**-1 * identity + A * cupcap
-        id_coef, e_coef = (a_neg, a_pos) if g > 0 else (a_pos, a_neg)
-        nxt: dict = {}
-        for m, poly in element.items():
-            contrib = poly * id_coef
-            acc = nxt.get(m)
-            nxt[m] = contrib if acc is None else acc + contrib
-            m2, looped = _apply_e_on_top(m, i, n)
-            contrib = poly * e_coef
-            if looped:
-                contrib = contrib * delta
-            acc = nxt.get(m2)
-            nxt[m2] = contrib if acc is None else acc + contrib
-        element = {m: p for m, p in nxt.items() if not p.is_zero()}
-
-    total = LaurentPoly.zero()
-    delta_pow = [LaurentPoly.one()]
-    for m in sorted(element):
-        loops = _closure_loops(m, n)
-        while len(delta_pow) <= loops:
-            delta_pow.append(delta_pow[-1] * delta)
-        total = total + element[m] * delta_pow[loops]
-    return total
+    diagram = braid_to_diagram(BraidWord(_cabled_word(braid, widths), n))
+    return _contract(diagram.crossings, diagram.free_loops)
 
 
 def _cabled_word(braid: BraidWord, widths) -> list:

@@ -109,7 +109,7 @@ def _cmd_bracket(cfg: RunConfig, args) -> int:
         if not (args.braid and args.strands):
             raise SkeinQuantError("provide --pd FILE or --braid with --strands")
         braid = BraidWord.from_text(args.braid, args.strands)
-        # the TL transfer; a closure's components are its permutation cycles
+        # a closure's components are its permutation cycles
         poly, crossings, components = (braid_closure_bracket(braid), len(braid.word),
                                        len(braid.closure_components()))
     _emit(cfg, {"bracket": poly.format("A"), "crossings": crossings,

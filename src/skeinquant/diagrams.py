@@ -105,8 +105,7 @@ class LinkDiagram:
     # -- structure -----------------------------------------------------
 
     def arcs(self) -> list:
-        out = sorted({a for x in self.crossings for a in x})
-        return out
+        return sorted({a for x in self.crossings for a in x})
 
     @property
     def num_crossings(self) -> int:
@@ -217,8 +216,8 @@ def braid_to_diagram(braid: BraidWord, framing_extra: Optional[Sequence[int]] = 
         if ra != rb:
             parent[ra] = rb
     relabeled = [tuple(find(a) for a in x) for x in crossings]
-    comps = len(BraidWord(braid.word, s).closure_components())
-    extra = list(framing_extra) if framing_extra is not None else [0] * comps
+    extra = (list(framing_extra) if framing_extra is not None
+             else [0] * len(braid.closure_components()))
     return LinkDiagram(relabeled, free_loops=free, framing_extra=extra, braid=braid)
 
 

@@ -5,16 +5,12 @@ class SkeinQuantError(Exception):
     """Base class for package-specific errors."""
 
 
-class TooManyCrossings(SkeinQuantError):
-    """Diagram exceeds the state-sum enumeration guard."""
-
-
 class InexactDivision(SkeinQuantError):
     """A ring division expected to be exact left a remainder."""
 
 
 class StateSpaceTooLarge(SkeinQuantError):
-    """Braid representation state space exceeds the memory budget."""
+    """A braid representation or bracket contraction exceeds its memory budget."""
 
 
 class PrecisionLoss(SkeinQuantError):

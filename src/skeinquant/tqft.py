@@ -17,11 +17,13 @@ from math import gcd
 from typing import Optional
 
 from ._lazy import lazy_import
-from .errors import NotPrimitive
-from .jones import KnotPresentation, colored_jones_values
+from .errors import NotPrimitive, PrecisionLoss
+from .jones import JONES_REL_TOL, KnotPresentation, colored_jones_values
 from .roots import RootContext, quantum_integer
 
 np = lazy_import("numpy")
+
+RT_REL_TOL = 1e-6  # every surgery value meets it, by the cancellation bound, or raises
 
 
 @dataclass(frozen=True)
@@ -280,6 +282,10 @@ def rt_invariant(surgery_knot: Optional[KnotPresentation], framing: int, r: int,
 
     ``surgery_knot=None`` denotes the empty surgery (the three-sphere).
     The signature of the 1x1 linking matrix is the sign of the framing.
+    The value is within RT_REL_TOL relative, or PrecisionLoss is raised:
+    each of the r terms carries the JONES_REL_TOL of its J value plus
+    about 4r double-precision roundings, so the sum of the terms' moduli
+    times that error must stay below RT_REL_TOL times the sum's modulus.
     """
     kc = kirby_constants(r)
     if surgery_knot is None:
@@ -287,7 +293,14 @@ def rt_invariant(surgery_knot: Optional[KnotPresentation], framing: int, r: int,
     theta_bar = [z.conjugate() for z in _twist_eigenvalues(r)]
     sigma = (framing > 0) - (framing < 0)
     total = 0j
+    size = 0.0
     for i, jval in enumerate(colored_jones_values(surgery_knot, r, backend)):
         zero_framed = kc.omega_coeffs[i] * complex(jval)  # (-1)^i [i+1] J_{i+1}
-        total += kc.omega_coeffs[i] * theta_bar[i] ** framing * zero_framed
+        term = kc.omega_coeffs[i] * theta_bar[i] ** framing * zero_framed
+        total += term
+        size += abs(term)
+    if size * (JONES_REL_TOL + 4 * r * 2.0 ** -53) >= RT_REL_TOL * abs(total):
+        raise PrecisionLoss(
+            f"surgery sum at r={r}, framing {framing}: terms of modulus {size:.3g} "
+            f"cancel to {abs(total):.3g}, so the value misses {RT_REL_TOL:g}")
     return complex(kc.eta ** 2 * kc.kappa ** (-sigma) * total)

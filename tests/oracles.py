@@ -28,8 +28,14 @@
   sectors with their mirrors.
 * The cabled closure: J(K, n) from the Chebyshev-colored cable brackets
   over the integer Laurent ring, the reference for the exact engine.
-  Its transfer runs over a cable of (n-1) x strands strands, so keep n
+  Its contraction runs over a cable of (n-1) x strands strands, so keep n
   and the strand count small.
+* The Kauffman state sum: every one of the 2^c smoothings of a planar
+  diagram, its loops counted by union-find, the reference for the
+  contraction engine on at most 12 crossings.
+* The Temperley-Lieb transfer on a braid closure: each generator applied
+  to every boundary matching of the braid's 2n ends, then the closure's
+  loops counted, the reference for the contraction engine on braids.
 * The theta series summed term by term: one exponentiated term at a
   time over the window, with zero coefficients skipped, the reference
   for the vector series behind eval_grid and holomorphic_part.
@@ -56,7 +62,7 @@ from skeinquant.geom import (ThetaSection, _term_exponent, _window, basis_phi,
                              lattice_character, phi_coefficients, translate_ints)
 from skeinquant.jones import JONES_REL_TOL, _rmatrix_terms
 from skeinquant.knotstate import L2Norm, _log_abs
-from skeinquant.laurent import LaurentPoly, quantum_integer_poly
+from skeinquant.laurent import LaurentPoly, loop_value, quantum_integer_poly
 from skeinquant.tqft import kirby_constants
 
 
@@ -341,6 +347,106 @@ def cabled_jones(K, n: int) -> LaurentPoly:
     except InexactDivision as exc:
         raise InexactDivision(
             "normalized value is not a polynomial in A**4; convention bug") from exc
+
+
+STATE_SUM_MAX_CROSSINGS = 12
+
+
+def state_sum_bracket(diagram) -> LaurentPoly:
+    """Exact bracket by enumerating all 2^c smoothings."""
+    c = diagram.num_crossings
+    if c > STATE_SUM_MAX_CROSSINGS:
+        raise ValueError(f"{c} crossings: the state sum is kept to {STATE_SUM_MAX_CROSSINGS}")
+    arcs = diagram.arcs()
+    index = {a: i for i, a in enumerate(arcs)}
+    n = len(arcs)
+    joins_a = [(index[a], index[d], index[b], index[cc]) for a, b, cc, d in diagram.crossings]
+    joins_b = [(index[a], index[b], index[cc], index[d]) for a, b, cc, d in diagram.crossings]
+
+    counts: dict = {}
+    for state in range(1 << c):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        exp = 0
+        for k in range(c):
+            if (state >> k) & 1:
+                p, q, s, t = joins_b[k]
+                exp -= 1
+            else:
+                p, q, s, t = joins_a[k]
+                exp += 1
+            parent[find(p)] = find(q)
+            parent[find(s)] = find(t)
+        loops = sum(1 for i in range(n) if find(i) == i)
+        counts[(exp, loops)] = counts.get((exp, loops), 0) + 1
+
+    total = LaurentPoly.zero()
+    for (exp, loops), mult in sorted(counts.items()):
+        total = total + loop_value() ** (loops + diagram.free_loops) * LaurentPoly.monomial(exp, mult)
+    return total
+
+
+def _apply_e_on_top(m: tuple, i: int, n: int):
+    """Right-multiply a matching by the cup-cap generator at top positions i, i+1.
+
+    Returns (new_matching, closed_loop_formed).
+    """
+    ti, tj = n + i, n + i + 1
+    x, y = m[ti], m[tj]
+    if x == tj:
+        return m, True
+    new = list(m)
+    new[x] = y
+    new[y] = x
+    new[ti] = tj
+    new[tj] = ti
+    return tuple(new), False
+
+
+def _closure_loops(m: tuple, n: int) -> int:
+    """Loops of the closure of a matching on n bottom and n top ends."""
+    seen = [False] * (2 * n)
+    loops = 0
+    for start in range(2 * n):
+        if seen[start]:
+            continue
+        loops += 1
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            y = m[x]  # matching edge
+            seen[y] = True
+            x = y + n if y < n else y - n  # closure edge
+    return loops
+
+
+def transfer_bracket(braid) -> LaurentPoly:
+    """Exact bracket of a braid closure by the Temperley-Lieb transfer."""
+    n = braid.strands
+    delta = loop_value()
+    a_pos, a_neg = LaurentPoly.monomial(1), LaurentPoly.monomial(-1)
+    element = {tuple(list(range(n, 2 * n)) + list(range(n))): LaurentPoly.one()}
+    for g in braid.word:
+        i = abs(g) - 1
+        # a positive crossing resolves as A**-1 * identity + A * cupcap
+        id_coef, e_coef = (a_neg, a_pos) if g > 0 else (a_pos, a_neg)
+        nxt: dict = {}
+        for m, poly in element.items():
+            nxt[m] = nxt.get(m, LaurentPoly.zero()) + poly * id_coef
+            m2, looped = _apply_e_on_top(m, i, n)
+            contrib = poly * e_coef * (delta if looped else 1)
+            nxt[m2] = nxt.get(m2, LaurentPoly.zero()) + contrib
+        element = {m: p for m, p in nxt.items() if not p.is_zero()}
+    total = LaurentPoly.zero()
+    for m, poly in sorted(element.items()):
+        total = total + poly * delta ** _closure_loops(m, n)
+    return total
 
 
 def termwise_series(s, P, Q, frame: bool) -> np.ndarray:

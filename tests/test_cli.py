@@ -3,12 +3,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from oracles import pd_text, state_sum_bracket, transfer_bracket
 from skeinquant import cli, jones
-from skeinquant.bracket import kauffman_bracket
 from skeinquant.diagrams import BraidWord, braid_to_diagram
 
 RUN = [sys.executable, "-m", "skeinquant.cli"]
@@ -80,17 +81,45 @@ def test_bracket_braid_equals_state_sum():
              (tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(12)), 4)]
     for word, strands in words:
         proc = run_cli("bracket", "--braid", " ".join(map(str, word)), "--strands", str(strands))
-        diagram = braid_to_diagram(BraidWord(word, strands))
+        braid = BraidWord(word, strands)
+        diagram = braid_to_diagram(braid)
+        # the state sum up to its 12 crossings, the transfer past them
+        oracle = state_sum_bracket(diagram) if len(word) <= 12 else transfer_bracket(braid)
         assert json.loads(proc.stdout)["result"] == {
-            "bracket": kauffman_bracket(diagram).format("A"),
+            "bracket": oracle.format("A"),
             "crossings": diagram.num_crossings, "components": diagram.num_components}
 
 
 def test_bracket_braid_past_the_state_sum_guard():
     rng = random.Random(30)
-    word = " ".join(str(rng.choice((1, -1, 2, -2, 3, -3))) for _ in range(30))
-    res = json.loads(run_cli("bracket", "--braid", word, "--strands", "4").stdout)["result"]
+    word = tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(30))
+    res = json.loads(run_cli("bracket", "--braid", " ".join(map(str, word)),
+                             "--strands", "4").stdout)["result"]
     assert res["crossings"] == 30
+    assert res["bracket"] == transfer_bracket(BraidWord(word, 4)).format("A")
+
+
+@pytest.mark.parametrize("crossings", (30, 40))
+def test_bracket_pd_is_independent_of_crossing_order_and_labels(tmp_path, crossings):
+    rng = random.Random(crossings)
+    word = tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(crossings))
+    braid = BraidWord(word, 4)
+    diagram = braid_to_diagram(braid)
+    lines = pd_text(diagram).splitlines()[1:]   # the crossing lines, without framing
+    rng.shuffle(lines)
+    arcs = diagram.arcs()
+    relabel = dict(zip(arcs, rng.sample(range(1, 10 * len(arcs)), len(arcs))))
+    pd = tmp_path / "closure.pd"
+    pd.write_text("".join("X " + " ".join(str(relabel[int(a)]) for a in line.split()[1:]) + "\n"
+                          for line in lines))
+    t0 = time.perf_counter()
+    via_pd = json.loads(run_cli("bracket", "--pd", str(pd)).stdout)["result"]
+    elapsed = time.perf_counter() - t0
+    via_braid = json.loads(run_cli("bracket", "--braid", " ".join(map(str, word)),
+                                   "--strands", "4").stdout)["result"]
+    assert via_pd == via_braid
+    assert via_pd["bracket"] == transfer_bracket(braid).format("A")
+    assert elapsed < 1.0, elapsed   # a whole CLI process, from a cold start
 
 
 def test_knot_state_evaluates_jones_once(monkeypatch, capsys):

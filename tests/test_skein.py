@@ -2,12 +2,13 @@ import math
 
 import pytest
 
-from oracles import is_primitive_root, mirrored, pd_text
+from oracles import is_primitive_root, mirrored, pd_text, state_sum_bracket, transfer_bracket
+from skeinquant import bracket, cli
 from skeinquant.bracket import (braid_closure_bracket, chebyshev_coeffs,
                                 colored_bracket, kauffman_bracket, twist_monomial,
                                 _cabled_word)
 from skeinquant.diagrams import BraidWord, LinkDiagram, braid_to_diagram, unknot_diagram
-from skeinquant.errors import CablingUnsupported, TooManyCrossings
+from skeinquant.errors import CablingUnsupported, StateSpaceTooLarge
 from skeinquant.laurent import LaurentPoly, loop_value, signed_color_norm
 from skeinquant.roots import RootContext, eval_at_root, quantum_integer
 
@@ -98,14 +99,24 @@ def test_trefoil_bracket():
 
 def test_pd_matches_transfer_on_braids():
     for braid in (TREFOIL, FIGURE_EIGHT, HOPF, BraidWord((1, -2, -2, 1), 3)):
-        assert kauffman_bracket(braid_to_diagram(braid)) == braid_closure_bracket(braid)
+        diagram = braid_to_diagram(braid)
+        assert kauffman_bracket(diagram) == transfer_bracket(braid)
+        assert braid_closure_bracket(braid) == state_sum_bracket(diagram)
 
 
 def test_cabled_transfer_matches_cabled_state_sum():
-    # independent routes: flatten the cable into a braid and state-sum its
-    # planar diagram, versus running the transfer method on widths
+    # the engine on widths, against both oracles on the flattened 12-crossing cable
     flat = BraidWord(tuple(_cabled_word(TREFOIL, [2, 2])), 4)
-    assert kauffman_bracket(braid_to_diagram(flat)) == braid_closure_bracket(TREFOIL, [2, 2])
+    cabled = braid_closure_bracket(TREFOIL, [2, 2])
+    assert cabled == state_sum_bracket(braid_to_diagram(flat)) == transfer_bracket(flat)
+
+
+@pytest.mark.parametrize("code", ("X 1 1 2 2", "X 1 2 2 1",
+                                  # a trefoil beside a kinked unknot: a split link
+                                  "X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3\nX 7 8 8 7"))
+def test_kinks_and_split_pd_match_state_sum(code):
+    d = LinkDiagram.from_pd_text(code)
+    assert kauffman_bracket(d) == state_sum_bracket(d)
 
 
 def test_reidemeister_one():
@@ -124,10 +135,18 @@ def test_reidemeister_two_three():
     assert braid_closure_bracket(BraidWord((2, 1, 1, -2), 3)) == braid_closure_bracket(BraidWord((1, 1), 3))
 
 
-def test_crossing_guard():
-    word = BraidWord((1,) * 25, 2)
-    with pytest.raises(TooManyCrossings):
-        kauffman_bracket(braid_to_diagram(word))
+def test_contraction_budget(monkeypatch, tmp_path, capsys):
+    # the trefoil's contraction holds 2 coefficients after its first crossing, then 4
+    monkeypatch.setattr(bracket, "CONTRACTION_BYTE_BUDGET", 399)
+    with pytest.raises(StateSpaceTooLarge, match=r"holds 4 coefficients \(states: 1\)"):
+        kauffman_bracket(braid_to_diagram(TREFOIL))
+    pd = tmp_path / "trefoil.pd"
+    pd.write_text(pd_text(braid_to_diagram(TREFOIL)))
+    assert cli.main(["bracket", "--pd", str(pd)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    monkeypatch.setattr(bracket, "CONTRACTION_BYTE_BUDGET", 400)
+    assert kauffman_bracket(braid_to_diagram(TREFOIL)) == LaurentPoly({-7: 1, -3: 1, 1: 1, 9: -1})
 
 
 def test_pd_text_roundtrip():

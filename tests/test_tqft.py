@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from oracles import kappa_modulus_dev
-from skeinquant.errors import NotPrimitive
+from skeinquant import cli
+from skeinquant.errors import NotPrimitive, PrecisionLoss
 from skeinquant.jones import KnotPresentation
 from skeinquant.roots import RootContext, quantum_integer
 from skeinquant.tqft import (MappingClassWord, TorusVector,
@@ -217,3 +218,32 @@ def test_rt_s2_x_s1():
     for r in range(3, 9):
         val = rt_invariant(UNKNOT, 0, r)
         assert abs(val - 1.0) < 1e-9
+
+
+def test_rt_certified_where_the_sum_cancels_little():
+    trefoil = KnotPresentation.from_catalog("trefoil")
+    fig8 = KnotPresentation.from_catalog("figure-eight")
+    for r in (10, 29):                    # the levels the bench's unknot task draws
+        for framing in (1, -1):
+            assert abs(rt_invariant(UNKNOT, framing, r) - rt_invariant(None, 0, r)) < 1e-9
+    # neither raises PrecisionLoss: the trefoil's terms cancel at most 25-fold,
+    # the figure-eight's 5.7e3-fold at r = 30
+    for r in (10, 40, 150):
+        rt_invariant(trefoil, -2, r)
+    for r in (10, 20, 30):
+        for framing in (-2, 1):
+            rt_invariant(fig8, framing, r)
+
+
+def test_rt_raises_where_the_sum_cancels_past_its_tolerance(capsys):
+    fig8 = KnotPresentation.from_catalog("figure-eight")
+    for r in (40, 150):                   # 1.3e5-fold cancellation at r = 40
+        with pytest.raises(PrecisionLoss, match=f"r={r}, framing -2"):
+            rt_invariant(fig8, -2, r)
+    # a value that vanishes has no relative accuracy to certify
+    with pytest.raises(PrecisionLoss):
+        rt_invariant(KnotPresentation.from_catalog("trefoil"), 0, 3)
+    assert cli.main(["rt", "--surgery", "figure-eight", "--framing", "-2", "--r", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
