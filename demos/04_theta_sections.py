@@ -35,7 +35,7 @@ print("\n-- finite Heisenberg action --")
 psi = basis_psi(ctx)
 for l in (0, 1, 5):
     t = translate(psi[l], (Fraction(1, N), 0))
-    ev = t.rho[l] / psi[l].rho[l]
+    ev = t.alpha[l] / psi[l].alpha[l]
     print(f"meridian fraction on basis vector {l}: eigenvalue {ev:.6f} "
           f"(expect exp(2 pi i {l}/{N}))")
 

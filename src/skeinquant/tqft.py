@@ -2,9 +2,9 @@
 SL(2,Z) action, Kirby constants, and surgery invariants.
 
 The space has the distinguished basis e_0 .. e_{r-1}.  Boundary behaviour
-of the longitude operator uses the folding rule e_r = -e_{r-1}, e_{-1} = 0,
-exported from the geometric side where it is forced by the alternating
-symmetry (see geom.fold_phi_index).
+of the longitude operator uses the folding rule e_r = -e_{r-1}, e_{-1} = 0.
+The geometric side forces the same rule by its alternating symmetry: with
+Phi_l = (Psi_l - Psi_{2r+1-l}) / sqrt(2) (geom.basis_phi), Phi_{r+1} = -Phi_r.
 """
 
 from __future__ import annotations

@@ -23,9 +23,9 @@ import random
 
 from ._lazy import lazy_import
 from .geom import (QuantizationContext, ThetaSection, _frame_report, _pairings,
-                   _phi_rows, _psi_diagonal, _reflected, _series, _translated,
-                   _twist_frame_rows, curve_operator_geom, eval_grid, halfform_norm_sq,
-                   iso_from_skein, iso_to_skein, modular_phase_check)
+                   _phi_rows, _reflected, _series, _translated, _twist_frame_rows,
+                   curve_operator_geom, eval_grid, halfform_norm_sq, iso_from_skein,
+                   iso_to_skein, modular_phase_check, psi_norm_constant)
 from .tqft import TorusVector, curve_operator_skein
 
 np = lazy_import("numpy")
@@ -59,13 +59,17 @@ def _quasi_periodicity_dev(ctx: QuantizationContext, rng: random.Random) -> floa
 
 
 def _holomorphy_ratios(ctx: QuantizationContext, rng: random.Random):
-    """Finite-difference residual of dg/dq = tau dg/dp must shrink like h^2."""
-    rho = _normal_vector(rng, ctx.N)
+    """Finite-difference residual of dg/dq = tau dg/dp must shrink like h^2.
+
+    A random section carries frequencies up to about N, each scaled by up
+    to |tau| in q, so the steps shrink like 1/(N max(1, |tau|)).
+    """
+    alpha = _normal_vector(rng, ctx.N)
     p, q = 0.31, 0.27
-    h = np.array([1e-2, 5e-3])
+    h = np.array([0.07, 0.035]) / (ctx.N * max(1.0, abs(ctx.tau)))
     zero = np.zeros_like(h)
     # rows: (p, q+h), (p, q-h), (p+h, q), (p-h, q)
-    g = _series(ctx, rho, p + np.stack([zero, zero, h, -h]),
+    g = _series(ctx, alpha, p + np.stack([zero, zero, h, -h]),
                 q + np.stack([h, -h, zero, zero]), frame=False)
     dq, dp = (g[0] - g[1]) / (2 * h), (g[2] - g[3]) / (2 * h)
     r1, r2 = np.abs(dq - ctx.tau * dp) / np.maximum(np.maximum(np.abs(dp), np.abs(dq)), 1.0)
@@ -77,7 +81,7 @@ def verification_report(ctx: QuantizationContext, include_modular: bool = True,
     """Residual report for one quantization context."""
     rng = random.Random(seed)
     r, N = ctx.r, ctx.N
-    psi = np.diag(_psi_diagonal(ctx))     # Psi_0 .. Psi_{N-1} as coefficient rows
+    psi = psi_norm_constant(ctx) * np.eye(N, dtype=np.complex128)   # Psi_0 .. Psi_{N-1}
     phi = _phi_rows(ctx)
     vacuum = np.eye(1, N, dtype=np.complex128)
     s = _normal_vector(rng, N)[None, :]
@@ -95,15 +99,15 @@ def verification_report(ctx: QuantizationContext, include_modular: bool = True,
     target = math.sqrt(8 * math.pi ** 2 / (N * ctx.b))
     residuals["vacuum_frame_norm"] = abs(frame_norm[0, 0].real - target) / target
 
-    # the frame section is fixed by the meridian fraction translation;
-    # every maximum goes through np.max, which keeps a NaN
+    # the frame section is fixed by the meridian fraction translation: the
+    # ratio of the translated frame to the frame, as one exponent; every
+    # maximum goes through np.max, which keeps a NaN
     devs = []
     for _ in range(6):
         p, q = rng.random(), rng.random()
-        lhs = cmath.exp(-1j * math.pi * q) * cmath.exp(
-            1j * math.pi * N * (q * (p + 1.0 / N + ctx.tau * q)))
-        rhs = cmath.exp(1j * math.pi * N * q * (p + ctx.tau * q))
-        devs.append(abs(lhs - rhs) / abs(rhs))
+        devs.append(abs(cmath.exp(-1j * math.pi * q
+                                  + 1j * math.pi * N * q * (p + 1.0 / N + ctx.tau * q)
+                                  - 1j * math.pi * N * q * (p + ctx.tau * q)) - 1))
     residuals["frame_fixed_by_meridian_step"] = float(np.max(devs))
 
     ab = _translated(ctx, _translated(ctx, psi, 0, 1), 1, 0)

@@ -58,8 +58,8 @@ import numpy as np
 
 from skeinquant.bracket import braid_closure_bracket, chebyshev_coeffs
 from skeinquant.errors import InexactDivision, PrecisionLoss
-from skeinquant.geom import (ThetaSection, _term_exponent, _window, basis_phi,
-                             lattice_character, phi_coefficients, translate_ints)
+from skeinquant.geom import (ThetaSection, _window, basis_phi, lattice_character,
+                             phi_coefficients, translate_ints)
 from skeinquant.jones import JONES_REL_TOL, _rmatrix_terms
 from skeinquant.knotstate import L2Norm, _log_abs
 from skeinquant.laurent import LaurentPoly, loop_value, quantum_integer_poly
@@ -450,16 +450,26 @@ def transfer_bracket(braid) -> LaurentPoly:
 
 
 def termwise_series(s, P, Q, frame: bool) -> np.ndarray:
-    """Truncated theta series of the section s, summed term by term."""
+    """Truncated theta series of the section s, summed term by term.
+
+    Term m is alpha_{m mod N} exp(i pi tau m^2/N) exp(2 pi i m z), times
+    the frame exp(i pi N q z) with ``frame``; the exponents are added as
+    they stand before one exp, since apart the factors overflow.
+    """
     ctx = s.ctx
+    N, tau = ctx.N, ctx.tau
     P = np.asarray(P, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
+    Z = P + tau * Q
     lo, hi = _window(ctx, float(Q.min()), float(Q.max()))
     out = np.zeros(np.broadcast(P, Q).shape, dtype=np.complex128)
     for m in range(lo, hi + 1):
-        c = s.rho[m % ctx.N]
+        c = s.alpha[m % N]
         if c != 0:
-            out += c * np.exp(_term_exponent(ctx, m, P, Q, frame))
+            exponent = 1j * math.pi * tau * m * m / N + 2j * math.pi * m * Z
+            if frame:
+                exponent = exponent + 1j * math.pi * N * Q * Z
+            out += c * np.exp(exponent)
     return out
 
 
@@ -471,7 +481,7 @@ def curve_operator_by_sections(gamma, ctx) -> np.ndarray:
     for s in basis_phi(ctx):
         t_plus = translate_ints(s, a, b)
         t_minus = translate_ints(s, -a, -b)
-        combined = ThetaSection(ctx, -chi * (t_plus.rho + t_minus.rho), s.halfform_scale)
+        combined = ThetaSection(ctx, -chi * (t_plus.alpha + t_minus.alpha), s.halfform_scale)
         beta, dev = phi_coefficients(combined)
         if dev > 1e-9:
             raise ArithmeticError(f"column left the alternating subspace (dev {dev:.2e})")

@@ -86,7 +86,7 @@ def test_criterion_04_heisenberg_identities():
         for s in basis_psi(ctx):
             ab = translate_ints(translate_ints(s, 0, 1), 1, 0)
             ba = translate_ints(translate_ints(s, 1, 0), 0, 1)
-            worst = max(worst, float(np.max(np.abs(ab.rho - w * ba.rho))))
+            worst = max(worst, float(np.max(np.abs(ab.alpha - w * ba.alpha))))
         # the frame factor is fixed by the meridian fraction step
         for (p, q) in ((0.2, 0.7), (0.9, 0.3)):
             frame = np.exp(1j * math.pi * N * q * (p + ctx.tau * q))

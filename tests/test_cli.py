@@ -287,21 +287,34 @@ def test_error_exit_codes():
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
-def test_geom_verify_overflow_exits_2_with_one_line():
-    # b N = 121 at r = 60, tau = i: the q-part products overflow on the
-    # first grid, which raises instead of doubling on NaN with warnings
-    proc = run_cli("geom-verify", "--r", "60", "--tau", "i", check=False)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert "r = 60" in proc.stderr and "n = 16" in proc.stderr, proc.stderr
+@pytest.mark.parametrize("r, tau", (("60", "i"), ("3", "0.3+50i")))
+def test_geom_verify_passes_at_large_b_n(tmp_path, r, tau):
+    # b N = 121 and 350: every theta q-part is at most 1 in modulus
+    out = tmp_path / "report.json"
+    proc = run_cli("geom-verify", "--r", r, "--tau", tau, "--out", str(out), check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["result"]["pass"] is True
 
 
 @pytest.mark.parametrize("tau, message", (("nan+1i", "tau must be finite"),
-                                          ("1e400i", "tau must be finite"),
-                                          ("0.3+50i", "translation at r = 3")))
+                                          ("1e400i", "tau must be finite")))
 def test_geom_verify_bad_tau_exits_2_with_one_line(tau, message):
-    # a finite tau past the float range overflows in the first translation
     proc = run_cli("geom-verify", "--r", "3", "--tau", tau, check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert message in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", (
+    # Im(-1/tau) (2r+1) = 1.6: the S frame needs more theta terms than the
+    # series window's cap allows
+    (["--r", "40", "--tau", "0.3+50i"], "series window"),
+    # the holomorphy check's bare g grows like exp(pi b N q^2), past the
+    # float range at b N = 3350
+    (["--r", "33", "--tau", "0.3+50i", "--skip-modular"], "holomorphic factor"),
+))
+def test_geom_verify_unrunnable_context_exits_2_with_one_line(argv, message):
+    proc = run_cli("geom-verify", *argv, check=False)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert message in proc.stderr, proc.stderr
@@ -390,7 +403,14 @@ def test_numpy_and_mpmath_run_only_where_used(tmp_path, argv, unrun):
 
 @pytest.mark.parametrize("re_tau", ("1e6", "1e20", "1e300"))
 def test_geom_verify_far_real_tau_exits_2(capsys, re_tau):
-    # the curve operator leaves the alternating subspace: no value, no traceback
+    # Im(-1/tau) is about Re(tau)^-2: the S frame's series window passes its
+    # cap, or (1e300) -1/tau leaves the upper half plane; no traceback
     assert cli.main(["geom-verify", "--r", "3", "--tau", f"{re_tau}+1i"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_geom_verify_far_real_tau_without_modular_fails_a_check(capsys):
+    # the phases pi Re(tau) m^2/N lose their digits: a check fails (exit 1)
+    assert cli.main(["geom-verify", "--r", "3", "--tau", "1e10+1i", "--skip-modular"]) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["pass"] is False

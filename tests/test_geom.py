@@ -26,8 +26,8 @@ CTX_SKEW = QuantizationContext(3, 0.3 + 1.7j)
 
 def random_section(ctx, seed=0):
     rng = np.random.default_rng(seed)
-    rho = rng.standard_normal(ctx.N) + 1j * rng.standard_normal(ctx.N)
-    return ThetaSection(ctx, rho)
+    alpha = rng.standard_normal(ctx.N) + 1j * rng.standard_normal(ctx.N)
+    return ThetaSection(ctx, alpha)
 
 
 def test_context_validation():
@@ -50,7 +50,7 @@ def test_dimension_counts():
 
 def test_vacuum_series_value():
     s0 = basis_psi(CTX)[0]
-    scale = s0.rho[0]
+    scale = s0.alpha[0]
     val = holomorphic_part(s0, 0.0, 0.0) / scale
     assert val.real == pytest.approx(1 + 2 * math.exp(-7 * math.pi), rel=1e-12)
     assert abs(val.imag) < 1e-15
@@ -105,7 +105,7 @@ def test_translate_lattice_fraction_guard():
     with pytest.raises(NotLatticeFraction):
         translate(s, (Fraction(1, 2), 0))
     out = translate(s, (Fraction(1, CTX.N), Fraction(2, CTX.N)))
-    assert np.allclose(out.rho, translate_ints(s, 1, 2).rho)
+    assert np.allclose(out.alpha, translate_ints(s, 1, 2).alpha)
 
 
 def test_translate_rejects_floats():
@@ -144,7 +144,7 @@ def test_heisenberg_commutation_operator_identity():
         for s in basis_psi(ctx):
             ab = translate_ints(translate_ints(s, 0, 1), 1, 0)
             ba = translate_ints(translate_ints(s, 1, 0), 0, 1)
-            assert np.max(np.abs(ab.rho - w * ba.rho)) < 1e-10
+            assert np.max(np.abs(ab.alpha - w * ba.alpha)) < 1e-10
 
 
 def test_full_lattice_translation_character():
@@ -153,7 +153,7 @@ def test_full_lattice_translation_character():
     s = random_section(CTX, 6)
     for (j, k, sign) in ((CTX.N, 0, 1), (0, CTX.N, 1), (CTX.N, CTX.N, -1)):
         t = translate_ints(s, j, k)
-        assert np.max(np.abs(t.rho - sign * s.rho)) < 1e-9 * float(np.max(np.abs(s.rho)))
+        assert np.max(np.abs(t.alpha - sign * s.alpha)) < 1e-9 * float(np.max(np.abs(s.alpha)))
     assert lattice_character(1, 1) == -1
     assert lattice_character(1, 0) == lattice_character(0, 1) == 1
 
@@ -174,11 +174,11 @@ def test_psi_eigenrelations():
         for l, s in enumerate(psis):
             t = translate_ints(s, 1, 0)
             ev = cmath.exp(2j * math.pi * l / ctx.N)
-            assert np.max(np.abs(t.rho - ev * s.rho)) < 1e-12
+            assert np.max(np.abs(t.alpha - ev * s.alpha)) < 1e-12
         # ladder relation along the longitude fraction
         for l in range(ctx.N - 1):
             up = translate_ints(psis[l], 0, 1)
-            assert np.max(np.abs(up.rho - psis[l + 1].rho)) < 1e-12
+            assert np.max(np.abs(up.alpha - psis[l + 1].alpha)) < 1e-12
 
 
 def test_gram_identity_psi_phi():
@@ -213,15 +213,15 @@ def test_phi_alternating_pointwise():
         v1 = section_eval(s, 0.23, 0.41)
         v2 = section_eval(s, -0.23, -0.41)
         assert abs(v1 + v2) < 1e-9 * max(1.0, abs(v1))
-        assert np.max(np.abs(parity_reflect(s).rho + s.rho)) < 1e-12
+        assert np.max(np.abs(parity_reflect(s).alpha + s.alpha)) < 1e-12
 
 
 def test_phi_fold_identity():
     # the (r+1)-st alternating combination is minus the r-th
     r, N = CTX.r, CTX.N
     psis = basis_psi(CTX)
-    phi_r1 = (psis[r + 1].rho - psis[N - (r + 1)].rho) / math.sqrt(2)
-    phi_r = (psis[r].rho - psis[N - r].rho) / math.sqrt(2)
+    phi_r1 = (psis[r + 1].alpha - psis[N - (r + 1)].alpha) / math.sqrt(2)
+    phi_r = (psis[r].alpha - psis[N - r].alpha) / math.sqrt(2)
     assert np.max(np.abs(phi_r1 + phi_r)) < 1e-14
 
 
@@ -273,7 +273,7 @@ def test_geom_curve_primitive_guard():
 def test_iso_maps_basis():
     s = iso_from_skein(np.eye(CTX.r)[0], CTX)
     phi1 = basis_phi(CTX)[0]
-    assert np.max(np.abs(s.rho - phi1.rho)) < 1e-15
+    assert np.max(np.abs(s.alpha - phi1.alpha)) < 1e-15
 
 
 def test_iso_roundtrip_and_guard():
@@ -362,10 +362,10 @@ def test_gram_kernel_matches_grid_sum(r, tau):
     # section values, including the aliased small grids
     ctx = QuantizationContext(r, tau)
     rng = np.random.default_rng(13)
-    psis = np.stack([s.rho for s in basis_psi(ctx)], axis=1)
+    psis = np.stack([s.alpha for s in basis_psi(ctx)], axis=1)
     secs = [ThetaSection(ctx, psis @ (rng.standard_normal(ctx.N) + 1j * rng.standard_normal(ctx.N)))
             for _ in range(2)]
-    C = np.stack([s.rho for s in secs], axis=1)
+    C = np.stack([s.alpha for s in secs], axis=1)
     for n in (4, 8, 128, 256):
         xs = np.arange(n) / n
         P, Q = np.meshgrid(xs, xs, indexing="ij")
@@ -421,7 +421,7 @@ def test_series_matches_termwise_oracle(ctx, frame, small_block, monkeypatch):
     xs = np.linspace(-0.5, 1.5, 37)
     P, Q = np.meshgrid(xs, xs[::2], indexing="ij")
     for s in (random_section(ctx, 14), basis_phi(ctx)[-1]):
-        got = _series(s.ctx, s.rho, P, Q, frame)
+        got = _series(s.ctx, s.alpha, P, Q, frame)
         want = termwise_series(s, P, Q, frame)
         assert got.shape == want.shape
         # relative to the largest value at each q, since g grows like exp(pi b N q^2)
@@ -429,14 +429,24 @@ def test_series_matches_termwise_oracle(ctx, frame, small_block, monkeypatch):
         assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * scale)
 
 
+def test_holomorphic_factor_past_the_float_range_raises():
+    # g grows like exp(pi b N q^2): about exp(767) at q = 0.27, b N = 3350
+    ctx = QuantizationContext(33, 0.3 + 50j)
+    s = ThetaSection(ctx, np.ones(ctx.N))
+    with pytest.raises(PrecisionLoss, match=r"holomorphic factor.* r = 33"):
+        holomorphic_part(s, 0.31, 0.27)
+    assert np.isfinite(section_eval(s, 0.31, 0.27))
+
+
 def test_overflowing_grid_raises_after_one_grid(monkeypatch):
-    # b N = 279 in the S frame (tau -> -1/tau): the first grid's products
-    # overflow, so the refinement stops there without a numpy warning
+    # a grid whose block overflows (forced here by scaling the S-frame
+    # pairing past the float range) stops the refinement on that grid,
+    # without a numpy warning
     calls = []
 
     def counted(phis, tilde_phi, n):
         calls.append(n)
-        return _s_frame_pairing(phis, tilde_phi, n)
+        return _s_frame_pairing(phis, tilde_phi, n) * 1e300 * 1e300
 
     monkeypatch.setattr(geom, "_s_frame_pairing", counted)
     with warnings.catch_warnings():
@@ -446,8 +456,9 @@ def test_overflowing_grid_raises_after_one_grid(monkeypatch):
     assert calls == [16]
 
 
-@pytest.mark.parametrize("tau,r", [(1j, 9), (1j, 10), (1j, 20), (1j, 25),
-                                   (0.3 + 1.7j, 5), (0.3 + 1.7j, 8), (0.3 + 1.7j, 20)])
+@pytest.mark.parametrize("tau,r", [(1j, 9), (1j, 10), (1j, 20), (1j, 25), (1j, 60),
+                                   (0.3 + 1.7j, 5), (0.3 + 1.7j, 8), (0.3 + 1.7j, 20),
+                                   (0.1 + 0.25j, 40)])
 def test_verification_report_passes_without_float_errors(tau, r):
     from skeinquant.verify import verification_report
     with np.errstate(all="raise", under="ignore"):
@@ -463,6 +474,20 @@ def test_verification_report_past_a_window_of_n_terms(tau, r):
     with np.errstate(all="raise", under="ignore"):
         report = verification_report(QuantizationContext(r, tau))
     assert report["pass"], report["residuals"]
+
+
+def test_coefficient_maps_do_not_read_tau():
+    # in alpha coordinates the translations, the reflection, the bases and
+    # the curve operators are the same arrays for every tau
+    a, b = QuantizationContext(6, 1j), QuantizationContext(6, 0.3 + 1.7j)
+    rows = np.random.default_rng(15).standard_normal((3, a.N)) + 0j
+    for j, k in ((1, 0), (0, 1), (2, 3), (-1, -4), (5, 13)):
+        assert np.array_equal(geom._translated(a, rows, j, k), geom._translated(b, rows, j, k))
+    assert np.array_equal(geom._reflected(a, rows), geom._reflected(b, rows))
+    assert np.array_equal(geom._phi_rows(a), geom._phi_rows(b))
+    assert np.array_equal(geom._twist_frame_rows(a), geom._twist_frame_rows(b))
+    for gamma in ((1, 0), (0, 1), (1, 1), (2, 1)):
+        assert np.array_equal(curve_operator_geom(gamma, a), curve_operator_geom(gamma, b))
 
 
 def test_alternating_subspace_dimension():

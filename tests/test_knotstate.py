@@ -72,6 +72,14 @@ def test_parseval_formula_vs_quadrature():
             assert abs(f - q) / f < 1e-6
 
 
+@pytest.mark.parametrize("K", (TREFOIL, FIG8), ids=lambda K: K.name)
+@pytest.mark.parametrize("r", (60, 200))
+def test_quadrature_norm_matches_the_formula_at_large_levels(K, r):
+    # b N = 121 and 401 at tau = i: no theta factor leaves the float range
+    log_q = 2 * math.log(l2_norm_quadrature(K, r))
+    assert abs(log_q - l2_norm_formula(K, r).log_norm_sq) <= 1e-12
+
+
 def test_norm_invariant_under_phase():
     r = 4
     state = knot_state(FIG8, r)
