@@ -15,11 +15,10 @@ from .errors import (CablingUnsupported, DimensionMismatch, InexactDivision,
                      NonconvergentSeries, NotLatticeFraction, NotPrimitive,
                      PrecisionLoss, QuadratureNotConverged, SkeinQuantError,
                      StateSpaceTooLarge, UnknownCatalogEntry)
-from .geom import (ModularReport, QuadratureConfig, QuantizationContext,
-                   ThetaSection, basis_phi, basis_psi, curve_operator_geom,
-                   eval_grid, gram_matrix, inner_product, intertwining_deviation,
-                   iso_from_skein, iso_to_skein, modular_phase_check,
-                   section_eval, translate)
+from .geom import (ModularReport, QuantizationContext, ThetaSection, basis_phi,
+                   basis_psi, curve_operator_geom, eval_grid, gram_matrix,
+                   inner_product, intertwining_deviation, iso_from_skein,
+                   iso_to_skein, modular_phase_check, section_eval, translate)
 from .jones import (CATALOG_BRAIDS, JonesValue, KnotPresentation, colored_jones,
                     colored_jones_catalog, colored_jones_exact,
                     colored_jones_rmatrix, so3_bracket_coefficient)

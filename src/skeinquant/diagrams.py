@@ -197,25 +197,11 @@ def braid_to_diagram(braid: BraidWord, framing_extra: Optional[Sequence[int]] = 
             crossings.append((in_l, in_r, out_r, out_l))
         cur[i], cur[i + 1] = out_l, out_r
 
-    # close up: identify the top arc at each position with the bottom arc
-    parent = {}
-
-    def find(a):
-        parent.setdefault(a, a)
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    free = 0
-    for pos in range(s):
-        if cur[pos] == start[pos]:
-            free += 1  # never crossed anything
-            continue
-        ra, rb = find(cur[pos]), find(start[pos])
-        if ra != rb:
-            parent[ra] = rb
-    relabeled = [tuple(find(a) for a in x) for x in crossings]
+    # close up: a touched position's fresh top arc is its start arc, and a
+    # start arc never ends a position, so the map has no chains
+    close = {cur[pos]: start[pos] for pos in range(s) if cur[pos] != start[pos]}
+    free = s - len(close)  # positions that never crossed anything
+    relabeled = [tuple(close.get(a, a) for a in x) for x in crossings]
     extra = (list(framing_extra) if framing_extra is not None
              else [0] * len(braid.closure_components()))
     return LinkDiagram(relabeled, free_loops=free, framing_extra=extra, braid=braid)

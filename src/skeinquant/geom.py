@@ -27,10 +27,10 @@ side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._lazy import lazy_import
 from .errors import (DimensionMismatch, NonconvergentSeries, NotLatticeFraction,
@@ -40,23 +40,18 @@ from .tqft import TorusVector, curve_operator_skein, rep_S, rep_T
 np = lazy_import("numpy")
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Trapezoid rule on the periodic unit square, refined by doubling."""
-
-    n_start: int = 16
-    refine_until: float = 1e-8
-    n_cap: int = 4096
+SERIES_TOL = 1e-14          # theta terms below this share of their coefficient are dropped
+QUAD_N_START = 16           # trapezoid grid points per axis on the first grid
+QUAD_REFINE_UNTIL = 1e-8    # relative agreement of two successive grids
+QUAD_N_CAP = 4096           # finest grid before QuadratureNotConverged
 
 
 @dataclass(frozen=True)
 class QuantizationContext:
-    """Level, modular parameter, and numerical policy for one torus."""
+    """Level r and modular parameter tau of one quantized torus."""
 
     r: int
     tau: complex
-    series_tol: float = 1e-14
-    quad: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
         if self.r < 3:
@@ -76,9 +71,6 @@ class QuantizationContext:
     @property
     def b(self) -> float:
         return self.tau.imag
-
-    def _key(self):
-        return (self.r, self.tau, self.series_tol)
 
 
 def halfform_norm_sq(ctx: QuantizationContext) -> float:
@@ -116,19 +108,23 @@ _GRID_BLOCK = 1 << 18   # complex values held at once by a series or S-frame blo
 
 
 def _window(ctx: QuantizationContext, q_min: float, q_max: float):
-    """Extended-index range covering all terms above series_tol.
+    """Extended-index range covering all terms above SERIES_TOL.
 
-    The half-width is at least N = 2r+1; its excess over N measures the
-    conditioning of the context and is capped at 50 + 10 ceil(1/sqrt(N b)).
-    Needing more terms than that signals a badly conditioned context.
+    Term m has modulus |alpha| exp(-pi b (m + N q)^2 / N), so the half-width
+    spread = sqrt(N log(1/SERIES_TOL) / (pi b)) around -N q holds every
+    term that counts.  The conditioning cap accepts the contexts that the
+    rho coordinates accepted with their wider half-width hypot(spread, N):
+    a context is refused when that width, rounded up plus one, exceeds N
+    by more than 50 + 10 ceil(1/sqrt(N b)).
     """
-    N, b, tol = ctx.N, ctx.b, ctx.series_tol
-    spread = math.sqrt(N * (math.log(1.0 / tol) + math.pi * b * N) / (math.pi * b))
-    w = int(math.ceil(spread)) + 1
+    N, b = ctx.N, ctx.b
+    spread = math.sqrt(N * math.log(1.0 / SERIES_TOL) / (math.pi * b))
     cap = 50 + 10 * math.ceil(1.0 / math.sqrt(N * b))
-    if w - N > cap:
+    if math.ceil(math.hypot(spread, N)) + 1 - N > cap:
         raise NonconvergentSeries(
-            f"series window {w} exceeds N = {N} by more than {cap}; increase series_tol or b")
+            f"series window at r = {ctx.r}, tau = {ctx.tau} passes its cap {cap}: "
+            "Im(tau) is too small")
+    w = int(math.ceil(spread)) + 1
     lo = int(math.floor(-N * q_max)) - w
     hi = int(math.ceil(-N * q_min)) + w
     return lo, hi
@@ -349,7 +345,7 @@ def _gram_kernel(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
 
 
 def _refine(at, ctx: QuantizationContext) -> list:
-    """The blocks of the list at(n), on grids doubled from n_start.
+    """The blocks of the list at(n), on grids doubled from QUAD_N_START.
 
     Each block is accepted on the first grid where it agrees with its value
     on the grid before, and the doubling stops once every block is accepted,
@@ -358,8 +354,7 @@ def _refine(at, ctx: QuantizationContext) -> list:
     coefficients or scales; the first non-finite block still open raises
     PrecisionLoss, since doubling on NaN could never converge.
     """
-    quad = ctx.quad
-    n, prev, done = quad.n_start, None, {}
+    n, prev, done = QUAD_N_START, None, {}
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             cur = at(n)
@@ -370,14 +365,14 @@ def _refine(at, ctx: QuantizationContext) -> list:
                 raise PrecisionLoss(
                     f"quadrature at r = {ctx.r}, tau = {ctx.tau}, n = {n} is not finite")
             if prev is not None and np.max(np.abs(val - prev[i])) <= \
-                    quad.refine_until * max(1.0, float(np.max(np.abs(val)))):
+                    QUAD_REFINE_UNTIL * max(1.0, float(np.max(np.abs(val)))):
                 done[i] = val
         if len(done) == len(cur):
             return [done[i] for i in range(len(cur))]
         prev = cur
         n *= 2
-        if n > quad.n_cap:
-            raise QuadratureNotConverged(f"no convergence by n = {quad.n_cap}")
+        if n > QUAD_N_CAP:
+            raise QuadratureNotConverged(f"no convergence by n = {QUAD_N_CAP}")
 
 
 def _pairings(ctx: QuantizationContext, blocks) -> list:
@@ -402,7 +397,7 @@ def _pairing(rows: Sequence[ThetaSection], cols: Sequence[ThetaSection],
              include_halfform: bool = True) -> np.ndarray:
     """Refined matrix of <rows[i], cols[j]> through the Gram kernel."""
     ctx = rows[0].ctx
-    if any(s.ctx._key() != ctx._key() for s in cols):
+    if any(s.ctx != ctx for s in cols):
         raise DimensionMismatch("sections live over different contexts")
     R = np.stack([s.alpha * s.halfform_scale for s in rows])
     C = np.stack([s.alpha * s.halfform_scale for s in cols])
@@ -414,8 +409,8 @@ def inner_product(s1: ThetaSection, s2: ThetaSection,
                   include_halfform: bool = True) -> complex:
     """Hermitian pairing integral(conj(s1) s2) * 4 pi over the unit square.
 
-    Refined by grid doubling until the relative change drops below the
-    context's threshold; the half-form factor sqrt(b/2 pi) multiplies the
+    Refined by grid doubling until the relative change drops below
+    QUAD_REFINE_UNTIL; the half-form factor sqrt(b/2 pi) multiplies the
     result unless disabled.
     """
     return complex(_pairing([s1], [s2], include_halfform)[0, 0])
@@ -462,24 +457,19 @@ def iso_from_skein(v, ctx: QuantizationContext) -> ThetaSection:
     return ThetaSection(ctx, coeffs @ _phi_rows(ctx))
 
 
-def iso_to_skein(s: ThetaSection, ctx: Optional[QuantizationContext] = None) -> TorusVector:
+def iso_to_skein(s: ThetaSection) -> TorusVector:
     """Inverse of iso_from_skein on the alternating subspace."""
-    ctx = ctx or s.ctx
-    if ctx._key() != s.ctx._key():
-        raise DimensionMismatch("section belongs to a different context")
     beta, dev = phi_coefficients(s)
     if dev > 1e-8:
         raise PrecisionLoss(f"section is not alternating (dev {dev:.2e})")
-    return TorusVector(ctx.r, tuple(beta))
+    return TorusVector(s.ctx.r, tuple(beta))
 
 
-def intertwining_deviation(gamma, ctx: QuantizationContext,
-                           skein_matrix: Optional[np.ndarray] = None) -> float:
+def intertwining_deviation(gamma, ctx: QuantizationContext) -> float:
     """Operator-norm gap between the skein curve operator and the
     geometric one transported through e_l -> Phi_{l+1}."""
-    lhs = skein_matrix if skein_matrix is not None else curve_operator_skein(gamma, ctx.r)
-    rhs = curve_operator_geom(gamma, ctx)
-    return float(np.linalg.norm(lhs - rhs, 2))
+    return float(np.linalg.norm(curve_operator_skein(gamma, ctx.r)
+                                - curve_operator_geom(gamma, ctx), 2))
 
 
 # -- modular frame changes ---------------------------------------------------
@@ -493,8 +483,6 @@ class ModularReport:
     predicted: np.ndarray
     global_phase: complex
     max_dev: float          # after dividing out the fitted global phase
-    raw_max_dev: float      # against the prediction as-is
-    unsigned_phase_dev: float  # against phases with the alternating sign dropped
 
 
 def _fit_phase(measured: np.ndarray, predicted: np.ndarray) -> complex:
@@ -504,8 +492,11 @@ def _fit_phase(measured: np.ndarray, predicted: np.ndarray) -> complex:
     return t / abs(t)
 
 
-def _s_frame_pairing(phis, tilde_phi, n_grid: int) -> np.ndarray:
+def _s_frame_pairing(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
     """Trapezoid sum 4 pi/n^2 sum conj(phi_m(p, q)) tilde_phi_l(q, -p).
+
+    phi is the alternating basis of ctx and tilde_phi that of the S frame,
+    with modular parameter -1/tau; both have the coefficient rows _phi_rows.
 
     Each section value is its terms' q-parts (q' = -p on the S side)
     times unit phases in the other coordinate.  The frame phases of the
@@ -513,13 +504,13 @@ def _s_frame_pairing(phis, tilde_phi, n_grid: int) -> np.ndarray:
     sum stays on the grid: one block of p rows at a time, holding at most
     _GRID_BLOCK values.
     """
-    ctx, ctx_t = phis[0].ctx, tilde_phi[0].ctx
-    N, r = ctx.N, len(phis)
+    ctx_t = QuantizationContext(ctx.r, -1.0 / ctx.tau)
+    N, r = ctx.N, ctx.r
     xs = np.arange(n_grid) / n_grid
     m, F = _q_parts(ctx, xs)
     m_t, F_t = _q_parts(ctx_t, -xs)
-    R = np.stack([s.alpha[m % N] * s.halfform_scale for s in phis])
-    R_t = np.stack([s.alpha[m_t % N] * s.halfform_scale for s in tilde_phi])
+    phi = _phi_rows(ctx)
+    R, R_t = phi[:, m % N], phi[:, m_t % N]
     E_t = np.exp(2j * math.pi * np.outer(m_t, xs))
     rows = max(1, _GRID_BLOCK // (r * max(n_grid, m.size, m_t.size)))
     M = np.zeros((r, r), dtype=np.complex128)
@@ -552,20 +543,10 @@ def _twist_frame_rows(ctx: QuantizationContext) -> np.ndarray:
 
 def _frame_report(gen: str, cur: np.ndarray, ctx: QuantizationContext) -> ModularReport:
     """Fit the measured matrix of generator gen against rep_T or rep_S."""
-    r, N = ctx.r, ctx.N
-    predicted = rep_T(r) if gen == "T" else rep_S(r)
+    predicted = rep_T(ctx.r) if gen == "T" else rep_S(ctx.r)
     phase = _fit_phase(cur, predicted)
     max_dev = float(np.max(np.abs(cur - phase * predicted)))
-    raw_dev = float(np.max(np.abs(cur - predicted)))
-    if gen == "T":
-        # the same phases with the alternating twist sign dropped
-        n_ = np.arange(r)
-        unsigned = np.diag(np.exp(1j * math.pi * (n_ * n_ + 2 * n_) / N))
-    else:
-        unsigned = predicted
-    phase_u = _fit_phase(cur, unsigned)
-    unsigned_dev = float(np.max(np.abs(cur - phase_u * unsigned)))
-    return ModularReport(gen, cur, predicted, complex(phase), max_dev, raw_dev, unsigned_dev)
+    return ModularReport(gen, cur, predicted, complex(phase), max_dev)
 
 
 def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
@@ -583,16 +564,13 @@ def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
     sections live in this context, so they pair through the Gram kernel;
     the measured matrix is diagonal and is compared against rep_T.
     """
-    r = ctx.r
     if gen == "T":
         cur = _pairings(ctx, [(_phi_rows(ctx), _twist_frame_rows(ctx),
                                halfform_norm_sq(ctx))])[0]
     elif gen == "S":
-        ctx_t = QuantizationContext(r, -1.0 / ctx.tau, ctx.series_tol, ctx.quad)
-        phis, tilde_phi = basis_phi(ctx), basis_phi(ctx_t)
         # half-form frame change tau**-1/2, principal branch
         weight = ctx.tau ** -0.5 * halfform_norm_sq(ctx)
-        cur = _refine(lambda n: [weight * _s_frame_pairing(phis, tilde_phi, n)], ctx)[0]
+        cur = _refine(lambda n: [weight * _s_frame_pairing(ctx, n)], ctx)[0]
     else:
         raise ValueError("gen must be 'T' or 'S'")
     return _frame_report(gen, cur, ctx)

@@ -10,9 +10,8 @@ from oracles import curve_operator_by_sections, termwise_series
 from skeinquant import geom
 from skeinquant.errors import (DimensionMismatch, NotLatticeFraction, NotPrimitive,
                                PrecisionLoss, QuadratureNotConverged)
-from skeinquant.geom import (QuadratureConfig, QuantizationContext,
-                             ThetaSection, _gram_kernel, _q_parts, _s_frame_pairing,
-                             _series, basis_phi, basis_psi, curve_operator_geom,
+from skeinquant.geom import (QuantizationContext, ThetaSection, _gram_kernel, _q_parts,
+                             _s_frame_pairing, _series, basis_phi, basis_psi, curve_operator_geom,
                              eval_grid, gram_matrix, halfform_norm_sq, holomorphic_part,
                              inner_product, intertwining_deviation, iso_from_skein,
                              iso_to_skein, lattice_character, modular_phase_check,
@@ -338,9 +337,11 @@ def test_modular_S_matrix(tau):
     assert np.max(np.abs(rep.measured + rep_S(3))) < 1e-6
 
 
-def test_quadrature_cap_raises():
-    ctx = QuantizationContext(3, 1j, quad=QuadratureConfig(n_start=4, refine_until=1e-30, n_cap=8))
-    s = random_section(ctx, 11)
+def test_quadrature_cap_raises(monkeypatch):
+    monkeypatch.setattr(geom, "QUAD_N_START", 4)
+    monkeypatch.setattr(geom, "QUAD_REFINE_UNTIL", 1e-30)
+    monkeypatch.setattr(geom, "QUAD_N_CAP", 8)
+    s = random_section(QuantizationContext(3, 1j), 11)
     with pytest.raises(QuadratureNotConverged):
         inner_product(s, s)
 
@@ -353,6 +354,43 @@ def test_series_window_cap_raises():
     s = random_section(ctx, 12)
     with pytest.raises(NonconvergentSeries):
         section_eval(s, 0.1, 0.1)
+
+
+def _wide_window_refuses(N, b):
+    # the conditioning cap as defined on the wider half-width of the rho
+    # coordinates, sqrt(N (log(1/tol) + pi b N) / (pi b))
+    spread = math.sqrt(N * (math.log(1.0 / 1e-14) + math.pi * b * N) / (math.pi * b))
+    w = int(math.ceil(spread)) + 1
+    return w - N > 50 + 10 * math.ceil(1.0 / math.sqrt(N * b))
+
+
+@pytest.mark.parametrize("re", (0.0, 0.3))
+def test_series_window_refuses_the_same_contexts(re):
+    from skeinquant.errors import NonconvergentSeries
+    seen = set()
+    for r in range(3, 61):
+        for b in np.logspace(-4, 1, 301):
+            ctx = QuantizationContext(r, complex(re, b))
+            want = _wide_window_refuses(ctx.N, ctx.b)
+            try:
+                geom._window(ctx, 0.0, 1.0)
+                got = False
+            except NonconvergentSeries:
+                got = True
+            assert got == want, (r, b)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_series_window_half_width_at_r_200():
+    # every term is at most exp(-pi b (m + N q)^2 / N) times its coefficient,
+    # so the half-width is sqrt(N log(1/tol) / (pi b)) rounded up, plus one:
+    # 66 at r = 200, tau = i, and the first term left out is below the
+    # tolerance
+    ctx = QuantizationContext(200, 1j)
+    assert geom._window(ctx, 0.0, 0.0) == (-66, 66)
+    assert math.exp(-math.pi * ctx.b * 67 ** 2 / ctx.N) < geom.SERIES_TOL
+    assert geom._window(ctx, 0.0, 1.0) == (-401 - 66, 66)
 
 
 @pytest.mark.parametrize("tau", (1j, 0.3 + 1.7j))
@@ -394,22 +432,24 @@ def test_s_frame_pairing_matches_grid_sum(r, tau, monkeypatch):
         vals_t = [eval_grid(s, Q, -P) for s in tilde]
         grid = np.array([[4 * math.pi / n ** 2 * np.sum(np.conj(a) * b) for b in vals_t]
                          for a in vals])
-        blocked = _s_frame_pairing(phis, tilde, n)
+        blocked = _s_frame_pairing(ctx, n)
         assert np.max(np.abs(grid - blocked)) <= 1e-12 * np.max(np.abs(blocked)), n
 
 
 @pytest.mark.parametrize("tau", (1j, 0.3 + 1.7j))
 @pytest.mark.parametrize("r", (3, 10, 30))
-def test_start_grid_does_not_change_the_numbers(r, tau):
+def test_start_grid_does_not_change_the_numbers(r, tau, monkeypatch):
     # the trapezoid sums of these Gaussians converge super-exponentially:
     # doubling from 16 returns what doubling from 128 returns
     ctx = QuantizationContext(r, tau)
-    ref = QuantizationContext(r, tau, quad=QuadratureConfig(n_start=128))
-    assert np.max(np.abs(gram_matrix(basis_psi(ctx)) - gram_matrix(basis_psi(ref)))) < 1e-12
-    for gen in ("S", "T"):
-        got = modular_phase_check(gen, ctx).measured
-        want = modular_phase_check(gen, ref).measured
-        assert np.max(np.abs(got - want)) < 1e-12, gen
+
+    def numbers():
+        return [gram_matrix(basis_psi(ctx))] + [modular_phase_check(gen, ctx).measured
+                                               for gen in ("S", "T")]
+    got = numbers()
+    monkeypatch.setattr(geom, "QUAD_N_START", 128)
+    for name, g, w in zip(("gram", "S", "T"), got, numbers()):
+        assert np.max(np.abs(g - w)) < 1e-12, name
 
 
 @pytest.mark.parametrize("small_block", (False, True))
@@ -444,9 +484,9 @@ def test_overflowing_grid_raises_after_one_grid(monkeypatch):
     # without a numpy warning
     calls = []
 
-    def counted(phis, tilde_phi, n):
+    def counted(ctx, n):
         calls.append(n)
-        return _s_frame_pairing(phis, tilde_phi, n) * 1e300 * 1e300
+        return _s_frame_pairing(ctx, n) * 1e300 * 1e300
 
     monkeypatch.setattr(geom, "_s_frame_pairing", counted)
     with warnings.catch_warnings():
