@@ -96,22 +96,40 @@ class JonesValue:
 
 # -- one sector loop over several rings ---------------------------------
 
-def _check_budget(N: int, s: int, itemsize: int, per_point: int = 0, shared: int = 0) -> int:
+def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None, shared: int = 0) -> int:
     """How many evaluation points fit RMATRIX_BYTE_BUDGET; StateSpaceTooLarge if none does.
 
-    Per point: 4 d^2 entries of the largest sector d (the product, one
-    generator block, its gather indices, the new product) and ``per_point``
-    table entries; ``shared`` entries are counted once.  d comes from an
-    s-fold convolution, before anything of size N^s is allocated.
+    Per point: 3 d^2 ring entries of the largest sector d (the product, a block,
+    the new product) and, given the power table's reach E, _trace's tables
+    (docs/conventions.md).  Once: ``shared`` ring entries, and in int64 s d^2
+    positions (s - 1 slot pairs' and a letter's), (s + 2) N^s for the sector
+    index sets, and 2 N^4 + 20 e for the pair tables and their columns while
+    built, e the number of entries of R.  d comes from an s-fold convolution,
+    before any of these exists.
     """
     d = int(reduce(np.convolve, [np.ones(N)] * s).max())
-    point = 4 * float(d) ** 2 + per_point
-    if itemsize * (point + shared) > RMATRIX_BYTE_BUDGET:
+    e = N * (N + 1) * (2 * N + 1) // 6   # one entry per (a, b, m)
+    tables = 0 if E is None else 2 * (2 * E + 1) + N * (N + 1) + 5 * e
+    point = itemsize * (3 * float(d) ** 2 + tables)
+    fixed = itemsize * shared + 8 * (s * float(d) ** 2 + (s + 2) * float(N) ** s
+                                     + 2 * N ** 4 + 20 * e)
+    if point + fixed > RMATRIX_BYTE_BUDGET:
         raise StateSpaceTooLarge(
             f"the largest weight sector of the {N}^{s} states has {d} states and needs "
-            f"{itemsize * (point + shared) / 2**20:.0f} MiB, over the "
+            f"{(point + fixed) / 2**20:.0f} MiB, over the "
             f"{RMATRIX_BYTE_BUDGET >> 20} MiB sector budget")
-    return int((RMATRIX_BYTE_BUDGET / itemsize - shared) // point)
+    return int((RMATRIX_BYTE_BUDGET - fixed) // point)
+
+
+def _slot_index(flat, k, i: int, s: int, N: int):
+    """Where slot pair i's block on sector ``flat`` (digits ``k``) reads a flat pair table.
+
+    Where the other slots differ: N^2 - 1, from slot values (N-1, N-1) to (0, 0), a change
+    of weight and so the zero of every table, reversed or not.
+    """
+    pair = k[i] * N + k[i + 1]
+    rest = flat - pair * N ** (s - 2 - i)   # must agree off i, i+1
+    return np.where(rest[:, None] == rest, pair[:, None] * (N * N) + pair, N * N - 1)
 
 
 def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
@@ -121,13 +139,14 @@ def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
     operator is block diagonal over w, and its trace over sector w equals
     the trace over the mirror sector s(N-1) - w (docs/conventions.md): only
     the lower half is visited.  ``gens`` is (R^-1, R), each a pair
-    (values, where): ``values[..., where[i' N + j', i N + j]]`` is the entry
-    from slot values (i, j) to (i', j'), leading axes of ``values`` are a
-    batch of evaluation points, and ``values[..., -1]`` is the ring's zero.
-    A generator's sector block takes that entry where the other slots agree
-    and the zero elsewhere.  A sector's product starts from the word's
-    first block, and is ``eye(d)`` for the empty word; ``matmul`` is the
-    ring's product, and ``weigh(w, diag)`` reduces the diagonal of the
+    (values, where): ``values[..., where[(i' N + j') N^2 + i N + j]]`` is
+    the entry from slot values (i, j) to (i', j'), leading axes of
+    ``values`` are a batch of evaluation points, and ``values[..., -1]`` is
+    the ring's zero.  A letter's sector block takes that entry where the
+    other slots agree and the zero elsewhere, read at its slot pair's
+    positions, built once per sector.  A sector's product starts from the
+    word's first block, and is ``eye(d)`` for the empty word; ``matmul`` is
+    the ring's product, and ``weigh(w, diag)`` reduces the diagonal of the
     word's product over the sector's multi-indices.
     """
     sizes = reduce(np.convolve, [np.ones(N)] * s)   # multi-indices per total weight
@@ -137,15 +156,15 @@ def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
     out = []
     for w, flat in enumerate(sectors):
         k, mat = digits[:, flat], None
+        index = {i: _slot_index(flat, k, i, s, N) for i in {abs(g) - 1 for g in word}}
         for g in word:
-            i = abs(g) - 1
-            pair = k[i] * N + k[i + 1]
-            rest = flat - pair * N ** (s - 2 - i)   # must agree off i, i+1
             values, where = gens[g > 0]
-            block = values[..., np.where(rest[:, None] == rest, where[pair[:, None], pair], -1)]
+            block = values[..., where[index[abs(g) - 1]]]
             mat = block if mat is None else matmul(block, mat)
+            del block   # not held while the next letter's block is gathered
         out.append(weigh(w, np.diagonal(eye(len(flat)) if mat is None else mat,
                                         axis1=-2, axis2=-1)))
+        del index, mat   # nor while the next sector's positions are built
     return out
 
 
@@ -153,27 +172,25 @@ def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
 def _rmatrix_terms(N: int) -> tuple:
     """(R^-1, R) for the N-dim rep in closed form over Z[A, A^-1], no inverse taken.
 
-    Per sign, (where, cols): ``where`` as in _sector_loop, one (N^2, N^2)
-    table over slot pairs, and column e of the int array ``cols`` =
+    Per sign, (where, cols): ``where`` as in _sector_loop, one flat table
+    over pairs of slot pairs, and column e of the int array ``cols`` =
     (expo, m, u, v, half) for entry e = +-A^expo {1}..{m} [u, m] [v, m],
     where {k} = A^-2k - A^2k, [u, m] is the symmetric q-binomial, the sign
     is (-1)^m in R^-1, and the exponents span expo -+ half exactly
     (docs/conventions.md).
     """
-    lam = [N - 1 - 2 * x for x in range(N)]   # the weight of a slot value
+    x = np.arange(N)
+    lam = N - 1 - 2 * x   # the weight of a slot value
+    a, b, m = np.nonzero(x <= np.minimum.outer(x, N - 1 - x)[..., None])   # E^m on a, F^m on b
+    cols = (m, N - 1 - a + m, b + m, m * (m + 1) + 2 * m * (N - 1 - a + b))
+    # R^-1 takes (b, a) to (a - m, b + m), and R takes (a, b) to (b + m, a - m)
+    inverse = (((a - m) * N + b + m) * N * N + b * N + a, lam[a] * lam[b] + m * (m - 1))
+    forward = (((b + m) * N + a - m) * N * N + a * N + b, -lam[a - m] * lam[b + m] - m * (m - 1))
     out = []
-    for positive in (False, True):
-        rows, where = [], np.full((N * N, N * N), -1)
-        for a, b in np.ndindex(N, N):           # E^m acts on slot value a, F^m on b
-            for m in range(min(a, N - 1 - b) + 1):
-                if positive:   # R: (a, b) -> (b + m, a - m)
-                    pos = ((b + m) * N + a - m, a * N + b)
-                    expo = -lam[a - m] * lam[b + m] - m * (m - 1)
-                else:          # R^-1: (b, a) -> (a - m, b + m)
-                    pos, expo = ((a - m) * N + b + m, b * N + a), lam[a] * lam[b] + m * (m - 1)
-                where[pos] = len(rows)
-                rows.append((expo, m, N - 1 - a + m, b + m, m * (m + 1) + 2 * m * (N - 1 - a + b)))
-        out.append((where, np.array(rows).T))
+    for pos, expo in (inverse, forward):
+        where = np.full(N ** 4, -1)
+        where[pos] = np.arange(len(m))
+        out.append((where, np.array((expo,) + cols)))
     return tuple(out)
 
 
@@ -223,8 +240,8 @@ def colored_jones_rmatrix(K: KnotPresentation, n: int, ctx: RootContext) -> comp
     if n == 1:
         return 1 + 0j
     N, s, NN = n, K.braid.strands, 2 * ctx.r + 1
-    _check_budget(N, s, 16)
     E = 2 * N * (N + s)   # covers every exponent of an entry and a weight
+    _check_budget(N, s, 16, E)
     pw = np.exp(1j * math.pi / NN * (np.arange(-E, E + 1) % (2 * NN)))[:, None]
     trace = _trace(K.braid.word, s, N, pw, E, lambda v: v)[0]
     twist = cmath.exp(1j * math.pi / NN * ((N * N - 1) * K.braid.writhe % (2 * NN)))
@@ -254,8 +271,8 @@ def _degree_window(word, s: int, N: int) -> tuple:
 
     ends = []
     for side in (1, -1):   # (max, +) as (min, +) on negated exponents
-        # a flipped pair i N + j -> N^2 - 1 - (i N + j) puts sector s(N-1) - w at w
-        gens = [(np.append(side * c[0] - c[4], np.inf), where[::side, ::side])
+        # flipped slot values reverse the flat table and put sector s(N-1) - w at w
+        gens = [(np.append(side * c[0] - c[4], np.inf), where[::side])
                 for where, c in _rmatrix_terms(N)]
         ends.append(min(_sector_loop(
             word, s, N, gens, lambda d: np.where(np.eye(d), 0, np.inf), min_plus,
@@ -309,18 +326,17 @@ def _coefficients_mod(word, s: int, N: int, lo: int, deg: int, E: int, p: int,
                                              for i in range(0, len(x), chunk))))
     inv = _inverse((t[:, None] - t) % p, p)
     c = y[:-1].copy()                                           # divided differences
-    i = np.arange(deg + 1)
-    for j in range(1, deg + 1):
-        c[j:] = (c[j:] - c[j - 1:-1]) % p * inv[i[j:], i[:-j]] % p
-    coef, check = np.zeros(deg + 1, dtype=np.int64), 0          # Horner on the Newton form
-    for j in range(deg, -1, -1):
-        coef = (np.roll(coef, 1) - t[j] * coef) % p
-        coef[0] = (coef[0] + c[j]) % p
-        check = (check * int(t[-1] - t[j]) + int(c[j])) % p
+    for j in range(1, deg + 1):   # over t[j + k] - t[k]
+        c[j:] = (c[j:] - c[j - 1:-1]) % p * inv.diagonal(-j)[:-1] % p
+    t, c = t.tolist(), c.tolist()
+    coef, check = [], 0                                          # Horner on the Newton form
+    for j in range(deg, -1, -1):   # coef <- c_j + (t - t_j) coef
+        coef = [(a - t[j] * b) % p for a, b in zip([c[j]] + coef, coef + [0])]
+        check = (check * (t[-1] - t[j]) + c[j]) % p
     if check != y[-1]:
         raise InexactDivision(f"T mod {p} is no polynomial of degree {deg} in A^4 on its "
                               "degree window; the window or a convention is wrong")
-    return [int(v) for v in coef]
+    return coef
 
 
 def _crt(residues: list, primes: list) -> list:
@@ -348,9 +364,8 @@ def _colored_jones_exact_cached(word: tuple, strands: int, n: int) -> LaurentPol
     lo, hi = lo + (cls - lo) % 4, hi - (hi - cls) % 4
     deg = (hi - lo) // 4
     E = 2 * N * (N + s) + abs(lo)   # covers every exponent of an entry, a weight and A^-lo
-    entries = _rmatrix_terms(N)[1][1].shape[1]
-    # per point: R, R^-1 and their build, and the power table; once: the Newton inverses
-    chunk = _check_budget(N, s, 8, 4 * entries + 2 * E, (deg + 2) ** 2)
+    # per point: the tables of _trace; once: the Newton inverses
+    chunk = _check_budget(N, s, 8, E, (deg + 2) ** 2)
     bound, primes = _coefficient_bound(word, s, N), []
     while math.prod(primes) <= 2 * bound:
         if len(primes) == len(_PRIMES):
@@ -559,15 +574,3 @@ def colored_jones_values(K: KnotPresentation, r: int, backend: str = "auto") -> 
     ctx = RootContext(r)
     return [colored_jones(K, n, ctx, backend=backend).value for n in range(1, r + 1)]
 
-
-def so3_bracket_coefficient(K: KnotPresentation, n: int, ctx: RootContext,
-                            backend: str = "auto") -> complex:
-    """Zero-framed bracket coefficient of the n-th color at the root.
-
-    Equals (-1)**n [n+1] J(K, n+1) evaluated at t = A**4, so its modulus
-    is |[n+1] J(K, n+1)|.
-    """
-    if not 0 <= n <= ctx.r - 1:
-        raise ValueError(f"color index {n} outside 0..{ctx.r - 1}")
-    jval = colored_jones(K, n + 1, ctx, backend=backend).value
-    return (-1) ** n * quantum_integer(n + 1, ctx) * jval

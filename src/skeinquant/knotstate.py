@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from ._lazy import lazy_import
-from .errors import UnknownCatalogEntry
+from .errors import SkeinQuantError, UnknownCatalogEntry
 from .geom import QuantizationContext, inner_product, iso_from_skein
 from .jones import KnotPresentation, catalog_name, colored_jones_values
 from .tqft import TorusVector, kirby_constants
@@ -137,16 +137,21 @@ def reference_volume(name: Optional[str], user_value: Optional[float] = None) ->
     Torus knots and the unknot give 0.  The figure-eight complement
     decomposes into two regular ideal tetrahedra, each of volume
     2 Lobachevsky(pi/6), giving 4 Lobachevsky(pi/6) = 2.029883212819...,
-    computed once per process; anything else (name None for a braid
-    outside the catalog) must be supplied by the caller.
+    computed once per process.  Anything else (name None for a braid
+    outside the catalog) takes the caller's value, which must be finite and
+    nonnegative; a catalog entry takes none.
     """
     if name in _REFERENCE_VOLUMES:
+        if user_value is not None:
+            raise SkeinQuantError(f"{name} is a catalog knot; pass no reference volume")
         return _REFERENCE_VOLUMES[name]()
-    if user_value is not None:
-        return float(user_value)
-    raise UnknownCatalogEntry(
-        f"no reference volume for {repr(name) if name else 'a braid outside the catalog'}; "
-        "pass an explicit value")
+    if user_value is None:
+        raise UnknownCatalogEntry(
+            f"no reference volume for {repr(name) if name else 'a braid outside the catalog'}; "
+            "pass an explicit value")
+    if not 0 <= user_value < math.inf:
+        raise SkeinQuantError(f"a reference volume is finite and nonnegative, not {user_value}")
+    return float(user_value)
 
 
 def volume_sequence(K: KnotPresentation, r_list: Sequence[int],

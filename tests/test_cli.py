@@ -146,7 +146,7 @@ def test_rmatrix_budget_exits_2():
                    "--r", "20", check=False)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert "has 24017 states and needs 35206 MiB, over the 256 MiB sector budget" \
+    assert "has 24017 states and needs 57229 MiB, over the 256 MiB sector budget" \
         in proc.stderr
 
 
@@ -208,6 +208,30 @@ def test_volume_seq_uncertified_value_exits_2(monkeypatch, capsys, tmp_path):
                      "--r-max", "100", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", (
+    ["--braid", "1 1 1 2 -1 2", "--strands", "3", "--ref-vol=nan"],
+    ["--braid", "1 1 1 2 -1 2", "--strands", "3", "--ref-vol=inf"],
+    ["--braid", "1 1 1 2 -1 2", "--strands", "3", "--ref-vol=-2"],
+    ["--knot", "figure-eight", "--ref-vol", "7"],
+    ["--braid", "1 -2 1 -2", "--strands", "3", "--ref-vol", "2.03"],   # the catalog's word
+))
+def test_volume_seq_bad_ref_vol_exits_2_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "seq.csv"
+    assert cli.main(["volume-seq", *argv, "--r-min", "8", "--r-max", "8",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_volume_seq_ref_vol_of_a_custom_braid(tmp_path, capsys):
+    out = tmp_path / "seq.csv"
+    assert cli.main(["volume-seq", "--braid", "1 1 1 2 -1 2", "--strands", "3", "--ref-vol",
+                     "2.5", "--r-min", "8", "--r-max", "8", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[4] == "2.5" and float(row[5]) == pytest.approx(abs(float(row[2]) - 2.5) / 2.5)
 
 
 def test_byte_identical_reruns(tmp_path):

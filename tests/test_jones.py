@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import reduce
 
 import mpmath
 import numpy as np
@@ -13,7 +14,7 @@ from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarg
                                UnknownCatalogEntry)
 from skeinquant.jones import (JONES_REL_TOL, KnotPresentation, catalog_jones_values,
                               colored_jones, colored_jones_catalog, colored_jones_exact,
-                              colored_jones_rmatrix, so3_bracket_coefficient)
+                              colored_jones_rmatrix)
 from skeinquant.laurent import LaurentPoly
 from skeinquant.roots import RootContext, quantum_integer
 
@@ -116,6 +117,15 @@ def test_rmatrix_state_guard():
         colored_jones_rmatrix(wide, 6, ctx)
 
 
+def test_two_strand_guard_counts_the_pair_tables():
+    # the two flat pair tables of n^4 int64 each outgrow the sector itself, d = n
+    knot = KnotPresentation.from_braid((1, 1, 1, 1, 1), 2)
+    with pytest.raises(StateSpaceTooLarge, match="has 63 states and needs 261 MiB"):
+        colored_jones_rmatrix(knot, 63, RootContext(70))
+    assert abs(colored_jones_rmatrix(knot, 3, RootContext(8))
+               - colored_jones_exact(knot, 3).eval_at(RootContext(8).t_value)) < 1e-10
+
+
 SECTOR_KNOTS = (((1, 1, 1), 2), ((-1, -1, -1), 2), ((1, -2, 1, -2), 3),
                 ((1, 1, 1, 2), 3), ((1, -2, 3, -1, 2, -3, 2), 4))
 
@@ -171,6 +181,19 @@ def test_sector_loop_multiplies_half_the_sectors(monkeypatch):
     assert products == []            # the empty word's product is the identity
 
 
+def test_sector_loop_builds_each_slot_index_once_per_sector(monkeypatch):
+    builds, slot_index = [], jones._slot_index
+    monkeypatch.setattr(jones, "_slot_index",
+                        lambda flat, k, i, s, N: builds.append((len(flat), i))
+                        or slot_index(flat, k, i, s, N))
+    colored_jones_rmatrix(FIG8, 12, RootContext(30))
+    assert len(builds) == 17 * 2 == len(set(builds))   # sectors w <= 16, slots 0 and 1
+    builds.clear()
+    colored_jones_rmatrix(KnotPresentation.from_braid((-1, 2, 2, 2, 2, -1, -2, 1), 3), 5,
+                          RootContext(8))
+    assert len(builds) == 7 * 2   # eight letters of both signs, on two slots
+
+
 @pytest.mark.parametrize("r", (5, 8, 30))
 @pytest.mark.parametrize("word, strands", SECTOR_KNOTS)
 def test_sector_engine_matches_dense_oracle(word, strands, r):
@@ -179,6 +202,23 @@ def test_sector_engine_matches_dense_oracle(word, strands, r):
     for n in range(1, 6):
         dense = dense_rmatrix_jones(K, n, ctx)
         assert abs(colored_jones_rmatrix(K, n, ctx) - dense) <= 1e-11 * max(1.0, abs(dense))
+
+
+# knot words that repeat letters and take both signs of one slot
+REPEAT_WORDS = ((-1, 2, 2, 2, 2, -1, -2, 1), (2, 1, 1, 1, 1, -2, 1, 2))
+
+
+@pytest.mark.parametrize("r", (8, 30))
+@pytest.mark.parametrize("word", KNOT_WORDS + REPEAT_WORDS)
+def test_sector_engine_matches_dense_oracle_on_knot_words(word, r):
+    # both engines are uncertified floats: at n = 5, r = 8 the first word is 1.2e-11 (sector)
+    # and 2.2e-11 (dense) off the exact value, and they differ by 2.6e-11
+    K = KnotPresentation.from_braid(word, 3)
+    ctx = RootContext(r)
+    for n in range(1, 6):
+        dense = dense_rmatrix_jones(K, n, ctx)
+        assert abs(colored_jones_rmatrix(K, n, ctx) - dense) <= (JONES_REL_TOL
+                                                                  * max(1.0, abs(dense)))
 
 
 # a seeded 31-crossing knot word on 4 strands, checked at n <= 2 only
@@ -231,8 +271,9 @@ def test_degree_window_one_short_raises(monkeypatch):
 
 
 def test_exact_points_are_chunked_to_the_budget(monkeypatch):
-    # figure-eight n=4: 29 points of 4 * 12^2 + 340 int64 entries each, and 29^2
-    # Newton inverses; the whole batch needs 219256 bytes, one point 14056
+    # figure-eight n=4: 29 points of 3 * 12^2 + 612 int64 entries each; once, 29^2 Newton
+    # inverses, 3 * 12^2 positions, 5 * 4^3 index entries, and 2 * 4^4 + 20 * 30 for the
+    # pair tables.  The whole batch needs 263848 bytes, one point 29992
     word, strands = FIG8.braid.word, FIG8.braid.strands
     uncached = jones._colored_jones_exact_cached.__wrapped__
     sizes, trace_mod = [], jones._trace_mod
@@ -240,20 +281,61 @@ def test_exact_points_are_chunked_to_the_budget(monkeypatch):
                         lambda *args: sizes.append(len(args[-1])) or trace_mod(*args))
     assert uncached(word, strands, 4) == cabled_jones(FIG8, 4) and set(sizes) == {29}
     sizes.clear()
-    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 50000)   # (50000/8 - 841) // 916 = 5
+    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 65000)   # (65000 - 21640) // 8352 = 5
     assert uncached(word, strands, 4) == cabled_jones(FIG8, 4)
     assert sizes[:6] == [5, 5, 5, 5, 5, 4] and set(sizes) == {5, 4}
-    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 14000)
+    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 29991)
     with pytest.raises(StateSpaceTooLarge, match="has 12 states"):
         uncached(word, strands, 4)
 
 
+def _traced_peak(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("N", (5, 7))
+def test_budget_counts_the_traced_peak(monkeypatch, N):
+    # a 4-strand word on its 3 slots, from cold tables: the bytes traced in one call stay
+    # within what _check_budget counts for it, and over half of it
+    word, s, P, p = (1, -2, 3, -1, 2, -3, 2), 4, 7, jones._PRIMES[0]
+    E = 2 * N * (N + s)
+    x = np.arange(2, 2 + P, dtype=np.int64)
+    K = KnotPresentation.from_braid(word, s)
+    for itemsize, points, call in (
+            (16, 1, lambda: colored_jones_rmatrix(K, N, RootContext(30))),
+            (8, P, lambda: jones._trace_mod(word, s, N, 0, E, p, x))):
+        jones._rmatrix_terms.cache_clear()
+        peak = _traced_peak(call)
+        for budget, admitted in ((peak - 1, False), (2 * peak, True)):
+            monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", budget)
+            try:
+                fits = jones._check_budget(N, s, itemsize, E) >= points
+            except StateSpaceTooLarge:
+                fits = False
+            assert fits == admitted, (itemsize, peak)
+
+
 def test_prime_table():
-    # the largest sector the budget admits for one int64 point
-    d_max = math.isqrt(jones.RMATRIX_BYTE_BUDGET // (4 * 8))
+    # no sector past d_max fits one int64 point: 3 entries of each state pair, and on two
+    # strands or more at least two int64 positions
+    d_max = math.isqrt(jones.RMATRIX_BYTE_BUDGET // (5 * 8))
     with pytest.raises(StateSpaceTooLarge):
         jones._check_budget(d_max + 1, 2, 8)   # two strands: the largest sector has N states
-    assert jones._check_budget(d_max, 2, 8) == 1
+
+    def admits(N, s):
+        try:
+            return jones._check_budget(N, s, 8) >= 1
+        except StateSpaceTooLarge:
+            return False
+
+    for s in range(2, 9):   # the largest sector of the largest N each strand count admits
+        N = max(N for N in range(2, 100) if admits(N, s))
+        assert max(reduce(np.convolve, [np.ones(N)] * s)) <= d_max
     assert len(set(jones._PRIMES)) == len(jones._PRIMES)
     for p in jones._PRIMES:
         assert p % 4 == 3 and p < 2 ** 25
@@ -268,7 +350,7 @@ def test_auto_past_the_budget_raises_without_exact(monkeypatch):
     monkeypatch.setattr(jones, "colored_jones_exact", no_exact)
     wide = KnotPresentation.from_braid((1, 2, 3, 4, 5, 6), 7)
     with pytest.raises(StateSpaceTooLarge,
-                       match="has 24017 states and needs 35206 MiB, over the 256 MiB sector"):
+                       match="has 24017 states and needs 57229 MiB, over the 256 MiB sector"):
         colored_jones(wide, 6, RootContext(20))
 
 
@@ -276,25 +358,6 @@ def test_catalog_unknown():
     ctx = RootContext(4)
     with pytest.raises(UnknownCatalogEntry):
         colored_jones_catalog("granny", 2, ctx)
-
-
-def test_so3_bracket_coefficient():
-    ctx = RootContext(3)
-    # color zero always evaluates to 1
-    for K in (UNKNOT, TREFOIL, FIG8):
-        assert so3_bracket_coefficient(K, 0, ctx) == pytest.approx(1.0, abs=1e-12)
-    # unknot gives the signed quantum integer
-    for n in range(0, 3):
-        val = so3_bracket_coefficient(UNKNOT, n, ctx)
-        expect = (-1) ** n * quantum_integer(n + 1, ctx)
-        assert val == pytest.approx(expect, abs=1e-12)
-    # modulus identity against an independently evaluated Jones value
-    for n in (1, 2):
-        coef = so3_bracket_coefficient(FIG8, n, ctx)
-        jval = colored_jones_exact(FIG8, n + 1).eval_at(ctx.t_value)
-        assert abs(abs(coef) - abs(quantum_integer(n + 1, ctx) * jval)) < 1e-12
-    with pytest.raises(ValueError):
-        so3_bracket_coefficient(FIG8, 3, ctx)
 
 
 def test_dispatch_backends():

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import cyclotomic_jones, lobachevsky_series, numpy_norm
 from skeinquant import knotstate
-from skeinquant.errors import UnknownCatalogEntry
+from skeinquant.errors import SkeinQuantError, UnknownCatalogEntry
 from skeinquant.jones import KnotPresentation, catalog_jones_values
 from skeinquant.knotstate import (L2Norm, knot_state, l2_norm_formula,
                                   l2_norm_quadrature, lobachevsky, reference_volume,
@@ -130,6 +130,20 @@ def test_reference_volumes():
     assert reference_volume("5_2", user_value=2.82812) == pytest.approx(2.82812)
     with pytest.raises(UnknownCatalogEntry):
         reference_volume("5_2")
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf, -1.0, -1e-300))
+def test_reference_volume_is_finite_and_nonnegative(value):
+    with pytest.raises(SkeinQuantError, match="finite and nonnegative"):
+        reference_volume(None, value)
+    assert reference_volume(None, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("name", ("unknot", "trefoil", "figure-eight"))
+def test_reference_volume_of_a_catalog_word_takes_no_value(name):
+    for value in (7.0, reference_volume(name)):
+        with pytest.raises(SkeinQuantError, match="catalog knot; pass no reference volume"):
+            reference_volume(name, value)
 
 
 def test_volume_rows_unknot_flat():
