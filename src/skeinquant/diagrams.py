@@ -12,7 +12,7 @@ Conventions (see docs/conventions.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,8 @@ class LinkDiagram:
         return cls(crossings, framing_extra=framings)
 
 
-def braid_to_diagram(braid: BraidWord, framing_extra: Optional[Sequence[int]] = None) -> LinkDiagram:
-    """Planar diagram of a braid closure.
+def braid_to_diagram(braid: BraidWord) -> LinkDiagram:
+    """Planar diagram of a braid closure, in its blackboard framing.
 
     Strand positions untouched by any generator close up into free loops.
     Components follow the braid's closure-cycle order.
@@ -202,9 +202,7 @@ def braid_to_diagram(braid: BraidWord, framing_extra: Optional[Sequence[int]] = 
     close = {cur[pos]: start[pos] for pos in range(s) if cur[pos] != start[pos]}
     free = s - len(close)  # positions that never crossed anything
     relabeled = [tuple(close.get(a, a) for a in x) for x in crossings]
-    extra = (list(framing_extra) if framing_extra is not None
-             else [0] * len(braid.closure_components()))
-    return LinkDiagram(relabeled, free_loops=free, framing_extra=extra, braid=braid)
+    return LinkDiagram(relabeled, free_loops=free, braid=braid)
 
 
 def unknot_diagram(framing_extra: int = 0) -> LinkDiagram:

@@ -89,17 +89,16 @@ def psi_norm_constant(ctx: QuantizationContext) -> float:
 
 
 class ThetaSection:
-    """Invariant section determined by alpha_0 .. alpha_{2r} and a half-form scale."""
+    """Invariant section determined by alpha_0 .. alpha_{2r}."""
 
-    __slots__ = ("ctx", "alpha", "halfform_scale")
+    __slots__ = ("ctx", "alpha")
 
-    def __init__(self, ctx: QuantizationContext, alpha, halfform_scale: complex = 1.0):
+    def __init__(self, ctx: QuantizationContext, alpha):
         alpha = np.asarray(alpha, dtype=np.complex128)
         if alpha.shape != (ctx.N,):
             raise DimensionMismatch(f"alpha must have length {ctx.N}")
         self.ctx = ctx
         self.alpha = alpha
-        self.halfform_scale = complex(halfform_scale)
 
 
 # -- pointwise evaluation ------------------------------------------------
@@ -178,10 +177,9 @@ def _series(ctx: QuantizationContext, alpha: np.ndarray, P, Q, frame: bool) -> n
 def eval_grid(s: ThetaSection, P, Q) -> np.ndarray:
     """Section values (holomorphic factor times frame) on arrays of points.
 
-    The half-form scale multiplies the result; each term is at most its
-    coefficient in modulus.
+    Each term is at most its coefficient in modulus.
     """
-    return _series(s.ctx, s.alpha, P, Q, frame=True) * s.halfform_scale
+    return _series(s.ctx, s.alpha, P, Q, frame=True)
 
 
 def section_eval(s: ThetaSection, p: float, q: float) -> complex:
@@ -228,7 +226,7 @@ def translate(s: ThetaSection, x) -> ThetaSection:
 
 def translate_ints(s: ThetaSection, j: int, k: int) -> ThetaSection:
     """Translate by (j mu + k lambda)/(2r+1); exact O(N) coefficient map."""
-    return ThetaSection(s.ctx, _translated(s.ctx, s.alpha, j, k), s.halfform_scale)
+    return ThetaSection(s.ctx, _translated(s.ctx, s.alpha, j, k))
 
 
 def _translated(ctx: QuantizationContext, alpha: np.ndarray, j: int, k: int) -> np.ndarray:
@@ -281,7 +279,7 @@ def _phi_rows(ctx: QuantizationContext) -> np.ndarray:
 
 def parity_reflect(s: ThetaSection) -> ThetaSection:
     """Pullback by x -> -x; on coefficients alpha_m -> alpha_{-m}."""
-    return ThetaSection(s.ctx, _reflected(s.ctx, s.alpha), s.halfform_scale)
+    return ThetaSection(s.ctx, _reflected(s.ctx, s.alpha))
 
 
 def _reflected(ctx: QuantizationContext, alpha: np.ndarray) -> np.ndarray:
@@ -291,7 +289,7 @@ def _reflected(ctx: QuantizationContext, alpha: np.ndarray) -> np.ndarray:
 
 def psi_coefficients(s: ThetaSection) -> np.ndarray:
     """Exact expansion over the translation eigenbasis (index classes)."""
-    return s.alpha / psi_norm_constant(s.ctx) * s.halfform_scale
+    return s.alpha / psi_norm_constant(s.ctx)
 
 
 def phi_coefficients(s: ThetaSection):
@@ -378,10 +376,9 @@ def _refine(at, ctx: QuantizationContext) -> list:
 def _pairings(ctx: QuantizationContext, blocks) -> list:
     """Refined scale * R^H G C for every (R, C, scale) in blocks, in one pass.
 
-    R and C hold coefficient rows with their half-form scales applied.  The
-    C rows of every block form one stacked matrix, so each grid builds its
-    kernel once and multiplies it once; each block keeps its own stopping
-    rule (_refine).
+    R and C hold coefficient rows.  The C rows of every block form one
+    stacked matrix, so each grid builds its kernel once and multiplies it
+    once; each block keeps its own stopping rule (_refine).
     """
     C = np.concatenate([cols for _, cols, _ in blocks]).T
     ends = np.cumsum([len(cols) for _, cols, _ in blocks])
@@ -399,8 +396,8 @@ def _pairing(rows: Sequence[ThetaSection], cols: Sequence[ThetaSection],
     ctx = rows[0].ctx
     if any(s.ctx != ctx for s in cols):
         raise DimensionMismatch("sections live over different contexts")
-    R = np.stack([s.alpha * s.halfform_scale for s in rows])
-    C = np.stack([s.alpha * s.halfform_scale for s in cols])
+    R = np.stack([s.alpha for s in rows])
+    C = np.stack([s.alpha for s in cols])
     scale = halfform_norm_sq(ctx) if include_halfform else 1.0
     return _pairings(ctx, [(R, C, scale)])[0]
 

@@ -96,23 +96,22 @@ class JonesValue:
 
 # -- one sector loop over several rings ---------------------------------
 
-def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None, shared: int = 0) -> int:
+def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None) -> int:
     """How many evaluation points fit RMATRIX_BYTE_BUDGET; StateSpaceTooLarge if none does.
 
     Per point: 3 d^2 ring entries of the largest sector d (the product, a block,
     the new product) and, given the power table's reach E, _trace's tables
-    (docs/conventions.md).  Once: ``shared`` ring entries, and in int64 s d^2
-    positions (s - 1 slot pairs' and a letter's), (s + 2) N^s for the sector
-    index sets, and 2 N^4 + 20 e for the pair tables and their columns while
-    built, e the number of entries of R.  d comes from an s-fold convolution,
-    before any of these exists.
+    (docs/conventions.md).  Once, in int64: s d^2 positions (s - 1 slot pairs'
+    and a letter's), (s + 2) N^s for the sector index sets, and 2 N^4 + 20 e
+    for the pair tables and their columns while built, e the number of
+    entries of R.  d comes from an s-fold convolution, before any of these
+    exists.
     """
     d = int(reduce(np.convolve, [np.ones(N)] * s).max())
     e = N * (N + 1) * (2 * N + 1) // 6   # one entry per (a, b, m)
     tables = 0 if E is None else 2 * (2 * E + 1) + N * (N + 1) + 5 * e
     point = itemsize * (3 * float(d) ** 2 + tables)
-    fixed = itemsize * shared + 8 * (s * float(d) ** 2 + (s + 2) * float(N) ** s
-                                     + 2 * N ** 4 + 20 * e)
+    fixed = 8 * (s * float(d) ** 2 + (s + 2) * float(N) ** s + 2 * N ** 4 + 20 * e)
     if point + fixed > RMATRIX_BYTE_BUDGET:
         raise StateSpaceTooLarge(
             f"the largest weight sector of the {N}^{s} states has {d} states and needs "
@@ -251,11 +250,13 @@ def colored_jones_rmatrix(K: KnotPresentation, n: int, ctx: RootContext) -> comp
 # -- exact backend: the sector loop over F_p, interpolation and CRT -------
 
 # primes p = 3 mod 4 below 2^25 (docs/conventions.md): int64 products stay
-# exact in every sector the budget admits, and x -> x^4 is one-to-one on 1 < x < p/2
+# exact in every sector the budget admits.  16 has order at least _MAX_POINTS
+# modulo each, so the nodes x = 2^k, k < _MAX_POINTS, have distinct t = x^4 = 16^k
 _PRIMES = (33554383, 33554371, 33554347, 33554291, 33554267, 33554239, 33554167,
            33554159, 33554123, 33554083, 33554051, 33554011, 33553999, 33553991,
            33553967, 33553879, 33553799, 33553787, 33553771, 33553759, 33553747,
            33553739, 33553727, 33553679)
+_MAX_POINTS = 3355405
 
 
 def _degree_window(word, s: int, N: int) -> tuple:
@@ -290,45 +291,38 @@ def _coefficient_bound(word, s: int, N: int) -> float:
         lambda w, diag: (1 + (2 * w < s * (N - 1))) * diag.sum())))   # the mirror's, too
 
 
-def _inverse(v, p: int):
-    """1/v mod p elementwise, as v^(p-2)."""
-    out = np.ones_like(v)
-    for bit in bin(p - 2)[2:]:
-        out = out * out % p
-        if bit == "1":
-            out = out * v % p
-    return out
-
-
-def _trace_mod(word, s: int, N: int, lo: int, E: int, p: int, x) -> tuple:
-    """(T(x) x^-lo, x^4) mod p at the points x, by the sector loop over F_p.
+def _trace_mod(word, s: int, N: int, lo: int, E: int, p: int, x):
+    """T(x) x^-lo mod p at the points x, by the sector loop over F_p.
 
     Entries and weights come from one table of x^e for |e| <= E.
     """
     pw = np.ones((2 * E + 1, len(x)), dtype=np.int64)           # pw[E + e] = x^e
-    x_inv = _inverse(x, p)
-    for e in range(1, E + 1):
-        pw[E + e], pw[E - e] = pw[E + e - 1] * x % p, pw[E - e + 1] * x_inv % p
-    y = _trace(word, s, N, pw, E, lambda v: np.remainder(v, p, out=v)) * pw[E - lo] % p
-    return y, pw[E + 4]
+    up, down = pw[E:], pw[E::-1]                                 # x^e and x^-e, e >= 0
+    up[1], down[1] = x, [pow(int(v), -1, p) for v in x]
+    for k in (1 << i for i in range((E - 1).bit_length())):   # x^(k+e) = x^k x^e, e <= k
+        for half in (up, down):
+            half[k + 1:2 * k + 1] = half[1:min(k, E - k) + 1] * half[k] % p
+    return _trace(word, s, N, pw, E, lambda v: np.remainder(v, p, out=v)) * pw[E - lo] % p
 
 
 def _coefficients_mod(word, s: int, N: int, lo: int, deg: int, E: int, p: int,
                       chunk: int) -> list:
     """The coefficients mod p of P, where T(A) = A^lo P(A^4) and deg P <= deg.
 
-    T comes from _trace_mod at x = 2 .. deg + 3, at most ``chunk`` points
-    at a time; P is interpolated in Newton form through t = x^4 at the
-    first deg + 1 points, and must agree at the last.
+    T comes from _trace_mod at x = 2^k, k = 0 .. deg + 1, at most ``chunk``
+    points at a time; P is interpolated in Newton form through t = x^4 =
+    16^k at the first deg + 1 points, and must agree at the last.  As
+    t[k + j] - t[k] = 16^k (16^j - 1), order j of the divided differences
+    multiplies by the vector 16^-k and one scalar 1/(16^j - 1).
     """
-    x = np.arange(2, deg + 4, dtype=np.int64)
-    y, t = (np.concatenate(v) for v in zip(*(_trace_mod(word, s, N, lo, E, p, x[i:i + chunk])
-                                             for i in range(0, len(x), chunk))))
-    inv = _inverse((t[:, None] - t) % p, p)
+    x = np.array([pow(2, k, p) for k in range(deg + 2)], dtype=np.int64)
+    y = np.concatenate([_trace_mod(word, s, N, lo, E, p, x[i:i + chunk])
+                        for i in range(0, len(x), chunk)])
+    t_inv = np.array([pow(16, -k, p) for k in range(deg + 1)], dtype=np.int64)
     c = y[:-1].copy()                                           # divided differences
-    for j in range(1, deg + 1):   # over t[j + k] - t[k]
-        c[j:] = (c[j:] - c[j - 1:-1]) % p * inv.diagonal(-j)[:-1] % p
-    t, c = t.tolist(), c.tolist()
+    for j in range(1, deg + 1):
+        c[j:] = (c[j:] - c[j - 1:-1]) % p * t_inv[:-j] % p * pow(pow(16, j, p) - 1, -1, p) % p
+    t, c = [pow(16, k, p) for k in range(deg + 2)], c.tolist()
     coef, check = [], 0                                          # Horner on the Newton form
     for j in range(deg, -1, -1):   # coef <- c_j + (t - t_j) coef
         coef = [(a - t[j] * b) % p for a, b in zip([c[j]] + coef, coef + [0])]
@@ -363,9 +357,11 @@ def _colored_jones_exact_cached(word: tuple, strands: int, n: int) -> LaurentPol
     cls = (2 * (N - 1) - (N * N - 1) * writhe) % 4   # every exponent of T, mod 4
     lo, hi = lo + (cls - lo) % 4, hi - (hi - cls) % 4
     deg = (hi - lo) // 4
+    if deg + 2 > _MAX_POINTS:
+        raise StateSpaceTooLarge(f"J({n}) needs {deg + 2} interpolation points, over the "
+                                 f"{_MAX_POINTS} nodes 2^k that stay distinct in A^4 mod p")
     E = 2 * N * (N + s) + abs(lo)   # covers every exponent of an entry, a weight and A^-lo
-    # per point: the tables of _trace; once: the Newton inverses
-    chunk = _check_budget(N, s, 8, E, (deg + 2) ** 2)
+    chunk = _check_budget(N, s, 8, E)
     bound, primes = _coefficient_bound(word, s, N), []
     while math.prod(primes) <= 2 * bound:
         if len(primes) == len(_PRIMES):

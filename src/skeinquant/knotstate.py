@@ -8,8 +8,8 @@ the torus basis, n = 1..r.  Its squared norm is
 
 computable either from this formula or as the quadrature norm of the
 image section under e_l -> Phi_{l+1} (the two must agree by
-orthonormality of the Phi basis; at tau = i they do to 1e-12 in logs up
-to r = 200).
+orthonormality of the Phi basis at every tau; the tests compare them to
+1e-12 in logs at tau = i, 0.3+1.7i and 2+3i).
 """
 
 from __future__ import annotations
@@ -114,10 +114,9 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def l2_norm_quadrature(K: KnotPresentation, r: int, tau: complex = 1j,
-                       backend: str = "auto") -> float:
+def l2_norm_quadrature(K: KnotPresentation, r: int, tau: complex = 1j) -> float:
     """Norm of the mapped section by quadrature; independent of the formula."""
-    section = iso_from_skein(knot_state(K, r, backend).coeffs, QuantizationContext(r, tau))
+    section = iso_from_skein(knot_state(K, r).coeffs, QuantizationContext(r, tau))
     val = inner_product(section, section)
     return math.sqrt(val.real)
 
@@ -155,13 +154,12 @@ def reference_volume(name: Optional[str], user_value: Optional[float] = None) ->
 
 
 def volume_sequence(K: KnotPresentation, r_list: Sequence[int],
-                    ref_vol: Optional[float] = None,
-                    backend: str = "auto") -> list:
+                    ref_vol: Optional[float] = None) -> list:
     """Norm growth rows v_r = (2 pi / r) log ||state|| over the given levels."""
     ref = reference_volume(catalog_name(K), ref_vol)
     rows = []
     for r in sorted(r_list):
-        res = l2_norm_formula(K, r, backend=backend)
+        res = l2_norm_formula(K, r)
         v_r = math.pi / r * res.log_norm_sq
         rel = abs(v_r - ref) / ref if ref > 0 else abs(v_r)
         rows.append(VolumeRow(r, res.norm_sq, v_r, res.argmax_n, ref, rel))

@@ -153,9 +153,11 @@ def rep_T(r: int) -> np.ndarray:
     normalization.  Dropping the sign breaks (ST)^3 = S^2 (it fails to be
     a scalar, not just by a phase) and breaks the intertwining with the
     geometric side for curve classes (a, b) with ab odd; see
-    docs/conventions.md.
+    docs/conventions.md.  Cached and read-only.
     """
-    return np.diag(_twist_eigenvalues(r))
+    mat = np.diag(_twist_eigenvalues(r))
+    mat.flags.writeable = False   # every caller shares the cached matrix
+    return mat
 
 
 def _twist_eigenvalues(r: int) -> tuple:
@@ -172,6 +174,7 @@ def rep_S(r: int) -> np.ndarray:
     Entry (m, n) is (2i e^{-i pi/4}/sqrt(2r+1)) sin(2 pi (m+1)(n+1)/(2r+1)).
     Summing instead over all residues mod 2r+1 would double-count after the
     sign-folding identification, so representatives keep the matrix unitary.
+    Cached and read-only.
     """
     N = 2 * RootContext(r).r + 1   # rejects a level below 3
     pref = 2j * cmath.exp(-1j * math.pi / 4) / math.sqrt(N)
@@ -179,6 +182,7 @@ def rep_S(r: int) -> np.ndarray:
     for m in range(r):
         for n in range(r):
             mat[m, n] = pref * math.sin(2 * math.pi * (m + 1) * (n + 1) / N)
+    mat.flags.writeable = False   # every caller shares the cached matrix
     return mat
 
 
@@ -276,8 +280,7 @@ def kirby_constants(r: int) -> KirbyConstants:
     return KirbyConstants(r, eta, complex(kappa), omega)
 
 
-def rt_invariant(surgery_knot: Optional[KnotPresentation], framing: int, r: int,
-                 backend: str = "auto") -> complex:
+def rt_invariant(surgery_knot: Optional[KnotPresentation], framing: int, r: int) -> complex:
     """Invariant of the closed manifold given by one integer surgery.
 
     ``surgery_knot=None`` denotes the empty surgery (the three-sphere).
@@ -294,7 +297,7 @@ def rt_invariant(surgery_knot: Optional[KnotPresentation], framing: int, r: int,
     sigma = (framing > 0) - (framing < 0)
     total = 0j
     size = 0.0
-    for i, jval in enumerate(colored_jones_values(surgery_knot, r, backend)):
+    for i, jval in enumerate(colored_jones_values(surgery_knot, r)):
         zero_framed = kc.omega_coeffs[i] * complex(jval)  # (-1)^i [i+1] J_{i+1}
         term = kc.omega_coeffs[i] * theta_bar[i] ** framing * zero_framed
         total += term

@@ -12,7 +12,7 @@ stacked refinement, so each grid's kernel is built once per report while
 every block keeps its own stopping rule.  Translations and the
 alternation checks act on whole coefficient stacks, each point check
 evaluates its section at all of its points in one series call, and the
-test vectors come from ``random.Random(seed)``.
+test vectors come from ``random.Random(7)``.
 """
 
 from __future__ import annotations
@@ -76,10 +76,9 @@ def _holomorphy_ratios(ctx: QuantizationContext, rng: random.Random):
     return r1, r2, (r1 / r2 if r2 > 0 else float("inf"))
 
 
-def verification_report(ctx: QuantizationContext, include_modular: bool = True,
-                        seed: int = 7) -> dict:
+def verification_report(ctx: QuantizationContext, include_modular: bool = True) -> dict:
     """Residual report for one quantization context."""
-    rng = random.Random(seed)
+    rng = random.Random(7)
     r, N = ctx.r, ctx.N
     psi = psi_norm_constant(ctx) * np.eye(N, dtype=np.complex128)   # Psi_0 .. Psi_{N-1}
     phi = _phi_rows(ctx)

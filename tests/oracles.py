@@ -481,7 +481,7 @@ def curve_operator_by_sections(gamma, ctx) -> np.ndarray:
     for s in basis_phi(ctx):
         t_plus = translate_ints(s, a, b)
         t_minus = translate_ints(s, -a, -b)
-        combined = ThetaSection(ctx, -chi * (t_plus.alpha + t_minus.alpha), s.halfform_scale)
+        combined = ThetaSection(ctx, -chi * (t_plus.alpha + t_minus.alpha))
         beta, dev = phi_coefficients(combined)
         if dev > 1e-9:
             raise ArithmeticError(f"column left the alternating subspace (dev {dev:.2e})")

@@ -415,6 +415,11 @@ def test_geom_verify_does_not_import_numpy_random():
     (["bracket", "--braid", "1 -2 1 -2", "--strands", "3"], ("numpy", "mpmath")),
     (["volume-seq", "--knot", "figure-eight", "--r-min", "5", "--r-max", "40"], ("numpy",)),
     (["geom-verify", "--r", "3", "--tau", "i"], ("mpmath",)),
+    (["jones", "--knot", "trefoil", "--n", "4", "--exact"], ("mpmath",)),
+    (["jones", "--braid", "1 -2 1 -2", "--strands", "3", "--n", "4", "--r", "8",
+      "--backend", "rmatrix"], ("mpmath",)),
+    (["tqft", "--r", "5", "--emit", "matrices"], ("mpmath",)),
+    (["rt", "--surgery", "trefoil", "--framing", "1", "--r", "10"], ("numpy", "mpmath")),
 ])
 def test_numpy_and_mpmath_run_only_where_used(tmp_path, argv, unrun):
     if argv[0] == "volume-seq":

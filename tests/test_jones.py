@@ -271,9 +271,9 @@ def test_degree_window_one_short_raises(monkeypatch):
 
 
 def test_exact_points_are_chunked_to_the_budget(monkeypatch):
-    # figure-eight n=4: 29 points of 3 * 12^2 + 612 int64 entries each; once, 29^2 Newton
-    # inverses, 3 * 12^2 positions, 5 * 4^3 index entries, and 2 * 4^4 + 20 * 30 for the
-    # pair tables.  The whole batch needs 263848 bytes, one point 29992
+    # figure-eight n=4: 29 points of 3 * 12^2 + 612 int64 entries each; once, 3 * 12^2
+    # positions, 5 * 4^3 index entries, and 2 * 4^4 + 20 * 30 for the pair tables.  The
+    # whole batch needs 257120 bytes, one point 23264
     word, strands = FIG8.braid.word, FIG8.braid.strands
     uncached = jones._colored_jones_exact_cached.__wrapped__
     sizes, trace_mod = [], jones._trace_mod
@@ -281,10 +281,10 @@ def test_exact_points_are_chunked_to_the_budget(monkeypatch):
                         lambda *args: sizes.append(len(args[-1])) or trace_mod(*args))
     assert uncached(word, strands, 4) == cabled_jones(FIG8, 4) and set(sizes) == {29}
     sizes.clear()
-    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 65000)   # (65000 - 21640) // 8352 = 5
+    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 65000)   # (65000 - 14912) // 8352 = 5
     assert uncached(word, strands, 4) == cabled_jones(FIG8, 4)
     assert sizes[:6] == [5, 5, 5, 5, 5, 4] and set(sizes) == {5, 4}
-    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 29991)
+    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 23263)
     with pytest.raises(StateSpaceTooLarge, match="has 12 states"):
         uncached(word, strands, 4)
 
@@ -320,6 +320,69 @@ def test_budget_counts_the_traced_peak(monkeypatch, N):
             assert fits == admitted, (itemsize, peak)
 
 
+def test_budget_counts_the_traced_peak_of_one_exact_point(monkeypatch):
+    # the trefoil word at n = 12 (deg 209) under the smallest budget that admits one point:
+    # the whole exact call, window, bound, batches and interpolation, stays within it
+    word, s, n = (1, 1, 1), 2, 12
+    uncached = jones._colored_jones_exact_cached.__wrapped__
+    counted, check_budget = [], jones._check_budget
+    monkeypatch.setattr(jones, "_check_budget",
+                        lambda *args: counted.append(args) or check_budget(*args))
+    J = uncached(word, s, n)
+    args, = (a for a in counted if len(a) == 4)   # the check with the power table's reach
+
+    def admits(budget):
+        monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", budget)
+        try:
+            return check_budget(*args) >= 1
+        except StateSpaceTooLarge:
+            return False
+
+    lo, hi = 0, jones.RMATRIX_BYTE_BUDGET   # bisect to the smallest admitting budget
+    while hi - lo > 1:
+        lo, hi = (lo, (lo + hi) // 2) if admits((lo + hi) // 2) else ((lo + hi) // 2, hi)
+    assert admits(hi) and check_budget(*args) == 1   # and the budget stays at hi
+    sizes, trace_mod = [], jones._trace_mod
+    monkeypatch.setattr(jones, "_trace_mod",
+                        lambda *args: sizes.append(len(args[-1])) or trace_mod(*args))
+    jones._rmatrix_terms.cache_clear()
+    peak = _traced_peak(lambda: uncached(word, s, n) == J or pytest.fail("J changed"))
+    assert sizes == [1] * 211 * 3 and peak <= hi, (peak, hi)   # 211 points, three primes
+
+
+def test_exact_nodes_are_powers_of_two_kept_apart(monkeypatch):
+    # the nodes are x = 2^k mod p, and a window needing more of them than 16's order
+    # keeps t = 16^k distinct raises before any is evaluated
+    uncached = jones._colored_jones_exact_cached.__wrapped__
+    nodes, trace_mod = [], jones._trace_mod
+    monkeypatch.setattr(jones, "_trace_mod",
+                        lambda *args: nodes.extend(args[-1].tolist()) or trace_mod(*args))
+    J = uncached(FIG8.braid.word, FIG8.braid.strands, 4)
+    p = jones._PRIMES[0]
+    assert nodes[:29] == [pow(2, k, p) for k in range(29)]   # deg 27 and one check point
+    monkeypatch.setattr(jones, "_MAX_POINTS", 29)
+    assert uncached(FIG8.braid.word, FIG8.braid.strands, 4) == J
+    nodes.clear()
+    monkeypatch.setattr(jones, "_MAX_POINTS", 28)
+    with pytest.raises(StateSpaceTooLarge, match="needs 29 interpolation points"):
+        uncached(FIG8.braid.word, FIG8.braid.strands, 4)
+    assert nodes == []
+
+
+def _order(g: int, p: int) -> int:
+    """The multiplicative order of g modulo the prime p."""
+    order, m, f = p - 1, p - 1, 2
+    while m > 1:
+        f = m if f * f > m else f
+        if m % f == 0:
+            while m % f == 0:
+                m //= f
+            while order % f == 0 and pow(g, order // f, p) == 1:
+                order //= f
+        f += 1
+    return order
+
+
 def test_prime_table():
     # no sector past d_max fits one int64 point: 3 entries of each state pair, and on two
     # strands or more at least two int64 positions
@@ -341,6 +404,11 @@ def test_prime_table():
         assert p % 4 == 3 and p < 2 ** 25
         assert p % 2 and all(p % f for f in range(3, math.isqrt(p) + 1, 2))
         assert d_max * p * p < 2 ** 63
+    # the nodes 2^k give distinct t = 16^k for every window the exact backend admits,
+    # deg + 2 <= _MAX_POINTS; five primes have orders below (p - 1)/2, the least this
+    orders = [_order(16, p) for p in jones._PRIMES]
+    assert min(orders) == jones._MAX_POINTS and _order(16, 23) == 11 and _order(16, 31) == 5
+    assert sum(o < (p - 1) // 2 for o, p in zip(orders, jones._PRIMES)) == 5
 
 
 def test_auto_past_the_budget_raises_without_exact(monkeypatch):

@@ -80,6 +80,15 @@ def test_quadrature_norm_matches_the_formula_at_large_levels(K, r):
     assert abs(log_q - l2_norm_formula(K, r).log_norm_sq) <= 1e-12
 
 
+@pytest.mark.parametrize("K", (TREFOIL, FIG8), ids=lambda K: K.name)
+@pytest.mark.parametrize("r", (20, 60))
+@pytest.mark.parametrize("tau", (0.3 + 1.7j, 2 + 3j))
+def test_quadrature_norm_matches_the_formula_off_tau_i(K, r, tau):
+    # the formula does not see tau; the quadrature runs on the tau grid
+    log_q = 2 * math.log(l2_norm_quadrature(K, r, tau))
+    assert abs(log_q - l2_norm_formula(K, r).log_norm_sq) <= 1e-12
+
+
 def test_norm_invariant_under_phase():
     r = 4
     state = knot_state(FIG8, r)

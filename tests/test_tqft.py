@@ -68,6 +68,19 @@ def test_rep_unitarity(r):
         assert np.max(np.abs(M @ M.conj().T - np.eye(r))) < 1e-10
 
 
+def test_cached_reps_are_read_only():
+    # the cached matrices reach every caller, so a write raises instead of changing them
+    from skeinquant.geom import QuantizationContext, modular_phase_check
+    ctx = QuantizationContext(4, 1j)
+    before = modular_phase_check("T", ctx)
+    for M in (rep_T(4), rep_S(4), before.predicted):
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 0
+    after = modular_phase_check("T", ctx)
+    assert after.max_dev == before.max_dev < 1e-12
+    assert np.array_equal(after.predicted, np.diag(rep_T(4)) * np.eye(4))
+
+
 def test_rep_T_entries():
     # entries are the color twist eigenvalues: sign times a quadratic phase
     r = 3
