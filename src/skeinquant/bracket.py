@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .diagrams import BraidWord, LinkDiagram, braid_to_diagram
@@ -43,7 +42,6 @@ class ChebyshevColor:
         return [(j, c) for j, c in enumerate(self.coeffs) if c != 0]
 
 
-@lru_cache(maxsize=None)
 def chebyshev_coeffs(n: int) -> ChebyshevColor:
     if n < 0:
         raise ValueError("color index must be >= 0")

@@ -96,7 +96,8 @@ class JonesValue:
 
 # -- one sector loop over several rings ---------------------------------
 
-def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None) -> int:
+def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None, nodes: int = 0,
+                  primes: int = 0) -> int:
     """How many evaluation points fit RMATRIX_BYTE_BUDGET; StateSpaceTooLarge if none does.
 
     Per point: 3 d^2 ring entries of the largest sector d (the product, a block,
@@ -104,14 +105,18 @@ def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None) -> int
     (docs/conventions.md).  Once, in int64: s d^2 positions (s - 1 slot pairs'
     and a letter's), (s + 2) N^s for the sector index sets, and 2 N^4 + 20 e
     for the pair tables and their columns while built, e the number of
-    entries of R.  d comes from an s-fold convolution, before any of these
-    exists.
+    entries of R.  Per interpolation node: 8 + primes int64 (the Newton
+    vectors and every prime's residues) and 256 bytes for the integers,
+    lists and dicts of the CRT and the exact division.  And 8 KiB for the
+    interpreter's own objects.  d comes from an s-fold convolution, before
+    any of these exists.
     """
     d = int(reduce(np.convolve, [np.ones(N)] * s).max())
     e = N * (N + 1) * (2 * N + 1) // 6   # one entry per (a, b, m)
     tables = 0 if E is None else 2 * (2 * E + 1) + N * (N + 1) + 5 * e
     point = itemsize * (3 * float(d) ** 2 + tables)
-    fixed = 8 * (s * float(d) ** 2 + (s + 2) * float(N) ** s + 2 * N ** 4 + 20 * e)
+    fixed = (8 * (s * float(d) ** 2 + (s + 2) * float(N) ** s + 2 * N ** 4 + 20 * e)
+             + nodes * (8 * (8 + primes) + 256) + 8192)
     if point + fixed > RMATRIX_BYTE_BUDGET:
         raise StateSpaceTooLarge(
             f"the largest weight sector of the {N}^{s} states has {d} states and needs "
@@ -167,7 +172,6 @@ def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
     return out
 
 
-@lru_cache(maxsize=64)
 def _rmatrix_terms(N: int) -> tuple:
     """(R^-1, R) for the N-dim rep in closed form over Z[A, A^-1], no inverse taken.
 
@@ -193,15 +197,15 @@ def _rmatrix_terms(N: int) -> tuple:
     return tuple(out)
 
 
-def _trace(word, s: int, N: int, pw, E: int, red):
+def _trace(word, s: int, N: int, terms, pw, E: int, red):
     """T, the closure's weighted trace, at a batch of points x in the ring of ``pw``.
 
     ``pw[E + e]`` holds x^e for |e| <= E, one column per point, and ``red``
     reduces a value of the ring in place: v % p over F_p, the identity over
-    complex128.  The generators are _rmatrix_terms evaluated at x, their
-    q-binomials by Pascal's rule, and sector w <= s(N-1)/2 is weighted by
-    x^e + x^-e, e = 4w - 2s(N-1), for itself and its mirror (the middle
-    sector, e = 0, once by x^0).
+    complex128.  The generators are ``terms`` = _rmatrix_terms(N) evaluated
+    at x, their q-binomials by Pascal's rule, and sector w <= s(N-1)/2 is
+    weighted by x^e + x^-e, e = 4w - 2s(N-1), for itself and its mirror (the
+    middle sector, e = 0, once by x^0).
     """
     P, dtype = pw.shape[1], pw.dtype
     braces = np.ones((N, P), dtype=dtype)               # {1} .. {m}
@@ -213,7 +217,7 @@ def _trace(word, s: int, N: int, pw, E: int, red):
             binom[u, m] = red(pw[E + 2 * m] * binom[u - 1, m]
                               + pw[E - 2 * (u - m)] * binom[u - 1, m - 1])
     gens = []
-    for positive, (where, (expo, m, u, v, _)) in enumerate(_rmatrix_terms(N)):
+    for positive, (where, (expo, m, u, v, _)) in enumerate(terms):
         val = red(red(red(pw[E + expo] * braces[m]) * binom[u, m]) * binom[v, m])
         val = val if positive else red(np.where(m[:, None] % 2, -val, val))
         gens.append((np.concatenate((val.T, np.zeros((P, 1), dtype)), axis=1), where))
@@ -242,7 +246,7 @@ def colored_jones_rmatrix(K: KnotPresentation, n: int, ctx: RootContext) -> comp
     E = 2 * N * (N + s)   # covers every exponent of an entry and a weight
     _check_budget(N, s, 16, E)
     pw = np.exp(1j * math.pi / NN * (np.arange(-E, E + 1) % (2 * NN)))[:, None]
-    trace = _trace(K.braid.word, s, N, pw, E, lambda v: v)[0]
+    trace = _trace(K.braid.word, s, N, _rmatrix_terms(N), pw, E, lambda v: v)[0]
     twist = cmath.exp(1j * math.pi / NN * ((N * N - 1) * K.braid.writhe % (2 * NN)))
     return complex(trace * twist / quantum_integer(n, ctx))
 
@@ -259,7 +263,7 @@ _PRIMES = (33554383, 33554371, 33554347, 33554291, 33554267, 33554239, 33554167,
 _MAX_POINTS = 3355405
 
 
-def _degree_window(word, s: int, N: int) -> tuple:
+def _degree_window(word, s: int, N: int, terms) -> tuple:
     """(lo, hi) bounding the A-exponents of T, by the sector loop in (min, +) and (max, +).
 
     The (max, +) end runs over the mirror sectors, with slot values flipped.
@@ -274,24 +278,24 @@ def _degree_window(word, s: int, N: int) -> tuple:
     for side in (1, -1):   # (max, +) as (min, +) on negated exponents
         # flipped slot values reverse the flat table and put sector s(N-1) - w at w
         gens = [(np.append(side * c[0] - c[4], np.inf), where[::side])
-                for where, c in _rmatrix_terms(N)]
+                for where, c in terms]
         ends.append(min(_sector_loop(
             word, s, N, gens, lambda d: np.where(np.eye(d), 0, np.inf), min_plus,
             lambda w, diag: 4 * w - 2 * s * (N - 1) + diag.min())))
     return int(ends[0]), -int(ends[1])
 
 
-def _coefficient_bound(word, s: int, N: int) -> float:
+def _coefficient_bound(word, s: int, N: int, terms) -> float:
     """A bound on T's coefficients: its L1 norm, by the sector loop in (+, x)."""
     gens = [(np.array([2.0 ** m * math.comb(u, m) * math.comb(v, m) for _, m, u, v, _ in c.T]
-                      + [0.0]), where) for where, c in _rmatrix_terms(N)]
+                      + [0.0]), where) for where, c in terms]
     # nonnegative float sums and products: far below 2^-20 relative rounding
     return (1 + 2.0 ** -20) * float(sum(_sector_loop(
         word, s, N, gens, np.eye, np.matmul,
         lambda w, diag: (1 + (2 * w < s * (N - 1))) * diag.sum())))   # the mirror's, too
 
 
-def _trace_mod(word, s: int, N: int, lo: int, E: int, p: int, x):
+def _trace_mod(word, s: int, N: int, terms, lo: int, E: int, p: int, x):
     """T(x) x^-lo mod p at the points x, by the sector loop over F_p.
 
     Entries and weights come from one table of x^e for |e| <= E.
@@ -302,12 +306,12 @@ def _trace_mod(word, s: int, N: int, lo: int, E: int, p: int, x):
     for k in (1 << i for i in range((E - 1).bit_length())):   # x^(k+e) = x^k x^e, e <= k
         for half in (up, down):
             half[k + 1:2 * k + 1] = half[1:min(k, E - k) + 1] * half[k] % p
-    return _trace(word, s, N, pw, E, lambda v: np.remainder(v, p, out=v)) * pw[E - lo] % p
+    return _trace(word, s, N, terms, pw, E, lambda v: np.remainder(v, p, out=v)) * pw[E - lo] % p
 
 
-def _coefficients_mod(word, s: int, N: int, lo: int, deg: int, E: int, p: int,
-                      chunk: int) -> list:
-    """The coefficients mod p of P, where T(A) = A^lo P(A^4) and deg P <= deg.
+def _coefficients_mod(word, s: int, N: int, terms, lo: int, deg: int, E: int, p: int,
+                      chunk: int):
+    """The coefficients mod p of P, where T(A) = A^lo P(A^4) and deg P <= deg, as int64.
 
     T comes from _trace_mod at x = 2^k, k = 0 .. deg + 1, at most ``chunk``
     points at a time; P is interpolated in Newton form through t = x^4 =
@@ -315,30 +319,34 @@ def _coefficients_mod(word, s: int, N: int, lo: int, deg: int, E: int, p: int,
     t[k + j] - t[k] = 16^k (16^j - 1), order j of the divided differences
     multiplies by the vector 16^-k and one scalar 1/(16^j - 1).
     """
-    x = np.array([pow(2, k, p) for k in range(deg + 2)], dtype=np.int64)
-    y = np.concatenate([_trace_mod(word, s, N, lo, E, p, x[i:i + chunk])
-                        for i in range(0, len(x), chunk)])
-    t_inv = np.array([pow(16, -k, p) for k in range(deg + 1)], dtype=np.int64)
+    x = np.fromiter((pow(2, k, p) for k in range(deg + 2)), np.int64, deg + 2)
+    y = np.empty_like(x)
+    for i in range(0, len(x), chunk):
+        y[i:i + chunk] = _trace_mod(word, s, N, terms, lo, E, p, x[i:i + chunk])
+    t_inv = np.fromiter((pow(16, -k, p) for k in range(deg + 1)), np.int64, deg + 1)
     c = y[:-1].copy()                                           # divided differences
     for j in range(1, deg + 1):
         c[j:] = (c[j:] - c[j - 1:-1]) % p * t_inv[:-j] % p * pow(pow(16, j, p) - 1, -1, p) % p
-    t, c = [pow(16, k, p) for k in range(deg + 2)], c.tolist()
-    coef, check = [], 0                                          # Horner on the Newton form
+    t = x * x % p
+    t = t * t % p
+    coef, check = np.zeros_like(x), 0                           # Horner on the Newton form
     for j in range(deg, -1, -1):   # coef <- c_j + (t - t_j) coef
-        coef = [(a - t[j] * b) % p for a, b in zip([c[j]] + coef, coef + [0])]
+        head = (c[j] - t[j] * coef[0]) % p
+        coef[1:] = (coef[:-1] - t[j] * coef[1:]) % p
+        coef[0] = head
         check = (check * (t[-1] - t[j]) + c[j]) % p
     if check != y[-1]:
         raise InexactDivision(f"T mod {p} is no polynomial of degree {deg} in A^4 on its "
                               "degree window; the window or a convention is wrong")
-    return coef
+    return coef[:-1]
 
 
 def _crt(residues: list, primes: list) -> list:
     """The integers of least absolute value with these residues modulo the primes."""
-    values, modulus = residues[0], primes[0]
+    values, modulus = residues[0].tolist(), primes[0]
     for res, p in zip(residues[1:], primes[1:]):
         inv = pow(modulus, -1, p)
-        values = [v + modulus * ((r - v) * inv % p) for v, r in zip(values, res)]
+        values = [v + modulus * ((r - v) * inv % p) for v, r in zip(values, res.tolist())]
         modulus *= p
     return [v - modulus if 2 * v > modulus else v for v in values]
 
@@ -348,27 +356,30 @@ def _colored_jones_exact_cached(word: tuple, strands: int, n: int) -> LaurentPol
     """J(n) from T = J(A^4) [n] A^-((n^2-1) writhe), the closure's weighted trace.
 
     T is rebuilt by CRT modulo primes whose product exceeds twice its
-    coefficient bound, then divided exactly (docs/conventions.md).
+    coefficient bound, then divided exactly (docs/conventions.md).  The
+    R-matrix tables are built once here and freed on return.
     """
     N, s = n, strands
     writhe = sum(1 if g > 0 else -1 for g in word)
     _check_budget(N, s, 8)   # one point, before the window's loops allocate N^s
-    lo, hi = _degree_window(word, s, N)
+    terms = _rmatrix_terms(N)
+    lo, hi = _degree_window(word, s, N, terms)
     cls = (2 * (N - 1) - (N * N - 1) * writhe) % 4   # every exponent of T, mod 4
     lo, hi = lo + (cls - lo) % 4, hi - (hi - cls) % 4
     deg = (hi - lo) // 4
     if deg + 2 > _MAX_POINTS:
         raise StateSpaceTooLarge(f"J({n}) needs {deg + 2} interpolation points, over the "
                                  f"{_MAX_POINTS} nodes 2^k that stay distinct in A^4 mod p")
-    E = 2 * N * (N + s) + abs(lo)   # covers every exponent of an entry, a weight and A^-lo
-    chunk = _check_budget(N, s, 8, E)
-    bound, primes = _coefficient_bound(word, s, N), []
+    bound, primes = _coefficient_bound(word, s, N, terms), []
     while math.prod(primes) <= 2 * bound:
         if len(primes) == len(_PRIMES):
             raise PrecisionLoss(f"J({n}) needs more primes than the {len(_PRIMES)} in the "
                                 f"table for its coefficient bound {bound:.3g}")
         primes.append(_PRIMES[len(primes)])
-    coeffs = _crt([_coefficients_mod(word, s, N, lo, deg, E, p, chunk) for p in primes], primes)
+    E = 2 * N * (N + s) + abs(lo)   # covers every exponent of an entry, a weight and A^-lo
+    chunk = _check_budget(N, s, 8, E, deg + 2, len(primes))
+    coeffs = _crt([_coefficients_mod(word, s, N, terms, lo, deg, E, p, chunk) for p in primes],
+                  primes)
     T = LaurentPoly({lo + 4 * i: c for i, c in enumerate(coeffs)})
     quotient = (T * LaurentPoly.monomial((N * N - 1) * writhe)).divexact(quantum_integer_poly(N))
     try:

@@ -17,13 +17,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from ._lazy import lazy_import
 from .errors import SkeinQuantError, UnknownCatalogEntry
 from .geom import QuantizationContext, inner_product, iso_from_skein
 from .jones import KnotPresentation, catalog_name, colored_jones_values
+from .roots import RootContext, quantum_integer
 from .tqft import TorusVector, kirby_constants
 
 mpmath = lazy_import("mpmath")
@@ -97,9 +97,12 @@ def l2_norm_formula(K: KnotPresentation, r: int, backend: str = "auto") -> L2Nor
 
 
 def _norm(r: int, values: list) -> L2Norm:
-    kc = kirby_constants(r)
+    # |eta [n]|, in the float steps of kirby_constants, without its kappa
+    ctx, N = RootContext(r), 2 * r + 1
+    eta = 2 * math.sin(2 * math.pi / N) / math.sqrt(N)
     log_j = [_log_abs(v) for v in values]
-    log_terms = [2 * (math.log(kc.eta * abs(w)) + lj) for w, lj in zip(kc.omega_coeffs, log_j)]
+    log_terms = [2 * (math.log(eta * abs(quantum_integer(n, ctx))) + lj)
+                 for n, lj in enumerate(log_j, 1)]
     top = max(log_terms)
     log_norm_sq = top + math.log(math.fsum(math.exp(t - top) for t in log_terms))
     return L2Norm(_exp(log_norm_sq), _exp(log_norm_sq / 2), log_norm_sq,
@@ -126,8 +129,8 @@ def lobachevsky(theta: float) -> float:
     return 0.5 * float(mpmath.clsin(2, 2 * theta))
 
 
-_REFERENCE_VOLUMES = {"unknot": lambda: 0.0, "trefoil": lambda: 0.0,
-                      "figure-eight": lru_cache(lambda: 4.0 * lobachevsky(math.pi / 6))}
+# the figure-eight's is 4 Lobachevsky(pi/6) = 2.02988321281930725004..., as the nearest double
+_REFERENCE_VOLUMES = {"unknot": 0.0, "trefoil": 0.0, "figure-eight": 2.0298832128193074}
 
 
 def reference_volume(name: Optional[str], user_value: Optional[float] = None) -> float:
@@ -135,15 +138,15 @@ def reference_volume(name: Optional[str], user_value: Optional[float] = None) ->
 
     Torus knots and the unknot give 0.  The figure-eight complement
     decomposes into two regular ideal tetrahedra, each of volume
-    2 Lobachevsky(pi/6), giving 4 Lobachevsky(pi/6) = 2.029883212819...,
-    computed once per process.  Anything else (name None for a braid
-    outside the catalog) takes the caller's value, which must be finite and
-    nonnegative; a catalog entry takes none.
+    2 Lobachevsky(pi/6), giving 4 Lobachevsky(pi/6) = 2.029883212819....
+    Anything else (name None for a braid outside the catalog) takes the
+    caller's value, which must be finite and nonnegative; a catalog entry
+    takes none.
     """
     if name in _REFERENCE_VOLUMES:
         if user_value is not None:
             raise SkeinQuantError(f"{name} is a catalog knot; pass no reference volume")
-        return _REFERENCE_VOLUMES[name]()
+        return _REFERENCE_VOLUMES[name]
     if user_value is None:
         raise UnknownCatalogEntry(
             f"no reference volume for {repr(name) if name else 'a braid outside the catalog'}; "

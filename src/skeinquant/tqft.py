@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from typing import Optional
 
@@ -144,7 +143,6 @@ def word_from_matrix(m) -> MappingClassWord:
 
 # -- the projective representation --------------------------------------
 
-@lru_cache(maxsize=128)
 def rep_T(r: int) -> np.ndarray:
     """Diagonal Dehn-twist matrix with entries (-1)**n exp(i pi (n^2+2n)/(2r+1)).
 
@@ -153,11 +151,9 @@ def rep_T(r: int) -> np.ndarray:
     normalization.  Dropping the sign breaks (ST)^3 = S^2 (it fails to be
     a scalar, not just by a phase) and breaks the intertwining with the
     geometric side for curve classes (a, b) with ab odd; see
-    docs/conventions.md.  Cached and read-only.
+    docs/conventions.md.
     """
-    mat = np.diag(_twist_eigenvalues(r))
-    mat.flags.writeable = False   # every caller shares the cached matrix
-    return mat
+    return np.diag(_twist_eigenvalues(r))
 
 
 def _twist_eigenvalues(r: int) -> tuple:
@@ -167,23 +163,18 @@ def _twist_eigenvalues(r: int) -> tuple:
                  for n in range(r))
 
 
-@lru_cache(maxsize=128)
 def rep_S(r: int) -> np.ndarray:
     """The S-matrix on representative indices 0..r-1.
 
-    Entry (m, n) is (2i e^{-i pi/4}/sqrt(2r+1)) sin(2 pi (m+1)(n+1)/(2r+1)).
-    Summing instead over all residues mod 2r+1 would double-count after the
-    sign-folding identification, so representatives keep the matrix unitary.
-    Cached and read-only.
+    Entry (m, n) is (2i e^{-i pi/4}/sqrt(2r+1)) sin(2 pi (m+1)(n+1)/(2r+1)),
+    with (m+1)(n+1) reduced mod 2r+1 in integers.  Summing instead over all
+    residues mod 2r+1 would double-count after the sign-folding
+    identification, so representatives keep the matrix unitary.
     """
     N = 2 * RootContext(r).r + 1   # rejects a level below 3
-    pref = 2j * cmath.exp(-1j * math.pi / 4) / math.sqrt(N)
-    mat = np.empty((r, r), dtype=np.complex128)
-    for m in range(r):
-        for n in range(r):
-            mat[m, n] = pref * math.sin(2 * math.pi * (m + 1) * (n + 1) / N)
-    mat.flags.writeable = False   # every caller shares the cached matrix
-    return mat
+    k = np.arange(1, r + 1)
+    return 2j * cmath.exp(-1j * math.pi / 4) / math.sqrt(N) * np.sin(
+        2 * math.pi / N * (np.outer(k, k) % N))
 
 
 def sl2z_rep(word, r: int) -> np.ndarray:
@@ -209,18 +200,26 @@ def curve_operator_skein(gamma, r: int) -> np.ndarray:
     """Operator of the simple closed curve with homology class (a, b).
 
     The meridian acts diagonally by -2 cos(2(n+1)pi/(2r+1)); the longitude
-    is tridiagonal with the fold at the top index; a general primitive
-    class is reached by conjugating the meridian operator with a mapping
-    class that carries the meridian onto it.
+    is tridiagonal with the fold at the top index.  A mapping class u
+    carries curve operators by O(u gamma) = rho(u) O(gamma) rho(u)^H, and
+    Euclid's steps on (a, b) reduce a general primitive class to one of
+    those two; each step conjugates by a diagonal power of rho(T), and
+    each step but the last by rho(S) too.
     """
     a, b = int(gamma[0]), int(gamma[1])
     if gcd(a, b) != 1:
         raise NotPrimitive(f"({a}, {b}) is not a primitive class")
+    steps = []
+    while a and b:   # T^k carries (a - kb, b) to (a, b), and S carries (b, -a) to (a, b)
+        k, a = divmod(a, b)
+        steps.append(k)
+        if a:
+            a, b = b, -a
     N = 2 * r + 1
-    if (a, b) in ((1, 0), (-1, 0)):
+    if b == 0:
         diag = [-2 * math.cos(2 * (n + 1) * math.pi / N) for n in range(r)]
-        return np.diag(diag).astype(np.complex128)
-    if (a, b) in ((0, 1), (0, -1)):
+        mat = np.diag(diag).astype(np.complex128)
+    else:
         mat = np.zeros((r, r), dtype=np.complex128)
         for n in range(r):
             if n - 1 >= 0:
@@ -229,32 +228,14 @@ def curve_operator_skein(gamma, r: int) -> np.ndarray:
                 mat[n + 1, n] -= 1
             elif n + 1 == r:
                 mat[r - 1, n] += 1  # e_r = -e_{r-1}
-        return mat
-    u = _carry_meridian_to(a, b)
-    g = sl2z_rep(word_from_matrix(u), r)
-    mu = curve_operator_skein((1, 0), r)
-    return g @ mu @ g.conj().T
-
-
-def _carry_meridian_to(a: int, b: int):
-    """Determinant-one integer matrix with first column (a, b)."""
-    x, y = _ext_gcd(a, b)
-    # a*x + b*y = 1, so columns (a, b), (-y, x) have determinant a x + b y
-    return ((a, -y), (b, x))
-
-
-def _ext_gcd(a: int, b: int):
-    old_r, rr = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while rr:
-        q = old_r // rr
-        old_r, rr = rr, old_r - q * rr
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r == -1:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
+    if steps:
+        s, twist = rep_S(r), np.array(_twist_eigenvalues(r))
+    for i, k in enumerate(reversed(steps)):
+        if i:
+            mat = s @ mat @ s.conj().T
+        power = twist ** k   # rho(T)^k, diagonal
+        mat = power[:, None] * mat * power.conj()
+    return mat
 
 
 # -- Kirby constants and surgery invariants ------------------------------
@@ -269,7 +250,6 @@ class KirbyConstants:
     omega_coeffs: tuple
 
 
-@lru_cache(maxsize=128)
 def kirby_constants(r: int) -> KirbyConstants:
     ctx = RootContext(r)
     N = 2 * r + 1

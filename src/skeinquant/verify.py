@@ -98,17 +98,6 @@ def verification_report(ctx: QuantizationContext, include_modular: bool = True) 
     target = math.sqrt(8 * math.pi ** 2 / (N * ctx.b))
     residuals["vacuum_frame_norm"] = abs(frame_norm[0, 0].real - target) / target
 
-    # the frame section is fixed by the meridian fraction translation: the
-    # ratio of the translated frame to the frame, as one exponent; every
-    # maximum goes through np.max, which keeps a NaN
-    devs = []
-    for _ in range(6):
-        p, q = rng.random(), rng.random()
-        devs.append(abs(cmath.exp(-1j * math.pi * q
-                                  + 1j * math.pi * N * q * (p + 1.0 / N + ctx.tau * q)
-                                  - 1j * math.pi * N * q * (p + ctx.tau * q)) - 1))
-    residuals["frame_fixed_by_meridian_step"] = float(np.max(devs))
-
     ab = _translated(ctx, _translated(ctx, psi, 0, 1), 1, 0)
     ba = _translated(ctx, _translated(ctx, psi, 1, 0), 0, 1)
     residuals["heisenberg_commutation"] = float(np.max(np.abs(

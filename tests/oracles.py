@@ -42,6 +42,10 @@
 * The geometric curve operator one column at a time: each Phi_l
   translated as a section by +-gamma/(2r+1) and expanded by
   phi_coefficients, the reference for the stacked build.
+* The curve operator by a mapping class word: the meridian conjugated
+  by sl2z_rep of the T/S word that word_from_matrix gives for an
+  ext-gcd matrix of determinant one with first column (a, b), the
+  reference for the Euclidean conjugations of curve_operator_skein.
 * The Lobachevsky sine series, summed far enough for a stated
   tolerance: the reference for the closed form through Clausen's Cl_2.
 * Small helpers only the tests need: a PD text writer, the mirror of a
@@ -63,7 +67,7 @@ from skeinquant.geom import (ThetaSection, _window, basis_phi, lattice_character
 from skeinquant.jones import JONES_REL_TOL, _rmatrix_terms
 from skeinquant.knotstate import L2Norm, _log_abs
 from skeinquant.laurent import LaurentPoly, loop_value, quantum_integer_poly
-from skeinquant.tqft import kirby_constants
+from skeinquant.tqft import curve_operator_skein, kirby_constants, sl2z_rep, word_from_matrix
 
 
 def cyclotomic_jones(name: str, r: int, n_max: int, bits: int) -> list:
@@ -487,6 +491,18 @@ def curve_operator_by_sections(gamma, ctx) -> np.ndarray:
             raise ArithmeticError(f"column left the alternating subspace (dev {dev:.2e})")
         cols.append(beta)
     return np.stack(cols, axis=1)
+
+
+def curve_operator_by_word(gamma, r: int) -> np.ndarray:
+    """The operator of the primitive class (a, b) as g mu g^H, g = sl2z_rep(u), u e_1 = (a, b)."""
+    a, b = gamma
+    old_r, rr, x, s, y, t = a, b, 1, 0, 0, 1   # extended Euclid: a x + b y = +-1
+    while rr:
+        q = old_r // rr
+        old_r, rr, x, s, y, t = rr, old_r - q * rr, s, x - q * s, t, y - q * t
+    x, y = old_r * x, old_r * y
+    g = sl2z_rep(word_from_matrix(((a, -y), (b, x))), r)
+    return g @ curve_operator_skein((1, 0), r) @ g.conj().T
 
 
 def lobachevsky_series(theta: float, tol: float = 1e-12) -> float:

@@ -14,7 +14,7 @@ from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarg
                                UnknownCatalogEntry)
 from skeinquant.jones import (JONES_REL_TOL, KnotPresentation, catalog_jones_values,
                               colored_jones, colored_jones_catalog, colored_jones_exact,
-                              colored_jones_rmatrix)
+                              colored_jones_rmatrix, colored_jones_values)
 from skeinquant.laurent import LaurentPoly
 from skeinquant.roots import RootContext, quantum_integer
 
@@ -150,18 +150,19 @@ def test_mirror_sectors_trace_alike_and_tighten_window_and_bound(monkeypatch, wo
         return [np.zeros(len(x), dtype=np.int64)]
 
     for N in range(2, n_max + 1):
+        terms = jones._rmatrix_terms(N)
         with monkeypatch.context() as m:
             m.setattr(jones, "_sector_loop", every_sector)
-            jones._trace_mod(word, strands, N, 0, 2 * N * (N + strands), p, x)
+            jones._trace_mod(word, strands, N, terms, 0, 2 * N * (N + strands), p, x)
         assert len(traces) == strands * (N - 1) + 1
         for w, trace in enumerate(traces):
             assert np.array_equal(trace, traces[-1 - w])
-        lo, hi = jones._degree_window(word, strands, N)
+        lo, hi = jones._degree_window(word, strands, N, terms)
         lo_all, hi_all = all_sector_window(word, strands, N)
         assert lo_all <= lo <= hi <= hi_all
         moduli = [math.prod(jones._PRIMES[:k]) for k in range(1, len(jones._PRIMES) + 1)]
         needed = [next(k for k, M in enumerate(moduli) if M > 2 * b)
-                  for b in (jones._coefficient_bound(word, strands, N),
+                  for b in (jones._coefficient_bound(word, strands, N, terms),
                             all_sector_bound(word, strands, N))]
         assert needed[0] <= needed[1]
 
@@ -263,17 +264,18 @@ def test_degree_window_one_short_raises(monkeypatch):
     # T = J(A^4) [n] A^-((n^2-1) writhe), and the figure-eight has writhe 0
     lo, hi = 4 * J.min_exp - 2 * (n - 1), 4 * J.max_exp + 2 * (n - 1)
     uncached = jones._colored_jones_exact_cached.__wrapped__
-    monkeypatch.setattr(jones, "_degree_window", lambda word, s, N: (lo, hi - 4))
+    monkeypatch.setattr(jones, "_degree_window", lambda word, s, N, terms: (lo, hi - 4))
     with pytest.raises(InexactDivision):
         uncached(FIG8.braid.word, FIG8.braid.strands, n)
-    monkeypatch.setattr(jones, "_degree_window", lambda word, s, N: (lo, hi))
+    monkeypatch.setattr(jones, "_degree_window", lambda word, s, N, terms: (lo, hi))
     assert uncached(FIG8.braid.word, FIG8.braid.strands, n) == J
 
 
 def test_exact_points_are_chunked_to_the_budget(monkeypatch):
     # figure-eight n=4: 29 points of 3 * 12^2 + 612 int64 entries each; once, 3 * 12^2
-    # positions, 5 * 4^3 index entries, and 2 * 4^4 + 20 * 30 for the pair tables.  The
-    # whole batch needs 257120 bytes, one point 23264
+    # positions, 5 * 4^3 index entries, 2 * 4^4 + 20 * 30 for the pair tables, 8 * (8 + 1)
+    # + 256 bytes for each of the 29 nodes of one prime, and 8192.  The whole batch needs
+    # 274824 bytes, one point 40968
     word, strands = FIG8.braid.word, FIG8.braid.strands
     uncached = jones._colored_jones_exact_cached.__wrapped__
     sizes, trace_mod = [], jones._trace_mod
@@ -281,10 +283,10 @@ def test_exact_points_are_chunked_to_the_budget(monkeypatch):
                         lambda *args: sizes.append(len(args[-1])) or trace_mod(*args))
     assert uncached(word, strands, 4) == cabled_jones(FIG8, 4) and set(sizes) == {29}
     sizes.clear()
-    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 65000)   # (65000 - 14912) // 8352 = 5
+    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 75000)   # (75000 - 32616) // 8352 = 5
     assert uncached(word, strands, 4) == cabled_jones(FIG8, 4)
     assert sizes[:6] == [5, 5, 5, 5, 5, 4] and set(sizes) == {5, 4}
-    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 23263)
+    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 40967)
     with pytest.raises(StateSpaceTooLarge, match="has 12 states"):
         uncached(word, strands, 4)
 
@@ -308,8 +310,7 @@ def test_budget_counts_the_traced_peak(monkeypatch, N):
     K = KnotPresentation.from_braid(word, s)
     for itemsize, points, call in (
             (16, 1, lambda: colored_jones_rmatrix(K, N, RootContext(30))),
-            (8, P, lambda: jones._trace_mod(word, s, N, 0, E, p, x))):
-        jones._rmatrix_terms.cache_clear()
+            (8, P, lambda: jones._trace_mod(word, s, N, jones._rmatrix_terms(N), 0, E, p, x))):
         peak = _traced_peak(call)
         for budget, admitted in ((peak - 1, False), (2 * peak, True)):
             monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", budget)
@@ -321,33 +322,54 @@ def test_budget_counts_the_traced_peak(monkeypatch, N):
 
 
 def test_budget_counts_the_traced_peak_of_one_exact_point(monkeypatch):
-    # the trefoil word at n = 12 (deg 209) under the smallest budget that admits one point:
-    # the whole exact call, window, bound, batches and interpolation, stays within it
-    word, s, n = (1, 1, 1), 2, 12
+    # under the smallest budget that admits one point, the whole exact call, window, bound,
+    # batches, interpolation, CRT and division, stays within it.  The trefoil word at n = 12
+    # (deg 209) has the largest sectors; the other two have many nodes and primes and small
+    # sectors, where the per-node and per-call terms carry the count
     uncached = jones._colored_jones_exact_cached.__wrapped__
-    counted, check_budget = [], jones._check_budget
-    monkeypatch.setattr(jones, "_check_budget",
-                        lambda *args: counted.append(args) or check_budget(*args))
-    J = uncached(word, s, n)
-    args, = (a for a in counted if len(a) == 4)   # the check with the power table's reach
+    check_budget, trace_mod = jones._check_budget, jones._trace_mod
+    for word, s, n, nodes, primes in (((1, 1, 1), 2, 12, 211, 3), ((1,) * 41, 2, 2, 44, 3),
+                                      ((1, -2) * 20, 3, 2, 43, 2)):
+        counted = []
+        monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 1 << 28)
+        monkeypatch.setattr(jones, "_check_budget",
+                            lambda *args: counted.append(args) or check_budget(*args))
+        J = uncached(word, s, n)
+        args = counted[-1]   # the check that sizes the batches, once the primes are picked
+        assert args[4:] == (nodes, primes)
 
-    def admits(budget):
-        monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", budget)
-        try:
-            return check_budget(*args) >= 1
-        except StateSpaceTooLarge:
-            return False
+        def admits(budget):
+            monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", budget)
+            try:
+                return check_budget(*args) >= 1
+            except StateSpaceTooLarge:
+                return False
 
-    lo, hi = 0, jones.RMATRIX_BYTE_BUDGET   # bisect to the smallest admitting budget
-    while hi - lo > 1:
-        lo, hi = (lo, (lo + hi) // 2) if admits((lo + hi) // 2) else ((lo + hi) // 2, hi)
-    assert admits(hi) and check_budget(*args) == 1   # and the budget stays at hi
-    sizes, trace_mod = [], jones._trace_mod
-    monkeypatch.setattr(jones, "_trace_mod",
-                        lambda *args: sizes.append(len(args[-1])) or trace_mod(*args))
-    jones._rmatrix_terms.cache_clear()
-    peak = _traced_peak(lambda: uncached(word, s, n) == J or pytest.fail("J changed"))
-    assert sizes == [1] * 211 * 3 and peak <= hi, (peak, hi)   # 211 points, three primes
+        lo, hi = 0, jones.RMATRIX_BYTE_BUDGET   # bisect to the smallest admitting budget
+        while hi - lo > 1:
+            lo, hi = (lo, (lo + hi) // 2) if admits((lo + hi) // 2) else ((lo + hi) // 2, hi)
+        assert admits(hi) and check_budget(*args) == 1   # and the budget stays at hi
+        sizes = []
+        monkeypatch.setattr(jones, "_trace_mod",
+                            lambda *args: sizes.append(len(args[-1])) or trace_mod(*args))
+        peak = _traced_peak(lambda: uncached(word, s, n) == J or pytest.fail("J changed"))
+        assert sizes == [1] * nodes * primes and peak <= hi, (word, peak, hi)
+        monkeypatch.setattr(jones, "_trace_mod", trace_mod)
+
+
+def test_rmatrix_values_leave_no_tables_behind():
+    # the R-matrix tables live for one call: kept, the 2 n^4 int64 positions and their
+    # columns of every color n = 4..30 would hold about 90 MB
+    K = KnotPresentation.from_braid((1, 1, 1, 1, 1), 2)
+    colored_jones_values(K, 3)   # the lazy imports, before the trace starts
+    tracemalloc.start()
+    try:
+        values = colored_jones_values(K, 30)
+        del values
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20, retained
 
 
 def test_exact_nodes_are_powers_of_two_kept_apart(monkeypatch):

@@ -136,6 +136,7 @@ def test_reference_volumes():
     assert reference_volume("trefoil") == 0.0
     v = reference_volume("figure-eight")
     assert v == pytest.approx(2.029883212819, abs=1e-11)
+    assert v == 4 * lobachevsky(math.pi / 6)   # the double nearest 2.02988321281930725004
     assert reference_volume("5_2", user_value=2.82812) == pytest.approx(2.82812)
     with pytest.raises(UnknownCatalogEntry):
         reference_volume("5_2")
@@ -190,7 +191,7 @@ def test_reference_volume_follows_the_braid_word(monkeypatch):
     assert volume_sequence(mislabeled, [10])[0].ref_vol == 0.0
     with pytest.raises(UnknownCatalogEntry):
         volume_sequence(KnotPresentation.from_braid((1, 1, 1, 2), 3, name="trefoil"), [5])
-    # computed once per process: later calls do not sum the series again
+    # a literal: no call sums the series
     volume = reference_volume("figure-eight")
     monkeypatch.setattr(knotstate, "lobachevsky", None)
     assert reference_volume("figure-eight") == volume == pytest.approx(2.029883212819307)

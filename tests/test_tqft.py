@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import kappa_modulus_dev
+from oracles import curve_operator_by_word, kappa_modulus_dev
 from skeinquant import cli
 from skeinquant.errors import NotPrimitive, PrecisionLoss
 from skeinquant.jones import KnotPresentation
@@ -68,16 +68,19 @@ def test_rep_unitarity(r):
         assert np.max(np.abs(M @ M.conj().T - np.eye(r))) < 1e-10
 
 
-def test_cached_reps_are_read_only():
-    # the cached matrices reach every caller, so a write raises instead of changing them
+def test_writing_a_returned_rep_changes_no_later_call():
+    # every call builds its own matrices, so a caller's write stays in its copy
     from skeinquant.geom import QuantizationContext, modular_phase_check
     ctx = QuantizationContext(4, 1j)
     before = modular_phase_check("T", ctx)
-    for M in (rep_T(4), rep_S(4), before.predicted):
-        with pytest.raises(ValueError, match="read-only"):
-            M[0, 0] = 0
+    mats = (rep_T(4), rep_S(4), before.predicted)
+    copies = [M.copy() for M in mats]
+    for M in mats:
+        M[0, 0] = 0
+    assert np.array_equal(rep_T(4), copies[0]) and np.array_equal(rep_S(4), copies[1])
     after = modular_phase_check("T", ctx)
     assert after.max_dev == before.max_dev < 1e-12
+    assert np.array_equal(after.predicted, copies[2])
     assert np.array_equal(after.predicted, np.diag(rep_T(4)) * np.eye(4))
 
 
@@ -178,6 +181,16 @@ def test_curve_operator_primitive_guard():
         curve_operator_skein((2, 2), 4)
     with pytest.raises(NotPrimitive):
         curve_operator_skein((0, 3), 4)
+
+
+@pytest.mark.parametrize("r", (3, 5, 8, 13))
+def test_curve_operator_matches_the_word_route(r):
+    # Euclid's conjugations against the meridian conjugated by sl2z_rep of a T/S word for
+    # an ext-gcd matrix, on every primitive class with |a|, |b| <= 7
+    worst = max(float(np.max(np.abs(curve_operator_skein((a, b), r)
+                                    - curve_operator_by_word((a, b), r))))
+                for a in range(-7, 8) for b in range(-7, 8) if math.gcd(a, b) == 1)
+    assert worst < 1e-13
 
 
 def test_conjugation_covariance():
