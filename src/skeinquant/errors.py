@@ -34,7 +34,7 @@ class NonconvergentSeries(SkeinQuantError):
 
 
 class QuadratureNotConverged(SkeinQuantError):
-    """Grid refinement hit its cap before integrals stabilised."""
+    """The quadrature grid that the aliasing bound asks for passes its cap."""
 
 
 class DimensionMismatch(SkeinQuantError):

@@ -41,8 +41,6 @@ np = lazy_import("numpy")
 
 
 SERIES_TOL = 1e-14          # theta terms below this share of their coefficient are dropped
-QUAD_N_START = 16           # trapezoid grid points per axis on the first grid
-QUAD_REFINE_UNTIL = 1e-8    # relative agreement of two successive grids
 QUAD_N_CAP = 4096           # finest grid before QuadratureNotConverged
 
 
@@ -342,57 +340,55 @@ def _gram_kernel(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
     return (4 * math.pi / n_grid) * (A.T @ K @ A)
 
 
-def _refine(at, ctx: QuantizationContext) -> list:
-    """The blocks of the list at(n), on grids doubled from QUAD_N_START.
+def _grid(ctx: QuantizationContext) -> int:
+    """Trapezoid points per axis that hold a pairing of ctx's sections within SERIES_TOL.
 
-    Each block is accepted on the first grid where it agrees with its value
-    on the grid before, and the doubling stops once every block is accepted,
-    so a block refines to the grid it would reach alone.  The q-parts are
-    bounded by 1, so a block leaves the float range only through its
-    coefficients or scales; the first non-finite block still open raises
-    PrecisionLoss, since doubling on NaN could never converge.
+    By Poisson summation a grid of n points misses the q-sum of a diagonal
+    Gaussian exp(-2 pi b (m + N q)^2 / N) by about 2 exp(-pi n^2 / (2 b N)),
+    relative, and each aliased pair m = m' mod n, m != m', adds about
+    2 exp(-pi b n^2 / (2 N)).  Both exponents reach ln(8/SERIES_TOL) at
+    n = sqrt(2 N ln(8/SERIES_TOL) / pi) max(sqrt(b), 1/sqrt(b)).  The S
+    frame's sections are sections of the same torus, so the S check needs
+    no finer grid.  Raises QuadratureNotConverged past QUAD_N_CAP, before
+    any array is built.
     """
-    n, prev, done = QUAD_N_START, None, {}
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            cur = at(n)
-        for i, val in enumerate(cur):
-            if i in done:
-                continue
-            if not np.all(np.isfinite(val)):
-                raise PrecisionLoss(
-                    f"quadrature at r = {ctx.r}, tau = {ctx.tau}, n = {n} is not finite")
-            if prev is not None and np.max(np.abs(val - prev[i])) <= \
-                    QUAD_REFINE_UNTIL * max(1.0, float(np.max(np.abs(val)))):
-                done[i] = val
-        if len(done) == len(cur):
-            return [done[i] for i in range(len(cur))]
-        prev = cur
-        n *= 2
-        if n > QUAD_N_CAP:
-            raise QuadratureNotConverged(f"no convergence by n = {QUAD_N_CAP}")
+    n = math.sqrt(2 * ctx.N * math.log(8 / SERIES_TOL) / math.pi * max(ctx.b, 1 / ctx.b))
+    if n > QUAD_N_CAP:
+        raise QuadratureNotConverged(f"quadrature at r = {ctx.r}, tau = {ctx.tau} needs "
+                                     f"{n:.6g} points per axis, past the cap {QUAD_N_CAP}")
+    return math.ceil(n)
+
+
+def _finite(ctx: QuantizationContext, n: int, blocks: list) -> list:
+    """blocks, or PrecisionLoss naming r, tau and n where one is not finite.
+
+    The q-parts are bounded by 1, so a block leaves the float range only
+    through its coefficients or scales.
+    """
+    if not all(np.all(np.isfinite(val)) for val in blocks):
+        raise PrecisionLoss(f"quadrature at r = {ctx.r}, tau = {ctx.tau}, n = {n} is not finite")
+    return blocks
 
 
 def _pairings(ctx: QuantizationContext, blocks) -> list:
-    """Refined scale * R^H G C for every (R, C, scale) in blocks, in one pass.
+    """scale * R^H G C for every (R, C, scale) in blocks, on the grid _grid(ctx).
 
     R and C hold coefficient rows.  The C rows of every block form one
-    stacked matrix, so each grid builds its kernel once and multiplies it
-    once; each block keeps its own stopping rule (_refine).
+    stacked matrix, so the kernel is built once and multiplied once.
     """
+    n = _grid(ctx)
     C = np.concatenate([cols for _, cols, _ in blocks]).T
     ends = np.cumsum([len(cols) for _, cols, _ in blocks])
-
-    def at(n):
+    with np.errstate(over="ignore", invalid="ignore"):
         GC = _gram_kernel(ctx, n) @ C
-        return [scale * (rows.conj() @ GC[:, e - len(cols):e])
-                for (rows, cols, scale), e in zip(blocks, ends)]
-    return _refine(at, ctx)
+        out = [scale * (rows.conj() @ GC[:, e - len(cols):e])
+               for (rows, cols, scale), e in zip(blocks, ends)]
+    return _finite(ctx, n, out)
 
 
 def _pairing(rows: Sequence[ThetaSection], cols: Sequence[ThetaSection],
              include_halfform: bool = True) -> np.ndarray:
-    """Refined matrix of <rows[i], cols[j]> through the Gram kernel."""
+    """Matrix of <rows[i], cols[j]> through the Gram kernel."""
     ctx = rows[0].ctx
     if any(s.ctx != ctx for s in cols):
         raise DimensionMismatch("sections live over different contexts")
@@ -406,16 +402,16 @@ def inner_product(s1: ThetaSection, s2: ThetaSection,
                   include_halfform: bool = True) -> complex:
     """Hermitian pairing integral(conj(s1) s2) * 4 pi over the unit square.
 
-    Refined by grid doubling until the relative change drops below
-    QUAD_REFINE_UNTIL; the half-form factor sqrt(b/2 pi) multiplies the
-    result unless disabled.
+    A trapezoid sum on the grid _grid(ctx), whose error is below
+    SERIES_TOL relative to the integral; the half-form factor
+    sqrt(b/2 pi) multiplies the result unless disabled.
     """
     return complex(_pairing([s1], [s2], include_halfform)[0, 0])
 
 
 def gram_matrix(sections: Sequence[ThetaSection],
                 include_halfform: bool = True) -> np.ndarray:
-    """Matrix of pairwise inner products, refined as one block."""
+    """Matrix of pairwise inner products, on one grid as one block."""
     return _pairing(sections, sections, include_halfform)
 
 
@@ -567,7 +563,9 @@ def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
     elif gen == "S":
         # half-form frame change tau**-1/2, principal branch
         weight = ctx.tau ** -0.5 * halfform_norm_sq(ctx)
-        cur = _refine(lambda n: [weight * _s_frame_pairing(ctx, n)], ctx)[0]
+        n = _grid(ctx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cur = _finite(ctx, n, [weight * _s_frame_pairing(ctx, n)])[0]
     else:
         raise ValueError("gen must be 'T' or 'S'")
     return _frame_report(gen, cur, ctx)

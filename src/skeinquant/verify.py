@@ -8,8 +8,8 @@ convergence check and is reported separately as a flag).
 One report is one batched pass.  Every pairing that goes through the Gram
 kernel (the Psi and Phi Gram matrices, the vacuum, the random section and
 its translate, and the twist-frame basis of the T check) is a block of one
-stacked refinement, so each grid's kernel is built once per report while
-every block keeps its own stopping rule.  Translations and the
+stacked product on the grid that the aliasing bound picks from (r, tau),
+so a report builds one kernel.  Translations and the
 alternation checks act on whole coefficient stacks, each point check
 evaluates its section at all of its points in one series call, and the
 test vectors come from ``random.Random(7)``.

@@ -202,15 +202,28 @@ def numpy_q_bits(NN: int) -> int:
 
 
 def numpy_norm(r: int, values: list) -> L2Norm:
-    """The knot-state norm by log-sum-exp over numpy arrays; past the double range it reads inf."""
+    """The knot-state norm by log-sum-exp, its weights from the kirby_constants array.
+
+    numpy forms the weights and the argmax, which round as Python does.  Its
+    float64 SIMD exp and log differ from the C library's in the last bit for
+    some arguments on AVX-512 hosts, so each log and exp is math's, one per
+    term.  Past the double range the norms read inf.
+    """
     kc = kirby_constants(r)
     log_j = np.array([_log_abs(v) for v in values])
-    log_terms = 2 * (np.log(kc.eta * np.abs(kc.omega_coeffs)) + log_j)
-    top = float(np.max(log_terms))
-    log_norm_sq = top + math.log(math.fsum(np.exp(log_terms - top)))
-    with np.errstate(over="ignore"):
-        norm_sq, norm = np.exp([log_norm_sq, log_norm_sq / 2])
-    return L2Norm(float(norm_sq), float(norm), log_norm_sq, int(np.argmax(log_j)) + 1)
+    weights = kc.eta * np.abs(kc.omega_coeffs)
+    log_terms = [2 * (math.log(w) + lj) for w, lj in zip(weights.tolist(), log_j.tolist())]
+    top = max(log_terms)
+    log_norm_sq = top + math.log(math.fsum(math.exp(t - top) for t in log_terms))
+    return L2Norm(_exp_or_inf(log_norm_sq), _exp_or_inf(log_norm_sq / 2), log_norm_sq,
+                  int(np.argmax(log_j)) + 1)
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _qint(k: int, q: complex) -> complex:

@@ -338,12 +338,16 @@ def test_modular_S_matrix(tau):
 
 
 def test_quadrature_cap_raises(monkeypatch):
-    monkeypatch.setattr(geom, "QUAD_N_START", 4)
-    monkeypatch.setattr(geom, "QUAD_REFINE_UNTIL", 1e-30)
-    monkeypatch.setattr(geom, "QUAD_N_CAP", 8)
-    s = random_section(QuantizationContext(3, 1j), 11)
-    with pytest.raises(QuadratureNotConverged):
-        inner_product(s, s)
+    # a cap below the bound refuses the grid before any kernel is built
+    ctx = QuantizationContext(3, 1j)
+    s = random_section(ctx, 11)
+    n = geom._grid(ctx)
+    monkeypatch.setattr(geom, "QUAD_N_CAP", n - 1)
+    for name in ("_gram_kernel", "_s_frame_pairing"):
+        monkeypatch.setattr(geom, name, lambda *args: pytest.fail("a kernel was built"))
+    for check in (lambda: inner_product(s, s), lambda: modular_phase_check("S", ctx)):
+        with pytest.raises(QuadratureNotConverged, match=f"points per axis, past the cap {n - 1}"):
+            check()
 
 
 def test_series_window_cap_raises():
@@ -436,18 +440,20 @@ def test_s_frame_pairing_matches_grid_sum(r, tau, monkeypatch):
         assert np.max(np.abs(grid - blocked)) <= 1e-12 * np.max(np.abs(blocked)), n
 
 
-@pytest.mark.parametrize("tau", (1j, 0.3 + 1.7j))
+@pytest.mark.parametrize("tau", (1j, 0.3 + 1.7j, 2 + 3j, 0.5j, 0.1 + 0.25j, 10j, 3 + 1j))
 @pytest.mark.parametrize("r", (3, 10, 30))
 def test_start_grid_does_not_change_the_numbers(r, tau, monkeypatch):
-    # the trapezoid sums of these Gaussians converge super-exponentially:
-    # doubling from 16 returns what doubling from 128 returns
+    # the one grid the aliasing bound picks from Im(tau) returns what a
+    # 256-point grid returns, for the S check too: at tau = 3+i its S frame
+    # has Im(-1/tau) = 0.1, but its sections are sections of the same torus
     ctx = QuantizationContext(r, tau)
 
     def numbers():
         return [gram_matrix(basis_psi(ctx))] + [modular_phase_check(gen, ctx).measured
                                                for gen in ("S", "T")]
     got = numbers()
-    monkeypatch.setattr(geom, "QUAD_N_START", 128)
+    assert geom._grid(ctx) < 256
+    monkeypatch.setattr(geom, "_grid", lambda ctx: 256)
     for name, g, w in zip(("gram", "S", "T"), got, numbers()):
         assert np.max(np.abs(g - w)) < 1e-12, name
 
@@ -479,9 +485,9 @@ def test_holomorphic_factor_past_the_float_range_raises():
 
 
 def test_overflowing_grid_raises_after_one_grid(monkeypatch):
-    # a grid whose block overflows (forced here by scaling the S-frame
-    # pairing past the float range) stops the refinement on that grid,
-    # without a numpy warning
+    # a block that overflows (forced here by scaling the S-frame pairing
+    # past the float range) raises on the one grid, without a numpy warning
+    ctx = QuantizationContext(40, 0.1 + 0.25j)
     calls = []
 
     def counted(ctx, n):
@@ -491,12 +497,13 @@ def test_overflowing_grid_raises_after_one_grid(monkeypatch):
     monkeypatch.setattr(geom, "_s_frame_pairing", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PrecisionLoss, match=r"r = 40, tau = \(0\.1\+0\.25j\), n = 16"):
-            modular_phase_check("S", QuantizationContext(40, 0.1 + 0.25j))
-    assert calls == [16]
+        with pytest.raises(PrecisionLoss,
+                           match=rf"r = 40, tau = \(0\.1\+0\.25j\), n = {geom._grid(ctx)} "):
+            modular_phase_check("S", ctx)
+    assert calls == [geom._grid(ctx)]
 
 
-@pytest.mark.parametrize("tau,r", [(1j, 9), (1j, 10), (1j, 20), (1j, 25), (1j, 60),
+@pytest.mark.parametrize("tau,r", [(1j, 9), (1j, 10), (1j, 20), (1j, 25), (1j, 60), (1j, 200),
                                    (0.3 + 1.7j, 5), (0.3 + 1.7j, 8), (0.3 + 1.7j, 20),
                                    (0.1 + 0.25j, 40)])
 def test_verification_report_passes_without_float_errors(tau, r):
@@ -542,9 +549,8 @@ def test_alternating_subspace_dimension():
 
 @pytest.mark.parametrize("r,tau", [(5, 1j), (7, 0.3 + 1.7j), (5, 0.5j)])
 def test_batched_report_matches_the_per_check_functions(r, tau):
-    # every pairing of the one-pass report is a block with its own stopping
-    # rule, so it lands where the public function does; at tau = 0.5i the
-    # vacuum block is accepted at n = 32 and the other blocks at n = 64
+    # every pairing of the one-pass report is a block of one product on the
+    # grid _grid(ctx), the grid the public functions use
     from skeinquant.verify import verification_report
     ctx = QuantizationContext(r, tau)
     got = verification_report(ctx)["residuals"]
@@ -567,6 +573,7 @@ def test_batched_report_matches_the_per_check_functions(r, tau):
 
 
 def test_report_builds_each_grid_kernel_once(monkeypatch):
+    # a report builds one kernel, on the grid each public function uses
     from skeinquant.verify import verification_report
     built = []
     kernel = geom._gram_kernel
@@ -576,18 +583,15 @@ def test_report_builds_each_grid_kernel_once(monkeypatch):
         return kernel(ctx, n)
 
     monkeypatch.setattr(geom, "_gram_kernel", counted)
-    # three grids at tau = 0.3+1.7i, r = 8, and blocks accepted on
-    # different grids at tau = 0.5i
     for ctx in (QuantizationContext(5, 1j), QuantizationContext(8, 0.3 + 1.7j),
                 QuantizationContext(5, 0.5j)):
         built.clear()
         assert verification_report(ctx)["pass"]
-        assert built and len(built) == len(set(built)), built
-        report_grids = set(built)
-        built.clear()   # the public functions, each refined on its own
+        assert built == [geom._grid(ctx)]
+        built.clear()
         gram_matrix(basis_psi(ctx))
         gram_matrix(basis_phi(ctx))
         vacuum = ThetaSection(ctx, np.eye(ctx.N)[0])
         inner_product(vacuum, vacuum, include_halfform=False)
         modular_phase_check("T", ctx)
-        assert max(report_grids) >= max(built), (report_grids, set(built))
+        assert built == 4 * [geom._grid(ctx)]

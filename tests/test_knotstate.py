@@ -73,9 +73,9 @@ def test_parseval_formula_vs_quadrature():
 
 
 @pytest.mark.parametrize("K", (TREFOIL, FIG8), ids=lambda K: K.name)
-@pytest.mark.parametrize("r", (60, 200))
+@pytest.mark.parametrize("r", (60, 200, 500))
 def test_quadrature_norm_matches_the_formula_at_large_levels(K, r):
-    # b N = 121 and 401 at tau = i: no theta factor leaves the float range
+    # b N = 121, 401 and 1001 at tau = i: no theta factor leaves the float range
     log_q = 2 * math.log(l2_norm_quadrature(K, r))
     assert abs(log_q - l2_norm_formula(K, r).log_norm_sq) <= 1e-12
 
@@ -211,12 +211,7 @@ def test_unknot_growth_is_flat():
 @pytest.mark.parametrize("name", ("trefoil", "figure-eight"))
 def test_norm_matches_the_numpy_log_sum_exp(name, r):
     values = catalog_jones_values(name, r, r)
-    ours, ref = knotstate._norm(r, values), numpy_norm(r, values)
-    assert (ours.log_norm_sq, ours.argmax_n) == (ref.log_norm_sq, ref.argmax_n)
-    # numpy's float64 exp runs a SIMD kernel of its own on AVX-512 hosts, which differs
-    # from the C library's exp in the last bit for a few percent of arguments
-    assert abs(ours.norm_sq - ref.norm_sq) <= math.ulp(ref.norm_sq)
-    assert abs(ours.norm - ref.norm) <= math.ulp(ref.norm)
+    assert knotstate._norm(r, values) == numpy_norm(r, values)
 
 
 def test_norm_past_the_double_range_reads_inf():
