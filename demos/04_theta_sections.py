@@ -15,6 +15,7 @@ from skeinquant import (QuantizationContext, ThetaSection, basis_phi, basis_psi,
                         curve_operator_geom, gram_matrix, inner_product,
                         intertwining_deviation, iso_from_skein, iso_to_skein,
                         section_eval, translate)
+from skeinquant.geom import halfform_norm_sq
 
 ctx = QuantizationContext(r=3, tau=1j)
 N = ctx.N
@@ -27,7 +28,7 @@ G = gram_matrix(basis_phi(ctx))
 print(f"alternating basis Gram vs identity:      {np.max(np.abs(G - np.eye(ctx.r))):.2e}")
 
 vacuum = ThetaSection(ctx, np.eye(N, dtype=complex)[0])
-val = inner_product(vacuum, vacuum, include_halfform=False).real
+val = inner_product(vacuum, vacuum).real / halfform_norm_sq(ctx)
 print(f"unnormalized vacuum norm^2 = {val:.10f} "
       f"(closed form {math.sqrt(8 * math.pi ** 2 / (N * ctx.b)):.10f})")
 

@@ -12,8 +12,7 @@ from .bracket import (ChebyshevColor, braid_closure_bracket, chebyshev_coeffs,
                       colored_bracket, kauffman_bracket)
 from .diagrams import BraidWord, LinkDiagram, braid_to_diagram, unknot_diagram
 from .errors import (CablingUnsupported, DimensionMismatch, InexactDivision,
-                     NonconvergentSeries, NotLatticeFraction, NotPrimitive,
-                     PrecisionLoss, QuadratureNotConverged, SkeinQuantError,
+                     NotLatticeFraction, NotPrimitive, PrecisionLoss, SkeinQuantError,
                      StateSpaceTooLarge, UnknownCatalogEntry)
 from .geom import (ModularReport, QuantizationContext, ThetaSection, basis_phi,
                    basis_psi, curve_operator_geom, eval_grid, gram_matrix,

@@ -308,6 +308,8 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if sum(bool(getattr(args, k, None)) for k in ("knot", "braid", "pd")) > 1:
+            raise SkeinQuantError("give one input: --knot, --braid or --pd")
         cfg = RunConfig(command=args.command,
                         params={k: v for k, v in vars(args).items()
                                 if k not in ("func", "command", "config", "out")

@@ -10,7 +10,7 @@ class InexactDivision(SkeinQuantError):
 
 
 class StateSpaceTooLarge(SkeinQuantError):
-    """A braid representation or bracket contraction exceeds its memory budget."""
+    """An array would exceed its memory budget; raised before it is built."""
 
 
 class PrecisionLoss(SkeinQuantError):
@@ -27,14 +27,6 @@ class NotPrimitive(SkeinQuantError):
 
 class NotLatticeFraction(SkeinQuantError):
     """Translation must be an integer multiple of 1/(2r+1) in lattice coordinates."""
-
-
-class NonconvergentSeries(SkeinQuantError):
-    """Theta series did not reach the truncation tolerance within the term cap."""
-
-
-class QuadratureNotConverged(SkeinQuantError):
-    """The quadrature grid that the aliasing bound asks for passes its cap."""
 
 
 class DimensionMismatch(SkeinQuantError):

@@ -33,15 +33,15 @@ from math import gcd
 from typing import Sequence
 
 from ._lazy import lazy_import
-from .errors import (DimensionMismatch, NonconvergentSeries, NotLatticeFraction,
-                     NotPrimitive, PrecisionLoss, QuadratureNotConverged)
+from .errors import (DimensionMismatch, NotLatticeFraction, NotPrimitive, PrecisionLoss,
+                     StateSpaceTooLarge)
 from .tqft import TorusVector, curve_operator_skein, rep_S, rep_T
 
 np = lazy_import("numpy")
 
 
 SERIES_TOL = 1e-14          # theta terms below this share of their coefficient are dropped
-QUAD_N_CAP = 4096           # finest grid before QuadratureNotConverged
+GEOM_BYTE_BUDGET = 1 << 28  # bytes a Gram kernel, an S pairing or a series block holds at once
 
 
 @dataclass(frozen=True)
@@ -104,72 +104,64 @@ class ThetaSection:
 _GRID_BLOCK = 1 << 18   # complex values held at once by a series or S-frame block
 
 
+def _spread(N: int, b: float) -> float:
+    """Half-width around -N q of the terms |alpha| exp(-pi b (m + N q)^2/N) above SERIES_TOL."""
+    return math.sqrt(N * math.log(1.0 / SERIES_TOL) / (math.pi * b))
+
+
 def _window(ctx: QuantizationContext, q_min: float, q_max: float):
-    """Extended-index range covering all terms above SERIES_TOL.
+    """Index range of the terms above SERIES_TOL, at most N (q_max - q_min) + 2 spread + 7 long."""
+    w = math.ceil(_spread(ctx.N, ctx.b)) + 1
+    return math.floor(-ctx.N * q_max) - w, math.ceil(-ctx.N * q_min) + w
 
-    Term m has modulus |alpha| exp(-pi b (m + N q)^2 / N), so the half-width
-    spread = sqrt(N log(1/SERIES_TOL) / (pi b)) around -N q holds every
-    term that counts.  The conditioning cap accepts the contexts that the
-    rho coordinates accepted with their wider half-width hypot(spread, N):
-    a context is refused when that width, rounded up plus one, exceeds N
-    by more than 50 + 10 ceil(1/sqrt(N b)).
+
+def _check_bytes(ctx: QuantizationContext, what: str, nbytes: float) -> None:
+    """StateSpaceTooLarge naming r, tau and the MiB when nbytes passes GEOM_BYTE_BUDGET."""
+    if nbytes > GEOM_BYTE_BUDGET:
+        raise StateSpaceTooLarge(
+            f"{what} at r = {ctx.r}, tau = {ctx.tau} needs about {nbytes / 2**20:.4g} MiB, "
+            f"over the {GEOM_BYTE_BUDGET >> 20} MiB budget")
+
+
+def _q_parts(ctx: QuantizationContext, q: np.ndarray):
+    """Window indices m and the q-parts F[m, j] = exp(i pi tau (m + N q_j)^2/N), |F| <= 1.
+
+    With the frame i pi N q z, term m's exponent i pi tau m^2/N + 2 pi i m z
+    is this completed square plus the phase i pi p (2m + N q), exponentiated
+    apart so that points sharing q share the square's rounding.  This is
+    the only coefficient formula that reads tau.
     """
-    N, b = ctx.N, ctx.b
-    spread = math.sqrt(N * math.log(1.0 / SERIES_TOL) / (math.pi * b))
-    cap = 50 + 10 * math.ceil(1.0 / math.sqrt(N * b))
-    if math.ceil(math.hypot(spread, N)) + 1 - N > cap:
-        raise NonconvergentSeries(
-            f"series window at r = {ctx.r}, tau = {ctx.tau} passes its cap {cap}: "
-            "Im(tau) is too small")
-    w = int(math.ceil(spread)) + 1
-    lo = int(math.floor(-N * q_max)) - w
-    hi = int(math.ceil(-N * q_min)) + w
-    return lo, hi
+    lo, hi = _window(ctx, float(q.min()), float(q.max()))
+    m = np.arange(lo, hi + 1)
+    u = m[:, None] + ctx.N * q[None, :]
+    return m, np.exp((1j * math.pi * ctx.tau / ctx.N) * (u * u))
 
 
-def _term_exponent(ctx: QuantizationContext, m, P, Q, frame: bool = True):
-    """Exponent of the series term m (coefficient alpha_{m mod N}) at (P, Q).
+def _series(ctx: QuantizationContext, alpha: np.ndarray, P, Q) -> np.ndarray:
+    """Section values of the coefficient rows alpha, shape (..., N), at the points (P, Q).
 
-    i pi tau m^2/N + 2 pi i m z plus, with ``frame``, the frame i pi N q z.
-    With the frame the sum is i pi tau (m + N Q)^2/N + i pi P (2m + N Q):
-    the Gaussian in its completed square, and a pure phase in P.  This is
-    the only coefficient formula that reads tau.  Broadcasts over arrays
-    of m, P and Q.
-    """
-    N, tau = ctx.N, ctx.tau
-    u = m + N * Q
-    out = 1j * math.pi * (tau * u * u / N + P * (2 * m + N * Q))
-    if not frame:
-        out = out - 1j * math.pi * N * Q * (P + tau * Q)
-    return out
-
-
-def _series(ctx: QuantizationContext, alpha: np.ndarray, P, Q, frame: bool) -> np.ndarray:
-    """Truncated theta series of the coefficient rows alpha, shape (..., N).
-
-    Terms whose class is zero in every row are dropped.  One exponent array
-    of terms x points per block of points; a block holds at most
-    _GRID_BLOCK values.  Returns alpha.shape[:-1] + the points' shape, or
-    raises PrecisionLoss where a value leaves the float range.
+    Each block of points takes the q-parts of its window times the phases
+    in p; it holds at most _GRID_BLOCK terms x points, or one point's
+    window where that is wider; its arrays and the output are counted first.
+    Returns alpha.shape[:-1] + the points' shape; PrecisionLoss where not finite.
     """
     P, Q = np.broadcast_arrays(np.asarray(P, dtype=np.float64),
                                np.asarray(Q, dtype=np.float64))
-    lo, hi = _window(ctx, float(Q.min()), float(Q.max()))
-    m = np.arange(lo, hi + 1)
-    c = alpha[..., m % ctx.N]
-    keep = np.any(c != 0, axis=tuple(range(c.ndim - 1)))
-    m, c = m[keep], c[..., keep]
     p, q = P.ravel(), Q.ravel()
-    out = np.empty(c.shape[:-1] + (p.size,), dtype=np.complex128)
-    step = max(1, _GRID_BLOCK // max(1, m.size))
+    terms = ctx.N * float(q.max() - q.min()) + 2 * _spread(ctx.N, ctx.b) + 7
+    _check_bytes(ctx, "series window",
+                 16 * (alpha.size // ctx.N * (2 * terms + p.size) + 6 * max(terms, _GRID_BLOCK)))
+    out = np.empty(alpha.shape[:-1] + (p.size,), dtype=np.complex128)
+    step = max(1, int(_GRID_BLOCK // terms))
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, p.size, step):
-            out[..., a:a + step] = c @ np.exp(_term_exponent(
-                ctx, m[:, None], p[None, a:a + step], q[None, a:a + step], frame))
+            pa, qa = p[a:a + step], q[a:a + step]
+            m, F = _q_parts(ctx, qa)
+            out[..., a:a + step] = alpha[..., m % ctx.N] @ (
+                F * np.exp(1j * math.pi * pa * (2 * m[:, None] + ctx.N * qa)))
     if not np.all(np.isfinite(out)):
-        what = "section value" if frame else "holomorphic factor, of size about exp(pi b N q^2),"
-        raise PrecisionLoss(f"{what} at r = {ctx.r}, tau = {ctx.tau} is not finite")
-    return out.reshape(c.shape[:-1] + P.shape)
+        raise PrecisionLoss(f"section value at r = {ctx.r}, tau = {ctx.tau} is not finite")
+    return out.reshape(alpha.shape[:-1] + P.shape)
 
 
 def eval_grid(s: ThetaSection, P, Q) -> np.ndarray:
@@ -177,7 +169,7 @@ def eval_grid(s: ThetaSection, P, Q) -> np.ndarray:
 
     Each term is at most its coefficient in modulus.
     """
-    return _series(s.ctx, s.alpha, P, Q, frame=True)
+    return _series(s.ctx, s.alpha, P, Q)
 
 
 def section_eval(s: ThetaSection, p: float, q: float) -> complex:
@@ -186,13 +178,17 @@ def section_eval(s: ThetaSection, p: float, q: float) -> complex:
 
 
 def holomorphic_part(s: ThetaSection, p: float, q: float) -> complex:
-    """g(z) alone, without the frame factor (used by the holomorphy check).
+    """g(z) alone: the section value times exp(-i pi N q z), of modulus exp(pi b N q^2).
 
-    Term m has modulus |alpha| exp(pi b (N q^2 - (m + N q)^2 / N)), so g
-    grows like exp(pi b N q^2); once that passes the float range it raises
-    PrecisionLoss.  The section values with their frame stay bounded.
+    Raises PrecisionLoss where g leaves the float range.
     """
-    return complex(_series(s.ctx, s.alpha, p, q, frame=False))
+    ctx = s.ctx
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = section_eval(s, p, q) * np.exp(-1j * math.pi * ctx.N * q * (p + ctx.tau * q))
+    if not np.isfinite(g):
+        raise PrecisionLoss(f"holomorphic factor, of size about exp(pi b N q^2), at r = {ctx.r}, "
+                            f"tau = {ctx.tau} is not finite")
+    return complex(g)
 
 
 # -- Heisenberg translations ----------------------------------------------
@@ -313,16 +309,13 @@ def _alternating_part(ctx: QuantizationContext, alpha: np.ndarray):
 
 # -- quadrature inner products ---------------------------------------------
 
-def _q_parts(ctx: QuantizationContext, q: np.ndarray):
-    """Window indices m and the q-parts F[m, j] of those terms at the points q_j.
-
-    A term's exponent at (p, q) is its exponent at (0, q) plus the pure
-    phase i (2 pi m + pi N q) p; only this q-part carries the Gaussian,
-    and its modulus is at most 1.
-    """
-    lo, hi = _window(ctx, float(q.min()), float(q.max()))
-    m = np.arange(lo, hi + 1)
-    return m, np.exp(_term_exponent(ctx, m[:, None], 0.0, q[None, :]))
+def _fold(X: np.ndarray, lo: int, N: int) -> np.ndarray:
+    """Rows of X summed by class, row i being window index lo + i of class (lo + i) mod N."""
+    out = np.zeros((N,) + X.shape[1:], dtype=X.dtype)
+    for i in range(-(lo % N), len(X), N):   # rows i .. i+N-1 hold classes 0 .. N-1
+        a, b = max(i, 0), min(i + N, len(X))
+        out[a - i:b - i] += X[a:b]
+    return out
 
 
 def _gram_kernel(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
@@ -330,14 +323,20 @@ def _gram_kernel(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
 
     The n x n trapezoid sum of conj(s1) s2, done exactly in one dimension:
     the p-dependence of conj(term m) * term m' is exp(2 pi i (m' - m) p),
-    whose mean over n grid points is [m' = m mod n].  What is left is a sum
-    over q of the terms' q-parts F, folded onto index classes by A.
+    whose mean over n grid points is [m = m' mod n].  What is left is a sum
+    over q of the terms' q-parts F, folded onto index classes.  The w x w
+    pairs, their w x N fold and F are counted before any is built.
     """
+    N = ctx.N
+    w = N + 2 * _spread(N, ctx.b) + 7
+    _check_bytes(ctx, "Gram kernel", 17 * w * w + 16 * (w * N + 5 * w * n_grid))
     m, F = _q_parts(ctx, np.arange(n_grid) / n_grid)
-    aliased = (m[:, None] - m[None, :]) % n_grid == 0
-    K = np.where(aliased, F.conj() @ F.T, 0)
-    A = (m[:, None] % ctx.N == np.arange(ctx.N)).astype(np.float64)
-    return (4 * math.pi / n_grid) * (A.T @ K @ A)
+    K = F.conj() @ F.T
+    K *= m[:, None] % n_grid == m[None, :] % n_grid
+    K = _fold(K, m[0], N)   # frees the w x w pairs before the second fold
+    G = _fold(K.T, m[0], N).T
+    G *= 4 * math.pi / n_grid
+    return G
 
 
 def _grid(ctx: QuantizationContext) -> int:
@@ -349,14 +348,11 @@ def _grid(ctx: QuantizationContext) -> int:
     2 exp(-pi b n^2 / (2 N)).  Both exponents reach ln(8/SERIES_TOL) at
     n = sqrt(2 N ln(8/SERIES_TOL) / pi) max(sqrt(b), 1/sqrt(b)).  The S
     frame's sections are sections of the same torus, so the S check needs
-    no finer grid.  Raises QuadratureNotConverged past QUAD_N_CAP, before
-    any array is built.
+    no finer grid.
     """
-    n = math.sqrt(2 * ctx.N * math.log(8 / SERIES_TOL) / math.pi * max(ctx.b, 1 / ctx.b))
-    if n > QUAD_N_CAP:
-        raise QuadratureNotConverged(f"quadrature at r = {ctx.r}, tau = {ctx.tau} needs "
-                                     f"{n:.6g} points per axis, past the cap {QUAD_N_CAP}")
-    return math.ceil(n)
+    root = math.sqrt(ctx.b)
+    return math.ceil(math.sqrt(2 * ctx.N * math.log(8 / SERIES_TOL) / math.pi)
+                     * max(root, 1 / root))
 
 
 def _finite(ctx: QuantizationContext, n: int, blocks: list) -> list:
@@ -386,33 +382,29 @@ def _pairings(ctx: QuantizationContext, blocks) -> list:
     return _finite(ctx, n, out)
 
 
-def _pairing(rows: Sequence[ThetaSection], cols: Sequence[ThetaSection],
-             include_halfform: bool = True) -> np.ndarray:
+def _pairing(rows: Sequence[ThetaSection], cols: Sequence[ThetaSection]) -> np.ndarray:
     """Matrix of <rows[i], cols[j]> through the Gram kernel."""
     ctx = rows[0].ctx
     if any(s.ctx != ctx for s in cols):
         raise DimensionMismatch("sections live over different contexts")
     R = np.stack([s.alpha for s in rows])
     C = np.stack([s.alpha for s in cols])
-    scale = halfform_norm_sq(ctx) if include_halfform else 1.0
-    return _pairings(ctx, [(R, C, scale)])[0]
+    return _pairings(ctx, [(R, C, halfform_norm_sq(ctx))])[0]
 
 
-def inner_product(s1: ThetaSection, s2: ThetaSection,
-                  include_halfform: bool = True) -> complex:
+def inner_product(s1: ThetaSection, s2: ThetaSection) -> complex:
     """Hermitian pairing integral(conj(s1) s2) * 4 pi over the unit square.
 
     A trapezoid sum on the grid _grid(ctx), whose error is below
-    SERIES_TOL relative to the integral; the half-form factor
-    sqrt(b/2 pi) multiplies the result unless disabled.
+    SERIES_TOL relative to the integral, times the half-form factor
+    sqrt(b/2 pi).
     """
-    return complex(_pairing([s1], [s2], include_halfform)[0, 0])
+    return complex(_pairing([s1], [s2])[0, 0])
 
 
-def gram_matrix(sections: Sequence[ThetaSection],
-                include_halfform: bool = True) -> np.ndarray:
+def gram_matrix(sections: Sequence[ThetaSection]) -> np.ndarray:
     """Matrix of pairwise inner products, on one grid as one block."""
-    return _pairing(sections, sections, include_halfform)
+    return _pairing(sections, sections)
 
 
 # -- curve operators and the skein isomorphism ------------------------------
@@ -494,11 +486,15 @@ def _s_frame_pairing(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
     Each section value is its terms' q-parts (q' = -p on the S side)
     times unit phases in the other coordinate.  The frame phases of the
     two sides meet as exp(-2 pi i N p q), which does not split, so the
-    sum stays on the grid: one block of p rows at a time, holding at most
-    _GRID_BLOCK values.
+    sum stays on the grid, one block of at most _GRID_BLOCK values (or
+    one p row) at a time.  F, F_t, E_t and a block are counted before
+    -1/tau is formed: Im(-1/tau) = b/|tau|^2 widens the S window |tau|-fold.
     """
-    ctx_t = QuantizationContext(ctx.r, -1.0 / ctx.tau)
     N, r = ctx.N, ctx.r
+    w, w_t = (N + 2 * _spread(N, ctx.b) * t + 7 for t in (1, abs(ctx.tau)))
+    block = max(_GRID_BLOCK, r * max(n_grid, w, w_t))
+    _check_bytes(ctx, "S-frame pairing", 16 * (4 * (w + w_t) * n_grid + r * (w + w_t) + 6 * block))
+    ctx_t = QuantizationContext(r, -1.0 / ctx.tau)
     xs = np.arange(n_grid) / n_grid
     m, F = _q_parts(ctx, xs)
     m_t, F_t = _q_parts(ctx_t, -xs)

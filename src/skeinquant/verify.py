@@ -23,7 +23,7 @@ import random
 
 from ._lazy import lazy_import
 from .geom import (QuantizationContext, ThetaSection, _frame_report, _pairings,
-                   _phi_rows, _reflected, _series, _translated, _twist_frame_rows,
+                   _phi_rows, _reflected, _series, _spread, _translated, _twist_frame_rows,
                    curve_operator_geom, eval_grid, halfform_norm_sq, iso_from_skein,
                    iso_to_skein, modular_phase_check, psi_norm_constant)
 from .tqft import TorusVector, curve_operator_skein
@@ -59,20 +59,23 @@ def _quasi_periodicity_dev(ctx: QuantizationContext, rng: random.Random) -> floa
 
 
 def _holomorphy_ratios(ctx: QuantizationContext, rng: random.Random):
-    """Finite-difference residual of dg/dq = tau dg/dp must shrink like h^2.
+    """Finite-difference residual of ds/dq - tau ds/dp = i pi N z s must shrink like h^2.
 
-    A random section carries frequencies up to about N, each scaled by up
-    to |tau| in q, so the steps shrink like 1/(N max(1, |tau|)).
+    That is dg/dq = tau dg/dp for s = g exp(i pi N q z), read from section
+    values, which stay in range at any b N.  A random section carries
+    frequencies up to about its window's width N + 2 spread, each scaled by
+    up to |tau| in q, so the steps shrink like 1/((N + 2 spread) max(1, |tau|)).
     """
     alpha = _normal_vector(rng, ctx.N)
     p, q = 0.31, 0.27
-    h = np.array([0.07, 0.035]) / (ctx.N * max(1.0, abs(ctx.tau)))
+    h = np.array([0.07, 0.035]) / ((ctx.N + 2 * _spread(ctx.N, ctx.b)) * max(1.0, abs(ctx.tau)))
     zero = np.zeros_like(h)
-    # rows: (p, q+h), (p, q-h), (p+h, q), (p-h, q)
-    g = _series(ctx, alpha, p + np.stack([zero, zero, h, -h]),
-                q + np.stack([h, -h, zero, zero]), frame=False)
-    dq, dp = (g[0] - g[1]) / (2 * h), (g[2] - g[3]) / (2 * h)
-    r1, r2 = np.abs(dq - ctx.tau * dp) / np.maximum(np.maximum(np.abs(dp), np.abs(dq)), 1.0)
+    # rows: (p, q+h), (p, q-h), (p+h, q), (p-h, q), (p, q)
+    s = _series(ctx, alpha, p + np.stack([zero, zero, h, -h, zero]),
+                q + np.stack([h, -h, zero, zero, zero]))
+    dq, dp = (s[0] - s[1]) / (2 * h), (s[2] - s[3]) / (2 * h)
+    drift = 1j * math.pi * ctx.N * (p + ctx.tau * q) * s[4]
+    r1, r2 = np.abs(dq - ctx.tau * dp - drift) / np.maximum(np.maximum(abs(dp), abs(dq)), 1.0)
     return r1, r2, (r1 / r2 if r2 > 0 else float("inf"))
 
 
@@ -109,7 +112,7 @@ def verification_report(ctx: QuantizationContext, include_modular: bool = True) 
 
     residuals["phi_alternating"] = float(np.max([
         np.max(np.abs(_reflected(ctx, phi) + phi)),
-        np.max(np.abs(_series(ctx, phi, 0.0, 0.0, frame=True)))]))
+        np.max(np.abs(_series(ctx, phi, 0.0, 0.0)))]))
 
     n1 = norm_s[0, 0].real
     residuals["translation_unitarity"] = abs(norm_t[0, 0].real - n1) / n1

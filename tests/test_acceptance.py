@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from skeinquant.geom import (QuantizationContext, basis_phi, gram_matrix,
+from skeinquant.geom import (QuantizationContext, basis_phi, gram_matrix, halfform_norm_sq,
                              inner_product, intertwining_deviation,
                              modular_phase_check, translate_ints, ThetaSection,
                              basis_psi)
@@ -69,7 +69,7 @@ def test_criterion_03_theta_orthonormality():
         G = gram_matrix(basis_phi(ctx))
         worst_gram = max(worst_gram, float(np.max(np.abs(G - np.eye(r)))))
         vac = ThetaSection(ctx, np.eye(ctx.N, dtype=complex)[0])
-        val = inner_product(vac, vac, include_halfform=False).real
+        val = inner_product(vac, vac).real / halfform_norm_sq(ctx)
         target = math.sqrt(8 * math.pi ** 2 / (ctx.N * ctx.b))
         worst_norm = max(worst_norm, abs(val - target) / target)
     ok = worst_gram < 1e-6 and worst_norm < 1e-8

@@ -141,6 +141,26 @@ def test_knot_state_evaluates_jones_once(monkeypatch, capsys):
     assert calls == {"catalog": 1, "rmatrix": 8}   # one per color n = 1..8
 
 
+@pytest.mark.parametrize("argv", (
+    ["jones", "--knot", "trefoil", "--braid", "1 -2 1 -2", "--strands", "3", "--n", "3",
+     "--r", "8"],
+    ["knot-state", "--knot", "trefoil", "--braid", "1 1 1", "--strands", "2", "--r", "8"],
+    ["volume-seq", "--knot", "trefoil", "--braid", "1 1 1", "--strands", "2", "--r-min", "5",
+     "--r-max", "6", "--out", "{out}"],
+    ["bracket", "--pd", "{pd}", "--braid", "1 1 1", "--strands", "2"],
+))
+def test_two_inputs_exit_2_with_one_line(tmp_path, argv):
+    # a second input is refused, not silently dropped
+    pd = tmp_path / "trefoil.pd"
+    pd.write_text("X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3\n")
+    argv = [a.format(out=tmp_path / "v.csv", pd=pd) for a in argv]
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stdout
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "give one input" in proc.stderr, proc.stderr
+    assert not (tmp_path / "v.csv").exists()
+
+
 def test_rmatrix_budget_exits_2():
     proc = run_cli("jones", "--braid", "1 2 3 4 5 6", "--strands", "7", "--n", "6",
                    "--r", "20", check=False)
@@ -330,18 +350,29 @@ def test_geom_verify_bad_tau_exits_2_with_one_line(tau, message):
 
 
 @pytest.mark.parametrize("argv, message", (
-    # Im(-1/tau) (2r+1) = 1.6: the S frame needs more theta terms than the
-    # series window's cap allows
-    (["--r", "40", "--tau", "0.3+50i"], "series window"),
-    # the holomorphy check's bare g grows like exp(pi b N q^2), past the
-    # float range at b N = 3350
-    (["--r", "33", "--tau", "0.3+50i", "--skip-modular"], "holomorphic factor"),
+    # Im(-1/tau) = 1e-4: the S frame's window of about 5900 terms on the
+    # 4220-point grid passes the byte budget
+    (["--r", "40", "--tau", "10000i"], "S-frame pairing at r = 40, tau = 10000j"),
 ))
 def test_geom_verify_unrunnable_context_exits_2_with_one_line(argv, message):
     proc = run_cli("geom-verify", *argv, check=False)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert message in proc.stderr, proc.stderr
+    assert message in proc.stderr and "MiB budget" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("argv", (
+    # Im(-1/tau) = 0.038 and 2e-5: wide S-frame windows, within the byte budget
+    ["--r", "40", "--tau", "5+1i"],
+    ["--r", "40", "--tau", "0.3+50i"],
+    # b N = 3350: the holomorphy check reads section values, not the bare g
+    ["--r", "33", "--tau", "0.3+50i", "--skip-modular"],
+))
+def test_geom_verify_passes_with_wide_windows(tmp_path, argv):
+    out = tmp_path / "report.json"
+    proc = run_cli("geom-verify", *argv, "--out", str(out), check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["result"]["pass"] is True
 
 
 @pytest.mark.parametrize("r", ("-1", "0", "1", "2"))
@@ -432,11 +463,12 @@ def test_numpy_and_mpmath_run_only_where_used(tmp_path, argv, unrun):
 
 @pytest.mark.parametrize("re_tau", ("1e6", "1e20", "1e300"))
 def test_geom_verify_far_real_tau_exits_2(capsys, re_tau):
-    # Im(-1/tau) is about Re(tau)^-2: the S frame's series window passes its
-    # cap, or (1e300) -1/tau leaves the upper half plane; no traceback
+    # Im(-1/tau) is about Re(tau)^-2 (0 in floats at 1e300): the S frame's series
+    # window passes the byte budget, counted before -1/tau is formed; no traceback
     assert cli.main(["geom-verify", "--r", "3", "--tau", f"{re_tau}+1i"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"r = 3, tau = {complex(float(re_tau), 1)} needs about" in err, err
 
 
 def test_geom_verify_far_real_tau_without_modular_fails_a_check(capsys):

@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import pytest
 from oracles import curve_operator_by_sections, termwise_series
 from skeinquant import geom
 from skeinquant.errors import (DimensionMismatch, NotLatticeFraction, NotPrimitive,
-                               PrecisionLoss, QuadratureNotConverged)
+                               PrecisionLoss, StateSpaceTooLarge)
 from skeinquant.geom import (QuantizationContext, ThetaSection, _gram_kernel, _q_parts,
                              _s_frame_pairing, _series, basis_phi, basis_psi, curve_operator_geom,
                              eval_grid, gram_matrix, halfform_norm_sq, holomorphic_part,
@@ -191,7 +193,7 @@ def test_gram_identity_psi_phi():
 def test_vacuum_frame_norm_constant():
     for ctx in (CTX, CTX_SKEW, QuantizationContext(4, 1j)):
         s = ThetaSection(ctx, np.eye(ctx.N, dtype=complex)[0])
-        val = inner_product(s, s, include_halfform=False).real
+        val = inner_product(s, s).real / halfform_norm_sq(ctx)
         target = math.sqrt(8 * math.pi ** 2 / (ctx.N * ctx.b))
         assert val == pytest.approx(target, rel=1e-8)
         assert halfform_norm_sq(ctx) == pytest.approx(math.sqrt(ctx.b / (2 * math.pi)))
@@ -338,52 +340,63 @@ def test_modular_S_matrix(tau):
 
 
 def test_quadrature_cap_raises(monkeypatch):
-    # a cap below the bound refuses the grid before any kernel is built
+    # a byte budget below the Gram kernel's or the S pairing's count refuses the
+    # grid before any q-part is built, naming r, tau and the MiB
     ctx = QuantizationContext(3, 1j)
     s = random_section(ctx, 11)
-    n = geom._grid(ctx)
-    monkeypatch.setattr(geom, "QUAD_N_CAP", n - 1)
-    for name in ("_gram_kernel", "_s_frame_pairing"):
-        monkeypatch.setattr(geom, name, lambda *args: pytest.fail("a kernel was built"))
-    for check in (lambda: inner_product(s, s), lambda: modular_phase_check("S", ctx)):
-        with pytest.raises(QuadratureNotConverged, match=f"points per axis, past the cap {n - 1}"):
+    monkeypatch.setattr(geom, "GEOM_BYTE_BUDGET", 1000)
+    monkeypatch.setattr(geom, "_q_parts", lambda *args: pytest.fail("a q-part was built"))
+    for what, check in (("Gram kernel", lambda: inner_product(s, s)),
+                        ("S-frame pairing", lambda: modular_phase_check("S", ctx))):
+        with pytest.raises(StateSpaceTooLarge,
+                           match=rf"{what} at r = 3, tau = 1j needs about .* MiB, over the 0 MiB"):
             check()
 
 
-def test_series_window_cap_raises():
-    from skeinquant.errors import NonconvergentSeries
-    # a nearly degenerate modular parameter needs more theta terms than
-    # the hard cap allows
-    ctx = QuantizationContext(3, 0.001j)
+def test_series_window_cap_raises(monkeypatch):
+    # a nearly degenerate modular parameter needs a window of about 1.7e7 terms
+    # at one point, past the byte budget; it raises before the window is built,
+    # while Im(tau) = 0.001, a window of about 540 terms, evaluates
+    ctx = QuantizationContext(3, 1e-12j)
     s = random_section(ctx, 12)
-    with pytest.raises(NonconvergentSeries):
+    window = geom._window
+    monkeypatch.setattr(geom, "_window", lambda *args: pytest.fail("a window was built"))
+    with pytest.raises(StateSpaceTooLarge, match=r"series window at r = 3, tau = 1e-12j .* MiB"):
         section_eval(s, 0.1, 0.1)
+    monkeypatch.setattr(geom, "_window", window)
+    assert np.isfinite(section_eval(random_section(QuantizationContext(3, 0.001j), 12), 0.1, 0.1))
 
 
-def _wide_window_refuses(N, b):
-    # the conditioning cap as defined on the wider half-width of the rho
-    # coordinates, sqrt(N (log(1/tol) + pi b N) / (pi b))
-    spread = math.sqrt(N * (math.log(1.0 / 1e-14) + math.pi * b * N) / (math.pi * b))
-    w = int(math.ceil(spread)) + 1
-    return w - N > 50 + 10 * math.ceil(1.0 / math.sqrt(N * b))
+def _traced_peak(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-@pytest.mark.parametrize("re", (0.0, 0.3))
-def test_series_window_refuses_the_same_contexts(re):
-    from skeinquant.errors import NonconvergentSeries
-    seen = set()
-    for r in range(3, 61):
-        for b in np.logspace(-4, 1, 301):
-            ctx = QuantizationContext(r, complex(re, b))
-            want = _wide_window_refuses(ctx.N, ctx.b)
-            try:
-                geom._window(ctx, 0.0, 1.0)
-                got = False
-            except NonconvergentSeries:
-                got = True
-            assert got == want, (r, b)
-            seen.add(got)
-    assert seen == {True, False}
+def test_geom_budget_counts_the_traced_peak(monkeypatch):
+    # the Gram kernel at r = 500, tau = i, and the S pairing at r = 3, tau = 1e4+i,
+    # whose S frame has a window of about 170000 terms: the bytes traced in one call
+    # stay within what it counts, and over half of it; a budget one byte below the
+    # count raises before any q-part is built
+    counted = []
+    check, q_parts = geom._check_bytes, geom._q_parts
+    monkeypatch.setattr(geom, "_check_bytes",
+                        lambda ctx, what, nbytes: counted.append(nbytes) or check(ctx, what, nbytes))
+    for ctx, build in ((QuantizationContext(500, 1j), _gram_kernel),
+                       (QuantizationContext(3, 1e4 + 1j), _s_frame_pairing)):
+        n = geom._grid(ctx)
+        counted.clear()
+        peak = _traced_peak(lambda: build(ctx, n))
+        assert len(counted) == 1 and counted[0] / 2 < peak <= counted[0] <= geom.GEOM_BYTE_BUDGET
+        monkeypatch.setattr(geom, "GEOM_BYTE_BUDGET", math.ceil(counted[0]) - 1)
+        monkeypatch.setattr(geom, "_q_parts", lambda *args: pytest.fail("a q-part was built"))
+        with pytest.raises(StateSpaceTooLarge, match=re.escape(f"r = {ctx.r}, tau = {ctx.tau} needs")):
+            build(ctx, n)
+        monkeypatch.setattr(geom, "GEOM_BYTE_BUDGET", 1 << 28)
+        monkeypatch.setattr(geom, "_q_parts", q_parts)
 
 
 def test_series_window_half_width_at_r_200():
@@ -459,16 +472,21 @@ def test_start_grid_does_not_change_the_numbers(r, tau, monkeypatch):
 
 
 @pytest.mark.parametrize("small_block", (False, True))
-@pytest.mark.parametrize("frame", (True, False))
+@pytest.mark.parametrize("framed", (True, False))
 @pytest.mark.parametrize("ctx", (CTX, CTX_SKEW, QuantizationContext(8, 0.3 + 1.7j)))
-def test_series_matches_termwise_oracle(ctx, frame, small_block, monkeypatch):
+def test_series_matches_termwise_oracle(ctx, framed, small_block, monkeypatch):
+    # framed: the section values of _series; unframed: g through holomorphic_part,
+    # the section value times exp(-i pi N q z), point by point
     if small_block:
         monkeypatch.setattr(geom, "_GRID_BLOCK", 1000)
     xs = np.linspace(-0.5, 1.5, 37)
     P, Q = np.meshgrid(xs, xs[::2], indexing="ij")
     for s in (random_section(ctx, 14), basis_phi(ctx)[-1]):
-        got = _series(s.ctx, s.alpha, P, Q, frame)
-        want = termwise_series(s, P, Q, frame)
+        if framed:
+            got = _series(s.ctx, s.alpha, P, Q)
+        else:
+            got = np.vectorize(lambda p, q: holomorphic_part(s, p, q))(P, Q)
+        want = termwise_series(s, P, Q, framed)
         assert got.shape == want.shape
         # relative to the largest value at each q, since g grows like exp(pi b N q^2)
         scale = np.max(np.abs(want), axis=0)
@@ -505,7 +523,8 @@ def test_overflowing_grid_raises_after_one_grid(monkeypatch):
 
 @pytest.mark.parametrize("tau,r", [(1j, 9), (1j, 10), (1j, 20), (1j, 25), (1j, 60), (1j, 200),
                                    (0.3 + 1.7j, 5), (0.3 + 1.7j, 8), (0.3 + 1.7j, 20),
-                                   (0.1 + 0.25j, 40)])
+                                   (0.1 + 0.25j, 40), (5 + 1j, 40), (0.3 + 50j, 40),
+                                   (0.01j, 20), (3 + 0.01j, 8), (0.001j, 3)])
 def test_verification_report_passes_without_float_errors(tau, r):
     from skeinquant.verify import verification_report
     with np.errstate(all="raise", under="ignore"):
@@ -515,8 +534,7 @@ def test_verification_report_passes_without_float_errors(tau, r):
 
 @pytest.mark.parametrize("tau,r", [(1j, 27), (1j, 30), (0.3 + 1.7j, 25), (0.3 + 1.7j, 30)])
 def test_verification_report_past_a_window_of_n_terms(tau, r):
-    # the series window is wider than N = 2r+1 here; only its excess over N
-    # counts against the conditioning cap
+    # the series window is wider than N = 2r+1 here
     from skeinquant.verify import verification_report
     with np.errstate(all="raise", under="ignore"):
         report = verification_report(QuantizationContext(r, tau))
@@ -560,7 +578,7 @@ def test_batched_report_matches_the_per_check_functions(r, tau):
     want = {
         "gram_psi": np.max(np.abs(gram_matrix(basis_psi(ctx)) - np.eye(ctx.N))),
         "gram_phi": np.max(np.abs(gram_matrix(basis_phi(ctx)) - np.eye(r))),
-        "vacuum_frame_norm": abs(inner_product(vacuum, vacuum, include_halfform=False).real
+        "vacuum_frame_norm": abs(inner_product(vacuum, vacuum).real / halfform_norm_sq(ctx)
                                  - target) / target,
         "intertwine_mu": intertwining_deviation((1, 0), ctx),
         "intertwine_lambda": intertwining_deviation((0, 1), ctx),
@@ -592,6 +610,6 @@ def test_report_builds_each_grid_kernel_once(monkeypatch):
         gram_matrix(basis_psi(ctx))
         gram_matrix(basis_phi(ctx))
         vacuum = ThetaSection(ctx, np.eye(ctx.N)[0])
-        inner_product(vacuum, vacuum, include_halfform=False)
+        inner_product(vacuum, vacuum)
         modular_phase_check("T", ctx)
         assert built == 4 * [geom._grid(ctx)]
