@@ -14,8 +14,8 @@ A-smoothing joins a-d and b-c, which makes a positive kink contribute
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .diagrams import BraidWord, LinkDiagram, braid_to_diagram
 from .errors import CablingUnsupported, StateSpaceTooLarge
@@ -26,8 +26,7 @@ CONTRACTION_BYTE_BUDGET = 1 << 28  # bytes for the coefficients one contraction 
 
 # -- Chebyshev colors -------------------------------------------------
 
-@dataclass(frozen=True)
-class ChebyshevColor:
+class ChebyshevColor(NamedTuple):
     """Coefficients of the n-th cabling color in powers of z.
 
     Satisfies e_0 = 1, e_1 = z, e_{k+1} = z*e_k - e_{k-1}; coeffs[j] is

@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .diagrams import BraidWord, LinkDiagram
@@ -29,12 +28,11 @@ from .tqft import MappingClassWord, rep_S, rep_T, rt_invariant, sl2z_rep
 CONVENTIONS_VERSION = "1"
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """One resolved invocation: command, parameters, output."""
 
     command: str
-    params: dict = field(default_factory=dict)
+    params: dict
     out: Optional[str] = None
 
 
@@ -52,7 +50,7 @@ def _complex_pair(z: complex):
 
 
 def _matrix_pairs(m):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return [[[x, y] for x, y in zip(re, im)] for re, im in zip(m.real.tolist(), m.imag.tolist())]
 
 
 def _emit(cfg: RunConfig, payload: dict) -> None:

@@ -11,24 +11,22 @@ Conventions (see docs/conventions.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(NamedTuple("BraidWord", [("word", tuple), ("strands", int)])):
     """Signed generator word on a fixed number of strands."""
 
-    word: tuple
-    strands: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(int(g) for g in self.word))
-        if self.strands < 1:
+    def __new__(cls, word, strands):
+        word = tuple(int(g) for g in word)
+        if strands < 1:
             raise ValueError("need at least one strand")
-        for g in self.word:
-            if g == 0 or abs(g) >= self.strands:
-                raise ValueError(f"generator {g} out of range for {self.strands} strands")
+        for g in word:
+            if g == 0 or abs(g) >= strands:
+                raise ValueError(f"generator {g} out of range for {strands} strands")
+        return super().__new__(cls, word, strands)
 
     @property
     def writhe(self) -> int:
@@ -74,33 +72,33 @@ class BraidWord:
         return cls(word, strands)
 
 
-@dataclass
-class LinkDiagram:
+class LinkDiagram(NamedTuple("LinkDiagram", [("crossings", list), ("free_loops", int),
+                                              ("framing_extra", list),
+                                              ("braid", Optional[BraidWord])])):
     """Planar-diagram presentation of a framed link.
 
     ``framing_extra`` is the per-component correction added on top of the
-    blackboard framing the diagram itself carries.  ``free_loops`` counts
-    crossing-free circle components (PD codes cannot express them).
-    ``braid`` records provenance when the diagram came from a braid
-    closure; cabling operations require it.
+    blackboard framing the diagram itself carries (None: all 0).
+    ``free_loops`` counts crossing-free circle components (PD codes cannot
+    express them).  ``braid`` records provenance when the diagram came
+    from a braid closure; cabling operations require it.
     """
 
-    crossings: list
-    free_loops: int = 0
-    framing_extra: Optional[list] = None
-    braid: Optional[BraidWord] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.crossings = [tuple(int(a) for a in x) for x in self.crossings]
-        for x in self.crossings:
+    def __new__(cls, crossings, free_loops=0, framing_extra=None, braid=None):
+        crossings = [tuple(int(a) for a in x) for x in crossings]
+        for x in crossings:
             if len(x) != 4:
                 raise ValueError(f"crossing {x} must list exactly four arcs")
-        if self.framing_extra is None:
-            self.framing_extra = [0] * self.num_components
-        self.framing_extra = [int(f) for f in self.framing_extra]
-        if len(self.framing_extra) != self.num_components:
+        # the component count reads only the crossings and the free loops
+        n = super().__new__(cls, crossings, free_loops, None, braid).num_components
+        framing_extra = [0] * n if framing_extra is None else [int(f) for f in framing_extra]
+        if len(framing_extra) != n:
             raise ValueError("one framing entry per component required")
+        self = super().__new__(cls, crossings, free_loops, framing_extra, braid)
         self.validate()
+        return self
 
     # -- structure -----------------------------------------------------
 

@@ -27,10 +27,8 @@ side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._lazy import lazy_import
 from .errors import (DimensionMismatch, NotLatticeFraction, NotPrimitive, PrecisionLoss,
@@ -44,22 +42,20 @@ SERIES_TOL = 1e-14          # theta terms below this share of their coefficient 
 GEOM_BYTE_BUDGET = 1 << 28  # bytes a Gram kernel, an S pairing or a series block holds at once
 
 
-@dataclass(frozen=True)
-class QuantizationContext:
+class QuantizationContext(NamedTuple("QuantizationContext", [("r", int), ("tau", complex)])):
     """Level r and modular parameter tau of one quantized torus."""
 
-    r: int
-    tau: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 3:
+    def __new__(cls, r, tau):
+        if r < 3:
             raise ValueError("level r must be >= 3")
-        tau = complex(self.tau)
+        tau = complex(tau)
         if not np.isfinite(tau):
             raise ValueError(f"tau must be finite, not {tau}")
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half plane")
-        object.__setattr__(self, "tau", tau)
+        return super().__new__(cls, r, tau)
 
     @property
     def N(self) -> int:
@@ -196,10 +192,14 @@ def holomorphic_part(s: ThetaSection, p: float, q: float) -> complex:
 def _lattice_numerators(ctx: QuantizationContext, x) -> tuple:
     out = []
     for c in x:
-        if not isinstance(c, (int, Fraction)):
+        if isinstance(c, int):
+            out.append(c * ctx.N)
+            continue
+        from fractions import Fraction   # loaded already by a caller that made one
+        if not isinstance(c, Fraction):
             raise NotLatticeFraction(
                 f"coordinate {c!r} must be an int or a Fraction, not {type(c).__name__}")
-        num = Fraction(c) * ctx.N
+        num = c * ctx.N
         if num.denominator != 1:
             raise NotLatticeFraction(
                 f"coordinate {c} is not a multiple of 1/{ctx.N}")
@@ -459,8 +459,7 @@ def intertwining_deviation(gamma, ctx: QuantizationContext) -> float:
 
 # -- modular frame changes ---------------------------------------------------
 
-@dataclass
-class ModularReport:
+class ModularReport(NamedTuple):
     """Outcome of re-expanding a transformed frame basis in the original one."""
 
     gen: str

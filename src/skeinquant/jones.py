@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._lazy import lazy_import
 from .diagrams import BraidWord
@@ -54,18 +53,17 @@ CATALOG_BRAIDS = {
 _CATALOG_NAMES = {braid: name for name, braid in CATALOG_BRAIDS.items()}
 
 
-@dataclass(frozen=True)
-class KnotPresentation:
+class KnotPresentation(NamedTuple("KnotPresentation", [("name", str), ("braid", BraidWord)])):
     """A knot given as a braid closure."""
 
-    name: str
-    braid: BraidWord
+    __slots__ = ()
 
-    def __post_init__(self):
-        comps = self.braid.closure_components()
+    def __new__(cls, name, braid):
+        comps = braid.closure_components()
         if len(comps) != 1:
             raise ValueError(
                 f"braid closure has {len(comps)} components; a knot needs exactly one")
+        return super().__new__(cls, name, braid)
 
     @property
     def writhe(self) -> int:
@@ -85,8 +83,7 @@ class KnotPresentation:
         return cls(name, BraidWord(tuple(word), strands))
 
 
-@dataclass(frozen=True)
-class JonesValue:
+class JonesValue(NamedTuple):
     """A single colored-Jones evaluation and which engine produced it."""
 
     n: int

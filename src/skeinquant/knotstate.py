@@ -14,10 +14,8 @@ orthonormality of the Phi basis at every tau; the tests compare them to
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ._lazy import lazy_import
 from .errors import SkeinQuantError, UnknownCatalogEntry
@@ -29,8 +27,7 @@ from .tqft import TorusVector, kirby_constants
 mpmath = lazy_import("mpmath")
 
 
-@dataclass(frozen=True)
-class KnotState:
+class KnotState(NamedTuple):
     """Torus-boundary state of a knot complement at level r."""
 
     knot: KnotPresentation
@@ -38,16 +35,14 @@ class KnotState:
     coeffs: TorusVector
 
 
-@dataclass(frozen=True)
-class L2Norm:
+class L2Norm(NamedTuple):
     norm_sq: float
     norm: float
     log_norm_sq: float
     argmax_n: int
 
 
-@dataclass(frozen=True)
-class VolumeRow:
+class VolumeRow(NamedTuple):
     r: int
     norm_sq: float
     v_r: float
@@ -173,16 +168,13 @@ CSV_COLUMNS = ("r", "norm_sq", "v_r", "argmax_n", "ref_vol", "rel_err")
 
 
 def write_volume_csv(rows: Sequence[VolumeRow], path: str) -> None:
-    """Emit rows with floating values at 15 significant digits."""
+    """Emit rows with floating values at 15 significant digits.
+
+    Lines end in CRLF, as the csv module's excel dialect writes them; no
+    int or 15-digit float field (inf and nan included) needs its quoting.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for row in rows:
-            writer.writerow([
-                row.r,
-                f"{row.norm_sq:.15g}",
-                f"{row.v_r:.15g}",
-                row.argmax_n,
-                f"{row.ref_vol:.15g}",
-                f"{row.rel_err:.15g}",
-            ])
+            fh.write(f"{row.r},{row.norm_sq:.15g},{row.v_r:.15g},{row.argmax_n},"
+                     f"{row.ref_vol:.15g},{row.rel_err:.15g}\r\n")

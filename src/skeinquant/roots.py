@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import LaurentPoly
 
 
-@dataclass(frozen=True)
-class RootContext:
+class RootContext(NamedTuple("RootContext", [("r", int)])):
     """Level-r evaluation data: A = exp(i pi / (2r+1)).
 
     This choice makes A a primitive (4r+2)-th root of unity with
@@ -18,11 +17,12 @@ class RootContext:
     evaluation point used for norm sums come from one constant.
     """
 
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 3:
+    def __new__(cls, r):
+        if r < 3:
             raise ValueError("level r must be >= 3")
+        return super().__new__(cls, r)
 
     @property
     def A_value(self) -> complex:

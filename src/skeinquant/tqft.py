@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._lazy import lazy_import
 from .errors import NotPrimitive, PrecisionLoss
@@ -25,17 +24,16 @@ np = lazy_import("numpy")
 RT_REL_TOL = 1e-6  # every surgery value meets it, by the cancellation bound, or raises
 
 
-@dataclass(frozen=True)
-class TorusVector:
+class TorusVector(NamedTuple("TorusVector", [("r", int), ("coeffs", tuple)])):
     """Element of the torus space in coordinates over e_0 .. e_{r-1}."""
 
-    r: int
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if len(self.coeffs) != self.r:
-            raise ValueError(f"need {self.r} coefficients, got {len(self.coeffs)}")
+    def __new__(cls, r, coeffs):
+        coeffs = tuple(complex(c) for c in coeffs)
+        if len(coeffs) != r:
+            raise ValueError(f"need {r} coefficients, got {len(coeffs)}")
+        return super().__new__(cls, r, coeffs)
 
     def norm(self) -> float:
         """Hermitian norm; the basis is orthonormal so this is Euclidean."""
@@ -62,16 +60,16 @@ def _mat_mul(a, b):
     )
 
 
-@dataclass(frozen=True)
-class MappingClassWord:
+class MappingClassWord(NamedTuple("MappingClassWord", [("word", tuple)])):
     """Word in the torus mapping class generators T, S and their inverses."""
 
-    word: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for tok in self.word:
+    def __new__(cls, word):
+        for tok in word:
             if tok not in _GEN_MATS:
                 raise ValueError(f"unknown generator {tok!r}")
+        return super().__new__(cls, word)
 
     @property
     def matrix(self):
@@ -240,8 +238,7 @@ def curve_operator_skein(gamma, r: int) -> np.ndarray:
 
 # -- Kirby constants and surgery invariants ------------------------------
 
-@dataclass(frozen=True)
-class KirbyConstants:
+class KirbyConstants(NamedTuple):
     """Surgery weights at level r: eta, kappa, and the coloring coefficients."""
 
     r: int

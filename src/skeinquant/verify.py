@@ -23,14 +23,15 @@ import random
 
 from ._lazy import lazy_import
 from .geom import (QuantizationContext, ThetaSection, _frame_report, _pairings,
-                   _phi_rows, _reflected, _series, _spread, _translated, _twist_frame_rows,
-                   curve_operator_geom, eval_grid, halfform_norm_sq, iso_from_skein,
-                   iso_to_skein, modular_phase_check, psi_norm_constant)
+                   _phi_rows, _q_parts, _reflected, _series, _spread, _translated,
+                   _twist_frame_rows, curve_operator_geom, eval_grid, halfform_norm_sq,
+                   iso_from_skein, iso_to_skein, modular_phase_check, psi_norm_constant)
 from .tqft import TorusVector, curve_operator_skein
 
 np = lazy_import("numpy")
 
 TOL = 1e-6
+HOLOMORPHY_FLOORS = 32   # residuals within this many rounding floors pass without a ratio
 
 
 def _normal_vector(rng: random.Random, n: int) -> np.ndarray:
@@ -58,13 +59,16 @@ def _quasi_periodicity_dev(ctx: QuantizationContext, rng: random.Random) -> floa
     return float(np.max(devs))  # np.max keeps a NaN that max() would drop
 
 
-def _holomorphy_ratios(ctx: QuantizationContext, rng: random.Random):
+def _holomorphy_residuals(ctx: QuantizationContext, rng: random.Random):
     """Finite-difference residual of ds/dq - tau ds/dp = i pi N z s must shrink like h^2.
 
     That is dg/dq = tau dg/dp for s = g exp(i pi N q z), read from section
     values, which stay in range at any b N.  A random section carries
     frequencies up to about its window's width N + 2 spread, each scaled by
     up to |tau| in q, so the steps shrink like 1/((N + 2 spread) max(1, |tau|)).
+    Returns the coarse and fine residuals and the rounding floor of each,
+    u M (1 + |tau|) / (h max(|dp|, |dq|, 1)) with M the sum of the term
+    moduli at the centre (docs/conventions.md).
     """
     alpha = _normal_vector(rng, ctx.N)
     p, q = 0.31, 0.27
@@ -75,8 +79,11 @@ def _holomorphy_ratios(ctx: QuantizationContext, rng: random.Random):
                 q + np.stack([h, -h, zero, zero, zero]))
     dq, dp = (s[0] - s[1]) / (2 * h), (s[2] - s[3]) / (2 * h)
     drift = 1j * math.pi * ctx.N * (p + ctx.tau * q) * s[4]
-    r1, r2 = np.abs(dq - ctx.tau * dp - drift) / np.maximum(np.maximum(abs(dp), abs(dq)), 1.0)
-    return r1, r2, (r1 / r2 if r2 > 0 else float("inf"))
+    scale = np.maximum(np.maximum(abs(dp), abs(dq)), 1.0)
+    m, F = _q_parts(ctx, np.array([q]))
+    M = float(np.abs(alpha[m % ctx.N]) @ np.abs(F[:, 0]))
+    floor = 2.0 ** -53 * M * (1 + abs(ctx.tau)) / (h * scale)
+    return np.abs(dq - ctx.tau * dp - drift) / scale, floor
 
 
 def verification_report(ctx: QuantizationContext, include_modular: bool = True) -> dict:
@@ -141,8 +148,10 @@ def verification_report(ctx: QuantizationContext, include_modular: bool = True) 
         residuals["modular_T_phase_modulus"] = abs(abs(rep_t.global_phase) - 1)
         residuals["modular_S_phase_modulus"] = abs(abs(rep_s.global_phase) - 1)
 
-    c1, c2, ratio = _holomorphy_ratios(ctx, rng)
-    ok = bool(3.0 < ratio < 5.0 or (c1 < 1e-9 and c2 < 1e-9))
+    c, floor = _holomorphy_residuals(ctx, rng)
+    c1, c2 = c
+    ratio = c1 / c2 if c2 > 0 else float("inf")
+    ok = bool(3.0 < ratio < 5.0 or np.all(c < HOLOMORPHY_FLOORS * floor))
 
     report = {
         "r": r,

@@ -210,6 +210,22 @@ def test_volume_seq_csv_and_manifest(tmp_path):
     assert manifest["conventions_version"] == "1"
 
 
+@pytest.mark.parametrize("argv, csv", [
+    (["--knot", "figure-eight", "--r-min", "1100", "--r-max", "1100"],
+     b"r,norm_sq,v_r,argmax_n,ref_vol,rel_err\r\n"
+     b"1100,inf,2.03746634340099,1100,2.02988321281931,0.0037357472261439\r\n"),
+    (["--knot", "trefoil", "--r-min", "40", "--r-max", "50"],
+     b"r,norm_sq,v_r,argmax_n,ref_vol,rel_err\r\n"
+     b"40,27,0.25885442214174,40,0,0.25885442214174\r\n"
+     b"50,34,0.221567766360864,50,0,0.221567766360864\r\n"),
+])
+def test_volume_seq_csv_bytes(tmp_path, capsys, argv, csv):
+    # the bytes the csv module's excel dialect wrote: CRLF line ends, no field quoted
+    out = tmp_path / "seq.csv"
+    assert cli.main(["volume-seq", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == csv
+
+
 def test_volume_seq_without_out_exits_2_before_computing(monkeypatch, capsys):
     def no_rows(*args, **kwargs):
         raise AssertionError("volume-seq computed its rows before checking --out")
@@ -375,6 +391,16 @@ def test_geom_verify_passes_with_wide_windows(tmp_path, argv):
     assert json.loads(out.read_text())["result"]["pass"] is True
 
 
+@pytest.mark.parametrize("tau", ("0.0001i", "0.0002i"))
+def test_geom_verify_passes_with_holomorphy_at_its_rounding_floor(tmp_path, tau):
+    # residuals of 1.3e-9/3.6e-9 and 6.5e-10/2.3e-9 lie within 1.2-2.0 rounding floors,
+    # so the coarse/fine ratio (0.36 and 0.28) reads rounding, not truncation
+    out = tmp_path / "report.json"
+    assert cli.main(["geom-verify", "--r", "3", "--tau", tau, "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["pass"] is True and result["checks"]["holomorphy_residual_fine"] > 1e-9
+
+
 @pytest.mark.parametrize("r", ("-1", "0", "1", "2"))
 def test_tqft_rejects_a_level_below_3(r):
     proc = run_cli("tqft", "--r", r, check=False)
@@ -432,6 +458,12 @@ def run_in_child(argv):
 def ran(lib, modules):
     # a lazily bound library sits in sys.modules before it runs; running it loads submodules
     return any(m.startswith(lib + ".") for m in modules)
+
+
+def test_cli_import_leaves_out_dataclasses_fractions_and_csv():
+    # with inspect and decimal they were about a fifth of a cold import; no command needs them
+    rc, imported, _ = run_in_child(["bracket", "--braid", "1 1 1", "--strands", "2"])
+    assert rc == 0 and not {"dataclasses", "inspect", "fractions", "decimal", "csv"} & set(imported)
 
 
 def test_geom_verify_does_not_import_numpy_random():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import re
 import tracemalloc
 import warnings
@@ -20,6 +21,7 @@ from skeinquant.geom import (QuantizationContext, ThetaSection, _gram_kernel, _q
                              parity_reflect, phi_coefficients, psi_coefficients,
                              section_eval, translate, translate_ints)
 from skeinquant.tqft import TorusVector, curve_operator_skein, rep_S, rep_T
+from skeinquant.verify import HOLOMORPHY_FLOORS, _holomorphy_residuals
 
 CTX = QuantizationContext(3, 1j)
 CTX_SKEW = QuantizationContext(3, 0.3 + 1.7j)
@@ -97,6 +99,18 @@ def test_holomorphy_finite_difference_order():
 
     r1, r2 = residual(2e-2), residual(1e-2)
     assert 3.0 < r1 / r2 < 5.0  # second-order convergence
+
+
+@pytest.mark.parametrize("r, tau, at_floor", [
+    (3, 1e-4j, True), (3, 2e-4j, True), (8, 3e-4j, True),
+    (3, 1e-3j, False), (3, 1j, False), (8, 0.3 + 1.7j, False),
+])
+def test_holomorphy_floor_separates_rounding_from_truncation(r, tau, at_floor):
+    # rounding-dominated residuals sit within a few floors, truncation ones 1e2 floors and
+    # up: each verdict holds for a multiple 4 times smaller or larger than the one used
+    c, floor = _holomorphy_residuals(QuantizationContext(r, tau), random.Random(7))
+    for k in (HOLOMORPHY_FLOORS / 4, HOLOMORPHY_FLOORS, HOLOMORPHY_FLOORS * 4):
+        assert np.all(c < k * floor) == at_floor, (k, c / floor)
 
 
 # -- translations -------------------------------------------------------------
