@@ -17,11 +17,10 @@ import math
 from itertools import product
 from typing import NamedTuple
 
+from . import errors
 from .diagrams import BraidWord, LinkDiagram, braid_to_diagram
 from .errors import CablingUnsupported, StateSpaceTooLarge
 from .laurent import LaurentPoly, loop_value
-
-CONTRACTION_BYTE_BUDGET = 1 << 28  # bytes for the coefficients one contraction holds at once
 
 
 # -- Chebyshev colors -------------------------------------------------
@@ -87,7 +86,7 @@ def _contract(crossings, free_loops: int) -> LaurentPoly:
     its item set) with its coefficients {exponent: coefficient}.  The next
     crossing is the one with the most arcs already open, ties to the
     earliest.  StateSpaceTooLarge once the coefficients held at one time
-    exceed CONTRACTION_BYTE_BUDGET at about 100 bytes each.
+    exceed errors.BYTE_BUDGET at about 100 bytes each.
     """
     delta = loop_value()
     loop_terms = [{0: 1}, delta.terms, (delta * delta).terms]
@@ -118,10 +117,10 @@ def _contract(crossings, free_loops: int) -> LaurentPoly:
             if terms:
                 states[key] = terms
                 held += len(terms)
-        if 100 * held > CONTRACTION_BYTE_BUDGET:
+        if 100 * held > errors.BYTE_BUDGET:
             raise StateSpaceTooLarge(
                 f"the bracket contraction holds {held} coefficients (states: {len(states)}) at "
-                f"about 100 bytes each, over the {CONTRACTION_BYTE_BUDGET >> 20} MiB budget")
+                f"about 100 bytes each, over the {errors.BYTE_BUDGET >> 20} MiB budget")
     total = LaurentPoly(states.get(frozenset(), {}))
     for _ in range(free_loops):
         total = total * delta

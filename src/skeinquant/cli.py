@@ -24,6 +24,7 @@ from .jones import CATALOG_BRAIDS, KnotPresentation, colored_jones, colored_jone
 from .knotstate import _state_and_norm, volume_sequence, write_volume_csv
 from .roots import RootContext
 from .tqft import MappingClassWord, rep_S, rep_T, rt_invariant, sl2z_rep
+from .verify import verification_report
 
 CONVENTIONS_VERSION = "1"
 
@@ -139,7 +140,6 @@ def _cmd_rt(cfg: RunConfig, args) -> int:
 
 
 def _cmd_geom_verify(cfg: RunConfig, args) -> int:
-    from .verify import verification_report
     ctx = QuantizationContext(args.r, _parse_tau(args.tau))
     report = verification_report(ctx, include_modular=not args.skip_modular)
     _emit(cfg, report)

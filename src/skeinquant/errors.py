@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the byte budget of StateSpaceTooLarge."""
 
 
 class SkeinQuantError(Exception):
@@ -9,8 +9,11 @@ class InexactDivision(SkeinQuantError):
     """A ring division expected to be exact left a remainder."""
 
 
+BYTE_BUDGET = 1 << 28   # bytes any one array build may hold; read at call time, so it can be set
+
+
 class StateSpaceTooLarge(SkeinQuantError):
-    """An array would exceed its memory budget; raised before it is built."""
+    """An array would exceed BYTE_BUDGET; raised before it is built."""
 
 
 class PrecisionLoss(SkeinQuantError):

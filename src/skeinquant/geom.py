@@ -30,6 +30,7 @@ import math
 from math import gcd
 from typing import NamedTuple, Sequence
 
+from . import errors
 from ._lazy import lazy_import
 from .errors import (DimensionMismatch, NotLatticeFraction, NotPrimitive, PrecisionLoss,
                      StateSpaceTooLarge)
@@ -38,8 +39,7 @@ from .tqft import TorusVector, curve_operator_skein, rep_S, rep_T
 np = lazy_import("numpy")
 
 
-SERIES_TOL = 1e-14          # theta terms below this share of their coefficient are dropped
-GEOM_BYTE_BUDGET = 1 << 28  # bytes a Gram kernel, an S pairing or a series block holds at once
+SERIES_TOL = 1e-14   # theta terms below this share of their coefficient are dropped
 
 
 class QuantizationContext(NamedTuple("QuantizationContext", [("r", int), ("tau", complex)])):
@@ -112,11 +112,11 @@ def _window(ctx: QuantizationContext, q_min: float, q_max: float):
 
 
 def _check_bytes(ctx: QuantizationContext, what: str, nbytes: float) -> None:
-    """StateSpaceTooLarge naming r, tau and the MiB when nbytes passes GEOM_BYTE_BUDGET."""
-    if nbytes > GEOM_BYTE_BUDGET:
+    """StateSpaceTooLarge naming r, tau and the MiB when nbytes passes errors.BYTE_BUDGET."""
+    if nbytes > errors.BYTE_BUDGET:
         raise StateSpaceTooLarge(
             f"{what} at r = {ctx.r}, tau = {ctx.tau} needs about {nbytes / 2**20:.4g} MiB, "
-            f"over the {GEOM_BYTE_BUDGET >> 20} MiB budget")
+            f"over the {errors.BYTE_BUDGET >> 20} MiB budget")
 
 
 def _q_parts(ctx: QuantizationContext, q: np.ndarray):
@@ -309,32 +309,27 @@ def _alternating_part(ctx: QuantizationContext, alpha: np.ndarray):
 
 # -- quadrature inner products ---------------------------------------------
 
-def _fold(X: np.ndarray, lo: int, N: int) -> np.ndarray:
-    """Rows of X summed by class, row i being window index lo + i of class (lo + i) mod N."""
-    out = np.zeros((N,) + X.shape[1:], dtype=X.dtype)
-    for i in range(-(lo % N), len(X), N):   # rows i .. i+N-1 hold classes 0 .. N-1
-        a, b = max(i, 0), min(i + N, len(X))
-        out[a - i:b - i] += X[a:b]
-    return out
-
-
 def _gram_kernel(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
     """N x N pairing kernel G with <s1, s2> = alpha1^H G alpha2 (no half-form).
 
     The n x n trapezoid sum of conj(s1) s2, done exactly in one dimension:
     the p-dependence of conj(term m) * term m' is exp(2 pi i (m' - m) p),
-    whose mean over n grid points is [m = m' mod n].  What is left is a sum
-    over q of the terms' q-parts F, folded onto index classes.  The w x w
-    pairs, their w x N fold and F are counted before any is built.
+    whose mean over n grid points is [m = m' mod n].  The window's rows i and
+    i + s of q-parts F alias exactly when n divides s, so each such shift adds
+    its row products at their classes.  G, 3 F (the build of F), one shift's
+    vectors and 8 KiB are counted first.
     """
     N = ctx.N
     w = N + 2 * _spread(N, ctx.b) + 7
-    _check_bytes(ctx, "Gram kernel", 17 * w * w + 16 * (w * N + 5 * w * n_grid))
+    _check_bytes(ctx, "Gram kernel", 16 * (N * N + 3 * w * n_grid + 4 * w) + 8192)
     m, F = _q_parts(ctx, np.arange(n_grid) / n_grid)
-    K = F.conj() @ F.T
-    K *= m[:, None] % n_grid == m[None, :] % n_grid
-    K = _fold(K, m[0], N)   # frees the w x w pairs before the second fold
-    G = _fold(K.T, m[0], N).T
+    c, w = m % N, len(m)
+    G = np.zeros((N, N), dtype=np.complex128)
+    for s in range(0, w, n_grid):
+        d = np.vecdot(F[:w - s], F[s:])   # conjugates its first argument
+        np.add.at(G, (c[:w - s], c[s:]), d)
+        if s:
+            np.add.at(G, (c[s:], c[:w - s]), d.conj())
     G *= 4 * math.pi / n_grid
     return G
 

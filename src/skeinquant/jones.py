@@ -32,6 +32,7 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple, Optional
 
+from . import errors
 from ._lazy import lazy_import
 from .diagrams import BraidWord
 from .errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
@@ -41,8 +42,6 @@ from .roots import RootContext, quantum_integer
 
 mpmath = lazy_import("mpmath")
 np = lazy_import("numpy")
-
-RMATRIX_BYTE_BUDGET = 1 << 28  # bytes for the largest weight sector, over all batch points
 
 CATALOG_BRAIDS = {
     "unknot": ((), 1),
@@ -95,7 +94,7 @@ class JonesValue(NamedTuple):
 
 def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None, nodes: int = 0,
                   primes: int = 0) -> int:
-    """How many evaluation points fit RMATRIX_BYTE_BUDGET; StateSpaceTooLarge if none does.
+    """How many evaluation points fit errors.BYTE_BUDGET; StateSpaceTooLarge if none does.
 
     Per point: 3 d^2 ring entries of the largest sector d (the product, a block,
     the new product) and, given the power table's reach E, _trace's tables
@@ -114,12 +113,12 @@ def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None, nodes:
     point = itemsize * (3 * float(d) ** 2 + tables)
     fixed = (8 * (s * float(d) ** 2 + (s + 2) * float(N) ** s + 2 * N ** 4 + 20 * e)
              + nodes * (8 * (8 + primes) + 256) + 8192)
-    if point + fixed > RMATRIX_BYTE_BUDGET:
+    if point + fixed > errors.BYTE_BUDGET:
         raise StateSpaceTooLarge(
             f"the largest weight sector of the {N}^{s} states has {d} states and needs "
             f"{(point + fixed) / 2**20:.0f} MiB, over the "
-            f"{RMATRIX_BYTE_BUDGET >> 20} MiB sector budget")
-    return int((RMATRIX_BYTE_BUDGET - fixed) // point)
+            f"{errors.BYTE_BUDGET >> 20} MiB sector budget")
+    return int((errors.BYTE_BUDGET - fixed) // point)
 
 
 def _slot_index(flat, k, i: int, s: int, N: int):
@@ -240,6 +239,8 @@ def colored_jones_rmatrix(K: KnotPresentation, n: int, ctx: RootContext) -> comp
     if n == 1:
         return 1 + 0j
     N, s, NN = n, K.braid.strands, 2 * ctx.r + 1
+    if n % NN == 0:   # refused before any table is built
+        raise PrecisionLoss(f"the R-matrix gives J({n}) at r={ctx.r} as 0/0: [{n}] = 0")
     E = 2 * N * (N + s)   # covers every exponent of an entry and a weight
     _check_budget(N, s, 16, E)
     pw = np.exp(1j * math.pi / NN * (np.arange(-E, E + 1) % (2 * NN)))[:, None]
@@ -401,7 +402,7 @@ _U = 2.0 ** -53
 _UNIT_ERR = 32 * _U
 
 
-def _trefoil_values(r: int, n_max: int) -> list:
+def _trefoil_values(r: int, n_max: int, zero: int = 0) -> list:
     """Morton's formula for the (2, 3) torus knot at t**-1, as two exact running sums.
 
     J(n) = S'(n)/den'(n): S'(n) = sum_h g(h) over h = 1-n, 3-n, .., n-1,
@@ -415,6 +416,8 @@ def _trefoil_values(r: int, n_max: int) -> list:
     2E (n/|S'| + 1/|den'|) + 8u <= JONES_REL_TOL, E = _UNIT_ERR.
     """
     NN, M = 2 * r + 1, 4 * r + 2
+    if zero:   # den' = 0 where NN divides the color
+        raise PrecisionLoss(f"trefoil J({zero}) at r={r} is 0/0 in Morton's formula")
     # g(h) = A^e(h+1) - A^e(h), e(h) = -(6h^2 - 2h + 4), and den'(n) = A^p - A^q: their
     # exponents modulo 2NN are quadratic in h and n, so few of the 2NN table entries are read
     e = [-(6 * h * h - 2 * h + 4) % M for h in range(1 - n_max, n_max + 1)]
@@ -466,7 +469,7 @@ def _q_bits(NN: int) -> int:
     return math.ceil(max(map(abs, log_q))) + 1
 
 
-def _figure_eight_values(r: int, n_max: int) -> list:
+def _figure_eight_values(r: int, n_max: int, zero: int) -> list:
     """Habiro's sum J(n) = sum_{k<n} prod_{j<=k} (c(n) - c(j)), c(m) = 2cos(4 pi m/NN), from one table.
 
     With s(m) = 2 sin(2 pi m/NN) and Q(m) = s(1) .. s(m), c(n) - c(j) =
@@ -476,9 +479,8 @@ def _figure_eight_values(r: int, n_max: int) -> list:
     |Q| < 2^L from one float64 cumulative sum of log2 |s|; Q comes from one
     product chain with P-bit mantissas over the table of s at G bits and is
     kept as integers at unit 2^-U, so the sum is one integer dot product
-    per color, divided once by NN s(n).  The other colors repeat these:
-    J(n) = J(min(n mod NN, NN - n mod NN)), and J(n) = sum_{k<NN} Q(k)^2
-    when NN divides n.  Each color is certified by the rounding bound
+    per color, divided once by NN s(n).  J(zero) = sum_{k<NN} Q(k)^2 for a
+    multiple ``zero`` of NN.  Each color is certified by the rounding bound
     8 terms 2^(L+U) < JONES_REL_TOL |sum| in units of 2^-2U
     (docs/conventions.md) and returned as an exact mpf.
     """
@@ -503,18 +505,18 @@ def _figure_eight_values(r: int, n_max: int) -> list:
             raise PrecisionLoss(f"figure-eight J({n}) at r={r} misses {JONES_REL_TOL:g}")
         return total
 
-    base = [None]
-    for n in range(1, min(n_max, r) + 1):
+    values = []
+    for n in range(1, n_max + 1):
         total = certified(n, n, sum(map(mul, Q[n:2 * n], Q[NN - n:])))
         q = (total << G) // (NN * S[n])
-        base.append(mpmath.mpf((q if (n + r) % 2 else -q, -2 * U), prec=0))   # kept exactly
-    if n_max >= NN:
-        base[0] = mpmath.mpf((certified(NN, NN, sum(map(mul, Q, Q))), -2 * U), prec=0)
-    return [base[min(n % NN, -n % NN)] for n in range(1, n_max + 1)]
+        values.append(mpmath.mpf((q if (n + r) % 2 else -q, -2 * U), prec=0))   # kept exactly
+    if zero:
+        values.append(mpmath.mpf((certified(zero, NN, sum(map(mul, Q, Q))), -2 * U), prec=0))
+    return values
 
 
 _CATALOG_SUMS = {
-    "unknot": lambda r, n_max: [1 + 0j] * n_max,
+    "unknot": lambda r, n_max, zero: [1 + 0j] * (n_max + bool(zero)),
     "trefoil": _trefoil_values,
     "figure-eight": _figure_eight_values,
 }
@@ -523,21 +525,24 @@ _CATALOG_SUMS = {
 def catalog_jones_values(name: str, r: int, n_max: int) -> list:
     """J(name, n) for n = 1..n_max at t = exp(2 pi i/(r+1/2)), in one pass.
 
-    Each value is within JONES_REL_TOL relative, or PrecisionLoss is raised.
-    Figure-eight values are real mpmath numbers that hold the fixed-point
-    sum exactly: up to about 2**(r/2), they can leave the double range.  The
-    others are Python complex numbers.
+    J(n) = J(min(n mod NN, -n mod NN)), NN = 2r+1: a sum runs to min(n_max, r), then
+    to the largest multiple of NN to n_max.  Each value is within JONES_REL_TOL
+    relative, or PrecisionLoss is raised.  Figure-eight values are exact mpmath
+    reals, up to about 2**(r/2), past the double range; the others are complex.
     """
     if name not in _CATALOG_SUMS:
         raise UnknownCatalogEntry(f"{name!r} not in catalog {sorted(CATALOG_BRAIDS)}")
-    return _CATALOG_SUMS[name](r, n_max)
+    NN = 2 * r + 1
+    values = _CATALOG_SUMS[name](r, min(n_max, r), n_max - n_max % NN)
+    return [values[min(n % NN, -n % NN) - 1] for n in range(1, n_max + 1)]
 
 
 def colored_jones_catalog(name: str, n: int, ctx: RootContext) -> complex:
-    """J(name, n) at t = exp(2 pi i/(r+1/2)) from the closed-form catalog."""
+    """J(name, n) at t = exp(2 pi i/(r+1/2)), from the smallest color of its class."""
     if n < 1:
         raise ValueError("color index n must be >= 1")
-    return complex(catalog_jones_values(name, ctx.r, n)[n - 1])
+    NN = 2 * ctx.r + 1
+    return complex(catalog_jones_values(name, ctx.r, min(n % NN, -n % NN) or n)[-1])
 
 
 # -- shared entry points -----------------------------------------------

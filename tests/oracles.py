@@ -39,6 +39,11 @@
 * The theta series summed term by term: one exponentiated term at a
   time over the window, with zero coefficients skipped, the reference
   for the vector series behind eval_grid and holomorphic_part.
+* The dense Gram kernel: every pair of the window's q-parts as one
+  F* F^T product, the pairs m != m' (mod n) masked out, and rows and
+  columns folded onto their classes m mod N by an indicator matrix, the
+  reference for the kernel that forms only the aliased pairs.  It holds
+  the window squared, so keep it to r of a few hundred.
 * The geometric curve operator one column at a time: each Phi_l
   translated as a section by +-gamma/(2r+1) and expanded by
   phi_coefficients, the reference for the stacked build.
@@ -62,7 +67,7 @@ import numpy as np
 
 from skeinquant.bracket import braid_closure_bracket, chebyshev_coeffs
 from skeinquant.errors import InexactDivision, PrecisionLoss
-from skeinquant.geom import (ThetaSection, _window, basis_phi, lattice_character,
+from skeinquant.geom import (ThetaSection, _q_parts, _window, basis_phi, lattice_character,
                              phi_coefficients, translate_ints)
 from skeinquant.jones import JONES_REL_TOL, _rmatrix_terms
 from skeinquant.knotstate import L2Norm, _log_abs
@@ -488,6 +493,15 @@ def termwise_series(s, P, Q, frame: bool) -> np.ndarray:
                 exponent = exponent + 1j * math.pi * N * Q * Z
             out += c * np.exp(exponent)
     return out
+
+
+def dense_gram_kernel(ctx, n: int) -> np.ndarray:
+    """The Gram kernel 4 pi/n A^T (F* F^T masked to m = m' mod n) A, A[i, m_i mod N] = 1."""
+    m, F = _q_parts(ctx, np.arange(n) / n)
+    K = F.conj() @ F.T
+    K *= m[:, None] % n == m[None, :] % n
+    A = (m[:, None] % ctx.N == np.arange(ctx.N)).astype(np.float64)
+    return 4 * math.pi / n * (A.T @ K @ A)
 
 
 def curve_operator_by_sections(gamma, ctx) -> np.ndarray:

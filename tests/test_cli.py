@@ -11,6 +11,8 @@ import pytest
 from oracles import pd_text, state_sum_bracket, transfer_bracket
 from skeinquant import cli, jones
 from skeinquant.diagrams import BraidWord, braid_to_diagram
+from skeinquant.jones import KnotPresentation, colored_jones_exact
+from skeinquant.roots import RootContext
 
 RUN = [sys.executable, "-m", "skeinquant.cli"]
 SRC = str(Path(cli.__file__).resolve().parents[1])   # the child imports the same package
@@ -434,6 +436,27 @@ def test_precision_loss_exits_2():
     proc = run_cli("jones", "--knot", "trefoil", "--n", "7", "--r", "3", check=False)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv", (
+    ["--knot", "figure-eight", "--backend", "rmatrix"],
+    ["--braid", "1 1 1 2 -1 2", "--strands", "3"],   # auto sends a non-catalog word there
+))
+def test_rmatrix_at_a_vanishing_quantum_integer_exits_2(argv):
+    # [7] = 0 at r = 3: the trace over it is 0/0, refused with one line
+    proc = run_cli("jones", *argv, "--n", "7", "--r", "3", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: the R-matrix gives J(7) at r=3 as 0/0: [7] = 0\n", proc.stderr
+
+
+def test_trefoil_color_past_2r_comes_from_its_class(capsys):
+    # J(8) = J(1) at r = 3: the catalog folds the color onto 1..r before it sums
+    assert cli.main(["jones", "--knot", "trefoil", "--n", "8", "--r", "3"]) == 0
+    got = json.loads(capsys.readouterr().out)["result"]
+    want = colored_jones_exact(KnotPresentation.from_catalog("trefoil"), 8).eval_at(
+        RootContext(3).t_value)
+    assert abs(complex(got["re"], got["im"]) - want) <= 1e-10 * abs(want)
+    assert got["backend"] == "catalog"
 
 
 def run_in_child(argv):

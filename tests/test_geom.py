@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import curve_operator_by_sections, termwise_series
-from skeinquant import geom
+from oracles import curve_operator_by_sections, dense_gram_kernel, termwise_series
+from skeinquant import errors, geom
 from skeinquant.errors import (DimensionMismatch, NotLatticeFraction, NotPrimitive,
                                PrecisionLoss, StateSpaceTooLarge)
 from skeinquant.geom import (QuantizationContext, ThetaSection, _gram_kernel, _q_parts,
@@ -358,7 +358,7 @@ def test_quadrature_cap_raises(monkeypatch):
     # grid before any q-part is built, naming r, tau and the MiB
     ctx = QuantizationContext(3, 1j)
     s = random_section(ctx, 11)
-    monkeypatch.setattr(geom, "GEOM_BYTE_BUDGET", 1000)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 1000)
     monkeypatch.setattr(geom, "_q_parts", lambda *args: pytest.fail("a q-part was built"))
     for what, check in (("Gram kernel", lambda: inner_product(s, s)),
                         ("S-frame pairing", lambda: modular_phase_check("S", ctx))):
@@ -404,12 +404,12 @@ def test_geom_budget_counts_the_traced_peak(monkeypatch):
         n = geom._grid(ctx)
         counted.clear()
         peak = _traced_peak(lambda: build(ctx, n))
-        assert len(counted) == 1 and counted[0] / 2 < peak <= counted[0] <= geom.GEOM_BYTE_BUDGET
-        monkeypatch.setattr(geom, "GEOM_BYTE_BUDGET", math.ceil(counted[0]) - 1)
+        assert len(counted) == 1 and counted[0] / 2 < peak <= counted[0] <= errors.BYTE_BUDGET
+        monkeypatch.setattr(errors, "BYTE_BUDGET", math.ceil(counted[0]) - 1)
         monkeypatch.setattr(geom, "_q_parts", lambda *args: pytest.fail("a q-part was built"))
         with pytest.raises(StateSpaceTooLarge, match=re.escape(f"r = {ctx.r}, tau = {ctx.tau} needs")):
             build(ctx, n)
-        monkeypatch.setattr(geom, "GEOM_BYTE_BUDGET", 1 << 28)
+        monkeypatch.setattr(errors, "BYTE_BUDGET", 1 << 28)
         monkeypatch.setattr(geom, "_q_parts", q_parts)
 
 
@@ -443,6 +443,19 @@ def test_gram_kernel_matches_grid_sum(r, tau):
                          for a in vals])
         kernel = C.conj().T @ _gram_kernel(ctx, n) @ C
         assert np.max(np.abs(grid - kernel)) <= 1e-12 * np.max(np.abs(kernel)), n
+
+
+@pytest.mark.parametrize("r, tau, n", [(r, tau, None) for r in (3, 60, 200)
+                                        for tau in (1j, 0.3 + 1.7j, 0.01j, 50j)]
+                         + [(60, 1j, 4), (60, 0.3 + 1.7j, 4)])
+def test_gram_kernel_matches_the_dense_oracle(r, tau, n):
+    # only the aliased pairs, shift by shift, against every pair masked and folded, on
+    # the grid the pairings use; n = 4 at r = 60 takes about 60 shifts, whose products
+    # are complex off the imaginary axis
+    ctx = QuantizationContext(r, tau)
+    n = n or geom._grid(ctx)
+    got, want = _gram_kernel(ctx, n), dense_gram_kernel(ctx, n)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("tau", (1j, 0.3 + 1.7j))

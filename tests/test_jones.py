@@ -9,7 +9,7 @@ import pytest
 from oracles import (all_sector_bound, all_sector_loop, all_sector_window, cabled_jones,
                      cyclotomic_jones, dense_rmatrix_jones, habiro_forward, mirrored,
                      morton_trefoil, numpy_q_bits, numpy_trefoil)
-from skeinquant import jones
+from skeinquant import errors, jones
 from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                                UnknownCatalogEntry)
 from skeinquant.jones import (JONES_REL_TOL, KnotPresentation, catalog_jones_values,
@@ -258,6 +258,21 @@ def test_rmatrix_matches_catalog_at_r30(K):
     assert abs(colored_jones_rmatrix(K, 12, ctx) - cat[11]) <= 1e-6 * abs(cat[11])
 
 
+@pytest.mark.parametrize("K", (FIG8, KnotPresentation.from_braid((1, 1, 1, 2, -1, 2), 3)),
+                         ids=("figure-eight", "custom"))
+def test_rmatrix_refuses_the_colors_where_n_vanishes(K, monkeypatch):
+    # where 2r+1 divides n, [n] and T both vanish and T/[n] is rounding over rounding: the
+    # refusal names n and r before a table is built, and the next color still agrees
+    ctx = RootContext(3)
+    monkeypatch.setattr(jones, "_rmatrix_terms", lambda N: pytest.fail("a table was built"))
+    for n in (7, 14):
+        with pytest.raises(PrecisionLoss, match=rf"J\({n}\) at r=3 as 0/0"):
+            colored_jones_rmatrix(K, n, ctx)
+    monkeypatch.undo()
+    exact = colored_jones_exact(K, 8).eval_at(ctx.t_value)
+    assert abs(colored_jones_rmatrix(K, 8, ctx) - exact) <= 1e-10 * abs(exact)
+
+
 def test_degree_window_one_short_raises(monkeypatch):
     n = 3
     J = cabled_jones(FIG8, n)
@@ -281,12 +296,13 @@ def test_exact_points_are_chunked_to_the_budget(monkeypatch):
     sizes, trace_mod = [], jones._trace_mod
     monkeypatch.setattr(jones, "_trace_mod",
                         lambda *args: sizes.append(len(args[-1])) or trace_mod(*args))
-    assert uncached(word, strands, 4) == cabled_jones(FIG8, 4) and set(sizes) == {29}
+    J = cabled_jones(FIG8, 4)   # before the budget shrinks: its contraction shares it
+    assert uncached(word, strands, 4) == J and set(sizes) == {29}
     sizes.clear()
-    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 75000)   # (75000 - 32616) // 8352 = 5
-    assert uncached(word, strands, 4) == cabled_jones(FIG8, 4)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 75000)   # (75000 - 32616) // 8352 = 5
+    assert uncached(word, strands, 4) == J
     assert sizes[:6] == [5, 5, 5, 5, 5, 4] and set(sizes) == {5, 4}
-    monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 40967)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 40967)
     with pytest.raises(StateSpaceTooLarge, match="has 12 states"):
         uncached(word, strands, 4)
 
@@ -313,7 +329,7 @@ def test_budget_counts_the_traced_peak(monkeypatch, N):
             (8, P, lambda: jones._trace_mod(word, s, N, jones._rmatrix_terms(N), 0, E, p, x))):
         peak = _traced_peak(call)
         for budget, admitted in ((peak - 1, False), (2 * peak, True)):
-            monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", budget)
+            monkeypatch.setattr(errors, "BYTE_BUDGET", budget)
             try:
                 fits = jones._check_budget(N, s, itemsize, E) >= points
             except StateSpaceTooLarge:
@@ -331,7 +347,7 @@ def test_budget_counts_the_traced_peak_of_one_exact_point(monkeypatch):
     for word, s, n, nodes, primes in (((1, 1, 1), 2, 12, 211, 3), ((1,) * 41, 2, 2, 44, 3),
                                       ((1, -2) * 20, 3, 2, 43, 2)):
         counted = []
-        monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", 1 << 28)
+        monkeypatch.setattr(errors, "BYTE_BUDGET", 1 << 28)
         monkeypatch.setattr(jones, "_check_budget",
                             lambda *args: counted.append(args) or check_budget(*args))
         J = uncached(word, s, n)
@@ -339,13 +355,13 @@ def test_budget_counts_the_traced_peak_of_one_exact_point(monkeypatch):
         assert args[4:] == (nodes, primes)
 
         def admits(budget):
-            monkeypatch.setattr(jones, "RMATRIX_BYTE_BUDGET", budget)
+            monkeypatch.setattr(errors, "BYTE_BUDGET", budget)
             try:
                 return check_budget(*args) >= 1
             except StateSpaceTooLarge:
                 return False
 
-        lo, hi = 0, jones.RMATRIX_BYTE_BUDGET   # bisect to the smallest admitting budget
+        lo, hi = 0, errors.BYTE_BUDGET   # bisect to the smallest admitting budget
         while hi - lo > 1:
             lo, hi = (lo, (lo + hi) // 2) if admits((lo + hi) // 2) else ((lo + hi) // 2, hi)
         assert admits(hi) and check_budget(*args) == 1   # and the budget stays at hi
@@ -408,7 +424,7 @@ def _order(g: int, p: int) -> int:
 def test_prime_table():
     # no sector past d_max fits one int64 point: 3 entries of each state pair, and on two
     # strands or more at least two int64 positions
-    d_max = math.isqrt(jones.RMATRIX_BYTE_BUDGET // (5 * 8))
+    d_max = math.isqrt(errors.BYTE_BUDGET // (5 * 8))
     with pytest.raises(StateSpaceTooLarge):
         jones._check_budget(d_max + 1, 2, 8)   # two strands: the largest sector has N states
 
@@ -558,6 +574,19 @@ def test_trefoil_certifies_every_color_at_r3000():
     assert len(catalog_jones_values("trefoil", 3000, 3000)) == 3000
 
 
+@pytest.mark.parametrize("r, colors", ((3, (8, 9, 13)), (5, range(12, 22))))
+def test_trefoil_colors_past_2r_fold_onto_the_sums(r, colors):
+    # at t = exp(4 pi i/NN), J(n) depends only on min(n mod NN, -n mod NN), so no color
+    # outside the class of NN needs Morton's vanishing denominator
+    ctx = RootContext(r)
+    values = catalog_jones_values("trefoil", r, 2 * r)
+    for n in colors:
+        exact = colored_jones_exact(TREFOIL, n).eval_at(ctx.t_value)
+        cat = colored_jones_catalog("trefoil", n, ctx)
+        assert abs(cat - exact) <= 1e-10 * abs(exact), n
+        assert cat == values[min(n % (2 * r + 1), -n % (2 * r + 1)) - 1]
+
+
 def test_uncertifiable_value_raises():
     # n = 2r+1 puts Morton's denominator sin(2 pi n/(2r+1)) at zero
     with pytest.raises(PrecisionLoss):
@@ -567,3 +596,5 @@ def test_uncertifiable_value_raises():
         assert len(catalog_jones_values("trefoil", r, NN - 1)) == NN - 1
         with pytest.raises(PrecisionLoss, match=rf"trefoil J\({NN}\) at r={r} "):
             catalog_jones_values("trefoil", r, NN + 3)
+        with pytest.raises(PrecisionLoss, match=rf"trefoil J\({3 * NN}\) at r={r} "):
+            colored_jones_catalog("trefoil", 3 * NN, RootContext(r))

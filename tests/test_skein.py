@@ -3,7 +3,7 @@ import math
 import pytest
 
 from oracles import is_primitive_root, mirrored, pd_text, state_sum_bracket, transfer_bracket
-from skeinquant import bracket, cli
+from skeinquant import cli, errors
 from skeinquant.bracket import (braid_closure_bracket, chebyshev_coeffs,
                                 colored_bracket, kauffman_bracket, twist_monomial,
                                 _cabled_word)
@@ -137,7 +137,7 @@ def test_reidemeister_two_three():
 
 def test_contraction_budget(monkeypatch, tmp_path, capsys):
     # the trefoil's contraction holds 2 coefficients after its first crossing, then 4
-    monkeypatch.setattr(bracket, "CONTRACTION_BYTE_BUDGET", 399)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 399)
     with pytest.raises(StateSpaceTooLarge, match=r"holds 4 coefficients \(states: 1\)"):
         kauffman_bracket(braid_to_diagram(TREFOIL))
     pd = tmp_path / "trefoil.pd"
@@ -145,7 +145,7 @@ def test_contraction_budget(monkeypatch, tmp_path, capsys):
     assert cli.main(["bracket", "--pd", str(pd)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    monkeypatch.setattr(bracket, "CONTRACTION_BYTE_BUDGET", 400)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 400)
     assert kauffman_bracket(braid_to_diagram(TREFOIL)) == LaurentPoly({-7: 1, -3: 1, 1: 1, 9: -1})
 
 
