@@ -22,8 +22,8 @@ from .jones import (CATALOG_BRAIDS, JonesValue, KnotPresentation, colored_jones,
                     colored_jones_catalog, colored_jones_exact,
                     colored_jones_rmatrix)
 from .knotstate import (KnotState, L2Norm, VolumeRow, knot_state,
-                        l2_norm_formula, l2_norm_quadrature, lobachevsky,
-                        reference_volume, volume_sequence, write_volume_csv)
+                        l2_norm_formula, l2_norm_quadrature, reference_volume,
+                        volume_sequence, write_volume_csv)
 from .laurent import LaurentPoly, loop_value, quantum_integer_poly, signed_color_norm
 from .roots import RootContext, eval_at_root, quantum_integer
 from .tqft import (KirbyConstants, MappingClassWord, TorusVector,

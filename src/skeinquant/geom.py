@@ -130,7 +130,10 @@ def _q_parts(ctx: QuantizationContext, q: np.ndarray):
     lo, hi = _window(ctx, float(q.min()), float(q.max()))
     m = np.arange(lo, hi + 1)
     u = m[:, None] + ctx.N * q[None, :]
-    return m, np.exp((1j * math.pi * ctx.tau / ctx.N) * (u * u))
+    u *= u
+    F = u.astype(np.complex128)   # the peak: u and F, 1.5 times F's bytes
+    F *= 1j * math.pi * ctx.tau / ctx.N
+    return m, np.exp(F, out=F)
 
 
 def _series(ctx: QuantizationContext, alpha: np.ndarray, P, Q) -> np.ndarray:
@@ -316,12 +319,12 @@ def _gram_kernel(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
     the p-dependence of conj(term m) * term m' is exp(2 pi i (m' - m) p),
     whose mean over n grid points is [m = m' mod n].  The window's rows i and
     i + s of q-parts F alias exactly when n divides s, so each such shift adds
-    its row products at their classes.  G, 3 F (the build of F), one shift's
-    vectors and 8 KiB are counted first.
+    its row products at their classes.  G, 1.5 F (F and the float squares it
+    is built from), one shift's vectors and 8 KiB are counted first.
     """
     N = ctx.N
     w = N + 2 * _spread(N, ctx.b) + 7
-    _check_bytes(ctx, "Gram kernel", 16 * (N * N + 3 * w * n_grid + 4 * w) + 8192)
+    _check_bytes(ctx, "Gram kernel", 16 * (N * N + 1.5 * w * n_grid + 4 * w) + 8192)
     m, F = _q_parts(ctx, np.arange(n_grid) / n_grid)
     c, w = m % N, len(m)
     G = np.zeros((N, N), dtype=np.complex128)
@@ -481,20 +484,24 @@ def _s_frame_pairing(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
     times unit phases in the other coordinate.  The frame phases of the
     two sides meet as exp(-2 pi i N p q), which does not split, so the
     sum stays on the grid, one block of at most _GRID_BLOCK values (or
-    one p row) at a time.  F, F_t, E_t and a block are counted before
-    -1/tau is formed: Im(-1/tau) = b/|tau|^2 widens the S window |tau|-fold.
+    one p row) at a time.  F, F_t, E_t, the float table the last of them is
+    built from, and a block are counted before -1/tau is formed:
+    Im(-1/tau) = b/|tau|^2 widens the S window |tau|-fold.
     """
     N, r = ctx.N, ctx.r
     w, w_t = (N + 2 * _spread(N, ctx.b) * t + 7 for t in (1, abs(ctx.tau)))
     block = max(_GRID_BLOCK, r * max(n_grid, w, w_t))
-    _check_bytes(ctx, "S-frame pairing", 16 * (4 * (w + w_t) * n_grid + r * (w + w_t) + 6 * block))
+    _check_bytes(ctx, "S-frame pairing",
+                 16 * (2.5 * (w + w_t) * n_grid + r * (w + w_t) + 6 * block))
     ctx_t = QuantizationContext(r, -1.0 / ctx.tau)
     xs = np.arange(n_grid) / n_grid
     m, F = _q_parts(ctx, xs)
     m_t, F_t = _q_parts(ctx_t, -xs)
     phi = _phi_rows(ctx)
     R, R_t = phi[:, m % N], phi[:, m_t % N]
-    E_t = np.exp(2j * math.pi * np.outer(m_t, xs))
+    E_t = np.outer(m_t, xs).astype(np.complex128)
+    E_t *= 2j * math.pi
+    np.exp(E_t, out=E_t)
     rows = max(1, _GRID_BLOCK // (r * max(n_grid, m.size, m_t.size)))
     M = np.zeros((r, r), dtype=np.complex128)
     for a in range(0, n_grid, rows):

@@ -38,9 +38,8 @@ from .diagrams import BraidWord
 from .errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                      UnknownCatalogEntry)
 from .laurent import LaurentPoly, quantum_integer_poly
-from .roots import RootContext, quantum_integer
+from .roots import RootContext, quantum_integer, unit_root
 
-mpmath = lazy_import("mpmath")
 np = lazy_import("numpy")
 
 CATALOG_BRAIDS = {
@@ -453,9 +452,7 @@ def _sine_table(NN: int, G: int) -> list:
     grid, which |w^m| = 1 does not amplify (docs/conventions.md).
     """
     W = G + NN.bit_length() + 3
-    with mpmath.workprec(W + 10):
-        w = mpmath.expjpi(mpmath.mpf(2) / NN)
-        a, b = (int(mpmath.nint(mpmath.ldexp(v, W))) for v in (w.real, w.imag))
+    a, b = unit_root(NN, W)
     x, y, half = 1 << W, 0, []
     for _ in range(NN // 2 + 1):
         half.append((y + (1 << (W - G - 2))) >> (W - G - 1))
@@ -467,6 +464,20 @@ def _q_bits(NN: int) -> int:
     """L with |Q(m)| < 2^L, Q(m) = s(1) .. s(m): one float64 cumulative sum of log2 |s|, plus 1."""
     log_q = accumulate(math.log2(abs(2 * math.sin(2 * math.pi * m / NN))) for m in range(1, NN))
     return math.ceil(max(map(abs, log_q))) + 1
+
+
+class Dyadic(NamedTuple):
+    """The exact real man 2^exp, exp <= 0."""
+
+    man: int
+    exp: int
+
+    def __complex__(self) -> complex:
+        """The nearest double, man / 2^-exp correctly rounded; +-inf past the double range."""
+        try:
+            return complex(self.man / 2 ** -self.exp)
+        except OverflowError:
+            return complex(-math.inf if self.man < 0 else math.inf)
 
 
 def _figure_eight_values(r: int, n_max: int, zero: int) -> list:
@@ -482,7 +493,7 @@ def _figure_eight_values(r: int, n_max: int, zero: int) -> list:
     per color, divided once by NN s(n).  J(zero) = sum_{k<NN} Q(k)^2 for a
     multiple ``zero`` of NN.  Each color is certified by the rounding bound
     8 terms 2^(L+U) < JONES_REL_TOL |sum| in units of 2^-2U
-    (docs/conventions.md) and returned as an exact mpf.
+    (docs/conventions.md) and returned exactly, as a Dyadic at unit 2^-2U.
     """
     NN, bits = 2 * r + 1, (2 * r + 1).bit_length()
     L = _q_bits(NN)
@@ -509,9 +520,9 @@ def _figure_eight_values(r: int, n_max: int, zero: int) -> list:
     for n in range(1, n_max + 1):
         total = certified(n, n, sum(map(mul, Q[n:2 * n], Q[NN - n:])))
         q = (total << G) // (NN * S[n])
-        values.append(mpmath.mpf((q if (n + r) % 2 else -q, -2 * U), prec=0))   # kept exactly
+        values.append(Dyadic(q if (n + r) % 2 else -q, -2 * U))
     if zero:
-        values.append(mpmath.mpf((certified(zero, NN, sum(map(mul, Q, Q))), -2 * U), prec=0))
+        values.append(Dyadic(certified(zero, NN, sum(map(mul, Q, Q))), -2 * U))
     return values
 
 
@@ -522,27 +533,39 @@ _CATALOG_SUMS = {
 }
 
 
+def _catalog_sum(name: str):
+    """The catalog sum of name, called as sum(r, n_max, zero); UnknownCatalogEntry if none."""
+    if name not in _CATALOG_SUMS:
+        raise UnknownCatalogEntry(f"{name!r} not in catalog {sorted(CATALOG_BRAIDS)}")
+    return _CATALOG_SUMS[name]
+
+
 def catalog_jones_values(name: str, r: int, n_max: int) -> list:
     """J(name, n) for n = 1..n_max at t = exp(2 pi i/(r+1/2)), in one pass.
 
     J(n) = J(min(n mod NN, -n mod NN)), NN = 2r+1: a sum runs to min(n_max, r), then
     to the largest multiple of NN to n_max.  Each value is within JONES_REL_TOL
-    relative, or PrecisionLoss is raised.  Figure-eight values are exact mpmath
+    relative, or PrecisionLoss is raised.  Figure-eight values are exact Dyadic
     reals, up to about 2**(r/2), past the double range; the others are complex.
     """
-    if name not in _CATALOG_SUMS:
-        raise UnknownCatalogEntry(f"{name!r} not in catalog {sorted(CATALOG_BRAIDS)}")
     NN = 2 * r + 1
-    values = _CATALOG_SUMS[name](r, min(n_max, r), n_max - n_max % NN)
+    values = _catalog_sum(name)(r, min(n_max, r), n_max - n_max % NN)
     return [values[min(n % NN, -n % NN) - 1] for n in range(1, n_max + 1)]
 
 
 def colored_jones_catalog(name: str, n: int, ctx: RootContext) -> complex:
-    """J(name, n) at t = exp(2 pi i/(r+1/2)), from the smallest color of its class."""
+    """J(name, n) at t = exp(2 pi i/(r+1/2)), from a sum over n's class alone.
+
+    The sum runs to the smallest color k of the class, k <= r, or, where NN = 2r+1
+    divides n, to no color and then to n itself.
+    """
     if n < 1:
         raise ValueError("color index n must be >= 1")
     NN = 2 * ctx.r + 1
-    return complex(catalog_jones_values(name, ctx.r, min(n % NN, -n % NN) or n)[-1])
+    k = min(n % NN, -n % NN)
+    if k:
+        return complex(catalog_jones_values(name, ctx.r, k)[-1])
+    return complex(_catalog_sum(name)(ctx.r, 0, n)[0])
 
 
 # -- shared entry points -----------------------------------------------

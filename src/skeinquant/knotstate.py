@@ -17,14 +17,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from ._lazy import lazy_import
 from .errors import SkeinQuantError, UnknownCatalogEntry
 from .geom import QuantizationContext, inner_product, iso_from_skein
 from .jones import KnotPresentation, catalog_name, colored_jones_values
 from .roots import RootContext, quantum_integer
 from .tqft import TorusVector, kirby_constants
-
-mpmath = lazy_import("mpmath")
 
 
 class KnotState(NamedTuple):
@@ -69,17 +66,18 @@ def _state_and_norm(K: KnotPresentation, r: int, backend: str) -> tuple:
 
 
 def _log_abs(z) -> float:
-    """log|z| for a complex or an mpmath real, without rounding |z| to a double.
+    """log|z| for a complex or a Dyadic, without rounding |z| to a double.
 
-    The real is read as its exact pair z = +-man 2^exp: log(man 2^-b) + (exp + b) log 2,
+    The Dyadic z = man 2^exp is read as log(|man| 2^-b) + (exp + b) log 2,
     b = bitlen(man), so neither term leaves the double range.
     """
-    if not z:
-        return -math.inf
     if isinstance(z, complex):
-        return math.log(abs(z))
-    bits = z.man.bit_length()
-    return math.log(z.man / 2 ** bits) + (z.exp + bits) * math.log(2)
+        return math.log(abs(z)) if z else -math.inf
+    if not z.man:
+        return -math.inf
+    man = abs(z.man)
+    bits = man.bit_length()
+    return math.log(man / 2 ** bits) + (z.exp + bits) * math.log(2)
 
 
 def l2_norm_formula(K: KnotPresentation, r: int, backend: str = "auto") -> L2Norm:
@@ -117,11 +115,6 @@ def l2_norm_quadrature(K: KnotPresentation, r: int, tau: complex = 1j) -> float:
     section = iso_from_skein(knot_state(K, r).coeffs, QuantizationContext(r, tau))
     val = inner_product(section, section)
     return math.sqrt(val.real)
-
-
-def lobachevsky(theta: float) -> float:
-    """The Lobachevsky function (1/2) Cl_2(2 theta), from mpmath's Clausen function."""
-    return 0.5 * float(mpmath.clsin(2, 2 * theta))
 
 
 # the figure-eight's is 4 Lobachevsky(pi/6) = 2.02988321281930725004..., as the nearest double

@@ -51,10 +51,15 @@
   by sl2z_rep of the T/S word that word_from_matrix gives for an
   ext-gcd matrix of determinant one with first column (a, b), the
   reference for the Euclidean conjugations of curve_operator_skein.
-* The Lobachevsky sine series, summed far enough for a stated
-  tolerance: the reference for the closed form through Clausen's Cl_2.
+* The Lobachevsky function two ways: the closed form through mpmath's
+  Clausen function Cl_2, and the sine series summed far enough for a
+  stated tolerance, the reference for the figure-eight volume literal.
+* The figure-eight's sine table from mpmath's exp(2 pi i/NN), rounded
+  once and run through the same rotation chain: the reference for the
+  integer root of unity that builds it.
 * Small helpers only the tests need: a PD text writer, the mirror of a
-  Laurent polynomial, and checks on the root and on kappa.
+  Laurent polynomial, checks on the root and on kappa, and the exact
+  mpmath value of a catalog value.
 """
 
 import cmath
@@ -69,7 +74,7 @@ from skeinquant.bracket import braid_closure_bracket, chebyshev_coeffs
 from skeinquant.errors import InexactDivision, PrecisionLoss
 from skeinquant.geom import (ThetaSection, _q_parts, _window, basis_phi, lattice_character,
                              phi_coefficients, translate_ints)
-from skeinquant.jones import JONES_REL_TOL, _rmatrix_terms
+from skeinquant.jones import JONES_REL_TOL, Dyadic, _rmatrix_terms
 from skeinquant.knotstate import L2Norm, _log_abs
 from skeinquant.laurent import LaurentPoly, loop_value, quantum_integer_poly
 from skeinquant.tqft import curve_operator_skein, kirby_constants, sl2z_rep, word_from_matrix
@@ -118,6 +123,20 @@ def _two_cos_table(NN: int, F: int) -> list:
         half.append((x + (1 << (G - F - 2))) >> (G - F - 1))
         x, y = (x * a - y * b) >> G, (x * b + y * a) >> G
     return half + half[:0:-1]
+
+
+def mpmath_sine_table(NN: int, G: int) -> list:
+    """round(2 sin(2 pi m/NN) 2^G) for m = 0..NN-1 as jones._sine_table builds it, from
+    mpmath's w = exp(2 pi i/NN) at W + 10 bits, W = G + bitlen(NN) + 3, rounded to W bits."""
+    W = G + NN.bit_length() + 3
+    with mpmath.workprec(W + 10):
+        w = mpmath.expjpi(mpmath.mpf(2) / NN)
+        a, b = (int(mpmath.nint(mpmath.ldexp(v, W))) for v in (w.real, w.imag))
+    x, y, half = 1 << W, 0, []
+    for _ in range(NN // 2 + 1):
+        half.append((y + (1 << (W - G - 2))) >> (W - G - 1))
+        x, y = (x * a - y * b) >> W, (x * b + y * a) >> W
+    return half + [-v for v in half[:0:-1]]
 
 
 def habiro_forward(r: int, n_max: int) -> list:
@@ -532,6 +551,11 @@ def curve_operator_by_word(gamma, r: int) -> np.ndarray:
     return g @ curve_operator_skein((1, 0), r) @ g.conj().T
 
 
+def lobachevsky(theta: float) -> float:
+    """The Lobachevsky function (1/2) Cl_2(2 theta), from mpmath's Clausen function."""
+    return 0.5 * float(mpmath.clsin(2, 2 * theta))
+
+
 def lobachevsky_series(theta: float, tol: float = 1e-12) -> float:
     """(1/2) sum sin(2 n theta)/n**2, summed far enough for the stated tolerance.
 
@@ -567,3 +591,8 @@ def is_primitive_root(ctx) -> bool:
 def kappa_modulus_dev(kc) -> float:
     """How far |kappa| of the Kirby constants is from 1."""
     return abs(abs(kc.kappa) - 1.0)
+
+
+def exact(value):
+    """A catalog value as an mpmath number: a Dyadic man 2^exp exactly, by mpmath.ldexp."""
+    return mpmath.ldexp(value.man, value.exp) if isinstance(value, Dyadic) else value

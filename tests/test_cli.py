@@ -499,7 +499,8 @@ def test_geom_verify_does_not_import_numpy_random():
 @pytest.mark.parametrize("argv, unrun", [
     (["volume-seq", "--knot", "trefoil", "--r-min", "5", "--r-max", "40"], ("numpy", "mpmath")),
     (["bracket", "--braid", "1 -2 1 -2", "--strands", "3"], ("numpy", "mpmath")),
-    (["volume-seq", "--knot", "figure-eight", "--r-min", "5", "--r-max", "40"], ("numpy",)),
+    (["volume-seq", "--knot", "figure-eight", "--r-min", "5", "--r-max", "40"],
+     ("numpy", "mpmath")),
     (["geom-verify", "--r", "3", "--tau", "i"], ("mpmath",)),
     (["jones", "--knot", "trefoil", "--n", "4", "--exact"], ("mpmath",)),
     (["jones", "--braid", "1 -2 1 -2", "--strands", "3", "--n", "4", "--r", "8",
@@ -514,6 +515,38 @@ def test_numpy_and_mpmath_run_only_where_used(tmp_path, argv, unrun):
     assert not ran("numpy", imported) and not ran("mpmath", imported)
     assert rc == 0
     assert not [lib for lib in unrun if ran(lib, loaded)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["jones", "--knot", knot, "--n", "4", *tail]
+    for knot in ("trefoil", "figure-eight")
+    for tail in ([], ["--exact"], ["--r", "8", "--backend", "rmatrix"])
+] + [
+    ["knot-state", "--knot", "figure-eight", "--r", "30"],
+    ["volume-seq", "--knot", "trefoil", "--r-min", "5", "--r-max", "40"],
+    ["volume-seq", "--knot", "figure-eight", "--r-min", "5", "--r-max", "40"],
+    ["bracket", "--braid", "1 -2 1 -2", "--strands", "3"],
+    ["tqft", "--r", "5", "--emit", "matrices"],
+    ["rt", "--surgery", "figure-eight", "--framing", "1", "--r", "10"],
+    ["geom-verify", "--r", "3", "--tau", "i"],
+])
+def test_every_command_runs_without_mpmath(tmp_path, argv):
+    # a meta-path finder in front of all others refuses mpmath and its submodules
+    if argv[0] == "volume-seq":
+        argv = argv + ["--out", str(tmp_path / "v.csv")]
+    code = ("import sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'mpmath':\n"
+            "            raise ImportError('mpmath is refused')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "from skeinquant import cli\n"
+            f"sys.exit(cli.main({list(argv)!r}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("re_tau", ("1e6", "1e20", "1e300"))

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from oracles import (all_sector_bound, all_sector_loop, all_sector_window, cabled_jones,
-                     cyclotomic_jones, dense_rmatrix_jones, habiro_forward, mirrored,
-                     morton_trefoil, numpy_q_bits, numpy_trefoil)
+                     cyclotomic_jones, dense_rmatrix_jones, exact, habiro_forward, mirrored,
+                     morton_trefoil, mpmath_sine_table, numpy_q_bits, numpy_trefoil)
 from skeinquant import errors, jones
 from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                                UnknownCatalogEntry)
-from skeinquant.jones import (JONES_REL_TOL, KnotPresentation, catalog_jones_values,
+from skeinquant.jones import (JONES_REL_TOL, Dyadic, KnotPresentation, catalog_jones_values,
                               colored_jones, colored_jones_catalog, colored_jones_exact,
                               colored_jones_rmatrix, colored_jones_values)
 from skeinquant.laurent import LaurentPoly
-from skeinquant.roots import RootContext, quantum_integer
+from skeinquant.roots import RootContext, quantum_integer, unit_root
 
 UNKNOT = KnotPresentation.from_catalog("unknot")
 TREFOIL = KnotPresentation.from_catalog("trefoil")
@@ -495,7 +495,7 @@ def test_catalog_precision_against_oracle(name, r):
     ours = catalog_jones_values(name, r, r)
     ref = cyclotomic_jones(name, r, r, 100 + r)
     with mpmath.workprec(100 + r):
-        worst = max(abs(mpmath.mpc(a) - b) / abs(b) for a, b in zip(ours, ref))
+        worst = max(abs(mpmath.mpc(exact(a)) - b) / abs(b) for a, b in zip(ours, ref))
     assert worst < JONES_REL_TOL
 
 
@@ -504,7 +504,7 @@ def test_figure_eight_at_r500_against_oracle():
     ours = catalog_jones_values("figure-eight", 500, 500)
     ref = cyclotomic_jones("figure-eight", 500, 500, 600)
     with mpmath.workprec(600):
-        worst = max(abs(a - b) / abs(b) for a, b in zip(ours, ref))
+        worst = max(abs(exact(a) - b) / abs(b) for a, b in zip(ours, ref))
     assert worst < JONES_REL_TOL
 
 
@@ -516,14 +516,14 @@ def test_figure_eight_small_levels_every_color(r):
     ours = catalog_jones_values("figure-eight", r, n_max)
     ref = cyclotomic_jones("figure-eight", r, n_max, 200)
     with mpmath.workprec(200):
-        assert all(abs(a - b) <= JONES_REL_TOL * abs(b) for a, b in zip(ours, ref))
+        assert all(abs(exact(a) - b) <= JONES_REL_TOL * abs(b) for a, b in zip(ours, ref))
 
 
 @pytest.mark.parametrize("r", (700, 1000))
 def test_figure_eight_matches_forward_oracle_at_large_levels(r):
     ours = catalog_jones_values("figure-eight", r, r)
     ref = habiro_forward(r, r)
-    assert all(abs(a - b) <= 1e-15 * abs(b) for a, b in zip(ours, ref))
+    assert all(abs(exact(a) - b) <= 1e-15 * abs(b) for a, b in zip(ours, ref))
 
 
 def test_figure_eight_certifies_every_color_at_r2000():
@@ -546,6 +546,65 @@ def test_figure_eight_high_color_reflects_in_small_memory():
     for n in range(1, n_max + 1):
         m = min(n % NN, -n % NN) or NN
         assert values[n - 1] == values[m - 1], n
+
+
+@pytest.mark.parametrize("M", (3, 4, 7, 8, 13, 101, 1001, 4001, 6001, 60001))
+@pytest.mark.parametrize("W", (0, 1, 5, 30, 64, 300, 1000, 3000))
+def test_unit_root_is_the_rounded_root(M, W):
+    with mpmath.workprec(W + 64):
+        w = mpmath.expjpi(mpmath.mpf(2) / M)
+        want = tuple(int(mpmath.nint(mpmath.ldexp(v, W))) for v in (w.real, w.imag))
+    assert unit_root(M, W) == want
+
+
+def test_unit_root_refuses_the_trivial_roots():
+    for M in (1, 2):
+        with pytest.raises(ValueError):
+            unit_root(M, 64)
+
+
+def test_sine_table_matches_the_mpmath_table(monkeypatch):
+    # every table the figure-eight builds, at the bit count G its level asks for
+    tables = []
+    build = jones._sine_table
+    monkeypatch.setattr(jones, "_sine_table",
+                        lambda NN, G: tables.append((NN, G, build(NN, G))) or tables[-1][2])
+    for r in (*range(3, 401), 1000, 2000, 3000):
+        jones._figure_eight_values(r, 1, 0)
+    assert [NN for NN, _, _ in tables] == [2 * r + 1 for r in (*range(3, 401), 1000, 2000, 3000)]
+    for NN, G, table in tables:
+        assert table == mpmath_sine_table(NN, G), NN
+
+
+def test_dyadic_reads_as_the_nearest_double():
+    # the old mpf values, rebuilt from the same pair, give the same complex and log pairs
+    for v in catalog_jones_values("figure-eight", 300, 300):
+        assert complex(v) == complex(mpmath.mpf((v.man, v.exp), prec=0))
+    assert complex(Dyadic(-(3 << 1100), -10)) == complex(-math.inf, 0)
+    assert complex(Dyadic(3 << 1100, -10)) == complex(math.inf, 0)
+    assert complex(Dyadic(0, -10)) == 0j
+    assert complex(Dyadic(-3, -1)) == -1.5 + 0j
+
+
+def test_catalog_color_sums_only_its_class(monkeypatch):
+    # a multiple of NN = 2r+1 asks the sum for no color below it, only for itself
+    asked = []
+
+    def recorded(f):
+        return lambda r, n_max, zero: asked.append((r, n_max, zero)) or f(r, n_max, zero)
+
+    for name in ("figure-eight", "trefoil"):
+        monkeypatch.setitem(jones._CATALOG_SUMS, name, recorded(jones._CATALOG_SUMS[name]))
+    ctx = RootContext(3)
+    assert colored_jones_catalog("figure-eight", 7 * 10 ** 6, ctx) == \
+        colored_jones_catalog("figure-eight", 7, ctx)
+    assert asked == [(3, 0, 7 * 10 ** 6), (3, 0, 7)]
+    assert colored_jones_catalog("figure-eight", 7 * 10 ** 6 + 2, ctx) == \
+        colored_jones_catalog("figure-eight", 2, ctx)
+    assert asked[2:] == [(3, 2, 0), (3, 2, 0)]
+    with pytest.raises(PrecisionLoss, match=r"trefoil J\(7000000\) at r=3 "):
+        colored_jones_catalog("trefoil", 7 * 10 ** 6, ctx)
+    assert asked[-1] == (3, 0, 7 * 10 ** 6)
 
 
 def test_figure_eight_certificate_can_fail(monkeypatch):

