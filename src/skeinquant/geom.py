@@ -226,17 +226,20 @@ def translate_ints(s: ThetaSection, j: int, k: int) -> ThetaSection:
     return ThetaSection(s.ctx, _translated(s.ctx, s.alpha, j, k))
 
 
-def _translated(ctx: QuantizationContext, alpha: np.ndarray, j: int, k: int) -> np.ndarray:
+def _translated(ctx: QuantizationContext, alpha: np.ndarray, j, k) -> np.ndarray:
     """translate_ints on coefficient rows alpha of shape (..., N).
 
     alpha'_m = alpha_{(m-k) mod N} exp(i pi j (2m - k) / N): the tau parts
     of the shift and of its phase complete the square of the term exponent.
-    The integer phase is reduced mod 2N before it is scaled.
+    The integer phase is reduced mod 2N before it is scaled.  Integer arrays
+    j and k of one shape S give every translation at once, shape S + alpha.shape.
     """
     N = ctx.N
     m = np.arange(N)
-    phase = (j % (2 * N)) * (2 * m - k % (2 * N)) % (2 * N)
-    return alpha[..., (m - k) % N] * np.exp(1j * math.pi * phase / N)
+    j, k = (np.asarray(x % (2 * N))[..., None] for x in (j, k))
+    phase = j * (2 * m - k) % (2 * N)
+    out = alpha[..., (m - k) % N] * np.exp(1j * math.pi * phase / N)
+    return np.moveaxis(out, range(alpha.ndim - 1), range(-alpha.ndim, -1)) if k.ndim > 1 else out
 
 
 def lattice_character(a: int, b: int) -> int:
@@ -416,17 +419,24 @@ def curve_operator_geom(gamma, ctx: QuantizationContext) -> np.ndarray:
     longitude it is the real tridiagonal matrix with the +1 fold in the
     corner.
     """
-    a, b = int(gamma[0]), int(gamma[1])
-    if gcd(a, b) != 1:
-        raise NotPrimitive(f"({a}, {b}) is not a primitive class")
-    chi = lattice_character(a, b)
-    R = _phi_rows(ctx)
-    W = -chi * (_translated(ctx, R, a, b) + _translated(ctx, R, -a, -b))
-    beta, dev = _alternating_part(ctx, W / psi_norm_constant(ctx))
+    return _curve_operators(ctx, [gamma])[0]
+
+
+def _curve_operators(ctx: QuantizationContext, gammas) -> np.ndarray:
+    """curve_operator_geom of every class in gammas, shape (len(gammas), r, r), from
+    one stacked translate of the Phi rows by +-gamma/N and one alternating read."""
+    classes = [(int(a), int(b)) for a, b in gammas]
+    for a, b in classes:
+        if gcd(a, b) != 1:
+            raise NotPrimitive(f"({a}, {b}) is not a primitive class")
+    chi = np.array([lattice_character(a, b) for a, b in classes])[:, None, None]
+    a, b = np.array([(a % (2 * ctx.N), b % (2 * ctx.N)) for a, b in classes]).T
+    T = _translated(ctx, _phi_rows(ctx), np.stack([a, -a]), np.stack([b, -b]))
+    beta, dev = _alternating_part(ctx, -chi * (T[0] + T[1]) / psi_norm_constant(ctx))
     if np.max(dev) > 1e-9:
         raise PrecisionLoss(
             f"curve operator left the alternating subspace (dev {np.max(dev):.2e})")
-    return beta.T
+    return np.swapaxes(beta, -1, -2)
 
 
 def iso_from_skein(v, ctx: QuantizationContext) -> ThetaSection:
@@ -483,26 +493,29 @@ def _s_frame_pairing(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
     Each section value is its terms' q-parts (q' = -p on the S side)
     times unit phases in the other coordinate.  The frame phases of the
     two sides meet as exp(-2 pi i N p q), which does not split, so the
-    sum stays on the grid, one block of at most _GRID_BLOCK values (or
-    one p row) at a time.  F, F_t, E_t, the float table the last of them is
-    built from, and a block are counted before -1/tau is formed:
+    sum stays on the grid, a block of p rows at a time with at most
+    _GRID_BLOCK values (or one p row) per array.  F, F_t, E_t and its float
+    table, R and R_t, and what a block keeps alive (E, a rows-times-phases
+    product, four arrays of U's size and numpy's buffers for the
+    broadcast products) are counted before -1/tau is formed:
     Im(-1/tau) = b/|tau|^2 widens the S window |tau|-fold.
     """
     N, r = ctx.N, ctx.r
     w, w_t = (N + 2 * _spread(N, ctx.b) * t + 7 for t in (1, abs(ctx.tau)))
-    block = max(_GRID_BLOCK, r * max(n_grid, w, w_t))
-    _check_bytes(ctx, "S-frame pairing",
-                 16 * (2.5 * (w + w_t) * n_grid + r * (w + w_t) + 6 * block))
+    rows = min(n_grid, max(1, int(_GRID_BLOCK // (r * max(n_grid, w, w_t)))))
+    held = (w + 2.5 * w_t) * n_grid + r * (N + w + w_t)
+    block = rows * (w + n_grid + r * (max(w, w_t, 2 * n_grid) + 3 * n_grid))
+    buffers = 2 * min(np.getbufsize(), rows * r * max(w, w_t))
+    _check_bytes(ctx, "S-frame pairing", 16 * (held + block + buffers) + 8192)
     ctx_t = QuantizationContext(r, -1.0 / ctx.tau)
     xs = np.arange(n_grid) / n_grid
     m, F = _q_parts(ctx, xs)
     m_t, F_t = _q_parts(ctx_t, -xs)
     phi = _phi_rows(ctx)
-    R, R_t = phi[:, m % N], phi[:, m_t % N]
+    R, R_t = np.ascontiguousarray(phi[:, m % N]), phi[:, m_t % N]   # R E reshapes in place
     E_t = np.outer(m_t, xs).astype(np.complex128)
     E_t *= 2j * math.pi
     np.exp(E_t, out=E_t)
-    rows = max(1, _GRID_BLOCK // (r * max(n_grid, m.size, m_t.size)))
     M = np.zeros((r, r), dtype=np.complex128)
     for a in range(0, n_grid, rows):
         p = xs[a:a + rows]
@@ -520,15 +533,11 @@ def _twist_frame_rows(ctx: QuantizationContext) -> np.ndarray:
 
     The chain Psi~_0 = Psi_0, Psi~_k = -T*_{(1,1)/N} Psi~_{k-1} applies the
     normalised lift of the (1,1) translation (chi(1,1) = -1), and
-    Phi~_l = (Psi~_l - Psi~_{N-l}) / sqrt(2).
+    Phi~_l = (Psi~_l - Psi~_{N-l}) / sqrt(2).  The lift takes Psi_{k-1} to
+    exp(i pi (2k-1)/N) Psi_k, so Psi~_k = (-1)^k exp(i pi k^2/N) Psi_k.
     """
-    r, N = ctx.r, ctx.N
-    chain = np.zeros((N, N), dtype=np.complex128)
-    chain[0, 0] = psi_norm_constant(ctx)
-    for k in range(1, N):
-        chain[k] = -_translated(ctx, chain[k - 1], 1, 1)
-    l = np.arange(1, r + 1)
-    return (chain[l] - chain[N - l]) / math.sqrt(2)
+    N, k = ctx.N, np.arange(ctx.N)
+    return _phi_rows(ctx) * (1 - 2 * (k % 2)) * np.exp(1j * math.pi * (k * k % (2 * N)) / N)
 
 
 def _frame_report(gen: str, cur: np.ndarray, ctx: QuantizationContext) -> ModularReport:
@@ -549,8 +558,8 @@ def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
 
     gen="T": the twist fixes the meridian, and the transformed frame
     (mu, mu+lambda) has the opposite lattice character, so no frame theta
-    series exists inside the space; the transported basis is instead built
-    by chaining the normalised lift of the (1,1) translation.  Those
+    series exists inside the space; the transported basis is instead the
+    chain of the normalised lift of the (1,1) translation, in closed form.  Those
     sections live in this context, so they pair through the Gram kernel;
     the measured matrix is diagonal and is compared against rep_T.
     """

@@ -7,12 +7,13 @@ convergence check and is reported separately as a flag).
 
 One report is one batched pass.  Every pairing that goes through the Gram
 kernel (the Psi and Phi Gram matrices, the vacuum, the random section and
-its translate, and the twist-frame basis of the T check) is a block of one
-stacked product on the grid that the aliasing bound picks from (r, tau),
-so a report builds one kernel.  Translations and the
-alternation checks act on whole coefficient stacks, each point check
-evaluates its section at all of its points in one series call, and the
-test vectors come from ``random.Random(7)``.
+its translate, and the closed-form twist-frame basis of the T check) is a
+block of one stacked product on the grid that the aliasing bound picks
+from (r, tau), so a report builds one kernel.  Translations and the
+alternation checks act on whole coefficient stacks (the three curve
+classes are one stacked translate), each point check evaluates all of its
+points in one series call (quasi-periodicity's four sections share one),
+and the test vectors come from ``random.Random(7)``, real parts first.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import math
 import random
 
 from ._lazy import lazy_import
-from .geom import (QuantizationContext, ThetaSection, _frame_report, _pairings,
+from .geom import (QuantizationContext, _curve_operators, _frame_report, _pairings,
                    _phi_rows, _q_parts, _reflected, _series, _spread, _translated,
-                   _twist_frame_rows, curve_operator_geom, eval_grid, halfform_norm_sq,
-                   iso_from_skein, iso_to_skein, modular_phase_check, psi_norm_constant)
+                   _twist_frame_rows, halfform_norm_sq, iso_from_skein, iso_to_skein,
+                   modular_phase_check, psi_norm_constant)
 from .tqft import TorusVector, curve_operator_skein
 
 np = lazy_import("numpy")
@@ -35,8 +36,8 @@ HOLOMORPHY_FLOORS = 32   # residuals within this many rounding floors pass witho
 
 
 def _normal_vector(rng: random.Random, n: int) -> np.ndarray:
-    """n complex numbers with standard normal real and imaginary parts."""
-    return np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n)])
+    """n complex numbers with standard normal real and imaginary parts, real part drawn first."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(2 * n)]).view(np.complex128)
 
 
 def _quasi_periodicity_dev(ctx: QuantizationContext, rng: random.Random) -> float:
@@ -44,19 +45,19 @@ def _quasi_periodicity_dev(ctx: QuantizationContext, rng: random.Random) -> floa
 
     This is g's relation g(z+m+n tau) = exp(-i N pi (tau n^2 + 2 n z)) g(z)
     carried through the frame.  Section values stay in the float range
-    where the bare g at the shifted points does not.
+    where the bare g at the shifted points does not.  Four random sections,
+    each at its own (p, q) and three shifts, share one series call.
     """
     N = ctx.N
     m, n = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
-    devs = []
-    for _ in range(4):
-        s = ThetaSection(ctx, _normal_vector(rng, N))
-        p, q = rng.random(), rng.random()
-        vals = eval_grid(s, p + m, q + n)
-        lhs = vals[1:]
-        rhs = np.exp(1j * N * math.pi * (m * q - n * p + m * n)[1:]) * vals[0]
-        devs.append(np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0))
-    return float(np.max(devs))  # np.max keeps a NaN that max() would drop
+    draws = [(_normal_vector(rng, N), rng.random(), rng.random()) for _ in range(4)]
+    alpha, p, q = map(np.array, zip(*draws))
+    p, q = p[:, None], q[:, None]
+    vals = _series(ctx, alpha, p + m, q + n)[range(4), range(4)]
+    lhs = vals[:, 1:]
+    rhs = np.exp(1j * N * math.pi * (m * q - n * p + m * n)[:, 1:]) * vals[:, :1]
+    dev = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    return float(np.max(dev))  # np.max keeps a NaN that max() would drop
 
 
 def _holomorphy_residuals(ctx: QuantizationContext, rng: random.Random):
@@ -126,14 +127,14 @@ def verification_report(ctx: QuantizationContext, include_modular: bool = True) 
 
     residuals["quasi_periodicity"] = _quasi_periodicity_dev(ctx, rng)
 
-    ops = {}
-    for gamma, name in (((1, 0), "mu"), ((0, 1), "lambda"), ((1, 1), "mu_plus_lambda")):
-        ops[name] = curve_operator_geom(gamma, ctx)
-        residuals[f"intertwine_{name}"] = float(np.linalg.norm(
-            curve_operator_skein(gamma, r) - ops[name], 2))
+    gammas = ((1, 0), (0, 1), (1, 1))
+    ops = _curve_operators(ctx, gammas)
+    skein = np.stack([curve_operator_skein(g, r) for g in gammas])
+    residuals.update(zip(("intertwine_mu", "intertwine_lambda", "intertwine_mu_plus_lambda"),
+                         np.linalg.norm(skein - ops, 2, axis=(-2, -1)).tolist()))
 
     mu_geom = np.diag([-2 * math.cos(2 * math.pi * l / N) for l in range(1, r + 1)])
-    residuals["curve_mu_spectrum"] = float(np.max(np.abs(ops["mu"] - mu_geom)))
+    residuals["curve_mu_spectrum"] = float(np.max(np.abs(ops[0] - mu_geom)))
 
     v = _normal_vector(rng, r)
     vec = TorusVector(r, tuple(v))

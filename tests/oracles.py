@@ -47,6 +47,13 @@
 * The geometric curve operator one column at a time: each Phi_l
   translated as a section by +-gamma/(2r+1) and expanded by
   phi_coefficients, the reference for the stacked build.
+* The twist frame by its chain: Psi~_0 = Psi_0 and each Psi~_k the
+  normalised (1,1) lift of Psi~_{k-1}, N - 1 translations one after
+  another, the reference for the closed-form phases.
+* The quasi-periodicity residual one section at a time: four random
+  sections, each drawn as complex(gauss, gauss) pairs and evaluated by
+  eval_grid at its own point and its three shifts, the reference for the
+  report's one stacked series call and for its draw order.
 * The curve operator by a mapping class word: the meridian conjugated
   by sl2z_rep of the T/S word that word_from_matrix gives for an
   ext-gcd matrix of determinant one with first column (a, b), the
@@ -72,8 +79,9 @@ import numpy as np
 
 from skeinquant.bracket import braid_closure_bracket, chebyshev_coeffs
 from skeinquant.errors import InexactDivision, PrecisionLoss
-from skeinquant.geom import (ThetaSection, _q_parts, _window, basis_phi, lattice_character,
-                             phi_coefficients, translate_ints)
+from skeinquant.geom import (ThetaSection, _q_parts, _window, basis_phi, eval_grid,
+                             lattice_character, phi_coefficients, psi_norm_constant,
+                             translate_ints)
 from skeinquant.jones import JONES_REL_TOL, Dyadic, _rmatrix_terms
 from skeinquant.knotstate import L2Norm, _log_abs
 from skeinquant.laurent import LaurentPoly, loop_value, quantum_integer_poly
@@ -537,6 +545,41 @@ def curve_operator_by_sections(gamma, ctx) -> np.ndarray:
             raise ArithmeticError(f"column left the alternating subspace (dev {dev:.2e})")
         cols.append(beta)
     return np.stack(cols, axis=1)
+
+
+def chained_twist_frame_rows(ctx) -> np.ndarray:
+    """Rows of Phi~_l = (Psi~_l - Psi~_{N-l}) / sqrt(2), Psi~_k = -T*_{(1,1)/N} Psi~_{k-1}."""
+    N = ctx.N
+    chain = [ThetaSection(ctx, psi_norm_constant(ctx) * np.eye(N)[0])]
+    for _ in range(1, N):
+        t = translate_ints(chain[-1], 1, 1)
+        chain.append(ThetaSection(ctx, -t.alpha))
+    return np.array([(chain[l].alpha - chain[N - l].alpha) / math.sqrt(2)
+                     for l in range(1, ctx.r + 1)])
+
+
+def normal_vector_by_pairs(rng, n: int) -> np.ndarray:
+    """n complex numbers, each complex(gauss, gauss): real part first."""
+    return np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n)])
+
+
+def quasi_periodicity_by_section(ctx, rng) -> float:
+    """Largest relative gap of s(p+m, q+n) against exp(i N pi (m q - n p + m n)) s(p, q).
+
+    Four sections, each followed by its (p, q) in the draw order, and
+    (m, n) in {(1, 0), (0, 1), (1, 1)}.
+    """
+    N = ctx.N
+    m, n = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
+    devs = []
+    for _ in range(4):
+        s = ThetaSection(ctx, normal_vector_by_pairs(rng, N))
+        p, q = rng.random(), rng.random()
+        vals = eval_grid(s, p + m, q + n)
+        lhs = vals[1:]
+        rhs = np.exp(1j * N * math.pi * (m * q - n * p + m * n)[1:]) * vals[0]
+        devs.append(np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0))
+    return float(np.max(devs))
 
 
 def curve_operator_by_word(gamma, r: int) -> np.ndarray:

@@ -9,11 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import curve_operator_by_sections, dense_gram_kernel, termwise_series
+from oracles import (chained_twist_frame_rows, curve_operator_by_sections, dense_gram_kernel,
+                     normal_vector_by_pairs, quasi_periodicity_by_section, termwise_series)
+from skeinquant import verify
 from skeinquant import errors, geom
 from skeinquant.errors import (DimensionMismatch, NotLatticeFraction, NotPrimitive,
                                PrecisionLoss, StateSpaceTooLarge)
-from skeinquant.geom import (QuantizationContext, ThetaSection, _gram_kernel, _q_parts,
+from skeinquant.geom import (QuantizationContext, ThetaSection, _gram_kernel,
                              _s_frame_pairing, _series, basis_phi, basis_psi, curve_operator_geom,
                              eval_grid, gram_matrix, halfform_norm_sq, holomorphic_part,
                              inner_product, intertwining_deviation, iso_from_skein,
@@ -21,7 +23,8 @@ from skeinquant.geom import (QuantizationContext, ThetaSection, _gram_kernel, _q
                              parity_reflect, phi_coefficients, psi_coefficients,
                              section_eval, translate, translate_ints)
 from skeinquant.tqft import TorusVector, curve_operator_skein, rep_S, rep_T
-from skeinquant.verify import HOLOMORPHY_FLOORS, _holomorphy_residuals
+from skeinquant.verify import (HOLOMORPHY_FLOORS, _holomorphy_residuals, _normal_vector,
+                               _quasi_periodicity_dev, verification_report)
 
 CTX = QuantizationContext(3, 1j)
 CTX_SKEW = QuantizationContext(3, 0.3 + 1.7j)
@@ -86,6 +89,17 @@ def test_quasi_periodicity(ctx, mn):
         lhs = holomorphic_part(s, p + m, q + n)
         rhs = cmath.exp(-1j * N * math.pi * (tau * n * n + 2 * n * z)) * holomorphic_part(s, p, q)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
+
+
+@pytest.mark.parametrize("r,tau", [(5, 1j), (7, 0.3 + 1.7j), (5, 0.5j)])
+def test_stacked_quasi_periodicity_matches_the_section_loop(r, tau):
+    # one series call for the four sections at their 16 points gives the
+    # residual of four eval_grid calls, from the same draws
+    ctx = QuantizationContext(r, tau)
+    for seed in (7, 8):
+        got = _quasi_periodicity_dev(ctx, random.Random(seed))
+        assert abs(got - quasi_periodicity_by_section(ctx, random.Random(seed))) <= 1e-13
+        assert got < 1e-12
 
 
 def test_holomorphy_finite_difference_order():
@@ -353,6 +367,17 @@ def test_modular_S_matrix(tau):
     assert np.max(np.abs(rep.measured + rep_S(3))) < 1e-6
 
 
+@pytest.mark.parametrize("r", range(3, 13))
+def test_twist_frame_closed_form_matches_the_chain(r):
+    # Psi~_k = (-1)^k exp(i pi k^2/N) Psi_k is the N - 1 step chain of the
+    # normalised (1,1) lift, so the measured T diagonal is still -exp(i pi/N)
+    # times rep_T: rep_T carries the anchor phase -exp(-i pi/N)
+    ctx = QuantizationContext(r, 1j)
+    assert np.max(np.abs(geom._twist_frame_rows(ctx) - chained_twist_frame_rows(ctx))) <= 1e-13
+    phase = modular_phase_check("T", ctx).global_phase
+    assert abs(phase + cmath.exp(1j * math.pi / ctx.N)) <= 1e-12
+
+
 def test_quadrature_cap_raises(monkeypatch):
     # a byte budget below the Gram kernel's or the S pairing's count refuses the
     # grid before any q-part is built, naming r, tau and the MiB
@@ -391,15 +416,19 @@ def _traced_peak(f) -> int:
 
 
 def test_geom_budget_counts_the_traced_peak(monkeypatch):
-    # the Gram kernel at r = 500, tau = i, and the S pairing at r = 3, tau = 1e4+i,
-    # whose S frame has a window of about 170000 terms: the bytes traced in one call
-    # stay within what it counts, and over half of it; a budget one byte below the
+    # the Gram kernel at r = 500, tau = i, and the S pairing from a single small
+    # block (r = 3, tau = i) to r = 40 and to r = 3, tau = 1e4+i, whose S frame
+    # has a window of about 170000 terms: the bytes traced in one call stay
+    # within what it counts, and over half of it; a budget one byte below the
     # count raises before any q-part is built
     counted = []
     check, q_parts = geom._check_bytes, geom._q_parts
     monkeypatch.setattr(geom, "_check_bytes",
                         lambda ctx, what, nbytes: counted.append(nbytes) or check(ctx, what, nbytes))
     for ctx, build in ((QuantizationContext(500, 1j), _gram_kernel),
+                       (QuantizationContext(3, 1j), _s_frame_pairing),
+                       (QuantizationContext(10, 0.3 + 1.7j), _s_frame_pairing),
+                       (QuantizationContext(40, 1j), _s_frame_pairing),
                        (QuantizationContext(3, 1e4 + 1j), _s_frame_pairing)):
         n = geom._grid(ctx)
         counted.clear()
@@ -467,10 +496,11 @@ def test_s_frame_pairing_matches_grid_sum(r, tau, monkeypatch):
     ctx = QuantizationContext(r, tau)
     ctx_t = QuantizationContext(r, -1.0 / tau)
     phis, tilde = basis_phi(ctx), basis_phi(ctx_t)
+    # the window bounds of the two sides, which size the blocks
+    w = [ctx.N + 2 * geom._spread(ctx.N, ctx.b) * t + 7 for t in (1, abs(tau))]
     for n in (4, 8, 16, 32):
         xs = np.arange(n) / n
-        width = max(n, _q_parts(ctx, xs)[0].size, _q_parts(ctx_t, -xs)[0].size)
-        monkeypatch.setattr(geom, "_GRID_BLOCK", 3 * r * width)
+        monkeypatch.setattr(geom, "_GRID_BLOCK", math.ceil(3 * r * max(n, *w)))
         P, Q = np.meshgrid(xs, xs, indexing="ij")
         vals = [eval_grid(s, P, Q) for s in phis]
         vals_t = [eval_grid(s, Q, -P) for s in tilde]
@@ -595,13 +625,16 @@ def test_alternating_subspace_dimension():
 @pytest.mark.parametrize("r,tau", [(5, 1j), (7, 0.3 + 1.7j), (5, 0.5j)])
 def test_batched_report_matches_the_per_check_functions(r, tau):
     # every pairing of the one-pass report is a block of one product on the
-    # grid _grid(ctx), the grid the public functions use
-    from skeinquant.verify import verification_report
+    # grid _grid(ctx), the grid the public functions use; the stacked curve
+    # operators and quasi-periodicity sections match the one-at-a-time ones
     ctx = QuantizationContext(r, tau)
     got = verification_report(ctx)["residuals"]
     vacuum = ThetaSection(ctx, np.eye(ctx.N)[0])
     target = math.sqrt(8 * math.pi ** 2 / (ctx.N * ctx.b))
     rep_t = modular_phase_check("T", ctx)
+    rng = random.Random(7)
+    normal_vector_by_pairs(rng, ctx.N)   # the report's random section comes first
+    mu = np.diag(-2 * np.cos(2 * math.pi * np.arange(1, r + 1) / ctx.N))
     want = {
         "gram_psi": np.max(np.abs(gram_matrix(basis_psi(ctx)) - np.eye(ctx.N))),
         "gram_phi": np.max(np.abs(gram_matrix(basis_phi(ctx)) - np.eye(r))),
@@ -612,6 +645,8 @@ def test_batched_report_matches_the_per_check_functions(r, tau):
         "intertwine_mu_plus_lambda": intertwining_deviation((1, 1), ctx),
         "modular_T_phases": rep_t.max_dev,
         "modular_T_phase_modulus": abs(abs(rep_t.global_phase) - 1),
+        "curve_mu_spectrum": np.max(np.abs(curve_operator_geom((1, 0), ctx) - mu)),
+        "quasi_periodicity": quasi_periodicity_by_section(ctx, rng),
     }
     for key, value in want.items():
         assert abs(got[key] - value) <= 1e-12, (key, got[key], value)
@@ -640,3 +675,31 @@ def test_report_builds_each_grid_kernel_once(monkeypatch):
         inner_product(vacuum, vacuum)
         modular_phase_check("T", ctx)
         assert built == 4 * [geom._grid(ctx)]
+
+
+def test_report_evaluates_each_point_check_in_one_call(monkeypatch):
+    # the alternation zeros, quasi-periodicity and holomorphy each make one
+    # series call, and the random section's translate, the Heisenberg and
+    # eigen checks and the three curve classes make seven translate calls,
+    # whatever N: no per-section loop and no N-step twist chain
+    calls = {}
+    for name in ("_series", "_translated"):
+        def counted(*args, name=name, f=getattr(geom, name)):
+            calls[name] += 1
+            return f(*args)
+        for module in (geom, verify):
+            monkeypatch.setattr(module, name, counted)
+    for ctx in (QuantizationContext(10, 1j), QuantizationContext(8, 0.3 + 1.7j)):
+        calls.update(_series=0, _translated=0)
+        assert verification_report(ctx)["pass"]
+        assert calls == {"_series": 3, "_translated": 7}
+
+
+@pytest.mark.parametrize("seed", (0, 7, 2024))
+def test_normal_vector_draws_real_then_imaginary(seed):
+    # quasi_periodicity, translation_unitarity, iso_roundtrip and the
+    # holomorphy check all read the report's draws in this order
+    for n in (1, 3, 7, 21):
+        got = _normal_vector(random.Random(seed), n)
+        want = normal_vector_by_pairs(random.Random(seed), n)
+        assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
