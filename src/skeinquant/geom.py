@@ -141,17 +141,21 @@ def _series(ctx: QuantizationContext, alpha: np.ndarray, P, Q) -> np.ndarray:
 
     Each block of points takes the q-parts of its window times the phases
     in p; it holds at most _GRID_BLOCK terms x points, or one point's
-    window where that is wider; its arrays and the output are counted first.
+    window where that is wider, and six complex values per term and point
+    of the block (the q-parts with their float squares, the phases with
+    their argument, and the product); these, the output and 8 KiB of
+    interpreter objects are counted first.
     Returns alpha.shape[:-1] + the points' shape; PrecisionLoss where not finite.
     """
     P, Q = np.broadcast_arrays(np.asarray(P, dtype=np.float64),
                                np.asarray(Q, dtype=np.float64))
     p, q = P.ravel(), Q.ravel()
     terms = ctx.N * float(q.max() - q.min()) + 2 * _spread(ctx.N, ctx.b) + 7
-    _check_bytes(ctx, "series window",
-                 16 * (alpha.size // ctx.N * (2 * terms + p.size) + 6 * max(terms, _GRID_BLOCK)))
-    out = np.empty(alpha.shape[:-1] + (p.size,), dtype=np.complex128)
     step = max(1, int(_GRID_BLOCK // terms))
+    _check_bytes(ctx, "series window",
+                 16 * (alpha.size // ctx.N * (2 * terms + p.size) + 6 * terms * min(step, p.size))
+                 + 8192)
+    out = np.empty(alpha.shape[:-1] + (p.size,), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, p.size, step):
             pa, qa = p[a:a + step], q[a:a + step]

@@ -95,22 +95,26 @@ def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None, nodes:
                   primes: int = 0) -> int:
     """How many evaluation points fit errors.BYTE_BUDGET; StateSpaceTooLarge if none does.
 
-    Per point: 3 d^2 ring entries of the largest sector d (the product, a block,
-    the new product) and, given the power table's reach E, _trace's tables
-    (docs/conventions.md).  Once, in int64: s d^2 positions (s - 1 slot pairs'
-    and a letter's), (s + 2) N^s for the sector index sets, and 2 N^4 + 20 e
-    for the pair tables and their columns while built, e the number of
-    entries of R.  Per interpolation node: 8 + primes int64 (the Newton
-    vectors and every prime's residues) and 256 bytes for the integers,
-    lists and dicts of the CRT and the exact division.  And 8 KiB for the
-    interpreter's own objects.  d comes from an s-fold convolution, before
-    any of these exists.
+    Per point: 2s d^2 ring entries of the largest sector d (the product, the
+    new product and the blocks of up to 2(s - 1) signed letters) and, given the
+    power table's reach E, _trace's tables (docs/conventions.md).  Once, in
+    int64: s d_w^2 positions (s - 1 slot pairs' and a letter's) for every
+    visited sector w of an int64 call, whose plan lives for the call, or for
+    the largest sector of a complex128 call, which builds one at a time;
+    (s + 2) N^s for the sector index sets, and 2 N^4 + 20 e for the pair
+    tables and their columns while built, e the number of entries of R.  Per
+    interpolation node: 8 + primes int64 (the Newton vectors and every
+    prime's residues) and 256 bytes for the integers, lists and dicts of the
+    CRT and the exact division.  And 8 KiB for the interpreter's own objects.
+    The sizes d_w come from an s-fold convolution, before any of these exists.
     """
-    d = int(reduce(np.convolve, [np.ones(N)] * s).max())
+    sizes = reduce(np.convolve, [np.ones(N)] * s)
+    d = int(sizes.max())
+    held = np.square(sizes[:s * (N - 1) // 2 + 1]).sum() if itemsize == 8 else d * d
     e = N * (N + 1) * (2 * N + 1) // 6   # one entry per (a, b, m)
     tables = 0 if E is None else 2 * (2 * E + 1) + N * (N + 1) + 5 * e
-    point = itemsize * (3 * float(d) ** 2 + tables)
-    fixed = (8 * (s * float(d) ** 2 + (s + 2) * float(N) ** s + 2 * N ** 4 + 20 * e)
+    point = itemsize * (2 * s * float(d) ** 2 + tables)
+    fixed = (8 * (s * float(held) + (s + 2) * float(N) ** s + 2 * N ** 4 + 20 * e)
              + nodes * (8 * (8 + primes) + 256) + 8192)
     if point + fixed > errors.BYTE_BUDGET:
         raise StateSpaceTooLarge(
@@ -131,7 +135,24 @@ def _slot_index(flat, k, i: int, s: int, N: int):
     return np.where(rest[:, None] == rest, pair[:, None] * (N * N) + pair, N * N - 1)
 
 
-def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
+def _sector_plan(word, s: int, N: int):
+    """(d_w, {i: positions}) per sector w <= s(N-1)/2 of {0..N-1}^s, in increasing w.
+
+    One entry for every slot pair i the word uses: the positions at which its
+    block on the sector reads a flat pair table (_slot_index).  A generator:
+    each sector is built when the loop reaches it, so a caller that keeps the
+    list for several loops holds every visited sector's positions at once.
+    """
+    sizes = reduce(np.convolve, [np.ones(N)] * s)   # multi-indices per total weight
+    digits = np.indices((N,) * s).reshape(s, -1)   # slot 0 most significant, as in np.kron
+    order = np.argsort(digits.sum(axis=0), kind="stable")
+    slots = {abs(g) - 1 for g in word}
+    for flat in np.split(order, np.cumsum(sizes[:-1]).astype(np.int64))[:s * (N - 1) // 2 + 1]:
+        k = digits[:, flat]
+        yield len(flat), {i: _slot_index(flat, k, i, s, N) for i in slots}
+
+
+def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh, plan=None) -> list:
     """One value per total-weight sector w <= s(N-1)/2 of {0..N-1}^s, in increasing w.
 
     R keeps the total weight of the two slots it acts on, so the braid
@@ -143,27 +164,24 @@ def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
     ``values`` are a batch of evaluation points, and ``values[..., -1]`` is
     the ring's zero.  A letter's sector block takes that entry where the
     other slots agree and the zero elsewhere, read at its slot pair's
-    positions, built once per sector.  A sector's product starts from the
-    word's first block, and is ``eye(d)`` for the empty word; ``matmul`` is
-    the ring's product, and ``weigh(w, diag)`` reduces the diagonal of the
-    word's product over the sector's multi-indices.
+    positions from ``plan`` (_sector_plan, built here one sector at a time
+    when not given), and is gathered once per sector for each signed letter.
+    A sector's product starts from the word's first block, and is ``eye(d)``
+    for the empty word; ``matmul`` is the ring's product, and
+    ``weigh(w, diag)`` reduces the diagonal of the word's product over the
+    sector's multi-indices.
     """
-    sizes = reduce(np.convolve, [np.ones(N)] * s)   # multi-indices per total weight
-    digits = np.indices((N,) * s).reshape(s, -1)   # slot 0 most significant, as in np.kron
-    order = np.argsort(digits.sum(axis=0), kind="stable")
-    sectors = np.split(order, np.cumsum(sizes[:-1]).astype(np.int64))[:s * (N - 1) // 2 + 1]
-    out = []
-    for w, flat in enumerate(sectors):
-        k, mat = digits[:, flat], None
-        index = {i: _slot_index(flat, k, i, s, N) for i in {abs(g) - 1 for g in word}}
+    out, w = [], 0   # no enumerate: it would hold the last sector while the next is built
+    for d, index in _sector_plan(word, s, N) if plan is None else plan:
+        blocks, mat = {}, None
         for g in word:
-            values, where = gens[g > 0]
-            block = values[..., where[index[abs(g) - 1]]]
-            mat = block if mat is None else matmul(block, mat)
-            del block   # not held while the next letter's block is gathered
-        out.append(weigh(w, np.diagonal(eye(len(flat)) if mat is None else mat,
-                                        axis1=-2, axis2=-1)))
-        del index, mat   # nor while the next sector's positions are built
+            if g not in blocks:
+                values, where = gens[g > 0]
+                blocks[g] = values.take(where.take(index[abs(g) - 1]), axis=-1)
+            mat = blocks[g] if mat is None else matmul(blocks[g], mat)
+        out.append(weigh(w, np.diagonal(eye(d) if mat is None else mat, axis1=-2, axis2=-1)))
+        del index, blocks, mat   # not held while the next sector's positions are built
+        w += 1
     return out
 
 
@@ -192,15 +210,16 @@ def _rmatrix_terms(N: int) -> tuple:
     return tuple(out)
 
 
-def _trace(word, s: int, N: int, terms, pw, E: int, red):
+def _trace(word, s: int, N: int, terms, pw, E: int, red, plan=None):
     """T, the closure's weighted trace, at a batch of points x in the ring of ``pw``.
 
     ``pw[E + e]`` holds x^e for |e| <= E, one column per point, and ``red``
     reduces a value of the ring in place: v % p over F_p, the identity over
     complex128.  The generators are ``terms`` = _rmatrix_terms(N) evaluated
-    at x, their q-binomials by Pascal's rule, and sector w <= s(N-1)/2 is
-    weighted by x^e + x^-e, e = 4w - 2s(N-1), for itself and its mirror (the
-    middle sector, e = 0, once by x^0).
+    at x, their q-binomials by Pascal's rule one row u at a time, and sector
+    w <= s(N-1)/2 is weighted by x^e + x^-e, e = 4w - 2s(N-1), for itself and
+    its mirror (the middle sector, e = 0, once by x^0).  ``plan`` goes to
+    the sector loop.
     """
     P, dtype = pw.shape[1], pw.dtype
     braces = np.ones((N, P), dtype=dtype)               # {1} .. {m}
@@ -208,9 +227,9 @@ def _trace(word, s: int, N: int, terms, pw, E: int, red):
     binom[:, 0] = 1
     for m in range(1, N):
         braces[m] = red(braces[m - 1] * (pw[E - 2 * m] - pw[E + 2 * m]))
-        for u in range(m, N):
-            binom[u, m] = red(pw[E + 2 * m] * binom[u - 1, m]
-                              + pw[E - 2 * (u - m)] * binom[u - 1, m - 1])
+    for u in range(1, N):   # [u, m] = x^2m [u-1, m] + x^-2(u-m) [u-1, m-1], m = 1 .. u
+        binom[u, 1:u + 1] = red(pw[E + 2:E + 2 * u + 1:2] * binom[u - 1, 1:u + 1]
+                                + pw[E - 2 * (u - 1):E + 1:2] * binom[u - 1, :u])
     gens = []
     for positive, (where, (expo, m, u, v, _)) in enumerate(terms):
         val = red(red(red(pw[E + expo] * braces[m]) * binom[u, m]) * binom[v, m])
@@ -222,7 +241,7 @@ def _trace(word, s: int, N: int, terms, pw, E: int, red):
         return red(diag.sum(axis=-1) * (red(pw[E + e] + pw[E - e]) if e else pw[E]))
 
     return red(sum(_sector_loop(word, s, N, gens, lambda d: np.eye(d, dtype=dtype),
-                                lambda X, Y: red(X @ Y), weigh)))
+                                lambda X, Y: red(X @ Y), weigh, plan=plan)))
 
 
 # -- numeric R-matrix backend ------------------------------------------
@@ -260,15 +279,21 @@ _PRIMES = (33554383, 33554371, 33554347, 33554291, 33554267, 33554239, 33554167,
 _MAX_POINTS = 3355405
 
 
-def _degree_window(word, s: int, N: int, terms) -> tuple:
+def _degree_window(word, s: int, N: int, terms, plan=None, points: int = 1) -> tuple:
     """(lo, hi) bounding the A-exponents of T, by the sector loop in (min, +) and (max, +).
 
     The (max, +) end runs over the mirror sectors, with slot values flipped.
+    The (min, +) product broadcasts over the contraction index, 2s rows of d^2
+    sums at a time: the 2s d^2 entries of one float64 point beyond the one the
+    loop holds, or a single row, in place of a letter's entries, where the
+    budget admits only ``points`` = 1 (docs/conventions.md).
     """
+    rows = 2 * s if points > 1 else 1
+
     def min_plus(X, Y):
-        out = np.full((len(X), Y.shape[1]), np.inf)
-        for j in range(len(Y)):
-            np.minimum(out, X[:, j, None] + Y[j], out=out)
+        out = np.empty((len(X), Y.shape[1]))
+        for a in range(0, len(X), rows):
+            np.min(X[a:a + rows, :, None] + Y, axis=1, out=out[a:a + rows])
         return out
 
     ends = []
@@ -278,21 +303,22 @@ def _degree_window(word, s: int, N: int, terms) -> tuple:
                 for where, c in terms]
         ends.append(min(_sector_loop(
             word, s, N, gens, lambda d: np.where(np.eye(d), 0, np.inf), min_plus,
-            lambda w, diag: 4 * w - 2 * s * (N - 1) + diag.min())))
+            lambda w, diag: 4 * w - 2 * s * (N - 1) + diag.min(), plan=plan)))
     return int(ends[0]), -int(ends[1])
 
 
-def _coefficient_bound(word, s: int, N: int, terms) -> float:
+def _coefficient_bound(word, s: int, N: int, terms, plan=None) -> float:
     """A bound on T's coefficients: its L1 norm, by the sector loop in (+, x)."""
-    gens = [(np.array([2.0 ** m * math.comb(u, m) * math.comb(v, m) for _, m, u, v, _ in c.T]
-                      + [0.0]), where) for where, c in terms]
+    comb = np.array([[float(math.comb(u, m)) for m in range(N)] for u in range(N)])
+    gens = [(np.append(np.ldexp(comb[u, m], m) * comb[v, m], 0.0), where)   # 2^m C(u,m) C(v,m)
+            for where, (_, m, u, v, _) in terms]
     # nonnegative float sums and products: far below 2^-20 relative rounding
     return (1 + 2.0 ** -20) * float(sum(_sector_loop(
         word, s, N, gens, np.eye, np.matmul,
-        lambda w, diag: (1 + (2 * w < s * (N - 1))) * diag.sum())))   # the mirror's, too
+        lambda w, diag: (1 + (2 * w < s * (N - 1))) * diag.sum(), plan=plan)))   # the mirror's
 
 
-def _trace_mod(word, s: int, N: int, terms, lo: int, E: int, p: int, x):
+def _trace_mod(word, s: int, N: int, terms, lo: int, E: int, p: int, x, plan=None):
     """T(x) x^-lo mod p at the points x, by the sector loop over F_p.
 
     Entries and weights come from one table of x^e for |e| <= E.
@@ -303,11 +329,12 @@ def _trace_mod(word, s: int, N: int, terms, lo: int, E: int, p: int, x):
     for k in (1 << i for i in range((E - 1).bit_length())):   # x^(k+e) = x^k x^e, e <= k
         for half in (up, down):
             half[k + 1:2 * k + 1] = half[1:min(k, E - k) + 1] * half[k] % p
-    return _trace(word, s, N, terms, pw, E, lambda v: np.remainder(v, p, out=v)) * pw[E - lo] % p
+    return (_trace(word, s, N, terms, pw, E, lambda v: np.remainder(v, p, out=v), plan=plan)
+            * pw[E - lo] % p)
 
 
 def _coefficients_mod(word, s: int, N: int, terms, lo: int, deg: int, E: int, p: int,
-                      chunk: int):
+                      chunk: int, plan=None):
     """The coefficients mod p of P, where T(A) = A^lo P(A^4) and deg P <= deg, as int64.
 
     T comes from _trace_mod at x = 2^k, k = 0 .. deg + 1, at most ``chunk``
@@ -319,7 +346,7 @@ def _coefficients_mod(word, s: int, N: int, terms, lo: int, deg: int, E: int, p:
     x = np.fromiter((pow(2, k, p) for k in range(deg + 2)), np.int64, deg + 2)
     y = np.empty_like(x)
     for i in range(0, len(x), chunk):
-        y[i:i + chunk] = _trace_mod(word, s, N, terms, lo, E, p, x[i:i + chunk])
+        y[i:i + chunk] = _trace_mod(word, s, N, terms, lo, E, p, x[i:i + chunk], plan=plan)
     t_inv = np.fromiter((pow(16, -k, p) for k in range(deg + 1)), np.int64, deg + 1)
     c = y[:-1].copy()                                           # divided differences
     for j in range(1, deg + 1):
@@ -354,20 +381,21 @@ def _colored_jones_exact_cached(word: tuple, strands: int, n: int) -> LaurentPol
 
     T is rebuilt by CRT modulo primes whose product exceeds twice its
     coefficient bound, then divided exactly (docs/conventions.md).  The
-    R-matrix tables are built once here and freed on return.
+    R-matrix tables and the sector plan are built once here, shared by the
+    window, the bound and every batch of every prime, and freed on return.
     """
     N, s = n, strands
     writhe = sum(1 if g > 0 else -1 for g in word)
-    _check_budget(N, s, 8)   # one point, before the window's loops allocate N^s
-    terms = _rmatrix_terms(N)
-    lo, hi = _degree_window(word, s, N, terms)
+    points = _check_budget(N, s, 8)   # before the plan allocates N^s
+    terms, plan = _rmatrix_terms(N), list(_sector_plan(word, s, N))
+    lo, hi = _degree_window(word, s, N, terms, plan=plan, points=points)
     cls = (2 * (N - 1) - (N * N - 1) * writhe) % 4   # every exponent of T, mod 4
     lo, hi = lo + (cls - lo) % 4, hi - (hi - cls) % 4
     deg = (hi - lo) // 4
     if deg + 2 > _MAX_POINTS:
         raise StateSpaceTooLarge(f"J({n}) needs {deg + 2} interpolation points, over the "
                                  f"{_MAX_POINTS} nodes 2^k that stay distinct in A^4 mod p")
-    bound, primes = _coefficient_bound(word, s, N, terms), []
+    bound, primes = _coefficient_bound(word, s, N, terms, plan=plan), []
     while math.prod(primes) <= 2 * bound:
         if len(primes) == len(_PRIMES):
             raise PrecisionLoss(f"J({n}) needs more primes than the {len(_PRIMES)} in the "
@@ -375,8 +403,8 @@ def _colored_jones_exact_cached(word: tuple, strands: int, n: int) -> LaurentPol
         primes.append(_PRIMES[len(primes)])
     E = 2 * N * (N + s) + abs(lo)   # covers every exponent of an entry, a weight and A^-lo
     chunk = _check_budget(N, s, 8, E, deg + 2, len(primes))
-    coeffs = _crt([_coefficients_mod(word, s, N, terms, lo, deg, E, p, chunk) for p in primes],
-                  primes)
+    coeffs = _crt([_coefficients_mod(word, s, N, terms, lo, deg, E, p, chunk, plan=plan)
+                   for p in primes], primes)
     T = LaurentPoly({lo + 4 * i: c for i, c in enumerate(coeffs)})
     quotient = (T * LaurentPoly.monomial((N * N - 1) * writhe)).divexact(quantum_integer_poly(N))
     try:

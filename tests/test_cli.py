@@ -168,7 +168,7 @@ def test_rmatrix_budget_exits_2():
                    "--r", "20", check=False)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert "has 24017 states and needs 57229 MiB, over the 256 MiB sector budget" \
+    assert "has 24017 states and needs 154046 MiB, over the 256 MiB sector budget" \
         in proc.stderr
 
 

@@ -442,6 +442,23 @@ def test_geom_budget_counts_the_traced_peak(monkeypatch):
         monkeypatch.setattr(geom, "_q_parts", q_parts)
 
 
+def test_series_counts_what_its_blocks_hold(monkeypatch):
+    # a series is counted at the terms x points its block holds, not at _GRID_BLOCK: a
+    # traced call stays within its count, and the whole report at r = 3, tau = i (about
+    # 105 kB traced) passes under 1 MiB
+    counted, check = [], geom._check_bytes
+    monkeypatch.setattr(geom, "_check_bytes",
+                        lambda ctx, what, n: counted.append(n) or check(ctx, what, n))
+    for ctx in (CTX, CTX_SKEW, QuantizationContext(40, 1j)):
+        s = random_section(ctx, 13)
+        for P, Q in ((0.1, 0.2), np.meshgrid(np.linspace(0, 1, 4), np.linspace(0, 1, 4))):
+            counted.clear()
+            peak = _traced_peak(lambda: eval_grid(s, P, Q))
+            assert len(counted) == 1 and peak <= counted[0], (ctx, peak, counted)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 1 << 20)
+    assert verification_report(CTX)["pass"]
+
+
 def test_series_window_half_width_at_r_200():
     # every term is at most exp(-pi b (m + N q)^2 / N) times its coefficient,
     # so the half-width is sqrt(N log(1/tol) / (pi b)) rounded up, plus one:

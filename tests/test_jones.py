@@ -144,7 +144,7 @@ def test_mirror_sectors_trace_alike_and_tighten_window_and_bound(monkeypatch, wo
     p, x = jones._PRIMES[0], np.array([2, 3, 12345, 33554000], dtype=np.int64)
     traces = []
 
-    def every_sector(word, s, N, gens, eye, matmul, weigh):
+    def every_sector(word, s, N, gens, eye, matmul, weigh, plan=None):
         traces[:] = all_sector_loop(word, s, N, gens, eye, matmul,
                                     lambda w, diag: diag.sum(axis=-1) % p)
         return [np.zeros(len(x), dtype=np.int64)]
@@ -170,9 +170,9 @@ def test_mirror_sectors_trace_alike_and_tighten_window_and_bound(monkeypatch, wo
 def test_sector_loop_multiplies_half_the_sectors(monkeypatch):
     products, loop = [], jones._sector_loop
 
-    def counted(word, s, N, gens, eye, matmul, weigh):
+    def counted(word, s, N, gens, eye, matmul, weigh, plan=None):
         return loop(word, s, N, gens, eye,
-                    lambda X, Y: products.append(X.shape) or matmul(X, Y), weigh)
+                    lambda X, Y: products.append(X.shape) or matmul(X, Y), weigh, plan=plan)
 
     monkeypatch.setattr(jones, "_sector_loop", counted)
     colored_jones_rmatrix(FIG8, 12, RootContext(30))
@@ -193,6 +193,19 @@ def test_sector_loop_builds_each_slot_index_once_per_sector(monkeypatch):
     colored_jones_rmatrix(KnotPresentation.from_braid((-1, 2, 2, 2, 2, -1, -2, 1), 3), 5,
                           RootContext(8))
     assert len(builds) == 7 * 2   # eight letters of both signs, on two slots
+
+
+def test_exact_call_builds_each_slot_index_once_per_sector(monkeypatch):
+    # the window's two sides, the bound and every batch of every prime share one plan
+    builds, slot_index = [], jones._slot_index
+    monkeypatch.setattr(jones, "_slot_index",
+                        lambda flat, k, i, s, N: builds.append((tuple(flat), i))
+                        or slot_index(flat, k, i, s, N))
+    uncached = jones._colored_jones_exact_cached.__wrapped__
+    J = cabled_jones(FIG8, 4)   # before the budget shrinks: its contraction shares it
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 100000)   # six batches of the 29 points
+    assert uncached(FIG8.braid.word, FIG8.braid.strands, 4) == J
+    assert len(builds) == 5 * 2 == len(set(builds))   # sectors w <= 4 of 0..9, slots 0 and 1
 
 
 @pytest.mark.parametrize("r", (5, 8, 30))
@@ -279,30 +292,31 @@ def test_degree_window_one_short_raises(monkeypatch):
     # T = J(A^4) [n] A^-((n^2-1) writhe), and the figure-eight has writhe 0
     lo, hi = 4 * J.min_exp - 2 * (n - 1), 4 * J.max_exp + 2 * (n - 1)
     uncached = jones._colored_jones_exact_cached.__wrapped__
-    monkeypatch.setattr(jones, "_degree_window", lambda word, s, N, terms: (lo, hi - 4))
+    monkeypatch.setattr(jones, "_degree_window", lambda word, s, N, terms, **kw: (lo, hi - 4))
     with pytest.raises(InexactDivision):
         uncached(FIG8.braid.word, FIG8.braid.strands, n)
-    monkeypatch.setattr(jones, "_degree_window", lambda word, s, N, terms: (lo, hi))
+    monkeypatch.setattr(jones, "_degree_window", lambda word, s, N, terms, **kw: (lo, hi))
     assert uncached(FIG8.braid.word, FIG8.braid.strands, n) == J
 
 
 def test_exact_points_are_chunked_to_the_budget(monkeypatch):
-    # figure-eight n=4: 29 points of 3 * 12^2 + 612 int64 entries each; once, 3 * 12^2
-    # positions, 5 * 4^3 index entries, 2 * 4^4 + 20 * 30 for the pair tables, 8 * (8 + 1)
-    # + 256 bytes for each of the 29 nodes of one prime, and 8192.  The whole batch needs
-    # 274824 bytes, one point 40968
+    # figure-eight n=4: 29 points of 6 * 12^2 + 612 int64 entries each; once, 3 * 290
+    # positions (290 = 1 + 3^2 + 6^2 + 10^2 + 12^2 over the sectors w <= 4), 5 * 4^3
+    # index entries, 2 * 4^4 + 20 * 30 for the pair tables, 8 * (8 + 1) + 256 bytes for
+    # each of the 29 nodes of one prime, and 8192.  The whole batch needs 378552 bytes,
+    # one point 47928
     word, strands = FIG8.braid.word, FIG8.braid.strands
     uncached = jones._colored_jones_exact_cached.__wrapped__
     sizes, trace_mod = [], jones._trace_mod
     monkeypatch.setattr(jones, "_trace_mod",
-                        lambda *args: sizes.append(len(args[-1])) or trace_mod(*args))
+                        lambda *args, **kw: sizes.append(len(args[-1])) or trace_mod(*args, **kw))
     J = cabled_jones(FIG8, 4)   # before the budget shrinks: its contraction shares it
     assert uncached(word, strands, 4) == J and set(sizes) == {29}
     sizes.clear()
-    monkeypatch.setattr(errors, "BYTE_BUDGET", 75000)   # (75000 - 32616) // 8352 = 5
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 100000)   # (100000 - 36120) // 11808 = 5
     assert uncached(word, strands, 4) == J
     assert sizes[:6] == [5, 5, 5, 5, 5, 4] and set(sizes) == {5, 4}
-    monkeypatch.setattr(errors, "BYTE_BUDGET", 40967)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 47927)
     with pytest.raises(StateSpaceTooLarge, match="has 12 states"):
         uncached(word, strands, 4)
 
@@ -366,8 +380,8 @@ def test_budget_counts_the_traced_peak_of_one_exact_point(monkeypatch):
             lo, hi = (lo, (lo + hi) // 2) if admits((lo + hi) // 2) else ((lo + hi) // 2, hi)
         assert admits(hi) and check_budget(*args) == 1   # and the budget stays at hi
         sizes = []
-        monkeypatch.setattr(jones, "_trace_mod",
-                            lambda *args: sizes.append(len(args[-1])) or trace_mod(*args))
+        monkeypatch.setattr(jones, "_trace_mod", lambda *args, **kw: sizes.append(len(args[-1]))
+                            or trace_mod(*args, **kw))
         peak = _traced_peak(lambda: uncached(word, s, n) == J or pytest.fail("J changed"))
         assert sizes == [1] * nodes * primes and peak <= hi, (word, peak, hi)
         monkeypatch.setattr(jones, "_trace_mod", trace_mod)
@@ -394,7 +408,8 @@ def test_exact_nodes_are_powers_of_two_kept_apart(monkeypatch):
     uncached = jones._colored_jones_exact_cached.__wrapped__
     nodes, trace_mod = [], jones._trace_mod
     monkeypatch.setattr(jones, "_trace_mod",
-                        lambda *args: nodes.extend(args[-1].tolist()) or trace_mod(*args))
+                        lambda *args, **kw: nodes.extend(args[-1].tolist())
+                        or trace_mod(*args, **kw))
     J = uncached(FIG8.braid.word, FIG8.braid.strands, 4)
     p = jones._PRIMES[0]
     assert nodes[:29] == [pow(2, k, p) for k in range(29)]   # deg 27 and one check point
@@ -456,7 +471,7 @@ def test_auto_past_the_budget_raises_without_exact(monkeypatch):
     monkeypatch.setattr(jones, "colored_jones_exact", no_exact)
     wide = KnotPresentation.from_braid((1, 2, 3, 4, 5, 6), 7)
     with pytest.raises(StateSpaceTooLarge,
-                       match="has 24017 states and needs 57229 MiB, over the 256 MiB sector"):
+                       match="has 24017 states and needs 154046 MiB, over the 256 MiB sector"):
         colored_jones(wide, 6, RootContext(20))
 
 
