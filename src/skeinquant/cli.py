@@ -118,10 +118,7 @@ def _cmd_bracket(cfg: RunConfig, args) -> int:
 
 def _cmd_tqft(cfg: RunConfig, args) -> int:
     r = args.r
-    payload = {"r": r}
-    if args.emit == "matrices" or args.emit is None:
-        payload["rep_T"] = _matrix_pairs(rep_T(r))
-        payload["rep_S"] = _matrix_pairs(rep_S(r))
+    payload = {"r": r, "rep_T": _matrix_pairs(rep_T(r)), "rep_S": _matrix_pairs(rep_S(r))}
     if args.word:
         word = MappingClassWord.from_text(args.word)
         payload["word"] = list(word.word)
@@ -209,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("tqft", help="torus representation matrices")
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--emit", choices=["matrices"])
+    sp.add_argument("--emit", choices=["matrices"], help="matrices are always emitted")
     sp.add_argument("--word", help="mapping class word, e.g. 'S T S'")
     sp.set_defaults(func=_cmd_tqft)
 

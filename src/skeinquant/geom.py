@@ -243,7 +243,7 @@ def _translated(ctx: QuantizationContext, alpha: np.ndarray, j, k) -> np.ndarray
     j, k = (np.asarray(x % (2 * N))[..., None] for x in (j, k))
     phase = j * (2 * m - k) % (2 * N)
     out = alpha[..., (m - k) % N] * np.exp(1j * math.pi * phase / N)
-    return np.moveaxis(out, range(alpha.ndim - 1), range(-alpha.ndim, -1)) if k.ndim > 1 else out
+    return np.moveaxis(out, range(alpha.ndim - 1), range(-alpha.ndim, -1))
 
 
 def lattice_character(a: int, b: int) -> int:

@@ -128,7 +128,7 @@ def _slot_index(flat, k, i: int, s: int, N: int):
     """Where slot pair i's block on sector ``flat`` (digits ``k``) reads a flat pair table.
 
     Where the other slots differ: N^2 - 1, from slot values (N-1, N-1) to (0, 0), a change
-    of weight and so the zero of every table, reversed or not.
+    of weight and so the zero of every table.
     """
     pair = k[i] * N + k[i + 1]
     rest = flat - pair * N ** (s - 2 - i)   # must agree off i, i+1
@@ -136,8 +136,9 @@ def _slot_index(flat, k, i: int, s: int, N: int):
 
 
 def _sector_plan(word, s: int, N: int):
-    """(d_w, {i: positions}) per sector w <= s(N-1)/2 of {0..N-1}^s, in increasing w.
+    """(e, d_w, {i: positions}) per sector w <= s(N-1)/2 of {0..N-1}^s, in increasing w.
 
+    e = 4w - 2s(N-1) <= 0 is the exponent of the sector's trace weight A^e.
     One entry for every slot pair i the word uses: the positions at which its
     block on the sector reads a flat pair table (_slot_index).  A generator:
     each sector is built when the loop reaches it, so a caller that keeps the
@@ -147,41 +148,42 @@ def _sector_plan(word, s: int, N: int):
     digits = np.indices((N,) * s).reshape(s, -1)   # slot 0 most significant, as in np.kron
     order = np.argsort(digits.sum(axis=0), kind="stable")
     slots = {abs(g) - 1 for g in word}
-    for flat in np.split(order, np.cumsum(sizes[:-1]).astype(np.int64))[:s * (N - 1) // 2 + 1]:
+    for e, flat in zip(range(-2 * s * (N - 1), 1, 4),
+                       np.split(order, np.cumsum(sizes[:-1]).astype(np.int64))):
         k = digits[:, flat]
-        yield len(flat), {i: _slot_index(flat, k, i, s, N) for i in slots}
+        yield e, len(flat), {i: _slot_index(flat, k, i, s, N) for i in slots}
 
 
-def _sector_loop(word, s: int, N: int, gens, eye, matmul, weigh, plan=None) -> list:
-    """One value per total-weight sector w <= s(N-1)/2 of {0..N-1}^s, in increasing w.
+def _sector_loop(word, plan, gens, one, matmul, weigh) -> list:
+    """One value per sector of ``plan`` (_sector_plan), in its order.
 
     R keeps the total weight of the two slots it acts on, so the braid
     operator is block diagonal over w, and its trace over sector w equals
-    the trace over the mirror sector s(N-1) - w (docs/conventions.md): only
-    the lower half is visited.  ``gens`` is (R^-1, R), each a pair
-    (values, where): ``values[..., where[(i' N + j') N^2 + i N + j]]`` is
-    the entry from slot values (i, j) to (i', j'), leading axes of
-    ``values`` are a batch of evaluation points, and ``values[..., -1]`` is
-    the ring's zero.  A letter's sector block takes that entry where the
-    other slots agree and the zero elsewhere, read at its slot pair's
-    positions from ``plan`` (_sector_plan, built here one sector at a time
-    when not given), and is gathered once per sector for each signed letter.
-    A sector's product starts from the word's first block, and is ``eye(d)``
-    for the empty word; ``matmul`` is the ring's product, and
-    ``weigh(w, diag)`` reduces the diagonal of the word's product over the
-    sector's multi-indices.
+    the trace over the mirror sector s(N-1) - w (docs/conventions.md): the
+    plan holds only the lower half.  A ring is given by ``gens``, ``one``,
+    ``matmul`` and ``weigh``.  ``gens`` is (R^-1, R), each a pair (values,
+    where): ``values[..., where[(i' N + j') N^2 + i N + j]]`` is the entry
+    from slot values (i, j) to (i', j'), leading axes of ``values`` are a
+    batch of evaluation points, and ``values[..., -1]`` is the ring's zero.
+    A letter's sector block takes that entry where the other slots agree and
+    the zero elsewhere, read at its slot pair's positions from the plan, and
+    is gathered once per sector for each signed letter.  A sector's product
+    starts from the word's first block; ``matmul`` is the ring's product,
+    and the empty word's diagonal is d copies of ``one``.  ``weigh(e,
+    diag)`` reduces the diagonal of the word's product over the sector's
+    multi-indices, given the exponent e of its weight.
     """
-    out, w = [], 0   # no enumerate: it would hold the last sector while the next is built
-    for d, index in _sector_plan(word, s, N) if plan is None else plan:
+    out = []
+    for e, d, index in plan:
         blocks, mat = {}, None
         for g in word:
             if g not in blocks:
                 values, where = gens[g > 0]
                 blocks[g] = values.take(where.take(index[abs(g) - 1]), axis=-1)
             mat = blocks[g] if mat is None else matmul(blocks[g], mat)
-        out.append(weigh(w, np.diagonal(eye(d) if mat is None else mat, axis1=-2, axis2=-1)))
+        out.append(weigh(e, np.full(d, one) if mat is None
+                         else np.diagonal(mat, axis1=-2, axis2=-1)))
         del index, blocks, mat   # not held while the next sector's positions are built
-        w += 1
     return out
 
 
@@ -210,16 +212,15 @@ def _rmatrix_terms(N: int) -> tuple:
     return tuple(out)
 
 
-def _trace(word, s: int, N: int, terms, pw, E: int, red, plan=None):
+def _trace(word, plan, N: int, terms, pw, E: int, red):
     """T, the closure's weighted trace, at a batch of points x in the ring of ``pw``.
 
     ``pw[E + e]`` holds x^e for |e| <= E, one column per point, and ``red``
     reduces a value of the ring in place: v % p over F_p, the identity over
     complex128.  The generators are ``terms`` = _rmatrix_terms(N) evaluated
-    at x, their q-binomials by Pascal's rule one row u at a time, and sector
-    w <= s(N-1)/2 is weighted by x^e + x^-e, e = 4w - 2s(N-1), for itself and
-    its mirror (the middle sector, e = 0, once by x^0).  ``plan`` goes to
-    the sector loop.
+    at x, their q-binomials by Pascal's rule one row u at a time, and each
+    sector of ``plan`` is weighted by x^e + x^-e for itself and its mirror
+    (the middle sector, e = 0, once by x^0).
     """
     P, dtype = pw.shape[1], pw.dtype
     braces = np.ones((N, P), dtype=dtype)               # {1} .. {m}
@@ -236,12 +237,10 @@ def _trace(word, s: int, N: int, terms, pw, E: int, red, plan=None):
         val = val if positive else red(np.where(m[:, None] % 2, -val, val))
         gens.append((np.concatenate((val.T, np.zeros((P, 1), dtype)), axis=1), where))
 
-    def weigh(w, diag):
-        e = 4 * w - 2 * s * (N - 1)
+    def weigh(e, diag):
         return red(diag.sum(axis=-1) * (red(pw[E + e] + pw[E - e]) if e else pw[E]))
 
-    return red(sum(_sector_loop(word, s, N, gens, lambda d: np.eye(d, dtype=dtype),
-                                lambda X, Y: red(X @ Y), weigh, plan=plan)))
+    return red(sum(_sector_loop(word, plan, gens, 1, lambda X, Y: red(X @ Y), weigh)))
 
 
 # -- numeric R-matrix backend ------------------------------------------
@@ -262,7 +261,8 @@ def colored_jones_rmatrix(K: KnotPresentation, n: int, ctx: RootContext) -> comp
     E = 2 * N * (N + s)   # covers every exponent of an entry and a weight
     _check_budget(N, s, 16, E)
     pw = np.exp(1j * math.pi / NN * (np.arange(-E, E + 1) % (2 * NN)))[:, None]
-    trace = _trace(K.braid.word, s, N, _rmatrix_terms(N), pw, E, lambda v: v)[0]
+    word = K.braid.word   # the plan's generator builds one sector at a time
+    trace = _trace(word, _sector_plan(word, s, N), N, _rmatrix_terms(N), pw, E, lambda v: v)[0]
     twist = cmath.exp(1j * math.pi / NN * ((N * N - 1) * K.braid.writhe % (2 * NN)))
     return complex(trace * twist / quantum_integer(n, ctx))
 
@@ -279,10 +279,11 @@ _PRIMES = (33554383, 33554371, 33554347, 33554291, 33554267, 33554239, 33554167,
 _MAX_POINTS = 3355405
 
 
-def _degree_window(word, s: int, N: int, terms, plan=None, points: int = 1) -> tuple:
-    """(lo, hi) bounding the A-exponents of T, by the sector loop in (min, +) and (max, +).
+def _degree_window(word, plan, s: int, terms, points: int) -> tuple:
+    """(lo, hi) bounding the A-exponents of T, by the sector loop in (min, +).
 
-    The (max, +) end runs over the mirror sectors, with slot values flipped.
+    lo from the word's blocks of lowest exponents; hi = -lo of the mirror
+    word, every letter negated, as T(mirror)(A) = T(1/A) (docs/conventions.md).
     The (min, +) product broadcasts over the contraction index, 2s rows of d^2
     sums at a time: the 2s d^2 entries of one float64 point beyond the one the
     loop holds, or a single row, in place of a letter's entries, where the
@@ -296,29 +297,25 @@ def _degree_window(word, s: int, N: int, terms, plan=None, points: int = 1) -> t
             np.min(X[a:a + rows, :, None] + Y, axis=1, out=out[a:a + rows])
         return out
 
-    ends = []
-    for side in (1, -1):   # (max, +) as (min, +) on negated exponents
-        # flipped slot values reverse the flat table and put sector s(N-1) - w at w
-        gens = [(np.append(side * c[0] - c[4], np.inf), where[::side])
-                for where, c in terms]
-        ends.append(min(_sector_loop(
-            word, s, N, gens, lambda d: np.where(np.eye(d), 0, np.inf), min_plus,
-            lambda w, diag: 4 * w - 2 * s * (N - 1) + diag.min(), plan=plan)))
-    return int(ends[0]), -int(ends[1])
+    gens = [(np.append(c[0] - c[4], np.inf), where) for where, c in terms]
+    lo, mirror_lo = (min(_sector_loop(letters, plan, gens, 0.0, min_plus,
+                                      lambda e, diag: e + diag.min()))
+                     for letters in (word, [-g for g in word]))
+    return int(lo), -int(mirror_lo)
 
 
-def _coefficient_bound(word, s: int, N: int, terms, plan=None) -> float:
+def _coefficient_bound(word, plan, N: int, terms) -> float:
     """A bound on T's coefficients: its L1 norm, by the sector loop in (+, x)."""
     comb = np.array([[float(math.comb(u, m)) for m in range(N)] for u in range(N)])
     gens = [(np.append(np.ldexp(comb[u, m], m) * comb[v, m], 0.0), where)   # 2^m C(u,m) C(v,m)
             for where, (_, m, u, v, _) in terms]
-    # nonnegative float sums and products: far below 2^-20 relative rounding
+    # nonnegative float sums and products: far below 2^-20 relative rounding.  A sector
+    # with e < 0 counts for itself and its mirror
     return (1 + 2.0 ** -20) * float(sum(_sector_loop(
-        word, s, N, gens, np.eye, np.matmul,
-        lambda w, diag: (1 + (2 * w < s * (N - 1))) * diag.sum(), plan=plan)))   # the mirror's
+        word, plan, gens, 1.0, np.matmul, lambda e, diag: (1 + (e < 0)) * diag.sum())))
 
 
-def _trace_mod(word, s: int, N: int, terms, lo: int, E: int, p: int, x, plan=None):
+def _trace_mod(word, plan, N: int, terms, lo: int, E: int, p: int, x):
     """T(x) x^-lo mod p at the points x, by the sector loop over F_p.
 
     Entries and weights come from one table of x^e for |e| <= E.
@@ -329,12 +326,11 @@ def _trace_mod(word, s: int, N: int, terms, lo: int, E: int, p: int, x, plan=Non
     for k in (1 << i for i in range((E - 1).bit_length())):   # x^(k+e) = x^k x^e, e <= k
         for half in (up, down):
             half[k + 1:2 * k + 1] = half[1:min(k, E - k) + 1] * half[k] % p
-    return (_trace(word, s, N, terms, pw, E, lambda v: np.remainder(v, p, out=v), plan=plan)
+    return (_trace(word, plan, N, terms, pw, E, lambda v: np.remainder(v, p, out=v))
             * pw[E - lo] % p)
 
 
-def _coefficients_mod(word, s: int, N: int, terms, lo: int, deg: int, E: int, p: int,
-                      chunk: int, plan=None):
+def _coefficients_mod(word, plan, N: int, terms, lo: int, deg: int, E: int, p: int, chunk: int):
     """The coefficients mod p of P, where T(A) = A^lo P(A^4) and deg P <= deg, as int64.
 
     T comes from _trace_mod at x = 2^k, k = 0 .. deg + 1, at most ``chunk``
@@ -346,7 +342,7 @@ def _coefficients_mod(word, s: int, N: int, terms, lo: int, deg: int, E: int, p:
     x = np.fromiter((pow(2, k, p) for k in range(deg + 2)), np.int64, deg + 2)
     y = np.empty_like(x)
     for i in range(0, len(x), chunk):
-        y[i:i + chunk] = _trace_mod(word, s, N, terms, lo, E, p, x[i:i + chunk], plan=plan)
+        y[i:i + chunk] = _trace_mod(word, plan, N, terms, lo, E, p, x[i:i + chunk])
     t_inv = np.fromiter((pow(16, -k, p) for k in range(deg + 1)), np.int64, deg + 1)
     c = y[:-1].copy()                                           # divided differences
     for j in range(1, deg + 1):
@@ -388,14 +384,14 @@ def _colored_jones_exact_cached(word: tuple, strands: int, n: int) -> LaurentPol
     writhe = sum(1 if g > 0 else -1 for g in word)
     points = _check_budget(N, s, 8)   # before the plan allocates N^s
     terms, plan = _rmatrix_terms(N), list(_sector_plan(word, s, N))
-    lo, hi = _degree_window(word, s, N, terms, plan=plan, points=points)
+    lo, hi = _degree_window(word, plan, s, terms, points)
     cls = (2 * (N - 1) - (N * N - 1) * writhe) % 4   # every exponent of T, mod 4
     lo, hi = lo + (cls - lo) % 4, hi - (hi - cls) % 4
     deg = (hi - lo) // 4
     if deg + 2 > _MAX_POINTS:
         raise StateSpaceTooLarge(f"J({n}) needs {deg + 2} interpolation points, over the "
                                  f"{_MAX_POINTS} nodes 2^k that stay distinct in A^4 mod p")
-    bound, primes = _coefficient_bound(word, s, N, terms, plan=plan), []
+    bound, primes = _coefficient_bound(word, plan, N, terms), []
     while math.prod(primes) <= 2 * bound:
         if len(primes) == len(_PRIMES):
             raise PrecisionLoss(f"J({n}) needs more primes than the {len(_PRIMES)} in the "
@@ -403,7 +399,7 @@ def _colored_jones_exact_cached(word: tuple, strands: int, n: int) -> LaurentPol
         primes.append(_PRIMES[len(primes)])
     E = 2 * N * (N + s) + abs(lo)   # covers every exponent of an entry, a weight and A^-lo
     chunk = _check_budget(N, s, 8, E, deg + 2, len(primes))
-    coeffs = _crt([_coefficients_mod(word, s, N, terms, lo, deg, E, p, chunk, plan=plan)
+    coeffs = _crt([_coefficients_mod(word, plan, N, terms, lo, deg, E, p, chunk)
                    for p in primes], primes)
     T = LaurentPoly({lo + 4 * i: c for i, c in enumerate(coeffs)})
     quotient = (T * LaurentPoly.monomial((N * N - 1) * writhe)).divexact(quantum_integer_poly(N))

@@ -328,12 +328,14 @@ def dense_rmatrix_jones(K, n: int, ctx) -> complex:
     return complex(trace / (twist ** K.braid.writhe) / qdim)
 
 
-def all_sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
+def all_sector_loop(word, s: int, N: int, gens, one, matmul, weigh) -> list:
     """One value per total-weight sector w = 0 .. s(N-1) of {0..N-1}^s.
 
-    The arguments are those of jones._sector_loop.  Every sector is
-    visited, its product starts from ``eye(d)``, and a letter's block is
-    gathered from the pair table seen as ``where[i', j', i, j]``.
+    The ring (gens, one, matmul, weigh) is that of jones._sector_loop, and
+    weigh gets e = 4w - 2s(N-1).  Every sector is visited, its product
+    starts from the identity, ``one`` on the diagonal and the ring's zero
+    ``values[..., -1]`` off it, and a letter's block is gathered from the
+    pair table seen as ``where[i', j', i, j]``.
     """
     sizes = reduce(np.convolve, [np.ones(N)] * s)
     digits = np.indices((N,) * s).reshape(s, -1)
@@ -341,7 +343,8 @@ def all_sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
     out = []
     for w, flat in enumerate(np.split(order, np.cumsum(sizes[:-1]).astype(np.int64))):
         k = digits[:, flat]
-        mat = eye(len(flat))
+        zero = gens[0][0][..., -1, None, None]
+        mat = np.where(np.eye(len(flat), dtype=bool), one, zero)
         for g in word:
             i = abs(g) - 1
             a, b = k[i], k[i + 1]
@@ -350,7 +353,7 @@ def all_sector_loop(word, s: int, N: int, gens, eye, matmul, weigh) -> list:
             where = where.reshape((N,) * 4)
             entry = np.where(rest[:, None] == rest, where[a[:, None], b[:, None], a, b], -1)
             mat = matmul(values[..., entry], mat)
-        out.append(weigh(w, np.diagonal(mat, axis1=-2, axis2=-1)))
+        out.append(weigh(4 * w - 2 * s * (N - 1), np.diagonal(mat, axis1=-2, axis2=-1)))
     return out
 
 
@@ -360,9 +363,8 @@ def all_sector_window(word, s: int, N: int) -> tuple:
     for side in (1, -1):   # (max, +) as (min, +) on negated exponents
         gens = [(np.append(side * c[0] - c[4], np.inf), where) for where, c in _rmatrix_terms(N)]
         ends.append(min(all_sector_loop(
-            word, s, N, gens, lambda d: np.where(np.eye(d), 0, np.inf),
-            lambda X, Y: np.min(X[:, :, None] + Y, axis=1),
-            lambda w, diag: side * (4 * w - 2 * s * (N - 1)) + diag.min())))
+            word, s, N, gens, 0.0, lambda X, Y: np.min(X[:, :, None] + Y, axis=1),
+            lambda e, diag: side * e + diag.min())))
     return int(ends[0]), -int(ends[1])
 
 
@@ -370,8 +372,8 @@ def all_sector_bound(word, s: int, N: int) -> float:
     """The L1 bound on T's coefficients, summed over every sector."""
     gens = [(np.array([2.0 ** m * math.comb(u, m) * math.comb(v, m) for _, m, u, v, _ in c.T]
                       + [0.0]), where) for where, c in _rmatrix_terms(N)]
-    return (1 + 2.0 ** -20) * float(sum(all_sector_loop(word, s, N, gens, np.eye, np.matmul,
-                                                        lambda w, diag: diag.sum())))
+    return (1 + 2.0 ** -20) * float(sum(all_sector_loop(word, s, N, gens, 1.0, np.matmul,
+                                                        lambda e, diag: diag.sum())))
 
 
 def cabled_jones(K, n: int) -> LaurentPoly:

@@ -333,11 +333,15 @@ def test_config_file_store_true_and_dashed_values(tmp_path, capsys):
         == run("geom-verify", {}, "--r", "3", "--tau=-1+2i", "--skip-modular")
 
 
-def test_error_exit_codes():
+def test_error_exit_codes(tmp_path):
     proc = run_cli("jones", "--n", "2", check=False)
     assert proc.returncode == 2
     assert "provide --knot or --braid" in proc.stderr
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps(["--r", "3"]))
     for argv in (["jones", "--knot", "trefoil", "--n", "2", "--config"],
+                 ["jones", "--braid", "1 1 1", "--n", "2"],
+                 ["tqft", "--r", "3", "--config", str(listed)],
                  ["jones", "--braid", "1", "--strands", "3", "--n", "2"],
                  ["knot-state", "--knot", "trefoil", "--r", "2"],
                  ["geom-verify", "--r", "3", "--tau", "1-i"],

@@ -314,6 +314,30 @@ def test_iso_roundtrip_and_guard():
         iso_from_skein(np.ones(5), CTX)
 
 
+def test_section_input_errors():
+    # a wrong length, a pairing across contexts, a section off the alternating subspace,
+    # an unknown generator, and a phase fit with nothing to fit
+    with pytest.raises(DimensionMismatch, match=f"length {CTX.N}"):
+        ThetaSection(CTX, np.ones(CTX.N - 1))
+    other = QuantizationContext(4, 1j)
+    with pytest.raises(DimensionMismatch, match="different contexts"):
+        gram_matrix([basis_phi(CTX)[0], basis_phi(other)[0]])
+    with pytest.raises(PrecisionLoss, match="not alternating"):
+        iso_to_skein(ThetaSection(CTX, np.eye(CTX.N)[1]))
+    with pytest.raises(ValueError, match="'T' or 'S'"):
+        modular_phase_check("X", CTX)
+    assert geom._fit_phase(np.array([1, 0j]), np.array([0, 1j])) == 1
+
+
+def test_translation_of_stacked_rows_acts_row_by_row():
+    # scalar j and k on 2- and 3-axis rows: the translation of each row in its place
+    rows = np.random.default_rng(16).standard_normal((2, 3, CTX.N)) + 0j
+    for j, k in ((1, 0), (0, 1), (2, 3), (-1, -4)):
+        each = np.array([[geom._translated(CTX, row, j, k) for row in block] for block in rows])
+        assert np.array_equal(geom._translated(CTX, rows, j, k), each)
+        assert np.array_equal(geom._translated(CTX, rows[0], j, k), each[0])
+
+
 def test_intertwining_example():
     # the first basis vector is a meridian eigenvector on both sides
     ctx = CTX

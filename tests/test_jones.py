@@ -144,35 +144,52 @@ def test_mirror_sectors_trace_alike_and_tighten_window_and_bound(monkeypatch, wo
     p, x = jones._PRIMES[0], np.array([2, 3, 12345, 33554000], dtype=np.int64)
     traces = []
 
-    def every_sector(word, s, N, gens, eye, matmul, weigh, plan=None):
-        traces[:] = all_sector_loop(word, s, N, gens, eye, matmul,
-                                    lambda w, diag: diag.sum(axis=-1) % p)
+    def every_sector(word, plan, gens, one, matmul, weigh):
+        traces[:] = all_sector_loop(word, strands, N, gens, one, matmul,
+                                    lambda e, diag: diag.sum(axis=-1) % p)
         return [np.zeros(len(x), dtype=np.int64)]
 
     for N in range(2, n_max + 1):
-        terms = jones._rmatrix_terms(N)
+        terms, plan = jones._rmatrix_terms(N), list(jones._sector_plan(word, strands, N))
         with monkeypatch.context() as m:
             m.setattr(jones, "_sector_loop", every_sector)
-            jones._trace_mod(word, strands, N, terms, 0, 2 * N * (N + strands), p, x)
+            jones._trace_mod(word, plan, N, terms, 0, 2 * N * (N + strands), p, x)
         assert len(traces) == strands * (N - 1) + 1
         for w, trace in enumerate(traces):
             assert np.array_equal(trace, traces[-1 - w])
-        lo, hi = jones._degree_window(word, strands, N, terms)
+        lo, hi = jones._degree_window(word, plan, strands, terms, 1)
         lo_all, hi_all = all_sector_window(word, strands, N)
         assert lo_all <= lo <= hi <= hi_all
         moduli = [math.prod(jones._PRIMES[:k]) for k in range(1, len(jones._PRIMES) + 1)]
         needed = [next(k for k, M in enumerate(moduli) if M > 2 * b)
-                  for b in (jones._coefficient_bound(word, strands, N, terms),
+                  for b in (jones._coefficient_bound(word, plan, N, terms),
                             all_sector_bound(word, strands, N))]
         assert needed[0] <= needed[1]
+
+
+def test_mirror_tables_are_the_flipped_tables_up_to_a_gauge():
+    # the degree window's high end is the mirror word's low end: the lowest exponents of
+    # one sign are the negated highest of the other at flipped slot values, up to a gauge
+    # psi(i') + psi(j') - psi(i) - psi(j) that no diagonal of a (min, +) product sees
+    for N in range(2, 13):
+        x = np.arange(N)
+        psi = -2 * x * (N - 1 - x)
+        i2, j2, i, j = np.indices((N,) * 4)
+        gauge = psi[i2] + psi[j2] - psi[i] - psi[j]
+        terms = jones._rmatrix_terms(N)
+        for (where, c), (flipped, c_flipped) in zip(terms, terms[::-1]):
+            where, flipped = where.reshape((N,) * 4), flipped[::-1].reshape((N,) * 4)
+            assert np.array_equal(where >= 0, flipped >= 0)
+            lowest, highest = (c[0] - c[4])[where], (c_flipped[0] + c_flipped[4])[flipped]
+            assert not np.any((lowest + highest - gauge)[where >= 0]), N
 
 
 def test_sector_loop_multiplies_half_the_sectors(monkeypatch):
     products, loop = [], jones._sector_loop
 
-    def counted(word, s, N, gens, eye, matmul, weigh, plan=None):
-        return loop(word, s, N, gens, eye,
-                    lambda X, Y: products.append(X.shape) or matmul(X, Y), weigh, plan=plan)
+    def counted(word, plan, gens, one, matmul, weigh):
+        return loop(word, plan, gens, one,
+                    lambda X, Y: products.append(X.shape) or matmul(X, Y), weigh)
 
     monkeypatch.setattr(jones, "_sector_loop", counted)
     colored_jones_rmatrix(FIG8, 12, RootContext(30))
@@ -286,16 +303,32 @@ def test_rmatrix_refuses_the_colors_where_n_vanishes(K, monkeypatch):
     assert abs(colored_jones_rmatrix(K, 8, ctx) - exact) <= 1e-10 * abs(exact)
 
 
+def test_input_errors_raise():
+    with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+        colored_jones(FIG8, 2, RootContext(5), backend="bogus")
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        colored_jones_rmatrix(FIG8, 0, RootContext(5))
+
+
+def test_exact_past_the_prime_table_raises(monkeypatch):
+    # figure-eight n = 6 needs two primes for its coefficient bound, n = 4 one
+    uncached = jones._colored_jones_exact_cached.__wrapped__
+    monkeypatch.setattr(jones, "_PRIMES", jones._PRIMES[:1])
+    assert uncached(FIG8.braid.word, FIG8.braid.strands, 4) == cabled_jones(FIG8, 4)
+    with pytest.raises(PrecisionLoss, match=r"J\(6\) needs more primes than the 1 in the table"):
+        uncached(FIG8.braid.word, FIG8.braid.strands, 6)
+
+
 def test_degree_window_one_short_raises(monkeypatch):
     n = 3
     J = cabled_jones(FIG8, n)
     # T = J(A^4) [n] A^-((n^2-1) writhe), and the figure-eight has writhe 0
     lo, hi = 4 * J.min_exp - 2 * (n - 1), 4 * J.max_exp + 2 * (n - 1)
     uncached = jones._colored_jones_exact_cached.__wrapped__
-    monkeypatch.setattr(jones, "_degree_window", lambda word, s, N, terms, **kw: (lo, hi - 4))
+    monkeypatch.setattr(jones, "_degree_window", lambda word, plan, s, terms, points: (lo, hi - 4))
     with pytest.raises(InexactDivision):
         uncached(FIG8.braid.word, FIG8.braid.strands, n)
-    monkeypatch.setattr(jones, "_degree_window", lambda word, s, N, terms, **kw: (lo, hi))
+    monkeypatch.setattr(jones, "_degree_window", lambda word, plan, s, terms, points: (lo, hi))
     assert uncached(FIG8.braid.word, FIG8.braid.strands, n) == J
 
 
@@ -309,7 +342,7 @@ def test_exact_points_are_chunked_to_the_budget(monkeypatch):
     uncached = jones._colored_jones_exact_cached.__wrapped__
     sizes, trace_mod = [], jones._trace_mod
     monkeypatch.setattr(jones, "_trace_mod",
-                        lambda *args, **kw: sizes.append(len(args[-1])) or trace_mod(*args, **kw))
+                        lambda *args: sizes.append(len(args[-1])) or trace_mod(*args))
     J = cabled_jones(FIG8, 4)   # before the budget shrinks: its contraction shares it
     assert uncached(word, strands, 4) == J and set(sizes) == {29}
     sizes.clear()
@@ -330,17 +363,20 @@ def _traced_peak(f) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("N", (5, 7))
+@pytest.mark.parametrize("N", (5, pytest.param(7, marks=pytest.mark.slow)))
 def test_budget_counts_the_traced_peak(monkeypatch, N):
-    # a 4-strand word on its 3 slots, from cold tables: the bytes traced in one call stay
-    # within what _check_budget counts for it, and over half of it
+    # a 4-strand word on its 3 slots, from cold tables and each backend's plan (the int64
+    # call holds every visited sector's positions as a list, the complex128 call one sector
+    # at a time): the bytes traced in one call stay within what _check_budget counts for
+    # it, and over half of it
     word, s, P, p = (1, -2, 3, -1, 2, -3, 2), 4, 7, jones._PRIMES[0]
     E = 2 * N * (N + s)
     x = np.arange(2, 2 + P, dtype=np.int64)
     K = KnotPresentation.from_braid(word, s)
     for itemsize, points, call in (
             (16, 1, lambda: colored_jones_rmatrix(K, N, RootContext(30))),
-            (8, P, lambda: jones._trace_mod(word, s, N, jones._rmatrix_terms(N), 0, E, p, x))):
+            (8, P, lambda: jones._trace_mod(word, list(jones._sector_plan(word, s, N)), N,
+                                            jones._rmatrix_terms(N), 0, E, p, x))):
         peak = _traced_peak(call)
         for budget, admitted in ((peak - 1, False), (2 * peak, True)):
             monkeypatch.setattr(errors, "BYTE_BUDGET", budget)
@@ -351,6 +387,7 @@ def test_budget_counts_the_traced_peak(monkeypatch, N):
             assert fits == admitted, (itemsize, peak)
 
 
+@pytest.mark.slow
 def test_budget_counts_the_traced_peak_of_one_exact_point(monkeypatch):
     # under the smallest budget that admits one point, the whole exact call, window, bound,
     # batches, interpolation, CRT and division, stays within it.  The trefoil word at n = 12
@@ -380,8 +417,8 @@ def test_budget_counts_the_traced_peak_of_one_exact_point(monkeypatch):
             lo, hi = (lo, (lo + hi) // 2) if admits((lo + hi) // 2) else ((lo + hi) // 2, hi)
         assert admits(hi) and check_budget(*args) == 1   # and the budget stays at hi
         sizes = []
-        monkeypatch.setattr(jones, "_trace_mod", lambda *args, **kw: sizes.append(len(args[-1]))
-                            or trace_mod(*args, **kw))
+        monkeypatch.setattr(jones, "_trace_mod", lambda *args: sizes.append(len(args[-1]))
+                            or trace_mod(*args))
         peak = _traced_peak(lambda: uncached(word, s, n) == J or pytest.fail("J changed"))
         assert sizes == [1] * nodes * primes and peak <= hi, (word, peak, hi)
         monkeypatch.setattr(jones, "_trace_mod", trace_mod)
@@ -408,8 +445,8 @@ def test_exact_nodes_are_powers_of_two_kept_apart(monkeypatch):
     uncached = jones._colored_jones_exact_cached.__wrapped__
     nodes, trace_mod = [], jones._trace_mod
     monkeypatch.setattr(jones, "_trace_mod",
-                        lambda *args, **kw: nodes.extend(args[-1].tolist())
-                        or trace_mod(*args, **kw))
+                        lambda *args: nodes.extend(args[-1].tolist())
+                        or trace_mod(*args))
     J = uncached(FIG8.braid.word, FIG8.braid.strands, 4)
     p = jones._PRIMES[0]
     assert nodes[:29] == [pow(2, k, p) for k in range(29)]   # deg 27 and one check point
@@ -648,7 +685,8 @@ def test_trefoil_certifies_every_color_at_r3000():
     assert len(catalog_jones_values("trefoil", 3000, 3000)) == 3000
 
 
-@pytest.mark.parametrize("r, colors", ((3, (8, 9, 13)), (5, range(12, 22))))
+@pytest.mark.parametrize("r, colors", ((3, (8, 9, 13)),
+                                       pytest.param(5, range(12, 22), marks=pytest.mark.slow)))
 def test_trefoil_colors_past_2r_fold_onto_the_sums(r, colors):
     # at t = exp(4 pi i/NN), J(n) depends only on min(n mod NN, -n mod NN), so no color
     # outside the class of NN needs Morton's vanishing denominator

@@ -63,6 +63,13 @@ def test_divexact_rejects_remainder():
         num.divexact(den)
 
 
+def test_divexact_by_zero_and_by_an_indivisible_leading_coefficient():
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly({1: 3}).divexact(LaurentPoly.zero())
+    with pytest.raises(InexactDivision, match="leading coefficient not divisible"):
+        LaurentPoly({1: 3}).divexact(LaurentPoly({1: 2}))
+
+
 def test_in_variable_power():
     p = LaurentPoly({8: 1, -4: -2})
     q = p.in_variable_power(4)
