@@ -15,10 +15,10 @@ import sys
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from . import __version__
+from . import __version__, errors
 from .diagrams import BraidWord, LinkDiagram
 from .bracket import braid_closure_bracket, kauffman_bracket
-from .errors import SkeinQuantError
+from .errors import SkeinQuantError, StateSpaceTooLarge
 from .geom import QuantizationContext
 from .jones import CATALOG_BRAIDS, KnotPresentation, colored_jones, colored_jones_exact
 from .knotstate import _state_and_norm, volume_sequence, write_volume_csv
@@ -116,8 +116,22 @@ def _cmd_bracket(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _tqft_bytes(r: int, matrices: int) -> int:
+    """Peak bytes of a tqft run that emits ``matrices`` r x r matrices.
+
+    512 per entry: its two floats and pair list, the JSON encoder's chunks
+    for it and its share of the text (455 traced at r = 300), and 1 MiB.
+    """
+    return 512 * matrices * r * r + (1 << 20)
+
+
 def _cmd_tqft(cfg: RunConfig, args) -> int:
     r = args.r
+    nbytes = _tqft_bytes(r, 3 if args.word else 2)
+    if nbytes > errors.BYTE_BUDGET:
+        raise StateSpaceTooLarge(
+            f"tqft at r = {r} emits matrices and JSON of about {nbytes / 2**20:.4g} MiB, "
+            f"over the {errors.BYTE_BUDGET >> 20} MiB budget")
     payload = {"r": r, "rep_T": _matrix_pairs(rep_T(r)), "rep_S": _matrix_pairs(rep_S(r))}
     if args.word:
         word = MappingClassWord.from_text(args.word)
@@ -314,6 +328,9 @@ def main(argv=None) -> int:
     except (SkeinQuantError, OSError, ValueError) as exc:
         # ValueError is how the constructors reject out-of-range input
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 2
 
 

@@ -326,12 +326,10 @@ def _gram_kernel(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
     the p-dependence of conj(term m) * term m' is exp(2 pi i (m' - m) p),
     whose mean over n grid points is [m = m' mod n].  The window's rows i and
     i + s of q-parts F alias exactly when n divides s, so each such shift adds
-    its row products at their classes.  G, 1.5 F (F and the float squares it
-    is built from), one shift's vectors and 8 KiB are counted first.
+    its row products at their classes.  _gram_bytes is counted first.
     """
     N = ctx.N
-    w = N + 2 * _spread(N, ctx.b) + 7
-    _check_bytes(ctx, "Gram kernel", 16 * (N * N + 1.5 * w * n_grid + 4 * w) + 8192)
+    _check_bytes(ctx, "Gram kernel", _gram_bytes(ctx, n_grid))
     m, F = _q_parts(ctx, np.arange(n_grid) / n_grid)
     c, w = m % N, len(m)
     G = np.zeros((N, N), dtype=np.complex128)
@@ -342,6 +340,13 @@ def _gram_kernel(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
             np.add.at(G, (c[s:], c[:w - s]), d.conj())
     G *= 4 * math.pi / n_grid
     return G
+
+
+def _gram_bytes(ctx: QuantizationContext, n_grid: int) -> float:
+    """The Gram kernel's peak: G, 1.5 F (F and the float squares it is built
+    from), one shift's vectors and 8 KiB."""
+    w = ctx.N + 2 * _spread(ctx.N, ctx.b) + 7
+    return 16 * (ctx.N ** 2 + 1.5 * w * n_grid + 4 * w) + 8192
 
 
 def _grid(ctx: QuantizationContext) -> int:
@@ -498,19 +503,13 @@ def _s_frame_pairing(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
     times unit phases in the other coordinate.  The frame phases of the
     two sides meet as exp(-2 pi i N p q), which does not split, so the
     sum stays on the grid, a block of p rows at a time with at most
-    _GRID_BLOCK values (or one p row) per array.  F, F_t, E_t and its float
-    table, R and R_t, and what a block keeps alive (E, a rows-times-phases
-    product, four arrays of U's size and numpy's buffers for the
-    broadcast products) are counted before -1/tau is formed:
-    Im(-1/tau) = b/|tau|^2 widens the S window |tau|-fold.
+    _GRID_BLOCK values (or one p row) per array.  What _s_frame_plan counts
+    is checked before -1/tau is formed: Im(-1/tau) = b/|tau|^2 widens the S
+    window |tau|-fold.
     """
     N, r = ctx.N, ctx.r
-    w, w_t = (N + 2 * _spread(N, ctx.b) * t + 7 for t in (1, abs(ctx.tau)))
-    rows = min(n_grid, max(1, int(_GRID_BLOCK // (r * max(n_grid, w, w_t)))))
-    held = (w + 2.5 * w_t) * n_grid + r * (N + w + w_t)
-    block = rows * (w + n_grid + r * (max(w, w_t, 2 * n_grid) + 3 * n_grid))
-    buffers = 2 * min(np.getbufsize(), rows * r * max(w, w_t))
-    _check_bytes(ctx, "S-frame pairing", 16 * (held + block + buffers) + 8192)
+    rows, nbytes = _s_frame_plan(ctx, n_grid)
+    _check_bytes(ctx, "S-frame pairing", nbytes)
     ctx_t = QuantizationContext(r, -1.0 / ctx.tau)
     xs = np.arange(n_grid) / n_grid
     m, F = _q_parts(ctx, xs)
@@ -530,6 +529,20 @@ def _s_frame_pairing(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
         cross = np.exp(-2j * math.pi * N * np.outer(p, xs))
         M += np.tensordot(U.conj() * cross[:, None, :], U_t, axes=([0, 2], [0, 2]))
     return M * (4 * math.pi / n_grid ** 2)
+
+
+def _s_frame_plan(ctx: QuantizationContext, n_grid: int) -> tuple:
+    """(rows, bytes) of _s_frame_pairing: its p rows per block, and its peak:
+    F, F_t, E_t and its float table, R and R_t, what a block keeps alive (E,
+    a rows-times-phases product, four arrays of U's size and numpy's buffers
+    for the broadcast products) and 8 KiB."""
+    N, r = ctx.N, ctx.r
+    w, w_t = (N + 2 * _spread(N, ctx.b) * t + 7 for t in (1, abs(ctx.tau)))
+    rows = min(n_grid, max(1, int(_GRID_BLOCK // (r * max(n_grid, w, w_t)))))
+    held = (w + 2.5 * w_t) * n_grid + r * (N + w + w_t)
+    block = rows * (w + n_grid + r * (max(w, w_t, 2 * n_grid) + 3 * n_grid))
+    buffers = 2 * min(np.getbufsize(), rows * r * max(w, w_t))
+    return rows, 16 * (held + block + buffers) + 8192
 
 
 def _twist_frame_rows(ctx: QuantizationContext) -> np.ndarray:

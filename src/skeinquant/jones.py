@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 from typing import NamedTuple, Optional
@@ -91,6 +91,13 @@ class JonesValue(NamedTuple):
 
 # -- one sector loop over several rings ---------------------------------
 
+def _sector_size(s: int, N: int, w: int) -> int:
+    """How many of the N^s states, digits in 0..N-1, have weight w: inclusion-exclusion
+    over the j digits that pass N - 1."""
+    return sum((-1) ** j * math.comb(s, j) * math.comb(w - j * N + s - 1, s - 1)
+               for j in range(min(s, w // N) + 1))
+
+
 def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None, nodes: int = 0,
                   primes: int = 0) -> int:
     """How many evaluation points fit errors.BYTE_BUDGET; StateSpaceTooLarge if none does.
@@ -106,11 +113,14 @@ def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None, nodes:
     interpolation node: 8 + primes int64 (the Newton vectors and every
     prime's residues) and 256 bytes for the integers, lists and dicts of the
     CRT and the exact division.  And 8 KiB for the interpreter's own objects.
-    The sizes d_w come from an s-fold convolution, before any of these exists.
+    The sizes are symmetric and unimodal in w, so d is the middle one, and the
+    sectors up to the middle hold half of all their squares (the sectors of 2s
+    slots at weight s(N-1)) plus, for an even middle, its own square again:
+    O(s) integer sums, before any of these exists.
     """
-    sizes = reduce(np.convolve, [np.ones(N)] * s)
-    d = int(sizes.max())
-    held = np.square(sizes[:s * (N - 1) // 2 + 1]).sum() if itemsize == 8 else d * d
+    top = s * (N - 1)
+    d = _sector_size(s, N, top // 2)
+    held = (_sector_size(2 * s, N, top) + (top % 2 == 0) * d * d) // 2 if itemsize == 8 else d * d
     e = N * (N + 1) * (2 * N + 1) // 6   # one entry per (a, b, m)
     tables = 0 if E is None else 2 * (2 * E + 1) + N * (N + 1) + 5 * e
     point = itemsize * (2 * s * float(d) ** 2 + tables)
@@ -144,12 +154,12 @@ def _sector_plan(word, s: int, N: int):
     each sector is built when the loop reaches it, so a caller that keeps the
     list for several loops holds every visited sector's positions at once.
     """
-    sizes = reduce(np.convolve, [np.ones(N)] * s)   # multi-indices per total weight
     digits = np.indices((N,) * s).reshape(s, -1)   # slot 0 most significant, as in np.kron
-    order = np.argsort(digits.sum(axis=0), kind="stable")
+    weights = digits.sum(axis=0)
+    order, sizes = np.argsort(weights, kind="stable"), np.bincount(weights)
+    del weights   # not held while the sectors are built: the budget counts (s + 2) N^s
     slots = {abs(g) - 1 for g in word}
-    for e, flat in zip(range(-2 * s * (N - 1), 1, 4),
-                       np.split(order, np.cumsum(sizes[:-1]).astype(np.int64))):
+    for e, flat in zip(range(-2 * s * (N - 1), 1, 4), np.split(order, np.cumsum(sizes[:-1]))):
         k = digits[:, flat]
         yield e, len(flat), {i: _slot_index(flat, k, i, s, N) for i in slots}
 

@@ -20,8 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import SkeinQuantError, UnknownCatalogEntry
 from .geom import QuantizationContext, inner_product, iso_from_skein
 from .jones import KnotPresentation, catalog_name, colored_jones_values
-from .roots import RootContext, quantum_integer
-from .tqft import TorusVector, kirby_constants
+from .tqft import TorusVector, _weights
 
 
 class KnotState(NamedTuple):
@@ -54,9 +53,9 @@ def knot_state(K: KnotPresentation, r: int, backend: str = "auto") -> KnotState:
 
 
 def _state(K: KnotPresentation, r: int, values: list) -> KnotState:
-    kc = kirby_constants(r)  # omega_coeffs[n-1] = (-1)^(n-1) [n]
-    return KnotState(K, r, TorusVector(r, tuple(kc.eta * w * complex(j) for w, j in
-                                                zip(kc.omega_coeffs, values))))
+    eta, omega = _weights(r)  # omega[n-1] = (-1)^(n-1) [n]
+    return KnotState(K, r, TorusVector(r, tuple(eta * w * complex(j) for w, j in
+                                                zip(omega, values))))
 
 
 def _state_and_norm(K: KnotPresentation, r: int, backend: str) -> tuple:
@@ -90,12 +89,9 @@ def l2_norm_formula(K: KnotPresentation, r: int, backend: str = "auto") -> L2Nor
 
 
 def _norm(r: int, values: list) -> L2Norm:
-    # |eta [n]|, in the float steps of kirby_constants, without its kappa
-    ctx, N = RootContext(r), 2 * r + 1
-    eta = 2 * math.sin(2 * math.pi / N) / math.sqrt(N)
+    eta, omega = _weights(r)  # |omega[n-1]| = |[n]|
     log_j = [_log_abs(v) for v in values]
-    log_terms = [2 * (math.log(eta * abs(quantum_integer(n, ctx))) + lj)
-                 for n, lj in enumerate(log_j, 1)]
+    log_terms = [2 * (math.log(eta * abs(w)) + lj) for w, lj in zip(omega, log_j)]
     top = max(log_terms)
     log_norm_sq = top + math.log(math.fsum(math.exp(t - top) for t in log_terms))
     return L2Norm(_exp(log_norm_sq), _exp(log_norm_sq / 2), log_norm_sq,

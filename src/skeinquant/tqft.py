@@ -97,44 +97,25 @@ class MappingClassWord(NamedTuple("MappingClassWord", [("word", tuple)])):
 def word_from_matrix(m) -> MappingClassWord:
     """Some T/S word whose generator-matrix product equals the given matrix.
 
-    Euclidean reduction on the first column; exact but not canonical.
+    One Euclid pass on the first column: m = T^k S m' with k = a // c and
+    m' = ((c, d), (kc - a, kd - b)), whose corner |kc - a| < |c|.  The pass
+    ends at T^b, or at -T^-b = S^2 T^-b.  Exact but not canonical.
     """
-    (a, b), (c, d) = (tuple(m[0]), tuple(m[1]))
+    (a, b), (c, d) = target = (tuple(m[0]), tuple(m[1]))
     if a * d - b * c != 1:
         raise ValueError("matrix must have determinant 1")
-    ops = []  # left-multiplications applied in order: ("T", k) or ("S", k)
 
-    def apply_T(k):
-        nonlocal a, b
-        a, b = a + k * c, b + k * d
-        ops.append(("T", k))
+    def twists(k):
+        return ["T" if k > 0 else "T^-1"] * abs(k)
 
-    def apply_S(k):
-        nonlocal a, b, c, d
-        for _ in range(k % 4):
-            a, b, c, d = -c, -d, a, b
-        ops.append(("S", k))
-
-    while c != 0:
-        k = -(a // c)
-        if k:
-            apply_T(k)
-        apply_S(1)
-    if a == -1:
-        apply_T(b)  # row two is (0, -1), so this clears the corner
-        apply_S(2)
-    elif b != 0:
-        apply_T(-b)
-    if (a, b, c, d) != (1, 0, 0, 1):
-        raise AssertionError("reduction failed to reach the identity")
-
-    # m equals the product of the op inverses in application order
     word = []
-    for kind, power in ops:
-        tok = kind if power < 0 else f"{kind}^-1"
-        word.extend([tok] * abs(power))
+    while c:
+        k = a // c
+        word += twists(k) + ["S"]
+        (a, b), (c, d) = (c, d), (k * c - a, k * d - b)
+    word += ["S", "S"] + twists(-b) if a == -1 else twists(b)
     out = MappingClassWord(tuple(word))
-    if out.matrix != (tuple(m[0]), tuple(m[1])):
+    if out.matrix != target:
         raise AssertionError("word reconstruction failed")
     return out
 
@@ -151,13 +132,19 @@ def rep_T(r: int) -> np.ndarray:
     geometric side for curve classes (a, b) with ab odd; see
     docs/conventions.md.
     """
-    return np.diag(_twist_eigenvalues(r))
+    return np.diag(_twist_eigenvalues(r, 1))
 
 
-def _twist_eigenvalues(r: int) -> tuple:
-    """The diagonal of rep_T, with n^2+2n reduced mod 2(2r+1) in integers."""
+def _twist_eigenvalues(r: int, k: int) -> tuple:
+    """The diagonal of rep_T to the power k, the one source of every twist power.
+
+    theta_n^k = (-1)^(nk) exp(i pi (k(n^2+2n) mod 2(2r+1))/(2r+1)), with the
+    exponent reduced in integers: each entry is within a few ulp at any k,
+    and powers k and k + 2(2r+1) give the same floats.
+    """
     N = 2 * RootContext(r).r + 1   # rejects a level below 3
-    return tuple((-1) ** n * cmath.exp(1j * math.pi * ((n * n + 2 * n) % (2 * N)) / N)
+    return tuple((-1) ** (n * k % 2)
+                 * cmath.exp(1j * math.pi * (k * (n * n + 2 * n) % (2 * N)) / N)
                  for n in range(r))
 
 
@@ -181,12 +168,7 @@ def sl2z_rep(word, r: int) -> np.ndarray:
         word = MappingClassWord.from_text(word)
     t, s = rep_T(r), rep_S(r)
     mat = np.eye(r, dtype=np.complex128)
-    factors = {
-        "T": t,
-        "T^-1": t.conj().T,
-        "S": s,
-        "S^-1": s.conj().T,
-    }
+    factors = {"T": t, "T^-1": t.conj().T, "S": s, "S^-1": s.conj().T}
     for tok in word.word:
         mat = mat @ factors[tok]
     return mat
@@ -213,25 +195,18 @@ def curve_operator_skein(gamma, r: int) -> np.ndarray:
         steps.append(k)
         if a:
             a, b = b, -a
-    N = 2 * r + 1
     if b == 0:
-        diag = [-2 * math.cos(2 * (n + 1) * math.pi / N) for n in range(r)]
+        diag = [-2 * math.cos(2 * (n + 1) * math.pi / (2 * r + 1)) for n in range(r)]
         mat = np.diag(diag).astype(np.complex128)
     else:
-        mat = np.zeros((r, r), dtype=np.complex128)
-        for n in range(r):
-            if n - 1 >= 0:
-                mat[n - 1, n] -= 1
-            if n + 1 <= r - 1:
-                mat[n + 1, n] -= 1
-            elif n + 1 == r:
-                mat[r - 1, n] += 1  # e_r = -e_{r-1}
-    if steps:
-        s, twist = rep_S(r), np.array(_twist_eigenvalues(r))
+        band = np.full(r - 1, -1.0)
+        mat = (np.diag(band, 1) + np.diag(band, -1)).astype(np.complex128)
+        mat[-1, -1] = 1   # e_r = -e_{r-1}
+    s = rep_S(r) if len(steps) > 1 else None
     for i, k in enumerate(reversed(steps)):
         if i:
             mat = s @ mat @ s.conj().T
-        power = twist ** k   # rho(T)^k, diagonal
+        power = np.array(_twist_eigenvalues(r, k))   # rho(T)^k, diagonal
         mat = power[:, None] * mat * power.conj()
     return mat
 
@@ -247,13 +222,17 @@ class KirbyConstants(NamedTuple):
     omega_coeffs: tuple
 
 
-def kirby_constants(r: int) -> KirbyConstants:
-    ctx = RootContext(r)
-    N = 2 * r + 1
+def _weights(r: int) -> tuple:
+    """eta = 2 sin(2 pi/(2r+1))/sqrt(2r+1) and omega = ((-1)^i [i+1]) for i < r."""
+    ctx, N = RootContext(r), 2 * r + 1
     eta = 2 * math.sin(2 * math.pi / N) / math.sqrt(N)
-    omega = tuple((-1) ** i * quantum_integer(i + 1, ctx) for i in range(r))
-    theta_bar = [z.conjugate() for z in _twist_eigenvalues(r)]   # one positive kink on color i
-    kappa = eta * sum(omega[i] * theta_bar[i] * omega[i] for i in range(r))
+    return eta, tuple((-1) ** i * quantum_integer(i + 1, ctx) for i in range(r))
+
+
+def kirby_constants(r: int) -> KirbyConstants:
+    eta, omega = _weights(r)
+    kink = _twist_eigenvalues(r, -1)   # one positive kink on color i
+    kappa = eta * sum(w * z * w for w, z in zip(omega, kink))
     return KirbyConstants(r, eta, complex(kappa), omega)
 
 
@@ -270,15 +249,11 @@ def rt_invariant(surgery_knot: Optional[KnotPresentation], framing: int, r: int)
     kc = kirby_constants(r)
     if surgery_knot is None:
         return complex(kc.eta)
-    theta_bar = [z.conjugate() for z in _twist_eigenvalues(r)]
+    kinks = _twist_eigenvalues(r, -framing)
     sigma = (framing > 0) - (framing < 0)
-    total = 0j
-    size = 0.0
-    for i, jval in enumerate(colored_jones_values(surgery_knot, r)):
-        zero_framed = kc.omega_coeffs[i] * complex(jval)  # (-1)^i [i+1] J_{i+1}
-        term = kc.omega_coeffs[i] * theta_bar[i] ** framing * zero_framed
-        total += term
-        size += abs(term)
+    terms = [w * kink * (w * complex(j))   # omega_i theta_i^-framing times (-1)^i [i+1] J_{i+1}
+             for w, kink, j in zip(kc.omega_coeffs, kinks, colored_jones_values(surgery_knot, r))]
+    total, size = sum(terms), sum(map(abs, terms))
     if size * (JONES_REL_TOL + 4 * r * 2.0 ** -53) >= RT_REL_TOL * abs(total):
         raise PrecisionLoss(
             f"surgery sum at r={r}, framing {framing}: terms of modulus {size:.3g} "

@@ -23,10 +23,11 @@ import math
 import random
 
 from ._lazy import lazy_import
-from .geom import (QuantizationContext, _curve_operators, _frame_report, _pairings,
-                   _phi_rows, _q_parts, _reflected, _series, _spread, _translated,
-                   _twist_frame_rows, halfform_norm_sq, iso_from_skein, iso_to_skein,
-                   modular_phase_check, psi_norm_constant)
+from .geom import (QuantizationContext, _check_bytes, _curve_operators, _frame_report,
+                   _gram_bytes, _grid, _pairings, _phi_rows, _q_parts, _reflected,
+                   _s_frame_plan, _series, _spread, _translated, _twist_frame_rows,
+                   halfform_norm_sq, iso_from_skein, iso_to_skein, modular_phase_check,
+                   psi_norm_constant)
 from .tqft import TorusVector, curve_operator_skein
 
 np = lazy_import("numpy")
@@ -87,8 +88,30 @@ def _holomorphy_residuals(ctx: QuantizationContext, rng: random.Random):
     return np.abs(dq - ctx.tau * dp - drift) / scale, floor
 
 
+def _check_report_bytes(ctx: QuantizationContext, include_modular: bool) -> None:
+    """StateSpaceTooLarge before a report builds what would pass errors.BYTE_BUDGET.
+
+    The S pairing is checked alone first, so that it is named where it alone
+    passes.  A report keeps four N x N arrays (the Psi stack, its Gram matrix
+    and the two Heisenberg products), the Phi rows and the twist frame's
+    (r x N each) and a dozen r x r results.  On top of those comes the
+    largest transient: the stacked pairing columns C and G C, N + 2r + 3
+    columns each (N + r + 3 without the twist frame), with the Gram kernel's
+    count; the curve operators' stacked translate and its sums, 14 r N; or
+    the S pairing's count.
+    """
+    N, r, n = ctx.N, ctx.r, _grid(ctx)
+    s_frame = _s_frame_plan(ctx, n)[1] if include_modular else 0.0
+    _check_bytes(ctx, "S-frame pairing", s_frame)
+    rows = 2 * r if include_modular else r
+    held = 16 * (4 * N * N + rows * N + 12 * r * r)
+    pairings = 32 * N * (N + rows + 3) + _gram_bytes(ctx, n)
+    _check_bytes(ctx, "verification report", held + max(pairings, 16 * 14 * r * N, s_frame))
+
+
 def verification_report(ctx: QuantizationContext, include_modular: bool = True) -> dict:
-    """Residual report for one quantization context."""
+    """Residual report for one quantization context, counted first (_check_report_bytes)."""
+    _check_report_bytes(ctx, include_modular)
     rng = random.Random(7)
     r, N = ctx.r, ctx.N
     psi = psi_norm_constant(ctx) * np.eye(N, dtype=np.complex128)   # Psi_0 .. Psi_{N-1}

@@ -4,12 +4,13 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from oracles import pd_text, state_sum_bracket, transfer_bracket
-from skeinquant import cli, jones
+from skeinquant import cli, errors, jones
 from skeinquant.diagrams import BraidWord, braid_to_diagram
 from skeinquant.jones import KnotPresentation, colored_jones_exact
 from skeinquant.roots import RootContext
@@ -18,11 +19,12 @@ RUN = [sys.executable, "-m", "skeinquant.cli"]
 SRC = str(Path(cli.__file__).resolve().parents[1])   # the child imports the same package
 
 
-def run_cli(*args, check=True):
+def run_cli(*args, check=True, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    proc = subprocess.run(RUN + list(args), capture_output=True, text=True, env=env)
+    proc = subprocess.run(RUN + list(args), capture_output=True, text=True, env=env,
+                          timeout=timeout)
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
     return proc
@@ -172,6 +174,52 @@ def test_rmatrix_budget_exits_2():
         in proc.stderr
 
 
+@pytest.mark.parametrize("argv", (
+    ["tqft", "--r", "5000"],
+    ["geom-verify", "--r", "1500", "--tau", "i"],
+    ["jones", "--braid", "1 -2 1 -2", "--strands", "3", "--n", "1000000", "--r", "5",
+     "--backend", "rmatrix"],
+))
+def test_budgets_refuse_before_building(argv):
+    # each count is a closed form, checked before the first array of its run; the
+    # timeout kills a child that builds instead
+    proc = run_cli(*argv, check=False, timeout=5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "MiB" in proc.stderr and (argv[0] == "jones" or f"r = {argv[2]}" in proc.stderr)
+
+
+def test_memory_error_in_a_command_exits_2(monkeypatch, capsys):
+    def exhausted(r):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "rep_S", exhausted)
+    assert cli.main(["tqft", "--r", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("word", (None, "S T S"))
+@pytest.mark.parametrize("r", (20, 100))
+def test_tqft_counts_its_traced_peak(monkeypatch, tmp_path, r, word):
+    # the matrices, their float pairs, the encoder's chunks and the text stay within
+    # the count (over half of it at r = 100); one byte less refuses before a matrix
+    argv = ["tqft", "--r", str(r), "--out", str(tmp_path / "t.json")]
+    argv += ["--word", word] if word else []
+    count = cli._tqft_bytes(r, 3 if word else 2)
+    cli.main(["tqft", "--r", "3"] + argv[3:])   # the parser, built once per process
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= count and (r < 100 or count < 2 * peak), (peak, count)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", count - 1)
+    monkeypatch.setattr(cli, "rep_T", lambda r: pytest.fail("a matrix was built"))
+    assert cli.main(argv) == 2
+
+
 def test_knot_state_exact_backend_matches_the_catalog():
     coeffs = {}
     for backend in ("exact", "auto"):
@@ -188,6 +236,15 @@ def test_rt_command():
     proc = run_cli("rt", "--surgery", "unknot", "--framing", "0", "--r", "4")
     val = json.loads(proc.stdout)["result"]["value"]
     assert abs(val["re"] - 1.0) < 1e-9 and abs(val["im"]) < 1e-9
+
+
+def test_rt_at_a_far_framing_equals_its_twin(capsys):
+    # 10^12 + 7 = 63 mod 2(2r+1) at r = 5, and the twist power is reduced in integers
+    values = []
+    for framing in ("1000000000007", "63"):
+        assert cli.main(["rt", "--surgery", "trefoil", "--framing", framing, "--r", "5"]) == 0
+        values.append(json.loads(capsys.readouterr().out)["result"]["value"])
+    assert values[0] == values[1]
 
 
 def test_geom_verify_exit_status(tmp_path):

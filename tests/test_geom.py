@@ -466,6 +466,25 @@ def test_geom_budget_counts_the_traced_peak(monkeypatch):
         monkeypatch.setattr(geom, "_q_parts", q_parts)
 
 
+@pytest.mark.parametrize("r, include_modular", ((40, True), (200, True), (200, False)))
+def test_report_counts_its_traced_peak(monkeypatch, r, include_modular):
+    # the Psi stack, its translates, the stacked pairing columns and the largest engine
+    # transient stay within what the report counts before its first array, and over
+    # half of it; a budget one byte below the count refuses before the Psi stack
+    ctx = QuantizationContext(r, 1j)
+    counted, check = [], verify._check_bytes
+    monkeypatch.setattr(verify, "_check_bytes",
+                        lambda ctx, what, nbytes: counted.append(nbytes) or check(ctx, what, nbytes))
+    peak = _traced_peak(lambda: verification_report(ctx, include_modular))
+    assert len(counted) == 2   # the S pairing alone, then the report
+    count = counted[1]
+    assert count / 2 < peak <= count <= errors.BYTE_BUDGET
+    monkeypatch.setattr(errors, "BYTE_BUDGET", math.ceil(count) - 1)
+    monkeypatch.setattr(verify, "psi_norm_constant", lambda ctx: pytest.fail("Psi was built"))
+    with pytest.raises(StateSpaceTooLarge, match=f"verification report at r = {r}, tau = 1j needs"):
+        verification_report(ctx, include_modular)
+
+
 def test_series_counts_what_its_blocks_hold(monkeypatch):
     # a series is counted at the terms x points its block holds, not at _GRID_BLOCK: a
     # traced call stays within its count, and the whole report at r = 3, tau = i (about

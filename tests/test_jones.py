@@ -473,6 +473,17 @@ def _order(g: int, p: int) -> int:
     return order
 
 
+def test_sector_sizes_by_inclusion_exclusion_match_the_convolution():
+    # the budget reads the middle sector and the squares up to it in O(s) integer sums
+    for s in range(1, 6):
+        for N in range(1, 12):
+            sizes = reduce(np.convolve, [np.ones(N)] * s)
+            top = s * (N - 1)
+            assert [jones._sector_size(s, N, w) for w in range(top + 1)] == sizes.tolist()
+            assert jones._sector_size(s, N, top // 2) == sizes.max()
+            assert jones._sector_size(2 * s, N, top) == np.square(sizes).sum()
+
+
 def test_prime_table():
     # no sector past d_max fits one int64 point: 3 entries of each state pair, and on two
     # strands or more at least two int64 positions

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -9,12 +10,13 @@ import pytest
 from oracles import curve_operator_by_word, kappa_modulus_dev
 from skeinquant import cli
 from skeinquant.errors import NotPrimitive, PrecisionLoss
+from skeinquant.geom import QuantizationContext, intertwining_deviation
 from skeinquant.jones import KnotPresentation
 from skeinquant.roots import RootContext, quantum_integer
 from skeinquant.tqft import (MappingClassWord, TorusVector,
                              curve_operator_skein, kirby_constants, rep_S, rep_T,
                              rt_invariant, sl2z_rep, word_from_matrix)
-from skeinquant.tqft import _GEN_MATS, _mat_mul
+from skeinquant.tqft import _GEN_MATS, _mat_mul, _twist_eigenvalues
 
 UNKNOT = KnotPresentation.from_catalog("unknot")
 
@@ -53,6 +55,18 @@ def test_word_matrix_determinant_and_product():
         assert a * d - b * c == 1
         # decomposition reproduces the matrix
         assert word_from_matrix(m).matrix == m
+
+
+def test_word_from_matrix_on_every_small_matrix():
+    # one Euclid pass on the first column, ending at T^b or at S^2 T^-b
+    mats = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(-9, 10), repeat=4)
+            if a * d - b * c == 1]
+    assert len(mats) == 884
+    for m in mats:
+        assert word_from_matrix(m).matrix == m
+    assert word_from_matrix(((-1, 3), (0, -1))).word == ("S", "S") + ("T^-1",) * 3
+    with pytest.raises(ValueError, match="determinant 1"):
+        word_from_matrix(((1, 1), (1, 1)))
 
 
 def test_sl2z_rep_basics():
@@ -104,6 +118,19 @@ def test_rep_T_entries_at_a_large_level():
         exact = [complex((-1) ** n * mpmath.expjpi(mpmath.mpf(n * n + 2 * n) / N))
                  for n in range(r)]
     assert np.max(np.abs(T - exact)) < 1e-15
+
+
+@pytest.mark.parametrize("k", (-1, 2, -7, 10**12 + 1, -(10**20 + 3)))
+def test_twist_powers_are_reduced_in_integers(k):
+    # theta_n^k = (-1)^(nk) exp(i pi (k(n^2+2n) mod 2(2r+1))/(2r+1)), within a few ulp at any k
+    r = 30
+    N = 2 * r + 1
+    with mpmath.workprec(200):
+        exact = [complex((-1) ** (n * k % 2) * mpmath.expjpi(mpmath.mpf(k * (n * n + 2 * n)) / N))
+                 for n in range(r)]
+    assert np.max(np.abs(np.array(_twist_eigenvalues(r, k)) - exact)) < 1e-15
+    assert _twist_eigenvalues(r, k) == _twist_eigenvalues(r, k + 2 * N)
+    assert _twist_eigenvalues(r, 1) == tuple(np.diag(rep_T(r)))
 
 
 def test_rep_T_periodicity():
@@ -193,6 +220,14 @@ def test_curve_operator_matches_the_word_route(r):
     assert worst < 1e-13
 
 
+@pytest.mark.parametrize("r", (5, 30))
+def test_far_classes_intertwine_to_rounding(r):
+    # each Euclid step conjugates by the integer-reduced power of rho(T)
+    ctx = QuantizationContext(r, 1j)
+    for gamma in ((10**12 + 1, 1), (1, 10**9 + 2)):
+        assert intertwining_deviation(gamma, ctx) <= 1e-13
+
+
 def test_conjugation_covariance():
     for r in (3, 4):
         for gname in ("T", "S"):
@@ -273,3 +308,21 @@ def test_rt_raises_where_the_sum_cancels_past_its_tolerance(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+def _rt_bits(K, framing, r):
+    try:
+        return repr(rt_invariant(K, framing, r))
+    except PrecisionLoss:
+        return "PrecisionLoss"
+
+
+@pytest.mark.parametrize("r", (5, 30))
+@pytest.mark.parametrize("name", ("trefoil", "figure-eight"))
+def test_rt_is_periodic_in_the_framing_to_the_bit(name, r):
+    # the framing factor is the twist to the power -framing, reduced in integers, so
+    # framings 2(2r+1) apart of one sign give the same floats, far out too
+    K = KnotPresentation.from_catalog(name)
+    period = 2 * (2 * r + 1)
+    for f in (10**12 + 7, -(10**12 + 7), 10**20 + 3, -(10**20 + 3)):
+        assert _rt_bits(K, f, r) == _rt_bits(K, f + period, r) == _rt_bits(K, f - period, r)
