@@ -10,9 +10,12 @@ error such as a value that cannot be certified (PrecisionLoss).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
 
 from . import __version__, errors
@@ -50,18 +53,57 @@ def _complex_pair(z: complex):
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _matrix_pairs(m):
-    return [[[x, y] for x, y in zip(re, im)] for re, im in zip(m.real.tolist(), m.imag.tolist())]
+def _json_chunks(o, ind: str):
+    """json.dumps(o, sort_keys=True, indent=2) at indent ``ind``, in pieces: one per
+    bracket, key and scalar, and one per row of a nonempty complex numpy matrix,
+    which is written as json writes its rows of [re, im] pairs."""
+    if isinstance(o, dict):
+        sep = "{"
+        for k, v in sorted(o.items()):
+            yield f"{sep}\n{ind}  {encode_basestring_ascii(k)}: "
+            yield from _json_chunks(v, ind + "  ")
+            sep = ","
+        yield f"\n{ind}}}" if o else "{}"
+    elif isinstance(o, (list, tuple)):
+        sep = "["
+        for v in o:
+            yield f"{sep}\n{ind}  "
+            yield from _json_chunks(v, ind + "  ")
+            sep = ","
+        yield f"\n{ind}]" if o else "[]"
+    elif isinstance(o, str):
+        yield encode_basestring_ascii(o)
+    elif isinstance(o, float):
+        yield _json_spelling(float.__repr__(o))
+    elif o is None or isinstance(o, int):
+        yield ("null" if o is None else "true" if o is True else "false" if o is False
+               else int.__repr__(o))
+    else:   # a complex matrix: each C-ordered row is its (re, im) floats in turn
+        rows = o.astype(complex, order="C", copy=False).view(float)
+        pair = f"\n{ind}    [\n{ind}      %s,\n{ind}      %s\n{ind}    ]"
+        row = f"\n{ind}  [{','.join([pair] * o.shape[1])}\n{ind}  ]"
+        sep = "["
+        for i in range(len(rows)):
+            yield sep + _json_spelling(row % tuple(rows[i].tolist()))
+            sep = ","
+        yield f"\n{ind}]"
+
+
+def _json_spelling(text: str) -> str:
+    """Float reprs as json spells them: nan is NaN and inf Infinity (a finite repr has no n)."""
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+def _write_json(doc, path: Optional[str] = None) -> None:
+    """Write json.dumps(doc, sort_keys=True, indent=2) and a newline to ``path`` or
+    stdout a piece at a time, so that the document is never held as one string."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(_json_chunks(doc, ""))
+        fh.write("\n")
 
 
 def _emit(cfg: RunConfig, payload: dict) -> None:
-    doc = {"manifest": _manifest(cfg), "result": payload}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json({"manifest": _manifest(cfg), "result": payload}, cfg.out)
 
 
 def _knot_from_args(args) -> KnotPresentation:
@@ -117,12 +159,13 @@ def _cmd_bracket(cfg: RunConfig, args) -> int:
 
 
 def _tqft_bytes(r: int, matrices: int) -> int:
-    """Peak bytes of a tqft run that emits ``matrices`` r x r matrices.
+    """Peak bytes of a tqft run that emits ``matrices`` r x r matrices (3 with a word).
 
-    512 per entry: its two floats and pair list, the JSON encoder's chunks
-    for it and its share of the text (455 traced at r = 300), and 1 MiB.
+    16 r^2 for each emitted matrix and one more for rep_S's temporaries; a word's
+    product also holds rep_T, rep_S, their adjoints and a partial product, 5 more
+    (traced: 2.6 and 8.0 of these at r = 300).  The writer holds one row of text.
     """
-    return 512 * matrices * r * r + (1 << 20)
+    return 16 * r * r * (matrices + 1 + 5 * (matrices - 2)) + (1 << 17)
 
 
 def _cmd_tqft(cfg: RunConfig, args) -> int:
@@ -130,14 +173,14 @@ def _cmd_tqft(cfg: RunConfig, args) -> int:
     nbytes = _tqft_bytes(r, 3 if args.word else 2)
     if nbytes > errors.BYTE_BUDGET:
         raise StateSpaceTooLarge(
-            f"tqft at r = {r} emits matrices and JSON of about {nbytes / 2**20:.4g} MiB, "
+            f"tqft at r = {r} builds matrices of about {nbytes / 2**20:.4g} MiB, "
             f"over the {errors.BYTE_BUDGET >> 20} MiB budget")
-    payload = {"r": r, "rep_T": _matrix_pairs(rep_T(r)), "rep_S": _matrix_pairs(rep_S(r))}
+    payload = {"r": r, "rep_T": rep_T(r), "rep_S": rep_S(r)}
     if args.word:
         word = MappingClassWord.from_text(args.word)
         payload["word"] = list(word.word)
         payload["word_matrix"] = [list(row) for row in word.matrix]
-        payload["rep_word"] = _matrix_pairs(sl2z_rep(word, r))
+        payload["rep_word"] = sl2z_rep(word, r)
     _emit(cfg, payload)
     return 0
 
@@ -179,9 +222,7 @@ def _cmd_volume_seq(cfg: RunConfig, args) -> int:
                               f"in steps of {args.step}")
     rows = volume_sequence(K, r_list, ref_vol=args.ref_vol)
     write_volume_csv(rows, args.out)
-    with open(args.out + ".manifest.json", "w") as fh:
-        json.dump(_manifest(cfg), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(_manifest(cfg), args.out + ".manifest.json")
     sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
     return 0
 
@@ -324,7 +365,14 @@ def main(argv=None) -> int:
                                 if k not in ("func", "command", "config", "out")
                                 and v is not None},
                         out=args.out)
-        return args.func(cfg, args)
+        status = args.func(cfg, args)
+        sys.stdout.flush()   # a reader that has gone shows here, not at the interpreter's exit
+        return status
+    except BrokenPipeError:
+        # a pipe's reader has gone (| head): stop quietly, with stdout on devnull so
+        # that the interpreter's last flush has nothing to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (SkeinQuantError, OSError, ValueError) as exc:
         # ValueError is how the constructors reject out-of-range input
         sys.stderr.write(f"error: {exc}\n")

@@ -200,10 +200,10 @@ def test_memory_error_in_a_command_exits_2(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("word", (None, "S T S"))
-@pytest.mark.parametrize("r", (20, 100))
+@pytest.mark.parametrize("r", (20, 100, pytest.param(300, marks=pytest.mark.slow)))
 def test_tqft_counts_its_traced_peak(monkeypatch, tmp_path, r, word):
-    # the matrices, their float pairs, the encoder's chunks and the text stay within
-    # the count (over half of it at r = 100); one byte less refuses before a matrix
+    # the matrices and the writer's row of text stay within the count (over half
+    # of it from r = 100); one byte less refuses before a matrix
     argv = ["tqft", "--r", str(r), "--out", str(tmp_path / "t.json")]
     argv += ["--word", word] if word else []
     count = cli._tqft_bytes(r, 3 if word else 2)
