@@ -162,8 +162,9 @@ def _tqft_bytes(r: int, matrices: int) -> int:
     """Peak bytes of a tqft run that emits ``matrices`` r x r matrices (3 with a word).
 
     16 r^2 for each emitted matrix and one more for rep_S's temporaries; a word's
-    product also holds rep_T, rep_S, their adjoints and a partial product, 5 more
-    (traced: 2.6 and 8.0 of these at r = 300).  The writer holds one row of text.
+    product also holds rep_T, rep_S, the adjoints of the inverse letters it uses and
+    a partial product, up to 5 more (traced at r = 300: 2.6 of these without a word,
+    6.0 with "S T S" and 8.0 with "S' T' S").  The writer holds one row of text.
     """
     return 16 * r * r * (matrices + 1 + 5 * (matrices - 2)) + (1 << 17)
 
@@ -173,8 +174,8 @@ def _cmd_tqft(cfg: RunConfig, args) -> int:
     nbytes = _tqft_bytes(r, 3 if args.word else 2)
     if nbytes > errors.BYTE_BUDGET:
         raise StateSpaceTooLarge(
-            f"tqft at r = {r} builds matrices of about {nbytes / 2**20:.4g} MiB, "
-            f"over the {errors.BYTE_BUDGET >> 20} MiB budget")
+            f"tqft at r = {r} counts {nbytes} bytes for its matrices, over the "
+            f"{errors.BYTE_BUDGET}-byte ({errors.BYTE_BUDGET >> 20} MiB) budget")
     payload = {"r": r, "rep_T": rep_T(r), "rep_S": rep_S(r)}
     if args.word:
         word = MappingClassWord.from_text(args.word)

@@ -9,10 +9,10 @@ T = J(A^4) [n] A^-((n^2-1) writhe) in the ring of its power table.
 * rmatrix: T in complex128 at A = exp(i pi/(2r+1)), and
   J = T A^((n^2-1) writhe) / [n];
 * exact: T as an integer Laurent polynomial, from the trace over F_p at
-  a batch of points, interpolated in A^4 and rebuilt by CRT, then
-  divided exactly.  The loop in (min, +) gives its degree window, and in
-  (+, x) on L1 norms a bound on its coefficients.  Normalized so the
-  unknot gives 1, in the variable t = A**4;
+  roots of unity, interpolated in A^4 by an inverse DFT and rebuilt by
+  CRT, then divided exactly.  The loop in (min, +) gives its degree
+  window, and in (+, x) on L1 norms a bound on its coefficients.
+  Normalized so the unknot gives 1, in the variable t = A**4;
 * catalog: closed forms for the built-in knots, chosen by braid word and
   certified to JONES_REL_TOL per color: Morton's formula for the trefoil
   as two exact running sums over a fixed-point table, O(r) per level,
@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -104,15 +104,17 @@ def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None, nodes:
 
     Per point: 2s d^2 ring entries of the largest sector d (the product, the
     new product and the blocks of up to 2(s - 1) signed letters) and, given the
-    power table's reach E, _trace's tables (docs/conventions.md).  Once, in
+    power table's reach E, _trace's tables (docs/conventions.md), or, if more,
+    2 int64 per node for an inverse DFT row, in blocks of as many.  Once, in
     int64: s d_w^2 positions (s - 1 slot pairs' and a letter's) for every
     visited sector w of an int64 call, whose plan lives for the call, or for
     the largest sector of a complex128 call, which builds one at a time;
     (s + 2) N^s for the sector index sets, and 2 N^4 + 20 e for the pair
     tables and their columns while built, e the number of entries of R.  Per
-    interpolation node: 8 + primes int64 (the Newton vectors and every
-    prime's residues) and 256 bytes for the integers, lists and dicts of the
-    CRT and the exact division.  And 8 KiB for the interpreter's own objects.
+    node: 8 + primes int64 (4 powers of w, the node, its value, coefficient
+    and a temporary, and every prime's residue) and 256 bytes for the integers,
+    lists and dicts of the CRT and the exact division.  And 8 KiB for the
+    interpreter's own objects.
     The sizes are symmetric and unimodal in w, so d is the middle one, and the
     sectors up to the middle hold half of all their squares (the sectors of 2s
     slots at weight s(N-1)) plus, for an even middle, its own square again:
@@ -123,7 +125,7 @@ def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None, nodes:
     held = (_sector_size(2 * s, N, top) + (top % 2 == 0) * d * d) // 2 if itemsize == 8 else d * d
     e = N * (N + 1) * (2 * N + 1) // 6   # one entry per (a, b, m)
     tables = 0 if E is None else 2 * (2 * E + 1) + N * (N + 1) + 5 * e
-    point = itemsize * (2 * s * float(d) ** 2 + tables)
+    point = max(itemsize * (2 * s * float(d) ** 2 + tables), 16 * nodes)
     fixed = (8 * (s * float(held) + (s + 2) * float(N) ** s + 2 * N ** 4 + 20 * e)
              + nodes * (8 * (8 + primes) + 256) + 8192)
     if point + fixed > errors.BYTE_BUDGET:
@@ -277,17 +279,7 @@ def colored_jones_rmatrix(K: KnotPresentation, n: int, ctx: RootContext) -> comp
     return complex(trace * twist / quantum_integer(n, ctx))
 
 
-# -- exact backend: the sector loop over F_p, interpolation and CRT -------
-
-# primes p = 3 mod 4 below 2^25 (docs/conventions.md): int64 products stay
-# exact in every sector the budget admits.  16 has order at least _MAX_POINTS
-# modulo each, so the nodes x = 2^k, k < _MAX_POINTS, have distinct t = x^4 = 16^k
-_PRIMES = (33554383, 33554371, 33554347, 33554291, 33554267, 33554239, 33554167,
-           33554159, 33554123, 33554083, 33554051, 33554011, 33553999, 33553991,
-           33553967, 33553879, 33553799, 33553787, 33553771, 33553759, 33553747,
-           33553739, 33553727, 33553679)
-_MAX_POINTS = 3355405
-
+# -- exact backend: the sector loop over F_p at roots of unity, inverse DFT and CRT --
 
 def _degree_window(word, plan, s: int, terms, points: int) -> tuple:
     """(lo, hi) bounding the A-exponents of T, by the sector loop in (min, +).
@@ -325,50 +317,57 @@ def _coefficient_bound(word, plan, N: int, terms) -> float:
         word, plan, gens, 1.0, np.matmul, lambda e, diag: (1 + (e < 0)) * diag.sum())))
 
 
-def _trace_mod(word, plan, N: int, terms, lo: int, E: int, p: int, x):
-    """T(x) x^-lo mod p at the points x, by the sector loop over F_p.
+def _primes(M: int):
+    """The primes p = 1 mod M below 2^25, where int64 stays exact (docs/conventions.md),
+    largest first: trial division by the odd numbers up to sqrt(p), 256 at a time."""
+    for p in range((2 ** 25 - 2) // M * M + 1, 1, -M):
+        top = math.isqrt(p) + 1
+        if all(np.remainder(p, np.arange(f, min(f + 512, top), 2, dtype=np.int32)).min()
+               for f in range(3, top, 512)):
+            yield p
 
-    Entries and weights come from one table of x^e for |e| <= E.
+
+def _unit_powers(p: int, L: int):
+    """w^k mod p for k < 4L, w = g^((p-1)/4L) for the first g = 2, 3, .. whose w^4 has order
+    L: the nodes A = w^j, j < L, put t = A^4 at the L distinct L-th roots of unity."""
+    for g in range(2, p):
+        w = pow(g, (p - 1) // (4 * L), p)
+        powers = np.fromiter(accumulate(repeat(w, 4 * L - 1), lambda a, b: a * b % p, initial=1),
+                             np.int64, 4 * L)
+        if np.all(powers[4::4] != 1):
+            return powers
+
+
+def _trace_mod(word, plan, N: int, terms, lo: int, E: int, p: int, powers, j):
+    """T(x) x^-lo mod p at the nodes x = w^j, by the sector loop over F_p.
+
+    ``powers`` holds w^k for k < len(powers) = the order of w, and the
+    entries and weights come from one gather of x^e = w^(ej) for |e| <= E.
     """
-    pw = np.ones((2 * E + 1, len(x)), dtype=np.int64)           # pw[E + e] = x^e
-    up, down = pw[E:], pw[E::-1]                                 # x^e and x^-e, e >= 0
-    up[1], down[1] = x, [pow(int(v), -1, p) for v in x]
-    for k in (1 << i for i in range((E - 1).bit_length())):   # x^(k+e) = x^k x^e, e <= k
-        for half in (up, down):
-            half[k + 1:2 * k + 1] = half[1:min(k, E - k) + 1] * half[k] % p
+    pw = powers.take(np.outer(np.arange(-E, E + 1), j) % len(powers))
     return (_trace(word, plan, N, terms, pw, E, lambda v: np.remainder(v, p, out=v))
             * pw[E - lo] % p)
 
 
-def _coefficients_mod(word, plan, N: int, terms, lo: int, deg: int, E: int, p: int, chunk: int):
-    """The coefficients mod p of P, where T(A) = A^lo P(A^4) and deg P <= deg, as int64.
+def _coefficients_mod(word, plan, N: int, terms, lo: int, L: int, E: int, p: int, chunk: int):
+    """The coefficients mod p of P, where T(A) = A^lo P(A^4) and deg P <= L - 2, as int64.
 
-    T comes from _trace_mod at x = 2^k, k = 0 .. deg + 1, at most ``chunk``
-    points at a time; P is interpolated in Newton form through t = x^4 =
-    16^k at the first deg + 1 points, and must agree at the last.  As
-    t[k + j] - t[k] = 16^k (16^j - 1), order j of the divided differences
-    multiplies by the vector 16^-k and one scalar 1/(16^j - 1).
+    T comes from _trace_mod at the L nodes A = w^j (_unit_powers), at most
+    ``chunk`` at a time, so t_j = A^4 runs over the L-th roots of unity and P
+    is the inverse DFT c_k = L^-1 sum_j y_j t_j^-k, at most ``chunk`` rows k
+    at a time.  Its coefficient of degree L - 1 must vanish.
     """
-    x = np.fromiter((pow(2, k, p) for k in range(deg + 2)), np.int64, deg + 2)
-    y = np.empty_like(x)
-    for i in range(0, len(x), chunk):
-        y[i:i + chunk] = _trace_mod(word, plan, N, terms, lo, E, p, x[i:i + chunk])
-    t_inv = np.fromiter((pow(16, -k, p) for k in range(deg + 1)), np.int64, deg + 1)
-    c = y[:-1].copy()                                           # divided differences
-    for j in range(1, deg + 1):
-        c[j:] = (c[j:] - c[j - 1:-1]) % p * t_inv[:-j] % p * pow(pow(16, j, p) - 1, -1, p) % p
-    t = x * x % p
-    t = t * t % p
-    coef, check = np.zeros_like(x), 0                           # Horner on the Newton form
-    for j in range(deg, -1, -1):   # coef <- c_j + (t - t_j) coef
-        head = (c[j] - t[j] * coef[0]) % p
-        coef[1:] = (coef[:-1] - t[j] * coef[1:]) % p
-        coef[0] = head
-        check = (check * (t[-1] - t[j]) + c[j]) % p
-    if check != y[-1]:
-        raise InexactDivision(f"T mod {p} is no polynomial of degree {deg} in A^4 on its "
+    powers, j = _unit_powers(p, L), np.arange(L)
+    y, c = np.empty(L, np.int64), np.empty(L, np.int64)
+    for i in range(0, L, chunk):
+        y[i:i + chunk] = _trace_mod(word, plan, N, terms, lo, E, p, powers, j[i:i + chunk])
+    for i in range(0, L, chunk):   # t_j^-k = w^(-4jk)
+        rows = powers.take(np.outer(j[i:i + chunk], -4 * j) % (4 * L)) * y
+        c[i:i + chunk] = np.remainder(rows, p, out=rows).sum(axis=1) % p
+    if c[-1]:
+        raise InexactDivision(f"T mod {p} is no polynomial of degree {L - 2} in A^4 on its "
                               "degree window; the window or a convention is wrong")
-    return coef[:-1]
+    return c[:-1] * pow(L, -1, p) % p
 
 
 def _crt(residues: list, primes: list) -> list:
@@ -397,19 +396,17 @@ def _colored_jones_exact_cached(word: tuple, strands: int, n: int) -> LaurentPol
     lo, hi = _degree_window(word, plan, s, terms, points)
     cls = (2 * (N - 1) - (N * N - 1) * writhe) % 4   # every exponent of T, mod 4
     lo, hi = lo + (cls - lo) % 4, hi - (hi - cls) % 4
-    deg = (hi - lo) // 4
-    if deg + 2 > _MAX_POINTS:
-        raise StateSpaceTooLarge(f"J({n}) needs {deg + 2} interpolation points, over the "
-                                 f"{_MAX_POINTS} nodes 2^k that stay distinct in A^4 mod p")
-    bound, primes = _coefficient_bound(word, plan, N, terms), []
+    L = (hi - lo) // 4 + 2   # the nodes: deg P + 1 and one more for the check
+    bound, primes, supply = _coefficient_bound(word, plan, N, terms), [], _primes(4 * L)
     while math.prod(primes) <= 2 * bound:
-        if len(primes) == len(_PRIMES):
-            raise PrecisionLoss(f"J({n}) needs more primes than the {len(_PRIMES)} in the "
-                                f"table for its coefficient bound {bound:.3g}")
-        primes.append(_PRIMES[len(primes)])
+        p = next(supply, None)
+        if p is None:
+            raise PrecisionLoss(f"J({n}) needs more primes p = 1 mod {4 * L} below 2^25 than "
+                                f"the search finds, for its coefficient bound {bound:.3g}")
+        primes.append(p)
     E = 2 * N * (N + s) + abs(lo)   # covers every exponent of an entry, a weight and A^-lo
-    chunk = _check_budget(N, s, 8, E, deg + 2, len(primes))
-    coeffs = _crt([_coefficients_mod(word, plan, N, terms, lo, deg, E, p, chunk)
+    chunk = _check_budget(N, s, 8, E, L, len(primes))
+    coeffs = _crt([_coefficients_mod(word, plan, N, terms, lo, L, E, p, chunk)
                    for p in primes], primes)
     T = LaurentPoly({lo + 4 * i: c for i, c in enumerate(coeffs)})
     quotient = (T * LaurentPoly.monomial((N * N - 1) * writhe)).divexact(quantum_integer_poly(N))

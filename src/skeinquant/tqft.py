@@ -166,9 +166,10 @@ def sl2z_rep(word, r: int) -> np.ndarray:
     """Ordered product of rep_T / rep_S factors for a mapping class word."""
     if isinstance(word, str):
         word = MappingClassWord.from_text(word)
-    t, s = rep_T(r), rep_S(r)
+    factors = {"T": rep_T(r), "S": rep_S(r)}
+    for tok in set(word.word) - factors.keys():   # an adjoint only for a letter in use
+        factors[tok] = factors[tok[0]].conj().T
     mat = np.eye(r, dtype=np.complex128)
-    factors = {"T": t, "T^-1": t.conj().T, "S": s, "S^-1": s.conj().T}
     for tok in word.word:
         mat = mat @ factors[tok]
     return mat

@@ -189,6 +189,15 @@ def test_budgets_refuse_before_building(argv):
     assert "MiB" in proc.stderr and (argv[0] == "jones" or f"r = {argv[2]}" in proc.stderr)
 
 
+def test_tqft_refusal_reads_over_the_budget(monkeypatch, capsys):
+    # r = 1365 with a word is 16 bytes over: the count and the budget print in bytes
+    monkeypatch.setattr(cli, "rep_T", lambda r: pytest.fail("a matrix was built"))
+    assert cli.main(["tqft", "--r", "1365", "--word", "S"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: tqft at r = 1365 counts 268435472 bytes for its matrices, over the "
+                   "268435456-byte (256 MiB) budget\n"), err
+
+
 def test_memory_error_in_a_command_exits_2(monkeypatch, capsys):
     def exhausted(r):
         raise MemoryError

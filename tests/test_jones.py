@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from functools import reduce
+from itertools import islice
 
 import mpmath
 import numpy as np
@@ -141,26 +142,28 @@ HALF_SECTOR_CASES = ([(word, strands, 5) for word, strands in SECTOR_KNOTS]
 @pytest.mark.parametrize("word, strands, n_max", HALF_SECTOR_CASES)
 def test_mirror_sectors_trace_alike_and_tighten_window_and_bound(monkeypatch, word, strands,
                                                                 n_max):
-    p, x = jones._PRIMES[0], np.array([2, 3, 12345, 33554000], dtype=np.int64)
+    primes = list(islice(jones._primes(16), 24))
+    p, powers = primes[0], jones._unit_powers(primes[0], 4)
     traces = []
 
     def every_sector(word, plan, gens, one, matmul, weigh):
         traces[:] = all_sector_loop(word, strands, N, gens, one, matmul,
                                     lambda e, diag: diag.sum(axis=-1) % p)
-        return [np.zeros(len(x), dtype=np.int64)]
+        return [np.zeros(4, dtype=np.int64)]
 
     for N in range(2, n_max + 1):
         terms, plan = jones._rmatrix_terms(N), list(jones._sector_plan(word, strands, N))
         with monkeypatch.context() as m:
             m.setattr(jones, "_sector_loop", every_sector)
-            jones._trace_mod(word, plan, N, terms, 0, 2 * N * (N + strands), p, x)
+            jones._trace_mod(word, plan, N, terms, 0, 2 * N * (N + strands), p, powers,
+                             np.arange(4))
         assert len(traces) == strands * (N - 1) + 1
         for w, trace in enumerate(traces):
             assert np.array_equal(trace, traces[-1 - w])
         lo, hi = jones._degree_window(word, plan, strands, terms, 1)
         lo_all, hi_all = all_sector_window(word, strands, N)
         assert lo_all <= lo <= hi <= hi_all
-        moduli = [math.prod(jones._PRIMES[:k]) for k in range(1, len(jones._PRIMES) + 1)]
+        moduli = [math.prod(primes[:k]) for k in range(1, len(primes) + 1)]
         needed = [next(k for k, M in enumerate(moduli) if M > 2 * b)
                   for b in (jones._coefficient_bound(word, plan, N, terms),
                             all_sector_bound(word, strands, N))]
@@ -310,12 +313,12 @@ def test_input_errors_raise():
         colored_jones_rmatrix(FIG8, 0, RootContext(5))
 
 
-def test_exact_past_the_prime_table_raises(monkeypatch):
+def test_exact_past_the_prime_supply_raises(monkeypatch):
     # figure-eight n = 6 needs two primes for its coefficient bound, n = 4 one
-    uncached = jones._colored_jones_exact_cached.__wrapped__
-    monkeypatch.setattr(jones, "_PRIMES", jones._PRIMES[:1])
+    uncached, primes = jones._colored_jones_exact_cached.__wrapped__, jones._primes
+    monkeypatch.setattr(jones, "_primes", lambda M: islice(primes(M), 1))
     assert uncached(FIG8.braid.word, FIG8.braid.strands, 4) == cabled_jones(FIG8, 4)
-    with pytest.raises(PrecisionLoss, match=r"J\(6\) needs more primes than the 1 in the table"):
+    with pytest.raises(PrecisionLoss, match=r"J\(6\) needs more primes p = 1 mod 268 below"):
         uncached(FIG8.braid.word, FIG8.braid.strands, 6)
 
 
@@ -330,6 +333,26 @@ def test_degree_window_one_short_raises(monkeypatch):
         uncached(FIG8.braid.word, FIG8.braid.strands, n)
     monkeypatch.setattr(jones, "_degree_window", lambda word, plan, s, terms, points: (lo, hi))
     assert uncached(FIG8.braid.word, FIG8.braid.strands, n) == J
+
+
+def test_inverse_dft_returns_the_coefficients_and_checks_the_top(monkeypatch):
+    # the values of a random polynomial mod p at the nodes t_j = w^4j give back its
+    # coefficients for any row block, up to degree L - 2; one of degree L - 1 raises
+    rng = np.random.default_rng(7)
+    for L in (2, 3, 29, 100):
+        p = next(jones._primes(4 * L))
+        for deg in (L - 2, L - 1):
+            coef = rng.integers(1, p, deg + 1).tolist()
+            monkeypatch.setattr(jones, "_trace_mod", lambda *args: np.array(
+                [sum(c * pow(int(args[-2][4 * i]), k, p) for k, c in enumerate(coef)) % p
+                 for i in args[-1]], dtype=np.int64))
+            for chunk in (1, 5, L):
+                if deg == L - 2:
+                    assert jones._coefficients_mod((), [], 2, (), 0, L, 0, p, chunk).tolist() \
+                        == coef
+                else:
+                    with pytest.raises(InexactDivision, match=f"degree {L - 2} in A"):
+                        jones._coefficients_mod((), [], 2, (), 0, L, 0, p, chunk)
 
 
 def test_exact_points_are_chunked_to_the_budget(monkeypatch):
@@ -363,20 +386,22 @@ def _traced_peak(f) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("N", (5, pytest.param(7, marks=pytest.mark.slow)))
+@pytest.mark.parametrize("N", (5, 7))
 def test_budget_counts_the_traced_peak(monkeypatch, N):
     # a 4-strand word on its 3 slots, from cold tables and each backend's plan (the int64
     # call holds every visited sector's positions as a list, the complex128 call one sector
     # at a time): the bytes traced in one call stay within what _check_budget counts for
     # it, and over half of it
-    word, s, P, p = (1, -2, 3, -1, 2, -3, 2), 4, 7, jones._PRIMES[0]
+    word, s, P = (1, -2, 3, -1, 2, -3, 2), 4, 7
     E = 2 * N * (N + s)
-    x = np.arange(2, 2 + P, dtype=np.int64)
+    p = next(jones._primes(4 * P))
+    powers = jones._unit_powers(p, P)
     K = KnotPresentation.from_braid(word, s)
     for itemsize, points, call in (
             (16, 1, lambda: colored_jones_rmatrix(K, N, RootContext(30))),
             (8, P, lambda: jones._trace_mod(word, list(jones._sector_plan(word, s, N)), N,
-                                            jones._rmatrix_terms(N), 0, E, p, x))):
+                                            jones._rmatrix_terms(N), 0, E, p, powers,
+                                            np.arange(P)))):
         peak = _traced_peak(call)
         for budget, admitted in ((peak - 1, False), (2 * peak, True)):
             monkeypatch.setattr(errors, "BYTE_BUDGET", budget)
@@ -387,12 +412,12 @@ def test_budget_counts_the_traced_peak(monkeypatch, N):
             assert fits == admitted, (itemsize, peak)
 
 
-@pytest.mark.slow
 def test_budget_counts_the_traced_peak_of_one_exact_point(monkeypatch):
     # under the smallest budget that admits one point, the whole exact call, window, bound,
-    # batches, interpolation, CRT and division, stays within it.  The trefoil word at n = 12
-    # (deg 209) has the largest sectors; the other two have many nodes and primes and small
-    # sectors, where the per-node and per-call terms carry the count
+    # prime search, batches, inverse DFT one row at a time, CRT and division, stays within
+    # it.  The trefoil word at n = 12 (deg 209) has the largest sectors; the other two have
+    # many nodes and primes and small sectors, where the per-node and per-call terms carry
+    # the count
     uncached = jones._colored_jones_exact_cached.__wrapped__
     check_budget, trace_mod = jones._check_budget, jones._trace_mod
     for word, s, n, nodes, primes in (((1, 1, 1), 2, 12, 211, 3), ((1,) * 41, 2, 2, 44, 3),
@@ -439,24 +464,21 @@ def test_rmatrix_values_leave_no_tables_behind():
     assert retained < 2 ** 20, retained
 
 
-def test_exact_nodes_are_powers_of_two_kept_apart(monkeypatch):
-    # the nodes are x = 2^k mod p, and a window needing more of them than 16's order
-    # keeps t = 16^k distinct raises before any is evaluated
+def test_exact_nodes_are_roots_of_unity(monkeypatch):
+    # the nodes are A = w^j mod p, j < L = deg + 2, read from the table of w's 4L powers,
+    # so t = A^4 takes each L-th root of unity once
     uncached = jones._colored_jones_exact_cached.__wrapped__
-    nodes, trace_mod = [], jones._trace_mod
+    calls, trace_mod = [], jones._trace_mod
     monkeypatch.setattr(jones, "_trace_mod",
-                        lambda *args: nodes.extend(args[-1].tolist())
-                        or trace_mod(*args))
-    J = uncached(FIG8.braid.word, FIG8.braid.strands, 4)
-    p = jones._PRIMES[0]
-    assert nodes[:29] == [pow(2, k, p) for k in range(29)]   # deg 27 and one check point
-    monkeypatch.setattr(jones, "_MAX_POINTS", 29)
-    assert uncached(FIG8.braid.word, FIG8.braid.strands, 4) == J
-    nodes.clear()
-    monkeypatch.setattr(jones, "_MAX_POINTS", 28)
-    with pytest.raises(StateSpaceTooLarge, match="needs 29 interpolation points"):
-        uncached(FIG8.braid.word, FIG8.braid.strands, 4)
-    assert nodes == []
+                        lambda *args: calls.append(args[-3:]) or trace_mod(*args))
+    assert uncached(FIG8.braid.word, FIG8.braid.strands, 4) == cabled_jones(FIG8, 4)
+    (p, powers, j), = calls   # one prime, one batch
+    L = 29                    # deg 27 and one more for the check
+    assert j.tolist() == list(range(L)) and p % (4 * L) == 1
+    w = int(powers[1])
+    assert powers.tolist() == [pow(w, k, p) for k in range(4 * L)]
+    t = powers[4 * j].tolist()
+    assert len(set(t)) == L and all(pow(v, L, p) == 1 for v in t)
 
 
 def _order(g: int, p: int) -> int:
@@ -484,7 +506,7 @@ def test_sector_sizes_by_inclusion_exclusion_match_the_convolution():
             assert jones._sector_size(2 * s, N, top) == np.square(sizes).sum()
 
 
-def test_prime_table():
+def test_prime_search():
     # no sector past d_max fits one int64 point: 3 entries of each state pair, and on two
     # strands or more at least two int64 positions
     d_max = math.isqrt(errors.BYTE_BUDGET // (5 * 8))
@@ -500,16 +522,18 @@ def test_prime_table():
     for s in range(2, 9):   # the largest sector of the largest N each strand count admits
         N = max(N for N in range(2, 100) if admits(N, s))
         assert max(reduce(np.convolve, [np.ones(N)] * s)) <= d_max
-    assert len(set(jones._PRIMES)) == len(jones._PRIMES)
-    for p in jones._PRIMES:
-        assert p % 4 == 3 and p < 2 ** 25
-        assert p % 2 and all(p % f for f in range(3, math.isqrt(p) + 1, 2))
-        assert d_max * p * p < 2 ** 63
-    # the nodes 2^k give distinct t = 16^k for every window the exact backend admits,
-    # deg + 2 <= _MAX_POINTS; five primes have orders below (p - 1)/2, the least this
-    orders = [_order(16, p) for p in jones._PRIMES]
-    assert min(orders) == jones._MAX_POINTS and _order(16, 23) == 11 and _order(16, 31) == 5
-    assert sum(o < (p - 1) // 2 for o, p in zip(orders, jones._PRIMES)) == 5
+    # the search yields every prime p = 1 mod M = 4L below 2^25, largest first, and for
+    # each the table of w^k, k < 4L, whose w^4 has order exactly L
+    for L in (2, 3, 29, 211, 5000):
+        M = 4 * L
+        primes = list(islice(jones._primes(M), 6))
+        top = (2 ** 25 - 1) // M * M + 1
+        assert primes == [q for q in range(top, primes[-1] - 1, -M)
+                          if all(q % f for f in range(3, math.isqrt(q) + 1, 2))]
+        for p in primes:
+            assert p % M == 1 and p < 2 ** 25 and d_max * p * p < 2 ** 63
+            w = int(jones._unit_powers(p, L)[1])
+            assert _order(pow(w, 4, p), p) == L and pow(w, M, p) == 1
 
 
 def test_auto_past_the_budget_raises_without_exact(monkeypatch):

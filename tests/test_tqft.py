@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -74,6 +75,22 @@ def test_sl2z_rep_basics():
     assert np.allclose(sl2z_rep(MappingClassWord(()), r), np.eye(r))
     S, T = rep_S(r), rep_T(r)
     assert np.allclose(sl2z_rep("S T", r), S @ T)
+
+
+def test_sl2z_rep_builds_an_adjoint_only_for_an_inverse_letter():
+    # "S T S" holds rep_T, rep_S, the product and its next step, 4 units of 16 r^2 bytes
+    # and rep_S's temporaries; an inverse letter's factor is the adjoint, bit for bit
+    r = 100
+    S, T = rep_S(r), rep_T(r)
+    tracemalloc.start()
+    try:
+        sl2z_rep("S T S", r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 16 * r * r, peak / (16 * r * r)
+    assert np.array_equal(sl2z_rep("S T^-1 S^-1", r),
+                          np.eye(r, dtype=np.complex128) @ S @ T.conj().T @ S.conj().T)
 
 
 @pytest.mark.parametrize("r", range(3, 17))
