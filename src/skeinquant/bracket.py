@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import errors
 from .diagrams import BraidWord, LinkDiagram, braid_to_diagram
-from .errors import CablingUnsupported, StateSpaceTooLarge
+from .errors import CablingUnsupported
 from .laurent import LaurentPoly, loop_value
 
 
@@ -117,10 +117,8 @@ def _contract(crossings, free_loops: int) -> LaurentPoly:
             if terms:
                 states[key] = terms
                 held += len(terms)
-        if 100 * held > errors.BYTE_BUDGET:
-            raise StateSpaceTooLarge(
-                f"the bracket contraction holds {held} coefficients (states: {len(states)}) at "
-                f"about 100 bytes each, over the {errors.BYTE_BUDGET >> 20} MiB budget")
+        errors.check_bytes(f"the bracket contraction holds {held} coefficients (states: "
+                           f"{len(states)}) at about 100 bytes each and", 100 * held)
     total = LaurentPoly(states.get(frozenset(), {}))
     for _ in range(free_loops):
         total = total * delta

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 from . import __version__, errors
 from .diagrams import BraidWord, LinkDiagram
 from .bracket import braid_closure_bracket, kauffman_bracket
-from .errors import SkeinQuantError, StateSpaceTooLarge
+from .errors import SkeinQuantError
 from .geom import QuantizationContext
 from .jones import CATALOG_BRAIDS, KnotPresentation, colored_jones, colored_jones_exact
 from .knotstate import _state_and_norm, volume_sequence, write_volume_csv
@@ -107,9 +107,9 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
 
 
 def _knot_from_args(args) -> KnotPresentation:
-    if args.knot:
+    if args.knot is not None:
         return KnotPresentation.from_catalog(args.knot)
-    if args.braid:
+    if args.braid is not None:   # '' is the empty word
         if not args.strands:
             raise SkeinQuantError("--braid requires --strands")
         return KnotPresentation.from_braid(
@@ -141,13 +141,13 @@ def _cmd_jones(cfg: RunConfig, args) -> int:
 
 
 def _cmd_bracket(cfg: RunConfig, args) -> int:
-    if args.pd:
+    if args.pd is not None:
         with open(args.pd) as fh:
             diagram = LinkDiagram.from_pd_text(fh.read())
         poly, crossings, components = (kauffman_bracket(diagram), diagram.num_crossings,
                                        diagram.num_components)
     else:
-        if not (args.braid and args.strands):
+        if args.braid is None or not args.strands:
             raise SkeinQuantError("provide --pd FILE or --braid with --strands")
         braid = BraidWord.from_text(args.braid, args.strands)
         # a closure's components are its permutation cycles
@@ -171,11 +171,7 @@ def _tqft_bytes(r: int, matrices: int) -> int:
 
 def _cmd_tqft(cfg: RunConfig, args) -> int:
     r = args.r
-    nbytes = _tqft_bytes(r, 3 if args.word else 2)
-    if nbytes > errors.BYTE_BUDGET:
-        raise StateSpaceTooLarge(
-            f"tqft at r = {r} counts {nbytes} bytes for its matrices, over the "
-            f"{errors.BYTE_BUDGET}-byte ({errors.BYTE_BUDGET >> 20} MiB) budget")
+    errors.check_bytes(f"tqft at r = {r}", _tqft_bytes(r, 3 if args.word else 2))
     payload = {"r": r, "rep_T": rep_T(r), "rep_S": rep_S(r)}
     if args.word:
         word = MappingClassWord.from_text(args.word)
@@ -359,7 +355,7 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        if sum(bool(getattr(args, k, None)) for k in ("knot", "braid", "pd")) > 1:
+        if sum(getattr(args, k, None) is not None for k in ("knot", "braid", "pd")) > 1:
             raise SkeinQuantError("give one input: --knot, --braid or --pd")
         cfg = RunConfig(command=args.command,
                         params={k: v for k, v in vars(args).items()

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the byte budget of StateSpaceTooLarge."""
 
+import math
+
 
 class SkeinQuantError(Exception):
     """Base class for package-specific errors."""
@@ -13,7 +15,16 @@ BYTE_BUDGET = 1 << 28   # bytes any one array build may hold; read at call time,
 
 
 class StateSpaceTooLarge(SkeinQuantError):
-    """An array would exceed BYTE_BUDGET; raised before it is built."""
+    """An array would exceed BYTE_BUDGET; raised before it is built, by check_bytes."""
+
+
+def check_bytes(what: str, nbytes: float) -> None:
+    """StateSpaceTooLarge past BYTE_BUDGET: what needs nbytes (rounded up), in bytes and MiB."""
+    if nbytes > BYTE_BUDGET:
+        count = math.ceil(nbytes) if nbytes < math.inf else nbytes
+        raise StateSpaceTooLarge(
+            f"{what} needs {count:.15g} bytes ({nbytes / 2**20:.6g} MiB), over the "
+            f"{BYTE_BUDGET}-byte ({BYTE_BUDGET / 2**20:.6g} MiB) budget")
 
 
 class PrecisionLoss(SkeinQuantError):

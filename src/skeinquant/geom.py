@@ -32,8 +32,7 @@ from typing import NamedTuple, Sequence
 
 from . import errors
 from ._lazy import lazy_import
-from .errors import (DimensionMismatch, NotLatticeFraction, NotPrimitive, PrecisionLoss,
-                     StateSpaceTooLarge)
+from .errors import DimensionMismatch, NotLatticeFraction, NotPrimitive, PrecisionLoss
 from .tqft import TorusVector, curve_operator_skein, rep_S, rep_T
 
 np = lazy_import("numpy")
@@ -112,11 +111,8 @@ def _window(ctx: QuantizationContext, q_min: float, q_max: float):
 
 
 def _check_bytes(ctx: QuantizationContext, what: str, nbytes: float) -> None:
-    """StateSpaceTooLarge naming r, tau and the MiB when nbytes passes errors.BYTE_BUDGET."""
-    if nbytes > errors.BYTE_BUDGET:
-        raise StateSpaceTooLarge(
-            f"{what} at r = {ctx.r}, tau = {ctx.tau} needs about {nbytes / 2**20:.4g} MiB, "
-            f"over the {errors.BYTE_BUDGET >> 20} MiB budget")
+    """errors.check_bytes, naming r and tau."""
+    errors.check_bytes(f"{what} at r = {ctx.r}, tau = {ctx.tau}", nbytes)
 
 
 def _q_parts(ctx: QuantizationContext, q: np.ndarray):
@@ -376,8 +372,8 @@ def _finite(ctx: QuantizationContext, n: int, blocks: list) -> list:
     return blocks
 
 
-def _pairings(ctx: QuantizationContext, blocks) -> list:
-    """scale * R^H G C for every (R, C, scale) in blocks, on the grid _grid(ctx).
+def _pairings(ctx: QuantizationContext, blocks) -> tuple:
+    """The kernel G, and scale * R^H G C for every (R, C, scale) in blocks, on the grid _grid(ctx).
 
     R and C hold coefficient rows.  The C rows of every block form one
     stacked matrix, so the kernel is built once and multiplied once.
@@ -386,10 +382,11 @@ def _pairings(ctx: QuantizationContext, blocks) -> list:
     C = np.concatenate([cols for _, cols, _ in blocks]).T
     ends = np.cumsum([len(cols) for _, cols, _ in blocks])
     with np.errstate(over="ignore", invalid="ignore"):
-        GC = _gram_kernel(ctx, n) @ C
+        G = _gram_kernel(ctx, n)
+        GC = G @ C
         out = [scale * (rows.conj() @ GC[:, e - len(cols):e])
                for (rows, cols, scale), e in zip(blocks, ends)]
-    return _finite(ctx, n, out)
+    return G, _finite(ctx, n, out)
 
 
 def _pairing(rows: Sequence[ThetaSection], cols: Sequence[ThetaSection]) -> np.ndarray:
@@ -399,7 +396,7 @@ def _pairing(rows: Sequence[ThetaSection], cols: Sequence[ThetaSection]) -> np.n
         raise DimensionMismatch("sections live over different contexts")
     R = np.stack([s.alpha for s in rows])
     C = np.stack([s.alpha for s in cols])
-    return _pairings(ctx, [(R, C, halfform_norm_sq(ctx))])[0]
+    return _pairings(ctx, [(R, C, halfform_norm_sq(ctx))])[1][0]
 
 
 def inner_product(s1: ThetaSection, s2: ThetaSection) -> complex:
@@ -582,7 +579,7 @@ def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
     """
     if gen == "T":
         cur = _pairings(ctx, [(_phi_rows(ctx), _twist_frame_rows(ctx),
-                               halfform_norm_sq(ctx))])[0]
+                               halfform_norm_sq(ctx))])[1][0]
     elif gen == "S":
         # half-form frame change tau**-1/2, principal branch
         weight = ctx.tau ** -0.5 * halfform_norm_sq(ctx)

@@ -35,8 +35,7 @@ from typing import NamedTuple, Optional
 from . import errors
 from ._lazy import lazy_import
 from .diagrams import BraidWord
-from .errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
-                     UnknownCatalogEntry)
+from .errors import InexactDivision, PrecisionLoss, UnknownCatalogEntry
 from .laurent import LaurentPoly, quantum_integer_poly
 from .roots import RootContext, quantum_integer, unit_root
 
@@ -128,11 +127,8 @@ def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None, nodes:
     point = max(itemsize * (2 * s * float(d) ** 2 + tables), 16 * nodes)
     fixed = (8 * (s * float(held) + (s + 2) * float(N) ** s + 2 * N ** 4 + 20 * e)
              + nodes * (8 * (8 + primes) + 256) + 8192)
-    if point + fixed > errors.BYTE_BUDGET:
-        raise StateSpaceTooLarge(
-            f"the largest weight sector of the {N}^{s} states has {d} states and needs "
-            f"{(point + fixed) / 2**20:.0f} MiB, over the "
-            f"{errors.BYTE_BUDGET >> 20} MiB sector budget")
+    errors.check_bytes(f"the largest weight sector of the {N}^{s} states has {d} states and",
+                       point + fixed)
     return int((errors.BYTE_BUDGET - fixed) // point)
 
 
@@ -341,12 +337,12 @@ def _unit_powers(p: int, L: int):
 def _trace_mod(word, plan, N: int, terms, lo: int, E: int, p: int, powers, j):
     """T(x) x^-lo mod p at the nodes x = w^j, by the sector loop over F_p.
 
-    ``powers`` holds w^k for k < len(powers) = the order of w, and the
-    entries and weights come from one gather of x^e = w^(ej) for |e| <= E.
+    ``powers`` holds w^k for k < len(powers) = the order of w; x^e = w^(ej), |e| <= E,
+    for the entries and weights, and x^-lo each come from one gather.
     """
     pw = powers.take(np.outer(np.arange(-E, E + 1), j) % len(powers))
     return (_trace(word, plan, N, terms, pw, E, lambda v: np.remainder(v, p, out=v))
-            * pw[E - lo] % p)
+            * powers.take(-lo * j % len(powers)) % p)
 
 
 def _coefficients_mod(word, plan, N: int, terms, lo: int, L: int, E: int, p: int, chunk: int):
@@ -404,7 +400,7 @@ def _colored_jones_exact_cached(word: tuple, strands: int, n: int) -> LaurentPol
             raise PrecisionLoss(f"J({n}) needs more primes p = 1 mod {4 * L} below 2^25 than "
                                 f"the search finds, for its coefficient bound {bound:.3g}")
         primes.append(p)
-    E = 2 * N * (N + s) + abs(lo)   # covers every exponent of an entry, a weight and A^-lo
+    E = 2 * N * (N + s)   # covers every exponent of an entry and a weight
     chunk = _check_budget(N, s, 8, E, L, len(primes))
     coeffs = _crt([_coefficients_mod(word, plan, N, terms, lo, L, E, p, chunk)
                    for p in primes], primes)

@@ -6,13 +6,12 @@ All residuals are dimensionless maxima; ``pass`` requires every entry in
 convergence check and is reported separately as a flag).
 
 One report is one batched pass.  Every pairing that goes through the Gram
-kernel (the Psi and Phi Gram matrices, the vacuum, the random section and
-its translate, and the closed-form twist-frame basis of the T check) is a
-block of one stacked product on the grid that the aliasing bound picks
-from (r, tau), so a report builds one kernel.  Translations and the
-alternation checks act on whole coefficient stacks (the three curve
-classes are one stacked translate), each point check evaluates all of its
-points in one series call (quasi-periodicity's four sections share one),
+kernel (the Phi Gram matrix, the random section and its translate, and the
+closed-form twist-frame basis of the T check) is a block of one stacked
+product on the grid that the aliasing bound picks from (r, tau), so a
+report builds one kernel, and the Psi Gram matrix and vacuum are read off
+it.  Translations act on whole coefficient stacks (Psi's checks on one
+row), each point check evaluates all of its points in one series call,
 and the test vectors come from ``random.Random(7)``, real parts first.
 """
 
@@ -92,20 +91,20 @@ def _check_report_bytes(ctx: QuantizationContext, include_modular: bool) -> None
     """StateSpaceTooLarge before a report builds what would pass errors.BYTE_BUDGET.
 
     The S pairing is checked alone first, so that it is named where it alone
-    passes.  A report keeps four N x N arrays (the Psi stack, its Gram matrix
-    and the two Heisenberg products), the Phi rows and the twist frame's
-    (r x N each) and a dozen r x r results.  On top of those comes the
-    largest transient: the stacked pairing columns C and G C, N + 2r + 3
-    columns each (N + r + 3 without the twist frame), with the Gram kernel's
-    count; the curve operators' stacked translate and its sums, 14 r N; or
-    the S pairing's count.
+    passes.  A report keeps the Phi rows and the twist frame's (r x N each)
+    and a dozen r x r results.  On top of those comes the largest transient:
+    the stacked pairing columns C and G C, 2r + 2 columns each (r + 2
+    without the twist frame), with the Gram kernel's count, which also
+    covers G and its moduli while the Psi Gram residual is read off it; the
+    curve operators' stacked translate and its sums, 14 r N; or the S
+    pairing's count.
     """
     N, r, n = ctx.N, ctx.r, _grid(ctx)
     s_frame = _s_frame_plan(ctx, n)[1] if include_modular else 0.0
     _check_bytes(ctx, "S-frame pairing", s_frame)
     rows = 2 * r if include_modular else r
-    held = 16 * (4 * N * N + rows * N + 12 * r * r)
-    pairings = 32 * N * (N + rows + 3) + _gram_bytes(ctx, n)
+    held = 16 * (rows * N + 12 * r * r)
+    pairings = 32 * N * (rows + 2) + _gram_bytes(ctx, n)
     _check_bytes(ctx, "verification report", held + max(pairings, 16 * 14 * r * N, s_frame))
 
 
@@ -114,32 +113,35 @@ def verification_report(ctx: QuantizationContext, include_modular: bool = True) 
     _check_report_bytes(ctx, include_modular)
     rng = random.Random(7)
     r, N = ctx.r, ctx.N
-    psi = psi_norm_constant(ctx) * np.eye(N, dtype=np.complex128)   # Psi_0 .. Psi_{N-1}
+    c, hf = psi_norm_constant(ctx), halfform_norm_sq(ctx)
     phi = _phi_rows(ctx)
-    vacuum = np.eye(1, N, dtype=np.complex128)
     s = _normal_vector(rng, N)[None, :]
     t = _translated(ctx, s, 2, 3)
-    hf = halfform_norm_sq(ctx)
-    blocks = [(psi, psi, hf), (phi, phi, hf), (vacuum, vacuum, 1.0), (s, s, hf), (t, t, hf)]
+    blocks = [(phi, phi, hf), (s, s, hf), (t, t, hf)]
     if include_modular:
         blocks.append((phi, _twist_frame_rows(ctx), hf))
-    gram_psi, gram_phi, frame_norm, norm_s, norm_t, *twist = _pairings(ctx, blocks)
+    G, (gram_phi, norm_s, norm_t, *twist) = _pairings(ctx, blocks)
     residuals = {}
 
-    residuals["gram_psi"] = float(np.max(np.abs(gram_psi - np.eye(N))))
+    # Psi_l = c e_l: the vacuum Psi_0 / c pairs to G[0, 0], and Psi's Gram matrix is hf c^2 G
+    target = math.sqrt(8 * math.pi ** 2 / (N * ctx.b))
+    residuals["vacuum_frame_norm"] = abs(G[0, 0].real - target) / target
+    for scale in (c, c, hf):
+        G *= scale
+    G.flat[::N + 1] -= 1
+    residuals["gram_psi"] = float(np.max(np.abs(G)))
+    del G
     residuals["gram_phi"] = float(np.max(np.abs(gram_phi - np.eye(r))))
 
-    target = math.sqrt(8 * math.pi ** 2 / (N * ctx.b))
-    residuals["vacuum_frame_norm"] = abs(frame_norm[0, 0].real - target) / target
-
+    # the translations permute the entries of the stack c I as they permute those of one row
+    psi = np.full(N, c, dtype=np.complex128)
     ab = _translated(ctx, _translated(ctx, psi, 0, 1), 1, 0)
     ba = _translated(ctx, _translated(ctx, psi, 1, 0), 0, 1)
     residuals["heisenberg_commutation"] = float(np.max(np.abs(
         ab - cmath.exp(2j * math.pi / N) * ba)))
 
-    eigen = np.exp(2j * math.pi * np.arange(N) / N)[:, None]
     residuals["psi_eigenrelation"] = float(np.max(np.abs(
-        _translated(ctx, psi, 1, 0) - eigen * psi)))
+        _translated(ctx, psi, 1, 0) - np.exp(2j * math.pi * np.arange(N) / N) * psi)))
 
     residuals["phi_alternating"] = float(np.max([
         np.max(np.abs(_reflected(ctx, phi) + phi)),

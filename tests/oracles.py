@@ -54,6 +54,10 @@
   sections, each drawn as complex(gauss, gauss) pairs and evaluated by
   eval_grid at its own point and its three shifts, the reference for the
   report's one stacked series call and for its draw order.
+* The Psi checks on the whole stack: the N x N stack Psi_l = c e_l and
+  the vacuum paired through the stacked Gram product, and the Heisenberg
+  and eigen relations on every row, the reference for the report, which
+  reads them off the kernel and one coefficient row.
 * The curve operator by a mapping class word: the meridian conjugated
   by sl2z_rep of the T/S word that word_from_matrix gives for an
   ext-gcd matrix of determinant one with first column (a, b), the
@@ -79,9 +83,9 @@ import numpy as np
 
 from skeinquant.bracket import braid_closure_bracket, chebyshev_coeffs
 from skeinquant.errors import InexactDivision, PrecisionLoss
-from skeinquant.geom import (ThetaSection, _q_parts, _window, basis_phi, eval_grid,
-                             lattice_character, phi_coefficients, psi_norm_constant,
-                             translate_ints)
+from skeinquant.geom import (ThetaSection, _pairings, _q_parts, _translated, _window,
+                             basis_phi, eval_grid, halfform_norm_sq, lattice_character,
+                             phi_coefficients, psi_norm_constant, translate_ints)
 from skeinquant.jones import JONES_REL_TOL, Dyadic, _rmatrix_terms
 from skeinquant.knotstate import L2Norm, _log_abs
 from skeinquant.laurent import LaurentPoly, loop_value, quantum_integer_poly
@@ -582,6 +586,29 @@ def quasi_periodicity_by_section(ctx, rng) -> float:
         rhs = np.exp(1j * N * math.pi * (m * q - n * p + m * n)[1:]) * vals[0]
         devs.append(np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0))
     return float(np.max(devs))
+
+
+def psi_stack_residuals(ctx) -> dict:
+    """The report's four Psi residuals from the N x N stack Psi_l = c e_l.
+
+    The stack and the vacuum pair as blocks of one stacked Gram product,
+    and the Heisenberg and eigen relations act on the whole stack.
+    """
+    N = ctx.N
+    psi = psi_norm_constant(ctx) * np.eye(N, dtype=np.complex128)
+    vacuum = np.eye(1, N, dtype=np.complex128)
+    gram_psi, frame_norm = _pairings(ctx, [(psi, psi, halfform_norm_sq(ctx)),
+                                           (vacuum, vacuum, 1.0)])[1]
+    target = math.sqrt(8 * math.pi ** 2 / (N * ctx.b))
+    ab = _translated(ctx, _translated(ctx, psi, 0, 1), 1, 0)
+    ba = _translated(ctx, _translated(ctx, psi, 1, 0), 0, 1)
+    eigen = np.exp(2j * math.pi * np.arange(N) / N)[:, None]
+    return {
+        "gram_psi": float(np.max(np.abs(gram_psi - np.eye(N)))),
+        "vacuum_frame_norm": abs(frame_norm[0, 0].real - target) / target,
+        "heisenberg_commutation": float(np.max(np.abs(ab - cmath.exp(2j * math.pi / N) * ba))),
+        "psi_eigenrelation": float(np.max(np.abs(_translated(ctx, psi, 1, 0) - eigen * psi))),
+    }
 
 
 def curve_operator_by_word(gamma, r: int) -> np.ndarray:

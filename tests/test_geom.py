@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from oracles import (chained_twist_frame_rows, curve_operator_by_sections, dense_gram_kernel,
-                     normal_vector_by_pairs, quasi_periodicity_by_section, termwise_series)
+                     normal_vector_by_pairs, psi_stack_residuals, quasi_periodicity_by_section,
+                     termwise_series)
 from skeinquant import verify
 from skeinquant import errors, geom
 from skeinquant.errors import (DimensionMismatch, NotLatticeFraction, NotPrimitive,
@@ -404,7 +405,7 @@ def test_twist_frame_closed_form_matches_the_chain(r):
 
 def test_quadrature_cap_raises(monkeypatch):
     # a byte budget below the Gram kernel's or the S pairing's count refuses the
-    # grid before any q-part is built, naming r, tau and the MiB
+    # grid before any q-part is built, naming r, tau, the bytes and the MiB
     ctx = QuantizationContext(3, 1j)
     s = random_section(ctx, 11)
     monkeypatch.setattr(errors, "BYTE_BUDGET", 1000)
@@ -412,7 +413,8 @@ def test_quadrature_cap_raises(monkeypatch):
     for what, check in (("Gram kernel", lambda: inner_product(s, s)),
                         ("S-frame pairing", lambda: modular_phase_check("S", ctx))):
         with pytest.raises(StateSpaceTooLarge,
-                           match=rf"{what} at r = 3, tau = 1j needs about .* MiB, over the 0 MiB"):
+                           match=rf"{what} at r = 3, tau = 1j needs \d+ bytes \(.* MiB\), "
+                                 r"over the 1000-byte \(0.000953674 MiB\) budget$"):
             check()
 
 
@@ -466,11 +468,13 @@ def test_geom_budget_counts_the_traced_peak(monkeypatch):
         monkeypatch.setattr(geom, "_q_parts", q_parts)
 
 
-@pytest.mark.parametrize("r, include_modular", ((40, True), (200, True), (200, False)))
+@pytest.mark.parametrize("r, include_modular", (
+    (40, True), (200, True), (200, False), pytest.param(400, True, marks=pytest.mark.slow)))
 def test_report_counts_its_traced_peak(monkeypatch, r, include_modular):
-    # the Psi stack, its translates, the stacked pairing columns and the largest engine
-    # transient stay within what the report counts before its first array, and over
-    # half of it; a budget one byte below the count refuses before the Psi stack
+    # the Gram kernel while the Psi residuals are read off it, the stacked pairing
+    # columns and the largest engine transient stay within what the report counts
+    # before its first array, and over half of it; a budget one byte below the count
+    # refuses before the Psi constant is read
     ctx = QuantizationContext(r, 1j)
     counted, check = [], verify._check_bytes
     monkeypatch.setattr(verify, "_check_bytes",
@@ -483,6 +487,15 @@ def test_report_counts_its_traced_peak(monkeypatch, r, include_modular):
     monkeypatch.setattr(verify, "psi_norm_constant", lambda ctx: pytest.fail("Psi was built"))
     with pytest.raises(StateSpaceTooLarge, match=f"verification report at r = {r}, tau = 1j needs"):
         verification_report(ctx, include_modular)
+
+
+def test_report_admits_r_600_at_tau_i():
+    # with no N x N array but the kernel G, the count at r = 600, tau = i is about
+    # 242 MiB, under the budget; r = 618 is the first level past it
+    for r in (600, 617):
+        verify._check_report_bytes(QuantizationContext(r, 1j), True)
+    with pytest.raises(StateSpaceTooLarge, match="verification report at r = 618, tau = 1j"):
+        verify._check_report_bytes(QuantizationContext(618, 1j), True)
 
 
 def test_series_counts_what_its_blocks_hold(monkeypatch):
@@ -710,6 +723,18 @@ def test_batched_report_matches_the_per_check_functions(r, tau):
     }
     for key, value in want.items():
         assert abs(got[key] - value) <= 1e-12, (key, got[key], value)
+
+
+@pytest.mark.parametrize("r, tau", [(r, 1j) for r in range(3, 11)]
+                         + [(r, 0.3 + 1.7j) for r in range(3, 9)]
+                         + [(40, 1j), (100, 0.5 + 2j), (60, 2 + 3j)])
+def test_report_reads_the_psi_stack_residuals_bit_for_bit(r, tau):
+    # the Psi Gram matrix and the vacuum read off the kernel, and the Heisenberg and
+    # eigen relations on one coefficient row, give the floats of the N x N stack
+    ctx = QuantizationContext(r, tau)
+    got = verification_report(ctx, include_modular=r <= 10)["residuals"]
+    for key, value in psi_stack_residuals(ctx).items():
+        assert got[key] == value, (key, got[key], value)
 
 
 def test_report_builds_each_grid_kernel_once(monkeypatch):

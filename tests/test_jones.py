@@ -121,7 +121,8 @@ def test_rmatrix_state_guard():
 def test_two_strand_guard_counts_the_pair_tables():
     # the two flat pair tables of n^4 int64 each outgrow the sector itself, d = n
     knot = KnotPresentation.from_braid((1, 1, 1, 1, 1), 2)
-    with pytest.raises(StateSpaceTooLarge, match="has 63 states and needs 261 MiB"):
+    with pytest.raises(StateSpaceTooLarge,
+                       match=r"has 63 states and needs 273571360 bytes \(260.898 MiB\)"):
         colored_jones_rmatrix(knot, 63, RootContext(70))
     assert abs(colored_jones_rmatrix(knot, 3, RootContext(8))
                - colored_jones_exact(knot, 3).eval_at(RootContext(8).t_value)) < 1e-10
@@ -356,11 +357,12 @@ def test_inverse_dft_returns_the_coefficients_and_checks_the_top(monkeypatch):
 
 
 def test_exact_points_are_chunked_to_the_budget(monkeypatch):
-    # figure-eight n=4: 29 points of 6 * 12^2 + 612 int64 entries each; once, 3 * 290
+    # figure-eight n=4: 29 points of 6 * 12^2 + 396 int64 entries each (a power table of
+    # 2 (2E + 1) entries, E = 2 * 4 * (4 + 3) = 56); once, 3 * 290
     # positions (290 = 1 + 3^2 + 6^2 + 10^2 + 12^2 over the sectors w <= 4), 5 * 4^3
     # index entries, 2 * 4^4 + 20 * 30 for the pair tables, 8 * (8 + 1) + 256 bytes for
-    # each of the 29 nodes of one prime, and 8192.  The whole batch needs 378552 bytes,
-    # one point 47928
+    # each of the 29 nodes of one prime, and 8192.  The whole batch needs 328440 bytes,
+    # one point 46200
     word, strands = FIG8.braid.word, FIG8.braid.strands
     uncached = jones._colored_jones_exact_cached.__wrapped__
     sizes, trace_mod = [], jones._trace_mod
@@ -369,10 +371,10 @@ def test_exact_points_are_chunked_to_the_budget(monkeypatch):
     J = cabled_jones(FIG8, 4)   # before the budget shrinks: its contraction shares it
     assert uncached(word, strands, 4) == J and set(sizes) == {29}
     sizes.clear()
-    monkeypatch.setattr(errors, "BYTE_BUDGET", 100000)   # (100000 - 36120) // 11808 = 5
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 100000)   # (100000 - 36120) // 10080 = 6
     assert uncached(word, strands, 4) == J
-    assert sizes[:6] == [5, 5, 5, 5, 5, 4] and set(sizes) == {5, 4}
-    monkeypatch.setattr(errors, "BYTE_BUDGET", 47927)
+    assert sizes[:5] == [6, 6, 6, 6, 5] and set(sizes) == {6, 5}
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 46199)
     with pytest.raises(StateSpaceTooLarge, match="has 12 states"):
         uncached(word, strands, 4)
 
@@ -543,7 +545,8 @@ def test_auto_past_the_budget_raises_without_exact(monkeypatch):
     monkeypatch.setattr(jones, "colored_jones_exact", no_exact)
     wide = KnotPresentation.from_braid((1, 2, 3, 4, 5, 6), 7)
     with pytest.raises(StateSpaceTooLarge,
-                       match="has 24017 states and needs 154046 MiB, over the 256 MiB sector"):
+                       match=r"has 24017 states and needs 161528777768 bytes \(154046 MiB\), "
+                             r"over the 268435456-byte \(256 MiB\) budget$"):
         colored_jones(wide, 6, RootContext(20))
 
 
