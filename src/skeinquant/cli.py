@@ -171,9 +171,9 @@ def _tqft_bytes(r: int, matrices: int) -> int:
 
 def _cmd_tqft(cfg: RunConfig, args) -> int:
     r = args.r
-    errors.check_bytes(f"tqft at r = {r}", _tqft_bytes(r, 3 if args.word else 2))
+    errors.check_bytes(f"tqft at r = {r}", _tqft_bytes(r, 3 if args.word is not None else 2))
     payload = {"r": r, "rep_T": rep_T(r), "rep_S": rep_S(r)}
-    if args.word:
+    if args.word is not None:   # '' is the identity
         word = MappingClassWord.from_text(args.word)
         payload["word"] = list(word.word)
         payload["word_matrix"] = [list(row) for row in word.matrix]

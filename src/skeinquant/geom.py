@@ -132,25 +132,27 @@ def _q_parts(ctx: QuantizationContext, q: np.ndarray):
     return m, np.exp(F, out=F)
 
 
+def _series_plan(ctx: QuantizationContext, rows: int, points: int, q_span: float) -> tuple:
+    """(step, bytes) of _series on ``rows`` coefficient rows at ``points`` points, q spanning
+    q_span: the points per block, at most _GRID_BLOCK terms x points or one point, and six
+    complex values per term and point of a block (the q-parts with their float squares, the
+    phases with their argument, and the product), the rows' terms, the output and 8 KiB."""
+    terms = ctx.N * q_span + 2 * _spread(ctx.N, ctx.b) + 7
+    step = max(1, int(_GRID_BLOCK // terms))
+    return step, 16 * (rows * (2 * terms + points) + 6 * terms * min(step, points)) + 8192
+
+
 def _series(ctx: QuantizationContext, alpha: np.ndarray, P, Q) -> np.ndarray:
     """Section values of the coefficient rows alpha, shape (..., N), at the points (P, Q).
 
-    Each block of points takes the q-parts of its window times the phases
-    in p; it holds at most _GRID_BLOCK terms x points, or one point's
-    window where that is wider, and six complex values per term and point
-    of the block (the q-parts with their float squares, the phases with
-    their argument, and the product); these, the output and 8 KiB of
-    interpreter objects are counted first.
+    Blocks of points take their window's q-parts times the phases in p (_series_plan).
     Returns alpha.shape[:-1] + the points' shape; PrecisionLoss where not finite.
     """
     P, Q = np.broadcast_arrays(np.asarray(P, dtype=np.float64),
                                np.asarray(Q, dtype=np.float64))
     p, q = P.ravel(), Q.ravel()
-    terms = ctx.N * float(q.max() - q.min()) + 2 * _spread(ctx.N, ctx.b) + 7
-    step = max(1, int(_GRID_BLOCK // terms))
-    _check_bytes(ctx, "series window",
-                 16 * (alpha.size // ctx.N * (2 * terms + p.size) + 6 * terms * min(step, p.size))
-                 + 8192)
+    step, nbytes = _series_plan(ctx, alpha.size // ctx.N, p.size, float(q.max() - q.min()))
+    _check_bytes(ctx, "series window", nbytes)
     out = np.empty(alpha.shape[:-1] + (p.size,), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, p.size, step):

@@ -14,10 +14,10 @@ T = J(A^4) [n] A^-((n^2-1) writhe) in the ring of its power table.
   window, and in (+, x) on L1 norms a bound on its coefficients.
   Normalized so the unknot gives 1, in the variable t = A**4;
 * catalog: closed forms for the built-in knots, chosen by braid word and
-  certified to JONES_REL_TOL per color: Morton's formula for the trefoil
-  as two exact running sums over a fixed-point table, O(r) per level,
-  Habiro's cyclotomic sum for the figure-eight as one integer dot
-  product per color over one fixed-point table of partial sine products.
+  certified to JONES_REL_TOL per color, both over one integer table of the
+  (2r+1)-th roots of unity: Morton's formula for the trefoil as two exact
+  running sums, O(r) per level, Habiro's cyclotomic sum for the figure-eight
+  as one integer dot product per color over its partial sine products.
 
 Indexing: J(K, 1) = 1 is the trivial color, and J(K, n) comes from the
 (n-1)-st cabling color.
@@ -424,8 +424,6 @@ def colored_jones_exact(K: KnotPresentation, n: int) -> LaurentPoly:
 
 JONES_REL_TOL = 1e-10  # every catalog value meets it, by a computed bound, or raises
 _U = 2.0 ** -53
-# exp(i pi k/NN), k < 2NN: angle within 6 pi u, cos and sin 4 ulp, and u per part on a 2^-52 grid
-_UNIT_ERR = 32 * _U
 
 
 def _trefoil_values(r: int, n_max: int, zero: int = 0) -> list:
@@ -434,25 +432,21 @@ def _trefoil_values(r: int, n_max: int, zero: int = 0) -> list:
     J(n) = S'(n)/den'(n): S'(n) = sum_h g(h) over h = 1-n, 3-n, .., n-1,
     g(h) = A^-(6h^2 + 10h + 8) - A^-(6h^2 - 2h + 4), and den'(n) =
     A^(-2n - 6n^2) - A^(2n - 6n^2), Morton's sum and denominator times
-    A^-6n^2, A = exp(i pi/NN), with the exponents reduced modulo 2NN in
-    integers.  S'(n) = S'(n-2) + g(n-1) + g(1-n): one running sum per parity
-    of n, over the table entries that the sums and den' read, rounded to
-    integers at 2^-52, so S' is exactly rounded; docs/conventions.md derives
-    the certificate
-    2E (n/|S'| + 1/|den'|) + 8u <= JONES_REL_TOL, E = _UNIT_ERR.
+    A^-6n^2, A = exp(i pi/NN).  Every exponent is even, so A^2k = w^k is
+    read from _root_table(NN, 52) at k mod NN.  S'(n) = S'(n-2) + g(n-1) +
+    g(1-n): one exact running sum per parity of n, so S' and den' are
+    exactly rounded; in units of 2^-52, docs/conventions.md derives the
+    certificate 2E (n/|S'| + 1/|den'|) + 8u <= JONES_REL_TOL, E = 2.
     """
-    NN, M = 2 * r + 1, 4 * r + 2
+    NN = 2 * r + 1
     if zero:   # den' = 0 where NN divides the color
         raise PrecisionLoss(f"trefoil J({zero}) at r={r} is 0/0 in Morton's formula")
-    # g(h) = A^e(h+1) - A^e(h), e(h) = -(6h^2 - 2h + 4), and den'(n) = A^p - A^q: their
-    # exponents modulo 2NN are quadratic in h and n, so few of the 2NN table entries are read
-    e = [-(6 * h * h - 2 * h + 4) % M for h in range(1 - n_max, n_max + 1)]
-    den_idx = [((-2 * n - 6 * n * n) % M, (2 * n - 6 * n * n) % M) for n in range(1, n_max + 1)]
-    w = 1j * (math.pi / NN)
-    table = {k: cmath.exp(w * k) for k in {*e}.union(*den_idx)}
+    X, Y = _root_table(NN, 52)
+    # g(h) = w^e(h+1) - w^e(h), e(h) = -(3h^2 - h + 2)
+    e = [-(3 * h * h - h + 2) % NN for h in range(1 - n_max, n_max + 1)]
     sums = []
-    for part in ([table[k].real for k in e], [table[k].imag for k in e]):
-        fixed = [round(x * 2.0 ** 52) for x in part]    # Python ints: the sums are exact
+    for part in (X, Y):
+        fixed = [part[k] for k in e]   # Python ints: the sums are exact
         g = [y - x for x, y in zip(fixed, fixed[1:])]   # g(h) at h + n_max - 1
         # S'(n) - S'(n-2) = g(m) + g(-m) at m = n-1, with g(0) once
         steps = g[n_max - 1:n_max] + [a + b for a, b in zip(g[n_max:], g[n_max - 2::-1])]
@@ -460,31 +454,32 @@ def _trefoil_values(r: int, n_max: int, zero: int = 0) -> list:
         run[::2], run[1::2] = accumulate(steps[::2]), accumulate(steps[1::2])
         sums.append(run)
     values = []
-    for n, (p, q), re, im in zip(range(1, n_max + 1), den_idx, *sums):
-        s = complex(re * 2.0 ** -52, im * 2.0 ** -52)   # int to float is correctly rounded
-        den = table[p] - table[q]
+    for n, re, im in zip(range(1, n_max + 1), *sums):
+        p, q = (-n - 3 * n * n) % NN, (n - 3 * n * n) % NN
+        s, den = complex(re, im), complex(X[p] - X[q], Y[p] - Y[q])   # ints round correctly
         sd = abs(s * den)
-        if not 2 * _UNIT_ERR * (n * abs(den) + abs(s)) + 8 * _U * sd < JONES_REL_TOL * sd:
+        if not 4 * (n * abs(den) + abs(s)) + 8 * _U * sd < JONES_REL_TOL * sd:
             raise PrecisionLoss(f"trefoil J({n}) at r={r} misses {JONES_REL_TOL:g}")
         values.append(s / den)
     return values
 
 
-def _sine_table(NN: int, G: int) -> list:
-    """S[m] = round(s(m) 2^G), s(m) = 2 sin(2 pi m/NN), for m = 0..NN-1, each within 0.78 units.
+def _root_table(NN: int, F: int) -> tuple:
+    """(X, Y), X[m] + i Y[m] = round(2^F w^m) for m < NN, each part within 0.78 units.
 
-    The powers of w = exp(2 pi i/NN) for m <= NN/2, in Gaussian-integer
-    fixed point at G + bitlen(NN) + 3 bits, mirrored by s(NN-m) = -s(m): the
+    The powers of w = exp(2 pi i/NN) for m <= NN/2 in Gaussian-integer fixed
+    point at F + bitlen(NN) + 2 bits, mirrored by w^(NN-m) = conj(w^m): the
     rounded w and each truncated product add under 2.2 units of the finer
     grid, which |w^m| = 1 does not amplify (docs/conventions.md).
     """
-    W = G + NN.bit_length() + 3
+    W = F + NN.bit_length() + 2
     a, b = unit_root(NN, W)
-    x, y, half = 1 << W, 0, []
+    x, y, half, X, Y = 1 << W, 0, 1 << (W - F - 1), [], []
     for _ in range(NN // 2 + 1):
-        half.append((y + (1 << (W - G - 2))) >> (W - G - 1))
+        X.append((x + half) >> (W - F))
+        Y.append((y + half) >> (W - F))
         x, y = (x * a - y * b) >> W, (x * b + y * a) >> W
-    return half + [-v for v in half[:0:-1]]
+    return X + X[:0:-1], Y + [-v for v in Y[:0:-1]]
 
 
 def _q_bits(NN: int) -> int:
@@ -527,7 +522,7 @@ def _figure_eight_values(r: int, n_max: int, zero: int) -> list:
     U = L + bits + 64            # 64 bits: 34 for JONES_REL_TOL and 30 for small |J(n)|
     P = U + L + bits + 3         # each Q(m) within 0.26 units of 2^-U before its truncation
     G = P + 2 * bits             # each s(m) within 2^(-P - bitlen(NN)) relative
-    S = _sine_table(NN, G)
+    S = _root_table(NN, G + 1)[1]   # S[m] = round(s(m) 2^G)
     mant, shift, Q = 1 << P, P - U, [1 << U]   # Q(m) = mant 2^(-U - shift)
     for s in S[1:]:
         mant *= s

@@ -24,9 +24,9 @@ import random
 from ._lazy import lazy_import
 from .geom import (QuantizationContext, _check_bytes, _curve_operators, _frame_report,
                    _gram_bytes, _grid, _pairings, _phi_rows, _q_parts, _reflected,
-                   _s_frame_plan, _series, _spread, _translated, _twist_frame_rows,
-                   halfform_norm_sq, iso_from_skein, iso_to_skein, modular_phase_check,
-                   psi_norm_constant)
+                   _s_frame_plan, _series, _series_plan, _spread, _translated,
+                   _twist_frame_rows, halfform_norm_sq, iso_from_skein, iso_to_skein,
+                   modular_phase_check, psi_norm_constant)
 from .tqft import TorusVector, curve_operator_skein
 
 np = lazy_import("numpy")
@@ -96,8 +96,9 @@ def _check_report_bytes(ctx: QuantizationContext, include_modular: bool) -> None
     the stacked pairing columns C and G C, 2r + 2 columns each (r + 2
     without the twist frame), with the Gram kernel's count, which also
     covers G and its moduli while the Psi Gram residual is read off it; the
-    curve operators' stacked translate and its sums, 14 r N; or the S
-    pairing's count.
+    curve operators' stacked translate and its sums, 14 r N, and numpy's
+    buffer for its broadcast phases, up to np.getbufsize() values; the
+    quasi-periodicity series (_series_plan); or the S pairing's count.
     """
     N, r, n = ctx.N, ctx.r, _grid(ctx)
     s_frame = _s_frame_plan(ctx, n)[1] if include_modular else 0.0
@@ -105,7 +106,9 @@ def _check_report_bytes(ctx: QuantizationContext, include_modular: bool) -> None
     rows = 2 * r if include_modular else r
     held = 16 * (rows * N + 12 * r * r)
     pairings = 32 * N * (rows + 2) + _gram_bytes(ctx, n)
-    _check_bytes(ctx, "verification report", held + max(pairings, 16 * 14 * r * N, s_frame))
+    curves = 16 * (14 * r * N + min(6 * r * N, np.getbufsize()))
+    series = _series_plan(ctx, 4, 16, 2.0)[1]   # 4 rows at 16 points, q spanning under 2
+    _check_bytes(ctx, "verification report", held + max(pairings, curves, series, s_frame))
 
 
 def verification_report(ctx: QuantizationContext, include_modular: bool = True) -> dict:

@@ -11,8 +11,8 @@
 * Morton's trefoil sum term by term: for each color, every term of his
   formula from one float table, summed with math.fsum, the reference
   for the catalog's two running sums.
-* The catalog's float steps in numpy: the trefoil's running sums over a
-  table from np.exp with parts from np.rint(np.ldexp(., 52)), the
+* The catalog's float steps in numpy: the trefoil's running sums over
+  the mpmath root table at 2^-52, scaled before they are divided, the
   figure-eight's bit count L from np.cumsum, and the norm's log-sum-exp
   over arrays.  The plain-Python forms must give the same floats.
 * The dense R-matrix trace: every generator as a full Kronecker product
@@ -65,8 +65,8 @@
 * The Lobachevsky function two ways: the closed form through mpmath's
   Clausen function Cl_2, and the sine series summed far enough for a
   stated tolerance, the reference for the figure-eight volume literal.
-* The figure-eight's sine table from mpmath's exp(2 pi i/NN), rounded
-  once and run through the same rotation chain: the reference for the
+* The catalog's root table from mpmath's exp(2 pi i/NN), rounded once
+  and run through the same rotation chain: the reference for the
   integer root of unity that builds it.
 * Small helpers only the tests need: a PD text writer, the mirror of a
   Laurent polynomial, checks on the root and on kappa, and the exact
@@ -137,18 +137,19 @@ def _two_cos_table(NN: int, F: int) -> list:
     return half + half[:0:-1]
 
 
-def mpmath_sine_table(NN: int, G: int) -> list:
-    """round(2 sin(2 pi m/NN) 2^G) for m = 0..NN-1 as jones._sine_table builds it, from
-    mpmath's w = exp(2 pi i/NN) at W + 10 bits, W = G + bitlen(NN) + 3, rounded to W bits."""
-    W = G + NN.bit_length() + 3
+def mpmath_root_table(NN: int, F: int) -> tuple:
+    """(X, Y), round(2^F exp(2 pi i m/NN)) for m < NN as jones._root_table builds them, from
+    mpmath's w = exp(2 pi i/NN) at W + 10 bits, W = F + bitlen(NN) + 2, rounded to W bits."""
+    W = F + NN.bit_length() + 2
     with mpmath.workprec(W + 10):
         w = mpmath.expjpi(mpmath.mpf(2) / NN)
         a, b = (int(mpmath.nint(mpmath.ldexp(v, W))) for v in (w.real, w.imag))
-    x, y, half = 1 << W, 0, []
+    x, y, X, Y = 1 << W, 0, [], []
     for _ in range(NN // 2 + 1):
-        half.append((y + (1 << (W - G - 2))) >> (W - G - 1))
+        X.append((x + (1 << (W - F - 1))) >> (W - F))
+        Y.append((y + (1 << (W - F - 1))) >> (W - F))
         x, y = (x * a - y * b) >> W, (x * b + y * a) >> W
-    return half + [-v for v in half[:0:-1]]
+    return X + X[:0:-1], Y + [-v for v in Y[:0:-1]]
 
 
 def habiro_forward(r: int, n_max: int) -> list:
@@ -212,23 +213,25 @@ def morton_trefoil(r: int, n_max: int) -> list:
 
 
 def numpy_trefoil(r: int, n_max: int) -> list:
-    """Trefoil J(1..n_max) by the running sums S'(n) = S'(n-2) + g(n-1) + g(1-n), numpy table."""
-    NN, M = 2 * r + 1, 4 * r + 2
-    table = np.exp(1j * (math.pi / NN) * np.arange(M))
-    fixed = np.rint(np.ldexp(np.stack((table.real, table.imag)), 52)).astype(np.int64)
+    """Trefoil J(1..n_max) by the running sums S'(n) = S'(n-2) + g(n-1) + g(1-n) in numpy,
+    over mpmath_root_table(NN, 52) at the halved exponents, scaled to 2^-52 before dividing."""
+    NN = 2 * r + 1
+    fixed = np.array(mpmath_root_table(NN, 52), dtype=np.int64)
     m = np.arange(n_max)
 
     def g(h):
-        return fixed[:, -(6 * h * h + 10 * h + 8) % M] - fixed[:, -(6 * h * h - 2 * h + 4) % M]
+        return fixed[:, -(3 * h * h + 5 * h + 4) % NN] - fixed[:, -(3 * h * h - h + 2) % NN]
+
+    def scaled(re, im):
+        return complex(re / 2 ** 52, im / 2 ** 52)
 
     sums = []
     for col in (g(m) + np.where(m > 0, g(-m), 0)).tolist():
         run = [0] * n_max
         run[::2], run[1::2] = accumulate(col[::2]), accumulate(col[1::2])
         sums.append(run)
-    return [complex(re / 2 ** 52, im / 2 ** 52)
-            / complex(table[(-2 * n - 6 * n * n) % M] - table[(2 * n - 6 * n * n) % M])
-            for n, re, im in zip(range(1, n_max + 1), *sums)]
+    den = fixed[:, (-m - 1 - 3 * (m + 1) ** 2) % NN] - fixed[:, (m + 1 - 3 * (m + 1) ** 2) % NN]
+    return [scaled(re, im) / scaled(*d) for re, im, d in zip(*sums, den.T.tolist())]
 
 
 def numpy_q_bits(NN: int) -> int:

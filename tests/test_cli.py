@@ -185,6 +185,14 @@ def test_empty_braid_is_refused_as_an_input(capsys, argv, message):
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 
 
+def test_empty_tqft_word_is_the_identity(capsys):
+    # the empty mapping class word is an input, as the empty braid is
+    assert cli.main(["tqft", "--r", "3", "--word", ""]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["word"] == [] and res["word_matrix"] == [[1, 0], [0, 1]]
+    assert res["rep_word"] == [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+
+
 def test_rmatrix_budget_exits_2():
     proc = run_cli("jones", "--braid", "1 2 3 4 5 6", "--strands", "7", "--n", "6",
                    "--r", "20", check=False)

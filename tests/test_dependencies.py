@@ -73,3 +73,34 @@ def test_the_raise_finder_sees_each_form():
     code = ("raise StateSpaceTooLarge('x')\nraise errors.StateSpaceTooLarge\n"
             "raise ValueError('StateSpaceTooLarge')\nx = StateSpaceTooLarge\n")
     assert _raise_lines(ast.parse(code), "StateSpaceTooLarge") == [1, 2]
+
+
+_CATALOG_SUMS = ("_trefoil_values", "_figure_eight_values", "_root_table")
+
+
+def _float_root_lines(tree: ast.AST, names) -> dict:
+    """{function: lines} for the functions ``names``: where each reads cmath, numpy,
+    math.sin or math.cos."""
+    found = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in names:
+            found[fn.name] = sorted(
+                node.lineno for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and node.id in ("cmath", "np", "numpy")
+                or isinstance(node, ast.Attribute) and node.attr in ("sin", "cos")
+                and isinstance(node.value, ast.Name) and node.value.id == "math")
+    return found
+
+
+def test_catalog_sums_read_only_the_integer_root_table():
+    # both sums and their table are integer arithmetic: no libm or numpy root enters them
+    path = Path(skeinquant.__file__).parent / "jones.py"
+    found = _float_root_lines(ast.parse(path.read_text()), _CATALOG_SUMS)
+    assert found == {name: [] for name in _CATALOG_SUMS}, found
+
+
+def test_the_float_root_finder_sees_each_form():
+    code = ("def _root_table():\n    a = cmath.exp(1j)\n    b = math.sin(1) + math.log(2)\n"
+            "    c = np.exp(1)\n    d = math.cos\n    return numpy\n"
+            "def other():\n    return cmath.exp(1j)\n")
+    assert _float_root_lines(ast.parse(code), _CATALOG_SUMS) == {"_root_table": [2, 3, 4, 5, 6]}

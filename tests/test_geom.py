@@ -469,12 +469,14 @@ def test_geom_budget_counts_the_traced_peak(monkeypatch):
 
 
 @pytest.mark.parametrize("r, include_modular", (
-    (40, True), (200, True), (200, False), pytest.param(400, True, marks=pytest.mark.slow)))
+    (3, False), (5, False), (10, False), (20, False), (40, True), (200, True), (200, False),
+    pytest.param(400, True, marks=pytest.mark.slow)))
 def test_report_counts_its_traced_peak(monkeypatch, r, include_modular):
     # the Gram kernel while the Psi residuals are read off it, the stacked pairing
-    # columns and the largest engine transient stay within what the report counts
-    # before its first array, and over half of it; a budget one byte below the count
-    # refuses before the Psi constant is read
+    # columns and the largest engine transient (at small r without the modular checks,
+    # the quasi-periodicity series or the curve operators) stay within what the report
+    # counts before its first array, and over half of it; a budget one byte below the
+    # count refuses before the Psi constant is read
     ctx = QuantizationContext(r, 1j)
     counted, check = [], verify._check_bytes
     monkeypatch.setattr(verify, "_check_bytes",

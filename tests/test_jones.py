@@ -9,7 +9,7 @@ import pytest
 
 from oracles import (all_sector_bound, all_sector_loop, all_sector_window, cabled_jones,
                      cyclotomic_jones, dense_rmatrix_jones, exact, habiro_forward, mirrored,
-                     morton_trefoil, mpmath_sine_table, numpy_q_bits, numpy_trefoil)
+                     morton_trefoil, mpmath_root_table, numpy_q_bits, numpy_trefoil)
 from skeinquant import errors, jones
 from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                                UnknownCatalogEntry)
@@ -653,17 +653,20 @@ def test_unit_root_refuses_the_trivial_roots():
             unit_root(M, 64)
 
 
-def test_sine_table_matches_the_mpmath_table(monkeypatch):
-    # every table the figure-eight builds, at the bit count G its level asks for
+def test_root_table_matches_the_mpmath_table(monkeypatch):
+    # every table the catalog builds, at the bit count F each sum asks for at its level
     tables = []
-    build = jones._sine_table
-    monkeypatch.setattr(jones, "_sine_table",
-                        lambda NN, G: tables.append((NN, G, build(NN, G))) or tables[-1][2])
-    for r in (*range(3, 401), 1000, 2000, 3000):
+    build = jones._root_table
+    monkeypatch.setattr(jones, "_root_table",
+                        lambda NN, F: tables.append((NN, F, build(NN, F))) or tables[-1][2])
+    levels = (*range(3, 401), 1000, 2000, 3000)
+    for r in levels:
         jones._figure_eight_values(r, 1, 0)
-    assert [NN for NN, _, _ in tables] == [2 * r + 1 for r in (*range(3, 401), 1000, 2000, 3000)]
-    for NN, G, table in tables:
-        assert table == mpmath_sine_table(NN, G), NN
+        jones._trefoil_values(r, 1)
+    assert [NN for NN, _, _ in tables] == [2 * r + 1 for r in levels for _ in range(2)]
+    assert {F for _, F, _ in tables[1::2]} == {52}
+    for NN, F, table in tables:
+        assert table == mpmath_root_table(NN, F), (NN, F)
 
 
 def test_dyadic_reads_as_the_nearest_double():
@@ -703,6 +706,12 @@ def test_figure_eight_certificate_can_fail(monkeypatch):
         catalog_jones_values("figure-eight", 100, 100)
 
 
+def test_trefoil_certificate_can_fail(monkeypatch):
+    monkeypatch.setattr(jones, "JONES_REL_TOL", 1e-300)
+    with pytest.raises(PrecisionLoss, match=r"trefoil J\(1\) at r=100 "):
+        catalog_jones_values("trefoil", 100, 100)
+
+
 @pytest.mark.parametrize("r", (*range(1, 13), 27, 86, 150, 295, 500))
 def test_trefoil_running_sums_match_morton_oracle(r):
     ours = catalog_jones_values("trefoil", r, r)
@@ -713,14 +722,20 @@ def test_trefoil_running_sums_match_morton_oracle(r):
 
 @pytest.mark.parametrize("r", (*range(3, 41), 57, 150, 295, 500))
 def test_catalog_floats_match_the_numpy_forms(r):
-    # cmath.exp is numpy's complex exp entry by entry, and round(x 2^52) is its
-    # rint(ldexp(x, 52)): exact scaling, then ties to even
+    # the sums and den' are exact integers on the 2^-52 grid; each converts correctly
+    # rounded, and a division by a power of two neither rounds nor moves a quotient
     assert jones._trefoil_values(r, r) == numpy_trefoil(r, r)
     assert jones._q_bits(2 * r + 1) == numpy_q_bits(2 * r + 1)
 
 
 def test_trefoil_certifies_every_color_at_r3000():
     assert len(catalog_jones_values("trefoil", 3000, 3000)) == 3000
+
+
+def test_trefoil_certifies_every_color_at_r50000():
+    # the table's 0.78 units per part on the 2^-52 grid, under 2^-51 in modulus, certify
+    # every color to r = 350000
+    assert len(catalog_jones_values("trefoil", 50000, 50000)) == 50000
 
 
 @pytest.mark.parametrize("r, colors", ((3, (8, 9, 13)),
