@@ -4,19 +4,18 @@ Every run writes (or prints) a manifest describing the inputs and the
 conventions version next to its results, and produces byte-identical
 output when repeated with the same configuration.  Exit status is zero
 only when every requested check passes; 1 means a check failed, and 2 an
-error such as a value that cannot be certified (PrecisionLoss).
+error such as a usage error or a value that cannot be certified (PrecisionLoss).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
 import sys
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__, errors
 from .diagrams import BraidWord, LinkDiagram
@@ -224,145 +223,143 @@ def _cmd_volume_seq(cfg: RunConfig, args) -> int:
     return 0
 
 
-# -- argument plumbing -------------------------------------------------------
+# -- the command table --------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="skeinquant",
-        description="Torus quantum invariants: exact skein arithmetic and "
-                    "theta-section quantization, cross-verified.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with default argument values (flags win)")
-    common.add_argument("--out", help="write the result file here instead of stdout")
-    sub = p.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
+class _Flag(NamedTuple):
+    """A command's flag --dest, dashes for underscores: ``convert`` reads its value's
+    text, and None makes it a switch, False unless given."""
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    sp = add_parser("jones", help="colored Jones evaluations")
-    sp.add_argument("--knot", choices=sorted(CATALOG_BRAIDS))
-    sp.add_argument("--braid", help="signed generator word, e.g. '1 1 1'")
-    sp.add_argument("--strands", type=int)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int, default=5)
-    sp.add_argument("--exact", action="store_true", help="print the exact polynomial in t")
-    sp.add_argument("--backend", default="auto",
-                    choices=["auto", "exact", "rmatrix", "catalog"])
-    sp.set_defaults(func=_cmd_jones)
-
-    sp = add_parser("bracket", help="exact bracket of a diagram or braid closure")
-    sp.add_argument("--pd", help="path to a planar-diagram text file")
-    sp.add_argument("--braid")
-    sp.add_argument("--strands", type=int)
-    sp.set_defaults(func=_cmd_bracket)
-
-    sp = add_parser("tqft", help="torus representation matrices")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--emit", choices=["matrices"], help="matrices are always emitted")
-    sp.add_argument("--word", help="mapping class word, e.g. 'S T S'")
-    sp.set_defaults(func=_cmd_tqft)
-
-    sp = add_parser("rt", help="surgery invariant of a closed manifold")
-    sp.add_argument("--surgery", default="empty",
-                    choices=["empty"] + sorted(CATALOG_BRAIDS))
-    sp.add_argument("--framing", type=int, default=0)
-    sp.add_argument("--r", type=int, required=True)
-    sp.set_defaults(func=_cmd_rt)
-
-    sp = add_parser("geom-verify", help="run the geometric verification suite")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--tau", default="i")
-    sp.add_argument("--skip-modular", action="store_true")
-    sp.set_defaults(func=_cmd_geom_verify)
-
-    sp = add_parser("knot-state", help="state coefficients and norms")
-    sp.add_argument("--knot", choices=sorted(CATALOG_BRAIDS))
-    sp.add_argument("--braid")
-    sp.add_argument("--strands", type=int)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--backend", default="auto",
-                    choices=["auto", "exact", "rmatrix", "catalog"])
-    sp.set_defaults(func=_cmd_knot_state)
-
-    sp = add_parser("volume-seq", help="norm-growth sequence to CSV")
-    sp.add_argument("--knot", choices=sorted(CATALOG_BRAIDS))
-    sp.add_argument("--braid")
-    sp.add_argument("--strands", type=int)
-    sp.add_argument("--r-min", type=int, required=True, dest="r_min")
-    sp.add_argument("--r-max", type=int, required=True, dest="r_max")
-    sp.add_argument("--step", type=int, default=10)
-    sp.add_argument("--ref-vol", type=float, default=None, dest="ref_vol",
-                    help="reference volume for non-catalog knots")
-    sp.set_defaults(func=_cmd_volume_seq)
-    return p
+    convert: Optional[Callable] = str
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    help: str = ""
 
 
-def _config_path(args: list) -> Optional[str]:
-    """The --config path among a command's arguments, found by argparse
-    itself: the flag or a prefix of it (--conf), its value after '=' or
-    as the next argument, the last one winning."""
-    if not any(a.startswith("--c") for a in args):   # spares a parser per call
-        return None
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
+_INPUT = {"knot": _Flag(choices=tuple(sorted(CATALOG_BRAIDS))),
+          "braid": _Flag(help="signed generator word, e.g. '1 1 1'"), "strands": _Flag(int)}
+_BACKEND = _Flag(default="auto", choices=("auto", "exact", "rmatrix", "catalog"))
+_REQUIRED_INT = _Flag(int, required=True)
+_COMMON = {"config": _Flag(help="JSON file with default flag values (flags win)"),
+           "out": _Flag(help="write the result file here instead of stdout")}
+_COMMANDS = {   # command: (handler, help, flags by dest besides _COMMON's)
+    "jones": (_cmd_jones, "colored Jones evaluations", dict(
+        **_INPUT, n=_REQUIRED_INT, r=_Flag(int, 5),
+        exact=_Flag(None, False, help="print the exact polynomial in t"), backend=_BACKEND)),
+    "bracket": (_cmd_bracket, "exact bracket of a diagram or braid closure", dict(
+        pd=_Flag(help="path to a planar-diagram text file"), braid=_INPUT["braid"],
+        strands=_INPUT["strands"])),
+    "tqft": (_cmd_tqft, "torus representation matrices", dict(
+        r=_REQUIRED_INT, emit=_Flag(choices=("matrices",), help="matrices are always emitted"),
+        word=_Flag(help="mapping class word, e.g. 'S T S'"))),
+    "rt": (_cmd_rt, "surgery invariant of a closed manifold", dict(
+        surgery=_Flag(default="empty", choices=("empty", *sorted(CATALOG_BRAIDS))),
+        framing=_Flag(int, 0), r=_REQUIRED_INT)),
+    "geom-verify": (_cmd_geom_verify, "run the geometric verification suite", dict(
+        r=_REQUIRED_INT, tau=_Flag(default="i"), skip_modular=_Flag(None, False))),
+    "knot-state": (_cmd_knot_state, "state coefficients and norms", dict(
+        **_INPUT, r=_REQUIRED_INT, backend=_BACKEND)),
+    "volume-seq": (_cmd_volume_seq, "norm-growth sequence to CSV", dict(
+        **_INPUT, r_min=_REQUIRED_INT, r_max=_REQUIRED_INT, step=_Flag(int, 10),
+        ref_vol=_Flag(float, help="reference volume for non-catalog knots"))),
+}
+
+
+def _spelling(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _value(name: str, flag: _Flag, text: str):
+    """Flag ``name``'s value read from its text, or a SkeinQuantError naming the flag."""
     try:
-        return pre.parse_known_args(args)[0].config
-    except argparse.ArgumentError:
-        raise SkeinQuantError("--config requires a file path") from None
+        value = flag.convert(text)
+    except ValueError:
+        raise SkeinQuantError(f"{name} takes {flag.convert.__name__}s, not {text!r}") from None
+    if flag.choices and value not in flag.choices:
+        raise SkeinQuantError(f"{name} takes one of {', '.join(flag.choices)}, not {text!r}")
+    return value
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv) -> list:
-    """argv with the --config JSON values spliced in as flags after the command.
+def _parse(argv: list):
+    """(command, flag values by dest) from argv, the values None where -h asks for help.
 
-    Explicit flags come later on the command line, so they win.  Keys the
-    command has no flag for are ignored, and a store_true flag is added
-    only for a true value.  The parser is left as it is.
-    """
-    commands = parser._subparsers._group_actions[0].choices
-    at = next((i for i, a in enumerate(argv) if a in commands), None)
-    if at is None:   # parse_args reports the missing command
-        return argv
-    sub = commands[argv[at]]
-    path = _config_path(argv[at + 1:])
-    if path is None:
-        return argv
-    with open(path) as fh:
-        defaults = json.load(fh)
-    if not isinstance(defaults, dict):
-        raise SkeinQuantError("config file must hold a JSON object")
-    defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
-    flags = []
-    for a in sub._actions:
-        value = defaults.get(a.dest)
-        if value is None:   # null leaves the flag unset
+    A flag is --flag VALUE, --flag=VALUE or a bare switch, written in full or as a prefix
+    of one flag alone; the token after a value flag is its value whatever it begins
+    with, and the last occurrence wins.  The --config JSON object sets the flags not
+    given, its values read as text by the same converters."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None, None
+    if not argv or argv[0] not in _COMMANDS:
+        what = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise SkeinQuantError(f"{what}: choose one of {', '.join(_COMMANDS)}")
+    flags = {**_COMMANDS[argv[0]][2], **_COMMON}
+    names = {_spelling(dest): dest for dest in flags} | {"--help": None, "-h": None}
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        hits = [name] if name in names else [
+            n for n in names if name.startswith("--") and len(name) > 2 and n.startswith(name)]
+        if len(hits) != 1:
+            raise SkeinQuantError(f"ambiguous flag {name}: {' or '.join(hits)}" if hits
+                                  else f"unrecognized argument {token!r}")
+        name = hits[0]
+        dest = names[name]
+        if dest is None:
+            return argv[0], None
+        if flags[dest].convert is None:
+            if eq:
+                raise SkeinQuantError(f"{name} takes no value")
+            given[dest] = True
             continue
-        if isinstance(a, argparse._StoreTrueAction):
-            flags += [a.option_strings[0]] if value else []
-        else:
-            flags.append(f"{a.option_strings[0]}={value}")
-    return argv[:at + 1] + flags + argv[at + 1:]
+        text = text if eq else next(tokens, None)
+        if text is None:
+            raise SkeinQuantError(f"{name} needs a value")
+        given[dest] = _value(name, flags[dest], text)
+    values = {dest: flag.default for dest, flag in flags.items()}
+    if given.get("config") is not None:
+        with open(given["config"]) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise SkeinQuantError("config file must hold a JSON object")
+        for dest, v in {k.replace("-", "_"): v for k, v in doc.items()}.items():
+            if dest in flags and v is not None:   # null leaves the flag unset
+                flag = flags[dest]   # a switch is False unless a true value sets it
+                values[dest] = _value(_spelling(dest), flag, str(v)) if flag.convert else bool(v)
+    values.update(given)
+    missing = [_spelling(d) for d, flag in flags.items() if flag.required and values[d] is None]
+    if missing:
+        raise SkeinQuantError(f"{argv[0]} requires {' and '.join(missing)}")
+    return argv[0], values
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process: parsing and _apply_config_file leave it unchanged."""
-    return build_parser()
+def _usage(command: Optional[str]) -> str:
+    """The -h text: the commands, or one command's flags with defaults and choices."""
+    if command is None:
+        return "usage: skeinquant COMMAND [--FLAG VALUE ...] (COMMAND -h lists its flags)\n\n" \
+            + "".join(f"  {name:<12} {about}\n" for name, (_, about, _) in _COMMANDS.items())
+    _, about, flags = _COMMANDS[command]
+    lines = [f"usage: skeinquant {command} [--FLAG VALUE ...]\n\n{about}\n"]
+    for dest, flag in {**flags, **_COMMON}.items():
+        notes = [flag.help] * bool(flag.help) + ["required"] * flag.required
+        notes += [f"choices: {', '.join(flag.choices)}"] if flag.choices else []
+        notes += [f"default: {flag.default}"] if flag.convert and flag.default is not None else []
+        usage = _spelling(dest) + (f" {dest.upper()}" if flag.convert else "")
+        lines.append(f"  {usage:<22} {'; '.join(notes)}".rstrip())
+    return "\n".join(lines + [f"  {'-h, --help':<22} show this help\n"])
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-        if sum(getattr(args, k, None) is not None for k in ("knot", "braid", "pd")) > 1:
+        command, values = _parse(argv)
+        if values is None:
+            sys.stdout.write(_usage(command))
+            return 0
+        if sum(values.get(k) is not None for k in ("knot", "braid", "pd")) > 1:
             raise SkeinQuantError("give one input: --knot, --braid or --pd")
-        cfg = RunConfig(command=args.command,
-                        params={k: v for k, v in vars(args).items()
-                                if k not in ("func", "command", "config", "out")
-                                and v is not None},
-                        out=args.out)
-        status = args.func(cfg, args)
+        params = {k: v for k, v in values.items() if k not in ("config", "out") and v is not None}
+        status = _COMMANDS[command][0](RunConfig(command, params, values["out"]),
+                                       SimpleNamespace(**values))
         sys.stdout.flush()   # a reader that has gone shows here, not at the interpreter's exit
         return status
     except BrokenPipeError:

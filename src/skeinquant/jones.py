@@ -46,8 +46,10 @@ CATALOG_BRAIDS = {
     "trefoil": ((1, 1, 1), 2),
     "figure-eight": ((1, -2, 1, -2), 3),
 }
-# the catalog is keyed by braid word; a presentation's name is only a label
-_CATALOG_NAMES = {braid: name for name, braid in CATALOG_BRAIDS.items()}
+# by braid word: each rotation, flip σ_i ↔ σ_(s−i) and reversal (a mirror's J is conjugate)
+_CATALOG_NAMES = {(w[k:] + w[:k], s): name for name, (word, s) in CATALOG_BRAIDS.items()
+                  for f in (word, tuple((s if g > 0 else -s) - g for g in word))
+                  for w in (f, f[::-1]) for k in range(len(w) or 1)}
 
 
 class KnotPresentation(NamedTuple("KnotPresentation", [("name", str), ("braid", BraidWord)])):

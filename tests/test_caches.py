@@ -1,4 +1,4 @@
-"""The package keeps no process-wide cache but two named ones."""
+"""The package keeps no process-wide cache but one named one."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,6 @@ _CACHES = ("lru_cache", "cache")
 KEPT = {
     ("jones", "_colored_jones_exact_cached"):
         "the bench reads its cache_info() for jones.exact.cache_hit_ratio in traced passes",
-    ("cli", "_parser"): "it builds the argparse parser once per process",
 }
 
 
@@ -46,4 +45,4 @@ def test_only_the_named_functions_keep_a_cache():
                     for (mod, name), reason in KEPT.items())
     assert found == set(KEPT) and not stray, (
         f"caches on {sorted(found - set(KEPT))}, a cache outside a decorator in {stray}, "
-        f"kept ones missing {sorted(set(KEPT) - found)}: only two may stay ({why})")
+        f"kept ones missing {sorted(set(KEPT) - found)}: only it may stay ({why})")

@@ -348,6 +348,7 @@ def test_volume_seq_uncertified_value_exits_2(monkeypatch, capsys, tmp_path):
     ["--braid", "1 1 1 2 -1 2", "--strands", "3", "--ref-vol=-2"],
     ["--knot", "figure-eight", "--ref-vol", "7"],
     ["--braid", "1 -2 1 -2", "--strands", "3", "--ref-vol", "2.03"],   # the catalog's word
+    ["--braid", "-2 1 -2 1", "--strands", "3", "--ref-vol", "2.0298832128193074"],   # rotated
 ))
 def test_volume_seq_bad_ref_vol_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "seq.csv"
@@ -356,6 +357,16 @@ def test_volume_seq_bad_ref_vol_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("r", ("12", "20", "30"))
+def test_volume_seq_reads_a_rotated_catalog_word_from_the_catalog(tmp_path, capsys, r):
+    rows = []
+    for argv in (["--knot", "figure-eight"], ["--braid", "-2 1 -2 1", "--strands", "3"]):
+        out = tmp_path / "seq.csv"
+        assert cli.main(["volume-seq", *argv, "--r-min", r, "--r-max", r, "--out", str(out)]) == 0
+        rows.append(out.read_bytes())
+    assert rows[0] == rows[1]
 
 
 def test_volume_seq_ref_vol_of_a_custom_braid(tmp_path, capsys):
@@ -382,16 +393,15 @@ def test_config_file_defaults_and_flag_priority(tmp_path):
     assert json.loads(proc.stdout)["result"]["r"] == 3
 
 
-def test_config_file_in_process_leaves_the_parser_alone(tmp_path, capsys):
+def test_config_file_in_process_leaves_the_next_call_alone(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"r": 6, "n": 3}))   # tqft has no --n: ignored
     assert cli.main(["tqft", "--config", str(cfg)]) == 0
     from_config = json.loads(capsys.readouterr().out)
     assert cli.main(["tqft", "--r", "6"]) == 0
     assert json.loads(capsys.readouterr().out) == from_config
-    with pytest.raises(SystemExit) as exc:   # the first call's --config is gone
-        cli.main(["tqft"])
-    assert exc.value.code == 2 and "--r" in capsys.readouterr().err
+    assert cli.main(["tqft"]) == 2   # the first call's --config is gone
+    assert "--r" in capsys.readouterr().err
     assert cli.main(["tqft", "--config", str(cfg), "--r", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["r"] == 3
 
@@ -422,7 +432,6 @@ def test_config_file_store_true_and_dashed_values(tmp_path, capsys):
         == run("jones", {}, "--knot", "trefoil", "--n", "2", "--exact")["result"]["polynomial"]
     assert run("jones", {"exact": False, "knot": "trefoil", "n": 2})["result"]["backend"] \
         == "catalog"
-    # "--tau -1+2i" would read as an unknown flag; the config value is not one
     assert run("geom-verify", {"r": 3, "tau": "-1+2i", "skip_modular": True}) \
         == run("geom-verify", {}, "--r", "3", "--tau=-1+2i", "--skip-modular")
 
@@ -445,6 +454,61 @@ def test_error_exit_codes(tmp_path):
         proc = run_cli(*argv, check=False)
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv", (
+    [], ["frob"],
+    ["jones", "--knot", "trefoil"],
+    ["jones", "--knot", "trefoil", "--n", "x"],
+    ["jones", "--knot", "granny", "--n", "2"],
+    ["jones", "--knot", "trefoil", "--n", "2", "--bogus", "1"],
+    ["volume-seq", "--r", "3"],
+    ["jones", "--knot", "trefoil", "--n", "2", "--exact=1"],
+    ["jones", "--knot", "trefoil", "--n"],
+))
+def test_usage_errors_exit_2_with_one_line(capsys, argv):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, spelled", (
+    (["geom-verify", "--r", "3", "--tau", "-1+2i"], ["geom-verify", "--r", "3", "--tau=-1+2i"]),
+    (["rt", "--surgery", "trefoil", "--framing", "-1", "--r", "5"],
+     ["rt", "--surgery", "trefoil", "--framing=-1", "--r", "5"]),
+    (["bracket", "--braid", "-1 2 -2", "--strands", "3"],
+     ["bracket", "--braid=-1 2 -2", "--strands", "3"]),
+))
+def test_a_value_may_begin_with_a_dash(capsys, argv, spelled):
+    # the token after a value flag is its value
+    assert cli.main(argv) in (0, 1)
+    first = capsys.readouterr()
+    assert cli.main(spelled) in (0, 1)
+    assert capsys.readouterr() == first and first.err == ""
+
+
+COMMANDS = ("jones", "bracket", "tqft", "rt", "geom-verify", "knot-state", "volume-seq")
+
+
+def test_help_names_every_command_and_flag(capsys):
+    assert run_cli("-h").stdout == run_cli("--help").stdout   # the entry point exits 0
+    assert cli.main(["-h"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and tuple(cli._COMMANDS) == COMMANDS
+    for name, (_, about, _) in cli._COMMANDS.items():
+        assert f"  {name:<12} {about}\n" in out, out
+    for name, (_, _, flags) in cli._COMMANDS.items():
+        flags = {**flags, **cli._COMMON}
+        assert cli.main([name, "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = {line.split()[0]: line for line in out.splitlines() if line.startswith("  --")}
+        assert set(lines) == {"--" + dest.replace("_", "-") for dest in flags}, out
+        for dest, flag in flags.items():
+            line = lines["--" + dest.replace("_", "-")]
+            assert all(c in line for c in flag.choices), line
+            assert flag.convert is None or flag.default is None \
+                or f"default: {flag.default}" in line, line
 
 
 @pytest.mark.parametrize("r, tau", (("60", "i"), ("3", "0.3+50i")))
@@ -582,9 +646,11 @@ def ran(lib, modules):
 
 
 def test_cli_import_leaves_out_dataclasses_fractions_and_csv():
-    # with inspect and decimal they were about a fifth of a cold import; no command needs them
+    # with inspect and decimal they were about a fifth of a cold import; no command needs them,
+    # and the flag table needs no argparse (nor its gettext)
     rc, imported, _ = run_in_child(["bracket", "--braid", "1 1 1", "--strands", "2"])
-    assert rc == 0 and not {"dataclasses", "inspect", "fractions", "decimal", "csv"} & set(imported)
+    assert rc == 0 and not {"dataclasses", "inspect", "fractions", "decimal", "csv", "argparse",
+                            "gettext"} & set(imported)
 
 
 def test_geom_verify_does_not_import_numpy_random():

@@ -579,6 +579,25 @@ def test_catalog_dispatch_ignores_the_label():
                       2, ctx, backend="catalog")
 
 
+@pytest.mark.parametrize("word", ((-2, 1, -2, 1), (2, -1, 2, -1), (-1, 2, -1, 2)))
+def test_every_spelling_of_a_catalog_word_takes_the_catalog(word):
+    # a rotation, the flip σ1 ↔ σ2 and a reversal close to the figure-eight
+    K = KnotPresentation.from_braid(word, 3)
+    for r in (5, 30):
+        ctx = RootContext(r)
+        assert colored_jones_values(K, r) == colored_jones_values(FIG8, r)
+        assert colored_jones(K, 7, ctx) == colored_jones(FIG8, 7, ctx)
+        forced = colored_jones(K, 3, ctx, backend="rmatrix")
+        assert forced.backend == "rmatrix"
+        assert abs(forced.value - colored_jones(FIG8, 3, ctx).value) < 1e-9
+
+
+def test_the_trefoil_mirror_stays_off_the_catalog():
+    # its J is the complex conjugate of the trefoil's
+    mirror = KnotPresentation.from_braid((-1, -1, -1), 2)
+    assert colored_jones(mirror, 2, RootContext(8)).backend == "rmatrix"
+
+
 @pytest.mark.parametrize("r", (100, 140, 149, 300))
 @pytest.mark.parametrize("name", ("trefoil", "figure-eight"))
 def test_catalog_precision_against_oracle(name, r):
