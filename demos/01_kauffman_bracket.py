@@ -2,12 +2,12 @@
 
 Walks through the one bracket engine (planar contraction) on two routes,
 a PD code and a braid closure, the move invariances that pin the
-conventions, and the colored-cable identities.
+conventions, and the colored Jones polynomials of the exact engine, whose
+n = 2 value is the normalized bracket.
 """
 
-from skeinquant import (BraidWord, braid_closure_bracket,
-                        braid_to_diagram, colored_bracket, kauffman_bracket,
-                        loop_value, signed_color_norm, unknot_diagram)
+from skeinquant import (BraidWord, KnotPresentation, LaurentPoly, braid_closure_bracket,
+                        braid_to_diagram, colored_jones_exact, kauffman_bracket, loop_value)
 
 delta = loop_value()
 print("one closed loop contributes:", delta.format("A"))
@@ -31,14 +31,13 @@ assert braid_closure_bracket(BraidWord((1, -1), 2)) == braid_closure_bracket(Bra
 assert braid_closure_bracket(BraidWord((1, 2, 1), 3)) == braid_closure_bracket(BraidWord((2, 1, 2), 3))
 print("second and third moves leave the bracket unchanged: OK")
 
-print("\n-- colored unknots --")
-for n in range(5):
-    val = colored_bracket(unknot_diagram(), [n])
-    assert val == signed_color_norm(n)
-    print(f"color {n}: {val.format('A')}")
-
-print("\n-- framing twist on a colored strand --")
-for n in range(3):
-    kinked = colored_bracket(braid_to_diagram(BraidWord((1,), 2)), [n])
-    quotient = kinked.divexact(signed_color_norm(n))
-    print(f"color {n}: one positive kink multiplies by {quotient.format('A')}")
+print("\n-- colored Jones polynomials, the exact engine --")
+for name in ("trefoil", "figure-eight"):
+    K = KnotPresentation.from_catalog(name)
+    for n in (2, 3):
+        print(f"J({name}, {n}) = {colored_jones_exact(K, n).format('t')}")
+    # n = 2 is the bracket: (-A^3)^writhe <closure> / delta, a polynomial in t = A^4
+    w = K.braid.writhe
+    framed = braid_closure_bracket(K.braid) * LaurentPoly.monomial(3 * w, (-1) ** w)
+    assert framed.divexact(delta).in_variable_power(4) == colored_jones_exact(K, 2)
+print("J(K, 2) equals the writhe-normalized bracket over one loop: OK")

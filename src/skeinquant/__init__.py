@@ -8,12 +8,10 @@ pictures agree and norm-growth sequences for catalog knots.
 
 __version__ = "0.1.0"
 
-from .bracket import (ChebyshevColor, braid_closure_bracket, chebyshev_coeffs,
-                      colored_bracket, kauffman_bracket)
-from .diagrams import BraidWord, LinkDiagram, braid_to_diagram, unknot_diagram
-from .errors import (CablingUnsupported, DimensionMismatch, InexactDivision,
-                     NotLatticeFraction, NotPrimitive, PrecisionLoss, SkeinQuantError,
-                     StateSpaceTooLarge, UnknownCatalogEntry)
+from .bracket import braid_closure_bracket, kauffman_bracket
+from .diagrams import BraidWord, LinkDiagram, braid_to_diagram
+from .errors import (DimensionMismatch, InexactDivision, NotLatticeFraction, NotPrimitive,
+                     PrecisionLoss, SkeinQuantError, StateSpaceTooLarge, UnknownCatalogEntry)
 from .geom import (ModularReport, QuantizationContext, ThetaSection, basis_phi,
                    basis_psi, curve_operator_geom, eval_grid, gram_matrix,
                    inner_product, intertwining_deviation, iso_from_skein,

@@ -11,7 +11,7 @@ Conventions (see docs/conventions.md):
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 
 class BraidWord(NamedTuple("BraidWord", [("word", tuple), ("strands", int)])):
@@ -72,31 +72,21 @@ class BraidWord(NamedTuple("BraidWord", [("word", tuple), ("strands", int)])):
         return cls(word, strands)
 
 
-class LinkDiagram(NamedTuple("LinkDiagram", [("crossings", list), ("free_loops", int),
-                                              ("framing_extra", list),
-                                              ("braid", Optional[BraidWord])])):
-    """Planar-diagram presentation of a framed link.
+class LinkDiagram(NamedTuple("LinkDiagram", [("crossings", list), ("free_loops", int)])):
+    """Planar-diagram presentation of a link, in its blackboard framing.
 
-    ``framing_extra`` is the per-component correction added on top of the
-    blackboard framing the diagram itself carries (None: all 0).
     ``free_loops`` counts crossing-free circle components (PD codes cannot
-    express them).  ``braid`` records provenance when the diagram came
-    from a braid closure; cabling operations require it.
+    express them).
     """
 
     __slots__ = ()
 
-    def __new__(cls, crossings, free_loops=0, framing_extra=None, braid=None):
+    def __new__(cls, crossings, free_loops=0):
         crossings = [tuple(int(a) for a in x) for x in crossings]
         for x in crossings:
             if len(x) != 4:
                 raise ValueError(f"crossing {x} must list exactly four arcs")
-        # the component count reads only the crossings and the free loops
-        n = super().__new__(cls, crossings, free_loops, None, braid).num_components
-        framing_extra = [0] * n if framing_extra is None else [int(f) for f in framing_extra]
-        if len(framing_extra) != n:
-            raise ValueError("one framing entry per component required")
-        self = super().__new__(cls, crossings, free_loops, framing_extra, braid)
+        self = super().__new__(cls, crossings, free_loops)
         self.validate()
         return self
 
@@ -153,9 +143,8 @@ class LinkDiagram(NamedTuple("LinkDiagram", [("crossings", list), ("free_loops",
 
     @classmethod
     def from_pd_text(cls, text: str) -> "LinkDiagram":
-        """Parse the text format: lines ``X a b c d`` plus optional ``F f1 f2 ...``."""
+        """Parse the text format: lines ``X a b c d``, blank lines and ``#`` comments."""
         crossings = []
-        framings = None
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -165,18 +154,15 @@ class LinkDiagram(NamedTuple("LinkDiagram", [("crossings", list), ("free_loops",
                 if len(parts) != 5:
                     raise ValueError(f"bad crossing line: {line!r}")
                 crossings.append(tuple(int(p) for p in parts[1:]))
-            elif parts[0] == "F":
-                framings = [int(p) for p in parts[1:]]
             else:
                 raise ValueError(f"unrecognised line: {line!r}")
-        return cls(crossings, framing_extra=framings)
+        return cls(crossings)
 
 
 def braid_to_diagram(braid: BraidWord) -> LinkDiagram:
     """Planar diagram of a braid closure, in its blackboard framing.
 
     Strand positions untouched by any generator close up into free loops.
-    Components follow the braid's closure-cycle order.
     """
     s = braid.strands
     next_arc = s + 1
@@ -200,10 +186,5 @@ def braid_to_diagram(braid: BraidWord) -> LinkDiagram:
     close = {cur[pos]: start[pos] for pos in range(s) if cur[pos] != start[pos]}
     free = s - len(close)  # positions that never crossed anything
     relabeled = [tuple(close.get(a, a) for a in x) for x in crossings]
-    return LinkDiagram(relabeled, free_loops=free, braid=braid)
+    return LinkDiagram(relabeled, free_loops=free)
 
-
-def unknot_diagram(framing_extra: int = 0) -> LinkDiagram:
-    """Crossing-free unknot, optionally with an explicit framing correction."""
-    return LinkDiagram([], free_loops=1, framing_extra=[framing_extra],
-                       braid=BraidWord((), 1))

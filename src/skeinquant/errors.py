@@ -46,6 +46,3 @@ class NotLatticeFraction(SkeinQuantError):
 class DimensionMismatch(SkeinQuantError):
     """Vector length does not match the quantum-space dimension."""
 
-
-class CablingUnsupported(SkeinQuantError):
-    """Cable width > 1 requires a braid-backed diagram."""

@@ -595,8 +595,23 @@ def colored_jones_catalog(name: str, n: int, ctx: RootContext) -> complex:
 # -- shared entry points -----------------------------------------------
 
 def catalog_name(K: KnotPresentation) -> Optional[str]:
-    """The catalog entry of K's braid word, or None; K.name is only a label."""
-    return _CATALOG_NAMES.get((K.braid.word, K.braid.strands))
+    """The catalog entry of K's braid word, or None; K.name is only a label.
+
+    Markov destabilizations come first, until neither applies: a generator
+    +-(s-1) that occurs once goes with the last strand, and a generator +-1 that
+    occurs once goes with the first, the others shifting down (the flip).
+    """
+    word, s = K.braid.word, K.braid.strands
+    while s > 1:
+        gens = [abs(g) for g in word]
+        if gens.count(s - 1) == 1:
+            word = tuple(g for g in word if abs(g) != s - 1)
+        elif gens.count(1) == 1:
+            word = tuple(g - 1 if g > 0 else g + 1 for g in word if abs(g) != 1)
+        else:
+            break
+        s -= 1
+    return _CATALOG_NAMES.get((word, s))
 
 
 def _resolve(K: KnotPresentation, backend: str):

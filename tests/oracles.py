@@ -26,8 +26,11 @@
   by a 4-D gather, and the degree window and coefficient bound built on
   it, the reference for the engine's loop over the lower half of the
   sectors with their mirrors.
-* The cabled closure: J(K, n) from the Chebyshev-colored cable brackets
-  over the integer Laurent ring, the reference for the exact engine.
+* The cabled closure: the colored bracket <e_c> of a braid closure as a
+  sum over one Chebyshev term of the colors e_c per component, each the
+  contraction bracket of a cable in blackboard framing (a positive kink
+  on an e_c strand multiplies by (-1)^c A^-(c^2+2c)), and J(K, n) from
+  it over the integer Laurent ring, the reference for the exact engine.
   Its contraction runs over a cable of (n-1) x strands strands, so keep n
   and the strand count small.
 * The Kauffman state sum: every one of the 2^c smoothings of a planar
@@ -76,12 +79,13 @@
 import cmath
 import math
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, product, zip_longest
 
 import mpmath
 import numpy as np
 
-from skeinquant.bracket import braid_closure_bracket, chebyshev_coeffs
+from skeinquant.bracket import kauffman_bracket
+from skeinquant.diagrams import BraidWord, LinkDiagram, braid_to_diagram
 from skeinquant.errors import InexactDivision, PrecisionLoss
 from skeinquant.geom import (ThetaSection, _pairings, _q_parts, _translated, _window,
                              basis_phi, eval_grid, halfform_norm_sq, lattice_character,
@@ -383,13 +387,45 @@ def all_sector_bound(word, s: int, N: int) -> float:
                                                         lambda e, diag: diag.sum())))
 
 
+def chebyshev_coeffs(n: int) -> tuple:
+    """The n-th color e_n in powers of z: e_0 = 1, e_1 = z, e_{k+1} = z e_k - e_{k-1};
+    entry j is the coefficient of z**j."""
+    prev, cur = (), (1,)
+    for _ in range(n):
+        prev, cur = cur, tuple(a - b for a, b in zip_longest((0,) + cur, prev, fillvalue=0))
+    return cur
+
+
+def cabled_word(braid, widths) -> tuple:
+    """(word, strands) of the cable with widths[k] parallel strands at bottom position k:
+    each crossing becomes a block transposition, in blackboard framing."""
+    w = list(widths)
+    flat = []
+    for g in braid.word:
+        i = abs(g) - 1
+        base, u, v = sum(w[:i]), w[i], w[i + 1]
+        flat += [(base + u - a + b) * (1 if g > 0 else -1) for a in range(u) for b in range(v)]
+        w[i], w[i + 1] = v, u
+    return tuple(flat), sum(w)
+
+
+def cabled_bracket(braid, colors) -> LaurentPoly:
+    """<e_colors> of the braid closure, colors[k] on its k-th closure cycle."""
+    comp_of = {pos: k for k, cyc in enumerate(braid.closure_components()) for pos in cyc}
+    total = LaurentPoly.zero()
+    for terms in product(*([(j, c) for j, c in enumerate(chebyshev_coeffs(col)) if c]
+                           for col in colors)):
+        word, strands = cabled_word(braid, [terms[comp_of[p]][0] for p in range(braid.strands)])
+        cable = braid_to_diagram(BraidWord(word, strands)) if strands else LinkDiagram([])
+        total = total + kauffman_bracket(cable) * math.prod(c for _, c in terms)
+    return total
+
+
 def cabled_jones(K, n: int) -> LaurentPoly:
     """Exact J(K, n) in t = A**4 from the cabled bracket of K's braid closure."""
     braid = K.braid
     color = n - 1
-    bracket = LaurentPoly.zero()
-    for width, coeff in chebyshev_coeffs(color).monomials():
-        bracket = bracket + braid_closure_bracket(braid, [width] * braid.strands) * coeff
+    bracket = cabled_bracket(braid, [color])
 
     # framing correction ((-1)^c A^(c^2+2c))^writhe, then exact division
     # by (-1)^c [c+1]; both must cancel exactly or the conventions broke.
@@ -647,9 +683,7 @@ def lobachevsky_series(theta: float, tol: float = 1e-12) -> float:
 
 def pd_text(diagram) -> str:
     """The diagram in the text format LinkDiagram.from_pd_text reads."""
-    lines = [f"F {' '.join(str(f) for f in diagram.framing_extra)}"]
-    lines += ["X " + " ".join(str(a) for a in x) for x in diagram.crossings]
-    return "\n".join(lines) + "\n"
+    return "".join("X " + " ".join(str(a) for a in x) + "\n" for x in diagram.crossings)
 
 
 def mirrored(p: LaurentPoly) -> LaurentPoly:

@@ -109,7 +109,7 @@ def test_bracket_pd_is_independent_of_crossing_order_and_labels(tmp_path, crossi
     word = tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(crossings))
     braid = BraidWord(word, 4)
     diagram = braid_to_diagram(braid)
-    lines = pd_text(diagram).splitlines()[1:]   # the crossing lines, without framing
+    lines = pd_text(diagram).splitlines()
     rng.shuffle(lines)
     arcs = diagram.arcs()
     relabel = dict(zip(arcs, rng.sample(range(1, 10 * len(arcs)), len(arcs))))
@@ -141,7 +141,7 @@ def test_knot_state_evaluates_jones_once(monkeypatch, capsys):
                         counted("rmatrix", jones.colored_jones_rmatrix))
     assert cli.main(["knot-state", "--knot", "trefoil", "--r", "40"]) == 0
     assert calls == {"catalog": 1, "rmatrix": 0}
-    assert cli.main(["knot-state", "--braid", "1 1 1 2", "--strands", "3", "--r", "8"]) == 0
+    assert cli.main(["knot-state", "--braid", "1 1 1 2 -1 2", "--strands", "3", "--r", "8"]) == 0
     assert calls == {"catalog": 1, "rmatrix": 8}   # one per color n = 1..8
 
 
@@ -194,7 +194,7 @@ def test_empty_tqft_word_is_the_identity(capsys):
 
 
 def test_rmatrix_budget_exits_2():
-    proc = run_cli("jones", "--braid", "1 2 3 4 5 6", "--strands", "7", "--n", "6",
+    proc = run_cli("jones", "--braid", "1 2 3 4 5 6 1 2 3 4 5 6", "--strands", "7", "--n", "6",
                    "--r", "20", check=False)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
@@ -369,6 +369,19 @@ def test_volume_seq_reads_a_rotated_catalog_word_from_the_catalog(tmp_path, caps
     assert rows[0] == rows[1]
 
 
+@pytest.mark.parametrize("knot, braid, strands", (("trefoil", "1 1 1 2", "3"),
+                                                  ("figure-eight", "1 -2 1 -2 3", "4")))
+def test_volume_seq_reads_a_stabilized_catalog_word_from_the_catalog(tmp_path, capsys, knot,
+                                                                     braid, strands):
+    rows = []
+    for argv in (["--knot", knot], ["--braid", braid, "--strands", strands]):
+        out = tmp_path / "seq.csv"
+        assert cli.main(["volume-seq", *argv, "--r-min", "30", "--r-max", "30",
+                         "--out", str(out)]) == 0
+        rows.append(out.read_bytes())
+    assert rows[0] == rows[1]
+
+
 def test_volume_seq_ref_vol_of_a_custom_braid(tmp_path, capsys):
     out = tmp_path / "seq.csv"
     assert cli.main(["volume-seq", "--braid", "1 1 1 2 -1 2", "--strands", "3", "--ref-vol",
@@ -442,7 +455,10 @@ def test_error_exit_codes(tmp_path):
     assert "provide --knot or --braid" in proc.stderr
     listed = tmp_path / "list.json"
     listed.write_text(json.dumps(["--r", "3"]))
+    framed = tmp_path / "framed.pd"   # the PD format has crossing lines only
+    framed.write_text("F 2\nX 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3\n")
     for argv in (["jones", "--knot", "trefoil", "--n", "2", "--config"],
+                 ["bracket", "--pd", str(framed)],
                  ["jones", "--braid", "1 1 1", "--n", "2"],
                  ["tqft", "--r", "3", "--config", str(listed)],
                  ["jones", "--braid", "1", "--strands", "3", "--n", "2"],

@@ -104,3 +104,49 @@ def test_the_float_root_finder_sees_each_form():
             "    c = np.exp(1)\n    d = math.cos\n    return numpy\n"
             "def other():\n    return cmath.exp(1j)\n")
     assert _float_root_lines(ast.parse(code), _CATALOG_SUMS) == {"_root_table": [2, 3, 4, 5, 6]}
+
+
+_MOVED = ("ChebyshevColor", "chebyshev_coeffs", "twist_monomial", "colored_bracket",
+          "_colored_braid_bracket", "_cabled_word", "unknot_diagram", "CablingUnsupported")
+
+
+def _definitions(tree: ast.AST) -> dict:
+    """{name: lines} for every function, class and assigned name that ``tree`` defines."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.setdefault(node.name, []).append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        found.setdefault(name.id, []).append(node.lineno)
+    return found
+
+
+def _parameters(tree: ast.AST, name: str) -> list:
+    """The parameter names of every function ``name`` in tree, *args and **kwargs included."""
+    return [[a.arg for a in (fn.args.posonlyargs + fn.args.args + [fn.args.vararg]
+                             + fn.args.kwonlyargs + [fn.args.kwarg]) if a is not None]
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == name]
+
+
+def test_the_cabled_bracket_lives_in_the_tests():
+    # no command cables a braid: the colored bracket is tests/oracles.py's alone
+    found = {}
+    for path in sorted(Path(skeinquant.__file__).parent.rglob("*.py")):
+        defined = _definitions(ast.parse(path.read_text()))
+        moved = {name: defined[name] for name in _MOVED if name in defined}
+        if moved:
+            found[path.name] = moved
+    assert not found, f"cabling code is defined at {found}"
+    bracket = Path(skeinquant.__file__).parent / "bracket.py"
+    assert _parameters(ast.parse(bracket.read_text()), "braid_closure_bracket") == [["braid"]]
+
+
+def test_the_definition_finders_see_each_form():
+    code = ("def f(a, b=None, *c, d, **e):\n    g = 1\nclass H:\n    i: int = 2\n"
+            "async def j():\n    pass\nk, l = 3, 4\nm.n = 5\nimport o\n")
+    assert _definitions(ast.parse(code)) == {"f": [1], "g": [2], "H": [3], "i": [4], "j": [5],
+                                             "k": [7], "l": [7]}
+    assert _parameters(ast.parse(code), "f") == [["a", "b", "c", "d", "e"]]

@@ -14,8 +14,8 @@ from skeinquant import errors, jones
 from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                                UnknownCatalogEntry)
 from skeinquant.jones import (JONES_REL_TOL, Dyadic, KnotPresentation, catalog_jones_values,
-                              colored_jones, colored_jones_catalog, colored_jones_exact,
-                              colored_jones_rmatrix, colored_jones_values)
+                              catalog_name, colored_jones, colored_jones_catalog,
+                              colored_jones_exact, colored_jones_rmatrix, colored_jones_values)
 from skeinquant.laurent import LaurentPoly
 from skeinquant.roots import RootContext, quantum_integer, unit_root
 
@@ -543,7 +543,8 @@ def test_auto_past_the_budget_raises_without_exact(monkeypatch):
         raise AssertionError("auto fell back to the exact backend")
 
     monkeypatch.setattr(jones, "colored_jones_exact", no_exact)
-    wide = KnotPresentation.from_braid((1, 2, 3, 4, 5, 6), 7)
+    # each generator twice: no destabilization takes it to the catalog
+    wide = KnotPresentation.from_braid((1, 2, 3, 4, 5, 6) * 2, 7)
     with pytest.raises(StateSpaceTooLarge,
                        match=r"has 24017 states and needs 161528777768 bytes \(154046 MiB\), "
                              r"over the 268435456-byte \(256 MiB\) budget$"):
@@ -561,7 +562,7 @@ def test_dispatch_backends():
     assert colored_jones(FIG8, 2, ctx).backend == "catalog"
     # the catalog is keyed by braid word, so the trefoil word needs no name
     assert colored_jones(KnotPresentation.from_braid((1, 1, 1), 2), 2, ctx).backend == "catalog"
-    custom = KnotPresentation.from_braid((1, 1, 1, 2), 3)
+    custom = KnotPresentation.from_braid((1, 1, 1, 2, -1, 2), 3)   # 5_2
     assert colored_jones(custom, 2, ctx).backend == "rmatrix"
     assert colored_jones(custom, 2, ctx, backend="exact").backend == "exact"
     vals = [colored_jones(custom, 2, ctx, backend=b).value
@@ -575,7 +576,7 @@ def test_catalog_dispatch_ignores_the_label():
     for n in (2, 5, 10):
         assert colored_jones(mislabeled, n, ctx).value == colored_jones(FIG8, n, ctx).value
     with pytest.raises(UnknownCatalogEntry):
-        colored_jones(KnotPresentation.from_braid((1, 1, 1, 2), 3, name="trefoil"),
+        colored_jones(KnotPresentation.from_braid((1, 1, 1, 2, -1, 2), 3, name="trefoil"),
                       2, ctx, backend="catalog")
 
 
@@ -590,6 +591,19 @@ def test_every_spelling_of_a_catalog_word_takes_the_catalog(word):
         forced = colored_jones(K, 3, ctx, backend="rmatrix")
         assert forced.backend == "rmatrix"
         assert abs(forced.value - colored_jones(FIG8, 3, ctx).value) < 1e-9
+
+
+@pytest.mark.parametrize("word, strands, name", (
+    ((1, 1, 1, 2), 3, "trefoil"), ((1, 1, 1, -2), 3, "trefoil"),   # the last strand goes
+    ((-1, 2, 2, 2), 3, "trefoil"), ((2, -3, 2, -3, 1), 4, "figure-eight"),   # the first goes
+    ((1, 2, 2, 2, 3), 4, "trefoil"), ((1, -2, 1, -2, 3), 4, "figure-eight"), ((1,), 2, "unknot"),
+    ((1, 1, 1, 2, -1, 2), 3, None), ((-1, -1, -1, 2), 3, None)))   # 5_2, a stabilized mirror
+def test_a_stabilized_catalog_word_takes_the_catalog(word, strands, name):
+    K = KnotPresentation.from_braid(word, strands)
+    assert catalog_name(K) == name
+    ctx = RootContext(5)
+    assert abs(colored_jones(K, 3, ctx).value
+               - colored_jones(K, 3, ctx, backend="exact").value) < 1e-9
 
 
 def test_the_trefoil_mirror_stays_off_the_catalog():

@@ -202,7 +202,8 @@ def test_reference_volume_follows_the_braid_word():
     mislabeled = KnotPresentation.from_braid((1, 1, 1), 2, name="figure-eight")
     assert volume_sequence(mislabeled, [10])[0].ref_vol == 0.0
     with pytest.raises(UnknownCatalogEntry):
-        volume_sequence(KnotPresentation.from_braid((1, 1, 1, 2), 3, name="trefoil"), [5])
+        volume_sequence(KnotPresentation.from_braid((1, 1, 1, 2, -1, 2), 3, name="trefoil"),
+                        [5])
     # a literal: no call sums the series
     assert reference_volume("figure-eight") == pytest.approx(2.029883212819307)
 

@@ -117,13 +117,12 @@ def test_quantum_integer_poly():
 
 def test_signed_color_norm_matches_loop_evaluation():
     # evaluating the n-th color on a single loop gives (-1)^n [n+1]
-    from skeinquant.bracket import chebyshev_coeffs
+    from oracles import chebyshev_coeffs
     delta = loop_value()
     for n in range(6):
         val = LaurentPoly.zero()
         power = LaurentPoly.one()
-        coeffs = chebyshev_coeffs(n).coeffs
-        for j, c in enumerate(coeffs):
+        for j, c in enumerate(chebyshev_coeffs(n)):
             if c:
                 val = val + power * c
             power = power * delta

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from skeinquant import (BraidWord, ChebyshevColor, JonesValue, KirbyConstants, KnotPresentation,
+from skeinquant import (BraidWord, JonesValue, KirbyConstants, KnotPresentation,
                         KnotState, L2Norm, LinkDiagram, MappingClassWord, ModularReport,
                         QuantizationContext, RootContext, TorusVector, VolumeRow)
 from skeinquant.cli import RunConfig
@@ -17,16 +17,13 @@ MEASURED, PREDICTED = np.eye(2), np.ones((2, 2))
 
 # record -> (fields in order with valid values, whether hashable, [(bad args, ValueError message)])
 RECORDS = {
-    ChebyshevColor: ({"n": 2, "coeffs": (-1, 0, 1)}, True, []),
     RunConfig: ({"command": "jones", "params": {"n": 2}, "out": None}, False, []),
     BraidWord: ({"word": (1, -2), "strands": 3}, True, [
         (((1,), 0), "need at least one strand"),
         (((2,), 2), "generator 2 out of range for 2 strands"),
     ]),
-    LinkDiagram: ({"crossings": [(1, 2, 2, 1)], "free_loops": 1, "framing_extra": [0, 3],
-                   "braid": None}, False, [
+    LinkDiagram: ({"crossings": [(1, 2, 2, 1)], "free_loops": 1}, False, [
         (([(1, 2, 3)],), "crossing (1, 2, 3) must list exactly four arcs"),
-        (([], 1, [0, 0]), "one framing entry per component required"),
         (([(1, 2, 3, 5)],), "arcs with occurrence != 2: {1: 1, 2: 1, 3: 1, 5: 1}"),
     ]),
     QuantizationContext: ({"r": 3, "tau": 0.3 + 1.7j}, True, [

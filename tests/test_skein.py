@@ -2,13 +2,12 @@ import math
 
 import pytest
 
-from oracles import is_primitive_root, mirrored, pd_text, state_sum_bracket, transfer_bracket
+from oracles import (cabled_bracket, cabled_word, chebyshev_coeffs, is_primitive_root, mirrored,
+                     pd_text, state_sum_bracket, transfer_bracket)
 from skeinquant import cli, errors
-from skeinquant.bracket import (braid_closure_bracket, chebyshev_coeffs,
-                                colored_bracket, kauffman_bracket, twist_monomial,
-                                _cabled_word)
-from skeinquant.diagrams import BraidWord, LinkDiagram, braid_to_diagram, unknot_diagram
-from skeinquant.errors import CablingUnsupported, StateSpaceTooLarge
+from skeinquant.bracket import braid_closure_bracket, kauffman_bracket
+from skeinquant.diagrams import BraidWord, LinkDiagram, braid_to_diagram
+from skeinquant.errors import StateSpaceTooLarge
 from skeinquant.laurent import LaurentPoly, loop_value, signed_color_norm
 from skeinquant.roots import RootContext, eval_at_root, quantum_integer
 
@@ -17,6 +16,7 @@ DELTA = loop_value()
 TREFOIL = BraidWord((1, 1, 1), 2)
 FIGURE_EIGHT = BraidWord((1, -2, 1, -2), 3)
 HOPF = BraidWord((1, 1), 2)
+UNKNOT, KINKED_UNKNOT = BraidWord((), 1), BraidWord((1,), 2)
 
 
 # -- quantum integers at the root ---------------------------------------
@@ -47,38 +47,38 @@ def test_eval_at_root_examples():
     assert abs(val.imag) < 1e-12
 
 
-# -- Chebyshev colors ----------------------------------------------------
+# -- Chebyshev colors of the cabled oracle --------------------------------
 
 def test_chebyshev_small():
-    assert chebyshev_coeffs(0).coeffs == (1,)
-    assert chebyshev_coeffs(1).coeffs == (0, 1)
-    assert chebyshev_coeffs(2).coeffs == (-1, 0, 1)
-    assert chebyshev_coeffs(5).coeffs == (0, 3, 0, -4, 0, 1)
+    assert chebyshev_coeffs(0) == (1,)
+    assert chebyshev_coeffs(1) == (0, 1)
+    assert chebyshev_coeffs(2) == (-1, 0, 1)
+    assert chebyshev_coeffs(5) == (0, 3, 0, -4, 0, 1)
 
 
 def test_chebyshev_recurrence_and_leading():
     # independent walk of e_{n+1} = z e_n - e_{n-1}
     prev, cur = [1], [0, 1]
     for n in range(1, 9):
-        got = list(chebyshev_coeffs(n).coeffs)
+        got = list(chebyshev_coeffs(n))
         assert got == cur
         assert got[-1] == 1 and len(got) == n + 1
         nxt = [0] + cur
         for j, c in enumerate(prev):
             nxt[j] -= c
         prev, cur = cur, nxt
-    assert chebyshev_coeffs(3).coeffs == (0, -2, 0, 1)
-    assert chebyshev_coeffs(4).coeffs == (1, 0, -3, 0, 1)
+    assert chebyshev_coeffs(3) == (0, -2, 0, 1)
+    assert chebyshev_coeffs(4) == (1, 0, -3, 0, 1)
 
 
 # -- brackets: golden values and moves ------------------------------------
 
 def test_single_loop():
-    assert kauffman_bracket(unknot_diagram()) == DELTA
+    assert kauffman_bracket(braid_to_diagram(UNKNOT)) == DELTA
 
 
 def test_empty_diagram():
-    d = LinkDiagram([], free_loops=0, framing_extra=[])
+    d = LinkDiagram([], free_loops=0)
     assert kauffman_bracket(d) == LaurentPoly.one()
 
 
@@ -105,10 +105,11 @@ def test_pd_matches_transfer_on_braids():
 
 
 def test_cabled_transfer_matches_cabled_state_sum():
-    # the engine on widths, against both oracles on the flattened 12-crossing cable
-    flat = BraidWord(tuple(_cabled_word(TREFOIL, [2, 2])), 4)
-    cabled = braid_closure_bracket(TREFOIL, [2, 2])
+    # the engine on the 12-crossing 2-cable, against both oracles; e_2 = z^2 - 1
+    flat = BraidWord(*cabled_word(TREFOIL, [2, 2]))
+    cabled = braid_closure_bracket(flat)
     assert cabled == state_sum_bracket(braid_to_diagram(flat)) == transfer_bracket(flat)
+    assert cabled_bracket(TREFOIL, [2]) == cabled - 1
 
 
 @pytest.mark.parametrize("code", ("X 1 1 2 2", "X 1 2 2 1",
@@ -172,46 +173,32 @@ def test_well_formedness_rejects_bad_codes():
         LinkDiagram([(1, 1, 2, 2), (1, 2, 3, 4)])
 
 
-# -- colored brackets -------------------------------------------------------
+# -- colored brackets of the cabled oracle ---------------------------------
 
 def test_color_zero_gives_one():
-    assert colored_bracket(braid_to_diagram(HOPF), [0, 0]) == LaurentPoly.one()
-    assert colored_bracket(unknot_diagram(), [0]) == LaurentPoly.one()
+    assert cabled_bracket(HOPF, [0, 0]) == LaurentPoly.one()
+    assert cabled_bracket(UNKNOT, [0]) == LaurentPoly.one()
 
 
 def test_color_one_is_plain_bracket():
     for braid in (TREFOIL, FIGURE_EIGHT):
-        d = braid_to_diagram(braid)
-        assert colored_bracket(d, [1]) == kauffman_bracket(d)
-    d = LinkDiagram.from_pd_text("X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3\n")
-    assert colored_bracket(d, [1]) == kauffman_bracket(d)
+        assert cabled_bracket(braid, [1]) == kauffman_bracket(braid_to_diagram(braid))
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_unknot_color_identity(n):
-    assert colored_bracket(unknot_diagram(), [n]) == signed_color_norm(n)
+    assert cabled_bracket(UNKNOT, [n]) == signed_color_norm(n)
 
 
 @pytest.mark.parametrize("n", range(4))
 def test_framed_unknot_twist(n):
-    # one positive kink, computed by cabling the kinked braid closure
-    via_braid = colored_bracket(braid_to_diagram(BraidWord((1,), 2)), [n])
-    expected = signed_color_norm(n) * twist_monomial(n, 1)
-    assert via_braid == expected
-    # explicit framing correction on a flat loop agrees with the cable
-    via_extra = colored_bracket(unknot_diagram(framing_extra=1), [n])
-    assert via_extra == via_braid
+    # one positive kink on an e_n strand multiplies by (-1)^n A^-(n^2+2n)
+    expected = signed_color_norm(n) * LaurentPoly.monomial(-(n * n + 2 * n), (-1) ** n)
+    assert cabled_bracket(KINKED_UNKNOT, [n]) == expected
 
 
 def test_hopf_colored_symmetry():
-    d = braid_to_diagram(HOPF)
-    assert colored_bracket(d, [2, 1]) == colored_bracket(d, [1, 2])
-
-
-def test_pd_only_cabling_unsupported():
-    d = LinkDiagram.from_pd_text("X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3\n")
-    with pytest.raises(CablingUnsupported):
-        colored_bracket(d, [2])
+    assert cabled_bracket(HOPF, [2, 1]) == cabled_bracket(HOPF, [1, 2])
 
 
 def test_eval_at_root_ring_homomorphism():
