@@ -26,6 +26,7 @@ side.
 
 from __future__ import annotations
 
+import cmath
 import math
 from math import gcd
 from typing import NamedTuple, Sequence
@@ -481,15 +482,8 @@ class ModularReport(NamedTuple):
     gen: str
     measured: np.ndarray
     predicted: np.ndarray
-    global_phase: complex
-    max_dev: float          # after dividing out the fitted global phase
-
-
-def _fit_phase(measured: np.ndarray, predicted: np.ndarray) -> complex:
-    t = np.vdot(predicted, measured)
-    if t == 0:
-        return 1.0 + 0j
-    return t / abs(t)
+    global_phase: complex   # the predicted phase: -exp(i pi/N) for T, -1 for S
+    max_dev: float          # of measured from global_phase * predicted
 
 
 def _s_frame_pairing(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
@@ -544,24 +538,28 @@ def _s_frame_plan(ctx: QuantizationContext, n_grid: int) -> tuple:
     return rows, 16 * (held + block + buffers) + 8192
 
 
-def _twist_frame_rows(ctx: QuantizationContext) -> np.ndarray:
-    """Coefficient rows of the T-transformed alternating basis, shape (r, N).
+def _twist_phases(ctx: QuantizationContext) -> np.ndarray:
+    """The phases z_l of the T-transformed alternating basis Phi~_l = z_l Phi_l, l = 1..r.
 
     The chain Psi~_0 = Psi_0, Psi~_k = -T*_{(1,1)/N} Psi~_{k-1} applies the
     normalised lift of the (1,1) translation (chi(1,1) = -1), and
     Phi~_l = (Psi~_l - Psi~_{N-l}) / sqrt(2).  The lift takes Psi_{k-1} to
-    exp(i pi (2k-1)/N) Psi_k, so Psi~_k = (-1)^k exp(i pi k^2/N) Psi_k.
+    exp(i pi (2k-1)/N) Psi_k, so Psi~_k = z_k Psi_k with
+    z_k = (-1)^k exp(i pi k^2/N), and z_{N-k} = z_k.
     """
-    N, k = ctx.N, np.arange(ctx.N)
-    return _phi_rows(ctx) * (1 - 2 * (k % 2)) * np.exp(1j * math.pi * (k * k % (2 * N)) / N)
+    N, l = ctx.N, np.arange(1, ctx.r + 1)
+    return (1 - 2 * (l % 2)) * np.exp(1j * math.pi * (l * l % (2 * N)) / N)
 
 
 def _frame_report(gen: str, cur: np.ndarray, ctx: QuantizationContext) -> ModularReport:
-    """Fit the measured matrix of generator gen against rep_T or rep_S."""
-    predicted = rep_T(ctx.r) if gen == "T" else rep_S(ctx.r)
-    phase = _fit_phase(cur, predicted)
+    """Compare the measured matrix of generator gen with its predicted phase times
+    rep_T or rep_S: -exp(i pi/N) for T, -1 for S (docs/conventions.md)."""
+    if gen == "T":
+        phase, predicted = -cmath.exp(1j * math.pi / ctx.N), rep_T(ctx.r)
+    else:
+        phase, predicted = -1 + 0j, rep_S(ctx.r)
     max_dev = float(np.max(np.abs(cur - phase * predicted)))
-    return ModularReport(gen, cur, predicted, complex(phase), max_dev)
+    return ModularReport(gen, cur, predicted, phase, max_dev)
 
 
 def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
@@ -570,18 +568,18 @@ def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
     gen="S": the new frame is (lambda, -mu) with modular parameter -1/tau;
     its vacuum theta series stays inside the invariant space, so the full
     change-of-basis matrix (half-form scale tau**-1/2 included) is measured
-    by quadrature and compared against the discrete sine kernel rep_S.
+    by quadrature and compared against -1 times the discrete sine kernel rep_S.
 
     gen="T": the twist fixes the meridian, and the transformed frame
     (mu, mu+lambda) has the opposite lattice character, so no frame theta
     series exists inside the space; the transported basis is instead the
-    chain of the normalised lift of the (1,1) translation, in closed form.  Those
-    sections live in this context, so they pair through the Gram kernel;
-    the measured matrix is diagonal and is compared against rep_T.
+    chain of the normalised lift of the (1,1) translation, Phi~_l = z_l Phi_l
+    (_twist_phases).  The measured matrix is the Phi Gram matrix times
+    diag(z), compared against -exp(i pi/N) rep_T.
     """
     if gen == "T":
-        cur = _pairings(ctx, [(_phi_rows(ctx), _twist_frame_rows(ctx),
-                               halfform_norm_sq(ctx))])[1][0]
+        phi = _phi_rows(ctx)
+        cur = _pairings(ctx, [(phi, phi, halfform_norm_sq(ctx))])[1][0] * _twist_phases(ctx)
     elif gen == "S":
         # half-form frame change tau**-1/2, principal branch
         weight = ctx.tau ** -0.5 * halfform_norm_sq(ctx)

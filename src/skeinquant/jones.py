@@ -154,7 +154,7 @@ def _sector_plan(word, s: int, N: int):
     each sector is built when the loop reaches it, so a caller that keeps the
     list for several loops holds every visited sector's positions at once.
     """
-    digits = np.indices((N,) * s).reshape(s, -1)   # slot 0 most significant, as in np.kron
+    digits = np.indices((N,) * s).reshape(s, -1)   # flat index sum_i k_i N^(s-1-i)
     weights = digits.sum(axis=0)
     order, sizes = np.argsort(weights, kind="stable"), np.bincount(weights)
     del weights   # not held while the sectors are built: the budget counts (s + 2) N^s
@@ -639,9 +639,9 @@ def colored_jones(K: KnotPresentation, n: int, ctx: RootContext,
 
 def colored_jones_values(K: KnotPresentation, r: int, backend: str = "auto") -> list:
     """J(K, 1..r) at level r: one catalog pass for catalog words, else per color."""
+    ctx = RootContext(r)   # rejects a level below 3 before any sum runs
     resolved, name = _resolve(K, backend)
     if resolved == "catalog":
         return catalog_jones_values(name, r, r)
-    ctx = RootContext(r)
     return [colored_jones(K, n, ctx, backend=backend).value for n in range(1, r + 1)]
 

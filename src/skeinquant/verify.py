@@ -6,13 +6,14 @@ All residuals are dimensionless maxima; ``pass`` requires every entry in
 convergence check and is reported separately as a flag).
 
 One report is one batched pass.  Every pairing that goes through the Gram
-kernel (the Phi Gram matrix, the random section and its translate, and the
-closed-form twist-frame basis of the T check) is a block of one stacked
-product on the grid that the aliasing bound picks from (r, tau), so a
-report builds one kernel, and the Psi Gram matrix and vacuum are read off
-it.  Translations act on whole coefficient stacks (Psi's checks on one
-row), each point check evaluates all of its points in one series call,
-and the test vectors come from ``random.Random(7)``, real parts first.
+kernel (the Phi Gram matrix, and the random section and its translate) is
+a block of one stacked product on the grid that the aliasing bound picks
+from (r, tau), so a report builds one kernel, and the Psi Gram matrix and
+vacuum are read off it.  The twist frame is Phi~_l = z_l Phi_l, so the T
+check is the Phi Gram block times diag(z).  Translations act on whole
+coefficient stacks (Psi's checks on one row), each point check evaluates
+all of its points in one series call, and the test vectors come from
+``random.Random(7)``, real parts first.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ._lazy import lazy_import
 from .geom import (QuantizationContext, _check_bytes, _curve_operators, _frame_report,
                    _gram_bytes, _grid, _pairings, _phi_rows, _q_parts, _reflected,
                    _s_frame_plan, _series, _series_plan, _spread, _translated,
-                   _twist_frame_rows, halfform_norm_sq, iso_from_skein, iso_to_skein,
+                   _twist_phases, halfform_norm_sq, iso_from_skein, iso_to_skein,
                    modular_phase_check, psi_norm_constant)
 from .tqft import TorusVector, curve_operator_skein
 
@@ -91,10 +92,9 @@ def _check_report_bytes(ctx: QuantizationContext, include_modular: bool) -> None
     """StateSpaceTooLarge before a report builds what would pass errors.BYTE_BUDGET.
 
     The S pairing is checked alone first, so that it is named where it alone
-    passes.  A report keeps the Phi rows and the twist frame's (r x N each)
-    and a dozen r x r results.  On top of those comes the largest transient:
-    the stacked pairing columns C and G C, 2r + 2 columns each (r + 2
-    without the twist frame), with the Gram kernel's count, which also
+    passes.  A report keeps the Phi rows (r x N) and a dozen r x r results.
+    On top of those comes the largest transient: the stacked pairing columns
+    C and G C, r + 2 columns each, with the Gram kernel's count, which also
     covers G and its moduli while the Psi Gram residual is read off it; the
     curve operators' stacked translate and its sums, 14 r N, and numpy's
     buffer for its broadcast phases, up to np.getbufsize() values; the
@@ -103,9 +103,8 @@ def _check_report_bytes(ctx: QuantizationContext, include_modular: bool) -> None
     N, r, n = ctx.N, ctx.r, _grid(ctx)
     s_frame = _s_frame_plan(ctx, n)[1] if include_modular else 0.0
     _check_bytes(ctx, "S-frame pairing", s_frame)
-    rows = 2 * r if include_modular else r
-    held = 16 * (rows * N + 12 * r * r)
-    pairings = 32 * N * (rows + 2) + _gram_bytes(ctx, n)
+    held = 16 * (r * N + 12 * r * r)
+    pairings = 32 * N * (r + 2) + _gram_bytes(ctx, n)
     curves = 16 * (14 * r * N + min(6 * r * N, np.getbufsize()))
     series = _series_plan(ctx, 4, 16, 2.0)[1]   # 4 rows at 16 points, q spanning under 2
     _check_bytes(ctx, "verification report", held + max(pairings, curves, series, s_frame))
@@ -120,10 +119,7 @@ def verification_report(ctx: QuantizationContext, include_modular: bool = True) 
     phi = _phi_rows(ctx)
     s = _normal_vector(rng, N)[None, :]
     t = _translated(ctx, s, 2, 3)
-    blocks = [(phi, phi, hf), (s, s, hf), (t, t, hf)]
-    if include_modular:
-        blocks.append((phi, _twist_frame_rows(ctx), hf))
-    G, (gram_phi, norm_s, norm_t, *twist) = _pairings(ctx, blocks)
+    G, (gram_phi, norm_s, norm_t) = _pairings(ctx, [(phi, phi, hf), (s, s, hf), (t, t, hf)])
     residuals = {}
 
     # Psi_l = c e_l: the vacuum Psi_0 / c pairs to G[0, 0], and Psi's Gram matrix is hf c^2 G
@@ -170,12 +166,9 @@ def verification_report(ctx: QuantizationContext, include_modular: bool = True) 
     residuals["iso_roundtrip"] = float(np.max(np.abs(back - v)))
 
     if include_modular:
-        rep_t = _frame_report("T", twist[0], ctx)
-        rep_s = modular_phase_check("S", ctx)
-        residuals["modular_T_phases"] = rep_t.max_dev
-        residuals["modular_S_matrix"] = rep_s.max_dev
-        residuals["modular_T_phase_modulus"] = abs(abs(rep_t.global_phase) - 1)
-        residuals["modular_S_phase_modulus"] = abs(abs(rep_s.global_phase) - 1)
+        twist = gram_phi * _twist_phases(ctx)   # Phi~_l = z_l Phi_l
+        residuals["modular_T_phases"] = _frame_report("T", twist, ctx).max_dev
+        residuals["modular_S_matrix"] = modular_phase_check("S", ctx).max_dev
 
     c, floor = _holomorphy_residuals(ctx, rng)
     c1, c2 = c

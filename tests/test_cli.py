@@ -488,6 +488,20 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", (
+    ["knot-state", "--knot", "trefoil", "--r", "0"],
+    ["knot-state", "--knot", "trefoil", "--r", "1"],
+    ["knot-state", "--knot", "figure-eight", "--r", "-1"],
+    ["volume-seq", "--knot", "figure-eight", "--r-min", "0", "--r-max", "2", "--step", "1",
+     "--out", "v.csv"],
+))
+def test_levels_below_3_are_refused_before_any_catalog_sum(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(jones, "_catalog_sum", lambda name: pytest.fail("a catalog sum ran"))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: level r must be >= 3\n")
+
+
 @pytest.mark.parametrize("argv, spelled", (
     (["geom-verify", "--r", "3", "--tau", "-1+2i"], ["geom-verify", "--r", "3", "--tau=-1+2i"]),
     (["rt", "--surgery", "trefoil", "--framing", "-1", "--r", "5"],

@@ -317,7 +317,7 @@ def test_iso_roundtrip_and_guard():
 
 def test_section_input_errors():
     # a wrong length, a pairing across contexts, a section off the alternating subspace,
-    # an unknown generator, and a phase fit with nothing to fit
+    # and an unknown generator
     with pytest.raises(DimensionMismatch, match=f"length {CTX.N}"):
         ThetaSection(CTX, np.ones(CTX.N - 1))
     other = QuantizationContext(4, 1j)
@@ -327,7 +327,6 @@ def test_section_input_errors():
         iso_to_skein(ThetaSection(CTX, np.eye(CTX.N)[1]))
     with pytest.raises(ValueError, match="'T' or 'S'"):
         modular_phase_check("X", CTX)
-    assert geom._fit_phase(np.array([1, 0j]), np.array([0, 1j])) == 1
 
 
 def test_translation_of_stacked_rows_acts_row_by_row():
@@ -365,42 +364,48 @@ def test_intertwining_operator_norm(tau, gamma):
 
 # -- modular frame changes --------------------------------------------------------
 
-@pytest.mark.parametrize("tau", (1j, 0.3 + 1.7j))
+MODULAR_TAUS = (1j, 0.3 + 1.7j, 2 + 3j, -1.5 + 0.8j, 0.05j, 4j, -0.4 + 0.6j, 10 + 1j)
+
+
+@pytest.mark.parametrize("tau", MODULAR_TAUS)
 def test_modular_T_phases(tau):
-    ctx = QuantizationContext(3, tau)
-    rep = modular_phase_check("T", ctx)
-    assert rep.max_dev < 1e-6
-    assert abs(abs(rep.global_phase) - 1) < 1e-6
-    # measured matrix is diagonal
-    off = rep.measured - np.diag(np.diag(rep.measured))
-    assert np.max(np.abs(off)) < 1e-6
-    # relative phase between successive entries carries the twist sign
-    d = np.diag(rep.measured)
-    t = np.diag(rep_T(3))
-    for l in range(1, 3):
-        assert abs(d[l] / d[l - 1] - t[l] / t[l - 1]) < 1e-6
+    # the measured matrix is the predicted phase -exp(i pi/N) times rep_T, with no fit
+    for r in (3, 5, 10, 20):
+        ctx = QuantizationContext(r, tau)
+        rep = modular_phase_check("T", ctx)
+        assert rep.global_phase == -cmath.exp(1j * math.pi / ctx.N)
+        assert rep.max_dev < 1e-12
+        # measured matrix is diagonal
+        off = rep.measured - np.diag(np.diag(rep.measured))
+        assert np.max(np.abs(off)) < 1e-12
+        # relative phase between successive entries carries the twist sign
+        d = np.diag(rep.measured)
+        t = np.diag(rep_T(r))
+        for l in range(1, r):
+            assert abs(d[l] / d[l - 1] - t[l] / t[l - 1]) < 1e-12
 
 
-@pytest.mark.parametrize("tau", (1j, 0.3 + 1.7j))
+@pytest.mark.parametrize("tau", MODULAR_TAUS)
 def test_modular_S_matrix(tau):
-    ctx = QuantizationContext(3, tau)
-    rep = modular_phase_check("S", ctx)
-    assert rep.max_dev < 1e-6
-    assert abs(abs(rep.global_phase) - 1) < 1e-6
-    # the vacuum-anchored theta construction lands on the opposite global sign
-    assert abs(rep.global_phase + 1) < 1e-6
-    assert np.max(np.abs(rep.measured + rep_S(3))) < 1e-6
+    # the vacuum-anchored theta construction lands on the opposite global sign, -1,
+    # with no fit
+    for r in (3, 5, 10, 20):
+        ctx = QuantizationContext(r, tau)
+        rep = modular_phase_check("S", ctx)
+        assert rep.global_phase == -1
+        assert rep.max_dev < 1e-12
+        assert np.max(np.abs(rep.measured + rep_S(r))) < 1e-12
 
 
 @pytest.mark.parametrize("r", range(3, 13))
 def test_twist_frame_closed_form_matches_the_chain(r):
     # Psi~_k = (-1)^k exp(i pi k^2/N) Psi_k is the N - 1 step chain of the
-    # normalised (1,1) lift, so the measured T diagonal is still -exp(i pi/N)
-    # times rep_T: rep_T carries the anchor phase -exp(-i pi/N)
+    # normalised (1,1) lift, so Phi~_l = z_l Phi_l and the measured T diagonal is
+    # -exp(i pi/N) times rep_T: rep_T carries the anchor phase -exp(-i pi/N)
     ctx = QuantizationContext(r, 1j)
-    assert np.max(np.abs(geom._twist_frame_rows(ctx) - chained_twist_frame_rows(ctx))) <= 1e-13
-    phase = modular_phase_check("T", ctx).global_phase
-    assert abs(phase + cmath.exp(1j * math.pi / ctx.N)) <= 1e-12
+    closed = geom._phi_rows(ctx) * geom._twist_phases(ctx)[:, None]
+    assert np.max(np.abs(closed - chained_twist_frame_rows(ctx))) <= 1e-13
+    assert modular_phase_check("T", ctx).max_dev <= 1e-12
 
 
 def test_quadrature_cap_raises(monkeypatch):
@@ -493,11 +498,11 @@ def test_report_counts_its_traced_peak(monkeypatch, r, include_modular):
 
 def test_report_admits_r_600_at_tau_i():
     # with no N x N array but the kernel G, the count at r = 600, tau = i is about
-    # 242 MiB, under the budget; r = 618 is the first level past it
-    for r in (600, 617):
+    # 231 MiB, under the budget; r = 632 is the first level past it
+    for r in (600, 631):
         verify._check_report_bytes(QuantizationContext(r, 1j), True)
-    with pytest.raises(StateSpaceTooLarge, match="verification report at r = 618, tau = 1j"):
-        verify._check_report_bytes(QuantizationContext(618, 1j), True)
+    with pytest.raises(StateSpaceTooLarge, match="verification report at r = 632, tau = 1j"):
+        verify._check_report_bytes(QuantizationContext(632, 1j), True)
 
 
 def test_series_counts_what_its_blocks_hold(monkeypatch):
@@ -682,7 +687,7 @@ def test_coefficient_maps_do_not_read_tau():
         assert np.array_equal(geom._translated(a, rows, j, k), geom._translated(b, rows, j, k))
     assert np.array_equal(geom._reflected(a, rows), geom._reflected(b, rows))
     assert np.array_equal(geom._phi_rows(a), geom._phi_rows(b))
-    assert np.array_equal(geom._twist_frame_rows(a), geom._twist_frame_rows(b))
+    assert np.array_equal(geom._twist_phases(a), geom._twist_phases(b))
     for gamma in ((1, 0), (0, 1), (1, 1), (2, 1)):
         assert np.array_equal(curve_operator_geom(gamma, a), curve_operator_geom(gamma, b))
 
@@ -719,12 +724,17 @@ def test_batched_report_matches_the_per_check_functions(r, tau):
         "intertwine_lambda": intertwining_deviation((0, 1), ctx),
         "intertwine_mu_plus_lambda": intertwining_deviation((1, 1), ctx),
         "modular_T_phases": rep_t.max_dev,
-        "modular_T_phase_modulus": abs(abs(rep_t.global_phase) - 1),
         "curve_mu_spectrum": np.max(np.abs(curve_operator_geom((1, 0), ctx) - mu)),
         "quasi_periodicity": quasi_periodicity_by_section(ctx, rng),
     }
     for key, value in want.items():
         assert abs(got[key] - value) <= 1e-12, (key, got[key], value)
+    # the T matrix is the Phi Gram block times the twist phases z_l = (-1)^l exp(i pi l^2/N)
+    l = np.arange(1, r + 1)
+    z = (-1.0) ** l * np.exp(1j * math.pi * (l * l % (2 * ctx.N)) / ctx.N)
+    gram_t = gram_matrix(basis_phi(ctx)) * z
+    dev = np.max(np.abs(gram_t + cmath.exp(1j * math.pi / ctx.N) * rep_T(r)))
+    assert abs(got["modular_T_phases"] - dev) <= 1e-15
 
 
 @pytest.mark.parametrize("r, tau", [(r, 1j) for r in range(3, 11)]
