@@ -23,7 +23,7 @@ from .bracket import braid_closure_bracket, kauffman_bracket
 from .errors import SkeinQuantError
 from .geom import QuantizationContext
 from .jones import CATALOG_BRAIDS, KnotPresentation, colored_jones, colored_jones_exact
-from .knotstate import _state_and_norm, volume_sequence, write_volume_csv
+from .knotstate import knot_state, volume_sequence, write_volume_csv
 from .roots import RootContext
 from .tqft import MappingClassWord, rep_S, rep_T, rt_invariant, sl2z_rep
 from .verify import verification_report
@@ -111,8 +111,7 @@ def _knot_from_args(args) -> KnotPresentation:
     if args.braid is not None:   # '' is the empty word
         if not args.strands:
             raise SkeinQuantError("--braid requires --strands")
-        return KnotPresentation.from_braid(
-            BraidWord.from_text(args.braid, args.strands).word, args.strands)
+        return KnotPresentation("custom", BraidWord.from_text(args.braid, args.strands))
     raise SkeinQuantError("provide --knot or --braid")
 
 
@@ -197,9 +196,9 @@ def _cmd_geom_verify(cfg: RunConfig, args) -> int:
 
 
 def _cmd_knot_state(cfg: RunConfig, args) -> int:
-    K = _knot_from_args(args)
-    state, norm = _state_and_norm(K, args.r, args.backend)
-    _emit(cfg, {"knot": K.name, "r": args.r,
+    state = knot_state(_knot_from_args(args), args.r, args.backend)
+    norm = state.norm
+    _emit(cfg, {"knot": state.knot.name, "r": args.r,
                 "coeffs": [_complex_pair(c) for c in state.coeffs.coeffs],
                 "norm_sq": norm.norm_sq, "norm": norm.norm,
                 "argmax_n": norm.argmax_n})

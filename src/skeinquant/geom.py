@@ -34,6 +34,7 @@ from typing import NamedTuple, Sequence
 from . import errors
 from ._lazy import lazy_import
 from .errors import DimensionMismatch, NotLatticeFraction, NotPrimitive, PrecisionLoss
+from .roots import RootContext
 from .tqft import TorusVector, curve_operator_skein, rep_S, rep_T
 
 np = lazy_import("numpy")
@@ -48,8 +49,7 @@ class QuantizationContext(NamedTuple("QuantizationContext", [("r", int), ("tau",
     __slots__ = ()
 
     def __new__(cls, r, tau):
-        if r < 3:
-            raise ValueError("level r must be >= 3")
+        RootContext(r)   # refuses r < 3
         tau = complex(tau)
         if not np.isfinite(tau):
             raise ValueError(f"tau must be finite, not {tau}")

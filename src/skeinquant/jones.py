@@ -572,6 +572,8 @@ def catalog_jones_values(name: str, r: int, n_max: int) -> list:
     relative, or PrecisionLoss is raised.  Figure-eight values are exact Dyadic
     reals, up to about 2**(r/2), past the double range; the others are complex.
     """
+    if r < 1:
+        raise ValueError("level r must be >= 1")
     NN = 2 * r + 1
     values = _catalog_sum(name)(r, min(n_max, r), n_max - n_max % NN)
     return [values[min(n % NN, -n % NN) - 1] for n in range(1, n_max + 1)]

@@ -24,11 +24,12 @@ from .tqft import TorusVector, _weights
 
 
 class KnotState(NamedTuple):
-    """Torus-boundary state of a knot complement at level r."""
+    """Torus-boundary state of a knot complement at level r, and its norm."""
 
     knot: KnotPresentation
     r: int
     coeffs: TorusVector
+    norm: L2Norm
 
 
 class L2Norm(NamedTuple):
@@ -48,20 +49,12 @@ class VolumeRow(NamedTuple):
 
 
 def knot_state(K: KnotPresentation, r: int, backend: str = "auto") -> KnotState:
-    """State coefficients eta * <e_{n-1}>_K for n = 1..r."""
-    return _state(K, r, colored_jones_values(K, r, backend))
-
-
-def _state(K: KnotPresentation, r: int, values: list) -> KnotState:
+    """State coefficients eta * <e_{n-1}>_K for n = 1..r, with the norm
+    l2_norm_formula gives, from one evaluation of J(K, 1..r)."""
+    values = colored_jones_values(K, r, backend)
     eta, omega = _weights(r)  # omega[n-1] = (-1)^(n-1) [n]
     return KnotState(K, r, TorusVector(r, tuple(eta * w * complex(j) for w, j in
-                                                zip(omega, values))))
-
-
-def _state_and_norm(K: KnotPresentation, r: int, backend: str) -> tuple:
-    """knot_state and l2_norm_formula from one evaluation of J(K, 1..r)."""
-    values = colored_jones_values(K, r, backend)
-    return _state(K, r, values), _norm(r, values)
+                                                zip(omega, values))), _norm(r, values))
 
 
 def _log_abs(z) -> float:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from oracles import pd_text, state_sum_bracket, transfer_bracket
-from skeinquant import cli, errors, jones
+from skeinquant import cli, errors, jones, knotstate
 from skeinquant.diagrams import BraidWord, braid_to_diagram
 from skeinquant.jones import KnotPresentation, colored_jones_exact
 from skeinquant.roots import RootContext
@@ -143,6 +143,28 @@ def test_knot_state_evaluates_jones_once(monkeypatch, capsys):
     assert calls == {"catalog": 1, "rmatrix": 0}
     assert cli.main(["knot-state", "--braid", "1 1 1 2 -1 2", "--strands", "3", "--r", "8"]) == 0
     assert calls == {"catalog": 1, "rmatrix": 8}   # one per color n = 1..8
+
+
+def test_knot_state_runs_through_knot_state(monkeypatch, capsys):
+    # the command takes the state and its norm from the public knot_state, which
+    # evaluates J once for both
+    calls = {"knot_state": 0, "catalog": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "knot_state", counted("knot_state", knotstate.knot_state))
+    monkeypatch.setattr(jones, "catalog_jones_values",
+                        counted("catalog", jones.catalog_jones_values))
+    assert cli.main(["knot-state", "--knot", "figure-eight", "--r", "12"]) == 0
+    assert calls == {"knot_state": 1, "catalog": 1}
+    result = json.loads(capsys.readouterr().out)["result"]
+    state = knotstate.knot_state(KnotPresentation.from_catalog("figure-eight"), 12)
+    assert result["norm_sq"] == state.norm.norm_sq
+    assert result["argmax_n"] == state.norm.argmax_n
 
 
 @pytest.mark.parametrize("argv", (

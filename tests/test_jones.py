@@ -557,6 +557,14 @@ def test_catalog_unknown():
         colored_jones_catalog("granny", 2, ctx)
 
 
+@pytest.mark.parametrize("r", (-1, 0))
+@pytest.mark.parametrize("name", ("unknot", "trefoil", "figure-eight"))
+def test_catalog_refuses_levels_below_one(name, r):
+    # one level error before any sum runs, not three different failures inside them
+    with pytest.raises(ValueError, match=r"^level r must be >= 1$"):
+        catalog_jones_values(name, r, 1)
+
+
 def test_dispatch_backends():
     ctx = RootContext(4)
     assert colored_jones(FIG8, 2, ctx).backend == "catalog"

@@ -38,7 +38,8 @@ RECORDS = {
          "braid closure has 2 components; a knot needs exactly one"),
     ]),
     JonesValue: ({"n": 2, "value": 0.5 - 1j, "backend": "catalog"}, True, []),
-    KnotState: ({"knot": TREFOIL, "r": 3, "coeffs": TorusVector(3, (1, 2j, 0))}, True, []),
+    KnotState: ({"knot": TREFOIL, "r": 3, "coeffs": TorusVector(3, (1, 2j, 0)),
+                 "norm": L2Norm(5.0, math.sqrt(5.0), math.log(5.0), 2)}, True, []),
     L2Norm: ({"norm_sq": 4.0, "norm": 2.0, "log_norm_sq": math.log(4.0), "argmax_n": 3},
              True, []),
     VolumeRow: ({"r": 40, "norm_sq": 27.0, "v_r": 0.25, "argmax_n": 40, "ref_vol": 0.0,
