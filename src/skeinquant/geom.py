@@ -106,9 +106,14 @@ def _spread(N: int, b: float) -> float:
 
 
 def _window(ctx: QuantizationContext, q_min: float, q_max: float):
-    """Index range of the terms above SERIES_TOL, at most N (q_max - q_min) + 2 spread + 7 long."""
+    """Index range of the terms above SERIES_TOL, at most _window_len(ctx, q_max - q_min) long."""
     w = math.ceil(_spread(ctx.N, ctx.b)) + 1
     return math.floor(-ctx.N * q_max) - w, math.ceil(-ctx.N * q_min) + w
+
+
+def _window_len(ctx: QuantizationContext, q_span: float, widen: float = 1.0) -> float:
+    """N q_span + 2 spread + 7, the one bound on a _window's length; widen = |tau| for S."""
+    return ctx.N * q_span + 2 * _spread(ctx.N, ctx.b) * widen + 7
 
 
 def _check_bytes(ctx: QuantizationContext, what: str, nbytes: float) -> None:
@@ -138,7 +143,7 @@ def _series_plan(ctx: QuantizationContext, rows: int, points: int, q_span: float
     q_span: the points per block, at most _GRID_BLOCK terms x points or one point, and six
     complex values per term and point of a block (the q-parts with their float squares, the
     phases with their argument, and the product), the rows' terms, the output and 8 KiB."""
-    terms = ctx.N * q_span + 2 * _spread(ctx.N, ctx.b) + 7
+    terms = _window_len(ctx, q_span)
     step = max(1, int(_GRID_BLOCK // terms))
     return step, 16 * (rows * (2 * terms + points) + 6 * terms * min(step, points)) + 8192
 
@@ -344,7 +349,7 @@ def _gram_kernel(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
 def _gram_bytes(ctx: QuantizationContext, n_grid: int) -> float:
     """The Gram kernel's peak: G, 1.5 F (F and the float squares it is built
     from), one shift's vectors and 8 KiB."""
-    w = ctx.N + 2 * _spread(ctx.N, ctx.b) + 7
+    w = _window_len(ctx, 1.0)
     return 16 * (ctx.N ** 2 + 1.5 * w * n_grid + 4 * w) + 8192
 
 
@@ -492,45 +497,44 @@ def _s_frame_pairing(ctx: QuantizationContext, n_grid: int) -> np.ndarray:
     phi is the alternating basis of ctx and tilde_phi that of the S frame,
     with modular parameter -1/tau; both have the coefficient rows _phi_rows.
 
-    Each section value is its terms' q-parts (q' = -p on the S side)
-    times unit phases in the other coordinate.  The frame phases of the
-    two sides meet as exp(-2 pi i N p q), which does not split, so the
-    sum stays on the grid, a block of p rows at a time with at most
-    _GRID_BLOCK values (or one p row) per array.  What _s_frame_plan counts
-    is checked before -1/tau is formed: Im(-1/tau) = b/|tau|^2 widens the S
-    window |tau|-fold.
+    Each section value is its terms' q-parts (q' = -p on the S side) times
+    unit phases in the other coordinate; at p, q = a/n, k/n these are n-th
+    roots of unity, read from one table at m k mod n.  The frames meet as
+    exp(-2 pi i (N a k mod n^2)/n^2), which does not split, so the sum stays
+    on the grid, a block of p rows at a time with at most _GRID_BLOCK values
+    (or one p row) per array.  What _s_frame_plan counts is checked before
+    -1/tau is formed: Im(-1/tau) = b/|tau|^2 widens the S window |tau|-fold.
     """
-    N, r = ctx.N, ctx.r
+    N, r, nn = ctx.N, ctx.r, n_grid * n_grid
     rows, nbytes = _s_frame_plan(ctx, n_grid)
     _check_bytes(ctx, "S-frame pairing", nbytes)
     ctx_t = QuantizationContext(r, -1.0 / ctx.tau)
-    xs = np.arange(n_grid) / n_grid
-    m, F = _q_parts(ctx, xs)
-    m_t, F_t = _q_parts(ctx_t, -xs)
+    k = np.arange(n_grid)
+    m, F = _q_parts(ctx, k / n_grid)
+    m_t, F_t = _q_parts(ctx_t, -k / n_grid)
     phi = _phi_rows(ctx)
     R, R_t = np.ascontiguousarray(phi[:, m % N]), phi[:, m_t % N]   # R E reshapes in place
-    E_t = np.outer(m_t, xs).astype(np.complex128)
-    E_t *= 2j * math.pi
-    np.exp(E_t, out=E_t)
+    roots = np.exp(2j * math.pi * k / n_grid)
+    E_t = roots[np.outer(m_t, k) % n_grid]
     M = np.zeros((r, r), dtype=np.complex128)
     for a in range(0, n_grid, rows):
-        p = xs[a:a + rows]
-        E = np.exp(2j * math.pi * np.outer(p, m))
-        U = ((R * E[:, None, :]).reshape(-1, m.size) @ F).reshape(p.size, r, n_grid)
+        ka = k[a:a + rows]
+        E = roots[np.outer(ka, m) % n_grid]
+        U = ((R * E[:, None, :]).reshape(-1, m.size) @ F).reshape(ka.size, r, n_grid)
         U_t = ((R_t * F_t.T[a:a + rows, None, :]).reshape(-1, m_t.size) @ E_t
-               ).reshape(p.size, r, n_grid)
-        cross = np.exp(-2j * math.pi * N * np.outer(p, xs))
+               ).reshape(ka.size, r, n_grid)
+        cross = np.exp(-2j * math.pi * (N * np.outer(ka, k) % nn) / nn)
         M += np.tensordot(U.conj() * cross[:, None, :], U_t, axes=([0, 2], [0, 2]))
-    return M * (4 * math.pi / n_grid ** 2)
+    return M * (4 * math.pi / nn)
 
 
 def _s_frame_plan(ctx: QuantizationContext, n_grid: int) -> tuple:
     """(rows, bytes) of _s_frame_pairing: its p rows per block, and its peak:
-    F, F_t, E_t and its float table, R and R_t, what a block keeps alive (E,
+    F, F_t, E_t and its index table, R and R_t, what a block keeps alive (E,
     a rows-times-phases product, four arrays of U's size and numpy's buffers
     for the broadcast products) and 8 KiB."""
     N, r = ctx.N, ctx.r
-    w, w_t = (N + 2 * _spread(N, ctx.b) * t + 7 for t in (1, abs(ctx.tau)))
+    w, w_t = _window_len(ctx, 1.0), _window_len(ctx, 1.0, abs(ctx.tau))
     rows = min(n_grid, max(1, int(_GRID_BLOCK // (r * max(n_grid, w, w_t)))))
     held = (w + 2.5 * w_t) * n_grid + r * (N + w + w_t)
     block = rows * (w + n_grid + r * (max(w, w_t, 2 * n_grid) + 3 * n_grid))
@@ -578,8 +582,7 @@ def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
     diag(z), compared against -exp(i pi/N) rep_T.
     """
     if gen == "T":
-        phi = _phi_rows(ctx)
-        cur = _pairings(ctx, [(phi, phi, halfform_norm_sq(ctx))])[1][0] * _twist_phases(ctx)
+        cur = gram_matrix(basis_phi(ctx)) * _twist_phases(ctx)
     elif gen == "S":
         # half-form frame change tau**-1/2, principal branch
         weight = ctx.tau ** -0.5 * halfform_norm_sq(ctx)

@@ -576,7 +576,8 @@ def catalog_jones_values(name: str, r: int, n_max: int) -> list:
         raise ValueError("level r must be >= 1")
     NN = 2 * r + 1
     values = _catalog_sum(name)(r, min(n_max, r), n_max - n_max % NN)
-    return [values[min(n % NN, -n % NN) - 1] for n in range(1, n_max + 1)]
+    return values if n_max <= r else [values[min(n % NN, -n % NN) - 1]
+                                      for n in range(1, n_max + 1)]
 
 
 def colored_jones_catalog(name: str, n: int, ctx: RootContext) -> complex:

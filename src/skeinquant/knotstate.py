@@ -69,7 +69,7 @@ def _log_abs(z) -> float:
         return -math.inf
     man = abs(z.man)
     bits = man.bit_length()
-    return math.log(man / 2 ** bits) + (z.exp + bits) * math.log(2)
+    return math.log(man / (1 << bits)) + (z.exp + bits) * math.log(2)
 
 
 def l2_norm_formula(K: KnotPresentation, r: int, backend: str = "auto") -> L2Norm:
@@ -102,8 +102,7 @@ def _exp(x: float) -> float:
 def l2_norm_quadrature(K: KnotPresentation, r: int, tau: complex = 1j) -> float:
     """Norm of the mapped section by quadrature; independent of the formula."""
     section = iso_from_skein(knot_state(K, r).coeffs, QuantizationContext(r, tau))
-    val = inner_product(section, section)
-    return math.sqrt(val.real)
+    return math.sqrt(inner_product(section, section).real)
 
 
 # the figure-eight's is 4 Lobachevsky(pi/6) = 2.02988321281930725004..., as the nearest double

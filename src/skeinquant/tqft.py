@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 from ._lazy import lazy_import
 from .errors import NotPrimitive, PrecisionLoss
 from .jones import JONES_REL_TOL, KnotPresentation, colored_jones_values
-from .roots import RootContext, quantum_integer
+from .roots import RootContext
 
 np = lazy_import("numpy")
 
@@ -225,9 +225,10 @@ class KirbyConstants(NamedTuple):
 
 def _weights(r: int) -> tuple:
     """eta = 2 sin(2 pi/(2r+1))/sqrt(2r+1) and omega = ((-1)^i [i+1]) for i < r."""
-    ctx, N = RootContext(r), 2 * r + 1
-    eta = 2 * math.sin(2 * math.pi / N) / math.sqrt(N)
-    return eta, tuple((-1) ** i * quantum_integer(i + 1, ctx) for i in range(r))
+    N = 2 * RootContext(r).r + 1   # rejects a level below 3
+    unit = math.sin(2 * math.pi / N)   # [n] = sin(2 pi n/N) / unit, as roots.quantum_integer
+    eta = 2 * unit / math.sqrt(N)
+    return eta, tuple((-1) ** i * (math.sin(2 * math.pi * (i + 1) / N) / unit) for i in range(r))
 
 
 def kirby_constants(r: int) -> KirbyConstants:

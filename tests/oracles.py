@@ -628,23 +628,19 @@ def quasi_periodicity_by_section(ctx, rng) -> float:
 
 
 def psi_stack_residuals(ctx) -> dict:
-    """The report's four Psi residuals from the N x N stack Psi_l = c e_l.
+    """The report's three Psi residuals from the N x N stack Psi_l = c e_l.
 
-    The stack and the vacuum pair as blocks of one stacked Gram product,
-    and the Heisenberg and eigen relations act on the whole stack.
+    The stack pairs through the Gram kernel, and the Heisenberg and eigen
+    relations act on the whole stack.
     """
     N = ctx.N
     psi = psi_norm_constant(ctx) * np.eye(N, dtype=np.complex128)
-    vacuum = np.eye(1, N, dtype=np.complex128)
-    gram_psi, frame_norm = _pairings(ctx, [(psi, psi, halfform_norm_sq(ctx)),
-                                           (vacuum, vacuum, 1.0)])[1]
-    target = math.sqrt(8 * math.pi ** 2 / (N * ctx.b))
+    gram_psi = _pairings(ctx, [(psi, psi, halfform_norm_sq(ctx))])[1][0]
     ab = _translated(ctx, _translated(ctx, psi, 0, 1), 1, 0)
     ba = _translated(ctx, _translated(ctx, psi, 1, 0), 0, 1)
     eigen = np.exp(2j * math.pi * np.arange(N) / N)[:, None]
     return {
         "gram_psi": float(np.max(np.abs(gram_psi - np.eye(N)))),
-        "vacuum_frame_norm": abs(frame_norm[0, 0].real - target) / target,
         "heisenberg_commutation": float(np.max(np.abs(ab - cmath.exp(2j * math.pi / N) * ba))),
         "psi_eigenrelation": float(np.max(np.abs(_translated(ctx, psi, 1, 0) - eigen * psi))),
     }

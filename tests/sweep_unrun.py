@@ -8,7 +8,10 @@ Runs every task of every bench workload at seeds 1-3 as an in-process
   is executable when some code object compiled from the file maps an
   instruction to it);
 * each named function and method that no task entered (comprehensions
-  and lambdas count only through their lines).
+  and lambdas count only through their lines), marked where the bench
+  harness names it: ``bench/tracer.py`` wraps it (``SPANS``, ``_OUTER``)
+  or ``bench/checks.py`` calls it.  A marked function is not removable
+  while the bench names it, even though no task enters it.
 
 Run it from the repository root:
 
@@ -20,6 +23,7 @@ temporary directory.  The name keeps pytest from collecting it.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import os
@@ -50,6 +54,33 @@ def _executable():
             if not code.co_name.startswith("<"):
                 functions.add((str(path), code.co_qualname, code.co_firstlineno))
     return lines, functions
+
+
+def _bench_names() -> dict:
+    """{"module.qualname": the bench file that names it} for bench/tracer.py and bench/checks.py.
+
+    The tracer names "module.name" in ``_OUTER`` and (module, [name, ...]) in
+    ``SPANS``; the checks import from skeinquant modules and may call a method
+    of an imported class, as ``KnotPresentation.from_braid``.
+    """
+    from tracer import _OUTER, SPANS
+    names = {f"{mod}.{name}": "bench/tracer.py" for mod, listed in SPANS.values()
+             for name in listed}
+    names.update(dict.fromkeys(_OUTER, "bench/tracer.py"))
+    tree = ast.parse((ROOT / "bench" / "checks.py").read_text())
+    imported = {}   # local name -> module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("skeinquant."):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.module[len("skeinquant."):]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in imported:
+            names.setdefault(f"{imported[node.id]}.{node.id}", "bench/checks.py")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in imported):
+            names.setdefault(f"{imported[node.value.id]}.{node.value.id}.{node.attr}",
+                             "bench/checks.py")
+    return names
 
 
 def sweep() -> tuple:
@@ -96,11 +127,14 @@ def sweep() -> tuple:
 def main() -> None:
     lines, functions = _executable()
     executed, entered = sweep()
+    bench = _bench_names()
     print(f"src/skeinquant: {len(lines & executed)} of {len(lines)} executable lines run")
     unrun = sorted(functions - entered)
     print(f"{len(unrun)} functions never entered:")
     for path, qualname, first in unrun:
-        print(f"  {Path(path).relative_to(ROOT)}:{first} {qualname}")
+        named = bench.get(f"{Path(path).stem}.{qualname}")
+        print(f"  {Path(path).relative_to(ROOT)}:{first} {qualname}"
+              + (f"  (named by {named})" if named else ""))
 
 
 if __name__ == "__main__":
