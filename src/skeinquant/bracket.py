@@ -5,9 +5,9 @@ bracket: it adds a diagram's crossings one at a time, keeping a Laurent
 polynomial for each matching of the arcs left open (local tangle
 contraction, Bar-Natan, "Fast Khovanov homology computations",
 arXiv:math/0606318).  PD codes go in as they are; braid closures go in
-through braid_to_diagram.  The smoothing convention is fixed in
-docs/conventions.md: for a crossing ``X a b c d`` the A-smoothing joins
-a-d and b-c, which makes a positive kink contribute -A**-3.
+through braid_to_diagram of the reduced word.  The smoothing convention is
+fixed in docs/conventions.md: for a crossing ``X a b c d`` the A-smoothing
+joins a-d and b-c, which makes a positive kink contribute -A**-3.
 """
 
 from __future__ import annotations
@@ -88,7 +88,11 @@ def kauffman_bracket(diagram: LinkDiagram) -> LaurentPoly:
 
 
 def braid_closure_bracket(braid: BraidWord) -> LaurentPoly:
-    """Exact bracket of a braid closure, in its blackboard framing."""
+    """Exact bracket of a braid closure, in its blackboard framing.
+
+    The diagram is that of braid.reduced(): no Markov destabilization, which
+    multiplies the bracket by -A^(+-3).
+    """
     # _contract, not kauffman_bracket: bench/tracer.py times the two routes apart
-    diagram = braid_to_diagram(braid)
+    diagram = braid_to_diagram(braid.reduced())
     return _contract(diagram.crossings, diagram.free_loops)

@@ -65,6 +65,22 @@ class BraidWord(NamedTuple("BraidWord", [("word", tuple), ("strands", int)])):
         comps.sort(key=lambda c: c[0])
         return comps
 
+    def reduced(self) -> "BraidWord":
+        """The word with every adjacent g, -g pair cancelled, then each such pair of ends.
+
+        Reidemeister II and conjugation keep the closure and its writhe, so its bracket.
+        """
+        word = []
+        for g in self.word:
+            if word and word[-1] == -g:
+                word.pop()
+            else:
+                word.append(g)
+        k = 0
+        while 2 * k + 1 < len(word) and word[k] == -word[-1 - k]:
+            k += 1
+        return BraidWord(word[k:len(word) - k], self.strands)
+
     @classmethod
     def from_text(cls, text: str, strands: int) -> "BraidWord":
         """Parse whitespace-separated signed integers, +-k meaning generator k."""

@@ -19,6 +19,10 @@ T = J(A^4) [n] A^-((n^2-1) writhe) in the ring of its power table.
   running sums, O(r) per level, Habiro's cyclotomic sum for the figure-eight
   as one integer dot product per color over its partial sine products.
 
+Every engine, and the catalog's choice, reads the normal form of a knot's
+braid word (_normal_form): its g, -g pairs cancelled and its Markov
+destabilizations made, which keep J.
+
 Indexing: J(K, 1) = 1 is the trivial color, and J(K, n) comes from the
 (n-1)-st cabling color.
 """
@@ -258,22 +262,24 @@ def _trace(word, plan, N: int, terms, pw, E: int, red):
 def colored_jones_rmatrix(K: KnotPresentation, n: int, ctx: RootContext) -> complex:
     """J(K, n) at t = ctx.A_value**4 via the braid action of the n-dim rep.
 
-    The trace T in complex128 at x = A, every power of A taken from an
-    exponent reduced mod 2(2r+1) in integers; J = T A^((n^2-1) writhe) / [n].
+    The trace T of the normal form of K's word in complex128 at x = A, every
+    power of A taken from an exponent reduced mod 2(2r+1) in integers;
+    J = T A^((n^2-1) writhe) / [n], the writhe of that normal form.
     """
     if n < 1:
         raise ValueError("color index n must be >= 1")
     if n == 1:
         return 1 + 0j
-    N, s, NN = n, K.braid.strands, 2 * ctx.r + 1
+    N, NN = n, 2 * ctx.r + 1
+    word, s = braid = _normal_form(K.braid)
     if n % NN == 0:   # refused before any table is built
         raise PrecisionLoss(f"the R-matrix gives J({n}) at r={ctx.r} as 0/0: [{n}] = 0")
     E = 2 * N * (N + s)   # covers every exponent of an entry and a weight
     _check_budget(N, s, 16, E)
     pw = np.exp(1j * math.pi / NN * (np.arange(-E, E + 1) % (2 * NN)))[:, None]
-    word = K.braid.word   # the plan's generator builds one sector at a time
+    # the plan's generator builds one sector at a time
     trace = _trace(word, _sector_plan(word, s, N), N, _rmatrix_terms(N), pw, E, lambda v: v)[0]
-    twist = cmath.exp(1j * math.pi / NN * ((N * N - 1) * K.braid.writhe % (2 * NN)))
+    twist = cmath.exp(1j * math.pi / NN * ((N * N - 1) * braid.writhe % (2 * NN)))
     return complex(trace * twist / quantum_integer(n, ctx))
 
 
@@ -416,10 +422,10 @@ def _colored_jones_exact_cached(word: tuple, strands: int, n: int) -> LaurentPol
 
 
 def colored_jones_exact(K: KnotPresentation, n: int) -> LaurentPoly:
-    """Exact J(K, n) as a Laurent polynomial in t = A**4."""
+    """Exact J(K, n) as a Laurent polynomial in t = A**4, from the normal form of K's word."""
     if n < 1:
         raise ValueError("color index n must be >= 1")
-    return _colored_jones_exact_cached(K.braid.word, K.braid.strands, n)
+    return _colored_jones_exact_cached(*_normal_form(K.braid), n)
 
 
 # -- catalog backend ---------------------------------------------------
@@ -597,24 +603,29 @@ def colored_jones_catalog(name: str, n: int, ctx: RootContext) -> complex:
 
 # -- shared entry points -----------------------------------------------
 
-def catalog_name(K: KnotPresentation) -> Optional[str]:
-    """The catalog entry of K's braid word, or None; K.name is only a label.
+def _normal_form(braid: BraidWord) -> BraidWord:
+    """braid.reduced() and Markov destabilizations in turn, until neither applies.
 
-    Markov destabilizations come first, until neither applies: a generator
-    +-(s-1) that occurs once goes with the last strand, and a generator +-1 that
-    occurs once goes with the first, the others shifting down (the flip).
+    A generator +-(s-1) that occurs once goes with the last strand, and a
+    generator +-1 that occurs once goes with the first, the others shifting down
+    (the flip).  Each keeps the knot and moves the writhe by one, which J's
+    framing factor absorbs (docs/conventions.md).
     """
-    word, s = K.braid.word, K.braid.strands
-    while s > 1:
+    while True:
+        braid = braid.reduced()
+        word, s = braid
         gens = [abs(g) for g in word]
         if gens.count(s - 1) == 1:
-            word = tuple(g for g in word if abs(g) != s - 1)
+            braid = BraidWord([g for g in word if abs(g) != s - 1], s - 1)
         elif gens.count(1) == 1:
-            word = tuple(g - 1 if g > 0 else g + 1 for g in word if abs(g) != 1)
+            braid = BraidWord([g - 1 if g > 0 else g + 1 for g in word if abs(g) != 1], s - 1)
         else:
-            break
-        s -= 1
-    return _CATALOG_NAMES.get((word, s))
+            return braid
+
+
+def catalog_name(K: KnotPresentation) -> Optional[str]:
+    """The catalog entry of K's braid word in its normal form, or None; K.name is a label."""
+    return _CATALOG_NAMES.get(_normal_form(K.braid))
 
 
 def _resolve(K: KnotPresentation, backend: str):

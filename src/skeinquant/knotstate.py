@@ -51,10 +51,10 @@ class VolumeRow(NamedTuple):
 def knot_state(K: KnotPresentation, r: int, backend: str = "auto") -> KnotState:
     """State coefficients eta * <e_{n-1}>_K for n = 1..r, with the norm
     l2_norm_formula gives, from one evaluation of J(K, 1..r)."""
-    values = colored_jones_values(K, r, backend)
-    eta, omega = _weights(r)  # omega[n-1] = (-1)^(n-1) [n]
+    values, weights = colored_jones_values(K, r, backend), _weights(r)
+    eta, omega = weights  # omega[n-1] = (-1)^(n-1) [n]
     return KnotState(K, r, TorusVector(r, tuple(eta * w * complex(j) for w, j in
-                                                zip(omega, values))), _norm(r, values))
+                                                zip(omega, values))), _norm(values, weights))
 
 
 def _log_abs(z) -> float:
@@ -78,11 +78,11 @@ def l2_norm_formula(K: KnotPresentation, r: int, backend: str = "auto") -> L2Nor
     The terms |eta [n] J(K, n)|^2 are summed as logs by log-sum-exp, so no
     value is squeezed into a double and large levels do not overflow.
     """
-    return _norm(r, colored_jones_values(K, r, backend))
+    return _norm(colored_jones_values(K, r, backend), _weights(r))
 
 
-def _norm(r: int, values: list) -> L2Norm:
-    eta, omega = _weights(r)  # |omega[n-1]| = |[n]|
+def _norm(values: list, weights: tuple) -> L2Norm:
+    eta, omega = weights  # tqft._weights(r): |omega[n-1]| = |[n]|
     log_j = [_log_abs(v) for v in values]
     log_terms = [2 * (math.log(eta * abs(w)) + lj) for w, lj in zip(omega, log_j)]
     top = max(log_terms)

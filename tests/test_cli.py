@@ -371,6 +371,7 @@ def test_volume_seq_uncertified_value_exits_2(monkeypatch, capsys, tmp_path):
     ["--knot", "figure-eight", "--ref-vol", "7"],
     ["--braid", "1 -2 1 -2", "--strands", "3", "--ref-vol", "2.03"],   # the catalog's word
     ["--braid", "-2 1 -2 1", "--strands", "3", "--ref-vol", "2.0298832128193074"],   # rotated
+    ["--braid", "-2 2 2 1 2 -2 -1 1", "--strands", "3", "--ref-vol", "0"],   # the unknot
 ))
 def test_volume_seq_bad_ref_vol_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "seq.csv"
@@ -402,6 +403,29 @@ def test_volume_seq_reads_a_stabilized_catalog_word_from_the_catalog(tmp_path, c
                          "--out", str(out)]) == 0
         rows.append(out.read_bytes())
     assert rows[0] == rows[1]
+
+
+def test_volume_seq_reads_a_cancelled_unknot_word_from_the_catalog(tmp_path, capsys):
+    # its normal form is the empty word on one strand; as typed it wrote v_30 = 2.116
+    rows = []
+    for argv in (["--knot", "unknot"], ["--braid", "-2 2 2 1 2 -2 -1 1", "--strands", "3"]):
+        out = tmp_path / "seq.csv"
+        assert cli.main(["volume-seq", *argv, "--r-min", "12", "--r-max", "30", "--step", "18",
+                         "--out", str(out)]) == 0
+        rows.append(out.read_bytes())
+    assert rows[0] == rows[1] == b"r,norm_sq,v_r,argmax_n,ref_vol,rel_err\r\n" + \
+        b"12,1,0,1,0,0\r\n30,1,0,1,0,0\r\n"
+
+
+def test_knot_state_of_a_cancelled_trefoil_word_is_the_catalog_state(capsys):
+    # -1 2 2 2 2 -1 -2 1 cancels to 2 2 2 -1 and destabilizes to the catalog trefoil;
+    # as typed it ran the R-matrix on 3 strands, 6.7e-9 off at n = 8
+    results = []
+    for argv in (["--knot", "trefoil"], ["--braid", "-1 2 2 2 2 -1 -2 1", "--strands", "3"]):
+        assert cli.main(["knot-state", *argv, "--r", "8"]) == 0
+        results.append(json.loads(capsys.readouterr().out)["result"])
+    assert results[0]["coeffs"] == results[1]["coeffs"]
+    assert results[0]["norm_sq"] == results[1]["norm_sq"]
 
 
 def test_volume_seq_ref_vol_of_a_custom_braid(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from functools import reduce
 from itertools import islice
@@ -11,6 +12,7 @@ from oracles import (all_sector_bound, all_sector_loop, all_sector_window, cable
                      cyclotomic_jones, dense_rmatrix_jones, exact, habiro_forward, mirrored,
                      morton_trefoil, mpmath_root_table, numpy_q_bits, numpy_trefoil)
 from skeinquant import errors, jones
+from skeinquant.diagrams import BraidWord
 from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                                UnknownCatalogEntry)
 from skeinquant.jones import (JONES_REL_TOL, Dyadic, KnotPresentation, catalog_jones_values,
@@ -113,7 +115,8 @@ def test_quantum_integer_reflection_symmetry():
 
 def test_rmatrix_state_guard():
     ctx = RootContext(20)
-    wide = KnotPresentation.from_braid((1, 2, 3, 4, 5, 6), 7)
+    # each generator twice: no destabilization takes it to fewer strands
+    wide = KnotPresentation.from_braid((1, 2, 3, 4, 5, 6) * 2, 7)
     with pytest.raises(StateSpaceTooLarge):
         colored_jones_rmatrix(wide, 6, ctx)
 
@@ -211,7 +214,8 @@ def test_sector_loop_builds_each_slot_index_once_per_sector(monkeypatch):
     colored_jones_rmatrix(FIG8, 12, RootContext(30))
     assert len(builds) == 17 * 2 == len(set(builds))   # sectors w <= 16, slots 0 and 1
     builds.clear()
-    colored_jones_rmatrix(KnotPresentation.from_braid((-1, 2, 2, 2, 2, -1, -2, 1), 3), 5,
+    # a word its normal form leaves as it is
+    colored_jones_rmatrix(KnotPresentation.from_braid((2, 1, 1, 1, 1, -2, 1, 2), 3), 5,
                           RootContext(8))
     assert len(builds) == 7 * 2   # eight letters of both signs, on two slots
 
@@ -601,17 +605,48 @@ def test_every_spelling_of_a_catalog_word_takes_the_catalog(word):
         assert abs(forced.value - colored_jones(FIG8, 3, ctx).value) < 1e-9
 
 
-@pytest.mark.parametrize("word, strands, name", (
+STABILIZED_SPELLINGS = (
     ((1, 1, 1, 2), 3, "trefoil"), ((1, 1, 1, -2), 3, "trefoil"),   # the last strand goes
     ((-1, 2, 2, 2), 3, "trefoil"), ((2, -3, 2, -3, 1), 4, "figure-eight"),   # the first goes
     ((1, 2, 2, 2, 3), 4, "trefoil"), ((1, -2, 1, -2, 3), 4, "figure-eight"), ((1,), 2, "unknot"),
-    ((1, 1, 1, 2, -1, 2), 3, None), ((-1, -1, -1, 2), 3, None)))   # 5_2, a stabilized mirror
+    ((1, 1, 1, 2, -1, 2), 3, None), ((-1, -1, -1, 2), 3, None),   # 5_2, a stabilized mirror
+    # pairs to cancel before the destabilizations: the first two are the seed-1 and seed-2
+    # knot words of the bench's skein_braids
+    ((-1, 2, 2, 2, 2, -1, -2, 1), 3, "trefoil"), ((-2, 2, 2, 1, 2, -2, -1, 1), 3, "unknot"),
+    ((-1, 1, 2, -2, 1, 1, 2, 1), 3, "trefoil"),
+    ((2, 1, -2, 3, -3, 1, -2, 3, -2), 4, "figure-eight"))
+
+
+@pytest.mark.parametrize("word, strands, name", STABILIZED_SPELLINGS)
 def test_a_stabilized_catalog_word_takes_the_catalog(word, strands, name):
     K = KnotPresentation.from_braid(word, strands)
     assert catalog_name(K) == name
     ctx = RootContext(5)
     assert abs(colored_jones(K, 3, ctx).value
                - colored_jones(K, 3, ctx, backend="exact").value) < 1e-9
+
+
+def _padded_knot_words(seed: int, count: int) -> list:
+    """Seeded 3-strand knot words of 6 letters, with a g, -g pair inserted and conjugated by a
+    letter."""
+    rng, gens, words = random.Random(seed), (1, -1, 2, -2), []
+    while len(words) < count:
+        word = [rng.choice(gens) for _ in range(6)]
+        g, at = rng.choice(gens), rng.randint(0, 6)
+        word[at:at] = [g, -g]
+        h = rng.choice(gens)
+        braid = BraidWord([h] + word + [-h], 3)
+        if len(braid.closure_components()) == 1:
+            words.append(braid)
+    return words
+
+
+@pytest.mark.parametrize("word, strands", [(w, s) for w, s, _ in STABILIZED_SPELLINGS]
+                         + _padded_knot_words(41, 8))
+def test_exact_on_the_normal_form_is_exact_on_the_word_as_given(word, strands):
+    K = KnotPresentation.from_braid(word, strands)
+    for n in (2, 3):
+        assert colored_jones_exact(K, n) == jones._colored_jones_exact_cached(word, strands, n)
 
 
 def test_the_trefoil_mirror_stays_off_the_catalog():

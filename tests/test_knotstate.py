@@ -12,7 +12,7 @@ from skeinquant.knotstate import (L2Norm, knot_state, l2_norm_formula,
                                   l2_norm_quadrature, reference_volume,
                                   volume_sequence, write_volume_csv)
 from skeinquant.roots import RootContext, quantum_integer
-from skeinquant.tqft import kirby_constants
+from skeinquant.tqft import _weights, kirby_constants
 
 UNKNOT = KnotPresentation.from_catalog("unknot")
 TREFOIL = KnotPresentation.from_catalog("trefoil")
@@ -222,7 +222,7 @@ def test_unknot_growth_is_flat():
 @pytest.mark.parametrize("name", ("trefoil", "figure-eight"))
 def test_norm_matches_the_numpy_log_sum_exp(name, r):
     values = catalog_jones_values(name, r, r)
-    assert knotstate._norm(r, values) == numpy_norm(r, values)
+    assert knotstate._norm(values, _weights(r)) == numpy_norm(r, values)
 
 
 def test_norm_past_the_double_range_reads_inf():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -128,12 +129,66 @@ def test_reidemeister_one():
     assert neg_kink == plain * LaurentPoly.monomial(3, -1)
 
 
+def _pd_bracket(word, strands):
+    """The contraction of the diagram of the word as given: braid_closure_bracket reduces it."""
+    return kauffman_bracket(braid_to_diagram(BraidWord(word, strands)))
+
+
 def test_reidemeister_two_three():
-    assert braid_closure_bracket(BraidWord((1, -1), 2)) == braid_closure_bracket(BraidWord((), 2))
-    assert braid_closure_bracket(BraidWord((2, -2, 1), 3)) == braid_closure_bracket(BraidWord((1,), 3))
-    assert braid_closure_bracket(BraidWord((1, 2, 1), 3)) == braid_closure_bracket(BraidWord((2, 1, 2), 3))
+    assert _pd_bracket((1, -1), 2) == _pd_bracket((), 2)
+    assert _pd_bracket((2, -2, 1), 3) == _pd_bracket((1,), 3)
+    assert _pd_bracket((1, 2, 1), 3) == _pd_bracket((2, 1, 2), 3)
     # conjugation invariance of the closure
-    assert braid_closure_bracket(BraidWord((2, 1, 1, -2), 3)) == braid_closure_bracket(BraidWord((1, 1), 3))
+    assert _pd_bracket((2, 1, 1, -2), 3) == _pd_bracket((1, 1), 3)
+
+
+# the bracket words of the bench's skein_braids tasks at seed 1
+BENCH_BRACKET_WORDS = tuple(BraidWord.from_text(text, 4) for text in (
+    "-1 2 3 3 3 -3 3 2 -2 -1 2 -1 -3 1", "-1 2 -2 -3 2 3 -3 -2 3 1 -1 -2 2 -1",
+    "1 3 -3 -3 -1 3 -3 -2 -3 -1 -3 -2 -3 1"))
+
+
+def _padded_words(seed: int, count: int, strands: int, letters: int) -> list:
+    """Seeded words with g, -g pairs inserted at random, each then conjugated by a letter."""
+    rng = random.Random(seed)
+    gens = [g for k in range(1, strands) for g in (k, -k)]
+    words = []
+    for _ in range(count):
+        word = [rng.choice(gens) for _ in range(letters)]
+        for _ in range(rng.randint(1, 3)):
+            g, at = rng.choice(gens), rng.randint(0, len(word))
+            word[at:at] = [g, -g]
+        g = rng.choice(gens)
+        words.append(BraidWord([g] + word + [-g], strands))
+    return words
+
+
+REDUCIBLE_WORDS = BENCH_BRACKET_WORDS + tuple(_padded_words(41, 10, 4, 6))
+
+
+@pytest.mark.parametrize("braid", REDUCIBLE_WORDS)
+def test_closure_bracket_of_the_reduced_word_is_the_unreduced_contraction(braid):
+    assert braid_closure_bracket(braid) == kauffman_bracket(braid_to_diagram(braid))
+
+
+@pytest.mark.parametrize("braid", REDUCIBLE_WORDS + (BraidWord((1, -1), 2), BraidWord((), 3),
+                                                     BraidWord((2, 1, -2), 3)))
+def test_reduced_is_idempotent_and_leaves_no_cancelling_pair(braid):
+    red = braid.reduced()
+    assert red.reduced() == red and red.strands == braid.strands
+    assert red.writhe == braid.writhe and len(red.word) <= len(braid.word)
+    # the cyclic step conjugates the permutation, which keeps its cycles' lengths
+    assert (sorted(map(len, red.closure_components()))
+            == sorted(map(len, braid.closure_components())))
+    ring = red.word[1:] + red.word[:1]
+    assert all(a != -b for a, b in zip(red.word, ring))   # adjacent pairs and the two ends
+
+
+def test_reduced_cancels_inner_pairs_then_the_ends():
+    assert BraidWord((2, 1, -1, -1, 1, 1, -2), 3).reduced() == BraidWord((1,), 3)
+    assert BraidWord((1, 2, -2, -1), 3).reduced() == BraidWord((), 3)
+    assert BraidWord((1, 2, -1), 3).reduced() == BraidWord((1, 2, -1), 3).reduced().reduced()
+    assert BraidWord((1, 2, -1), 3).reduced().word == (2,)
 
 
 def test_contraction_budget(monkeypatch, tmp_path, capsys):
