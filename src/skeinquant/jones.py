@@ -16,8 +16,9 @@ T = J(A^4) [n] A^-((n^2-1) writhe) in the ring of its power table.
 * catalog: closed forms for the built-in knots, chosen by braid word and
   certified to JONES_REL_TOL per color, both over one integer table of the
   (2r+1)-th roots of unity: Morton's formula for the trefoil as two exact
-  running sums, O(r) per level, Habiro's cyclotomic sum for the figure-eight
-  as one integer dot product per color over its partial sine products.
+  running sums, O(r) per level, conjugated for its mirror (J(K*)(t) =
+  J(K)(1/t) = conj J(K)(t) at |t| = 1), Habiro's cyclotomic sum for the
+  figure-eight as one integer dot product per color over its partial sine products.
 
 Every engine, and the catalog's choice, reads the normal form of a knot's
 braid word (_normal_form): its g, -g pairs cancelled and its Markov
@@ -48,9 +49,10 @@ np = lazy_import("numpy")
 CATALOG_BRAIDS = {
     "unknot": ((), 1),
     "trefoil": ((1, 1, 1), 2),
+    "trefoil-mirror": ((-1, -1, -1), 2),
     "figure-eight": ((1, -2, 1, -2), 3),
 }
-# by braid word: each rotation, flip σ_i ↔ σ_(s−i) and reversal (a mirror's J is conjugate)
+# by braid word: each rotation, flip σ_i ↔ σ_(s−i) and reversal; a mirror is its own entry
 _CATALOG_NAMES = {(w[k:] + w[:k], s): name for name, (word, s) in CATALOG_BRAIDS.items()
                   for f in (word, tuple((s if g > 0 else -s) - g for g in word))
                   for w in (f, f[::-1]) for k in range(len(w) or 1)}
@@ -67,10 +69,6 @@ class KnotPresentation(NamedTuple("KnotPresentation", [("name", str), ("braid", 
             raise ValueError(
                 f"braid closure has {len(comps)} components; a knot needs exactly one")
         return super().__new__(cls, name, braid)
-
-    @property
-    def writhe(self) -> int:
-        return self.braid.writhe
 
     @classmethod
     def from_catalog(cls, name: str) -> "KnotPresentation":
@@ -559,6 +557,7 @@ def _figure_eight_values(r: int, n_max: int, zero: int) -> list:
 _CATALOG_SUMS = {
     "unknot": lambda r, n_max, zero: [1 + 0j] * (n_max + bool(zero)),
     "trefoil": _trefoil_values,
+    "trefoil-mirror": lambda *args: [z.conjugate() for z in _trefoil_values(*args)],
     "figure-eight": _figure_eight_values,
 }
 

@@ -106,7 +106,8 @@ def l2_norm_quadrature(K: KnotPresentation, r: int, tau: complex = 1j) -> float:
 
 
 # the figure-eight's is 4 Lobachevsky(pi/6) = 2.02988321281930725004..., as the nearest double
-_REFERENCE_VOLUMES = {"unknot": 0.0, "trefoil": 0.0, "figure-eight": 2.0298832128193074}
+_REFERENCE_VOLUMES = {"unknot": 0.0, "trefoil": 0.0, "trefoil-mirror": 0.0,
+                      "figure-eight": 2.0298832128193074}
 
 
 def reference_volume(name: Optional[str], user_value: Optional[float] = None) -> float:

@@ -128,7 +128,6 @@ def verification_report(ctx: QuantizationContext, include_modular: bool = True) 
     G.flat[::N + 1] -= 1
     residuals["gram_psi"] = float(np.max(np.abs(G)))
     del G
-    residuals["gram_phi"] = float(np.max(np.abs(gram_phi - np.eye(r))))
 
     # the translations permute the entries of the stack c I as they permute those of one row
     psi = np.full(N, c, dtype=np.complex128)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import pd_text, state_sum_bracket, transfer_bracket
+from oracles import mirrored, pd_text, state_sum_bracket, transfer_bracket
 from skeinquant import cli, errors, jones, knotstate
 from skeinquant.diagrams import BraidWord, braid_to_diagram
 from skeinquant.jones import KnotPresentation, colored_jones_exact
@@ -372,6 +372,7 @@ def test_volume_seq_uncertified_value_exits_2(monkeypatch, capsys, tmp_path):
     ["--braid", "1 -2 1 -2", "--strands", "3", "--ref-vol", "2.03"],   # the catalog's word
     ["--braid", "-2 1 -2 1", "--strands", "3", "--ref-vol", "2.0298832128193074"],   # rotated
     ["--braid", "-2 2 2 1 2 -2 -1 1", "--strands", "3", "--ref-vol", "0"],   # the unknot
+    ["--braid", "-1 -1 -1", "--strands", "2", "--ref-vol", "0"],   # the trefoil's mirror
 ))
 def test_volume_seq_bad_ref_vol_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "seq.csv"
@@ -426,6 +427,37 @@ def test_knot_state_of_a_cancelled_trefoil_word_is_the_catalog_state(capsys):
         results.append(json.loads(capsys.readouterr().out)["result"])
     assert results[0]["coeffs"] == results[1]["coeffs"]
     assert results[0]["norm_sq"] == results[1]["norm_sq"]
+
+
+def test_volume_seq_reads_the_trefoil_mirror_as_the_trefoil_row(tmp_path, capsys):
+    # |J(K*)| = |J(K)| at |t| = 1; on the R-matrix the mirror wrote v_30 = 1.71317
+    rows = []
+    for argv in (["--knot", "trefoil"], ["--knot", "trefoil-mirror"],
+                 ["--braid", "-1 -1 -1", "--strands", "2"]):
+        out = tmp_path / "seq.csv"
+        assert cli.main(["volume-seq", *argv, "--r-min", "30", "--r-max", "30",
+                         "--out", str(out)]) == 0
+        rows.append(out.read_bytes())
+    assert rows[0] == rows[1] == rows[2] == b"r,norm_sq,v_r,argmax_n,ref_vol,rel_err\r\n" + \
+        b"30,20,0.313712350090636,30,0,0.313712350090636\r\n"
+
+
+def test_knot_state_of_the_trefoil_mirror_conjugates_the_trefoil_state(capsys):
+    results = []
+    for argv in (["--knot", "trefoil"], ["--braid", "-1 -1 -1", "--strands", "2"]):
+        assert cli.main(["knot-state", *argv, "--r", "8"]) == 0
+        results.append(json.loads(capsys.readouterr().out)["result"])
+    assert results[1]["coeffs"] == [{"im": -c["im"], "re": c["re"]}
+                                    for c in results[0]["coeffs"]]
+    assert results[0]["norm_sq"] == results[1]["norm_sq"]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_exact_jones_of_the_trefoil_mirror_is_the_mirrored_polynomial(capsys, n):
+    assert cli.main(["jones", "--knot", "trefoil-mirror", "--n", str(n), "--exact"]) == 0
+    got = json.loads(capsys.readouterr().out)["result"]["polynomial"]
+    trefoil = colored_jones_exact(KnotPresentation.from_catalog("trefoil"), n)
+    assert got == mirrored(trefoil).format("t")
 
 
 def test_volume_seq_ref_vol_of_a_custom_braid(tmp_path, capsys):

@@ -718,7 +718,6 @@ def test_batched_report_matches_the_per_check_functions(r, tau):
     normal_vector_by_pairs(rng, ctx.N)   # the report's random section comes first
     want = {
         "gram_psi": np.max(np.abs(gram_matrix(basis_psi(ctx)) - np.eye(ctx.N))),
-        "gram_phi": np.max(np.abs(gram_matrix(basis_phi(ctx)) - np.eye(r))),
         "intertwine_mu": intertwining_deviation((1, 0), ctx),
         "intertwine_lambda": intertwining_deviation((0, 1), ctx),
         "intertwine_mu_plus_lambda": intertwining_deviation((1, 1), ctx),
@@ -736,10 +735,10 @@ def test_batched_report_matches_the_per_check_functions(r, tau):
 
 
 def test_report_residual_keys():
-    # each residual states its own fact: none is one entry of another's maximum
+    # each residual states its own fact: none is bounded by another's maximum
     got = verification_report(QuantizationContext(4, 1j))["residuals"]
     assert sorted(got) == [
-        "gram_phi", "gram_psi", "heisenberg_commutation", "intertwine_lambda",
+        "gram_psi", "heisenberg_commutation", "intertwine_lambda",
         "intertwine_mu", "intertwine_mu_plus_lambda", "iso_roundtrip", "modular_S_matrix",
         "modular_T_phases", "phi_alternating", "psi_eigenrelation", "quasi_periodicity",
         "translation_unitarity"]
@@ -747,9 +746,11 @@ def test_report_residual_keys():
 
 @pytest.mark.parametrize("r, tau", BENCH_CONTEXTS)
 def test_vacuum_norm_and_mu_spectrum_stay_under_their_bounds(r, tau):
-    # the vacuum's frame norm gap is one entry of the Psi Gram gap, and the
+    # the vacuum's frame norm gap is one entry of the Psi Gram gap, the
     # meridian's spectrum gap one entry of the meridian's intertwining gap
-    # (the skein operator is diag(-2 cos(2 pi l/N))), so neither decides pass
+    # (the skein operator is diag(-2 cos(2 pi l/N))), and each entry of the Phi
+    # Gram gap half a signed sum of four Psi Gram gap entries, as
+    # Phi_l = (Psi_l - Psi_(N-l))/sqrt(2), so none decides pass
     ctx = QuantizationContext(r, tau)
     got = verification_report(ctx)["residuals"]
     vacuum = ThetaSection(ctx, np.eye(ctx.N)[0])
@@ -757,8 +758,10 @@ def test_vacuum_norm_and_mu_spectrum_stay_under_their_bounds(r, tau):
     frame_norm = abs(inner_product(vacuum, vacuum).real / halfform_norm_sq(ctx) - target) / target
     mu = np.diag(-2 * np.cos(2 * math.pi * np.arange(1, r + 1) / ctx.N))
     spectrum = np.max(np.abs(curve_operator_geom((1, 0), ctx) - mu))
+    gram_phi = np.max(np.abs(gram_matrix(basis_phi(ctx)) - np.eye(r)))
     assert frame_norm <= got["gram_psi"] + 1e-15
     assert spectrum <= got["intertwine_mu"] + 1e-15
+    assert gram_phi <= 2 * got["gram_psi"] + 1e-15
 
 
 @pytest.mark.parametrize("r, tau", BENCH_CONTEXTS + [(40, 1j), (100, 0.5 + 2j), (60, 2 + 3j)])

@@ -29,7 +29,7 @@ FIG8 = KnotPresentation.from_catalog("figure-eight")
 def test_catalog_presentations():
     assert TREFOIL.braid.word == (1, 1, 1) and TREFOIL.braid.strands == 2
     assert FIG8.braid.word == (1, -2, 1, -2) and FIG8.braid.strands == 3
-    assert TREFOIL.writhe == 3 and FIG8.writhe == 0
+    assert TREFOIL.braid.writhe == 3 and FIG8.braid.writhe == 0
     with pytest.raises(UnknownCatalogEntry):
         KnotPresentation.from_catalog("granny")
 
@@ -609,7 +609,7 @@ STABILIZED_SPELLINGS = (
     ((1, 1, 1, 2), 3, "trefoil"), ((1, 1, 1, -2), 3, "trefoil"),   # the last strand goes
     ((-1, 2, 2, 2), 3, "trefoil"), ((2, -3, 2, -3, 1), 4, "figure-eight"),   # the first goes
     ((1, 2, 2, 2, 3), 4, "trefoil"), ((1, -2, 1, -2, 3), 4, "figure-eight"), ((1,), 2, "unknot"),
-    ((1, 1, 1, 2, -1, 2), 3, None), ((-1, -1, -1, 2), 3, None),   # 5_2, a stabilized mirror
+    ((1, 1, 1, 2, -1, 2), 3, None), ((-1, -1, -1, 2), 3, "trefoil-mirror"),   # 5_2, a mirror
     # pairs to cancel before the destabilizations: the first two are the seed-1 and seed-2
     # knot words of the bench's skein_braids
     ((-1, 2, 2, 2, 2, -1, -2, 1), 3, "trefoil"), ((-2, 2, 2, 1, 2, -2, -1, 1), 3, "unknot"),
@@ -649,10 +649,26 @@ def test_exact_on_the_normal_form_is_exact_on_the_word_as_given(word, strands):
         assert colored_jones_exact(K, n) == jones._colored_jones_exact_cached(word, strands, n)
 
 
-def test_the_trefoil_mirror_stays_off_the_catalog():
-    # its J is the complex conjugate of the trefoil's
+def test_the_trefoil_mirror_takes_the_catalog():
+    # J(K*)(t) = J(K)(1/t) = conj J(K)(t) at |t| = 1: the trefoil's certified values, conjugated
     mirror = KnotPresentation.from_braid((-1, -1, -1), 2)
-    assert colored_jones(mirror, 2, RootContext(8)).backend == "rmatrix"
+    assert catalog_name(mirror) == "trefoil-mirror"
+    assert colored_jones(mirror, 2, RootContext(8)).backend == "catalog"
+    for r, n_max in ((8, 8), (30, 60), (149, 149)):
+        assert catalog_jones_values("trefoil-mirror", r, n_max) == [
+            z.conjugate() for z in catalog_jones_values("trefoil", r, n_max)]
+
+
+def test_a_mirror_spelling_by_braid_relations_runs_the_rmatrix():
+    # (-1, -2, -1, -2) is the mirror trefoil by a braid relation, which the normal form
+    # does not make, so it keeps the uncertified R-matrix, near the catalog entry at r = 8
+    K = KnotPresentation.from_braid((-1, -2, -1, -2), 3)
+    assert catalog_name(K) is None
+    ctx, want = RootContext(8), catalog_jones_values("trefoil-mirror", 8, 8)
+    for n, value in enumerate(want, 1):
+        got = colored_jones(K, n, ctx)
+        assert got.backend == "rmatrix"
+        assert abs(got.value - value) <= 1e-10 * abs(value), n
 
 
 @pytest.mark.parametrize("r", (100, 140, 149, 300))

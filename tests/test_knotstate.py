@@ -7,7 +7,7 @@ import pytest
 from oracles import cyclotomic_jones, exact, lobachevsky, lobachevsky_series, numpy_norm
 from skeinquant import knotstate
 from skeinquant.errors import SkeinQuantError, UnknownCatalogEntry
-from skeinquant.jones import Dyadic, KnotPresentation, catalog_jones_values
+from skeinquant.jones import CATALOG_BRAIDS, Dyadic, KnotPresentation, catalog_jones_values
 from skeinquant.knotstate import (L2Norm, knot_state, l2_norm_formula,
                                   l2_norm_quadrature, reference_volume,
                                   volume_sequence, write_volume_csv)
@@ -161,7 +161,7 @@ def test_reference_volume_is_finite_and_nonnegative(value):
     assert reference_volume(None, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("name", ("unknot", "trefoil", "figure-eight"))
+@pytest.mark.parametrize("name", sorted(CATALOG_BRAIDS))
 def test_reference_volume_of_a_catalog_word_takes_no_value(name):
     for value in (7.0, reference_volume(name)):
         with pytest.raises(SkeinQuantError, match="catalog knot; pass no reference volume"):

@@ -343,3 +343,13 @@ def test_rt_is_periodic_in_the_framing_to_the_bit(name, r):
     period = 2 * (2 * r + 1)
     for f in (10**12 + 7, -(10**12 + 7), 10**20 + 3, -(10**20 + 3)):
         assert _rt_bits(K, f, r) == _rt_bits(K, f + period, r) == _rt_bits(K, f - period, r)
+
+
+@pytest.mark.parametrize("r", (5, 10, 30))
+def test_rt_of_the_trefoil_mirror_is_the_conjugate_at_the_opposite_framing(r):
+    # surgery on the mirror at framing f is the mirror manifold of framing -f on the trefoil
+    mirror = KnotPresentation.from_catalog("trefoil-mirror")
+    trefoil = KnotPresentation.from_catalog("trefoil")
+    for f in (1, -1, 2, -2, 3, -3):
+        want = rt_invariant(trefoil, -f, r).conjugate()
+        assert abs(rt_invariant(mirror, f, r) - want) <= 1e-12 * abs(want), f
