@@ -542,30 +542,6 @@ def _s_frame_plan(ctx: QuantizationContext, n_grid: int) -> tuple:
     return rows, 16 * (held + block + buffers) + 8192
 
 
-def _twist_phases(ctx: QuantizationContext) -> np.ndarray:
-    """The phases z_l of the T-transformed alternating basis Phi~_l = z_l Phi_l, l = 1..r.
-
-    The chain Psi~_0 = Psi_0, Psi~_k = -T*_{(1,1)/N} Psi~_{k-1} applies the
-    normalised lift of the (1,1) translation (chi(1,1) = -1), and
-    Phi~_l = (Psi~_l - Psi~_{N-l}) / sqrt(2).  The lift takes Psi_{k-1} to
-    exp(i pi (2k-1)/N) Psi_k, so Psi~_k = z_k Psi_k with
-    z_k = (-1)^k exp(i pi k^2/N), and z_{N-k} = z_k.
-    """
-    N, l = ctx.N, np.arange(1, ctx.r + 1)
-    return (1 - 2 * (l % 2)) * np.exp(1j * math.pi * (l * l % (2 * N)) / N)
-
-
-def _frame_report(gen: str, cur: np.ndarray, ctx: QuantizationContext) -> ModularReport:
-    """Compare the measured matrix of generator gen with its predicted phase times
-    rep_T or rep_S: -exp(i pi/N) for T, -1 for S (docs/conventions.md)."""
-    if gen == "T":
-        phase, predicted = -cmath.exp(1j * math.pi / ctx.N), rep_T(ctx.r)
-    else:
-        phase, predicted = -1 + 0j, rep_S(ctx.r)
-    max_dev = float(np.max(np.abs(cur - phase * predicted)))
-    return ModularReport(gen, cur, predicted, phase, max_dev)
-
-
 def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
     """Expand the basis of a generator-transformed frame in the original basis.
 
@@ -578,17 +554,20 @@ def modular_phase_check(gen: str, ctx: QuantizationContext) -> ModularReport:
     (mu, mu+lambda) has the opposite lattice character, so no frame theta
     series exists inside the space; the transported basis is instead the
     chain of the normalised lift of the (1,1) translation, Phi~_l = z_l Phi_l
-    (_twist_phases).  The measured matrix is the Phi Gram matrix times
-    diag(z), compared against -exp(i pi/N) rep_T.
+    with z = -exp(i pi/N) diag(rep_T).  The measured matrix is the Phi Gram
+    matrix times diag(z), compared against -exp(i pi/N) rep_T.
     """
     if gen == "T":
-        cur = gram_matrix(basis_phi(ctx)) * _twist_phases(ctx)
+        phase, predicted = -cmath.exp(1j * math.pi / ctx.N), rep_T(ctx.r)
+        cur = gram_matrix(basis_phi(ctx)) * (phase * np.diag(predicted))
     elif gen == "S":
         # half-form frame change tau**-1/2, principal branch
         weight = ctx.tau ** -0.5 * halfform_norm_sq(ctx)
         n = _grid(ctx)
         with np.errstate(over="ignore", invalid="ignore"):
             cur = _finite(ctx, n, [weight * _s_frame_pairing(ctx, n)])[0]
+        phase, predicted = -1 + 0j, rep_S(ctx.r)
     else:
         raise ValueError("gen must be 'T' or 'S'")
-    return _frame_report(gen, cur, ctx)
+    max_dev = float(np.max(np.abs(cur - phase * predicted)))
+    return ModularReport(gen, cur, predicted, phase, max_dev)

@@ -432,7 +432,7 @@ JONES_REL_TOL = 1e-10  # every catalog value meets it, by a computed bound, or r
 _U = 2.0 ** -53
 
 
-def _trefoil_values(r: int, n_max: int, zero: int = 0) -> list:
+def _trefoil_values(r: int, n_max: int, zero: int = 0, name: str = "trefoil") -> list:
     """Morton's formula for the (2, 3) torus knot at t**-1, as two exact running sums.
 
     J(n) = S'(n)/den'(n): S'(n) = sum_h g(h) over h = 1-n, 3-n, .., n-1,
@@ -446,7 +446,7 @@ def _trefoil_values(r: int, n_max: int, zero: int = 0) -> list:
     """
     NN = 2 * r + 1
     if zero:   # den' = 0 where NN divides the color
-        raise PrecisionLoss(f"trefoil J({zero}) at r={r} is 0/0 in Morton's formula")
+        raise PrecisionLoss(f"{name} J({zero}) at r={r} is 0/0 in Morton's formula")
     X, Y = _root_table(NN, 52)
     # g(h) = w^e(h+1) - w^e(h), e(h) = -(3h^2 - h + 2)
     e = [-(3 * h * h - h + 2) % NN for h in range(1 - n_max, n_max + 1)]
@@ -465,7 +465,7 @@ def _trefoil_values(r: int, n_max: int, zero: int = 0) -> list:
         s, den = complex(re, im), complex(X[p] - X[q], Y[p] - Y[q])   # ints round correctly
         sd = abs(s * den)
         if not 4 * (n * abs(den) + abs(s)) + 8 * _U * sd < JONES_REL_TOL * sd:
-            raise PrecisionLoss(f"trefoil J({n}) at r={r} misses {JONES_REL_TOL:g}")
+            raise PrecisionLoss(f"{name} J({n}) at r={r} misses {JONES_REL_TOL:g}")
         values.append(s / den)
     return values
 
@@ -557,7 +557,8 @@ def _figure_eight_values(r: int, n_max: int, zero: int) -> list:
 _CATALOG_SUMS = {
     "unknot": lambda r, n_max, zero: [1 + 0j] * (n_max + bool(zero)),
     "trefoil": _trefoil_values,
-    "trefoil-mirror": lambda *args: [z.conjugate() for z in _trefoil_values(*args)],
+    "trefoil-mirror": lambda r, n_max, zero: [
+        z.conjugate() for z in _trefoil_values(r, n_max, zero, "trefoil-mirror")],
     "figure-eight": _figure_eight_values,
 }
 

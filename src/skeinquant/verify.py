@@ -5,15 +5,16 @@ All residuals are dimensionless maxima; ``pass`` requires every entry in
 ``residuals`` to stay below the tolerance (holomorphy is a second-order
 convergence check and is reported separately as a flag).
 
-One report is one batched pass.  Every pairing that goes through the Gram
-kernel (the Phi Gram matrix, and the random section and its translate) is
-a block of one stacked product on the grid that the aliasing bound picks
-from (r, tau), so a report builds one kernel, and the Psi Gram matrix and
-vacuum are read off it.  The twist frame is Phi~_l = z_l Phi_l, so the T
-check is the Phi Gram block times diag(z).  Translations act on whole
-coefficient stacks (Psi's checks on one row), each point check evaluates
-all of its points in one series call, and the test vectors come from
-``random.Random(7)``, real parts first.
+One report is one batched pass.  The random section and its translate are
+the two columns of one stacked product with the Gram kernel, on the grid
+that the aliasing bound picks from (r, tau), and the Psi Gram matrix is
+read off that kernel.  The T frame matrix is no residual: it is the Phi
+Gram matrix times diag(z), z = -exp(i pi/N) diag(rep_T), so its gap is at
+most twice the Psi Gram gap; the skein side of intertwine_mu_plus_lambda
+conjugates by rho(T).  Translations act on whole coefficient stacks (Psi's
+checks on one row), each point check evaluates all of its points in one
+series call, and the test vectors come from ``random.Random(7)``, real
+parts first.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import math
 import random
 
 from ._lazy import lazy_import
-from .geom import (QuantizationContext, _check_bytes, _curve_operators, _frame_report,
-                   _gram_bytes, _grid, _pairings, _phi_rows, _q_parts, _reflected,
-                   _s_frame_plan, _series, _series_plan, _spread, _translated,
-                   _twist_phases, halfform_norm_sq, iso_from_skein, iso_to_skein,
-                   modular_phase_check, psi_norm_constant)
+from .geom import (QuantizationContext, _check_bytes, _curve_operators, _gram_bytes, _grid,
+                   _pairings, _phi_rows, _q_parts, _reflected, _s_frame_plan, _series,
+                   _series_plan, _spread, _translated, halfform_norm_sq, iso_from_skein,
+                   iso_to_skein, modular_phase_check, psi_norm_constant)
 from .tqft import curve_operator_skein
 
 np = lazy_import("numpy")
@@ -92,9 +92,10 @@ def _check_report_bytes(ctx: QuantizationContext, include_modular: bool) -> None
     """StateSpaceTooLarge before a report builds what would pass errors.BYTE_BUDGET.
 
     The S pairing is checked alone first, so that it is named where it alone
-    passes.  A report keeps the Phi rows (r x N) and a dozen r x r results.
+    passes.  A report keeps the Phi rows (r x N) and a dozen r x r results
+    (the six curve operators, their differences and the 2-norm's copies).
     On top of those comes the largest transient: the stacked pairing columns
-    C and G C, r + 2 columns each, with the Gram kernel's count, which also
+    C and G C, two columns each, with the Gram kernel's count, which also
     covers G and its moduli while the Psi Gram residual is read off it; the
     curve operators' stacked translate and its sums, 14 r N, and numpy's
     buffer for its broadcast phases, up to np.getbufsize() values; the
@@ -104,7 +105,7 @@ def _check_report_bytes(ctx: QuantizationContext, include_modular: bool) -> None
     s_frame = _s_frame_plan(ctx, n)[1] if include_modular else 0.0
     _check_bytes(ctx, "S-frame pairing", s_frame)
     held = 16 * (r * N + 12 * r * r)
-    pairings = 32 * N * (r + 2) + _gram_bytes(ctx, n)
+    pairings = 32 * N * 2 + _gram_bytes(ctx, n)
     curves = 16 * (14 * r * N + min(6 * r * N, np.getbufsize()))
     series = _series_plan(ctx, 4, 16, 2.0)[1]   # 4 rows at 16 points, q spanning under 2
     _check_bytes(ctx, "verification report", held + max(pairings, curves, series, s_frame))
@@ -119,7 +120,7 @@ def verification_report(ctx: QuantizationContext, include_modular: bool = True) 
     phi = _phi_rows(ctx)
     s = _normal_vector(rng, N)[None, :]
     t = _translated(ctx, s, 2, 3)
-    G, (gram_phi, norm_s, norm_t) = _pairings(ctx, [(phi, phi, hf), (s, s, hf), (t, t, hf)])
+    G, (norm_s, norm_t) = _pairings(ctx, [(s, s, hf), (t, t, hf)])
     residuals = {}
 
     # Psi_l = c e_l, so Psi's Gram matrix is hf c^2 G
@@ -160,8 +161,6 @@ def verification_report(ctx: QuantizationContext, include_modular: bool = True) 
     residuals["iso_roundtrip"] = float(np.max(np.abs(back - v)))
 
     if include_modular:
-        twist = gram_phi * _twist_phases(ctx)   # Phi~_l = z_l Phi_l
-        residuals["modular_T_phases"] = _frame_report("T", twist, ctx).max_dev
         residuals["modular_S_matrix"] = modular_phase_check("S", ctx).max_dev
 
     c, floor = _holomorphy_residuals(ctx, rng)

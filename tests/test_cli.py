@@ -452,6 +452,15 @@ def test_knot_state_of_the_trefoil_mirror_conjugates_the_trefoil_state(capsys):
     assert results[0]["norm_sq"] == results[1]["norm_sq"]
 
 
+@pytest.mark.parametrize("knot", ("trefoil", "trefoil-mirror"))
+def test_catalog_zero_over_zero_names_the_knot_asked_for(capsys, knot):
+    # 2r+1 = 17 divides the color, where Morton's denominator vanishes
+    assert cli.main(["jones", "--knot", knot, "--n", "17", "--r", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {knot} J(17) at r=8 is 0/0 in Morton's formula\n"
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_exact_jones_of_the_trefoil_mirror_is_the_mirrored_polynomial(capsys, n):
     assert cli.main(["jones", "--knot", "trefoil-mirror", "--n", str(n), "--exact"]) == 0

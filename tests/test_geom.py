@@ -399,15 +399,30 @@ def test_modular_S_matrix(tau):
         assert np.max(np.abs(rep.measured + rep_S(r))) < 1e-12
 
 
-@pytest.mark.parametrize("r", range(3, 13))
+@pytest.mark.parametrize("r", [*range(3, 13), 50, 100])
 def test_twist_frame_closed_form_matches_the_chain(r):
-    # Psi~_k = (-1)^k exp(i pi k^2/N) Psi_k is the N - 1 step chain of the
-    # normalised (1,1) lift, so Phi~_l = z_l Phi_l and the measured T diagonal is
-    # -exp(i pi/N) times rep_T: rep_T carries the anchor phase -exp(-i pi/N)
+    # the N - 1 step chain of the normalised (1,1) lift, built by translations
+    # alone, is Phi~_l = z_l Phi_l with z = -exp(i pi/N) diag(rep_T): the skein
+    # twist with the chain's anchor phase, the z the T check reads (tau-free)
     ctx = QuantizationContext(r, 1j)
-    closed = geom._phi_rows(ctx) * geom._twist_phases(ctx)[:, None]
+    z = -cmath.exp(1j * math.pi / ctx.N) * np.diag(rep_T(r))
+    closed = geom._phi_rows(ctx) * z[:, None]
     assert np.max(np.abs(closed - chained_twist_frame_rows(ctx))) <= 1e-13
     assert modular_phase_check("T", ctx).max_dev <= 1e-12
+
+
+@pytest.mark.parametrize("tau", MODULAR_TAUS)
+def test_theta_side_st_cubed_is_s_squared(tau):
+    # (S_m T_m)^3 = c S_m^2 for the measured frame matrices, S_m = -rep_S and
+    # T_m = -exp(i pi/N) rep_T, so c is exp(3 i pi/N) times the skein factor
+    for r in (3, 5, 10, 20):
+        ctx = QuantizationContext(r, tau)
+        S, T = rep_S(r), rep_T(r)
+        skein = np.trace((S @ S).conj().T @ np.linalg.matrix_power(S @ T, 3)) / r
+        c = cmath.exp(3j * math.pi / ctx.N) * skein / abs(skein)
+        S_m = modular_phase_check("S", ctx).measured
+        T_m = modular_phase_check("T", ctx).measured
+        assert np.max(np.abs(np.linalg.matrix_power(S_m @ T_m, 3) - c * S_m @ S_m)) < 1e-12
 
 
 def test_quadrature_cap_raises(monkeypatch):
@@ -691,7 +706,6 @@ def test_coefficient_maps_do_not_read_tau():
         assert np.array_equal(geom._translated(a, rows, j, k), geom._translated(b, rows, j, k))
     assert np.array_equal(geom._reflected(a, rows), geom._reflected(b, rows))
     assert np.array_equal(geom._phi_rows(a), geom._phi_rows(b))
-    assert np.array_equal(geom._twist_phases(a), geom._twist_phases(b))
     for gamma in ((1, 0), (0, 1), (1, 1), (2, 1)):
         assert np.array_equal(curve_operator_geom(gamma, a), curve_operator_geom(gamma, b))
 
@@ -713,7 +727,6 @@ def test_batched_report_matches_the_per_check_functions(r, tau):
     # operators and quasi-periodicity sections match the one-at-a-time ones
     ctx = QuantizationContext(r, tau)
     got = verification_report(ctx)["residuals"]
-    rep_t = modular_phase_check("T", ctx)
     rng = random.Random(7)
     normal_vector_by_pairs(rng, ctx.N)   # the report's random section comes first
     want = {
@@ -721,17 +734,10 @@ def test_batched_report_matches_the_per_check_functions(r, tau):
         "intertwine_mu": intertwining_deviation((1, 0), ctx),
         "intertwine_lambda": intertwining_deviation((0, 1), ctx),
         "intertwine_mu_plus_lambda": intertwining_deviation((1, 1), ctx),
-        "modular_T_phases": rep_t.max_dev,
         "quasi_periodicity": quasi_periodicity_by_section(ctx, rng),
     }
     for key, value in want.items():
         assert abs(got[key] - value) <= 1e-12, (key, got[key], value)
-    # the T matrix is the Phi Gram block times the twist phases z_l = (-1)^l exp(i pi l^2/N)
-    l = np.arange(1, r + 1)
-    z = (-1.0) ** l * np.exp(1j * math.pi * (l * l % (2 * ctx.N)) / ctx.N)
-    gram_t = gram_matrix(basis_phi(ctx)) * z
-    dev = np.max(np.abs(gram_t + cmath.exp(1j * math.pi / ctx.N) * rep_T(r)))
-    assert abs(got["modular_T_phases"] - dev) <= 1e-15
 
 
 def test_report_residual_keys():
@@ -740,8 +746,20 @@ def test_report_residual_keys():
     assert sorted(got) == [
         "gram_psi", "heisenberg_commutation", "intertwine_lambda",
         "intertwine_mu", "intertwine_mu_plus_lambda", "iso_roundtrip", "modular_S_matrix",
-        "modular_T_phases", "phi_alternating", "psi_eigenrelation", "quasi_periodicity",
-        "translation_unitarity"]
+        "phi_alternating", "psi_eigenrelation", "quasi_periodicity", "translation_unitarity"]
+
+
+def test_report_pairs_two_columns(monkeypatch):
+    # the random section and its translate are the only pairings a report makes,
+    # with or without the modular checks: no Phi block rides in the stacked product
+    stacked, pairings = [], verify._pairings
+    monkeypatch.setattr(verify, "_pairings", lambda ctx, blocks: stacked.append(
+        sum(len(cols) for _, cols, _ in blocks)) or pairings(ctx, blocks))
+    for ctx in (QuantizationContext(5, 1j), QuantizationContext(8, 0.3 + 1.7j)):
+        for include_modular in (True, False):
+            stacked.clear()
+            verification_report(ctx, include_modular)
+            assert stacked == [2]
 
 
 @pytest.mark.parametrize("r, tau", BENCH_CONTEXTS)
@@ -750,7 +768,8 @@ def test_vacuum_norm_and_mu_spectrum_stay_under_their_bounds(r, tau):
     # meridian's spectrum gap one entry of the meridian's intertwining gap
     # (the skein operator is diag(-2 cos(2 pi l/N))), and each entry of the Phi
     # Gram gap half a signed sum of four Psi Gram gap entries, as
-    # Phi_l = (Psi_l - Psi_(N-l))/sqrt(2), so none decides pass
+    # Phi_l = (Psi_l - Psi_(N-l))/sqrt(2); the T check's gap is the Phi Gram gap
+    # times unit phases, so none decides pass
     ctx = QuantizationContext(r, tau)
     got = verification_report(ctx)["residuals"]
     vacuum = ThetaSection(ctx, np.eye(ctx.N)[0])
@@ -762,6 +781,7 @@ def test_vacuum_norm_and_mu_spectrum_stay_under_their_bounds(r, tau):
     assert frame_norm <= got["gram_psi"] + 1e-15
     assert spectrum <= got["intertwine_mu"] + 1e-15
     assert gram_phi <= 2 * got["gram_psi"] + 1e-15
+    assert modular_phase_check("T", ctx).max_dev <= 2 * got["gram_psi"] + 1e-15
 
 
 @pytest.mark.parametrize("r, tau", BENCH_CONTEXTS + [(40, 1j), (100, 0.5 + 2j), (60, 2 + 3j)])
