@@ -18,7 +18,7 @@ from .geom import (ModularReport, QuantizationContext, ThetaSection, basis_phi,
                    iso_to_skein, modular_phase_check, section_eval, translate)
 from .jones import (CATALOG_BRAIDS, JonesValue, KnotPresentation, colored_jones,
                     colored_jones_catalog, colored_jones_exact,
-                    colored_jones_rmatrix)
+                    colored_jones_polynomial, colored_jones_rmatrix)
 from .knotstate import (KnotState, L2Norm, VolumeRow, knot_state,
                         l2_norm_formula, l2_norm_quadrature, reference_volume,
                         volume_sequence, write_volume_csv)

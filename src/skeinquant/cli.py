@@ -22,7 +22,7 @@ from .diagrams import BraidWord, LinkDiagram
 from .bracket import braid_closure_bracket, kauffman_bracket
 from .errors import SkeinQuantError
 from .geom import QuantizationContext
-from .jones import CATALOG_BRAIDS, KnotPresentation, colored_jones, colored_jones_exact
+from .jones import CATALOG_BRAIDS, KnotPresentation, colored_jones, colored_jones_polynomial
 from .knotstate import knot_state, volume_sequence, write_volume_csv
 from .roots import RootContext
 from .tqft import MappingClassWord, rep_S, rep_T, rt_invariant, sl2z_rep
@@ -127,8 +127,8 @@ def _parse_tau(text: str) -> complex:
 def _cmd_jones(cfg: RunConfig, args) -> int:
     K = _knot_from_args(args)
     if args.exact:
-        poly = colored_jones_exact(K, args.n)
-        _emit(cfg, {"knot": K.name, "n": args.n, "backend": "exact",
+        poly, backend = colored_jones_polynomial(K, args.n, args.backend)
+        _emit(cfg, {"knot": K.name, "n": args.n, "backend": backend,
                     "polynomial": poly.format("t")})
         return 0
     val = colored_jones(K, args.n, RootContext(args.r), backend=args.backend)

@@ -18,11 +18,16 @@ T = J(A^4) [n] A^-((n^2-1) writhe) in the ring of its power table.
   (2r+1)-th roots of unity: Morton's formula for the trefoil as two exact
   running sums, O(r) per level, conjugated for its mirror (J(K*)(t) =
   J(K)(1/t) = conj J(K)(t) at |t| = 1), Habiro's cyclotomic sum for the
-  figure-eight as one integer dot product per color over its partial sine products.
+  figure-eight as one integer dot product per color over its partial sine
+  products; and their exact polynomials in t by Masbaum's cyclotomic sum
+  over LaurentPoly.
 
 Every engine, and the catalog's choice, reads the normal form of a knot's
 braid word (_normal_form): its g, -g pairs cancelled and its Markov
-destabilizations made, which keep J.
+destabilizations made, which keep J.  One rule (_resolve) picks the
+backend: auto takes the catalog for a catalog word, and otherwise the
+R-matrix for a value or the exact engine for a polynomial; exact always
+runs the sector engine, the catalog's oracle.
 
 Indexing: J(K, 1) = 1 is the trivial color, and J(K, n) comes from the
 (n-1)-st cabling color.
@@ -570,6 +575,33 @@ def _catalog_sum(name: str):
     return _CATALOG_SUMS[name]
 
 
+_MASBAUM_WEIGHTS = {   # w_k as (exponent of t, sign); the unknot's sum stops at k = 0
+    "unknot": None,
+    "trefoil": lambda k: (k * (k + 3) // 2, (-1) ** k),
+    "trefoil-mirror": lambda k: (-(k * (k + 3) // 2), (-1) ** k),
+    "figure-eight": lambda k: (0, 1),
+}
+
+
+def _catalog_polynomial(name: str, n: int) -> LaurentPoly:
+    """Exact J(name, n) in t by Masbaum's cyclotomic sum, the product of each k from that of k-1.
+
+    J(n) = sum_{k<n} w_k prod_{j<=k} (t^n + t^-n - t^j - t^-j): w_k = 1 for the
+    figure-eight and (-1)^k t^(k(k+3)/2) for the trefoil, and the mirror's w_k
+    at 1/t, which gives its polynomial under t -> 1/t, as every factor is even
+    under it.  The unknot's sum is its k = 0 term, 1.  The four polynomials it
+    holds at once are counted before any exists (docs/conventions.md).
+    """
+    weight, terms = _MASBAUM_WEIGHTS[name], 2 * n * (n - 1) + 1
+    errors.check_bytes(f"the {name} sum at n={n} holds 4 polynomials of {terms} terms and",
+                       4 * terms * (202 + 4 * -(-2 * n // 30)) + 8192)
+    prod = total = LaurentPoly.one()
+    for k in range(1, n if weight else 1):
+        prod = prod * LaurentPoly({n: 1, -n: 1, k: -1, -k: -1})
+        total = total + prod * LaurentPoly.monomial(*weight(k))
+    return total
+
+
 def catalog_jones_values(name: str, r: int, n_max: int) -> list:
     """J(name, n) for n = 1..n_max at t = exp(2 pi i/(r+1/2)), in one pass.
 
@@ -628,11 +660,11 @@ def catalog_name(K: KnotPresentation) -> Optional[str]:
     return _CATALOG_NAMES.get(_normal_form(K.braid))
 
 
-def _resolve(K: KnotPresentation, backend: str):
-    """(backend, catalog name): auto takes the catalog for a catalog word, else the R-matrix."""
+def _resolve(K: KnotPresentation, backend: str, other: str = "rmatrix"):
+    """(backend, catalog name): auto takes the catalog for a catalog word, else ``other``."""
     name = catalog_name(K)
     if backend == "auto":
-        backend = "catalog" if name else "rmatrix"
+        backend = "catalog" if name else other
     if backend == "catalog" and name is None:
         raise UnknownCatalogEntry(f"{K.braid.word} on {K.braid.strands} strands is no catalog word")
     return backend, name
@@ -649,6 +681,22 @@ def colored_jones(K: KnotPresentation, n: int, ctx: RootContext,
     if backend == "exact":
         return JonesValue(n, colored_jones_exact(K, n).eval_at(ctx.t_value), "exact")
     raise ValueError(f"unknown backend {backend!r}")
+
+
+def colored_jones_polynomial(K: KnotPresentation, n: int, backend: str = "auto") -> tuple:
+    """(exact J(K, n) in t, the backend that gave it), by the rule of _resolve.
+
+    auto and catalog take the catalog's Masbaum sum for a catalog word, auto the
+    sector engine for any other word, and exact always the sector engine.
+    """
+    if n < 1:
+        raise ValueError("color index n must be >= 1")
+    backend, name = _resolve(K, backend, "exact")
+    if backend == "catalog":
+        return _catalog_polynomial(name, n), "catalog"
+    if backend == "exact":
+        return colored_jones_exact(K, n), "exact"
+    raise ValueError(f"backend {backend!r} gives no polynomial: take auto, catalog or exact")
 
 
 def colored_jones_values(K: KnotPresentation, r: int, backend: str = "auto") -> list:

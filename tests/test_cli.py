@@ -469,6 +469,38 @@ def test_exact_jones_of_the_trefoil_mirror_is_the_mirrored_polynomial(capsys, n)
     assert got == mirrored(trefoil).format("t")
 
 
+def test_exact_jones_of_a_catalog_knot_runs_no_engine(capsys, monkeypatch):
+    monkeypatch.setattr(jones, "_colored_jones_exact_cached",
+                        lambda *args: pytest.fail("the sector engine ran"))
+    assert cli.main(["jones", "--knot", "figure-eight", "--n", "4", "--exact"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["backend"] == "catalog"
+    assert res["polynomial"] == ("t^-12 - t^-11 - t^-10 + 2t^-8 - 2t^-6 + 3t^-4 - 3t^-2 + 3"
+                                 " - 3t^2 + 3t^4 - 2t^6 + 2t^8 - t^10 - t^11 + t^12")
+
+
+def test_exact_backend_forces_the_engine_on_a_catalog_knot(capsys, monkeypatch):
+    calls, engine = [], jones._colored_jones_exact_cached
+    monkeypatch.setattr(jones, "_colored_jones_exact_cached",
+                        lambda *args: calls.append(args) or engine(*args))
+    argv = ["jones", "--knot", "figure-eight", "--n", "4", "--exact"]
+    assert cli.main(argv + ["--backend", "exact"]) == 0
+    forced = json.loads(capsys.readouterr().out)["result"]
+    assert calls == [((1, -2, 1, -2), 3, 4)] and forced["backend"] == "exact"
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["polynomial"] == forced["polynomial"]
+    assert len(calls) == 1
+
+
+def test_exact_jones_past_the_budget_exits_2_before_the_sum(capsys, monkeypatch):
+    monkeypatch.setattr(jones.LaurentPoly, "__mul__", lambda *args: pytest.fail("the sum ran"))
+    assert cli.main(["jones", "--knot", "trefoil", "--n", "20000", "--exact"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: the trefoil sum at n=20000 holds 4 polynomials of "
+                          "799960001 terms and needs "), err
+
+
 def test_volume_seq_ref_vol_of_a_custom_braid(tmp_path, capsys):
     out = tmp_path / "seq.csv"
     assert cli.main(["volume-seq", "--braid", "1 1 1 2 -1 2", "--strands", "3", "--ref-vol",
@@ -553,7 +585,10 @@ def test_error_exit_codes(tmp_path):
                  ["geom-verify", "--r", "3", "--tau", "1-i"],
                  ["geom-verify", "--r", "3", "--tau", "x"],
                  ["tqft", "--r", "4", "--word", "Q"],
-                 ["jones", "--knot", "trefoil", "--n", "0", "--r", "5"]):
+                 ["jones", "--knot", "trefoil", "--n", "0", "--r", "5"],
+                 ["jones", "--knot", "trefoil", "--n", "2", "--exact", "--backend", "rmatrix"],
+                 ["jones", "--braid", "1 1 1 2 -1 2", "--strands", "3", "--n", "2", "--exact",
+                  "--backend", "catalog"]):
         proc = run_cli(*argv, check=False)
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
@@ -783,11 +818,12 @@ def test_geom_verify_does_not_import_numpy_random():
     (["volume-seq", "--knot", "figure-eight", "--r-min", "5", "--r-max", "40"],
      ("numpy", "mpmath")),
     (["geom-verify", "--r", "3", "--tau", "i"], ("mpmath",)),
-    (["jones", "--knot", "trefoil", "--n", "4", "--exact"], ("mpmath",)),
+    (["jones", "--knot", "trefoil", "--n", "4", "--exact"], ("numpy", "mpmath")),
     (["jones", "--braid", "1 -2 1 -2", "--strands", "3", "--n", "4", "--r", "8",
       "--backend", "rmatrix"], ("mpmath",)),
     (["tqft", "--r", "5", "--emit", "matrices"], ("mpmath",)),
     (["rt", "--surgery", "trefoil", "--framing", "1", "--r", "10"], ("numpy", "mpmath")),
+    (["jones", "--knot", "trefoil", "--n", "4", "--exact", "--backend", "exact"], ("mpmath",)),
 ])
 def test_numpy_and_mpmath_run_only_where_used(tmp_path, argv, unrun):
     if argv[0] == "volume-seq":

@@ -15,9 +15,11 @@ from skeinquant import errors, jones
 from skeinquant.diagrams import BraidWord
 from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                                UnknownCatalogEntry)
-from skeinquant.jones import (JONES_REL_TOL, Dyadic, KnotPresentation, catalog_jones_values,
-                              catalog_name, colored_jones, colored_jones_catalog,
-                              colored_jones_exact, colored_jones_rmatrix, colored_jones_values)
+from skeinquant.jones import (CATALOG_BRAIDS, JONES_REL_TOL, Dyadic, KnotPresentation,
+                              catalog_jones_values, catalog_name, colored_jones,
+                              colored_jones_catalog, colored_jones_exact,
+                              colored_jones_polynomial, colored_jones_rmatrix,
+                              colored_jones_values)
 from skeinquant.laurent import LaurentPoly
 from skeinquant.roots import RootContext, quantum_integer, unit_root
 
@@ -64,6 +66,10 @@ def test_trefoil_jones_polynomial():
 def test_figure_eight_palindromic():
     for n in (2, 3, 5, 6):
         p = colored_jones_exact(FIG8, n)
+        assert p == mirrored(p)
+        assert (p.min_exp, p.max_exp) == (-n * (n - 1), n * (n - 1))
+    for n in range(1, 21):   # the catalog polynomial, where the engine would take minutes
+        p = jones._catalog_polynomial("figure-eight", n)
         assert p == mirrored(p)
         assert (p.min_exp, p.max_exp) == (-n * (n - 1), n * (n - 1))
 
@@ -624,6 +630,59 @@ def test_a_stabilized_catalog_word_takes_the_catalog(word, strands, name):
     ctx = RootContext(5)
     assert abs(colored_jones(K, 3, ctx).value
                - colored_jones(K, 3, ctx, backend="exact").value) < 1e-9
+
+
+@pytest.mark.parametrize("word, strands", sorted(jones._CATALOG_NAMES)
+                         + [((1, 1, 1, 2), 3), ((1, -2, 1, -2, 3), 4)])
+def test_catalog_polynomial_is_the_engines(word, strands):
+    # Masbaum's sum for every spelling the catalog keys, and two stabilized ones, against the
+    # sector engine that --backend exact forces
+    K = KnotPresentation.from_braid(word, strands)
+    for n in range(1, 7):
+        assert colored_jones_polynomial(K, n) == (colored_jones_exact(K, n), "catalog")
+        assert colored_jones_polynomial(K, n, "exact") == (colored_jones_exact(K, n), "exact")
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_BRAIDS))
+def test_catalog_polynomial_matches_cabled_oracle(name):
+    K = KnotPresentation.from_catalog(name)
+    for n in range(1, 5):
+        assert jones._catalog_polynomial(name, n) == cabled_jones(K, n)
+
+
+def test_polynomial_dispatch_refuses_what_gives_no_polynomial():
+    custom = KnotPresentation.from_braid((1, 1, 1, 2, -1, 2), 3)   # 5_2
+    assert colored_jones_polynomial(custom, 2) == (colored_jones_exact(custom, 2), "exact")
+    with pytest.raises(UnknownCatalogEntry):
+        colored_jones_polynomial(custom, 2, "catalog")
+    for backend in ("rmatrix", "bogus"):   # the R-matrix gives values
+        with pytest.raises(ValueError, match=f"^backend '{backend}' gives no polynomial"):
+            colored_jones_polynomial(TREFOIL, 2, backend)
+    with pytest.raises(ValueError, match="color index"):
+        colored_jones_polynomial(TREFOIL, 0)
+
+
+def test_catalog_polynomial_counts_its_bytes_before_the_sum(monkeypatch):
+    # 4 polynomials of 2n(n-1)+1 terms of 202 + 4 ceil(2n/30) bytes, and 8 KiB: 25 terms of
+    # 202 + 4 bytes at n = 4, 28792 bytes
+    def no_product(*args):
+        raise AssertionError("the sum ran past its budget")
+
+    assert jones._catalog_polynomial("figure-eight", 4) == cabled_jones(FIG8, 4)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 28791)
+    monkeypatch.setattr(LaurentPoly, "__mul__", no_product)
+    with pytest.raises(StateSpaceTooLarge, match=r"figure-eight sum at n=4 holds 4 polynomials "
+                                                 r"of 25 terms and needs 28792 bytes"):
+        jones._catalog_polynomial("figure-eight", 4)
+
+
+@pytest.mark.parametrize("name", ("trefoil", "trefoil-mirror", "figure-eight"))
+def test_catalog_polynomial_counts_its_traced_peak(name):
+    # within the count at every color, and over a third of it once the terms dominate
+    for n in (1, 2, 5, 12, 30):
+        count = 4 * (2 * n * (n - 1) + 1) * (202 + 4 * -(-2 * n // 30)) + 8192
+        peak = _traced_peak(lambda: jones._catalog_polynomial(name, n))
+        assert peak <= count and (n < 30 or 3 * peak > count), (n, peak, count)
 
 
 def _padded_knot_words(seed: int, count: int) -> list:
