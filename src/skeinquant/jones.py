@@ -20,7 +20,9 @@ T = J(A^4) [n] A^-((n^2-1) writhe) in the ring of its power table.
   J(K)(1/t) = conj J(K)(t) at |t| = 1), Habiro's cyclotomic sum for the
   figure-eight as one integer dot product per color over its partial sine
   products; and their exact polynomials in t by Masbaum's cyclotomic sum
-  over LaurentPoly.
+  over LaurentPoly.  For the figure-eight's norm alone, the same sum runs
+  once in float64 and bounds each |J(n)| (_figure_eight_moduli), which
+  knotstate certifies as a whole in place of each color.
 
 Every engine, and the catalog's choice, reads the normal form of a knot's
 braid word (_normal_form): its g, -g pairs cancelled and its Markov
@@ -557,6 +559,36 @@ def _figure_eight_values(r: int, n_max: int, zero: int) -> list:
     if zero:
         values.append(Dyadic(certified(zero, NN, sum(map(mul, Q, Q))), -2 * U))
     return values
+
+
+def _figure_eight_moduli(r: int) -> Optional[tuple]:
+    """(|J(n)|, e(n)) for n = 1..r as floats, each |J(n)| within e(n), by Habiro's sum in float64.
+
+    The sum of _figure_eight_values over |Q(m)|, one float cumulative product
+    of |s(m)| from _root_table(NN, bitlen(NN) + 56).  Q(m) has the sign
+    (-1)^max(0, m-r), so term k of color n has the sign (-1)^k for
+    n + k <= r and (-1)^(n+r) past it: the strided slices of one color's
+    terms sum to P and N, and |J(n)| = |P - N|/(NN |s(n)|) with the bound
+    e(n) = 1.001 (4.1 (r+n) + n + 6) u (P + N)/(NN |s(n)|), u = 2^-53
+    (docs/conventions.md).  None where some |Q(m)| leaves [2^-500, 2^500],
+    from r = 2118: inside it no term, sum or |J(n)| leaves the double range.
+    """
+    NN = 2 * r + 1
+    F = NN.bit_length() + 56
+    s = [abs(y) / (1 << (F - 1)) for y in _root_table(NN, F)[1]]   # correctly rounded
+    q = list(accumulate(s[1:], mul, initial=1.0))
+    if not 2.0 ** -500 < min(q) <= max(q) < 2.0 ** 500:
+        return None
+    moduli, bounds = [], []
+    for n in range(1, r + 1):
+        m, h = NN - n, min(n, r + 1 - n)   # term k = q[n+k] q[m+k]; (-1)^k for k < h
+        even = sum(map(mul, q[n:n + h:2], q[m:m + h:2]))
+        odd = sum(map(mul, q[n + 1:n + h:2], q[m + 1:m + h:2]))
+        tail = sum(map(mul, q[n + h:2 * n], q[m + h:]))
+        den = NN * s[n]
+        moduli.append(abs((even + tail) - odd if (n + r) % 2 == 0 else even - (odd + tail)) / den)
+        bounds.append(1.001 * (4.1 * (r + n) + n + 6) * _U * (even + odd + tail) / den)
+    return moduli, bounds
 
 
 _CATALOG_SUMS = {

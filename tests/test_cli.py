@@ -336,6 +336,9 @@ def test_volume_seq_csv_and_manifest(tmp_path):
      b"r,norm_sq,v_r,argmax_n,ref_vol,rel_err\r\n"
      b"40,27,0.25885442214174,40,0,0.25885442214174\r\n"
      b"50,34,0.221567766360864,50,0,0.221567766360864\r\n"),
+    (["--knot", "figure-eight", "--r-min", "295", "--r-max", "295"],
+     b"r,norm_sq,v_r,argmax_n,ref_vol,rel_err\r\n"
+     b"295,4.45696295399622e+83,2.05118343934682,295,2.02988321281931,0.0104933261150168\r\n"),
 ])
 def test_volume_seq_csv_bytes(tmp_path, capsys, argv, csv):
     # the bytes the csv module's excel dialect wrote: CRLF line ends, no field quoted
@@ -353,6 +356,18 @@ def test_volume_seq_without_out_exits_2_before_computing(monkeypatch, capsys):
                      "--r-max", "30", "--step", "10"]) == 2
     err = capsys.readouterr().err
     assert err == "error: volume-seq requires --out CSV path\n"
+
+
+def test_volume_seq_past_the_float_range_writes_the_values_row(monkeypatch, tmp_path):
+    # a float pass out of range leaves the row to the certified values, which write
+    # their own last digits (the float pass writes 1.58623332714075e+66 and ...013)
+    monkeypatch.setattr(jones, "_figure_eight_moduli", lambda r: None)
+    out = tmp_path / "seq.csv"
+    assert cli.main(["volume-seq", "--knot", "figure-eight", "--r-min", "233",
+                     "--r-max", "233", "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b"r,norm_sq,v_r,argmax_n,ref_vol,rel_err\r\n"
+        b"233,1.5862333271407e+66,2.05527546527506,233,2.02988321281931,0.0125092184099011\r\n")
 
 
 def test_volume_seq_uncertified_value_exits_2(monkeypatch, capsys, tmp_path):

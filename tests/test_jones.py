@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 from itertools import islice
 
@@ -769,6 +770,25 @@ def test_figure_eight_matches_forward_oracle_at_large_levels(r):
 
 def test_figure_eight_certifies_every_color_at_r2000():
     assert len(catalog_jones_values("figure-eight", 2000, 2000)) == 2000
+
+
+NORM_GROWTH_SEED_1 = (27, 57, 86, 120, 150, 174, 205, 237, 264, 295)
+
+
+@pytest.mark.parametrize("r", sorted({*range(3, 81), *NORM_GROWTH_SEED_1, 500, 1000}))
+def test_figure_eight_moduli_lie_within_their_bounds(r):
+    # against the exact Dyadic values, compared in rationals
+    moduli, bounds = jones._figure_eight_moduli(r)
+    values = jones._figure_eight_values(r, r, 0)
+    assert len(moduli) == len(bounds) == r
+    for n, (m, e, v) in enumerate(zip(moduli, bounds, values), start=1):
+        assert abs(Fraction(m) - abs(Fraction(v.man) * Fraction(2) ** v.exp)) <= e, n
+
+
+def test_figure_eight_moduli_stop_at_the_double_range():
+    # |Q| stays inside [2^-500, 2^500] up to r = 2117
+    assert jones._figure_eight_moduli(2117) is not None
+    assert jones._figure_eight_moduli(2118) is None
 
 
 def test_figure_eight_high_color_reflects_in_small_memory():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import cyclotomic_jones, exact, lobachevsky, lobachevsky_series, numpy_norm
-from skeinquant import knotstate
+from skeinquant import jones, knotstate
 from skeinquant.errors import SkeinQuantError, UnknownCatalogEntry
 from skeinquant.jones import CATALOG_BRAIDS, Dyadic, KnotPresentation, catalog_jones_values
 from skeinquant.knotstate import (L2Norm, knot_state, l2_norm_formula,
@@ -110,13 +110,58 @@ def test_norm_invariant_under_phase():
 
 
 def test_extended_precision_recomputation():
-    r = 10
-    a = l2_norm_formula(FIG8, r).norm
-    ctx, eta = RootContext(r), kirby_constants(r).eta
-    ref = cyclotomic_jones("figure-eight", r, r, 100 + r)
-    b = math.sqrt(sum((eta * quantum_integer(n, ctx) * abs(complex(j))) ** 2
-                      for n, j in enumerate(ref, start=1)))
-    assert abs(a - b) / a < 1e-12
+    for r in (10, 40, 120):
+        a = l2_norm_formula(FIG8, r).norm
+        ctx, eta = RootContext(r), kirby_constants(r).eta
+        ref = cyclotomic_jones("figure-eight", r, r, 100 + r)
+        b = math.sqrt(sum((eta * quantum_integer(n, ctx) * abs(complex(j))) ** 2
+                          for n, j in enumerate(ref, start=1)))
+        assert abs(a - b) / a < 1e-12, r
+
+
+def test_log_abs_reads_a_float_as_its_dyadic():
+    for v in catalog_jones_values("figure-eight", 300, 300):
+        x = abs(complex(v).real)
+        num, den = x.as_integer_ratio()
+        assert knotstate._log_abs(x) == knotstate._log_abs(Dyadic(num, 1 - den.bit_length()))
+    assert knotstate._log_abs(0.0) == -math.inf
+
+
+def _values_spy(monkeypatch) -> list:
+    """The calls l2_norm_formula makes to colored_jones_values, the per-color path."""
+    calls = []
+    values = knotstate.colored_jones_values
+    monkeypatch.setattr(knotstate, "colored_jones_values",
+                        lambda *args: calls.append(args[1:]) or values(*args))
+    return calls
+
+
+def test_figure_eight_norm_certifies_from_the_float_bounds(monkeypatch):
+    # the float pass's bounds certify the norm to 1e-12 at the norm_growth levels of seed 1
+    calls = _values_spy(monkeypatch)
+    monkeypatch.setattr(jones, "JONES_REL_TOL", 1e-12)
+    for r in (27, 57, 86, 120, 150, 174, 205, 237, 264, 295):
+        l2_norm_formula(FIG8, r)
+    assert calls == []
+
+
+def test_a_failed_norm_certificate_takes_the_values(monkeypatch):
+    # below the float bounds' 5e-13 at r = 237, above what the exact values need
+    calls = _values_spy(monkeypatch)
+    monkeypatch.setattr(jones, "JONES_REL_TOL", 1e-13)
+    r = 237
+    assert l2_norm_formula(FIG8, r) == knotstate._norm(
+        catalog_jones_values("figure-eight", r, r), _weights(r))
+    assert calls == [(r, "auto")]
+
+
+def test_a_level_past_the_float_range_takes_the_values(monkeypatch):
+    # the per-color sum is replaced by ones: the exact one takes seconds here
+    calls = _values_spy(monkeypatch)
+    ones = [Dyadic(1, 0)] * 2118
+    monkeypatch.setitem(jones._CATALOG_SUMS, "figure-eight", lambda r, n_max, zero: ones)
+    assert l2_norm_formula(FIG8, 2118) == knotstate._norm(ones, _weights(2118))
+    assert calls == [(2118, "auto")]
 
 
 def test_catalog_norm_follows_the_braid_word():
