@@ -113,7 +113,10 @@ def _check_budget(N: int, s: int, itemsize: int, E: Optional[int] = None, nodes:
     """How many evaluation points fit errors.BYTE_BUDGET; StateSpaceTooLarge if none does.
 
     Per point: 2s d^2 ring entries of the largest sector d (the product, the
-    new product and the blocks of up to 2(s - 1) signed letters) and, given the
+    new product and the blocks of up to 2(s - 1) signed letters; a power u^k
+    then holds U, X and a new product, and at its row-dot X, Y, the d sums
+    and, in (min, +), a d^2 temporary and its ufunc buffer: 4 d^2 + d, within
+    2s d^2 and a letter's entries, s >= 2) and, given the
     power table's reach E, _trace's tables (docs/conventions.md), or, if more,
     2 int64 per node for an inverse DFT row, in blocks of as many.  Once, in
     int64: s d_w^2 positions (s - 1 slot pairs' and a letter's) for every
@@ -173,36 +176,53 @@ def _sector_plan(word, s: int, N: int):
         yield e, len(flat), {i: _slot_index(flat, k, i, s, N) for i in slots}
 
 
-def _sector_loop(word, plan, gens, one, matmul, weigh) -> list:
+def _sector_loop(word, plan, gens, one, matmul, rowdot, weigh) -> list:
     """One value per sector of ``plan`` (_sector_plan), in its order.
 
     R keeps the total weight of the two slots it acts on, so the braid
     operator is block diagonal over w, and its trace over sector w equals
     the trace over the mirror sector s(N-1) - w (docs/conventions.md): the
     plan holds only the lower half.  A ring is given by ``gens``, ``one``,
-    ``matmul`` and ``weigh``.  ``gens`` is (R^-1, R), each a pair (values,
-    where): ``values[..., where[(i' N + j') N^2 + i N + j]]`` is the entry
-    from slot values (i, j) to (i', j'), leading axes of ``values`` are a
-    batch of evaluation points, and ``values[..., -1]`` is the ring's zero.
-    A letter's sector block takes that entry where the other slots agree and
-    the zero elsewhere, read at its slot pair's positions from the plan, and
-    is gathered once per sector for each signed letter.  A sector's product
-    starts from the word's first block; ``matmul`` is the ring's product,
-    and the empty word's diagonal is d copies of ``one``.  ``weigh(e,
+    ``matmul``, ``rowdot`` and ``weigh``.  ``gens`` is (R^-1, R), each a
+    pair (values, where): ``values[..., where[(i' N + j') N^2 + i N + j]]``
+    is the entry from slot values (i, j) to (i', j'), leading axes of
+    ``values`` are a batch of evaluation points, and ``values[..., -1]`` is
+    the ring's zero.  A letter's sector block takes that entry where the
+    other slots agree and the zero elsewhere, read at its slot pair's
+    positions from the plan, and is gathered once per sector for each
+    signed letter.  The word is u^k for its smallest period u: a sector's
+    product U of u's blocks starts from u's first block, ``matmul`` is the
+    ring's product, and for k >= 2 the diagonal of U^k is ``rowdot(Y, X)``
+    = diag(Y X), X = U^(k//2) by squaring and Y = X or X U, with U^k never
+    formed.  The empty word's diagonal is d copies of ``one``.  ``weigh(e,
     diag)`` reduces the diagonal of the word's product over the sector's
     multi-indices, given the exponent e of its weight.
     """
+    u = next((p for p in range(1, len(word)) if not len(word) % p and word[p:] == word[:-p]),
+             len(word) or 1)
+    k = len(word) // u
     out = []
     for e, d, index in plan:
         blocks, mat = {}, None
-        for g in word:
+        for g in word[:u]:
             if g not in blocks:
                 values, where = gens[g > 0]
                 blocks[g] = values.take(where.take(index[abs(g) - 1]), axis=-1)
             mat = blocks[g] if mat is None else matmul(blocks[g], mat)
-        out.append(weigh(e, np.full(d, one) if mat is None
-                         else np.diagonal(mat, axis1=-2, axis2=-1)))
-        del index, blocks, mat   # not held while the next sector's positions are built
+        del index, blocks   # not held while U's powers or the next sector's positions are built
+        if k > 1:
+            X = mat
+            for bit in bin(k // 2)[3:]:   # left to right: U, X and the new product
+                X = matmul(X, X)
+                if bit == "1":
+                    X = matmul(X, mat)
+            Y, mat = matmul(X, mat) if k % 2 else X, None   # the row-dot holds X and Y
+            diag = rowdot(Y, X)
+            del X, Y
+        else:
+            diag = np.full(d, one) if mat is None else np.diagonal(mat, axis1=-2, axis2=-1)
+        out.append(weigh(e, diag))
+        del mat, diag   # a diagonal view holds the sector's product
     return out
 
 
@@ -259,7 +279,8 @@ def _trace(word, plan, N: int, terms, pw, E: int, red):
     def weigh(e, diag):
         return red(diag.sum(axis=-1) * (red(pw[E + e] + pw[E - e]) if e else pw[E]))
 
-    return red(sum(_sector_loop(word, plan, gens, 1, lambda X, Y: red(X @ Y), weigh)))
+    return red(sum(_sector_loop(word, plan, gens, 1, lambda X, Y: red(X @ Y),
+                                lambda Y, X: red(np.einsum("...ij,...ji->...i", Y, X)), weigh)))
 
 
 # -- numeric R-matrix backend ------------------------------------------
@@ -310,6 +331,7 @@ def _degree_window(word, plan, s: int, terms, points: int) -> tuple:
 
     gens = [(np.append(c[0] - c[4], np.inf), where) for where, c in terms]
     lo, mirror_lo = (min(_sector_loop(letters, plan, gens, 0.0, min_plus,
+                                      lambda Y, X: (Y + X.T).min(-1),
                                       lambda e, diag: e + diag.min()))
                      for letters in (word, [-g for g in word]))
     return int(lo), -int(mirror_lo)
@@ -323,7 +345,8 @@ def _coefficient_bound(word, plan, N: int, terms) -> float:
     # nonnegative float sums and products: far below 2^-20 relative rounding.  A sector
     # with e < 0 counts for itself and its mirror
     return (1 + 2.0 ** -20) * float(sum(_sector_loop(
-        word, plan, gens, 1.0, np.matmul, lambda e, diag: (1 + (e < 0)) * diag.sum())))
+        word, plan, gens, 1.0, np.matmul, lambda Y, X: np.einsum("...ij,...ji->...i", Y, X),
+        lambda e, diag: (1 + (e < 0)) * diag.sum())))
 
 
 def _primes(M: int):

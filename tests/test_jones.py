@@ -157,7 +157,7 @@ def test_mirror_sectors_trace_alike_and_tighten_window_and_bound(monkeypatch, wo
     p, powers = primes[0], jones._unit_powers(primes[0], 4)
     traces = []
 
-    def every_sector(word, plan, gens, one, matmul, weigh):
+    def every_sector(word, plan, gens, one, matmul, rowdot, weigh):
         traces[:] = all_sector_loop(word, strands, N, gens, one, matmul,
                                     lambda e, diag: diag.sum(axis=-1) % p)
         return [np.zeros(4, dtype=np.int64)]
@@ -199,18 +199,26 @@ def test_mirror_tables_are_the_flipped_tables_up_to_a_gauge():
 
 
 def test_sector_loop_multiplies_half_the_sectors(monkeypatch):
-    products, loop = [], jones._sector_loop
+    products, rowdots, loop = [], [], jones._sector_loop
 
-    def counted(word, plan, gens, one, matmul, weigh):
+    def counted(word, plan, gens, one, matmul, rowdot, weigh):
         return loop(word, plan, gens, one,
-                    lambda X, Y: products.append(X.shape) or matmul(X, Y), weigh)
+                    lambda X, Y: products.append(X.shape) or matmul(X, Y),
+                    lambda Y, X: rowdots.append(X.shape) or rowdot(Y, X), weigh)
 
     monkeypatch.setattr(jones, "_sector_loop", counted)
     colored_jones_rmatrix(FIG8, 12, RootContext(30))
-    assert len(products) == 17 * 3   # sectors w <= 16 of 0..33, each from its first block
+    # sectors w <= 16 of 0..33: the period (1, -2) from its first block, then diag(U U)
+    assert len(products) == 17 * 1 and len(rowdots) == 17
+    products.clear()
+    rowdots.clear()
+    # an aperiodic word: its L - 1 = 7 products, letter by letter, in each of sectors w <= 6
+    colored_jones_rmatrix(KnotPresentation.from_braid((2, 1, 1, 1, 1, -2, 1, 2), 3), 5,
+                          RootContext(8))
+    assert len(products) == 7 * 7 and rowdots == []
     products.clear()
     assert abs(colored_jones_rmatrix(UNKNOT, 5, RootContext(8)) - 1) < 1e-12
-    assert products == []            # the empty word's product is the identity
+    assert products == [] == rowdots   # the empty word's product is the identity
 
 
 def test_sector_loop_builds_each_slot_index_once_per_sector(monkeypatch):
@@ -248,6 +256,44 @@ def test_sector_engine_matches_dense_oracle(word, strands, r):
     for n in range(1, 6):
         dense = dense_rmatrix_jones(K, n, ctx)
         assert abs(colored_jones_rmatrix(K, n, ctx) - dense) <= 1e-11 * max(1.0, abs(dense))
+
+
+# braid words u^k of a shorter word u, whose sector products the loop takes by squaring:
+# the figure-eight and its mirror, T(3, 4) and its mirror, T(3, 5) and T(2, 5)
+PERIODIC_WORDS = (((1, -2) * 2, 3), ((-1, 2) * 2, 3), ((1, 2) * 4, 3), ((-1, -2) * 4, 3),
+                  ((1, 2) * 5, 3), ((1,) * 5, 2))
+
+
+@pytest.mark.parametrize("word, strands", PERIODIC_WORDS)
+def test_periodic_words_match_the_letter_by_letter_loop(monkeypatch, word, strands):
+    # every ring of the exact engine, the window and the bound too, against the loop over
+    # every sector that multiplies letter by letter from the identity; and the cabling
+    uncached = jones._colored_jones_exact_cached.__wrapped__
+
+    def every_sector(word, plan, gens, one, matmul, rowdot, weigh):
+        diags = all_sector_loop(word, strands, N, gens, one, matmul, lambda e, diag: diag)
+        return [weigh(e, diag) for (e, _, _), diag in zip(plan, diags)]
+
+    for N in range(2, 6):
+        J = uncached(word, strands, N)
+        with monkeypatch.context() as m:
+            m.setattr(jones, "_sector_loop", every_sector)
+            assert uncached(word, strands, N) == J, N
+        if N <= 3:
+            assert J == cabled_jones(KnotPresentation.from_braid(word, strands), N)
+
+
+@pytest.mark.parametrize("word, strands", PERIODIC_WORDS)
+def test_periodic_words_match_dense_oracle(word, strands):
+    K = KnotPresentation.from_braid(word, strands)
+    ctx = RootContext(8)
+    for n in range(1, 6):
+        dense = dense_rmatrix_jones(K, n, ctx)
+        # both are uncertified floats, and at n = 5 two words are past 1e-11 apart: (1, 2)^5
+        # is 2.2e-11 (sector) and 1.4e-11 (dense) off the exact value, 3.5e-11 apart letter
+        # by letter, and (-1, -2)^4 1.9e-11 and 8.3e-12 off, 3.0e-12 apart letter by letter
+        tol = JONES_REL_TOL if n == 5 and word in ((1, 2) * 5, (-1, -2) * 4) else 1e-11
+        assert abs(colored_jones_rmatrix(K, n, ctx) - dense) <= tol * max(1.0, abs(dense))
 
 
 # knot words that repeat letters and take both signs of one slot
@@ -401,28 +447,30 @@ def _traced_peak(f) -> int:
 
 @pytest.mark.parametrize("N", (5, 7))
 def test_budget_counts_the_traced_peak(monkeypatch, N):
-    # a 4-strand word on its 3 slots, from cold tables and each backend's plan (the int64
-    # call holds every visited sector's positions as a list, the complex128 call one sector
-    # at a time): the bytes traced in one call stay within what _check_budget counts for
-    # it, and over half of it
-    word, s, P = (1, -2, 3, -1, 2, -3, 2), 4, 7
-    E = 2 * N * (N + s)
+    # a 4-strand word on its 3 slots, and the power (1, 2)^4, whose loop squares its
+    # period's product, from cold tables and each backend's plan (the int64 call holds
+    # every visited sector's positions as a list, the complex128 call one sector at a
+    # time): the bytes traced in one call stay within what _check_budget counts for it,
+    # and over half of it
+    P = 7
     p = next(jones._primes(4 * P))
     powers = jones._unit_powers(p, P)
-    K = KnotPresentation.from_braid(word, s)
-    for itemsize, points, call in (
-            (16, 1, lambda: colored_jones_rmatrix(K, N, RootContext(30))),
-            (8, P, lambda: jones._trace_mod(word, list(jones._sector_plan(word, s, N)), N,
-                                            jones._rmatrix_terms(N), 0, E, p, powers,
-                                            np.arange(P)))):
-        peak = _traced_peak(call)
-        for budget, admitted in ((peak - 1, False), (2 * peak, True)):
-            monkeypatch.setattr(errors, "BYTE_BUDGET", budget)
-            try:
-                fits = jones._check_budget(N, s, itemsize, E) >= points
-            except StateSpaceTooLarge:
-                fits = False
-            assert fits == admitted, (itemsize, peak)
+    for word, s in (((1, -2, 3, -1, 2, -3, 2), 4), ((1, 2) * 4, 3)):
+        E = 2 * N * (N + s)
+        K = KnotPresentation.from_braid(word, s)
+        for itemsize, points, call in (
+                (16, 1, lambda: colored_jones_rmatrix(K, N, RootContext(30))),
+                (8, P, lambda: jones._trace_mod(word, list(jones._sector_plan(word, s, N)), N,
+                                                jones._rmatrix_terms(N), 0, E, p, powers,
+                                                np.arange(P)))):
+            peak = _traced_peak(call)
+            for budget, admitted in ((peak - 1, False), (2 * peak, True)):
+                monkeypatch.setattr(errors, "BYTE_BUDGET", budget)
+                try:
+                    fits = jones._check_budget(N, s, itemsize, E) >= points
+                except StateSpaceTooLarge:
+                    fits = False
+                assert fits == admitted, (word, itemsize, peak)
 
 
 def test_budget_counts_the_traced_peak_of_one_exact_point(monkeypatch):
