@@ -16,7 +16,7 @@ from .geom import (ModularReport, QuantizationContext, ThetaSection, basis_phi,
                    basis_psi, curve_operator_geom, eval_grid, gram_matrix,
                    inner_product, intertwining_deviation, iso_from_skein,
                    iso_to_skein, modular_phase_check, section_eval, translate)
-from .jones import (CATALOG_BRAIDS, JonesValue, KnotPresentation, colored_jones,
+from .jones import (CATALOG, JonesValue, KnotPresentation, colored_jones,
                     colored_jones_catalog, colored_jones_exact,
                     colored_jones_polynomial, colored_jones_rmatrix)
 from .knotstate import (KnotState, L2Norm, VolumeRow, knot_state,

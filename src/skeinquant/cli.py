@@ -22,7 +22,7 @@ from .diagrams import BraidWord, LinkDiagram
 from .bracket import braid_closure_bracket, kauffman_bracket
 from .errors import SkeinQuantError
 from .geom import QuantizationContext
-from .jones import CATALOG_BRAIDS, KnotPresentation, colored_jones, colored_jones_polynomial
+from .jones import CATALOG, KnotPresentation, colored_jones, colored_jones_polynomial
 from .knotstate import knot_state, volume_sequence, write_volume_csv
 from .roots import RootContext
 from .tqft import MappingClassWord, rep_S, rep_T, rt_invariant, sl2z_rep
@@ -235,7 +235,7 @@ class _Flag(NamedTuple):
     help: str = ""
 
 
-_INPUT = {"knot": _Flag(choices=tuple(sorted(CATALOG_BRAIDS))),
+_INPUT = {"knot": _Flag(choices=tuple(sorted(CATALOG))),
           "braid": _Flag(help="signed generator word, e.g. '1 1 1'"), "strands": _Flag(int)}
 _BACKEND = _Flag(default="auto", choices=("auto", "exact", "rmatrix", "catalog"))
 _REQUIRED_INT = _Flag(int, required=True)
@@ -252,7 +252,7 @@ _COMMANDS = {   # command: (handler, help, flags by dest besides _COMMON's)
         r=_REQUIRED_INT, emit=_Flag(choices=("matrices",), help="matrices are always emitted"),
         word=_Flag(help="mapping class word, e.g. 'S T S'"))),
     "rt": (_cmd_rt, "surgery invariant of a closed manifold", dict(
-        surgery=_Flag(default="empty", choices=("empty", *sorted(CATALOG_BRAIDS))),
+        surgery=_Flag(default="empty", choices=("empty", *sorted(CATALOG))),
         framing=_Flag(int, 0), r=_REQUIRED_INT)),
     "geom-verify": (_cmd_geom_verify, "run the geometric verification suite", dict(
         r=_REQUIRED_INT, tau=_Flag(default="i"), skip_modular=_Flag(None, False))),

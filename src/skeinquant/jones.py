@@ -21,8 +21,9 @@ T = J(A^4) [n] A^-((n^2-1) writhe) in the ring of its power table.
   figure-eight as one integer dot product per color over its partial sine
   products; and their exact polynomials in t by Masbaum's cyclotomic sum
   over LaurentPoly.  For the figure-eight's norm alone, the same sum runs
-  once in float64 and bounds each |J(n)| (_figure_eight_moduli), which
-  knotstate certifies as a whole in place of each color.
+  once in float64 and bounds each |J(n)| (its entry's moduli), which
+  knotstate certifies as a whole in place of each color.  Each built-in
+  knot is one CATALOG entry: its braid, sums, norm pass and volume.
 
 Every engine, and the catalog's choice, reads the normal form of a knot's
 braid word (_normal_form): its g, -g pairs cancelled and its Markov
@@ -42,7 +43,7 @@ import math
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import errors
 from ._lazy import lazy_import
@@ -52,18 +53,6 @@ from .laurent import LaurentPoly, quantum_integer_poly
 from .roots import RootContext, quantum_integer, unit_root
 
 np = lazy_import("numpy")
-
-CATALOG_BRAIDS = {
-    "unknot": ((), 1),
-    "trefoil": ((1, 1, 1), 2),
-    "trefoil-mirror": ((-1, -1, -1), 2),
-    "figure-eight": ((1, -2, 1, -2), 3),
-}
-# by braid word: each rotation, flip σ_i ↔ σ_(s−i) and reversal; a mirror is its own entry
-_CATALOG_NAMES = {(w[k:] + w[:k], s): name for name, (word, s) in CATALOG_BRAIDS.items()
-                  for f in (word, tuple((s if g > 0 else -s) - g for g in word))
-                  for w in (f, f[::-1]) for k in range(len(w) or 1)}
-
 
 class KnotPresentation(NamedTuple("KnotPresentation", [("name", str), ("braid", BraidWord)])):
     """A knot given as a braid closure."""
@@ -79,12 +68,7 @@ class KnotPresentation(NamedTuple("KnotPresentation", [("name", str), ("braid", 
 
     @classmethod
     def from_catalog(cls, name: str) -> "KnotPresentation":
-        try:
-            word, strands = CATALOG_BRAIDS[name]
-        except KeyError:
-            raise UnknownCatalogEntry(
-                f"{name!r} not in catalog {sorted(CATALOG_BRAIDS)}") from None
-        return cls(name, BraidWord(word, strands))
+        return cls(name, catalog_entry(name).braid)
 
     @classmethod
     def from_braid(cls, word, strands: int, name: str = "custom") -> "KnotPresentation":
@@ -614,28 +598,48 @@ def _figure_eight_moduli(r: int) -> Optional[tuple]:
     return moduli, bounds
 
 
-_CATALOG_SUMS = {
-    "unknot": lambda r, n_max, zero: [1 + 0j] * (n_max + bool(zero)),
-    "trefoil": _trefoil_values,
-    "trefoil-mirror": lambda r, n_max, zero: [
-        z.conjugate() for z in _trefoil_values(r, n_max, zero, "trefoil-mirror")],
-    "figure-eight": _figure_eight_values,
+class CatalogEntry(NamedTuple):
+    """A built-in knot: all that the catalog knows of it.
+
+    ``values(r, n_max, zero)`` gives J(1..n_max) at level r, n_max <= r, and
+    then J(zero) for a nonzero multiple ``zero`` of 2r+1; ``weight(k)`` is
+    Masbaum's w_k as (exponent of t, sign), None where the sum stops at k = 0;
+    ``moduli(r)`` bounds each |J(n)| for the norm in one float64 pass, or is
+    None; ``volume`` is the simplicial volume of the complement, 0 for the
+    unknot and the torus knots.
+    """
+
+    braid: BraidWord
+    values: Callable
+    weight: Optional[Callable]
+    moduli: Optional[Callable]
+    volume: float
+
+
+CATALOG = {
+    "unknot": CatalogEntry(BraidWord((), 1),
+                           lambda r, n_max, zero: [1 + 0j] * (n_max + bool(zero)), None, None, 0.0),
+    "trefoil": CatalogEntry(BraidWord((1, 1, 1), 2), _trefoil_values,
+                            lambda k: (k * (k + 3) // 2, (-1) ** k), None, 0.0),
+    "trefoil-mirror": CatalogEntry(
+        BraidWord((-1, -1, -1), 2), lambda r, n_max, zero: [
+            z.conjugate() for z in _trefoil_values(r, n_max, zero, "trefoil-mirror")],
+        lambda k: (-(k * (k + 3) // 2), (-1) ** k), None, 0.0),
+    # two regular ideal tetrahedra: 4 Lobachevsky(pi/6) = 2.02988321281930725004..., as a double
+    "figure-eight": CatalogEntry(BraidWord((1, -2, 1, -2), 3), _figure_eight_values,
+                                 lambda k: (0, 1), _figure_eight_moduli, 2.0298832128193074),
 }
+# by braid word: each rotation, flip σ_i ↔ σ_(s−i) and reversal; a mirror is its own entry
+_CATALOG_NAMES = {(w[k:] + w[:k], s): name for name, ((word, s), *_) in CATALOG.items()
+                  for f in (word, tuple((s if g > 0 else -s) - g for g in word))
+                  for w in (f, f[::-1]) for k in range(len(w) or 1)}
 
 
-def _catalog_sum(name: str):
-    """The catalog sum of name, called as sum(r, n_max, zero); UnknownCatalogEntry if none."""
-    if name not in _CATALOG_SUMS:
-        raise UnknownCatalogEntry(f"{name!r} not in catalog {sorted(CATALOG_BRAIDS)}")
-    return _CATALOG_SUMS[name]
-
-
-_MASBAUM_WEIGHTS = {   # w_k as (exponent of t, sign); the unknot's sum stops at k = 0
-    "unknot": None,
-    "trefoil": lambda k: (k * (k + 3) // 2, (-1) ** k),
-    "trefoil-mirror": lambda k: (-(k * (k + 3) // 2), (-1) ** k),
-    "figure-eight": lambda k: (0, 1),
-}
+def catalog_entry(name: str) -> CatalogEntry:
+    """CATALOG[name]; UnknownCatalogEntry if there is none."""
+    if name not in CATALOG:
+        raise UnknownCatalogEntry(f"{name!r} not in catalog {sorted(CATALOG)}")
+    return CATALOG[name]
 
 
 def _catalog_polynomial(name: str, n: int) -> LaurentPoly:
@@ -647,7 +651,7 @@ def _catalog_polynomial(name: str, n: int) -> LaurentPoly:
     under it.  The unknot's sum is its k = 0 term, 1.  The four polynomials it
     holds at once are counted before any exists (docs/conventions.md).
     """
-    weight, terms = _MASBAUM_WEIGHTS[name], 2 * n * (n - 1) + 1
+    weight, terms = CATALOG[name].weight, 2 * n * (n - 1) + 1
     errors.check_bytes(f"the {name} sum at n={n} holds 4 polynomials of {terms} terms and",
                        4 * terms * (202 + 4 * -(-2 * n // 30)) + 8192)
     prod = total = LaurentPoly.one()
@@ -667,8 +671,10 @@ def catalog_jones_values(name: str, r: int, n_max: int) -> list:
     """
     if r < 1:
         raise ValueError("level r must be >= 1")
+    if n_max < 0:
+        raise ValueError("color bound n_max must be >= 0")
     NN = 2 * r + 1
-    values = _catalog_sum(name)(r, min(n_max, r), n_max - n_max % NN)
+    values = catalog_entry(name).values(r, min(n_max, r), n_max - n_max % NN)
     return values if n_max <= r else [values[min(n % NN, -n % NN) - 1]
                                       for n in range(1, n_max + 1)]
 
@@ -685,7 +691,7 @@ def colored_jones_catalog(name: str, n: int, ctx: RootContext) -> complex:
     k = min(n % NN, -n % NN)
     if k:
         return complex(catalog_jones_values(name, ctx.r, k)[-1])
-    return complex(_catalog_sum(name)(ctx.r, 0, n)[0])
+    return complex(catalog_entry(name).values(ctx.r, 0, n)[0])
 
 
 # -- shared entry points -----------------------------------------------

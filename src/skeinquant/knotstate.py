@@ -80,18 +80,17 @@ def l2_norm_formula(K: KnotPresentation, r: int, backend: str = "auto") -> L2Nor
     """Norm of the knot state from the weighted Jones sum.
 
     The terms |eta [n] J(K, n)|^2 are summed as logs by log-sum-exp, so no
-    value is squeezed into a double and large levels do not overflow.  The
-    catalog's figure-eight takes its |J(n)| from one float64 pass
-    (jones._figure_eight_moduli) where that pass stays in the double range
-    and its bounds certify the norm to JONES_REL_TOL (_certifies); any
-    other knot or level takes the values of colored_jones_values, each
-    certified on its own.
+    value is squeezed into a double and large levels do not overflow.  A
+    catalog knot whose entry has a float64 pass (its moduli) takes its |J(n)|
+    from it where that pass stays in the double range and its bounds certify
+    the norm to JONES_REL_TOL (_certifies); any other knot or level takes
+    the values of colored_jones_values, each certified on its own.
     """
     weights = _weights(r)   # rejects a level below 3
-    if backend in ("auto", "catalog") and catalog_name(K) == "figure-eight":
-        floats = jones._figure_eight_moduli(r)
-        if floats and _certifies(*floats, weights):
-            return _norm(floats[0], weights)
+    entry = backend in ("auto", "catalog") and jones.CATALOG.get(catalog_name(K))
+    floats = entry and entry.moduli and entry.moduli(r)
+    if floats and _certifies(*floats, weights):
+        return _norm(floats[0], weights)
     return _norm(colored_jones_values(K, r, backend), weights)
 
 
@@ -135,25 +134,17 @@ def l2_norm_quadrature(K: KnotPresentation, r: int, tau: complex = 1j) -> float:
     return math.sqrt(inner_product(section, section).real)
 
 
-# the figure-eight's is 4 Lobachevsky(pi/6) = 2.02988321281930725004..., as the nearest double
-_REFERENCE_VOLUMES = {"unknot": 0.0, "trefoil": 0.0, "trefoil-mirror": 0.0,
-                      "figure-eight": 2.0298832128193074}
-
-
 def reference_volume(name: Optional[str], user_value: Optional[float] = None) -> float:
-    """Simplicial volume of the knot complement for catalog entries.
+    """Simplicial volume of the knot complement: a catalog entry's volume (jones.CATALOG).
 
-    Torus knots and the unknot give 0.  The figure-eight complement
-    decomposes into two regular ideal tetrahedra, each of volume
-    2 Lobachevsky(pi/6), giving 4 Lobachevsky(pi/6) = 2.029883212819....
     Anything else (name None for a braid outside the catalog) takes the
     caller's value, which must be finite and nonnegative; a catalog entry
     takes none.
     """
-    if name in _REFERENCE_VOLUMES:
+    if name in jones.CATALOG:
         if user_value is not None:
             raise SkeinQuantError(f"{name} is a catalog knot; pass no reference volume")
-        return _REFERENCE_VOLUMES[name]
+        return jones.CATALOG[name].volume
     if user_value is None:
         raise UnknownCatalogEntry(
             f"no reference volume for {repr(name) if name else 'a braid outside the catalog'}; "

@@ -361,7 +361,8 @@ def test_volume_seq_without_out_exits_2_before_computing(monkeypatch, capsys):
 def test_volume_seq_past_the_float_range_writes_the_values_row(monkeypatch, tmp_path):
     # a float pass out of range leaves the row to the certified values, which write
     # their own last digits (the float pass writes 1.58623332714075e+66 and ...013)
-    monkeypatch.setattr(jones, "_figure_eight_moduli", lambda r: None)
+    monkeypatch.setitem(jones.CATALOG, "figure-eight",
+                        jones.CATALOG["figure-eight"]._replace(moduli=lambda r: None))
     out = tmp_path / "seq.csv"
     assert cli.main(["volume-seq", "--knot", "figure-eight", "--r-min", "233",
                      "--r-max", "233", "--out", str(out)]) == 0
@@ -634,7 +635,9 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv):
 ))
 def test_levels_below_3_are_refused_before_any_catalog_sum(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(jones, "_catalog_sum", lambda name: pytest.fail("a catalog sum ran"))
+    for name, entry in jones.CATALOG.items():
+        monkeypatch.setitem(jones.CATALOG, name, entry._replace(
+            values=lambda *args: pytest.fail("a catalog sum ran"), moduli=None))
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", "error: level r must be >= 3\n")
 

@@ -5,6 +5,7 @@ import ast
 from pathlib import Path
 
 import skeinquant
+from skeinquant import jones
 
 _LOADERS = ("lazy_import", "import_module", "__import__")
 
@@ -104,6 +105,28 @@ def test_the_float_root_finder_sees_each_form():
             "    c = np.exp(1)\n    d = math.cos\n    return numpy\n"
             "def other():\n    return cmath.exp(1j)\n")
     assert _float_root_lines(ast.parse(code), _CATALOG_SUMS) == {"_root_table": [2, 3, 4, 5, 6]}
+
+
+def _string_lines(tree: ast.AST, values) -> list:
+    """Lines that hold a string constant equal to one of ``values``, each once."""
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str) and node.value in values})
+
+
+def test_only_jones_names_a_catalog_knot():
+    # one table: a built-in knot's braid, sums, norm pass and volume are its jones.CATALOG entry
+    found = {}
+    for path in sorted(Path(skeinquant.__file__).parent.rglob("*.py")):
+        lines = _string_lines(ast.parse(path.read_text()), jones.CATALOG)
+        if lines and path.name != "jones.py":
+            found[path.name] = lines
+    assert not found, f"catalog knots are named at {found}"
+
+
+def test_the_string_finder_sees_each_form():
+    code = ("if name == 'figure-eight':\n    pass\nd = {'unknot': 0.0,\n     'trefoil': 0.0}\n"
+            "s = 'the figure-eight knot'\nf(knot='trefoil-mirror')\nx = 'empty'\n'''unknot'''\n")
+    assert _string_lines(ast.parse(code), jones.CATALOG) == [1, 3, 4, 6, 8]
 
 
 _MOVED = ("ChebyshevColor", "chebyshev_coeffs", "twist_monomial", "colored_bracket",

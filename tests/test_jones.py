@@ -16,7 +16,7 @@ from skeinquant import errors, jones
 from skeinquant.diagrams import BraidWord
 from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                                UnknownCatalogEntry)
-from skeinquant.jones import (CATALOG_BRAIDS, JONES_REL_TOL, Dyadic, KnotPresentation,
+from skeinquant.jones import (CATALOG, JONES_REL_TOL, Dyadic, KnotPresentation,
                               catalog_jones_values, catalog_name, colored_jones,
                               colored_jones_catalog, colored_jones_exact,
                               colored_jones_polynomial, colored_jones_rmatrix,
@@ -624,6 +624,16 @@ def test_catalog_refuses_levels_below_one(name, r):
         catalog_jones_values(name, r, 1)
 
 
+@pytest.mark.parametrize("n_max", (-1, -7))
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_refuses_a_negative_color_bound(monkeypatch, name, n_max):
+    # a negative bound asks for no color: at r = 3, n_max = -1 would read J(-7) from its class
+    monkeypatch.setitem(jones.CATALOG, name, CATALOG[name]._replace(
+        values=lambda *args: pytest.fail("a catalog sum ran")))
+    with pytest.raises(ValueError, match=r"^color bound n_max must be >= 0$"):
+        catalog_jones_values(name, 3, n_max)
+
+
 def test_dispatch_backends():
     ctx = RootContext(4)
     assert colored_jones(FIG8, 2, ctx).backend == "catalog"
@@ -692,7 +702,7 @@ def test_catalog_polynomial_is_the_engines(word, strands):
         assert colored_jones_polynomial(K, n, "exact") == (colored_jones_exact(K, n), "exact")
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG_BRAIDS))
+@pytest.mark.parametrize("name", sorted(CATALOG))
 def test_catalog_polynomial_matches_cabled_oracle(name):
     K = KnotPresentation.from_catalog(name)
     for n in range(1, 5):
@@ -906,7 +916,8 @@ def test_catalog_color_sums_only_its_class(monkeypatch):
         return lambda r, n_max, zero: asked.append((r, n_max, zero)) or f(r, n_max, zero)
 
     for name in ("figure-eight", "trefoil"):
-        monkeypatch.setitem(jones._CATALOG_SUMS, name, recorded(jones._CATALOG_SUMS[name]))
+        entry = jones.CATALOG[name]
+        monkeypatch.setitem(jones.CATALOG, name, entry._replace(values=recorded(entry.values)))
     ctx = RootContext(3)
     assert colored_jones_catalog("figure-eight", 7 * 10 ** 6, ctx) == \
         colored_jones_catalog("figure-eight", 7, ctx)

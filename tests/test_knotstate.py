@@ -7,7 +7,7 @@ import pytest
 from oracles import cyclotomic_jones, exact, lobachevsky, lobachevsky_series, numpy_norm
 from skeinquant import jones, knotstate
 from skeinquant.errors import SkeinQuantError, UnknownCatalogEntry
-from skeinquant.jones import CATALOG_BRAIDS, Dyadic, KnotPresentation, catalog_jones_values
+from skeinquant.jones import CATALOG, Dyadic, KnotPresentation, catalog_jones_values
 from skeinquant.knotstate import (L2Norm, knot_state, l2_norm_formula,
                                   l2_norm_quadrature, reference_volume,
                                   volume_sequence, write_volume_csv)
@@ -159,7 +159,8 @@ def test_a_level_past_the_float_range_takes_the_values(monkeypatch):
     # the per-color sum is replaced by ones: the exact one takes seconds here
     calls = _values_spy(monkeypatch)
     ones = [Dyadic(1, 0)] * 2118
-    monkeypatch.setitem(jones._CATALOG_SUMS, "figure-eight", lambda r, n_max, zero: ones)
+    monkeypatch.setitem(jones.CATALOG, "figure-eight", jones.CATALOG["figure-eight"]._replace(
+        values=lambda r, n_max, zero: ones))
     assert l2_norm_formula(FIG8, 2118) == knotstate._norm(ones, _weights(2118))
     assert calls == [(2118, "auto")]
 
@@ -206,8 +207,12 @@ def test_reference_volume_is_finite_and_nonnegative(value):
     assert reference_volume(None, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG_BRAIDS))
+@pytest.mark.parametrize("name", sorted(CATALOG))
 def test_reference_volume_of_a_catalog_word_takes_no_value(name):
+    # the whole entry: its braid names it, and its volume is the reference
+    K = KnotPresentation.from_catalog(name)
+    assert jones.catalog_name(K) == name and K.braid == CATALOG[name].braid
+    assert reference_volume(name) == CATALOG[name].volume
     for value in (7.0, reference_volume(name)):
         with pytest.raises(SkeinQuantError, match="catalog knot; pass no reference volume"):
             reference_volume(name, value)
