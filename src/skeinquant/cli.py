@@ -285,7 +285,8 @@ def _parse(argv: list):
     A flag is --flag VALUE, --flag=VALUE or a bare switch, written in full or as a prefix
     of one flag alone; the token after a value flag is its value whatever it begins
     with, and the last occurrence wins.  The --config JSON object sets the flags not
-    given, its values read as text by the same converters."""
+    given, its values read as text by the same converters, and a switch's as JSON true or
+    false alone."""
     if argv[:1] in (["-h"], ["--help"]):
         return None, None
     if not argv or argv[0] not in _COMMANDS:
@@ -322,8 +323,10 @@ def _parse(argv: list):
             raise SkeinQuantError("config file must hold a JSON object")
         for dest, v in {k.replace("-", "_"): v for k, v in doc.items()}.items():
             if dest in flags and v is not None:   # null leaves the flag unset
-                flag = flags[dest]   # a switch is False unless a true value sets it
-                values[dest] = _value(_spelling(dest), flag, str(v)) if flag.convert else bool(v)
+                flag, name = flags[dest], _spelling(dest)
+                if flag.convert is None and not isinstance(v, bool):
+                    raise SkeinQuantError(f"{name} takes true or false, not {json.dumps(v)}")
+                values[dest] = _value(name, flag, str(v)) if flag.convert else v
     values.update(given)
     missing = [_spelling(d) for d, flag in flags.items() if flag.required and values[d] is None]
     if missing:

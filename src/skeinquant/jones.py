@@ -30,7 +30,8 @@ braid word (_normal_form): its g, -g pairs cancelled and its Markov
 destabilizations made, which keep J.  One rule (_resolve) picks the
 backend: auto takes the catalog for a catalog word, and otherwise the
 R-matrix for a value or the exact engine for a polynomial; exact always
-runs the sector engine, the catalog's oracle.
+runs the sector engine, the catalog's oracle.  A value runs at its color's
+class mod 2r+1 (colored_jones).
 
 Indexing: J(K, 1) = 1 is the trivial color, and J(K, n) comes from the
 (n-1)-st cabling color.
@@ -669,8 +670,7 @@ def catalog_jones_values(name: str, r: int, n_max: int) -> list:
     relative, or PrecisionLoss is raised.  Figure-eight values are exact Dyadic
     reals, up to about 2**(r/2), past the double range; the others are complex.
     """
-    if r < 1:
-        raise ValueError("level r must be >= 1")
+    RootContext(r)   # rejects a level below 3
     if n_max < 0:
         raise ValueError("color bound n_max must be >= 0")
     NN = 2 * r + 1
@@ -680,18 +680,8 @@ def catalog_jones_values(name: str, r: int, n_max: int) -> list:
 
 
 def colored_jones_catalog(name: str, n: int, ctx: RootContext) -> complex:
-    """J(name, n) at t = exp(2 pi i/(r+1/2)), from a sum over n's class alone.
-
-    The sum runs to the smallest color k of the class, k <= r, or, where NN = 2r+1
-    divides n, to no color and then to n itself.
-    """
-    if n < 1:
-        raise ValueError("color index n must be >= 1")
-    NN = 2 * ctx.r + 1
-    k = min(n % NN, -n % NN)
-    if k:
-        return complex(catalog_jones_values(name, ctx.r, k)[-1])
-    return complex(catalog_entry(name).values(ctx.r, 0, n)[0])
+    """J(name, n) at t = exp(2 pi i/(r+1/2)) by the catalog, at n's class (colored_jones)."""
+    return colored_jones(KnotPresentation.from_catalog(name), n, ctx, "catalog").value
 
 
 # -- shared entry points -----------------------------------------------
@@ -733,14 +723,20 @@ def _resolve(K: KnotPresentation, backend: str, other: str = "rmatrix"):
 
 def colored_jones(K: KnotPresentation, n: int, ctx: RootContext,
                   backend: str = "auto") -> JonesValue:
-    """Evaluate J(K, n) at the context root with the chosen backend."""
+    """Evaluate J(K, n) at the context root with the chosen backend, run at n's class
+    k = min(n mod 2r+1, -n mod 2r+1), or at n where k = 0 (docs/conventions.md)."""
     backend, name = _resolve(K, backend)
+    if n < 1:
+        raise ValueError("color index n must be >= 1")
+    NN = 2 * ctx.r + 1
+    k = min(n % NN, -n % NN)
     if backend == "catalog":
-        return JonesValue(n, colored_jones_catalog(name, n, ctx), "catalog")
+        return JonesValue(n, complex(catalog_jones_values(name, ctx.r, k)[-1] if k else
+                                     catalog_entry(name).values(ctx.r, 0, n)[0]), "catalog")
     if backend == "rmatrix":
-        return JonesValue(n, colored_jones_rmatrix(K, n, ctx), "rmatrix")
+        return JonesValue(n, colored_jones_rmatrix(K, k or n, ctx), "rmatrix")
     if backend == "exact":
-        return JonesValue(n, colored_jones_exact(K, n).eval_at(ctx.t_value), "exact")
+        return JonesValue(n, colored_jones_exact(K, k or n).eval_at(ctx.t_value), "exact")
     raise ValueError(f"unknown backend {backend!r}")
 
 

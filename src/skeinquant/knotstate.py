@@ -76,7 +76,7 @@ def _log_abs(z) -> float:
     return math.log(mant) + expo * math.log(2) if mant else -math.inf
 
 
-def l2_norm_formula(K: KnotPresentation, r: int, backend: str = "auto") -> L2Norm:
+def l2_norm_formula(K: KnotPresentation, r: int) -> L2Norm:
     """Norm of the knot state from the weighted Jones sum.
 
     The terms |eta [n] J(K, n)|^2 are summed as logs by log-sum-exp, so no
@@ -87,11 +87,11 @@ def l2_norm_formula(K: KnotPresentation, r: int, backend: str = "auto") -> L2Nor
     the values of colored_jones_values, each certified on its own.
     """
     weights = _weights(r)   # rejects a level below 3
-    entry = backend in ("auto", "catalog") and jones.CATALOG.get(catalog_name(K))
+    entry = jones.CATALOG.get(catalog_name(K))
     floats = entry and entry.moduli and entry.moduli(r)
     if floats and _certifies(*floats, weights):
         return _norm(floats[0], weights)
-    return _norm(colored_jones_values(K, r, backend), weights)
+    return _norm(colored_jones_values(K, r), weights)
 
 
 def _certifies(moduli: list, bounds: list, weights: tuple) -> bool:

@@ -227,7 +227,7 @@ def test_rmatrix_budget_exits_2():
 @pytest.mark.parametrize("argv", (
     ["tqft", "--r", "5000"],
     ["geom-verify", "--r", "1500", "--tau", "i"],
-    ["jones", "--braid", "1 -2 1 -2", "--strands", "3", "--n", "1000000", "--r", "5",
+    ["jones", "--braid", "1 -2 1 -2", "--strands", "3", "--n", "1000", "--r", "1000",
      "--backend", "rmatrix"],
 ))
 def test_budgets_refuse_before_building(argv):
@@ -582,6 +582,16 @@ def test_config_file_store_true_and_dashed_values(tmp_path, capsys):
         == "catalog"
     assert run("geom-verify", {"r": 3, "tau": "-1+2i", "skip_modular": True}) \
         == run("geom-verify", {}, "--r", "3", "--tau=-1+2i", "--skip-modular")
+
+
+@pytest.mark.parametrize("value", ("false", "true", 0, 1, [], {}))
+def test_config_switch_takes_json_true_or_false_alone(tmp_path, capsys, value):
+    # bool("false") is True: read as a truth value, the string turned --exact on
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exact": value}))
+    assert cli.main(["jones", "--knot", "trefoil", "--n", "3", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --exact takes true or false, not {json.dumps(value)}\n"
 
 
 def test_error_exit_codes(tmp_path):

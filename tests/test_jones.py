@@ -616,11 +616,11 @@ def test_catalog_unknown():
         colored_jones_catalog("granny", 2, ctx)
 
 
-@pytest.mark.parametrize("r", (-1, 0))
+@pytest.mark.parametrize("r", (-1, 0, 1, 2))
 @pytest.mark.parametrize("name", ("unknot", "trefoil", "figure-eight"))
-def test_catalog_refuses_levels_below_one(name, r):
-    # one level error before any sum runs, not three different failures inside them
-    with pytest.raises(ValueError, match=r"^level r must be >= 1$"):
+def test_catalog_refuses_levels_below_three(name, r):
+    # RootContext's level error before any sum runs, as at every other entry point
+    with pytest.raises(ValueError, match=r"^level r must be >= 3$"):
         catalog_jones_values(name, r, 1)
 
 
@@ -944,7 +944,8 @@ def test_trefoil_certificate_can_fail(monkeypatch):
 
 @pytest.mark.parametrize("r", (*range(1, 13), 27, 86, 150, 295, 500))
 def test_trefoil_running_sums_match_morton_oracle(r):
-    ours = catalog_jones_values("trefoil", r, r)
+    # the sums themselves: the catalog refuses levels below 3
+    ours = jones._trefoil_values(r, r)
     ref = morton_trefoil(r, r)
     assert len(ours) == r
     assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(ours, ref))
@@ -980,6 +981,20 @@ def test_trefoil_colors_past_2r_fold_onto_the_sums(r, colors):
         cat = colored_jones_catalog("trefoil", n, ctx)
         assert abs(cat - exact) <= 1e-10 * abs(exact), n
         assert cat == values[min(n % (2 * r + 1), -n % (2 * r + 1)) - 1]
+
+
+@pytest.mark.parametrize("word, backend, r, n, k", (
+    ((1, 1, 1, 2, -1, 2), "auto", 8, 23, 6), ((1, 1, 1, 2, -1, 2), "auto", 8, 28, 6),
+    ((1, 1, 1, 2, -1, 2), "auto", 8, 40, 6), ((1, 1, 1, 2, -1, 2), "exact", 3, 9, 2),
+    ((1, -2, 1, -2), "rmatrix", 5, 10 ** 6, 1)))
+def test_every_backend_runs_a_color_at_its_class(word, backend, r, n, k):
+    # the same fold for any word: the 5_2 word's R-matrix and exact engines, and the
+    # figure-eight word's R-matrix at a color whose representation no budget admits
+    K, ctx = KnotPresentation.from_braid(word, 3), RootContext(r)
+    value = colored_jones(K, n, ctx, backend)
+    assert value.n == n and value.value == colored_jones(K, k, ctx, backend).value
+    exact = colored_jones_exact(K, k).eval_at(ctx.t_value)
+    assert abs(value.value - exact) <= 1e-10 * abs(exact)
 
 
 def test_uncertifiable_value_raises():

@@ -152,7 +152,7 @@ def test_a_failed_norm_certificate_takes_the_values(monkeypatch):
     r = 237
     assert l2_norm_formula(FIG8, r) == knotstate._norm(
         catalog_jones_values("figure-eight", r, r), _weights(r))
-    assert calls == [(r, "auto")]
+    assert calls == [(r,)]
 
 
 def test_a_level_past_the_float_range_takes_the_values(monkeypatch):
@@ -162,7 +162,7 @@ def test_a_level_past_the_float_range_takes_the_values(monkeypatch):
     monkeypatch.setitem(jones.CATALOG, "figure-eight", jones.CATALOG["figure-eight"]._replace(
         values=lambda r, n_max, zero: ones))
     assert l2_norm_formula(FIG8, 2118) == knotstate._norm(ones, _weights(2118))
-    assert calls == [(2118, "auto")]
+    assert calls == [(2118,)]
 
 
 def test_catalog_norm_follows_the_braid_word():
