@@ -20,10 +20,12 @@ T = J(A^4) [n] A^-((n^2-1) writhe) in the ring of its power table.
   J(K)(1/t) = conj J(K)(t) at |t| = 1), Habiro's cyclotomic sum for the
   figure-eight as one integer dot product per color over its partial sine
   products; and their exact polynomials in t by Masbaum's cyclotomic sum
-  over LaurentPoly.  For the figure-eight's norm alone, the same sum runs
-  once in float64 and bounds each |J(n)| (its entry's moduli), which
-  knotstate certifies as a whole in place of each color.  Each built-in
-  knot is one CATALOG entry: its braid, sums, norm pass and volume.
+  over LaurentPoly.  A catalog knot's state norm comes from its entry's
+  norm pass, certified as a whole from the partial sums in place of each
+  color, as w(n) |J(n)| = |S'(n)|/sqrt(NN) for Morton's sum (exact in ints)
+  and |P - N|/NN^(3/2) for Habiro's (once in float64, P and N its terms of
+  each sign).  Each built-in knot is one CATALOG entry: its braid, sums,
+  norm pass and volume.
 
 Every engine, and the catalog's choice, reads the normal form of a knot's
 braid word (_normal_form): its g, -g pairs cancelled and its Markov
@@ -43,7 +45,7 @@ import cmath
 import math
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import mul
+from operator import add, mul, truediv
 from typing import Callable, NamedTuple, Optional
 
 from . import errors
@@ -445,6 +447,31 @@ def colored_jones_exact(K: KnotPresentation, n: int) -> LaurentPoly:
 
 JONES_REL_TOL = 1e-10  # every catalog value meets it, by a computed bound, or raises
 _U = 2.0 ** -53
+# log 2 = _LN2_HI + _LN2_LO within 1.2e-26 (fdlibm's ln2_hi, ln2_lo); _LN2_HI has 32 bits,
+# so k _LN2_HI is exact for |k| < 2^21
+_LN2_HI, _LN2_LO = float.fromhex("0x1.62e42fee00000p-1"), float.fromhex("0x1.a39ef35793c76p-33")
+
+
+def _trefoil_sums(X: list, Y: list, n_max: int) -> list:
+    """[re, im]: S'(1..n_max) of Morton's formula (_trefoil_values) over the root table (X, Y).
+
+    S'(n) = sum_h g(h) over h = 1-n, 3-n, .., n-1, g(h) = w^e(h+1) - w^e(h),
+    e(h) = -(3h^2 - h + 2), w = A^2, read at e mod NN.  S'(n) = S'(n-2) +
+    g(n-1) + g(1-n): one running sum per parity of n and part, in Python
+    ints, so each part of S'(n) is the exact sum of 2n table entries.
+    """
+    NN = len(X)
+    e = [-(3 * h * h - h + 2) % NN for h in range(1 - n_max, n_max + 1)]
+    sums = []
+    for part in (X, Y):
+        fixed = [part[k] for k in e]
+        g = [y - x for x, y in zip(fixed, fixed[1:])]   # g(h) at h + n_max - 1
+        # S'(n) - S'(n-2) = g(m) + g(-m) at m = n-1, with g(0) once
+        steps = g[n_max - 1:n_max] + [a + b for a, b in zip(g[n_max:], g[n_max - 2::-1])]
+        run = [0] * n_max
+        run[::2], run[1::2] = accumulate(steps[::2]), accumulate(steps[1::2])
+        sums.append(run)
+    return sums
 
 
 def _trefoil_values(r: int, n_max: int, zero: int = 0, name: str = "trefoil") -> list:
@@ -454,28 +481,16 @@ def _trefoil_values(r: int, n_max: int, zero: int = 0, name: str = "trefoil") ->
     g(h) = A^-(6h^2 + 10h + 8) - A^-(6h^2 - 2h + 4), and den'(n) =
     A^(-2n - 6n^2) - A^(2n - 6n^2), Morton's sum and denominator times
     A^-6n^2, A = exp(i pi/NN).  Every exponent is even, so A^2k = w^k is
-    read from _root_table(NN, 52) at k mod NN.  S'(n) = S'(n-2) + g(n-1) +
-    g(1-n): one exact running sum per parity of n, so S' and den' are
-    exactly rounded; in units of 2^-52, docs/conventions.md derives the
-    certificate 2E (n/|S'| + 1/|den'|) + 8u <= JONES_REL_TOL, E = 2.
+    read from _root_table(NN, 52) at k mod NN, and S' is _trefoil_sums:
+    S' and den' are exactly rounded; in units of 2^-52, docs/conventions.md
+    derives the certificate 2E (n/|S'| + 1/|den'|) + 8u <= JONES_REL_TOL, E = 2.
     """
     NN = 2 * r + 1
     if zero:   # den' = 0 where NN divides the color
         raise PrecisionLoss(f"{name} J({zero}) at r={r} is 0/0 in Morton's formula")
     X, Y = _root_table(NN, 52)
-    # g(h) = w^e(h+1) - w^e(h), e(h) = -(3h^2 - h + 2)
-    e = [-(3 * h * h - h + 2) % NN for h in range(1 - n_max, n_max + 1)]
-    sums = []
-    for part in (X, Y):
-        fixed = [part[k] for k in e]   # Python ints: the sums are exact
-        g = [y - x for x, y in zip(fixed, fixed[1:])]   # g(h) at h + n_max - 1
-        # S'(n) - S'(n-2) = g(m) + g(-m) at m = n-1, with g(0) once
-        steps = g[n_max - 1:n_max] + [a + b for a, b in zip(g[n_max:], g[n_max - 2::-1])]
-        run = [0] * n_max
-        run[::2], run[1::2] = accumulate(steps[::2]), accumulate(steps[1::2])
-        sums.append(run)
     values = []
-    for n, re, im in zip(range(1, n_max + 1), *sums):
+    for n, re, im in zip(range(1, n_max + 1), *_trefoil_sums(X, Y, n_max)):
         p, q = (-n - 3 * n * n) % NN, (n - 3 * n * n) % NN
         s, den = complex(re, im), complex(X[p] - X[q], Y[p] - Y[q])   # ints round correctly
         sd = abs(s * den)
@@ -483,6 +498,35 @@ def _trefoil_values(r: int, n_max: int, zero: int = 0, name: str = "trefoil") ->
             raise PrecisionLoss(f"{name} J({n}) at r={r} misses {JONES_REL_TOL:g}")
         values.append(s / den)
     return values
+
+
+def _trefoil_norm(r: int) -> Optional[tuple]:
+    """(norm_sq, log_norm_sq, argmax_n) of the trefoil's knot state at level r, or None.
+
+    Morton's |den'(n)| = |s(n)|, s(n) = 2 sin(2 pi n/NN), so w(n) |J(n)| =
+    |S'(n)|/sqrt(NN) and the squared norm is sum_n |S'(n)|^2 / NN.  S' comes
+    from _trefoil_sums over _root_table(NN, F), F = 64 + bitlen(NN), and the
+    sum T of its squares is exact in ints.  Each part of S'(n) is within
+    1.56 n units, so T is within 1.56 (2 sqrt(2 T sum n^2) + 3.12 sum n^2)
+    of its exact value (docs/conventions.md), which must stay below
+    JONES_REL_TOL T, compared in ints; else None.  norm_sq is the one
+    correctly rounded quotient T / (NN 2^2F), and argmax_n the first largest
+    |S'(n)|^2 / Y[n]^2, |J(n)|^2 up to a constant.  The mirror's S' are the
+    conjugates: the same norm.
+    """
+    NN = 2 * r + 1
+    F = 64 + NN.bit_length()
+    X, Y = _root_table(NN, F)
+    re, im = _trefoil_sums(X, Y, r)
+    squares = list(map(add, map(mul, re, re), map(mul, im, im)))
+    total, n2 = sum(squares), r * (r + 1) * (2 * r + 1) // 6   # n2 = sum n^2
+    num, den = JONES_REL_TOL.as_integer_ratio()
+    # 625 times the bound: 1.56 = 39/25
+    if not 39 * (50 * (math.isqrt(2 * n2 * total) + 1) + 78 * n2) * den < 625 * num * total:
+        return None
+    ratios = list(map(truediv, squares, map(mul, Y[1:r + 1], Y[1:r + 1])))
+    norm_sq = total / (NN << 2 * F)
+    return norm_sq, math.log(norm_sq), ratios.index(max(ratios)) + 1
 
 
 def _root_table(NN: int, F: int) -> tuple:
@@ -569,17 +613,18 @@ def _figure_eight_values(r: int, n_max: int, zero: int) -> list:
     return values
 
 
-def _figure_eight_moduli(r: int) -> Optional[tuple]:
-    """(|J(n)|, e(n)) for n = 1..r as floats, each |J(n)| within e(n), by Habiro's sum in float64.
+def _figure_eight_terms(r: int) -> Optional[tuple]:
+    """(A, e, argmax_n), A(n) = NN^(3/2) w(n) |J(n)| within e(n), n = 1..r: Habiro's sum in float64.
 
     The sum of _figure_eight_values over |Q(m)|, one float cumulative product
     of |s(m)| from _root_table(NN, bitlen(NN) + 56).  Q(m) has the sign
     (-1)^max(0, m-r), so term k of color n has the sign (-1)^k for
     n + k <= r and (-1)^(n+r) past it: the strided slices of one color's
-    terms sum to P and N, and |J(n)| = |P - N|/(NN |s(n)|) with the bound
-    e(n) = 1.001 (4.1 (r+n) + n + 6) u (P + N)/(NN |s(n)|), u = 2^-53
-    (docs/conventions.md).  None where some |Q(m)| leaves [2^-500, 2^500],
-    from r = 2118: inside it no term, sum or |J(n)| leaves the double range.
+    terms sum to P and N, and |J(n)| = |P - N|/(NN |s(n)|), so with w(n) =
+    eta |[n]| = |s(n)|/sqrt(NN), A(n) = |P - N| and e(n) = 1.001 (4.1 (r+n)
+    + n + 2) u (P + N), u = 2^-53 (docs/conventions.md).  argmax_n is the
+    first largest |J(n)|.  None where some |Q(m)| leaves [2^-500, 2^500],
+    from r = 2118: inside it no term, sum or A(n) leaves the double range.
     """
     NN = 2 * r + 1
     F = NN.bit_length() + 56
@@ -587,16 +632,42 @@ def _figure_eight_moduli(r: int) -> Optional[tuple]:
     q = list(accumulate(s[1:], mul, initial=1.0))
     if not 2.0 ** -500 < min(q) <= max(q) < 2.0 ** 500:
         return None
-    moduli, bounds = [], []
+    moduli, bounds, argmax = [], [], 1
     for n in range(1, r + 1):
         m, h = NN - n, min(n, r + 1 - n)   # term k = q[n+k] q[m+k]; (-1)^k for k < h
         even = sum(map(mul, q[n:n + h:2], q[m:m + h:2]))
         odd = sum(map(mul, q[n + 1:n + h:2], q[m + 1:m + h:2]))
         tail = sum(map(mul, q[n + h:2 * n], q[m + h:]))
-        den = NN * s[n]
-        moduli.append(abs((even + tail) - odd if (n + r) % 2 == 0 else even - (odd + tail)) / den)
-        bounds.append(1.001 * (4.1 * (r + n) + n + 6) * _U * (even + odd + tail) / den)
-    return moduli, bounds
+        moduli.append(abs((even + tail) - odd if (n + r) % 2 == 0 else even - (odd + tail)))
+        bounds.append(1.001 * (4.1 * (r + n) + n + 2) * _U * (even + odd + tail))
+        if moduli[-1] * s[argmax] > moduli[argmax - 1] * s[n]:   # A(n)/s(n) against the best
+            argmax = n
+    return moduli, bounds, argmax
+
+
+def _figure_eight_norm(r: int) -> Optional[tuple]:
+    """(norm_sq, log_norm_sq, argmax_n) of the figure-eight's knot state at level r, or None.
+
+    The squared norm is sum A(n)^2 / NN^3 over _figure_eight_terms, certified
+    as a whole: sum e (2A + e) < JONES_REL_TOL sum A^2, both sides scaled by
+    one power of two (docs/conventions.md).  None where the terms are None
+    or the certificate fails.
+    """
+    found = _figure_eight_terms(r)
+    if found is None:
+        return None
+    moduli, bounds, argmax = found
+    expo = math.frexp(max(moduli))[1]   # scaled by 2^-expo, the largest A is in [1/2, 1)
+    a, e = (list(map(mul, v, repeat(2.0 ** -expo))) for v in (moduli, bounds))
+    total = math.fsum(map(mul, a, a))
+    if not (1 + 1e-9) * (2 * sum(map(mul, e, a)) + sum(map(mul, e, e))) < JONES_REL_TOL * total:
+        return None
+    # 2 expo log 2 with its first part exact, so the sum rounds once at the size of the result
+    log_norm_sq = 2 * expo * _LN2_HI + (2 * expo * _LN2_LO + math.log(total / (2 * r + 1) ** 3))
+    try:
+        return math.exp(log_norm_sq), log_norm_sq, argmax
+    except OverflowError:   # past the double range norm_sq reads inf
+        return math.inf, log_norm_sq, argmax
 
 
 class CatalogEntry(NamedTuple):
@@ -605,15 +676,16 @@ class CatalogEntry(NamedTuple):
     ``values(r, n_max, zero)`` gives J(1..n_max) at level r, n_max <= r, and
     then J(zero) for a nonzero multiple ``zero`` of 2r+1; ``weight(k)`` is
     Masbaum's w_k as (exponent of t, sign), None where the sum stops at k = 0;
-    ``moduli(r)`` bounds each |J(n)| for the norm in one float64 pass, or is
-    None; ``volume`` is the simplicial volume of the complement, 0 for the
-    unknot and the torus knots.
+    ``norm(r)`` is the knot state's (norm_sq, log_norm_sq, argmax_n) at level
+    r from the entry's own partial sums, certified to JONES_REL_TOL, or None;
+    ``volume`` is the simplicial volume of the complement, 0 for the unknot
+    and the torus knots.
     """
 
     braid: BraidWord
     values: Callable
     weight: Optional[Callable]
-    moduli: Optional[Callable]
+    norm: Optional[Callable]
     volume: float
 
 
@@ -621,14 +693,14 @@ CATALOG = {
     "unknot": CatalogEntry(BraidWord((), 1),
                            lambda r, n_max, zero: [1 + 0j] * (n_max + bool(zero)), None, None, 0.0),
     "trefoil": CatalogEntry(BraidWord((1, 1, 1), 2), _trefoil_values,
-                            lambda k: (k * (k + 3) // 2, (-1) ** k), None, 0.0),
+                            lambda k: (k * (k + 3) // 2, (-1) ** k), _trefoil_norm, 0.0),
     "trefoil-mirror": CatalogEntry(
         BraidWord((-1, -1, -1), 2), lambda r, n_max, zero: [
             z.conjugate() for z in _trefoil_values(r, n_max, zero, "trefoil-mirror")],
-        lambda k: (-(k * (k + 3) // 2), (-1) ** k), None, 0.0),
+        lambda k: (-(k * (k + 3) // 2), (-1) ** k), _trefoil_norm, 0.0),
     # two regular ideal tetrahedra: 4 Lobachevsky(pi/6) = 2.02988321281930725004..., as a double
     "figure-eight": CatalogEntry(BraidWord((1, -2, 1, -2), 3), _figure_eight_values,
-                                 lambda k: (0, 1), _figure_eight_moduli, 2.0298832128193074),
+                                 lambda k: (0, 1), _figure_eight_norm, 2.0298832128193074),
 }
 # by braid word: each rotation, flip σ_i ↔ σ_(s−i) and reversal; a mirror is its own entry
 _CATALOG_NAMES = {(w[k:] + w[:k], s): name for name, ((word, s), *_) in CATALOG.items()

@@ -15,13 +15,13 @@ orthonormality of the Phi basis at every tau; the tests compare them to
 from __future__ import annotations
 
 import math
-from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import jones
 from .errors import SkeinQuantError, UnknownCatalogEntry
 from .geom import QuantizationContext, inner_product, iso_from_skein
 from .jones import KnotPresentation, catalog_name, colored_jones_values
+from .roots import RootContext
 from .tqft import TorusVector, _weights
 
 
@@ -60,54 +60,34 @@ def knot_state(K: KnotPresentation, r: int, backend: str = "auto") -> KnotState:
 
 
 def _log_abs(z) -> float:
-    """log|z| for a complex, a Dyadic or a float, without rounding |z| to a double.
+    """log|z| for a complex or a Dyadic, without rounding |z| to a double.
 
     The Dyadic z = man 2^exp is read as log(|man| 2^-b) + (exp + b) log 2,
-    b = bitlen(man), so neither term leaves the double range; a float, as
-    the same mantissa in [1/2, 1) and exponent.
+    b = bitlen(man), so neither term leaves the double range.
     """
     if isinstance(z, complex):
         return math.log(abs(z)) if z else -math.inf
-    if isinstance(z, float):
-        mant, expo = math.frexp(abs(z))
-    else:
-        bits = abs(z.man).bit_length()
-        mant, expo = abs(z.man) / (1 << bits), z.exp + bits
-    return math.log(mant) + expo * math.log(2) if mant else -math.inf
+    bits = abs(z.man).bit_length()
+    return math.log(abs(z.man) / (1 << bits)) + (z.exp + bits) * math.log(2) if bits else -math.inf
 
 
 def l2_norm_formula(K: KnotPresentation, r: int) -> L2Norm:
     """Norm of the knot state from the weighted Jones sum.
 
-    The terms |eta [n] J(K, n)|^2 are summed as logs by log-sum-exp, so no
-    value is squeezed into a double and large levels do not overflow.  A
-    catalog knot whose entry has a float64 pass (its moduli) takes its |J(n)|
-    from it where that pass stays in the double range and its bounds certify
-    the norm to JONES_REL_TOL (_certifies); any other knot or level takes
-    the values of colored_jones_values, each certified on its own.
+    A catalog knot whose entry has a norm pass takes the certified norm it
+    returns, from the entry's own partial sums; where the pass returns None,
+    and for any other knot, the terms |eta [n] J(K, n)|^2 of the values of
+    colored_jones_values, each certified on its own, are summed as logs by
+    log-sum-exp, so no value is squeezed into a double and large levels do
+    not overflow.
     """
-    weights = _weights(r)   # rejects a level below 3
+    RootContext(r)   # rejects a level below 3
     entry = jones.CATALOG.get(catalog_name(K))
-    floats = entry and entry.moduli and entry.moduli(r)
-    if floats and _certifies(*floats, weights):
-        return _norm(floats[0], weights)
-    return _norm(colored_jones_values(K, r), weights)
-
-
-def _certifies(moduli: list, bounds: list, weights: tuple) -> bool:
-    """Whether sum w^2 (2 |J| e + e^2) < JONES_REL_TOL sum w^2 |J|^2, w(n) = eta |[n]|.
-
-    Each |J(n)| is within e(n), so the squared norm is then within
-    JONES_REL_TOL relative.  Both sides are scaled by the largest w |J|, so
-    nothing overflows, and the factor 1 + 1e-9 covers their own roundings.
-    """
-    eta, omega = weights
-    w = [eta * abs(o) for o in omega]
-    top = max(map(mul, w, moduli))
-    a = [x * j / top for x, j in zip(w, moduli)]
-    b = [x * e / top for x, e in zip(w, bounds)]
-    return ((1 + 1e-9) * sum(y * (2 * x + y) for x, y in zip(a, b))
-            < jones.JONES_REL_TOL * sum(x * x for x in a))
+    found = entry and entry.norm and entry.norm(r)
+    if found:
+        norm_sq, log_norm_sq, argmax_n = found
+        return L2Norm(norm_sq, _exp(log_norm_sq / 2), log_norm_sq, argmax_n)
+    return _norm(colored_jones_values(K, r), _weights(r))
 
 
 def _norm(values: list, weights: tuple) -> L2Norm:

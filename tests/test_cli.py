@@ -339,6 +339,14 @@ def test_volume_seq_csv_and_manifest(tmp_path):
     (["--knot", "figure-eight", "--r-min", "295", "--r-max", "295"],
      b"r,norm_sq,v_r,argmax_n,ref_vol,rel_err\r\n"
      b"295,4.45696295399622e+83,2.05118343934682,295,2.02988321281931,0.0104933261150168\r\n"),
+    # the 50-digit references are 58.000...0 and 80.000...0 (mpmath's Habiro products at
+    # 400 bits), and v_r 0.14832858060758900391... and 0.1147211890277189267...
+    (["--knot", "trefoil", "--r-min", "86", "--r-max", "86"],
+     b"r,norm_sq,v_r,argmax_n,ref_vol,rel_err\r\n"
+     b"86,58,0.148328580607589,86,0,0.148328580607589\r\n"),
+    (["--knot", "trefoil", "--r-min", "120", "--r-max", "120"],
+     b"r,norm_sq,v_r,argmax_n,ref_vol,rel_err\r\n"
+     b"120,80,0.114721189027719,120,0,0.114721189027719\r\n"),
 ])
 def test_volume_seq_csv_bytes(tmp_path, capsys, argv, csv):
     # the bytes the csv module's excel dialect wrote: CRLF line ends, no field quoted
@@ -362,7 +370,7 @@ def test_volume_seq_past_the_float_range_writes_the_values_row(monkeypatch, tmp_
     # a float pass out of range leaves the row to the certified values, which write
     # their own last digits (the float pass writes 1.58623332714075e+66 and ...013)
     monkeypatch.setitem(jones.CATALOG, "figure-eight",
-                        jones.CATALOG["figure-eight"]._replace(moduli=lambda r: None))
+                        jones.CATALOG["figure-eight"]._replace(norm=lambda r: None))
     out = tmp_path / "seq.csv"
     assert cli.main(["volume-seq", "--knot", "figure-eight", "--r-min", "233",
                      "--r-max", "233", "--out", str(out)]) == 0
@@ -378,6 +386,16 @@ def test_volume_seq_uncertified_value_exits_2(monkeypatch, capsys, tmp_path):
                      "--r-max", "100", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_volume_seq_uncertified_trefoil_norm_takes_the_values_and_exits_2(monkeypatch, capsys,
+                                                                         tmp_path):
+    # the norm pass's integer certificate fails, and the values' own then raises
+    monkeypatch.setattr(jones, "JONES_REL_TOL", 1e-300)
+    out = tmp_path / "seq.csv"
+    assert cli.main(["volume-seq", "--knot", "trefoil", "--r-min", "100",
+                     "--r-max", "100", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: trefoil J(1) at r=100 misses 1e-300\n"
 
 
 @pytest.mark.parametrize("argv", (
@@ -647,7 +665,8 @@ def test_levels_below_3_are_refused_before_any_catalog_sum(capsys, monkeypatch, 
     monkeypatch.chdir(tmp_path)
     for name, entry in jones.CATALOG.items():
         monkeypatch.setitem(jones.CATALOG, name, entry._replace(
-            values=lambda *args: pytest.fail("a catalog sum ran"), moduli=None))
+            values=lambda *args: pytest.fail("a catalog sum ran"),
+            norm=lambda *args: pytest.fail("a catalog norm ran")))
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", "error: level r must be >= 3\n")
 

@@ -76,7 +76,8 @@ def test_the_raise_finder_sees_each_form():
     assert _raise_lines(ast.parse(code), "StateSpaceTooLarge") == [1, 2]
 
 
-_CATALOG_SUMS = ("_trefoil_values", "_figure_eight_values", "_root_table")
+_CATALOG_SUMS = ("_trefoil_values", "_trefoil_sums", "_trefoil_norm", "_figure_eight_values",
+                 "_figure_eight_terms", "_root_table")
 
 
 def _float_root_lines(tree: ast.AST, names) -> dict:
@@ -94,7 +95,8 @@ def _float_root_lines(tree: ast.AST, names) -> dict:
 
 
 def test_catalog_sums_read_only_the_integer_root_table():
-    # both sums and their table are integer arithmetic: no libm or numpy root enters them
+    # the sums, the norm passes and their table read the roots of unity from the integer
+    # table alone: no libm or numpy root enters them
     path = Path(skeinquant.__file__).parent / "jones.py"
     found = _float_root_lines(ast.parse(path.read_text()), _CATALOG_SUMS)
     assert found == {name: [] for name in _CATALOG_SUMS}, found

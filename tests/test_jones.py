@@ -1,7 +1,6 @@
 import math
 import random
 import tracemalloc
-from fractions import Fraction
 from functools import reduce
 from itertools import islice
 
@@ -833,20 +832,53 @@ def test_figure_eight_certifies_every_color_at_r2000():
 NORM_GROWTH_SEED_1 = (27, 57, 86, 120, 150, 174, 205, 237, 264, 295)
 
 
-@pytest.mark.parametrize("r", sorted({*range(3, 81), *NORM_GROWTH_SEED_1, 500, 1000}))
+NORM_LEVELS = sorted({*range(3, 81), *NORM_GROWTH_SEED_1, 500, 1000})
+
+
+@pytest.mark.parametrize("r", NORM_LEVELS)
 def test_figure_eight_moduli_lie_within_their_bounds(r):
-    # against the exact Dyadic values, compared in rationals
-    moduli, bounds = jones._figure_eight_moduli(r)
+    # each A(n) = NN^(3/2) w(n) |J(n)| = NN |s(n)| |J(n)| against 60 digits from the exact
+    # Dyadic values
+    moduli, bounds, argmax = jones._figure_eight_terms(r)
     values = jones._figure_eight_values(r, r, 0)
+    NN = 2 * r + 1
     assert len(moduli) == len(bounds) == r
-    for n, (m, e, v) in enumerate(zip(moduli, bounds, values), start=1):
-        assert abs(Fraction(m) - abs(Fraction(v.man) * Fraction(2) ** v.exp)) <= e, n
+    with mpmath.workdps(60):
+        want = [NN * 2 * abs(mpmath.sin(2 * mpmath.pi * n / NN)) * abs(exact(v))
+                for n, v in enumerate(values, start=1)]
+        for n, (a, e, w) in enumerate(zip(moduli, bounds, want), start=1):
+            assert abs(a - w) <= e, n
+    moduli_j = [abs(exact(v)) for v in values]
+    assert argmax == moduli_j.index(max(moduli_j)) + 1
 
 
 def test_figure_eight_moduli_stop_at_the_double_range():
     # |Q| stays inside [2^-500, 2^500] up to r = 2117
-    assert jones._figure_eight_moduli(2117) is not None
-    assert jones._figure_eight_moduli(2118) is None
+    assert jones._figure_eight_terms(2117) is not None
+    assert jones._figure_eight_terms(2118) is None
+
+
+@pytest.mark.parametrize("r", NORM_LEVELS)
+def test_trefoil_norm_sums_lie_within_their_bounds(r):
+    # each part of S'(n) over the table at F = 64 + bitlen(NN) within 1.56 n units of 2^F
+    # times Morton's sum at 60 digits, and the sum of their squares within its bound
+    NN = 2 * r + 1
+    F = 64 + NN.bit_length()
+    re, im = jones._trefoil_sums(*jones._root_table(NN, F), r)
+    with mpmath.workdps(60):
+        def g(h):
+            return (mpmath.expjpi(mpmath.mpf(-2 * (3 * h * h + 5 * h + 4)) / NN)
+                    - mpmath.expjpi(mpmath.mpf(-2 * (3 * h * h - h + 2)) / NN))
+
+        exact_sums, run = [], [mpmath.mpc(0), mpmath.mpc(0)]
+        for n in range(1, r + 1):
+            run[n % 2] += g(n - 1) + (g(1 - n) if n > 1 else 0)
+            exact_sums.append(run[n % 2] * mpmath.mpf(2) ** F)
+        for n, (a, b, z) in enumerate(zip(re, im, exact_sums), start=1):
+            assert abs(a - z.real) <= 1.56 * n and abs(b - z.imag) <= 1.56 * n, n
+        total, n2 = sum(a * a + b * b for a, b in zip(re, im)), r * (r + 1) * (2 * r + 1) // 6
+        bound = 1.56 * (2 * mpmath.sqrt(2 * total * n2) + 3.12 * n2)
+        assert abs(total - mpmath.fsum(abs(z) ** 2 for z in exact_sums)) <= bound
 
 
 def test_figure_eight_high_color_reflects_in_small_memory():

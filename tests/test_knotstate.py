@@ -119,14 +119,6 @@ def test_extended_precision_recomputation():
         assert abs(a - b) / a < 1e-12, r
 
 
-def test_log_abs_reads_a_float_as_its_dyadic():
-    for v in catalog_jones_values("figure-eight", 300, 300):
-        x = abs(complex(v).real)
-        num, den = x.as_integer_ratio()
-        assert knotstate._log_abs(x) == knotstate._log_abs(Dyadic(num, 1 - den.bit_length()))
-    assert knotstate._log_abs(0.0) == -math.inf
-
-
 def _values_spy(monkeypatch) -> list:
     """The calls l2_norm_formula makes to colored_jones_values, the per-color path."""
     calls = []
@@ -136,13 +128,35 @@ def _values_spy(monkeypatch) -> list:
     return calls
 
 
+NORM_GROWTH_SEED_1 = (27, 57, 86, 120, 150, 174, 205, 237, 264, 295)
+
+
 def test_figure_eight_norm_certifies_from_the_float_bounds(monkeypatch):
     # the float pass's bounds certify the norm to 1e-12 at the norm_growth levels of seed 1
     calls = _values_spy(monkeypatch)
     monkeypatch.setattr(jones, "JONES_REL_TOL", 1e-12)
-    for r in (27, 57, 86, 120, 150, 174, 205, 237, 264, 295):
+    for r in NORM_GROWTH_SEED_1:
         l2_norm_formula(FIG8, r)
     assert calls == []
+
+
+def test_trefoil_norm_certifies_from_the_integer_sums(monkeypatch):
+    # no norm_growth level of seed 1 sums the trefoil's values color by color
+    calls = _values_spy(monkeypatch)
+    for r in NORM_GROWTH_SEED_1:
+        for K in (TREFOIL, KnotPresentation.from_catalog("trefoil-mirror")):
+            l2_norm_formula(K, r)
+    assert calls == []
+
+
+@pytest.mark.parametrize("K", (TREFOIL, KnotPresentation.from_catalog("trefoil-mirror"),
+                               KnotPresentation.from_braid((1, 1, 1, 2), 3)),
+                         ids=("trefoil", "trefoil-mirror", "1 1 1 2"))
+def test_trefoil_norm_is_the_nearest_integer_to_a_third_of_2r_plus_1(K):
+    # an observed closed form, not a proven one, so it stays here and not on the product path:
+    # the certified norm is its exact integer
+    for r in (*range(3, 301), 1000):
+        assert l2_norm_formula(K, r).norm_sq == round((2 * r + 1) / 3), r
 
 
 def test_a_failed_norm_certificate_takes_the_values(monkeypatch):
