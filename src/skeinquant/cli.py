@@ -1,10 +1,13 @@
 """Command-line entry point with reproducible manifests.
 
-Every run writes (or prints) a manifest describing the inputs and the
-conventions version next to its results, and produces byte-identical
-output when repeated with the same configuration.  Exit status is zero
-only when every requested check passes; 1 means a check failed, and 2 an
-error such as a usage error or a value that cannot be certified (PrecisionLoss).
+Each command's handler takes the parsed flags as one namespace and returns
+its result dict; ``main`` alone writes it, wrapped with a manifest of the
+inputs and the conventions version, to ``--out`` or stdout, and a rerun
+with the same configuration writes the same bytes.  ``volume-seq`` alone
+writes its own files (a CSV and its manifest) and returns None.  Exit
+status is 0 unless a check failed, which ``main`` reads from a result's
+``"pass": false`` as 1; 2 is an error such as a usage error or a value
+that cannot be certified (PrecisionLoss).
 """
 
 from __future__ import annotations
@@ -31,18 +34,12 @@ from .verify import verification_report
 CONVENTIONS_VERSION = "1"
 
 
-class RunConfig(NamedTuple):
-    """One resolved invocation: command, parameters, output."""
-
-    command: str
-    params: dict
-    out: Optional[str] = None
-
-
-def _manifest(cfg: RunConfig) -> dict:
+def _manifest(command: str, values: dict) -> dict:
+    """The run's inputs: every flag value set, but --config and --out, sorted by dest."""
     return {
-        "command": cfg.command,
-        "parameters": {k: cfg.params[k] for k in sorted(cfg.params)},
+        "command": command,
+        "parameters": {k: values[k] for k in sorted(values)
+                       if k not in ("config", "out") and values[k] is not None},
         "conventions_version": CONVENTIONS_VERSION,
         "package_version": __version__,
     }
@@ -101,10 +98,6 @@ def _write_json(doc, path: Optional[str] = None) -> None:
         fh.write("\n")
 
 
-def _emit(cfg: RunConfig, payload: dict) -> None:
-    _write_json({"manifest": _manifest(cfg), "result": payload}, cfg.out)
-
-
 def _knot_from_args(args) -> KnotPresentation:
     if args.knot is not None:
         return KnotPresentation.from_catalog(args.knot)
@@ -124,36 +117,28 @@ def _parse_tau(text: str) -> complex:
 
 # -- commands ---------------------------------------------------------------
 
-def _cmd_jones(cfg: RunConfig, args) -> int:
+def _cmd_jones(args) -> dict:
     K = _knot_from_args(args)
     if args.exact:
         poly, backend = colored_jones_polynomial(K, args.n, args.backend)
-        _emit(cfg, {"knot": K.name, "n": args.n, "backend": backend,
-                    "polynomial": poly.format("t")})
-        return 0
+        return {"knot": K.name, "n": args.n, "backend": backend, "polynomial": poly.format("t")}
     val = colored_jones(K, args.n, RootContext(args.r), backend=args.backend)
-    _emit(cfg, {"knot": K.name, "n": args.n, "r": args.r,
-                "re": float(val.value.real), "im": float(val.value.imag),
-                "backend": val.backend})
-    return 0
+    return {"knot": K.name, "n": args.n, "r": args.r, "re": float(val.value.real),
+            "im": float(val.value.imag), "backend": val.backend}
 
 
-def _cmd_bracket(cfg: RunConfig, args) -> int:
+def _cmd_bracket(args) -> dict:
     if args.pd is not None:
         with open(args.pd) as fh:
             diagram = LinkDiagram.from_pd_text(fh.read())
-        poly, crossings, components = (kauffman_bracket(diagram), diagram.num_crossings,
-                                       diagram.num_components)
-    else:
-        if args.braid is None or not args.strands:
-            raise SkeinQuantError("provide --pd FILE or --braid with --strands")
-        braid = BraidWord.from_text(args.braid, args.strands)
-        # a closure's components are its permutation cycles
-        poly, crossings, components = (braid_closure_bracket(braid), len(braid.word),
-                                       len(braid.closure_components()))
-    _emit(cfg, {"bracket": poly.format("A"), "crossings": crossings,
-                "components": components})
-    return 0
+        return {"bracket": kauffman_bracket(diagram).format("A"),
+                "crossings": diagram.num_crossings, "components": diagram.num_components}
+    if args.braid is None or not args.strands:
+        raise SkeinQuantError("provide --pd FILE or --braid with --strands")
+    braid = BraidWord.from_text(args.braid, args.strands)
+    # a closure's components are its permutation cycles
+    return {"bracket": braid_closure_bracket(braid).format("A"), "crossings": len(braid.word),
+            "components": len(braid.closure_components())}
 
 
 def _tqft_bytes(r: int, matrices: int) -> int:
@@ -167,45 +152,38 @@ def _tqft_bytes(r: int, matrices: int) -> int:
     return 16 * r * r * (matrices + 1 + 5 * (matrices - 2)) + (1 << 17)
 
 
-def _cmd_tqft(cfg: RunConfig, args) -> int:
+def _cmd_tqft(args) -> dict:
     r = args.r
     errors.check_bytes(f"tqft at r = {r}", _tqft_bytes(r, 3 if args.word is not None else 2))
-    payload = {"r": r, "rep_T": rep_T(r), "rep_S": rep_S(r)}
+    result = {"r": r, "rep_T": rep_T(r), "rep_S": rep_S(r)}
     if args.word is not None:   # '' is the identity
         word = MappingClassWord.from_text(args.word)
-        payload["word"] = list(word.word)
-        payload["word_matrix"] = [list(row) for row in word.matrix]
-        payload["rep_word"] = sl2z_rep(word, r)
-    _emit(cfg, payload)
-    return 0
+        result["word"] = list(word.word)
+        result["word_matrix"] = [list(row) for row in word.matrix]
+        result["rep_word"] = sl2z_rep(word, r)
+    return result
 
 
-def _cmd_rt(cfg: RunConfig, args) -> int:
+def _cmd_rt(args) -> dict:
     K = None if args.surgery == "empty" else KnotPresentation.from_catalog(args.surgery)
-    val = rt_invariant(K, args.framing, args.r)
-    _emit(cfg, {"surgery": args.surgery, "framing": args.framing, "r": args.r,
-                "value": _complex_pair(val)})
-    return 0
+    return {"surgery": args.surgery, "framing": args.framing, "r": args.r,
+            "value": _complex_pair(rt_invariant(K, args.framing, args.r))}
 
 
-def _cmd_geom_verify(cfg: RunConfig, args) -> int:
+def _cmd_geom_verify(args) -> dict:
     ctx = QuantizationContext(args.r, _parse_tau(args.tau))
-    report = verification_report(ctx, include_modular=not args.skip_modular)
-    _emit(cfg, report)
-    return 0 if report["pass"] else 1
+    return verification_report(ctx, include_modular=not args.skip_modular)
 
 
-def _cmd_knot_state(cfg: RunConfig, args) -> int:
+def _cmd_knot_state(args) -> dict:
     state = knot_state(_knot_from_args(args), args.r, args.backend)
     norm = state.norm
-    _emit(cfg, {"knot": state.knot.name, "r": args.r,
-                "coeffs": [_complex_pair(c) for c in state.coeffs.coeffs],
-                "norm_sq": norm.norm_sq, "norm": norm.norm,
-                "argmax_n": norm.argmax_n})
-    return 0
+    return {"knot": state.knot.name, "r": args.r,
+            "coeffs": [_complex_pair(c) for c in state.coeffs.coeffs],
+            "norm_sq": norm.norm_sq, "norm": norm.norm, "argmax_n": norm.argmax_n}
 
 
-def _cmd_volume_seq(cfg: RunConfig, args) -> int:
+def _cmd_volume_seq(args) -> None:
     if not args.out:
         raise SkeinQuantError("volume-seq requires --out CSV path")
     if args.step == 0:
@@ -217,9 +195,8 @@ def _cmd_volume_seq(cfg: RunConfig, args) -> int:
                               f"in steps of {args.step}")
     rows = volume_sequence(K, r_list, ref_vol=args.ref_vol)
     write_volume_csv(rows, args.out)
-    _write_json(_manifest(cfg), args.out + ".manifest.json")
+    _write_json(_manifest("volume-seq", vars(args)), args.out + ".manifest.json")
     sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
-    return 0
 
 
 # -- the command table --------------------------------------------------------
@@ -359,11 +336,12 @@ def main(argv=None) -> int:
             return 0
         if sum(values.get(k) is not None for k in ("knot", "braid", "pd")) > 1:
             raise SkeinQuantError("give one input: --knot, --braid or --pd")
-        params = {k: v for k, v in values.items() if k not in ("config", "out") and v is not None}
-        status = _COMMANDS[command][0](RunConfig(command, params, values["out"]),
-                                       SimpleNamespace(**values))
+        result = _COMMANDS[command][0](SimpleNamespace(**values))
+        if result is not None:
+            _write_json({"manifest": _manifest(command, values), "result": result},
+                        values["out"])
         sys.stdout.flush()   # a reader that has gone shows here, not at the interpreter's exit
-        return status
+        return 1 if result is not None and result.get("pass") is False else 0
     except BrokenPipeError:
         # a pipe's reader has gone (| head): stop quietly, with stdout on devnull so
         # that the interpreter's last flush has nothing to fail

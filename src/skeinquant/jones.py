@@ -529,6 +529,18 @@ def _trefoil_norm(r: int) -> Optional[tuple]:
     return norm_sq, math.log(norm_sq), ratios.index(max(ratios)) + 1
 
 
+def _int_bytes(ints: int, bits: int, slots: int) -> int:
+    """Bytes of ``ints`` ints of up to ``bits`` bits and ``slots`` list slots on CPython:
+    24 + 4 ceil(bits/30) per int (30-bit digits) and 8 per slot."""
+    return ints * (24 + 4 * -(-bits // 30)) + 8 * slots
+
+
+def _root_table_bytes(NN: int, F: int) -> int:
+    """What _root_table(NN, F) holds at once: its two halves of NN//2 + 1 ints of F + 1
+    bits, Y's negated half, and 5 NN slots for the halves, their growth and the full lists."""
+    return _int_bytes(3 * (NN // 2 + 1), F + 1, 5 * NN)
+
+
 def _root_table(NN: int, F: int) -> tuple:
     """(X, Y), X[m] + i Y[m] = round(2^F w^m) for m < NN, each part within 0.78 units.
 
@@ -537,6 +549,8 @@ def _root_table(NN: int, F: int) -> tuple:
     rounded w and each truncated product add under 2.2 units of the finer
     grid, which |w^m| = 1 does not amplify (docs/conventions.md).
     """
+    errors.check_bytes(f"the table of the {NN}-th roots of unity at {F} bits",
+                       _root_table_bytes(NN, F))
     W = F + NN.bit_length() + 2
     a, b = unit_root(NN, W)
     x, y, half, X, Y = 1 << W, 0, 1 << (W - F - 1), [], []
@@ -587,6 +601,10 @@ def _figure_eight_values(r: int, n_max: int, zero: int) -> list:
     U = L + bits + 64            # 64 bits: 34 for JONES_REL_TOL and 30 for small |J(n)|
     P = U + L + bits + 3         # each Q(m) within 0.26 units of 2^-U before its truncation
     G = P + 2 * bits             # each s(m) within 2^(-P - bitlen(NN)) relative
+    # the table (its unread X too) and then the NN ints of Q, below 2^(L+U)
+    errors.check_bytes(f"the figure-eight sum at r={r} holds a {G + 1}-bit root table and "
+                       f"{NN} products of {L + U} bits and",
+                       _root_table_bytes(NN, G + 1) + _int_bytes(NN, L + U, NN))
     S = _root_table(NN, G + 1)[1]   # S[m] = round(s(m) 2^G)
     mant, shift, Q = 1 << P, P - U, [1 << U]   # Q(m) = mant 2^(-U - shift)
     for s in S[1:]:
@@ -677,7 +695,8 @@ class CatalogEntry(NamedTuple):
     then J(zero) for a nonzero multiple ``zero`` of 2r+1; ``weight(k)`` is
     Masbaum's w_k as (exponent of t, sign), None where the sum stops at k = 0;
     ``norm(r)`` is the knot state's (norm_sq, log_norm_sq, argmax_n) at level
-    r from the entry's own partial sums, certified to JONES_REL_TOL, or None;
+    r from the entry's own partial sums, certified to JONES_REL_TOL, or None
+    (the unknot's is its closed form, exactly 1: docs/conventions.md);
     ``volume`` is the simplicial volume of the complement, 0 for the unknot
     and the torus knots.
     """
@@ -685,13 +704,14 @@ class CatalogEntry(NamedTuple):
     braid: BraidWord
     values: Callable
     weight: Optional[Callable]
-    norm: Optional[Callable]
+    norm: Callable
     volume: float
 
 
 CATALOG = {
     "unknot": CatalogEntry(BraidWord((), 1),
-                           lambda r, n_max, zero: [1 + 0j] * (n_max + bool(zero)), None, None, 0.0),
+                           lambda r, n_max, zero: [1 + 0j] * (n_max + bool(zero)), None,
+                           lambda r: (1.0, 0.0, 1), 0.0),
     "trefoil": CatalogEntry(BraidWord((1, 1, 1), 2), _trefoil_values,
                             lambda k: (k * (k + 3) // 2, (-1) ** k), _trefoil_norm, 0.0),
     "trefoil-mirror": CatalogEntry(
@@ -796,7 +816,8 @@ def _resolve(K: KnotPresentation, backend: str, other: str = "rmatrix"):
 def colored_jones(K: KnotPresentation, n: int, ctx: RootContext,
                   backend: str = "auto") -> JonesValue:
     """Evaluate J(K, n) at the context root with the chosen backend, run at n's class
-    k = min(n mod 2r+1, -n mod 2r+1), or at n where k = 0 (docs/conventions.md)."""
+    k = min(n mod 2r+1, -n mod 2r+1); where k = 0 the engines run at 2r+1 and the
+    catalog's sums at n (docs/conventions.md)."""
     backend, name = _resolve(K, backend)
     if n < 1:
         raise ValueError("color index n must be >= 1")
@@ -806,9 +827,9 @@ def colored_jones(K: KnotPresentation, n: int, ctx: RootContext,
         return JonesValue(n, complex(catalog_jones_values(name, ctx.r, k)[-1] if k else
                                      catalog_entry(name).values(ctx.r, 0, n)[0]), "catalog")
     if backend == "rmatrix":
-        return JonesValue(n, colored_jones_rmatrix(K, k or n, ctx), "rmatrix")
+        return JonesValue(n, colored_jones_rmatrix(K, k or NN, ctx), "rmatrix")
     if backend == "exact":
-        return JonesValue(n, colored_jones_exact(K, k or n).eval_at(ctx.t_value), "exact")
+        return JonesValue(n, colored_jones_exact(K, k or NN).eval_at(ctx.t_value), "exact")
     raise ValueError(f"unknown backend {backend!r}")
 
 

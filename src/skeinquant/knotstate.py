@@ -51,8 +51,11 @@ class VolumeRow(NamedTuple):
 
 
 def knot_state(K: KnotPresentation, r: int, backend: str = "auto") -> KnotState:
-    """State coefficients eta * <e_{n-1}>_K for n = 1..r, with the norm
-    l2_norm_formula gives, from one evaluation of J(K, 1..r)."""
+    """State coefficients eta * <e_{n-1}>_K for n = 1..r, from one evaluation of
+    J(K, 1..r), and their norm by log-sum-exp, l2_norm_formula's per-color path.
+    For a catalog knot l2_norm_formula takes the entry's norm pass instead: each is
+    within JONES_REL_TOL, but not the same double (the trefoil's norm_sq at r = 8
+    is 6.000000000000001 here and 6.0 there)."""
     values, weights = colored_jones_values(K, r, backend), _weights(r)
     eta, omega = weights  # omega[n-1] = (-1)^(n-1) [n]
     return KnotState(K, r, TorusVector(r, tuple(eta * w * complex(j) for w, j in
@@ -74,16 +77,16 @@ def _log_abs(z) -> float:
 def l2_norm_formula(K: KnotPresentation, r: int) -> L2Norm:
     """Norm of the knot state from the weighted Jones sum.
 
-    A catalog knot whose entry has a norm pass takes the certified norm it
-    returns, from the entry's own partial sums; where the pass returns None,
-    and for any other knot, the terms |eta [n] J(K, n)|^2 of the values of
-    colored_jones_values, each certified on its own, are summed as logs by
-    log-sum-exp, so no value is squeezed into a double and large levels do
-    not overflow.
+    A catalog knot takes the certified norm its entry's norm pass returns,
+    from the entry's own partial sums (the unknot's is its closed form, 1);
+    where the pass returns None, and for any other knot, the terms
+    |eta [n] J(K, n)|^2 of the values of colored_jones_values, each certified
+    on its own, are summed as logs by log-sum-exp, so no value is squeezed
+    into a double and large levels do not overflow.
     """
     RootContext(r)   # rejects a level below 3
     entry = jones.CATALOG.get(catalog_name(K))
-    found = entry and entry.norm and entry.norm(r)
+    found = entry and entry.norm(r)
     if found:
         norm_sq, log_norm_sq, argmax_n = found
         return L2Norm(norm_sq, _exp(log_norm_sq / 2), log_norm_sq, argmax_n)

@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -314,6 +315,39 @@ def test_geom_verify_exit_status(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["result"]["pass"] is True
     assert all(v < 1e-6 for v in doc["result"]["residuals"].values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["jones", "--knot", "trefoil", "--n", "2"],
+    ["bracket", "--braid", "1 1 1", "--strands", "2"],
+    ["tqft", "--r", "3"],
+    ["rt", "--r", "3"],
+    ["geom-verify", "--r", "3"],
+    ["knot-state", "--knot", "trefoil", "--r", "3"],
+], ids=lambda argv: argv[0])
+def test_a_command_returns_its_result_and_main_writes_it(capsys, tmp_path, monkeypatch, argv):
+    # the handler, given _parse's namespace, returns its result and writes nothing; main
+    # writes that result under its manifest
+    monkeypatch.chdir(tmp_path)
+    command, values = cli._parse(argv)
+    result = cli._COMMANDS[command][0](SimpleNamespace(**values))
+    assert isinstance(result, dict)
+    assert capsys.readouterr() == ("", "") and not any(tmp_path.iterdir())
+    assert cli.main(argv) == 0
+    doc = {"manifest": cli._manifest(command, values), "result": result}
+    assert capsys.readouterr() == ("".join(cli._json_chunks(doc, "")) + "\n", "")
+
+
+def test_volume_seq_writes_its_files_and_returns_none(capsys, tmp_path):
+    out = tmp_path / "seq.csv"
+    command, values = cli._parse(["volume-seq", "--knot", "trefoil", "--r-min", "40",
+                                  "--r-max", "40", "--out", str(out)])
+    assert cli._COMMANDS[command][0](SimpleNamespace(**values)) is None
+    assert capsys.readouterr() == (f"wrote 1 rows to {out}\n", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seq.csv", "seq.csv.manifest.json"]
+    manifest = json.loads((tmp_path / "seq.csv.manifest.json").read_text())
+    assert manifest == cli._manifest(command, values)
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_volume_seq_csv_and_manifest(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from oracles import (all_sector_bound, all_sector_loop, all_sector_window, cabled_jones,
                      cyclotomic_jones, dense_rmatrix_jones, exact, habiro_forward, mirrored,
                      morton_trefoil, mpmath_root_table, numpy_q_bits, numpy_trefoil)
-from skeinquant import errors, jones
+from skeinquant import cli, errors, jones, roots
 from skeinquant.diagrams import BraidWord
 from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
                                UnknownCatalogEntry)
@@ -348,6 +348,21 @@ def test_rmatrix_matches_catalog_at_r30(K):
     assert abs(colored_jones_rmatrix(K, 12, ctx) - cat[11]) <= 1e-6 * abs(cat[11])
 
 
+def test_engines_run_a_multiple_of_2r_plus_1_at_2r_plus_1(monkeypatch):
+    # J(14) = J(7) at r = 3: the exact engine builds the 7-colored polynomial (0.06 s on
+    # this word), not the 14-colored one (28 s), and the value keeps the color asked for;
+    # the R-matrix refuses J(7)
+    calls, cached = [], jones._colored_jones_exact_cached
+    monkeypatch.setattr(jones, "_colored_jones_exact_cached",
+                        lambda *args: calls.append(args) or cached(*args))
+    ctx = RootContext(3)
+    value = colored_jones(FIG8, 14, ctx, "exact")
+    assert calls == [((1, -2, 1, -2), 3, 7)]
+    assert value == (14, cached((1, -2, 1, -2), 3, 7).eval_at(ctx.t_value), "exact")
+    with pytest.raises(PrecisionLoss, match=r"^the R-matrix gives J\(7\) at r=3 as 0/0"):
+        colored_jones(FIG8, 14, ctx, "rmatrix")
+
+
 @pytest.mark.parametrize("K", (FIG8, KnotPresentation.from_braid((1, 1, 1, 2, -1, 2), 3)),
                          ids=("figure-eight", "custom"))
 def test_rmatrix_refuses_the_colors_where_n_vanishes(K, monkeypatch):
@@ -507,6 +522,25 @@ def test_budget_counts_the_traced_peak_of_one_exact_point(monkeypatch):
         peak = _traced_peak(lambda: uncached(word, s, n) == J or pytest.fail("J changed"))
         assert sizes == [1] * nodes * primes and peak <= hi, (word, peak, hi)
         monkeypatch.setattr(jones, "_trace_mod", trace_mod)
+
+
+@pytest.mark.parametrize("name, r, n", (("figure-eight", 2000, 3), ("trefoil", 100000, 5)))
+def test_catalog_tables_count_their_traced_peak(monkeypatch, capsys, name, r, n):
+    # the root table, and the figure-eight's Q chain, are counted before either exists: the
+    # first count bounds the traced peak of the values, and stays within twice it; under a
+    # budget below it the command exits 2 with one line before any root of unity is taken
+    counted, check_bytes = [], errors.check_bytes
+    monkeypatch.setattr(errors, "check_bytes",
+                        lambda what, nbytes: counted.append(nbytes) or check_bytes(what, nbytes))
+    peak = _traced_peak(lambda: catalog_jones_values(name, r, n))
+    assert peak <= counted[0] <= 2 * peak, (peak, counted[0])
+    monkeypatch.setattr(errors, "BYTE_BUDGET", counted[0] - 1)
+    for module in (jones, roots):
+        monkeypatch.setattr(module, "unit_root", lambda *args: pytest.fail("unit_root ran"))
+    assert cli.main(["jones", "--knot", name, "--n", str(n), "--r", str(r)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the ") and err.count("\n") == 1
+    assert f"needs {counted[0]} bytes" in err and f"over the {counted[0] - 1}-byte" in err
 
 
 def test_rmatrix_values_leave_no_tables_behind():

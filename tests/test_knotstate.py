@@ -159,6 +159,28 @@ def test_trefoil_norm_is_the_nearest_integer_to_a_third_of_2r_plus_1(K):
         assert l2_norm_formula(K, r).norm_sq == round((2 * r + 1) / 3), r
 
 
+def test_unknot_norm_is_its_closed_form(monkeypatch):
+    # sum_{n<=r} (eta [n])^2 = 1 exactly (docs/conventions.md "Catalog norms"); the per-color
+    # log-sum-exp read 1 +- 2^-52 at 25 of these levels, r = 4 and 6 among them
+    calls = _values_spy(monkeypatch)
+    for r in range(3, 401):
+        res = l2_norm_formula(UNKNOT, r)
+        assert (res.norm_sq, res.log_norm_sq, res.argmax_n) == (1.0, 0.0, 1), r
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_knot_state_norm_agrees_with_the_catalog_norm_pass(name):
+    # knot_state sums its certified values and l2_norm_formula takes the entry's norm pass:
+    # two paths, each within JONES_REL_TOL, that agree far closer (worst 2.8e-14 measured)
+    K = KnotPresentation.from_catalog(name)
+    for r in (*range(3, 81), *NORM_GROWTH_SEED_1):
+        a, b = knot_state(K, r).norm, l2_norm_formula(K, r)
+        assert abs(a.norm_sq - b.norm_sq) <= 1e-12 * b.norm_sq, r
+        assert abs(a.log_norm_sq - b.log_norm_sq) <= 1e-12, r
+        assert a.argmax_n == b.argmax_n, r
+
+
 def test_a_failed_norm_certificate_takes_the_values(monkeypatch):
     # below the float bounds' 5e-13 at r = 237, above what the exact values need
     calls = _values_spy(monkeypatch)

@@ -10,14 +10,12 @@ import pytest
 from skeinquant import (BraidWord, JonesValue, KirbyConstants, KnotPresentation,
                         KnotState, L2Norm, LinkDiagram, MappingClassWord, ModularReport,
                         QuantizationContext, RootContext, TorusVector, VolumeRow)
-from skeinquant.cli import RunConfig
 
 TREFOIL = KnotPresentation("trefoil", BraidWord((1, 1, 1), 2))
 MEASURED, PREDICTED = np.eye(2), np.ones((2, 2))
 
 # record -> (fields in order with valid values, whether hashable, [(bad args, ValueError message)])
 RECORDS = {
-    RunConfig: ({"command": "jones", "params": {"n": 2}, "out": None}, False, []),
     BraidWord: ({"word": (1, -2), "strands": 3}, True, [
         (((1,), 0), "need at least one strand"),
         (((2,), 2), "generator 2 out of range for 2 strands"),
