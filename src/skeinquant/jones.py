@@ -44,7 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, pairwise, repeat
 from operator import add, mul, truediv
 from typing import Callable, NamedTuple, Optional
 
@@ -452,26 +452,42 @@ _U = 2.0 ** -53
 _LN2_HI, _LN2_LO = float.fromhex("0x1.62e42fee00000p-1"), float.fromhex("0x1.a39ef35793c76p-33")
 
 
-def _trefoil_sums(X: list, Y: list, n_max: int) -> list:
-    """[re, im]: S'(1..n_max) of Morton's formula (_trefoil_values) over the root table (X, Y).
+def _trefoil_sums(r: int, n_max: int) -> tuple:
+    """(X, Y, re, im): Morton's root table and the running sums S'(1..n_max) over it.
 
-    S'(n) = sum_h g(h) over h = 1-n, 3-n, .., n-1, g(h) = w^e(h+1) - w^e(h),
-    e(h) = -(3h^2 - h + 2), w = A^2, read at e mod NN.  S'(n) = S'(n-2) +
-    g(n-1) + g(1-n): one running sum per parity of n and part, in Python
-    ints, so each part of S'(n) is the exact sum of 2n table entries.
+    The table is _root_table(NN, F), F = 64 + bitlen(NN), X[0] = 2^F.  S'(n)
+    = sum_h g(h) over h = 1-n, 3-n, .., n-1, g(h) = w^e(h+1) - w^e(h), e(h)
+    = -(3h^2 - h + 2), w = A^2, read at e mod NN.  S'(n) = S'(n-2) + g(n-1)
+    + g(1-n): one running sum per parity of n and part, in Python ints, so
+    each part of S'(n) is the exact sum of 2n table entries.  One count,
+    before any of them exists, covers the table, every list built here and
+    the caller's list, per color a value or a square and a ratio
+    (docs/conventions.md).
     """
-    NN = len(X)
+    NN = 2 * r + 1
+    F = 64 + NN.bit_length()
+    bits = F + 2 + (2 * n_max).bit_length()   # a sum of 2n entries
+    errors.check_bytes(
+        f"the Morton sum of {n_max} colors at r={r} holds its root table at {F} bits and",
+        _root_table_bytes(NN, F) + _int_bytes(2 * n_max, NN.bit_length(), 2 * n_max)   # e
+        # one part at a time: g, its two slices and the steps
+        + _int_bytes(2 * n_max, F + 2, 4 * n_max) + _int_bytes(n_max, F + 3, n_max)
+        + 2 * _int_bytes(n_max, bits, 2 * n_max)   # re and im, and a half as accumulated
+        # the larger caller's list: the norm's squares, its float ratios and Y[1:] twice
+        + _int_bytes(n_max, 2 * bits, 4 * n_max) + 24 * n_max)
+    X, Y = _root_table(NN, F)
     e = [-(3 * h * h - h + 2) % NN for h in range(1 - n_max, n_max + 1)]
-    sums = []
-    for part in (X, Y):
-        fixed = [part[k] for k in e]
-        g = [y - x for x, y in zip(fixed, fixed[1:])]   # g(h) at h + n_max - 1
+
+    def running(part):
+        g = [part[b] - part[a] for a, b in pairwise(e)]   # g(h) at h + n_max - 1
         # S'(n) - S'(n-2) = g(m) + g(-m) at m = n-1, with g(0) once
-        steps = g[n_max - 1:n_max] + [a + b for a, b in zip(g[n_max:], g[n_max - 2::-1])]
-        run = [0] * n_max
-        run[::2], run[1::2] = accumulate(steps[::2]), accumulate(steps[1::2])
-        sums.append(run)
-    return sums
+        steps = g[n_max - 1:n_max] + list(map(add, g[n_max:], g[n_max - 2::-1]))
+        del g   # not held while the steps accumulate
+        sums = [0] * n_max
+        sums[::2], sums[1::2] = accumulate(steps[::2]), accumulate(steps[1::2])
+        return sums
+
+    return X, Y, running(X), running(Y)
 
 
 def _trefoil_values(r: int, n_max: int, zero: int = 0, name: str = "trefoil") -> list:
@@ -481,22 +497,34 @@ def _trefoil_values(r: int, n_max: int, zero: int = 0, name: str = "trefoil") ->
     g(h) = A^-(6h^2 + 10h + 8) - A^-(6h^2 - 2h + 4), and den'(n) =
     A^(-2n - 6n^2) - A^(2n - 6n^2), Morton's sum and denominator times
     A^-6n^2, A = exp(i pi/NN).  Every exponent is even, so A^2k = w^k is
-    read from _root_table(NN, 52) at k mod NN, and S' is _trefoil_sums:
-    S' and den' are exactly rounded; in units of 2^-52, docs/conventions.md
+    read from the table of _trefoil_sums at k mod NN, and S' is its sums:
+    S' and den' are exactly rounded; in units of 2^-F, docs/conventions.md
     derives the certificate 2E (n/|S'| + 1/|den'|) + 8u <= JONES_REL_TOL, E = 2.
+    den'(NN) = 0, and by l'Hopital in A, J(zero) = J(NN) = s/2NN, s = sum_k
+    (-1)^(k+1) c(k) w^-c(k) over k = 1-NN .. NN, c(k) = 3k^2 - k + 2: each
+    part within 0.78 sum c units, certified as 0.78 sqrt(2) sum c + 8u |s|
+    <= JONES_REL_TOL |s|.
     """
     NN = 2 * r + 1
-    if zero:   # den' = 0 where NN divides the color
-        raise PrecisionLoss(f"{name} J({zero}) at r={r} is 0/0 in Morton's formula")
-    X, Y = _root_table(NN, 52)
+    X, Y, *sums = _trefoil_sums(r, n_max)
     values = []
-    for n, re, im in zip(range(1, n_max + 1), *_trefoil_sums(X, Y, n_max)):
+    for n, re, im in zip(range(1, n_max + 1), *sums):
         p, q = (-n - 3 * n * n) % NN, (n - 3 * n * n) % NN
         s, den = complex(re, im), complex(X[p] - X[q], Y[p] - Y[q])   # ints round correctly
         sd = abs(s * den)
         if not 4 * (n * abs(den) + abs(s)) + 8 * _U * sd < JONES_REL_TOL * sd:
             raise PrecisionLoss(f"{name} J({n}) at r={r} misses {JONES_REL_TOL:g}")
         values.append(s / den)
+    if zero:
+        re = im = weight = 0
+        for k in range(1 - NN, NN + 1):
+            c = 3 * k * k - k + 2
+            m, term = -c % NN, c if k % 2 else -c
+            re, im, weight = re + term * X[m], im + term * Y[m], weight + c
+        s = complex(re, im)
+        if not 0.78 * math.sqrt(2) * weight + 8 * _U * abs(s) < JONES_REL_TOL * abs(s):
+            raise PrecisionLoss(f"{name} J({zero}) at r={r} misses {JONES_REL_TOL:g}")
+        values.append(s / (2 * NN * X[0]))
     return values
 
 
@@ -505,8 +533,8 @@ def _trefoil_norm(r: int) -> Optional[tuple]:
 
     Morton's |den'(n)| = |s(n)|, s(n) = 2 sin(2 pi n/NN), so w(n) |J(n)| =
     |S'(n)|/sqrt(NN) and the squared norm is sum_n |S'(n)|^2 / NN.  S' comes
-    from _trefoil_sums over _root_table(NN, F), F = 64 + bitlen(NN), and the
-    sum T of its squares is exact in ints.  Each part of S'(n) is within
+    from _trefoil_sums over its table at F bits, and the sum T of its squares
+    is exact in ints.  Each part of S'(n) is within
     1.56 n units, so T is within 1.56 (2 sqrt(2 T sum n^2) + 3.12 sum n^2)
     of its exact value (docs/conventions.md), which must stay below
     JONES_REL_TOL T, compared in ints; else None.  norm_sq is the one
@@ -514,10 +542,7 @@ def _trefoil_norm(r: int) -> Optional[tuple]:
     |S'(n)|^2 / Y[n]^2, |J(n)|^2 up to a constant.  The mirror's S' are the
     conjugates: the same norm.
     """
-    NN = 2 * r + 1
-    F = 64 + NN.bit_length()
-    X, Y = _root_table(NN, F)
-    re, im = _trefoil_sums(X, Y, r)
+    X, Y, re, im = _trefoil_sums(r, r)
     squares = list(map(add, map(mul, re, re), map(mul, im, im)))
     total, n2 = sum(squares), r * (r + 1) * (2 * r + 1) // 6   # n2 = sum n^2
     num, den = JONES_REL_TOL.as_integer_ratio()
@@ -525,7 +550,7 @@ def _trefoil_norm(r: int) -> Optional[tuple]:
     if not 39 * (50 * (math.isqrt(2 * n2 * total) + 1) + 78 * n2) * den < 625 * num * total:
         return None
     ratios = list(map(truediv, squares, map(mul, Y[1:r + 1], Y[1:r + 1])))
-    norm_sq = total / (NN << 2 * F)
+    norm_sq = total / ((2 * r + 1) * X[0] ** 2)
     return norm_sq, math.log(norm_sq), ratios.index(max(ratios)) + 1
 
 
@@ -692,7 +717,9 @@ class CatalogEntry(NamedTuple):
     """A built-in knot: all that the catalog knows of it.
 
     ``values(r, n_max, zero)`` gives J(1..n_max) at level r, n_max <= r, and
-    then J(zero) for a nonzero multiple ``zero`` of 2r+1; ``weight(k)`` is
+    then J(zero) for a nonzero multiple ``zero`` of 2r+1, which every entry
+    serves; the trefoil's values and norm read one table and its running
+    sums (_trefoil_sums), counted once; ``weight(k)`` is
     Masbaum's w_k as (exponent of t, sign), None where the sum stops at k = 0;
     ``norm(r)`` is the knot state's (norm_sq, log_norm_sq, argmax_n) at level
     r from the entry's own partial sums, certified to JONES_REL_TOL, or None
@@ -758,9 +785,11 @@ def catalog_jones_values(name: str, r: int, n_max: int) -> list:
     """J(name, n) for n = 1..n_max at t = exp(2 pi i/(r+1/2)), in one pass.
 
     J(n) = J(min(n mod NN, -n mod NN)), NN = 2r+1: a sum runs to min(n_max, r), then
-    to the largest multiple of NN to n_max.  Each value is within JONES_REL_TOL
-    relative, or PrecisionLoss is raised.  Figure-eight values are exact Dyadic
-    reals, up to about 2**(r/2), past the double range; the others are complex.
+    to the largest multiple of NN to n_max, the class every entry serves.  Each value
+    is within JONES_REL_TOL relative, or PrecisionLoss is raised; the sums' bytes are
+    counted before they run, and StateSpaceTooLarge raised past errors.BYTE_BUDGET.
+    Figure-eight values are exact Dyadic reals, up to about 2**(r/2), past the double
+    range; the others are complex.
     """
     RootContext(r)   # rejects a level below 3
     if n_max < 0:

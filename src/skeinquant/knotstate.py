@@ -55,7 +55,7 @@ def knot_state(K: KnotPresentation, r: int, backend: str = "auto") -> KnotState:
     J(K, 1..r), and their norm by log-sum-exp, l2_norm_formula's per-color path.
     For a catalog knot l2_norm_formula takes the entry's norm pass instead: each is
     within JONES_REL_TOL, but not the same double (the trefoil's norm_sq at r = 8
-    is 6.000000000000001 here and 6.0 there)."""
+    is 6.000000000000003 here and 6.0 there)."""
     values, weights = colored_jones_values(K, r, backend), _weights(r)
     eta, omega = weights  # omega[n-1] = (-1)^(n-1) [n]
     return KnotState(K, r, TorusVector(r, tuple(eta * w * complex(j) for w, j in

@@ -11,10 +11,9 @@
 * Morton's trefoil sum term by term: for each color, every term of his
   formula from one float table, summed with math.fsum, the reference
   for the catalog's two running sums.
-* The catalog's float steps in numpy: the trefoil's running sums over
-  the mpmath root table at 2^-52, scaled before they are divided, the
-  figure-eight's bit count L from np.cumsum, and the norm's log-sum-exp
-  over arrays.  The plain-Python forms must give the same floats.
+* The catalog's float steps in numpy: the figure-eight's bit count L
+  from np.cumsum, and the norm's log-sum-exp over arrays.  The
+  plain-Python forms must give the same floats.
 * The dense R-matrix trace: every generator as a full Kronecker product
   on (C^n)^strands, the reference for the weight-sector engine.  Its R
   is a float build of its own, from the E and F ladders, with R^-1 by
@@ -79,7 +78,7 @@
 import cmath
 import math
 from functools import reduce
-from itertools import accumulate, product, zip_longest
+from itertools import product, zip_longest
 
 import mpmath
 import numpy as np
@@ -143,9 +142,10 @@ def _two_cos_table(NN: int, F: int) -> list:
 
 def mpmath_root_table(NN: int, F: int) -> tuple:
     """(X, Y), round(2^F exp(2 pi i m/NN)) for m < NN as jones._root_table builds them, from
-    mpmath's w = exp(2 pi i/NN) at W + 10 bits, W = F + bitlen(NN) + 2, rounded to W bits."""
+    mpmath's w = exp(2 pi i/NN) at W + 64 bits, W = F + bitlen(NN) + 2, rounded to W bits
+    (at W + 10 bits, w's real part at NN = 531, W = 86 reads as a tie and rounds down)."""
     W = F + NN.bit_length() + 2
-    with mpmath.workprec(W + 10):
+    with mpmath.workprec(W + 64):
         w = mpmath.expjpi(mpmath.mpf(2) / NN)
         a, b = (int(mpmath.nint(mpmath.ldexp(v, W))) for v in (w.real, w.imag))
     x, y, X, Y = 1 << W, 0, [], []
@@ -214,28 +214,6 @@ def morton_trefoil(r: int, n_max: int) -> list:
         s = complex(math.fsum(terms.real), math.fsum(terms.imag))
         values.append(s / complex(table[-2 * n % M] - table[2 * n % M]))
     return values
-
-
-def numpy_trefoil(r: int, n_max: int) -> list:
-    """Trefoil J(1..n_max) by the running sums S'(n) = S'(n-2) + g(n-1) + g(1-n) in numpy,
-    over mpmath_root_table(NN, 52) at the halved exponents, scaled to 2^-52 before dividing."""
-    NN = 2 * r + 1
-    fixed = np.array(mpmath_root_table(NN, 52), dtype=np.int64)
-    m = np.arange(n_max)
-
-    def g(h):
-        return fixed[:, -(3 * h * h + 5 * h + 4) % NN] - fixed[:, -(3 * h * h - h + 2) % NN]
-
-    def scaled(re, im):
-        return complex(re / 2 ** 52, im / 2 ** 52)
-
-    sums = []
-    for col in (g(m) + np.where(m > 0, g(-m), 0)).tolist():
-        run = [0] * n_max
-        run[::2], run[1::2] = accumulate(col[::2]), accumulate(col[1::2])
-        sums.append(run)
-    den = fixed[:, (-m - 1 - 3 * (m + 1) ** 2) % NN] - fixed[:, (m + 1 - 3 * (m + 1) ** 2) % NN]
-    return [scaled(re, im) / scaled(*d) for re, im, d in zip(*sums, den.T.tolist())]
 
 
 def numpy_q_bits(NN: int) -> int:

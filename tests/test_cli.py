@@ -521,12 +521,14 @@ def test_knot_state_of_the_trefoil_mirror_conjugates_the_trefoil_state(capsys):
 
 
 @pytest.mark.parametrize("knot", ("trefoil", "trefoil-mirror"))
-def test_catalog_zero_over_zero_names_the_knot_asked_for(capsys, knot):
-    # 2r+1 = 17 divides the color, where Morton's denominator vanishes
+def test_catalog_refusal_names_the_knot_asked_for(monkeypatch, capsys, knot):
+    # 2r+1 = 17 divides the color, where Morton's denominator vanishes: its value's own
+    # certificate fails under a tolerance no sum meets
+    monkeypatch.setattr(jones, "JONES_REL_TOL", 1e-300)
     assert cli.main(["jones", "--knot", knot, "--n", "17", "--r", "8"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {knot} J(17) at r=8 is 0/0 in Morton's formula\n"
+    assert captured.err == f"error: {knot} J(17) at r=8 misses 1e-300\n"
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -827,8 +829,8 @@ def test_word_matrix_emission():
 
 
 def test_precision_loss_exits_2():
-    # color 2r+1 zeroes Morton's denominator: the value cannot be certified
-    proc = run_cli("jones", "--knot", "trefoil", "--n", "7", "--r", "3", check=False)
+    # the trefoil's surgery sum at framing 0 cancels to rounding: the value cannot be certified
+    proc = run_cli("rt", "--surgery", "trefoil", "--framing", "0", "--r", "3", check=False)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 

@@ -102,6 +102,16 @@ def test_catalog_sums_read_only_the_integer_root_table():
     assert found == {name: [] for name in _CATALOG_SUMS}, found
 
 
+def test_only_the_trefoil_sums_build_mortons_table():
+    # Morton's root table is built in one place, at one precision, for the values and the norm
+    path = Path(skeinquant.__file__).parent / "jones.py"
+    callers = {fn.name for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_trefoil_")
+               and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                       and node.func.id == "_root_table" for node in ast.walk(fn))}
+    assert callers == {"_trefoil_sums"}, callers
+
+
 def test_the_float_root_finder_sees_each_form():
     code = ("def _root_table():\n    a = cmath.exp(1j)\n    b = math.sin(1) + math.log(2)\n"
             "    c = np.exp(1)\n    d = math.cos\n    return numpy\n"

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import (all_sector_bound, all_sector_loop, all_sector_window, cabled_jones,
                      cyclotomic_jones, dense_rmatrix_jones, exact, habiro_forward, mirrored,
-                     morton_trefoil, mpmath_root_table, numpy_q_bits, numpy_trefoil)
+                     morton_trefoil, mpmath_root_table, numpy_q_bits)
 from skeinquant import cli, errors, jones, roots
 from skeinquant.diagrams import BraidWord
 from skeinquant.errors import (InexactDivision, PrecisionLoss, StateSpaceTooLarge,
@@ -526,9 +526,10 @@ def test_budget_counts_the_traced_peak_of_one_exact_point(monkeypatch):
 
 @pytest.mark.parametrize("name, r, n", (("figure-eight", 2000, 3), ("trefoil", 100000, 5)))
 def test_catalog_tables_count_their_traced_peak(monkeypatch, capsys, name, r, n):
-    # the root table, and the figure-eight's Q chain, are counted before either exists: the
-    # first count bounds the traced peak of the values, and stays within twice it; under a
-    # budget below it the command exits 2 with one line before any root of unity is taken
+    # the root table, with the figure-eight's Q chain or Morton's sums, is counted before
+    # either exists: the first count bounds the traced peak of the values, and stays within
+    # twice it; under a budget below it the command exits 2 with one line before any root
+    # of unity is taken
     counted, check_bytes = [], errors.check_bytes
     monkeypatch.setattr(errors, "check_bytes",
                         lambda what, nbytes: counted.append(nbytes) or check_bytes(what, nbytes))
@@ -540,6 +541,28 @@ def test_catalog_tables_count_their_traced_peak(monkeypatch, capsys, name, r, n)
     assert cli.main(["jones", "--knot", name, "--n", str(n), "--r", str(r)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: the ") and err.count("\n") == 1
+    assert f"needs {counted[0]} bytes" in err and f"over the {counted[0] - 1}-byte" in err
+
+
+@pytest.mark.parametrize("r", (3000, pytest.param(100000, marks=pytest.mark.slow)))
+def test_trefoil_sums_count_their_traced_peak(monkeypatch, capsys, r):
+    # Morton's table, its sums and the caller's list, the values or the norm's squares and
+    # ratios, are counted once before any exists: the count bounds the traced peak of both
+    # callers, and stays within twice it; under a budget below it the command exits 2 with
+    # one line before any root of unity is taken
+    counted, check_bytes = [], errors.check_bytes
+    monkeypatch.setattr(errors, "check_bytes",
+                        lambda what, nbytes: counted.append(nbytes) or check_bytes(what, nbytes))
+    for run in (lambda: catalog_jones_values("trefoil", r, r), lambda: jones._trefoil_norm(r)):
+        counted.clear()
+        peak = _traced_peak(run)
+        assert peak <= counted[0] <= 2 * peak, (peak, counted[0])
+    monkeypatch.setattr(errors, "BYTE_BUDGET", counted[0] - 1)
+    for module in (jones, roots):
+        monkeypatch.setattr(module, "unit_root", lambda *args: pytest.fail("unit_root ran"))
+    assert cli.main(["jones", "--knot", "trefoil", "--n", str(r), "--r", str(r)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the Morton sum ") and err.count("\n") == 1
     assert f"needs {counted[0]} bytes" in err and f"over the {counted[0] - 1}-byte" in err
 
 
@@ -898,7 +921,8 @@ def test_trefoil_norm_sums_lie_within_their_bounds(r):
     # times Morton's sum at 60 digits, and the sum of their squares within its bound
     NN = 2 * r + 1
     F = 64 + NN.bit_length()
-    re, im = jones._trefoil_sums(*jones._root_table(NN, F), r)
+    X, _, re, im = jones._trefoil_sums(r, r)
+    assert X[0] == 2 ** F
     with mpmath.workdps(60):
         def g(h):
             return (mpmath.expjpi(mpmath.mpf(-2 * (3 * h * h + 5 * h + 4)) / NN)
@@ -959,7 +983,7 @@ def test_root_table_matches_the_mpmath_table(monkeypatch):
         jones._figure_eight_values(r, 1, 0)
         jones._trefoil_values(r, 1)
     assert [NN for NN, _, _ in tables] == [2 * r + 1 for r in levels for _ in range(2)]
-    assert {F for _, F, _ in tables[1::2]} == {52}
+    assert [F for _, F, _ in tables[1::2]] == [64 + (2 * r + 1).bit_length() for r in levels]
     for NN, F, table in tables:
         assert table == mpmath_root_table(NN, F), (NN, F)
 
@@ -991,9 +1015,9 @@ def test_catalog_color_sums_only_its_class(monkeypatch):
     assert colored_jones_catalog("figure-eight", 7 * 10 ** 6 + 2, ctx) == \
         colored_jones_catalog("figure-eight", 2, ctx)
     assert asked[2:] == [(3, 2, 0), (3, 2, 0)]
-    with pytest.raises(PrecisionLoss, match=r"trefoil J\(7000000\) at r=3 "):
-        colored_jones_catalog("trefoil", 7 * 10 ** 6, ctx)
-    assert asked[-1] == (3, 0, 7 * 10 ** 6)
+    assert colored_jones_catalog("trefoil", 7 * 10 ** 6, ctx) == \
+        colored_jones_catalog("trefoil", 7, ctx)
+    assert asked[4:] == [(3, 0, 7 * 10 ** 6), (3, 0, 7)]
 
 
 def test_figure_eight_certificate_can_fail(monkeypatch):
@@ -1019,9 +1043,6 @@ def test_trefoil_running_sums_match_morton_oracle(r):
 
 @pytest.mark.parametrize("r", (*range(3, 41), 57, 150, 295, 500))
 def test_catalog_floats_match_the_numpy_forms(r):
-    # the sums and den' are exact integers on the 2^-52 grid; each converts correctly
-    # rounded, and a division by a power of two neither rounds nor moves a quotient
-    assert jones._trefoil_values(r, r) == numpy_trefoil(r, r)
     assert jones._q_bits(2 * r + 1) == numpy_q_bits(2 * r + 1)
 
 
@@ -1030,9 +1051,15 @@ def test_trefoil_certifies_every_color_at_r3000():
 
 
 def test_trefoil_certifies_every_color_at_r50000():
-    # the table's 0.78 units per part on the 2^-52 grid, under 2^-51 in modulus, certify
-    # every color to r = 350000
     assert len(catalog_jones_values("trefoil", 50000, 50000)) == 50000
+
+
+def test_trefoil_certifies_at_r400000():
+    # the table at F = 64 + bitlen(NN) bits keeps the certificate's table share near 2^-64
+    # at every level, so the colors certify wherever the byte count fits the budget
+    values = catalog_jones_values("trefoil", 400000, 5)
+    assert values[0] == 1
+    assert len(values) == 5
 
 
 @pytest.mark.parametrize("r, colors", ((3, (8, 9, 13)),
@@ -1063,14 +1090,28 @@ def test_every_backend_runs_a_color_at_its_class(word, backend, r, n, k):
     assert abs(value.value - exact) <= 1e-10 * abs(exact)
 
 
-def test_uncertifiable_value_raises():
-    # n = 2r+1 puts Morton's denominator sin(2 pi n/(2r+1)) at zero
-    with pytest.raises(PrecisionLoss):
-        catalog_jones_values("trefoil", 3, 7)
-    for r in (3, 10, 40):   # every color below 2r+1 certifies, and 2r+1 is the one that raises
+@pytest.mark.parametrize("r", (3, 4, 5))
+def test_trefoil_class_zero_is_the_exact_value(r):
+    # den'(2r+1) = 0, and l'Hopital in A gives J(2r+1) from the same table: the value of
+    # every multiple of 2r+1, conjugated for the mirror
+    ctx, NN = RootContext(r), 2 * r + 1
+    exact = colored_jones_exact(TREFOIL, NN).eval_at(ctx.t_value)
+    value = colored_jones_catalog("trefoil", NN, ctx)
+    assert abs(value - exact) <= 1e-10 * abs(exact)
+    assert colored_jones_catalog("trefoil-mirror", NN, ctx) == value.conjugate()
+    assert colored_jones_catalog("trefoil", 10 ** 6 * NN, ctx) == value
+    assert catalog_jones_values("trefoil", r, NN + 3)[NN - 1] == value
+
+
+def test_uncertifiable_value_raises(monkeypatch):
+    # every color certifies, the class of 2r+1 by its own bound; under a tolerance no sum
+    # meets, a multiple of 2r+1 asked alone raises naming itself, and a run of colors at J(1)
+    for r in (3, 10, 40):
+        assert len(catalog_jones_values("trefoil", r, 2 * r + 4)) == 2 * r + 4
+    monkeypatch.setattr(jones, "JONES_REL_TOL", 1e-300)
+    for r in (3, 10, 40):
         NN = 2 * r + 1
-        assert len(catalog_jones_values("trefoil", r, NN - 1)) == NN - 1
-        with pytest.raises(PrecisionLoss, match=rf"trefoil J\({NN}\) at r={r} "):
-            catalog_jones_values("trefoil", r, NN + 3)
         with pytest.raises(PrecisionLoss, match=rf"trefoil J\({3 * NN}\) at r={r} "):
             colored_jones_catalog("trefoil", 3 * NN, RootContext(r))
+        with pytest.raises(PrecisionLoss, match=rf"trefoil J\(1\) at r={r} "):
+            catalog_jones_values("trefoil", r, NN + 3)
