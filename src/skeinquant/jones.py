@@ -561,8 +561,8 @@ def _int_bytes(ints: int, bits: int, slots: int) -> int:
 
 
 def _root_table_bytes(NN: int, F: int) -> int:
-    """What _root_table(NN, F) holds at once: its two halves of NN//2 + 1 ints of F + 1
-    bits, Y's negated half, and 5 NN slots for the halves, their growth and the full lists."""
+    """What _root_table(NN, F) holds at once, which its reader counts: two halves of NN//2 + 1
+    ints of F + 1 bits, Y's negated half, and 5 NN slots for the halves, growth and full lists."""
     return _int_bytes(3 * (NN // 2 + 1), F + 1, 5 * NN)
 
 
@@ -572,10 +572,9 @@ def _root_table(NN: int, F: int) -> tuple:
     The powers of w = exp(2 pi i/NN) for m <= NN/2 in Gaussian-integer fixed
     point at F + bitlen(NN) + 2 bits, mirrored by w^(NN-m) = conj(w^m): the
     rounded w and each truncated product add under 2.2 units of the finer
-    grid, which |w^m| = 1 does not amplify (docs/conventions.md).
+    grid, which |w^m| = 1 does not amplify (docs/conventions.md).  It only
+    builds: its reader counts _root_table_bytes(NN, F) with its own lists.
     """
-    errors.check_bytes(f"the table of the {NN}-th roots of unity at {F} bits",
-                       _root_table_bytes(NN, F))
     W = F + NN.bit_length() + 2
     a, b = unit_root(NN, W)
     x, y, half, X, Y = 1 << W, 0, 1 << (W - F - 1), [], []
@@ -668,9 +667,14 @@ def _figure_eight_terms(r: int) -> Optional[tuple]:
     + n + 2) u (P + N), u = 2^-53 (docs/conventions.md).  argmax_n is the
     first largest |J(n)|.  None where some |Q(m)| leaves [2^-500, 2^500],
     from r = 2118: inside it no term, sum or A(n) leaves the double range.
+    One count covers the larger phase, the table while s is built or s, q, moduli and
+    bounds (a float 24 bytes, its slot 8 and 1 of growth), 2r slice slots and 1.5 KiB of frames.
     """
     NN = 2 * r + 1
     F = NN.bit_length() + 56
+    errors.check_bytes(f"the figure-eight norm pass at r={r} holds a {F}-bit root table or "
+                       f"{2 * (NN + r)} floats and",
+                       max(_root_table_bytes(NN, F), 33 * (2 * NN + 2 * r) + 16 * r + 1536))
     s = [abs(y) / (1 << (F - 1)) for y in _root_table(NN, F)[1]]   # correctly rounded
     q = list(accumulate(s[1:], mul, initial=1.0))
     if not 2.0 ** -500 < min(q) <= max(q) < 2.0 ** 500:

@@ -112,6 +112,31 @@ def test_only_the_trefoil_sums_build_mortons_table():
     assert callers == {"_trefoil_sums"}, callers
 
 
+def _check_bytes_calls(tree: ast.AST, names) -> dict:
+    """{function: count} for the functions ``names``: how many check_bytes calls each
+    makes, by attribute or by name."""
+    return {fn.name: sum(isinstance(node, ast.Call) and "check_bytes" in (
+                             getattr(node.func, "attr", None), getattr(node.func, "id", None))
+                         for node in ast.walk(fn))
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in names}
+
+
+def test_each_catalog_table_is_counted_once_by_its_reader():
+    # _root_table only builds: each sum that holds the table counts it with its own lists,
+    # in one check before any exists
+    path = Path(skeinquant.__file__).parent / "jones.py"
+    found = _check_bytes_calls(ast.parse(path.read_text()), _CATALOG_SUMS)
+    assert found == {"_trefoil_values": 0, "_trefoil_sums": 1, "_trefoil_norm": 0,
+                     "_figure_eight_values": 1, "_figure_eight_terms": 1, "_root_table": 0}, found
+
+
+def test_the_check_bytes_finder_sees_each_form():
+    code = ("def _root_table():\n    errors.check_bytes('a', 1)\n    check_bytes('b', 2)\n"
+            "    errors.check_bytes\n    x.check_bytes('c', 3)\n"
+            "def other():\n    errors.check_bytes('d', 4)\n")
+    assert _check_bytes_calls(ast.parse(code), _CATALOG_SUMS) == {"_root_table": 3}
+
+
 def test_the_float_root_finder_sees_each_form():
     code = ("def _root_table():\n    a = cmath.exp(1j)\n    b = math.sin(1) + math.log(2)\n"
             "    c = np.exp(1)\n    d = math.cos\n    return numpy\n"

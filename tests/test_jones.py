@@ -526,15 +526,15 @@ def test_budget_counts_the_traced_peak_of_one_exact_point(monkeypatch):
 
 @pytest.mark.parametrize("name, r, n", (("figure-eight", 2000, 3), ("trefoil", 100000, 5)))
 def test_catalog_tables_count_their_traced_peak(monkeypatch, capsys, name, r, n):
-    # the root table, with the figure-eight's Q chain or Morton's sums, is counted before
-    # either exists: the first count bounds the traced peak of the values, and stays within
+    # the root table, with the figure-eight's Q chain or Morton's sums, is counted once
+    # before either exists: the count bounds the traced peak of the values, and stays within
     # twice it; under a budget below it the command exits 2 with one line before any root
     # of unity is taken
     counted, check_bytes = [], errors.check_bytes
     monkeypatch.setattr(errors, "check_bytes",
                         lambda what, nbytes: counted.append(nbytes) or check_bytes(what, nbytes))
     peak = _traced_peak(lambda: catalog_jones_values(name, r, n))
-    assert peak <= counted[0] <= 2 * peak, (peak, counted[0])
+    assert len(counted) == 1 and peak <= counted[0] <= 2 * peak, (peak, counted)
     monkeypatch.setattr(errors, "BYTE_BUDGET", counted[0] - 1)
     for module in (jones, roots):
         monkeypatch.setattr(module, "unit_root", lambda *args: pytest.fail("unit_root ran"))
@@ -556,13 +556,36 @@ def test_trefoil_sums_count_their_traced_peak(monkeypatch, capsys, r):
     for run in (lambda: catalog_jones_values("trefoil", r, r), lambda: jones._trefoil_norm(r)):
         counted.clear()
         peak = _traced_peak(run)
-        assert peak <= counted[0] <= 2 * peak, (peak, counted[0])
+        assert len(counted) == 1 and peak <= counted[0] <= 2 * peak, (peak, counted)
     monkeypatch.setattr(errors, "BYTE_BUDGET", counted[0] - 1)
     for module in (jones, roots):
         monkeypatch.setattr(module, "unit_root", lambda *args: pytest.fail("unit_root ran"))
     assert cli.main(["jones", "--knot", "trefoil", "--n", str(r), "--r", str(r)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: the Morton sum ") and err.count("\n") == 1
+    assert f"needs {counted[0]} bytes" in err and f"over the {counted[0] - 1}-byte" in err
+
+
+@pytest.mark.parametrize("r", [pytest.param(r, marks=pytest.mark.slow) for r in (2000, 2117)])
+def test_figure_eight_norm_counts_its_traced_peak(monkeypatch, capsys, tmp_path, r):
+    # the float norm pass counts its table, then its float lists and one color's slices,
+    # once before any exists: the count bounds the traced peak, and stays within twice it;
+    # under a budget below it volume-seq exits 2 with one line before any root of unity is
+    # taken
+    counted, check_bytes = [], errors.check_bytes
+    monkeypatch.setattr(errors, "check_bytes",
+                        lambda what, nbytes: counted.append(nbytes) or check_bytes(what, nbytes))
+    peak = _traced_peak(lambda: jones._figure_eight_norm(r))
+    assert len(counted) == 1 and peak <= counted[0] <= 2 * peak, (peak, counted)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", counted[0] - 1)
+    for module in (jones, roots):
+        monkeypatch.setattr(module, "unit_root", lambda *args: pytest.fail("unit_root ran"))
+    out = tmp_path / "v.csv"
+    assert cli.main(["volume-seq", "--knot", "figure-eight", "--r-min", str(r),
+                     "--r-max", str(r), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: the figure-eight norm pass ")
+    assert err.count("\n") == 1 and not out.exists()
     assert f"needs {counted[0]} bytes" in err and f"over the {counted[0] - 1}-byte" in err
 
 
